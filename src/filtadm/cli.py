@@ -173,21 +173,22 @@ def cmd_subobjects(args) -> int:
         "permutation": list(perm),
         "modified": bool(args.modified),
         "count": len(subs),
-        "subobjects": [
-            {
-                "dim": s.rank,
-                "basis": _mat_json(s.rows),
-                "tN": fraction_to_str(realization.t_n_concrete(s.rows)),
-                "levels": [
-                    {"family": fid, "twist": tw, "mult": mult}
-                    for fid, tw, mult in realization.eigen_multiplicities(s.rows)
-                ],
-            }
-            for s in subs
-        ],
+        "subobjects": [_subobject_entry(realization, s) for s in subs],
     }
     _emit(report, args)
     return 0
+
+
+def _subobject_entry(realization, sub) -> dict:
+    levels = realization.eigen_multiplicities(sub.rows)
+    return {
+        "dim": sub.rank,
+        "basis": _mat_json(sub.rows),
+        "tN": fraction_to_str(realization.t_n_from_levels(levels)),
+        "levels": [
+            {"family": fid, "twist": tw, "mult": mult} for fid, tw, mult in levels
+        ],
+    }
 
 
 def cmd_build_filtration(args) -> int:

@@ -42,7 +42,6 @@ from .subobjects import (
     Subobject,
     enumerate_good_subobjects,
     good_coords,
-    good_span,
     enumerate_concrete_subobjects,
     random_round_subobjects,
     stable_good_subobjects,
@@ -209,23 +208,22 @@ def _aligned_candidates(
     subspace, when one exists, sits inside some good subobject aligned
     with a high-weight tail.
     """
-    ops = (realization.phi, realization.nmat)
     out = []
     n = spec.dimension
     for good in enumerate_good_subobjects(spec):
         m = good.dimension(spec)
         if m in (0,):
             continue
-        span = good_span(spec, good)
+        coords = good_coords(spec, good)
         for sigma in range(spec.config.embeddings):
             for j in range(2, n + 1):
                 want = max(0, m - j + 1)
                 if want == 0 or want >= m:
                     continue
-                inter = linalg.intersect_basis(span, filtration.tail(sigma, j))
+                inter = linalg.intersect_coords(coords, filtration.tail(sigma, j))
                 if not inter:
                     continue
-                out.append(Subobject(linalg.closure_under(inter, ops)))
+                out.append(Subobject(realization.closure(inter)))
     return out
 
 

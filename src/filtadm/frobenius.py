@@ -13,15 +13,23 @@ matrices: each block (summand i, position k) is a basis vector with
 Phi-eigenvalue a_F * p^(l_i + k), where the family seeds a_F are distinct
 primes different from p by default, and edges add the equal-eigenvalue
 coupling term.  N * Phi = p * Phi * N holds exactly.
+
+Blocks of one eigenvalue form a level; distinct families never share an
+eigenvalue and every edge stays inside a level, so on the coordinate span
+V_lambda of a level Phi = lambda * (1 + E) with E the 0/1 edge coupling,
+and E is nilpotent.  Each V_lambda is therefore a generalized eigenspace,
+and every Phi-stable subspace W is the direct sum of the W cap V_lambda.
+Stable closures and Newton slopes are computed level by level from this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import linalg
-from .linalg import Mat
+from .linalg import Mat, Vec
 from .model import Block, ModuleSpec, Summand
 from .ordering import require_canonical
 
@@ -95,6 +103,7 @@ class ConcreteRealization:
     basis: tuple[Block, ...]
     phi: Mat
     nmat: Mat
+    coupling: Mat   # E with Phi = lambda * (1 + E) on each level
 
     @property
     def dimension(self) -> int:
@@ -104,69 +113,74 @@ class ConcreteRealization:
     def p(self) -> int:
         return self.spec.config.p
 
-    def block_index(self, summand: int, k: int) -> int:
-        for idx, blk in enumerate(self.basis):
-            if blk.summand == summand and blk.k == k:
-                return idx
-        raise KeyError((summand, k))
-
     def eigenvalue(self, blk: Block) -> Fraction:
         return self.seeds[blk.family.id] * Fraction(self.p) ** blk.twist
 
     def eigen_levels(self) -> dict[Fraction, list[int]]:
-        """Generalized-eigenvalue classes as basis index groups."""
-        out: dict[Fraction, list[int]] = {}
+        """Generalized-eigenvalue classes as basis index groups, in basis
+        order; blocks share an eigenvalue iff they share family and twist."""
+        groups: dict[tuple[str, int], list[int]] = {}
         for idx, blk in enumerate(self.basis):
-            out.setdefault(self.eigenvalue(blk), []).append(idx)
-        return out
+            groups.setdefault((blk.family.id, blk.twist), []).append(idx)
+        return {self.eigenvalue(self.basis[g[0]]): g for g in groups.values()}
 
-    def restriction(self, rows: Mat) -> Mat:
-        """Matrix of Phi on a Phi-stable row space given by an RREF basis."""
-        pivots = []
-        for row in rows:
-            for j, x in enumerate(row):
-                if x != 0:
-                    pivots.append(j)
-                    break
-        images = tuple(linalg.mat_vec(self.phi, v) for v in rows)
-        return tuple(tuple(img[j] for j in pivots) for img in images)
+    def closure(self, vectors: Iterable[Vec]) -> Mat:
+        """Canonical basis of the smallest Phi,N-stable subspace containing
+        `vectors`.
+
+        The stable closure holds the level components of every generator,
+        and on level-homogeneous vectors stability under Phi is stability
+        under the 0/1 coupling E, so the level projections are closed under
+        E and N.  Closing the raw generators under E and N instead would in
+        general give a smaller, non-Phi-stable subspace.
+        """
+        levels = list(self.eigen_levels().values())
+        gens = []
+        for v in vectors:
+            for coords in levels:
+                if any(v[i] for i in coords):
+                    piece = [linalg.ZERO] * len(v)
+                    for i in coords:
+                        piece[i] = v[i]
+                    gens.append(piece)
+        return linalg.closure_under(gens, (self.coupling, self.nmat))
 
     def eigen_multiplicities(self, rows: Mat) -> list[tuple[str, int, int]]:
         """(family id, twist, multiplicity) of Phi restricted to a stable
-        subspace, via generalized eigenspace ranks."""
+        subspace W; the multiplicity of a level is dim(W cap V_lambda)."""
         rows = linalg.rref(rows)
         r = len(rows)
         if r == 0:
             return []
-        restr = self.restriction(rows)
         out = []
         mult_sum = 0
-        seen = set()
-        for blk in self.basis:
-            lam = self.eigenvalue(blk)
-            if lam in seen:
-                continue
-            seen.add(lam)
-            shifted = linalg.mat_sub(restr, linalg.mat_scale(lam, linalg.identity(r)))
-            mult = r - linalg.rank(linalg.mat_pow(shifted, r))
+        for coords in self.eigen_levels().values():
+            mult = linalg.dim_intersection_coords(coords, rows, self.dimension)
             if mult:
+                blk = self.basis[coords[0]]
                 out.append((blk.family.id, blk.twist, mult))
                 mult_sum += mult
         if mult_sum != r:
             raise RuntimeError("eigenvalue multiplicities do not fill the subspace")
         return out
 
-    def t_n_concrete(self, rows: Mat) -> Fraction:
-        """Newton slope of a Phi,N-stable subspace.
+    def t_n_from_levels(
+        self, multiplicities: Iterable[tuple[str, int, int]]
+    ) -> Fraction:
+        """Newton slope from `eigen_multiplicities` output.
 
         Each generalized eigenvalue a_F * p^t contributes, with its
         multiplicity, t_base(F) + t * [K:Qp].
         """
         total = Fraction(0)
         cfg = self.spec.config
-        for fam_id, twist, mult in self.eigen_multiplicities(rows):
+        for fam_id, twist, mult in multiplicities:
             total += mult * (self.spec.family(fam_id).t_base + twist * cfg.deg_K_Qp)
         return total
+
+    def t_n_concrete(self, rows: Mat) -> Fraction:
+        """Newton slope of a Phi,N-stable subspace."""
+        return self.t_n_from_levels(self.eigen_multiplicities(rows))
 
 
 def realize_matrices(
@@ -174,26 +188,46 @@ def realize_matrices(
     edges: tuple[ModificationEdge, ...] = (),
     seeds: dict[str, Fraction] | None = None,
 ) -> ConcreteRealization:
-    """Exact rational (Phi, N) realizing the spec; restricted to h = 1."""
+    """Exact rational (Phi, N) realizing the spec; restricted to h = 1.
+
+    Raises ValueError for a zero seed, for two families sharing an
+    eigenvalue, and for an edge coupling blocks of different eigenvalues:
+    each breaks the level structure that closures and t_N rely on.
+    """
     for fam in spec.families:
         if fam.h != 1:
             raise ValueError("concrete layer requires h=1")
     if seeds is None:
         seeds = _default_seeds(spec)
+    for fid, seed in seeds.items():
+        if seed == 0:
+            raise ValueError(f"Frobenius seed of family {fid!r} is zero")
     basis = tuple(spec.blocks())
     n = len(basis)
     p = spec.config.p
+    lams = [seeds[blk.family.id] * Fraction(p) ** blk.twist for blk in basis]
+    owner: dict[Fraction, str] = {}
+    for blk, lam in zip(basis, lams):
+        fid = owner.setdefault(lam, blk.family.id)
+        if fid != blk.family.id:
+            raise ValueError(
+                f"families {fid!r} and {blk.family.id!r} share the eigenvalue {lam}"
+            )
     index = {(blk.summand, blk.k): i for i, blk in enumerate(basis)}
     phi = [[Fraction(0)] * n for _ in range(n)]
     nmat = [[Fraction(0)] * n for _ in range(n)]
+    coupling = [[Fraction(0)] * n for _ in range(n)]
     edge_by_src = {e.src: e for e in edges}
     for j, blk in enumerate(basis):
-        lam = seeds[blk.family.id] * Fraction(p) ** blk.twist
+        lam = lams[j]
         phi[j][j] = lam
         e = edge_by_src.get(blk.summand)
         if e is not None and blk.k >= e.alignment:
             tgt = index[(e.dst, blk.k - e.alignment)]
+            if lams[tgt] != lam:
+                raise ValueError(f"edge {e} couples blocks of different eigenvalues")
             phi[tgt][j] = lam
+            coupling[tgt][j] = Fraction(1)
         if blk.k > 0:
             below = index[(blk.summand, blk.k - 1)]
             nmat[below][j] = Fraction(1)
@@ -203,4 +237,7 @@ def realize_matrices(
     rhs = linalg.mat_scale(Fraction(p), linalg.mat_mul(phi_m, nmat_m))
     if lhs != rhs:
         raise RuntimeError("realization violates N*Phi = p*Phi*N")
-    return ConcreteRealization(spec, tuple(edges), dict(seeds), basis, phi_m, nmat_m)
+    return ConcreteRealization(
+        spec, tuple(edges), dict(seeds), basis, phi_m, nmat_m,
+        tuple(tuple(row) for row in coupling),
+    )

@@ -5,13 +5,20 @@ subspace is identified with its row space and represented canonically by
 the reduced row echelon form of any spanning set, so two subspaces are
 equal iff their canonical matrices are equal as tuples.
 
-Rank computations go through a fraction-free integer elimination (rows are
-scaled to integers first); everything else stays in Fraction arithmetic.
+Two kernels do the elimination.  `rank` scales rows to integers and runs
+fraction-free integer elimination; it serves dimension counts on dense
+rows such as sampled filtration bases.  Every canonical basis (`rref`,
+`span_sum`, `intersect_coords`, `closure_under`) comes from `Echelon`, a
+pivot-indexed echelon basis that grows one vector at a time: a new vector
+is reduced against the existing pivots in ascending order, zero entries
+are skipped, and back-substitution runs once, when the canonical rows are
+read out.  Already reduced input therefore costs only zero tests.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -85,36 +92,124 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return r
 
 
+class Echelon:
+    """Echelon basis of a growing subspace of Q^ncols, indexed by pivot.
+
+    The row stored at pivot c has a 1 at c and zeros before it, so reducing
+    a vector against the pivots in ascending order clears every pivot
+    column of it.  Rows are kept together with the columns after the pivot
+    where they are nonzero, and only those entries are touched.
+    """
+
+    __slots__ = ("ncols", "_pivots", "_rows")
+
+    def __init__(self, ncols: int, canonical: Mat = ()):
+        self.ncols = ncols
+        self._pivots: list[int] = []
+        self._rows: dict[int, tuple[list[Fraction], list[int]]] = {}
+        for row in canonical:
+            for c, x in enumerate(row):
+                if x:
+                    self._store(c, list(row))
+                    break
+
+    def _store(self, c: int, row: list[Fraction]) -> None:
+        insort(self._pivots, c)
+        self._rows[c] = (row, [j for j in range(c + 1, self.ncols) if row[j]])
+
+    def add(self, v: Sequence[Fraction]) -> list[Fraction] | None:
+        """Extend the basis by `v`; the new row, or None if `v` was in it."""
+        w = list(v)
+        rows = self._rows
+        for c in self._pivots:
+            x = w[c]
+            if x:
+                row, nz = rows[c]
+                for j in nz:
+                    w[j] -= x * row[j]
+                w[c] = ZERO
+        for c, x in enumerate(w):
+            if x:
+                break
+        else:
+            return None
+        if x != 1:
+            w = [y / x if y else y for y in w]
+        self._store(c, w)
+        return w
+
+    def rows(self) -> Mat:
+        """The canonical basis (reduced row echelon form)."""
+        done: dict[int, tuple[list[Fraction], list[int]]] = {}
+        for c in reversed(self._pivots):
+            row, _ = self._rows[c]
+            row = list(row)
+            for c2 in done:
+                x = row[c2]
+                if x:
+                    other, nz = done[c2]
+                    for j in nz:
+                        row[j] -= x * other[j]
+                    row[c2] = ZERO
+            done[c] = (row, [j for j in range(c + 1, self.ncols) if row[j]])
+        return tuple(tuple(done[c][0]) for c in self._pivots)
+
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
     """Reduced row echelon form with zero rows dropped (canonical basis)."""
-    work = [list(map(Fraction, r)) for r in rows]
-    work = [r for r in work if any(x != 0 for x in r)]
-    if not work:
+    rows = list(rows)
+    if not rows:
         return ()
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        if inv != 1:
-            work[r] = [x / inv for x in work[r]]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        r += 1
-        if r == len(work):
-            break
-    work = [row for row in work if any(x != 0 for x in row)]
-    return tuple(tuple(row) for row in work)
+    ech = Echelon(len(rows[0]))
+    for r in rows:
+        ech.add([_fraction(x) for x in r])
+    return ech.rows()
+
+
+def span_sum(a: Mat, b: Iterable[Sequence[Fraction]]) -> Mat:
+    """Canonical basis of rowspace(a) + rowspace(b), for canonical `a`.
+
+    Returns `a` itself when rowspace(b) lies inside rowspace(a).
+    """
+    b = list(b)
+    if not b:
+        return a
+    ech = Echelon(len(b[0]), a)
+    grew = False
+    for v in b:
+        if ech.add(v) is not None:
+            grew = True
+    return ech.rows() if grew else a
+
+
+def intersect_coords(coords: Sequence[int], b: Mat) -> Mat:
+    """Canonical basis of span(e_i : i in coords) ∩ rowspace(b).
+
+    Eliminating the columns outside `coords` first leaves the rows whose
+    pivot lies in `coords` with zeros everywhere else; they span the
+    intersection.
+    """
+    if not b:
+        return ()
+    n = len(b[0])
+    inside = set(coords)
+    order = [j for j in range(n) if j not in inside] + sorted(inside)
+    ech = Echelon(n)
+    for v in b:
+        ech.add([v[j] for j in order])
+    first = n - len(inside)
+    out = Echelon(n)
+    for row in ech.rows():
+        if not any(row[:first]):
+            back = [ZERO] * n
+            for pos, j in enumerate(order):
+                back[j] = row[pos]
+            out.add(back)
+    return out.rows()
 
 
 def stack(*mats: Mat) -> Mat:
@@ -136,7 +231,8 @@ def dim_intersection(a: Mat, b: Mat) -> int:
 
 def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:
     """dim(span(e_i : i in coords) ∩ rowspace(b)) via projection rank."""
-    others = [j for j in range(ncols) if j not in set(coords)]
+    inside = set(coords)
+    others = [j for j in range(ncols) if j not in inside]
     if not others:
         return rank(b)
     proj = tuple(tuple(row[j] for j in others) for row in b)
@@ -166,18 +262,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
 
 def mat_scale(c: Fraction, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_pow(a: Mat, k: int) -> Mat:
-    n = len(a)
-    out = identity(n)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 def det(a: Mat) -> Fraction:
@@ -228,61 +312,46 @@ def char_poly(a: Mat) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Basis (rows) of the right null space {x : m x = 0}."""
-    if not m:
-        return ()
-    ncols = len(m[0])
-    red = rref(m)
-    pivots = []
-    for row in red:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(ncols) if j not in pivots]
-    out = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for i, pj in enumerate(pivots):
-            v[pj] = -red[i][f]
-        out.append(tuple(v))
-    return tuple(out)
+def _columns(op: Mat) -> list[list[tuple[int, Fraction]]]:
+    """Nonzero entries of each column of `op`, as (row, value) pairs."""
+    cols: list[list[tuple[int, Fraction]]] = [[] for _ in op[0]] if op else []
+    for i, row in enumerate(op):
+        for j, a in enumerate(row):
+            if a:
+                cols[j].append((i, a))
+    return cols
 
 
-def intersect_basis(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of rowspace(a) ∩ rowspace(b)."""
-    if not a or not b:
-        return ()
-    stacked = stack(a, b)
-    # left null space of `stacked` = kernel of its transpose
-    transp = tuple(zip(*stacked))
-    combos = kernel_basis(transp)
-    na = len(a)
-    rows = []
-    for z in combos:
-        v = [ZERO] * len(a[0])
-        for i in range(na):
-            if z[i] != 0:
-                v = [x + z[i] * y for x, y in zip(v, a[i])]
-        if any(x != 0 for x in v):
-            rows.append(tuple(v))
-    return rref(rows)
+def _apply(
+    cols: list[list[tuple[int, Fraction]]], v: Sequence[Fraction]
+) -> list[Fraction]:
+    w = [ZERO] * len(v)
+    for j, x in enumerate(v):
+        if x:
+            for i, a in cols[j]:
+                w[i] += a * x
+    return w
 
 
 def closure_under(vectors: Iterable[Vec], operators: Sequence[Mat]) -> Mat:
-    """Smallest subspace containing `vectors` stable under every operator."""
-    basis = rref(tuple(vectors))
-    queue = list(basis)
+    """Smallest subspace containing `vectors` stable under every operator.
+
+    Each vector that extends the echelon basis is queued once, and only
+    the images of queued vectors are reduced against the basis.
+    """
+    vectors = list(vectors)
+    if not vectors:
+        return ()
+    ech = Echelon(len(vectors[0]))
+    queue = [w for w in map(ech.add, vectors) if w is not None]
+    ops = [_columns(op) for op in operators]
     while queue:
         v = queue.pop()
-        for op in operators:
-            w = mat_vec(op, v)
-            if not in_span(basis, w):
-                basis = rref(stack(basis, (w,)))
+        for cols in ops:
+            w = ech.add(_apply(cols, v))
+            if w is not None:
                 queue.append(w)
-    return basis
+    return ech.rows()
 
 
 def is_stable(basis: Mat, operators: Sequence[Mat]) -> bool:

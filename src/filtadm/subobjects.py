@@ -417,17 +417,10 @@ def split_by_component(
     """
     spec = realization.spec
     comps = type_components(spec)
-    n = spec.dimension
     out = []
     total = 0
     for comp in comps:
-        coords = _component_coords(spec, comp)
-        rows = []
-        for ci in coords:
-            row = [Fraction(0)] * n
-            row[ci] = Fraction(1)
-            rows.append(tuple(row))
-        piece = linalg.intersect_basis(dprime.rows, tuple(rows))
+        piece = linalg.intersect_coords(_component_coords(spec, comp), dprime.rows)
         out.append((comp, Subobject(piece)))
         total += len(piece)
     if total != dprime.rank:
@@ -522,14 +515,20 @@ def _pattern_vectors(n: int, level: Sequence[int]) -> list[Vec]:
 
 
 def _saturate(subs: dict[Mat, Subobject]) -> dict[Mat, Subobject]:
+    """Close `subs` under sums.
+
+    Every element of the sum-closure is a sum of starting elements, so it
+    suffices to add each starting element to every element reached.
+    """
+    gens = [sub.rows for sub in subs.values() if sub.rows]
     queue = list(subs.values())
     while queue:
         x = queue.pop()
-        for y in list(subs.values()):
+        for g in gens:
             if len(subs) > _LATTICE_GUARD:
                 raise CapExceededError("subobject lattice exceeds the guard size")
-            rows = linalg.rref(linalg.stack(x.rows, y.rows))
-            if rows not in subs:
+            rows = linalg.span_sum(x.rows, g)
+            if rows is not x.rows and rows not in subs:
                 sub = Subobject(rows)
                 subs[rows] = sub
                 queue.append(sub)
@@ -539,13 +538,12 @@ def _saturate(subs: dict[Mat, Subobject]) -> dict[Mat, Subobject]:
 def _generate(
     realization: ConcreteRealization, atom_vectors: Iterable[Vec]
 ) -> dict[Mat, Subobject]:
-    ops = (realization.phi, realization.nmat)
     subs: dict[Mat, Subobject] = {(): Subobject(())}
     for g in stable_good_subobjects(realization.spec, realization.edges):
         rows = linalg.rref(good_span(realization.spec, g))
         subs.setdefault(rows, Subobject(rows))
     for v in atom_vectors:
-        rows = linalg.closure_under((v,), ops)
+        rows = realization.closure((v,))
         subs.setdefault(rows, Subobject(rows))
     return _saturate(subs)
 
@@ -612,12 +610,11 @@ def random_round_subobjects(
 ) -> list[Subobject]:
     """Closures of one random nonzero-coefficient vector per eigenspace level."""
     n = realization.dimension
-    ops = (realization.phi, realization.nmat)
     out = []
     for level in realization.eigen_levels().values():
         row = [Fraction(0)] * n
         for i in level:
             num = rng.choice([x for x in range(-9, 10) if x != 0])
             row[i] = Fraction(num, rng.randint(1, 4))
-        out.append(Subobject(linalg.closure_under((tuple(row),), ops)))
+        out.append(Subobject(realization.closure((tuple(row),))))
     return out

@@ -1,0 +1,181 @@
+"""Reference implementations the check suites compare the library against.
+
+These are the direct, unoptimized forms of what the library computes with
+its incremental echelon kernel and the eigen-level structure: full
+Gauss-Jordan elimination, closure by re-reducing the whole stack for every
+new vector, intersection through a left null space, generalized eigenspace
+ranks via matrix powers, and saturation under all pairwise sums.  They
+share no elimination code with `filtadm.linalg`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from filtadm import linalg
+from filtadm.linalg import Mat, Vec
+
+ZERO = Fraction(0)
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
+    """Gauss-Jordan reduced row echelon form with zero rows dropped."""
+    work = [list(map(Fraction, r)) for r in rows]
+    work = [r for r in work if any(x != 0 for x in r)]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        if inv != 1:
+            work[r] = [x / inv for x in work[r]]
+        prow = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        r += 1
+        if r == len(work):
+            break
+    work = [row for row in work if any(x != 0 for x in row)]
+    return tuple(tuple(row) for row in work)
+
+
+def mat_vec(m: Mat, v: Vec) -> Vec:
+    return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m)
+
+
+def in_span(basis: Mat, v: Vec) -> bool:
+    return len(rref(basis + (tuple(v),))) == len(basis)
+
+
+def closure_under(vectors: Iterable[Vec], operators: Sequence[Mat]) -> Mat:
+    """Smallest subspace containing `vectors` stable under every operator."""
+    basis = rref(tuple(vectors))
+    queue = list(basis)
+    while queue:
+        v = queue.pop()
+        for op in operators:
+            w = mat_vec(op, v)
+            if not in_span(basis, w):
+                basis = rref(basis + (w,))
+                queue.append(w)
+    return basis
+
+
+def kernel_basis(m: Mat) -> Mat:
+    """Basis (rows) of the right null space {x : m x = 0}."""
+    if not m:
+        return ()
+    ncols = len(m[0])
+    red = rref(m)
+    pivots = []
+    for row in red:
+        for j, x in enumerate(row):
+            if x != 0:
+                pivots.append(j)
+                break
+    free = [j for j in range(ncols) if j not in pivots]
+    out = []
+    for f in free:
+        v = [ZERO] * ncols
+        v[f] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            v[pj] = -red[i][f]
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def intersect_basis(a: Mat, b: Mat) -> Mat:
+    """Canonical basis of rowspace(a) ∩ rowspace(b), via the left null
+    space of the stacked rows."""
+    if not a or not b:
+        return ()
+    stacked = a + b
+    combos = kernel_basis(tuple(zip(*stacked)))
+    rows = []
+    for z in combos:
+        v = [ZERO] * len(a[0])
+        for i in range(len(a)):
+            if z[i] != 0:
+                v = [x + z[i] * y for x, y in zip(v, a[i])]
+        if any(x != 0 for x in v):
+            rows.append(tuple(v))
+    return rref(rows)
+
+
+def coordinate_rows(coords: Sequence[int], n: int) -> Mat:
+    return tuple(
+        tuple(Fraction(1) if j == c else ZERO for j in range(n)) for c in coords
+    )
+
+
+def mat_pow(a: Mat, k: int) -> Mat:
+    out = linalg.identity(len(a))
+    base = a
+    while k:
+        if k & 1:
+            out = linalg.mat_mul(out, base)
+        base = linalg.mat_mul(base, base)
+        k >>= 1
+    return out
+
+
+def restriction(realization, rows: Mat) -> Mat:
+    """Matrix of Phi on a Phi-stable row space given by an RREF basis."""
+    pivots = []
+    for row in rows:
+        for j, x in enumerate(row):
+            if x != 0:
+                pivots.append(j)
+                break
+    images = tuple(mat_vec(realization.phi, v) for v in rows)
+    return tuple(tuple(img[j] for j in pivots) for img in images)
+
+
+def eigen_multiplicities(realization, rows: Mat) -> list[tuple[str, int, int]]:
+    """(family id, twist, multiplicity) from the ranks of
+    (Phi|W - lambda)^r, over the distinct eigenvalues in basis order."""
+    rows = rref(rows)
+    r = len(rows)
+    if r == 0:
+        return []
+    restr = restriction(realization, rows)
+    out = []
+    seen = set()
+    for blk in realization.basis:
+        lam = realization.eigenvalue(blk)
+        if lam in seen:
+            continue
+        seen.add(lam)
+        shifted = linalg.mat_sub(restr, linalg.mat_scale(lam, linalg.identity(r)))
+        mult = r - len(rref(mat_pow(shifted, r)))
+        if mult:
+            out.append((blk.family.id, blk.twist, mult))
+    if sum(m for _, _, m in out) != r:
+        raise RuntimeError("eigenvalue multiplicities do not fill the subspace")
+    return out
+
+
+def saturate_all_pairs(rows: Iterable[Mat]) -> set[Mat]:
+    """Closure of a set of canonical bases under sums of every two members."""
+    subs = set(rows)
+    queue = list(subs)
+    while queue:
+        x = queue.pop()
+        for y in list(subs):
+            s = rref(x + y)
+            if s not in subs:
+                subs.add(s)
+                queue.append(s)
+    return subs

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -170,3 +171,46 @@ def test_timing_field_excluded_from_determinism():
     a.pop("timing_ms")
     b.pop("timing_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# sha256 of the report bytes, without --timing, for the data/ examples with
+# relative input paths (the paths enter the report).  A change to the
+# echelon kernel, the closure or t_N that alters any byte fails here.
+GOLDEN = [
+    ("subobjects ex1a", "subobjects --spec data/ex1a_spec.json --modified", 0,
+     "51bc993e7c0d60af4b6827e7f0e7c539d792ca3a406b62de840eb41c67da5ec7"),
+    ("subobjects ex1b", "subobjects --spec data/ex1b_spec.json --modified", 0,
+     "1e5d88f2f220aca9ebda3abe457fdac11f8d47e86e7227303ad85c88263fdb92"),
+    ("subobjects ex2", "subobjects --spec data/ex2_spec.json --modified", 0,
+     "56b254430fc2337b0762fc8987748ea1930a50633b6cd1bb356ad2dc1b30c552"),
+    ("subobjects ex3", "subobjects --spec data/ex3_spec.json --modified", 0,
+     "aa6b241b3c1fb07464331559cc400a0fef8be3a2f66be60bb55dcf882b2270c4"),
+    ("verify ex1a", "verify-admissible --spec data/ex1a_spec.json "
+     "--weights data/weights_m212.json --seed 7", 0,
+     "d27b304c5ad430764f77cb2526c92b5d525359fe1420a76de009cbe043b3165d"),
+    ("verify ex1a unmodified", "verify-admissible --spec data/ex1a_spec.json "
+     "--weights data/weights_m212.json --seed 7 --no-modify", 1,
+     "1ef4e6642a75d2172076bf1c0e35afb7402fe1b8f4cf97b0f40edbe6633009fc"),
+    ("verify ex2", "verify-admissible --spec data/ex2_spec.json "
+     "--weights data/weights_ex2.json --seed 7", 0,
+     "9f86b8e7df2d3db70cf91458aa8ce26b379c1ab0018afd52133ad42f69844f2f"),
+    ("verify ex2 unmodified", "verify-admissible --spec data/ex2_spec.json "
+     "--weights data/weights_ex2.json --seed 7 --no-modify", 0,
+     "7d489a06088033f257eade62ca211edb08ef97e34b1ea2ea3f0617604dbc85b9"),
+    ("verify ex3", "verify-admissible --spec data/ex3_spec.json "
+     "--weights data/weights_ex2.json --seed 7", 0,
+     "d898a79356e97f1efd8974b32d27ac749f3d8cacd1c05f80f55c5347e5ecfdd7"),
+    ("verify ex3 unmodified", "verify-admissible --spec data/ex3_spec.json "
+     "--weights data/weights_ex2.json --seed 7 --no-modify", 0,
+     "ebf013da20c28c3102c84584715ebf1fd06458ff6067806ac6d0a6cfa9310282"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+)
+def test_report_bytes_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.chdir(DATA.parent)
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

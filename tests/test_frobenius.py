@@ -13,6 +13,7 @@ from filtadm.frobenius import (
 from filtadm.model import Config, Family, ModuleSpec, Summand, t_n
 from filtadm.subobjects import good_span, stable_good_subobjects
 from helpers import random_spec
+import oracles
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -70,7 +71,7 @@ def test_phi_invertible_n_nilpotent():
         real = realize_matrices(spec, build_modified_frobenius(spec))
         assert linalg.det(real.phi) != 0
         n = spec.dimension
-        assert linalg.mat_pow(real.nmat, n) == linalg.zeros(n, n)
+        assert oracles.mat_pow(real.nmat, n) == linalg.zeros(n, n)
         done += 1
 
 
@@ -147,7 +148,7 @@ def test_t_n_concrete_det_oracle(ex1a):
         rows = linalg.rref(good_span(spec, good))
         if not rows:
             continue
-        restr = real.restriction(rows)
+        restr = oracles.restriction(real, rows)
         det = linalg.det(restr)
         val_p = linalg.p_valuation(det, 2)
         counts = {}
@@ -160,3 +161,35 @@ def test_t_n_concrete_det_oracle(ex1a):
             assert c is not None
             expected += c * fam.t_base
         assert real.t_n_concrete(rows) == expected
+
+
+def test_realize_rejects_zero_seed(ex1a):
+    with pytest.raises(ValueError, match="seed of family 'F' is zero"):
+        realize_matrices(ex1a, build_modified_frobenius(ex1a), seeds={"F": Fraction(0)})
+
+
+def test_realize_rejects_shared_eigenvalue():
+    # F at twist 1 and G at twist 0 both get eigenvalue 2, so the two lines
+    # would fall into one level and one of them would read the other's t_N
+    from filtadm.ordering import canonical_order
+
+    spec = ModuleSpec(
+        Config(p=2),
+        (Family("F", 1, Fraction(1, 2)), Family("G", 1, Fraction(-1))),
+        (Summand("F", 1, 1), Summand("G", 0, 1)),
+    )
+    spec = canonical_order(spec)[0]
+    with pytest.raises(ValueError, match="share the eigenvalue 2"):
+        realize_matrices(spec, (), seeds={"F": Fraction(1), "G": Fraction(2)})
+    real = realize_matrices(spec, (), seeds={"F": Fraction(1), "G": Fraction(3)})
+    slopes = {
+        blk.family.id: real.t_n_concrete(linalg.identity(2)[i:i + 1])
+        for i, blk in enumerate(real.basis)
+    }
+    assert slopes == {"F": Fraction(3, 2), "G": Fraction(-1)}
+
+
+def test_realize_rejects_edge_across_levels(ex2):
+    # alignment 0 where the offsets differ by 1 couples twist 0 to twist 1
+    with pytest.raises(ValueError, match="different eigenvalues"):
+        realize_matrices(ex2, (ModificationEdge(0, 1, 0),))
