@@ -4,76 +4,32 @@
 Samples module specs with rational base slopes and weight profiles (half
 of them engineered to satisfy the total-slope equality), asserts that the
 prefix slope chain and the shuffle valuation condition agree, and
-optionally runs the full construction pipeline on every instance.
+optionally runs the full construction pipeline on every instance.  The
+generators are the ones the test suite uses, from tests/helpers.py.
+
+    PYTHONPATH=src python scripts/fuzz_equivalence.py --trials 500 --seed 0
 """
 
 import argparse
 import random
+import sys
 import time
-from fractions import Fraction
+from pathlib import Path
 
 from filtadm import (
-    Config,
-    Family,
-    ModuleSpec,
-    Summand,
-    WeightProfile,
     build_modified_frobenius,
     build_transverse_filtration,
-    canonical_order,
     check_admissible,
     check_emerton_condition,
     check_slope_chain,
     realize_matrices,
-    t_n,
 )
 
-
-def random_spec(rng: random.Random, max_dim: int) -> ModuleSpec | None:
-    deg_k_l = rng.choice((1, 1, 2))
-    deg_l_qp = rng.choice((1, 1, 2))
-    cfg = Config(
-        p=rng.choice((2, 3)),
-        deg_K_Qp=deg_k_l * deg_l_qp,
-        deg_L_Qp=deg_l_qp,
-        deg_K_L=deg_k_l,
-    )
-    nfam = rng.randint(1, 2)
-    fams = tuple(
-        Family(f"F{i}", 1, Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4))))
-        for i in range(nfam)
-    )
-    summands = tuple(
-        Summand(f"F{rng.randrange(nfam)}", rng.randint(0, 2), rng.randint(1, 3))
-        for _ in range(rng.randint(1, 3))
-    )
-    spec = ModuleSpec(cfg, fams, summands)
-    if not (2 <= spec.dimension <= max_dim):
-        return None
-    return canonical_order(spec)[0]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import engineered_profile, random_profile, random_spec  # noqa: E402
 
 
-def engineered_profile(rng: random.Random, spec: ModuleSpec) -> WeightProfile | None:
-    cfg = spec.config
-    target = t_n(spec) / cfg.deg_K_L
-    if target.denominator != 1:
-        return None
-    d1 = spec.dimension
-    rows = []
-    for _ in range(cfg.deg_L_Qp - 1):
-        start = rng.randint(-5, 2)
-        rows.append(tuple(sorted(rng.sample(range(start, start + 12), d1))))
-    rem = int(target) - sum(sum(r) for r in rows)
-    x = (rem - d1 * (d1 - 1) // 2) // d1
-    row = [x + i for i in range(d1)]
-    row[-1] += rem - sum(row)
-    if any(a >= b for a, b in zip(row, row[1:])):
-        return None
-    rows.append(tuple(row))
-    return WeightProfile(tuple(rows))
-
-
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
@@ -82,7 +38,7 @@ def main() -> None:
         "--pipeline", action="store_true",
         help="also run realize/filter/verify on every instance",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     t0 = time.time()
@@ -96,13 +52,7 @@ def main() -> None:
             if prof is None:
                 continue
         else:
-            d1 = spec.dimension
-            prof = WeightProfile(
-                tuple(
-                    tuple(sorted(rng.sample(range(-6, 8), d1)))
-                    for _ in range(spec.config.deg_L_Qp)
-                )
-            )
+            prof = random_profile(rng, spec)
         a = check_slope_chain(spec, prof).ok
         b = check_emerton_condition(spec, prof).ok
         if a != b:

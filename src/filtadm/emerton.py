@@ -10,15 +10,37 @@ with exact equality on the full module (the unitarity of the central
 character).
 
 Because shuffles preserve the within-summand order, the set of candidate
-prefixes is exactly the set of top selections (take the first j_i blocks
-of each summand), so the verdict is decided by the finite scan over those
-selections; the explicit candidate enumeration is kept for reporting and
-cross-validation, capped at 10 total blocks.
+prefixes is exactly the set of top selections (j_0, ..., j_{s-1}): take
+the top j_i blocks of summand i.  A selection enters the condition only
+through its weight count w = sum j_i * h_i and its valuation mass, so the
+verdict is a group knapsack, decided exactly in O(s * d * B) steps (s
+summands, d the dimension, B the total block count):
+
+* suffix[i][w] is the least valuation mass over the selections of
+  summands i..s-1 with weight count w, built backwards from
+  suffix[s] = {0: 0};
+* the condition fails iff suffix[0][w] < P[w] for some w, where P[w] is
+  the sum over embeddings of the w lowest weights.
+
+A failure names the lexicographically first violating selection.  It is
+found by fixing j_0, j_1, ... in turn, each to the smallest value that
+still has a violating completion (suffix[i+1] answers that at once).  Any
+lexicographically smaller selection is smaller at the first coordinate
+where the two differ, and that value had no violating completion, so the
+result is the first violation in lexicographic order.  The empty and the
+full selection have slack exactly 0 once unitarity holds, so the strict
+test never picks either.  Valuations and weight sums are scaled to
+integers by the common denominator of the valuations; nothing is rounded.
+
+The explicit candidate enumeration is kept for reporting and
+cross-validation, capped at 10 total blocks; the report table stops
+enumerating once it has its rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,20 +120,14 @@ def _shuffles(sequences: list[tuple[GammaBlock, ...]]):
             yield (head, *tail)
 
 
-def enumerate_candidates(
-    spec: ModuleSpec, dedup: bool = True
-) -> list[Candidate]:
-    """All shuffles of the summand sequences with all contiguous cuts.
-
-    Duplicates agreeing in group-size sequence and per-group block multiset
-    are removed unless dedup is False.  Capped at 10 total blocks.
-    """
+def _candidates(spec: ModuleSpec, dedup: bool):
+    """Candidates in enumeration order, generated lazily; the canonical
+    order and the cap are checked before the first one."""
     require_canonical(spec)
     seqs = gamma_blocks(spec)
     b = sum(len(s) for s in seqs)
     if b > CANDIDATE_CAP:
         raise CapExceededError(f"{b} blocks exceed the candidate cap {CANDIDATE_CAP}")
-    out = []
     seen = set()
     for order in _shuffles(seqs):
         for cut_mask in itertools.product((False, True), repeat=b - 1):
@@ -133,8 +149,18 @@ def enumerate_candidates(
                 if key in seen:
                     continue
                 seen.add(key)
-            out.append(cand)
-    return out
+            yield cand
+
+
+def enumerate_candidates(
+    spec: ModuleSpec, dedup: bool = True
+) -> list[Candidate]:
+    """All shuffles of the summand sequences with all contiguous cuts.
+
+    Duplicates agreeing in group-size sequence and per-group block multiset
+    are removed unless dedup is False.  Capped at 10 total blocks.
+    """
+    return list(_candidates(spec, dedup))
 
 
 @dataclass(frozen=True)
@@ -160,9 +186,9 @@ def check_emerton_condition(
 ) -> EmertonVerdict:
     """Unitarity plus prefix domination over every candidate.
 
-    A candidate prefix takes the top j_i gamma blocks of each summand, so
-    the scan runs over the selections (j_1, ..., j_s) in lexicographic
-    order and reports the first violating one.
+    Decided by the min-mass suffix tables of the module docstring; a
+    failure reports the lexicographically first violating selection
+    (j_0, ..., j_{s-1}) and its slack.
     """
     validate_spec(spec, profile)
     require_canonical(spec)
@@ -171,35 +197,55 @@ def check_emerton_condition(
     if gap != 0:
         return EmertonVerdict(False, "unitarity", None, None, gap)
     seqs = gamma_blocks(spec)
-    prefix_v = []
+    den = math.lcm(*(blk.v.denominator for seq in seqs for blk in seq))
+    # mass[i][j]: valuation of the top j blocks of summand i, times den
+    mass = []
     for seq in seqs:
-        acc = [Fraction(0)]
+        acc = [0]
         for blk in seq:
-            acc.append(acc[-1] + blk.v)
-        prefix_v.append(acc)
-    sizes = [spec.family_of(i).h for i in range(len(spec.summands))]
-    ranges = [range(len(seq) + 1) for seq in seqs]
-    for selection in itertools.product(*ranges):
-        total_blocks = sum(selection)
-        if total_blocks == 0 or total_blocks == sum(len(s) for s in seqs):
-            continue
-        weight_count = sum(j * sz for j, sz in zip(selection, sizes))
-        lhs = sum(
-            (prefix_v[i][j] for i, j in enumerate(selection)), Fraction(0)
-        )
-        slack = lhs - profile.prefix_sum(weight_count)
-        if slack < 0:
-            return EmertonVerdict(False, "prefix", tuple(selection), slack, gap)
-    return EmertonVerdict(True, None, None, None, gap)
+            acc.append(acc[-1] + blk.v.numerator * (den // blk.v.denominator))
+        mass.append(acc)
+    sizes = [spec.family_of(i).h for i in range(len(seqs))]
+    # P[w]: sum over embeddings of the w lowest weights, times den
+    columns = map(sum, zip(*profile.weights))
+    P = [den * x for x in itertools.accumulate(columns, initial=0)]
+    suffix = [{0: 0}]
+    for i in reversed(range(len(seqs))):
+        nxt = suffix[-1]
+        table: dict[int, int] = {}
+        for j, mj in enumerate(mass[i]):
+            shift = j * sizes[i]
+            for w, m in nxt.items():
+                cur = table.get(w + shift)
+                if cur is None or m + mj < cur:
+                    table[w + shift] = m + mj
+        suffix.append(table)
+    suffix.reverse()
+    if all(m >= P[w] for w, m in suffix[0].items()):
+        return EmertonVerdict(True, None, None, None, gap)
+    selection = []
+    weight = total = 0
+    for i, nxt in enumerate(suffix[1:]):
+        for j, mj in enumerate(mass[i]):
+            w0, m0 = weight + j * sizes[i], total + mj
+            if any(m0 + m < P[w0 + w] for w, m in nxt.items()):
+                break
+        else:
+            raise RuntimeError("violating selection lost during backtracking")
+        selection.append(j)
+        weight, total = w0, m0
+    slack = Fraction(total - P[weight], den)
+    return EmertonVerdict(False, "prefix", tuple(selection), slack, gap)
 
 
 def candidate_table(
     spec: ModuleSpec, profile: WeightProfile, limit: int = 50
 ) -> list[dict]:
     """Per-candidate minimal prefix slack, for reporting."""
-    cands = enumerate_candidates(spec)
     rows = []
-    for cand in cands[:limit]:
+    for cand in _candidates(spec, dedup=True):
+        if len(rows) >= limit:
+            break
         acc_v = Fraction(0)
         acc_w = 0
         min_slack = None

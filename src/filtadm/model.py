@@ -286,12 +286,11 @@ def t_n(spec: ModuleSpec, part: GoodSubobject | None = None) -> Fraction:
 
 
 def t_n_summand(spec: ModuleSpec, i: int) -> Fraction:
+    """Newton slope of summand i: the sum over its blocks k = 0..b-1 of
+    t_base + (l + k) * [K:Qp], in closed form."""
     s = spec.summands[i]
-    fam = spec.family_of(i)
-    return sum(
-        (fam.t_base + (s.l + k) * spec.config.deg_K_Qp for k in range(s.b)),
-        Fraction(0),
-    )
+    twists = s.b * s.l + s.b * (s.b - 1) // 2
+    return s.b * spec.family_of(i).t_base + twists * spec.config.deg_K_Qp
 
 
 @dataclass(frozen=True)

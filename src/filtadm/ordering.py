@@ -65,13 +65,6 @@ def type_components(spec: ModuleSpec) -> list[list[int]]:
     return [sorted(v) for v in comps.values()]
 
 
-def _group_key(spec: ModuleSpec, comp: list[int]) -> tuple:
-    dim = sum(spec.summand_dim(i) for i in comp)
-    total = sum((t_n_summand(spec, i) for i in comp), Fraction(0))
-    members = tuple(sorted((spec.summands[i].l, spec.summands[i].b) for i in comp))
-    return (total / dim, spec.family_of(comp[0]).id, members)
-
-
 def group_and_order(spec: ModuleSpec) -> tuple[TypePartition, tuple[int, ...]]:
     """Canonical groups and the permutation putting summands in order.
 
@@ -80,27 +73,32 @@ def group_and_order(spec: ModuleSpec) -> tuple[TypePartition, tuple[int, ...]]:
     average slope t_N/dim, ties broken by family id and member multiset for
     determinism (the verdicts downstream are insensitive to the tie rule).
     """
-    comps = type_components(spec)
-    ordered_groups = []
-    for comp in comps:
+    entries = []
+    for comp in type_components(spec):
         members = sorted(
             comp, key=lambda i: (spec.summands[i].l, spec.summands[i].b, i)
         )
-        ordered_groups.append(members)
-    ordered_groups.sort(key=lambda comp: _group_key(spec, comp))
-    perm = tuple(i for comp in ordered_groups for i in comp)
-    groups = []
-    pos = 0
-    dims, totals, avgs = [], [], []
-    for comp in ordered_groups:
-        groups.append(tuple(range(pos, pos + len(comp))))
-        pos += len(comp)
         dim = sum(spec.summand_dim(i) for i in comp)
         total = sum((t_n_summand(spec, i) for i in comp), Fraction(0))
-        dims.append(dim)
-        totals.append(total)
-        avgs.append(total / dim)
-    partition = TypePartition(tuple(groups), tuple(dims), tuple(totals), tuple(avgs))
+        key = (
+            total / dim,
+            spec.family_of(comp[0]).id,
+            tuple(sorted((spec.summands[i].l, spec.summands[i].b) for i in comp)),
+        )
+        entries.append((key, members, dim, total))
+    entries.sort(key=lambda e: e[0])
+    perm = tuple(i for _, members, _, _ in entries for i in members)
+    groups = []
+    pos = 0
+    for _, members, _, _ in entries:
+        groups.append(tuple(range(pos, pos + len(members))))
+        pos += len(members)
+    partition = TypePartition(
+        tuple(groups),
+        tuple(e[2] for e in entries),
+        tuple(e[3] for e in entries),
+        tuple(e[0][0] for e in entries),
+    )
     return partition, perm
 
 

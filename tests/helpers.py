@@ -11,11 +11,18 @@ from fractions import Fraction
 
 from filtadm.model import Config, Family, ModuleSpec, Summand, WeightProfile, t_n
 from filtadm.ordering import canonical_order, type_components
+from filtadm.slopes import check_slope_chain
 
 
 def random_spec(rng: random.Random, max_dim: int = 6, max_summands: int = 3,
-                h_choices=(1,)) -> ModuleSpec | None:
-    """Random canonically ordered spec, or None when the draw is oversized."""
+                h_choices=(1,), max_twist: int = 2,
+                min_summands: int = 1) -> ModuleSpec | None:
+    """Random canonically ordered spec, or None when the draw is oversized.
+
+    Bottom twists are drawn from 0..max_twist; wider twists spread the
+    block slopes, which makes prefix failures of equal-total profiles
+    common.
+    """
     deg_k_l = rng.choice((1, 1, 2))
     deg_l_qp = rng.choice((1, 1, 2))
     cfg = Config(
@@ -34,8 +41,8 @@ def random_spec(rng: random.Random, max_dim: int = 6, max_summands: int = 3,
         for i in range(nfam)
     )
     summands = tuple(
-        Summand(f"F{rng.randrange(nfam)}", rng.randint(0, 2), rng.randint(1, 3))
-        for _ in range(rng.randint(1, max_summands))
+        Summand(f"F{rng.randrange(nfam)}", rng.randint(0, max_twist), rng.randint(1, 3))
+        for _ in range(rng.randint(min_summands, max_summands))
     )
     spec = ModuleSpec(cfg, fams, summands)
     if not (2 <= spec.dimension <= max_dim):
@@ -90,6 +97,60 @@ def engineered_profile(rng: random.Random, spec: ModuleSpec) -> WeightProfile | 
         return None
     rows.append(tuple(row))
     return WeightProfile(tuple(rows))
+
+
+def equal_total_profile(
+    rng: random.Random, spec: ModuleSpec, flat: bool
+) -> WeightProfile | None:
+    """Profile whose total weight sum hits t_N exactly (when integral).
+
+    Rows step by 1 (flat) or by 1 to 3 (spread); the last row is shifted
+    to hit the total and takes the remainder on its top weight.  Flat rows
+    put the most weight into the low prefixes, so they fail a prefix most
+    often.
+    """
+    cfg = spec.config
+    target = t_n(spec) / cfg.deg_K_L
+    if target.denominator != 1:
+        return None
+
+    def row(start: int) -> list[int]:
+        out = [start]
+        for _ in range(spec.dimension - 1):
+            out.append(out[-1] + (1 if flat else rng.randint(1, 3)))
+        return out
+
+    rows = [row(rng.randint(-4, 4)) for _ in range(cfg.deg_L_Qp - 1)]
+    rem = int(target) - sum(map(sum, rows))
+    last = row(0)
+    shift = (rem - sum(last)) // len(last)
+    last = [x + shift for x in last]
+    last[-1] += rem - sum(last)
+    return WeightProfile(tuple(map(tuple, rows + [last])))
+
+
+def equal_total_stream(seed: int, count: int, **spec_args):
+    """(spec, profile) pairs with equal totals, half of them (rounded down)
+    failing a slope-chain prefix and the rest passing.
+
+    `spec_args` go to random_spec; draws beyond the quota of their verdict
+    are dropped.
+    """
+    rng = random.Random(seed)
+    want = {True: count - count // 2, False: count // 2}
+    out = []
+    while len(out) < count:
+        spec = random_spec(rng, **spec_args)
+        if spec is None:
+            continue
+        prof = equal_total_profile(rng, spec, flat=rng.random() < 0.5)
+        if prof is None:
+            continue
+        ok = check_slope_chain(spec, prof).ok
+        if want[ok]:
+            want[ok] -= 1
+            out.append((spec, prof))
+    return out
 
 
 def instance_stream(seed: int, count: int, engineered_share: float = 0.5):

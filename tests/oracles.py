@@ -5,16 +5,22 @@ its incremental echelon kernel and the eigen-level structure: full
 Gauss-Jordan elimination, closure by re-reducing the whole stack for every
 new vector, intersection through a left null space, generalized eigenspace
 ranks via matrix powers, and saturation under all pairwise sums.  They
-share no elimination code with `filtadm.linalg`.
+share no elimination code with `filtadm.linalg`.  `emerton_scan` decides
+the shuffle valuation condition by walking every top selection, where the
+library solves a min-mass knapsack.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from filtadm import linalg
+from filtadm.emerton import EmertonVerdict, gamma_blocks
 from filtadm.linalg import Mat, Vec
+from filtadm.model import ModuleSpec, WeightProfile, t_n, validate_spec
+from filtadm.ordering import require_canonical
 
 ZERO = Fraction(0)
 
@@ -179,3 +185,39 @@ def saturate_all_pairs(rows: Iterable[Mat]) -> set[Mat]:
                 subs.add(s)
                 queue.append(s)
     return subs
+
+
+def emerton_scan(spec: ModuleSpec, profile: WeightProfile) -> EmertonVerdict:
+    """Unitarity plus prefix domination over every candidate.
+
+    A candidate prefix takes the top j_i gamma blocks of each summand, so
+    the scan runs over the selections (j_1, ..., j_s) in lexicographic
+    order and reports the first violating one.
+    """
+    validate_spec(spec, profile)
+    require_canonical(spec)
+    cfg = spec.config
+    gap = t_n(spec) - Fraction(cfg.deg_K_L * profile.total)
+    if gap != 0:
+        return EmertonVerdict(False, "unitarity", None, None, gap)
+    seqs = gamma_blocks(spec)
+    prefix_v = []
+    for seq in seqs:
+        acc = [Fraction(0)]
+        for blk in seq:
+            acc.append(acc[-1] + blk.v)
+        prefix_v.append(acc)
+    sizes = [spec.family_of(i).h for i in range(len(spec.summands))]
+    ranges = [range(len(seq) + 1) for seq in seqs]
+    for selection in itertools.product(*ranges):
+        total_blocks = sum(selection)
+        if total_blocks == 0 or total_blocks == sum(len(s) for s in seqs):
+            continue
+        weight_count = sum(j * sz for j, sz in zip(selection, sizes))
+        lhs = sum(
+            (prefix_v[i][j] for i, j in enumerate(selection)), Fraction(0)
+        )
+        slack = lhs - profile.prefix_sum(weight_count)
+        if slack < 0:
+            return EmertonVerdict(False, "prefix", tuple(selection), slack, gap)
+    return EmertonVerdict(True, None, None, None, gap)

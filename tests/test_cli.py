@@ -175,7 +175,9 @@ def test_timing_field_excluded_from_determinism():
 
 # sha256 of the report bytes, without --timing, for the data/ examples with
 # relative input paths (the paths enter the report).  A change to the
-# echelon kernel, the closure or t_N that alters any byte fails here.
+# echelon kernel, the closure, t_N, the shuffle valuation check or the
+# candidate table that alters any byte fails here.  Every digest was
+# computed before the change it guards.
 GOLDEN = [
     ("subobjects ex1a", "subobjects --spec data/ex1a_spec.json --modified", 0,
      "51bc993e7c0d60af4b6827e7f0e7c539d792ca3a406b62de840eb41c67da5ec7"),
@@ -203,6 +205,42 @@ GOLDEN = [
     ("verify ex3 unmodified", "verify-admissible --spec data/ex3_spec.json "
      "--weights data/weights_ex2.json --seed 7 --no-modify", 0,
      "ebf013da20c28c3102c84584715ebf1fd06458ff6067806ac6d0a6cfa9310282"),
+    ("emerton ex1a 012", "check-emerton --spec data/ex1a_spec.json "
+     "--weights data/weights_012.json", 1,
+     "0483b4814597417af82a49a85d34ad662cf2defee1ce9b661cc5eb4c3f777a44"),
+    ("emerton ex1a m212", "check-emerton --spec data/ex1a_spec.json "
+     "--weights data/weights_m212.json", 0,
+     "ad20bcd774d55bbc7663edc1cedc7fdc46c0dcc6e99fb296a7392264a3d06cba"),
+    ("emerton ex1b 012", "check-emerton --spec data/ex1b_spec.json "
+     "--weights data/weights_012.json", 1,
+     "a901d69d743e8f0a3410fd8da895701796b7900d769a65cfef1874c4a1149818"),
+    ("emerton ex1b m212", "check-emerton --spec data/ex1b_spec.json "
+     "--weights data/weights_m212.json", 1,
+     "959f073595f13564c4c9ce8612f31da5ded72c1dc190a82fc16e5457246e3c6f"),
+    ("emerton ex2", "check-emerton --spec data/ex2_spec.json "
+     "--weights data/weights_ex2.json", 0,
+     "08e015d420d4bc400a7d2a1d2a69103dc62d6c02f97a26b48629592af04ce5ce"),
+    ("emerton ex3", "check-emerton --spec data/ex3_spec.json "
+     "--weights data/weights_ex2.json", 0,
+     "8f05e9f5e2b2070147be6668cc83eb8a1b1b38821a498256e7ada965f1c0746d"),
+    ("equivalence ex1a 012", "equivalence --spec data/ex1a_spec.json "
+     "--weights data/weights_012.json", 0,
+     "0107ee62b03593a3ee740cf18f3a2909ab444be34e46d261408881db83636e2d"),
+    ("equivalence ex1a m212", "equivalence --spec data/ex1a_spec.json "
+     "--weights data/weights_m212.json", 0,
+     "c6ce7d04660263a7b045e4d5d777cf4d2345eb41a62aaeb5608a7d8082931eb5"),
+    ("equivalence ex1b 012", "equivalence --spec data/ex1b_spec.json "
+     "--weights data/weights_012.json", 0,
+     "2fb195e2113bac6a21f898964e8bb002c9c3330bb13d921ca7b73d824e4cd4c9"),
+    ("equivalence ex1b m212", "equivalence --spec data/ex1b_spec.json "
+     "--weights data/weights_m212.json", 0,
+     "42a77a97ac10cfc323018e8f3cb0ad8fc9197da378e69e8ef601329913a24ca8"),
+    ("equivalence ex2", "equivalence --spec data/ex2_spec.json "
+     "--weights data/weights_ex2.json", 0,
+     "ae36977897c4ade4228428297cfaf70ae2259cf83c1fccb20ec86bd280cd69b2"),
+    ("equivalence ex3", "equivalence --spec data/ex3_spec.json "
+     "--weights data/weights_ex2.json", 0,
+     "0cd1dc6cf9aefe8f4c04281b0ff2f1109fbdc6414a510e3a5ff959fca72a4a62"),
 ]
 
 

@@ -1,20 +1,35 @@
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import helpers
+from filtadm.cli import main
 from filtadm.emerton import (
     Candidate,
+    candidate_table,
     check_emerton_condition,
     enumerate_candidates,
     gamma_blocks,
 )
-from filtadm.model import Config, Family, ModuleSpec, Summand, WeightProfile
+from filtadm.model import (
+    Config,
+    Family,
+    ModuleSpec,
+    Summand,
+    WeightProfile,
+    profile_to_dict,
+    spec_to_dict,
+    t_n,
+)
 from filtadm.ordering import canonical_order
-from filtadm.slopes import check_slope_chain
+from filtadm.slopes import check_all_block_orders, check_slope_chain
 from filtadm.subobjects import CapExceededError
 from helpers import instance_stream
+from oracles import emerton_scan
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -72,8 +87,6 @@ def test_emerton_prefix_failure():
 def _oracle_via_candidates(spec, profile):
     """Verdict recomputed from the explicit candidate list."""
     cfg = spec.config
-    from filtadm.model import t_n
-
     if t_n(spec) != cfg.deg_K_L * profile.total:
         return False
     for cand in enumerate_candidates(spec):
@@ -132,8 +145,6 @@ def test_equivalence_small_fuzz():
 
 def test_equivalence_fuzz_h2():
     # the two checks stay equivalent for higher-dimensional families
-    import helpers
-
     rng = random.Random(31)
     done = 0
     while done < 60:
@@ -145,3 +156,141 @@ def test_equivalence_fuzz_h2():
             prof = helpers.engineered_profile(rng, spec) or prof
         assert check_slope_chain(spec, prof).ok == check_emerton_condition(spec, prof).ok
         done += 1
+
+
+def _assert_matches_scan(spec, prof):
+    got = check_emerton_condition(spec, prof).as_dict()
+    assert got == emerton_scan(spec, prof).as_dict()
+    return got["failure"]
+
+
+def test_dp_matches_scan_on_instance_stream():
+    for spec, prof in instance_stream(19, 600):
+        _assert_matches_scan(spec, prof)
+
+
+def test_dp_matches_scan_h2_two_embeddings():
+    rng = random.Random(23)
+    failures = []
+    while failures.count("prefix") < 30:
+        spec = helpers.random_spec(rng, max_dim=8, h_choices=(1, 2), max_twist=10)
+        if (
+            spec is None
+            or spec.config.deg_L_Qp != 2
+            or all(f.h == 1 for f in spec.families)
+        ):
+            continue
+        prof = helpers.equal_total_profile(rng, spec, flat=rng.random() < 0.5)
+        if prof is None:
+            prof = helpers.random_profile(rng, spec)
+        failures.append(_assert_matches_scan(spec, prof))
+    assert failures.count(None) and failures.count("unitarity")
+
+
+def test_dp_matches_scan_on_prefix_failures():
+    # equal totals, so every failure is a prefix failure and carries a
+    # witness selection and slack that the scan must reproduce exactly
+    stream = helpers.equal_total_stream(
+        29, 300, max_dim=8, max_summands=4, h_choices=(1, 2), max_twist=6
+    )
+    failures = [_assert_matches_scan(spec, prof) for spec, prof in stream]
+    assert failures.count("prefix") == 150 and failures.count(None) == 150
+
+
+def test_dp_witness_is_lexicographically_first():
+    # (0, 1, 0), (1, 0, 0) and (1, 1, 0) all violate, with slacks -1, -1
+    # and -3; the report names the first in lexicographic order, which is
+    # not the one of least slack
+    g = Family("G", 1, Fraction(-2))
+    h = Family("H", 1, Fraction(3))
+    spec = ModuleSpec(
+        CFG, (g, h), (Summand("G", 0, 1), Summand("G", 0, 1), Summand("H", 2, 1))
+    )
+    prof = WeightProfile(((-1, 0, 2),))
+    v = check_emerton_condition(spec, prof)
+    assert v.as_dict() == emerton_scan(spec, prof).as_dict()
+    assert v.selection == (0, 1, 0) and v.slack == -1
+
+
+def _forty_chains():
+    # 40 chains of length 3: the scan would walk 4**40 selections
+    # chain i has slope 12i + 3, and a flat profile's chunks of three
+    # weights step by 9, so the flat profile fails a prefix
+    spec = ModuleSpec(CFG, (F,), tuple(Summand("F", 4 * i, 3) for i in range(40)))
+    spec = canonical_order(spec)[0]
+    steep = [-1000 + i for i in range(spec.dimension - 1)]
+    steep.append(int(t_n(spec)) - sum(steep))
+    flat = helpers.equal_total_profile(random.Random(0), spec, flat=True)
+    return spec, WeightProfile((tuple(steep),)), flat
+
+
+@pytest.mark.parametrize("which", ["passes", "fails"])
+def test_equivalence_bounded_on_forty_summands(tmp_path, capsys, which):
+    spec, steep, flat = _forty_chains()
+    prof = steep if which == "passes" else flat
+    chain = check_slope_chain(spec, prof)
+    assert chain.ok == (which == "passes")
+    assert chain.failure == (None if chain.ok else "prefix")
+    t0 = time.perf_counter()
+    verdict = check_emerton_condition(spec, prof)
+    assert time.perf_counter() - t0 < 5
+    assert verdict.ok == chain.ok
+    spec_path, weights_path = tmp_path / "spec.json", tmp_path / "weights.json"
+    spec_path.write_text(json.dumps(spec_to_dict(spec)))
+    weights_path.write_text(json.dumps(profile_to_dict(prof)))
+    t0 = time.perf_counter()
+    code = main(["equivalence", "--spec", str(spec_path), "--weights", str(weights_path)])
+    assert time.perf_counter() - t0 < 5
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and rep["agree"] is True
+    assert rep["emerton"] == verdict.as_dict()
+    # the candidate table still refuses anything beyond 10 blocks
+    t0 = time.perf_counter()
+    code = main(
+        ["check-emerton", "--spec", str(spec_path), "--weights", str(weights_path)]
+    )
+    assert time.perf_counter() - t0 < 5
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and "candidate cap" in rep["error"]
+
+
+def _witness_slack(spec, prof, selection):
+    seqs = gamma_blocks(spec)
+    mass = sum((blk.v for seq, j in zip(seqs, selection) for blk in seq[:j]), Fraction(0))
+    weight = sum(j * spec.family_of(i).h for i, j in enumerate(selection))
+    return mass - prof.prefix_sum(weight)
+
+
+def test_equivalence_many_summands():
+    # 8-14 summands, equal totals, half failing a prefix: far beyond the
+    # reach of the selection scan
+    stream = helpers.equal_total_stream(
+        37, 120, max_dim=100, min_summands=8, max_summands=14,
+        h_choices=(1, 2), max_twist=40,
+    )
+    fails = 0
+    for spec, prof in stream:
+        assert 8 <= len(spec.summands) <= 14
+        chain = check_slope_chain(spec, prof)
+        shuffle = check_emerton_condition(spec, prof)
+        assert chain.ok == shuffle.ok
+        if check_all_block_orders(spec, prof).ok:
+            assert chain.ok
+        if not shuffle.ok:
+            fails += 1
+            assert shuffle.failure == "prefix"
+            assert shuffle.slack < 0
+            assert _witness_slack(spec, prof, shuffle.selection) == shuffle.slack
+    assert fails == 60
+
+
+def test_candidate_table_stops_at_limit(ex2, w_ex2):
+    full = candidate_table(ex2, w_ex2, limit=10**6)
+    assert len(full) == len(enumerate_candidates(ex2))
+    for limit in (0, 1, 7, len(full) + 3):
+        assert candidate_table(ex2, w_ex2, limit=limit) == full[:limit]
+    spec = ModuleSpec(CFG, (F,), (Summand("F", 0, 6), Summand("F", 0, 6)))
+    spec = canonical_order(spec)[0]
+    prof = WeightProfile((tuple(range(12)),))
+    with pytest.raises(CapExceededError):
+        candidate_table(spec, prof, limit=0)
