@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
 """Drive the three worked block-chain examples end to end.
 
-For each example: canonical order, modification edges, slope-chain and
-shuffle-valuation verdicts, and the full admissibility pipeline, printed
-as a compact table.
+The specs and weight profiles are read from `data/`.  For each example:
+canonical order, modification edges, slope-chain and shuffle-valuation
+verdicts, and the full admissibility pipeline, printed as a compact table.
 """
 
 import argparse
-from fractions import Fraction
+import json
+from pathlib import Path
 
 from filtadm import (
-    Config,
-    Family,
-    ModuleSpec,
-    Summand,
-    WeightProfile,
     build_modified_frobenius,
     build_transverse_filtration,
     check_admissible,
@@ -23,21 +19,31 @@ from filtadm import (
     realize_matrices,
     t_n,
 )
+from filtadm.model import profile_from_dict, spec_from_dict
 
-CFG = Config(p=2)
-F = Family("F", 1, Fraction(0))
+DATA = Path(__file__).resolve().parent.parent / "data"
 
+# example name -> (spec file, weight file) in data/
 EXAMPLES = {
-    "1a": (ModuleSpec(CFG, (F,), (Summand("F", 0, 1), Summand("F", 0, 2))), (-2, 1, 2)),
-    "1b": (ModuleSpec(CFG, (F,), (Summand("F", 0, 2), Summand("F", 1, 1))), (-2, 1, 3)),
-    "2": (ModuleSpec(CFG, (F,), (Summand("F", 0, 2), Summand("F", 1, 2))), (-1, 0, 2, 3)),
-    "3": (ModuleSpec(CFG, (F,), (Summand("F", 0, 3), Summand("F", 1, 1))), (-2, 0, 2, 4)),
+    "1a": ("ex1a_spec.json", "weights_m212.json"),
+    "1b": ("ex1b_spec.json", "weights_ex1b.json"),
+    "2": ("ex2_spec.json", "weights_ex2.json"),
+    "3": ("ex3_spec.json", "weights_ex3.json"),
 }
 
 
+def _load(name: str):
+    spec_file, weights_file = EXAMPLES[name]
+    with open(DATA / spec_file) as fh:
+        spec = spec_from_dict(json.load(fh))
+    with open(DATA / weights_file) as fh:
+        prof = profile_from_dict(json.load(fh))
+    return spec, prof
+
+
 def run(name: str, seed: int, no_modify: bool) -> None:
-    spec, weights = EXAMPLES[name]
-    prof = WeightProfile((weights,))
+    spec, prof = _load(name)
+    weights = prof.weights[0]
     edges = () if no_modify else build_modified_frobenius(spec)
     chain = check_slope_chain(spec, prof)
     emerton = check_emerton_condition(spec, prof)
@@ -62,12 +68,12 @@ def run(name: str, seed: int, no_modify: bool) -> None:
     print()
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--no-modify", action="store_true")
     parser.add_argument("--only", choices=sorted(EXAMPLES), default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     names = [args.only] if args.only else sorted(EXAMPLES)
     for name in names:
         run(name, args.seed, args.no_modify)

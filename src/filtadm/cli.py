@@ -38,6 +38,7 @@ from .slopes import check_all_block_orders, check_slope_chain
 from .subobjects import (
     CapExceededError,
     DEFAULT_CAP,
+    check_cap,
     enumerate_concrete_subobjects,
 )
 
@@ -193,6 +194,8 @@ def _subobject_entry(realization, sub) -> dict:
 
 def cmd_build_filtration(args) -> int:
     _, profile, ordered, _, perm = _prepare(args, True)
+    # transversality is checked against every good subobject
+    check_cap(ordered.dimension, _cap(args))
     edges = () if args.no_modify else build_modified_frobenius(ordered)
     realization = realize_matrices(ordered, edges)
     filtration = build_transverse_filtration(ordered, profile, realization, args.seed)
@@ -277,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cap", type=int, default=None, help="dimension cap")
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
         p.add_argument("--timing", action="store_true", help="include timing_ms")
 
     p = sub.add_parser("order", help="canonical summand order and groups")
@@ -320,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz-special", help="randomized special-pair verification")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_fuzz_special)
 

@@ -12,6 +12,21 @@ Generic integer bases sampled from a seeded generator satisfy this after
 exact verification (the failure locus is a proper closed condition);
 failed samples are redrawn.
 
+For a basis of full rank one minor per good decides transversality: a
+good E of dimension m meets every tail generically iff E meets
+T_{m+1} = span(v_{m+1}, ..., v_n) in 0, i.e. iff rows m+1..n have full
+rank n - m on the columns outside E.  If so, for j > m+1 the tail T_j lies
+inside T_{m+1} and meets E in 0; for j <= m+1 it contains T_{m+1}, so
+E + T_j is the whole space and dim(E cap T_j) = m - j + 1.  Conversely
+j = m+1 is itself one of the tails checked.
+
+Tail dimensions of a subspace W come from one echelon pass per
+embedding: seeded with the canonical basis of W, it takes v_n, v_{n-1},
+... while it grows, and after v_j its size is dim(W + T_j), so
+dim(W cap T_j) = dim W + (n - j + 1) - size.  The aligned candidates
+E cap T_j come from one pass per good and embedding over the columns
+outside E first, read off after each v_j as the rows pivoting inside E.
+
 Admissibility of the pair (realization, filtration) demands the Hodge
 slope t_H(D') to stay below the Newton slope t_N(D') for every stable
 subspace D', with exact equality on the whole module.  The checker runs
@@ -39,12 +54,12 @@ from .model import (
 )
 from .subobjects import (
     DEFAULT_CAP,
+    StableGoodLayout,
     Subobject,
     enumerate_good_subobjects,
     good_coords,
     enumerate_concrete_subobjects,
     random_round_subobjects,
-    stable_good_subobjects,
 )
 
 __all__ = [
@@ -91,6 +106,11 @@ class Filtration:
 def _violation(
     spec: ModuleSpec, basis: Mat, goods: tuple[GoodSubobject, ...]
 ) -> GoodSubobject | None:
+    """The first good the basis is not transverse to, or None.
+
+    A good of dimension m is transverse iff the minor of rows m+1..n on
+    the columns outside it has full rank (see the module docstring).
+    """
     n = spec.dimension
     if linalg.rank(basis) != n:
         return goods[0]
@@ -98,12 +118,11 @@ def _violation(
         m = good.dimension(spec)
         if m in (0, n):
             continue
-        coords = good_coords(spec, good)
-        for j in range(2, n + 1):
-            tail = basis[j - 1 :]
-            want = max(0, m - j + 1)
-            if linalg.dim_intersection_coords(coords, tail, n) != want:
-                return good
+        inside = set(good_coords(spec, good))
+        outside = [c for c in range(n) if c not in inside]
+        minor = tuple(tuple(row[c] for c in outside) for row in basis[m:])
+        if linalg.rank(minor) != n - m:
+            return good
     return None
 
 
@@ -147,13 +166,20 @@ def build_transverse_filtration(
 
 
 def _tail_dims(filtration: Filtration, sigma: int, rows: Mat) -> list[int]:
+    """dim(W cap T_j) for j = 1..n, then 0, for canonical `rows` spanning W.
+
+    One echelon pass seeded with W takes v_n, v_{n-1}, ... while it grows;
+    after v_j its size is dim(W + T_j).
+    """
     n = filtration.dimension
     r = len(rows)
-    dims = []
-    for j in range(1, n + 1):
-        tail = filtration.tail(sigma, j)
-        dims.append(r + len(tail) - linalg.rank(linalg.stack(rows, tail)))
-    dims.append(0)
+    basis = filtration.bases[sigma]
+    ech = linalg.Echelon(n, rows)
+    dims = [0] * (n + 1)
+    for j in range(n, 0, -1):
+        if len(ech) < n:
+            ech.add(basis[j - 1])
+        dims[j - 1] = r + (n - j + 1) - len(ech)
     return dims
 
 
@@ -212,18 +238,28 @@ def _aligned_candidates(
     n = spec.dimension
     for good in enumerate_good_subobjects(spec):
         m = good.dimension(spec)
-        if m in (0,):
+        # E meets T_j in the generic dimension m - j + 1, strictly between
+        # 0 and m, only for 2 <= j <= m
+        if m < 2:
             continue
-        coords = good_coords(spec, good)
+        inside = set(good_coords(spec, good))
+        order = [c for c in range(n) if c not in inside] + sorted(inside)
+        position = sorted(range(n), key=order.__getitem__)
         for sigma in range(spec.config.embeddings):
-            for j in range(2, n + 1):
-                want = max(0, m - j + 1)
-                if want == 0 or want >= m:
-                    continue
-                inter = linalg.intersect_coords(coords, filtration.tail(sigma, j))
-                if not inter:
-                    continue
-                out.append(Subobject(realization.closure(inter)))
+            basis = filtration.bases[sigma]
+            # columns outside E first: after v_n .. v_j the rows pivoting
+            # inside E span E cap T_j
+            ech = linalg.Echelon(n)
+            found = []
+            for j in range(n, 1, -1):
+                v = basis[j - 1]
+                ech.add([v[c] for c in order])
+                if j <= m:
+                    found.append(ech.rows_from(n - m))
+            for rows in reversed(found):
+                if rows:
+                    inter = [[row[p] for p in position] for row in rows]
+                    out.append(Subobject(realization.closure(inter)))
     return out
 
 
@@ -303,11 +339,11 @@ def _smallest_enclosing_good(
 ) -> GoodSubobject:
     best = GoodSubobject(tuple(s.b for s in spec.summands))
     best_dim = best.dimension(spec)
-    for good in stable_good_subobjects(spec, realization.edges):
+    layout = StableGoodLayout(realization)
+    for good, inter in zip(layout.goods, layout.intersection_dims(sub.rows)):
         m = good.dimension(spec)
         if m < sub.rank or m >= best_dim:
             continue
-        coords = good_coords(spec, good)
-        if linalg.dim_intersection_coords(coords, sub.rows, spec.dimension) == sub.rank:
+        if inter == sub.rank:
             best, best_dim = good, m
     return best

@@ -20,12 +20,21 @@ V_lambda of a level Phi = lambda * (1 + E) with E the 0/1 edge coupling,
 and E is nilpotent.  Each V_lambda is therefore a generalized eigenspace,
 and every Phi-stable subspace W is the direct sum of the W cap V_lambda.
 Stable closures and Newton slopes are computed level by level from this.
+
+`ConcreteRealization.level_pieces` reads the pieces W cap V_lambda off the
+canonical basis of W without trusting that W splits: it raises unless the
+ranks of the column slices of W on the levels add up to rank W.  The
+slices always span a space containing W, so equal dimensions mean W is
+their direct sum, hence each slice lies in W and equals W cap V_lambda.
+By uniqueness of the reduced echelon form the canonical rows of such a W
+are then each supported on one level, which is how the check is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from . import linalg
@@ -116,13 +125,27 @@ class ConcreteRealization:
     def eigenvalue(self, blk: Block) -> Fraction:
         return self.seeds[blk.family.id] * Fraction(self.p) ** blk.twist
 
-    def eigen_levels(self) -> dict[Fraction, list[int]]:
-        """Generalized-eigenvalue classes as basis index groups, in basis
-        order; blocks share an eigenvalue iff they share family and twist."""
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """Basis index groups of the eigen-levels, in basis order; blocks
+        share an eigenvalue iff they share family and twist."""
         groups: dict[tuple[str, int], list[int]] = {}
         for idx, blk in enumerate(self.basis):
             groups.setdefault((blk.family.id, blk.twist), []).append(idx)
-        return {self.eigenvalue(self.basis[g[0]]): g for g in groups.values()}
+        return tuple(tuple(g) for g in groups.values())
+
+    @cached_property
+    def _level_of(self) -> tuple[int, ...]:
+        out = [0] * self.dimension
+        for k, coords in enumerate(self.levels):
+            for i in coords:
+                out[i] = k
+        return tuple(out)
+
+    def eigen_levels(self) -> dict[Fraction, list[int]]:
+        """Generalized-eigenvalue classes as basis index groups, in basis
+        order."""
+        return {self.eigenvalue(self.basis[g[0]]): list(g) for g in self.levels}
 
     def closure(self, vectors: Iterable[Vec]) -> Mat:
         """Canonical basis of the smallest Phi,N-stable subspace containing
@@ -134,10 +157,9 @@ class ConcreteRealization:
         E and N.  Closing the raw generators under E and N instead would in
         general give a smaller, non-Phi-stable subspace.
         """
-        levels = list(self.eigen_levels().values())
         gens = []
         for v in vectors:
-            for coords in levels:
+            for coords in self.levels:
                 if any(v[i] for i in coords):
                     piece = [linalg.ZERO] * len(v)
                     for i in coords:
@@ -145,23 +167,38 @@ class ConcreteRealization:
                     gens.append(piece)
         return linalg.closure_under(gens, (self.coupling, self.nmat))
 
+    def level_pieces(self, rows: Mat) -> tuple[Mat, ...]:
+        """Canonical basis of W cap V_lambda for each level, in the level's
+        own coordinates, where `rows` spans W.
+
+        Raises RuntimeError unless the column slices of W on the levels
+        have ranks adding up to rank W (see the module docstring): a
+        canonical row of W meeting two levels is exactly that failure.
+        """
+        rows = linalg.rref(rows)
+        level_of = self._level_of
+        groups: list[list] = [[] for _ in self.levels]
+        for row in rows:
+            level = None
+            for j, x in enumerate(row):
+                if x:
+                    if level is None:
+                        level = level_of[j]
+                    elif level_of[j] != level:
+                        raise RuntimeError(
+                            "eigenvalue multiplicities do not fill the subspace"
+                        )
+            groups[level].append(tuple(row[i] for i in self.levels[level]))
+        return tuple(tuple(g) for g in groups)
+
     def eigen_multiplicities(self, rows: Mat) -> list[tuple[str, int, int]]:
         """(family id, twist, multiplicity) of Phi restricted to a stable
         subspace W; the multiplicity of a level is dim(W cap V_lambda)."""
-        rows = linalg.rref(rows)
-        r = len(rows)
-        if r == 0:
-            return []
         out = []
-        mult_sum = 0
-        for coords in self.eigen_levels().values():
-            mult = linalg.dim_intersection_coords(coords, rows, self.dimension)
-            if mult:
+        for coords, piece in zip(self.levels, self.level_pieces(rows)):
+            if piece:
                 blk = self.basis[coords[0]]
-                out.append((blk.family.id, blk.twist, mult))
-                mult_sum += mult
-        if mult_sum != r:
-            raise RuntimeError("eigenvalue multiplicities do not fill the subspace")
+                out.append((blk.family.id, blk.twist, len(piece)))
         return out
 
     def t_n_from_levels(

@@ -12,13 +12,17 @@ rows such as sampled filtration bases.  Every canonical basis (`rref`,
 pivot-indexed echelon basis that grows one vector at a time: a new vector
 is reduced against the existing pivots in ascending order, zero entries
 are skipped, and back-substitution runs once, when the canonical rows are
-read out.  Already reduced input therefore costs only zero tests.
+read out.  Already reduced input therefore costs only zero tests, and
+`rref` returns input that it verifies to be a canonical tuple as it is.
+The size of an `Echelon` and its rows pivoting at or after a column are
+read out without back-substitution; intersection dimensions on the
+verify path come from these.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -138,6 +142,20 @@ class Echelon:
         self._store(c, w)
         return w
 
+    def __len__(self) -> int:
+        return len(self._pivots)
+
+    def rows_from(self, col: int) -> Mat:
+        """The stored rows whose pivot is at or after `col`.
+
+        Every stored row is zero before its pivot, so these rows span the
+        vectors of the space that vanish on every column before `col`.
+        """
+        pivots = self._pivots
+        return tuple(
+            tuple(self._rows[c][0]) for c in pivots[bisect_left(pivots, col):]
+        )
+
     def rows(self) -> Mat:
         """The canonical basis (reduced row echelon form)."""
         done: dict[int, tuple[list[Fraction], list[int]]] = {}
@@ -159,8 +177,41 @@ def _fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _is_canonical(rows) -> bool:
+    """True when `rows` is a tuple of Fraction tuples in reduced row
+    echelon form: no zero row, pivots strictly increasing and equal to 1,
+    and every pivot column zero outside its own row."""
+    if type(rows) is not tuple:
+        return False
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for row in rows:
+        if type(row) is not tuple or len(row) != width:
+            return False
+        c = None
+        for j, x in enumerate(row):
+            if type(x) is not Fraction:
+                return False
+            if c is None and x:
+                c = j
+        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
+            return False
+        # rows below have zeros before their later pivots, so only the
+        # rows above can break column c
+        for above in rows[: len(pivots)]:
+            if above[c]:
+                return False
+        pivots.append(c)
+    return True
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
-    """Reduced row echelon form with zero rows dropped (canonical basis)."""
+    """Reduced row echelon form with zero rows dropped (canonical basis).
+
+    Input that already is a canonical tuple comes back as the same object.
+    """
+    if _is_canonical(rows):
+        return rows
     rows = list(rows)
     if not rows:
         return ()
@@ -201,14 +252,12 @@ def intersect_coords(coords: Sequence[int], b: Mat) -> Mat:
     ech = Echelon(n)
     for v in b:
         ech.add([v[j] for j in order])
-    first = n - len(inside)
     out = Echelon(n)
-    for row in ech.rows():
-        if not any(row[:first]):
-            back = [ZERO] * n
-            for pos, j in enumerate(order):
-                back[j] = row[pos]
-            out.add(back)
+    for row in ech.rows_from(n - len(inside)):
+        back = [ZERO] * n
+        for pos, j in enumerate(order):
+            back[j] = row[pos]
+        out.add(back)
     return out.rows()
 
 

@@ -37,6 +37,7 @@ from .pairs import GlobalEntry, InternalConsistencyError, SpecialPair, is_specia
 
 __all__ = [
     "CapExceededError",
+    "check_cap",
     "SpecialPairViolation",
     "Subobject",
     "GoodFlag",
@@ -57,6 +58,7 @@ __all__ = [
     "enumerate_concrete_subobjects",
     "random_round_subobjects",
     "subobject_class_key",
+    "StableGoodLayout",
     "DEFAULT_CAP",
 ]
 
@@ -66,6 +68,15 @@ _LATTICE_GUARD = 1500
 
 class CapExceededError(ValueError):
     pass
+
+
+def check_cap(dimension: int, cap: int) -> None:
+    """Refuse work that enumerates subspaces or good subobjects of a
+    module whose dimension is above `cap`."""
+    if dimension > cap:
+        raise CapExceededError(
+            f"dimension {dimension} exceeds the enumeration cap {cap}"
+        )
 
 
 class SpecialPairViolation(InternalConsistencyError):
@@ -548,16 +559,63 @@ def _generate(
     return _saturate(subs)
 
 
-def subobject_class_key(
-    realization: ConcreteRealization, sub: Subobject
-) -> tuple:
+class StableGoodLayout:
+    """The stable good subobjects of a realization, level by level.
+
+    A stable good E and a stable W both split over the eigen-levels, so
+    dim(E cap W) is the sum over levels of dim(E_lambda cap W_lambda), and
+    each term is len(piece) minus the rank of the level piece W_lambda on
+    the level columns outside E.  Goods with the same outside columns on a
+    level share the term, and a piece seen before reuses its terms.
+    """
+
+    def __init__(self, realization: ConcreteRealization):
+        self.realization = realization
+        self.goods = stable_good_subobjects(realization.spec, realization.edges)
+        # per level: the distinct outside column sets (level positions) and,
+        # for each good, the index of its set
+        self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
+        inside = [set(good_coords(realization.spec, g)) for g in self.goods]
+        for coords in realization.levels:
+            sets: dict[tuple[int, ...], int] = {}
+            which = []
+            for ins in inside:
+                out = tuple(k for k, i in enumerate(coords) if i not in ins)
+                which.append(sets.setdefault(out, len(sets)))
+            self._outside.append((list(sets), which))
+        self._terms: dict[tuple[int, Mat], tuple[int, ...]] = {}
+
+    def _level_terms(self, level: int, piece: Mat) -> tuple[int, ...]:
+        key = (level, piece)
+        terms = self._terms.get(key)
+        if terms is None:
+            sets, which = self._outside[level]
+            r = len(piece)
+            by_set = [
+                r - linalg.rank(tuple(tuple(row[k] for k in out) for row in piece))
+                if out else r
+                for out in sets
+            ]
+            terms = self._terms[key] = tuple(by_set[w] for w in which)
+        return terms
+
+    def intersection_dims(self, rows: Mat) -> tuple[int, ...]:
+        """dim(E cap W) for every stable good E, where `rows` spans a
+        stable W."""
+        pieces = self.realization.level_pieces(rows)
+        parts = [
+            self._level_terms(level, piece)
+            for level, piece in enumerate(pieces)
+            if piece
+        ]
+        if not parts:
+            return (0,) * len(self.goods)
+        return tuple(map(sum, zip(*parts)))
+
+
+def subobject_class_key(layout: StableGoodLayout, sub: Subobject) -> tuple:
     """Relative position against the stable good lattice (class invariant)."""
-    spec = realization.spec
-    dims = tuple(
-        _inter_dim(spec, g, sub)
-        for g in stable_good_subobjects(spec, realization.edges)
-    )
-    return (sub.rank, dims)
+    return (sub.rank, layout.intersection_dims(sub.rows))
 
 
 def enumerate_concrete_subobjects(
@@ -576,11 +634,9 @@ def enumerate_concrete_subobjects(
     broken.
     """
     n = realization.dimension
-    if n > cap:
-        raise CapExceededError(f"dimension {n} exceeds the enumeration cap {cap}")
-    levels = list(realization.eigen_levels().values())
+    check_cap(n, cap)
     atoms: list[Vec] = []
-    for level in levels:
+    for level in realization.levels:
         atoms.extend(_pattern_vectors(n, level))
     base = _generate(realization, atoms)
     # one representative per relative-position class, preferring bases
@@ -589,15 +645,16 @@ def enumerate_concrete_subobjects(
         negatives = sum(1 for row in s.rows for x in row if x < 0)
         return (s.rank, negatives, s.rows)
 
+    layout = StableGoodLayout(realization)
     by_class: dict[tuple, Subobject] = {}
     for sub in sorted(base.values(), key=rep_key):
-        by_class.setdefault(subobject_class_key(realization, sub), sub)
+        by_class.setdefault(subobject_class_key(layout, sub), sub)
     result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
     base_keys = set(by_class)
     rng = random.Random(seed)
     for _ in range(rounds):
         for sub in random_round_subobjects(realization, rng):
-            key = subobject_class_key(realization, sub)
+            key = subobject_class_key(layout, sub)
             if key not in base_keys:
                 raise InternalConsistencyError(
                     "random-coefficient round found a new subobject class"
@@ -611,7 +668,7 @@ def random_round_subobjects(
     """Closures of one random nonzero-coefficient vector per eigenspace level."""
     n = realization.dimension
     out = []
-    for level in realization.eigen_levels().values():
+    for level in realization.levels:
         row = [Fraction(0)] * n
         for i in level:
             num = rng.choice([x for x in range(-9, 10) if x != 0])

@@ -8,6 +8,11 @@ ranks via matrix powers, and saturation under all pairwise sums.  They
 share no elimination code with `filtadm.linalg`.  `emerton_scan` decides
 the shuffle valuation condition by walking every top selection, where the
 library solves a min-mass knapsack.
+
+The intersection dimensions of the verify path are asked here once per
+pair, where the library reads them off one echelon pass: class keys good
+by good, transversality tail by tail, tail dimensions by stacking, and
+aligned candidates by one intersection per tail.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from filtadm.emerton import EmertonVerdict, gamma_blocks
 from filtadm.linalg import Mat, Vec
 from filtadm.model import ModuleSpec, WeightProfile, t_n, validate_spec
 from filtadm.ordering import require_canonical
+from filtadm.subobjects import (
+    enumerate_good_subobjects,
+    good_coords,
+    stable_good_subobjects,
+)
 
 ZERO = Fraction(0)
 
@@ -221,3 +231,72 @@ def emerton_scan(spec: ModuleSpec, profile: WeightProfile) -> EmertonVerdict:
         if slack < 0:
             return EmertonVerdict(False, "prefix", tuple(selection), slack, gap)
     return EmertonVerdict(True, None, None, None, gap)
+
+
+def dim_intersection_coords(coords: Sequence[int], b: Mat, n: int) -> int:
+    """dim(span(e_i : i in coords) ∩ rowspace(b)) as rank b minus the rank
+    of its projection onto the other coordinates."""
+    others = [j for j in range(n) if j not in set(coords)]
+    proj = tuple(tuple(row[j] for j in others) for row in b)
+    return len(rref(b)) - len(rref(proj))
+
+
+def class_key(realization, rows: Mat) -> tuple:
+    """(rank, dim(E ∩ W) for every stable good E), one intersection each."""
+    spec = realization.spec
+    n = spec.dimension
+    return (
+        len(rref(rows)),
+        tuple(
+            dim_intersection_coords(good_coords(spec, g), rows, n)
+            for g in stable_good_subobjects(spec, realization.edges)
+        ),
+    )
+
+
+def violation(spec: ModuleSpec, basis: Mat, goods):
+    """The first good some tail meets in a non-generic dimension."""
+    n = spec.dimension
+    if len(rref(basis)) != n:
+        return goods[0]
+    for good in goods:
+        m = good.dimension(spec)
+        if m in (0, n):
+            continue
+        coords = good_coords(spec, good)
+        for j in range(2, n + 1):
+            if dim_intersection_coords(coords, basis[j - 1:], n) != max(0, m - j + 1):
+                return good
+    return None
+
+
+def tail_dims(filtration, sigma: int, rows: Mat) -> list[int]:
+    """dim(W ∩ T_j) for j = 1..n from the rank of W and T_j stacked, then 0."""
+    r = len(rref(rows))
+    dims = []
+    for j in range(1, filtration.dimension + 1):
+        tail = filtration.tail(sigma, j)
+        dims.append(r + len(tail) - len(rref(tuple(rows) + tuple(tail))))
+    return dims + [0]
+
+
+def aligned_candidates(spec: ModuleSpec, realization, filtration) -> list[Mat]:
+    """Canonical bases of the closures of E ∩ T_j, one intersection per
+    tail, in the order good, embedding, j."""
+    n = spec.dimension
+    ops = (realization.phi, realization.nmat)
+    out = []
+    for good in enumerate_good_subobjects(spec):
+        m = good.dimension(spec)
+        if m == 0:
+            continue
+        coords = coordinate_rows(good_coords(spec, good), n)
+        for sigma in range(spec.config.embeddings):
+            for j in range(2, n + 1):
+                want = max(0, m - j + 1)
+                if want == 0 or want >= m:
+                    continue
+                inter = intersect_basis(coords, filtration.tail(sigma, j))
+                if inter:
+                    out.append(closure_under(inter, ops))
+    return out

@@ -3,11 +3,22 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from filtadm.cli import main
+from filtadm.model import (
+    Config,
+    Family,
+    ModuleSpec,
+    Summand,
+    WeightProfile,
+    profile_to_dict,
+    spec_to_dict,
+)
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -142,6 +153,40 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_build_filtration_refuses_above_cap(tmp_path, capsys):
+    # 40 chains, dimension 79: sampling would test every one of the
+    # prod(b_i + 1) good subobjects against each drawn basis
+    spec = ModuleSpec(
+        Config(p=2),
+        (Family("F", 1, Fraction(0)),),
+        tuple(Summand("F", i, 1 + i % 3) for i in range(40)),
+    )
+    spec_path, weights_path = tmp_path / "spec.json", tmp_path / "weights.json"
+    spec_path.write_text(json.dumps(spec_to_dict(spec)))
+    weights_path.write_text(
+        json.dumps(profile_to_dict(WeightProfile((tuple(range(spec.dimension)),))))
+    )
+    t0 = time.perf_counter()
+    code, rep = run_cli(
+        capsys, "build-filtration", "--spec", str(spec_path),
+        "--weights", str(weights_path), "--seed", "7",
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and "CapExceeded" in rep["error"]
+    assert "dimension 79 exceeds the enumeration cap 8" in rep["error"]
+    code, rep = run_cli(
+        capsys, "build-filtration", "--spec", str(DATA / "ex2_spec.json"),
+        "--weights", str(DATA / "weights_ex2.json"), "--cap", "3",
+    )
+    assert code == 2 and "cap 3" in rep["error"]
+
+
+def test_json_flag_removed(capsys):
+    with pytest.raises(SystemExit):
+        main(["order", "--spec", str(DATA / "ex1b_spec.json"), "--json"])
+    capsys.readouterr()
+
+
 def test_reports_byte_identical():
     cmd = [
         sys.executable, "-m", "filtadm.cli",
@@ -175,8 +220,9 @@ def test_timing_field_excluded_from_determinism():
 
 # sha256 of the report bytes, without --timing, for the data/ examples with
 # relative input paths (the paths enter the report).  A change to the
-# echelon kernel, the closure, t_N, the shuffle valuation check or the
-# candidate table that alters any byte fails here.  Every digest was
+# echelon kernel, the closure, t_N, the shuffle valuation check, the
+# candidate table or the transversality check that alters any byte fails
+# here.  Every digest was
 # computed before the change it guards.
 GOLDEN = [
     ("subobjects ex1a", "subobjects --spec data/ex1a_spec.json --modified", 0,
@@ -241,6 +287,12 @@ GOLDEN = [
     ("equivalence ex3", "equivalence --spec data/ex3_spec.json "
      "--weights data/weights_ex2.json", 0,
      "0cd1dc6cf9aefe8f4c04281b0ff2f1109fbdc6414a510e3a5ff959fca72a4a62"),
+    ("build-filtration ex2", "build-filtration --spec data/ex2_spec.json "
+     "--weights data/weights_ex2.json --seed 7", 0,
+     "c17f8f2ee262dd45f73af73b5ba381888cb575be29438b75afd969958906736c"),
+    ("build-filtration ex1a", "build-filtration --spec data/ex1a_spec.json "
+     "--weights data/weights_m212.json --seed 7", 0,
+     "52e7301da965efbff4dc7c63be49642b50317d085ca0014e1ebb4cabe36adde2"),
 ]
 
 

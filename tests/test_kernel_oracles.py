@@ -6,17 +6,30 @@ Every test draws its inputs from a fixed seed, so a failure reproduces.
 import random
 from fractions import Fraction
 
+import pytest
+
 from filtadm import linalg
+from filtadm.filtration import (
+    Filtration,
+    _aligned_candidates,
+    _tail_dims,
+    _violation,
+    build_transverse_filtration,
+)
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.subobjects import (
+    StableGoodLayout,
     Subobject,
     _pattern_vectors,
     _saturate,
     enumerate_concrete_subobjects,
+    enumerate_good_subobjects,
     good_span,
+    random_round_subobjects,
     stable_good_subobjects,
+    subobject_class_key,
 )
-from helpers import random_single_component_spec, random_spec
+from helpers import random_profile, random_single_component_spec, random_spec
 import oracles
 
 
@@ -28,8 +41,8 @@ def _vector(rng, n, density):
     )
 
 
-def _matrix(rng, max_rows=7, max_cols=7):
-    n = rng.randint(1, max_cols)
+def _matrix(rng, max_rows=7, max_cols=7, n=None):
+    n = n or rng.randint(1, max_cols)
     density = rng.choice((0.3, 0.7, 1.0))
     return n, tuple(_vector(rng, n, density) for _ in range(rng.randint(1, max_rows)))
 
@@ -52,6 +65,28 @@ def test_rref_matches_gauss_jordan():
     for _ in range(300):
         _, rows = _matrix(rng)
         assert linalg.rref(rows) == oracles.rref(rows)
+
+
+def test_rref_returns_canonical_input_unchanged():
+    rng = random.Random(113)
+    for _ in range(300):
+        _, rows = _matrix(rng)
+        canonical = oracles.rref(rows)
+        assert linalg.rref(canonical) is canonical
+    f = Fraction
+    # almost canonical input is reduced, not trusted
+    for rows in (
+        ((f(2), f(0)),),                      # pivot not 1
+        ((f(1), f(1)), (f(0), f(1))),         # pivot column nonzero above
+        ((f(0), f(1)), (f(1), f(0))),         # pivots not increasing
+        ((f(1), f(0)), (f(0), f(0))),         # zero row
+        ((1, 0), (0, 1)),                     # not Fractions
+        [(f(1), f(0)), (f(0), f(1))],         # not a tuple
+    ):
+        got = linalg.rref(rows)
+        assert got == oracles.rref(rows) and got is not rows
+        assert all(type(x) is Fraction for row in got for x in row)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
 
 
 def test_span_sum_matches_stacked_rref():
@@ -103,6 +138,131 @@ def test_eigen_multiplicities_match_matrix_power_oracle():
             want = oracles.eigen_multiplicities(real, sub.rows)
             assert real.eigen_multiplicities(sub.rows) == want
             assert real.t_n_concrete(sub.rows) == real.t_n_from_levels(want)
+            n = real.dimension
+            for level, piece in zip(real.levels, real.level_pieces(sub.rows)):
+                inter = oracles.intersect_basis(
+                    oracles.coordinate_rows(level, n), sub.rows
+                )
+                assert piece == tuple(tuple(row[i] for i in level) for row in inter)
+
+
+def test_level_pieces_refuse_a_vector_mixing_two_levels():
+    _, reals = _realizations(108, 30)
+    tried = 0
+    for real in reals:
+        levels = real.levels
+        if len(levels) < 2:
+            continue
+        v = [Fraction(0)] * real.dimension
+        v[levels[0][0]] = v[levels[-1][-1]] = Fraction(1)
+        with pytest.raises(RuntimeError):
+            real.level_pieces((tuple(v),))
+        with pytest.raises(RuntimeError):
+            real.eigen_multiplicities((tuple(v),))
+        # its stable closure splits
+        assert sum(map(len, real.level_pieces(real.closure((tuple(v),))))) >= 2
+        tried += 1
+    assert tried >= 10
+
+
+def _stable_subspaces(real, rng):
+    """Enumerated classes, random rounds and closures of dense vectors."""
+    subs = list(enumerate_concrete_subobjects(real, rounds=1))
+    subs += random_round_subobjects(real, rng)
+    for _ in range(3):
+        subs.append(Subobject(real.closure((_vector(rng, real.dimension, 0.6),))))
+    return subs
+
+
+def test_class_keys_match_per_good_intersections():
+    rng, reals = _realizations(107, 25)
+    single = random.Random(109)
+    while len(reals) < 40:
+        spec = random_single_component_spec(single)
+        if spec is not None:
+            edges = build_modified_frobenius(spec) if len(reals) % 2 else ()
+            reals.append(realize_matrices(spec, edges))
+    keys = 0
+    for real in reals:
+        layout = StableGoodLayout(real)
+        for sub in _stable_subspaces(real, rng):
+            assert subobject_class_key(layout, sub) == oracles.class_key(real, sub.rows)
+            keys += 1
+    assert keys >= 300
+
+
+def _filtered(seed, count, max_dim=5):
+    """(spec, realization, filtration) triples on random specs."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        spec = random_spec(rng, max_dim=max_dim)
+        if spec is None:
+            continue
+        edges = build_modified_frobenius(spec) if len(out) % 2 else ()
+        real = realize_matrices(spec, edges)
+        filt = build_transverse_filtration(
+            spec, random_profile(rng, spec), real, seed=len(out)
+        )
+        out.append((spec, real, filt))
+    return rng, out
+
+
+def _small_box_basis(rng, n):
+    return tuple(
+        tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)
+    )
+
+
+def _small_box_filtration(rng, spec, filt):
+    """Bases with entries in [-3, 3]: they meet goods in non-generic
+    dimensions and are sometimes singular."""
+    bases = tuple(
+        _small_box_basis(rng, spec.dimension) for _ in range(spec.config.embeddings)
+    )
+    return Filtration(filt.weights, bases, 0, 1)
+
+
+def test_tail_dims_match_stacked_rank():
+    rng, triples = _filtered(110, 20)
+    for spec, real, filt in triples:
+        n = spec.dimension
+        small = _small_box_filtration(rng, spec, filt)
+        subspaces = [sub.rows for sub in _stable_subspaces(real, rng)]
+        subspaces += [linalg.rref(_matrix(rng, max_rows=n, n=n)[1]) for _ in range(5)]
+        for rows in subspaces:
+            for f in (filt, small):
+                for sigma in range(spec.config.embeddings):
+                    assert _tail_dims(f, sigma, rows) == oracles.tail_dims(f, sigma, rows)
+
+
+def test_violation_matches_all_tails_on_small_box_bases():
+    rng = random.Random(111)
+    checked = failed = singular = 0
+    while checked < 300:
+        spec = random_spec(rng, max_dim=6)
+        if spec is None:
+            continue
+        goods = enumerate_good_subobjects(spec)
+        for _ in range(5):
+            basis = _small_box_basis(rng, spec.dimension)
+            got = _violation(spec, basis, goods)
+            assert got == oracles.violation(spec, basis, goods)
+            checked += 1
+            failed += got is not None
+            singular += len(oracles.rref(basis)) < spec.dimension
+    # failures well beyond the singular bases, and passes too
+    assert failed - singular >= 60 and checked - failed >= 60
+
+
+def test_aligned_candidates_match_per_tail_intersections():
+    rng, triples = _filtered(112, 20)
+    for spec, real, filt in triples:
+        want = oracles.aligned_candidates(spec, real, filt)
+        assert [sub.rows for sub in _aligned_candidates(spec, real, filt)] == want
+        small = _small_box_filtration(rng, spec, filt)
+        got = [sub.rows for sub in _aligned_candidates(spec, real, small)]
+        assert got == oracles.aligned_candidates(spec, real, small)
 
 
 def test_generator_saturation_matches_all_pairs():

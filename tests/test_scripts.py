@@ -15,3 +15,42 @@ def test_fuzz_equivalence_smoke(capsys):
     _load("fuzz_equivalence").main(["--trials", "30", "--seed", "1"])
     out = capsys.readouterr().out
     assert out.startswith("equivalence: 30 instances agree")
+
+
+# Verdict lines printed before the examples moved to data/.
+WORKED_VERDICTS = {
+    (): [
+        "example 1a: dims=[1, 2] t_N=1 weights=(-2, 1, 2)",
+        "  pipeline: admissible, 5 subspaces checked",
+        "example 1b: dims=[2, 1] t_N=2 weights=(-2, 1, 3)",
+        "  pipeline: admissible, 5 subspaces checked",
+        "example 2: dims=[2, 2] t_N=4 weights=(-1, 0, 2, 3)",
+        "  pipeline: admissible, 16 subspaces checked",
+        "example 3: dims=[3, 1] t_N=4 weights=(-2, 0, 2, 4)",
+        "  pipeline: admissible, 15 subspaces checked",
+    ],
+    ("--no-modify",): [
+        "example 1a: dims=[1, 2] t_N=1 weights=(-2, 1, 2)",
+        "  pipeline: violated (witness), 11 subspaces checked",
+        "  witness: dim 1, tH=1/1, tN=0/1, inside good [1, 1]",
+        "example 1b: dims=[2, 1] t_N=2 weights=(-2, 1, 3)",
+        "  pipeline: admissible, 13 subspaces checked",
+        "example 2: dims=[2, 2] t_N=4 weights=(-1, 0, 2, 3)",
+        "  pipeline: admissible, 16 subspaces checked",
+        "example 3: dims=[3, 1] t_N=4 weights=(-2, 0, 2, 4)",
+        "  pipeline: admissible, 15 subspaces checked",
+    ],
+}
+
+
+def test_run_worked_examples_verdicts(capsys):
+    module = _load("run_worked_examples")
+    for argv, want in WORKED_VERDICTS.items():
+        module.main(list(argv))
+        lines = capsys.readouterr().out.splitlines()
+        assert [
+            line for line in lines
+            if line.startswith(("example", "  pipeline", "  witness"))
+        ] == want
+        assert lines.count("  slope chain: pass") == 4
+        assert lines.count("  shuffle valuations: pass") == 4
