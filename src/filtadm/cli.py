@@ -214,6 +214,9 @@ def cmd_build_filtration(args) -> int:
 
 def cmd_verify_admissible(args) -> int:
     _, profile, ordered, _, perm = _prepare(args, True)
+    # the filtration is checked against every good, the subspaces are
+    # enumerated
+    check_cap(ordered.dimension, _cap(args))
     edges = () if args.no_modify else build_modified_frobenius(ordered)
     realization = realize_matrices(ordered, edges)
     filtration = build_transverse_filtration(ordered, profile, realization, args.seed)

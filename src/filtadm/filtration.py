@@ -26,6 +26,11 @@ embedding: seeded with the canonical basis of W, it takes v_n, v_{n-1},
 dim(W cap T_j) = dim W + (n - j + 1) - size.  The aligned candidates
 E cap T_j come from one pass per good and embedding over the columns
 outside E first, read off after each v_j as the rows pivoting inside E.
+The tails are nested, T_m in T_{m-1} in ... in T_2, so E cap T_m in ...
+in E cap T_2 are too, and each step adds the rows that v_j stores there.
+The closure of a union is the closure of the earlier closure and the new
+vectors, so one closure grown through these steps gives every
+closure(E cap T_j) in turn.
 
 Admissibility of the pair (realization, filtration) demands the Hodge
 slope t_H(D') to stay below the Newton slope t_N(D') for every stable
@@ -247,19 +252,22 @@ def _aligned_candidates(
         position = sorted(range(n), key=order.__getitem__)
         for sigma in range(spec.config.embeddings):
             basis = filtration.bases[sigma]
-            # columns outside E first: after v_n .. v_j the rows pivoting
-            # inside E span E cap T_j
+            # columns outside E first: a row stored after v_n .. v_j with
+            # its pivot inside E lies in E cap T_j, and these rows span it;
+            # groups[k] holds the rows that E cap T_{m-k} adds
             ech = linalg.Echelon(n)
-            found = []
+            groups: list[list] = []
+            new: list = []
             for j in range(n, 1, -1):
                 v = basis[j - 1]
-                ech.add([v[c] for c in order])
+                row = ech.add([v[c] for c in order])
+                if row is not None and not any(row[: n - m]):
+                    new.append([row[p] for p in position])
                 if j <= m:
-                    found.append(ech.rows_from(n - m))
-            for rows in reversed(found):
-                if rows:
-                    inter = [[row[p] for p in position] for row in rows]
-                    out.append(Subobject(realization.closure(inter)))
+                    groups.append(new)
+                    new = []
+            closures = realization.closures(groups)
+            out.extend(Subobject(rows) for rows in reversed(closures) if rows)
     return out
 
 

@@ -147,25 +147,43 @@ class ConcreteRealization:
         order."""
         return {self.eigenvalue(self.basis[g[0]]): list(g) for g in self.levels}
 
-    def closure(self, vectors: Iterable[Vec]) -> Mat:
-        """Canonical basis of the smallest Phi,N-stable subspace containing
-        `vectors`.
+    @cached_property
+    def _closure_columns(self) -> tuple:
+        return (
+            linalg.sparse_columns(self.coupling),
+            linalg.sparse_columns(self.nmat),
+        )
+
+    def closures(self, groups: Iterable[Iterable[Vec]]) -> list[Mat]:
+        """Canonical bases of the smallest Phi,N-stable subspaces containing
+        the vectors of the first 1, 2, ... of `groups`.
 
         The stable closure holds the level components of every generator,
         and on level-homogeneous vectors stability under Phi is stability
         under the 0/1 coupling E, so the level projections are closed under
         E and N.  Closing the raw generators under E and N instead would in
-        general give a smaller, non-Phi-stable subspace.
+        general give a smaller, non-Phi-stable subspace.  A group that adds
+        nothing gives back the previous rows object.
         """
-        gens = []
+        return linalg.closure_under(
+            map(self._level_projections, groups), self._closure_columns
+        )
+
+    def closure(self, vectors: Iterable[Vec]) -> Mat:
+        """Canonical basis of the smallest Phi,N-stable subspace containing
+        `vectors` (see `closures`)."""
+        return self.closures((vectors,))[0]
+
+    def _level_projections(self, vectors: Iterable[Vec]) -> list[list[Fraction]]:
+        out = []
         for v in vectors:
             for coords in self.levels:
                 if any(v[i] for i in coords):
                     piece = [linalg.ZERO] * len(v)
                     for i in coords:
                         piece[i] = v[i]
-                    gens.append(piece)
-        return linalg.closure_under(gens, (self.coupling, self.nmat))
+                    out.append(piece)
+        return out
 
     def level_pieces(self, rows: Mat) -> tuple[Mat, ...]:
         """Canonical basis of W cap V_lambda for each level, in the level's
@@ -270,11 +288,23 @@ def realize_matrices(
             nmat[below][j] = Fraction(1)
     phi_m = tuple(tuple(row) for row in phi)
     nmat_m = tuple(tuple(row) for row in nmat)
-    lhs = linalg.mat_mul(nmat_m, phi_m)
-    rhs = linalg.mat_scale(Fraction(p), linalg.mat_mul(phi_m, nmat_m))
-    if lhs != rhs:
-        raise RuntimeError("realization violates N*Phi = p*Phi*N")
+    _check_commutation(phi_m, nmat_m, p)
     return ConcreteRealization(
         spec, tuple(edges), dict(seeds), basis, phi_m, nmat_m,
         tuple(tuple(row) for row in coupling),
     )
+
+
+def _check_commutation(phi: Mat, nmat: Mat, p: int) -> None:
+    """Raise RuntimeError unless N * Phi = p * Phi * N, column by column,
+    with each product applied through the nonzero entries only."""
+    n = len(phi)
+    phi_cols = linalg.sparse_columns(phi)
+    n_cols = linalg.sparse_columns(nmat)
+    scale = Fraction(p)
+    for j in range(n):
+        lhs = linalg.apply_columns(n_cols, [row[j] for row in phi])
+        rhs = linalg.apply_columns(phi_cols, [row[j] for row in nmat])
+        for x, y in zip(lhs, rhs):
+            if (x or y) and x != scale * y:
+                raise RuntimeError("realization violates N*Phi = p*Phi*N")

@@ -17,6 +17,11 @@ read out.  Already reduced input therefore costs only zero tests, and
 The size of an `Echelon` and its rows pivoting at or after a column are
 read out without back-substitution; intersection dimensions on the
 verify path come from these.
+
+`closure_under` grows the smallest subspace stable under operators given
+as sparse columns through nested groups of generators, one canonical
+basis per group.  The determinant, characteristic polynomial and p-adic
+valuation are not here: only the tests use them.
 """
 
 from __future__ import annotations
@@ -268,16 +273,6 @@ def stack(*mats: Mat) -> Mat:
     return tuple(rows)
 
 
-def dim_sum(a: Mat, b: Mat) -> int:
-    return rank(stack(a, b))
-
-
-def dim_intersection(a: Mat, b: Mat) -> int:
-    """dim(rowspace(a) ∩ rowspace(b)); a and b need not be reduced."""
-    ra, rb = rank(a), rank(b)
-    return ra + rb - dim_sum(a, b)
-
-
 def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:
     """dim(span(e_i : i in coords) ∩ rowspace(b)) via projection rank."""
     inside = set(coords)
@@ -288,21 +283,8 @@ def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:
     return rank(b) - rank(proj)
 
 
-def in_span(basis: Mat, v: Vec) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    return rank(stack(basis, (v,))) == rank(basis)
-
-
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a
-    )
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -313,55 +295,7 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def det(a: Mat) -> Fraction:
-    n = len(a)
-    work = [list(row) for row in a]
-    sign = 1
-    out = ONE
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return ZERO
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            sign = -sign
-        p = work[c][c]
-        out *= p
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] / p
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return out * sign
-
-
-def trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
-
-
-def char_poly(a: Mat) -> tuple[Fraction, ...]:
-    """Coefficients (c_0 .. c_n) of det(xI - a) = c_0 x^n + ... + c_n.
-
-    Faddeev-LeVerrier recursion; exact over Fraction.
-    """
-    n = len(a)
-    coeffs = [ONE]
-    m = identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = -trace(am) / k
-        coeffs.append(c)
-        m = tuple(
-            tuple(am[i][j] + (c if i == j else ZERO) for j in range(n))
-            for i in range(n)
-        )
-    return tuple(coeffs)
-
-
-def _columns(op: Mat) -> list[list[tuple[int, Fraction]]]:
+def sparse_columns(op: Mat) -> list[list[tuple[int, Fraction]]]:
     """Nonzero entries of each column of `op`, as (row, value) pairs."""
     cols: list[list[tuple[int, Fraction]]] = [[] for _ in op[0]] if op else []
     for i, row in enumerate(op):
@@ -371,10 +305,11 @@ def _columns(op: Mat) -> list[list[tuple[int, Fraction]]]:
     return cols
 
 
-def _apply(
+def apply_columns(
     cols: list[list[tuple[int, Fraction]]], v: Sequence[Fraction]
 ) -> list[Fraction]:
-    w = [ZERO] * len(v)
+    """The product of the operator given by `sparse_columns` with `v`."""
+    w = [ZERO] * len(cols)
     for j, x in enumerate(v):
         if x:
             for i, a in cols[j]:
@@ -382,47 +317,38 @@ def _apply(
     return w
 
 
-def closure_under(vectors: Iterable[Vec], operators: Sequence[Mat]) -> Mat:
-    """Smallest subspace containing `vectors` stable under every operator.
+def closure_under(
+    groups: Iterable[Iterable[Sequence[Fraction]]],
+    operators: Sequence[list[list[tuple[int, Fraction]]]],
+) -> list[Mat]:
+    """Canonical bases of the smallest subspaces stable under every
+    operator that contain the vectors of the first 1, 2, ... of `groups`.
 
-    Each vector that extends the echelon basis is queued once, and only
-    the images of queued vectors are reduced against the basis.
+    The operators are given by `sparse_columns`.  One closure grows
+    through the groups: each vector that extends the echelon basis is
+    queued once, and only the images of queued vectors are reduced against
+    the basis.  Once the basis fills the space nothing more is reduced, and
+    a group that adds nothing gives back the previous rows object.
     """
-    vectors = list(vectors)
-    if not vectors:
-        return ()
-    ech = Echelon(len(vectors[0]))
-    queue = [w for w in map(ech.add, vectors) if w is not None]
-    ops = [_columns(op) for op in operators]
-    while queue:
-        v = queue.pop()
-        for cols in ops:
-            w = ech.add(_apply(cols, v))
+    ncols = len(operators[0])
+    ech = Echelon(ncols)
+    rows: Mat = ()
+    out = []
+    for vectors in groups:
+        queue = []
+        for v in vectors:
+            if len(ech) == ncols:
+                break
+            w = ech.add(v)
             if w is not None:
                 queue.append(w)
-    return ech.rows()
-
-
-def is_stable(basis: Mat, operators: Sequence[Mat]) -> bool:
-    r = rank(basis)
-    for op in operators:
-        for v in basis:
-            if rank(stack(basis, (mat_vec(op, v),))) != r:
-                return False
-    return True
-
-
-def p_valuation(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if x == 0:
-        raise ZeroDivisionError("valuation of zero")
-    v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+        if queue:
+            while queue and len(ech) < ncols:
+                v = queue.pop()
+                for cols in operators:
+                    w = ech.add(apply_columns(cols, v))
+                    if w is not None:
+                        queue.append(w)
+            rows = ech.rows()
+        out.append(rows)
+    return out

@@ -18,6 +18,16 @@ closing signed {0,+-1}-pattern vectors inside each generalized eigenspace
 and saturating under sums, keeping one representative per relative
 position against the good lattice; random-coefficient rounds re-derive
 the classes and fail loudly if the pattern heuristic ever misses one.
+
+Saturation works on level pieces.  A stable W is the direct sum of its
+pieces W_lambda = W cap V_lambda (`ConcreteRealization.level_pieces`
+raises unless they fill W), and for stable W, W' the sums W_lambda +
+W'_lambda lie in the independent V_lambda, so W + W' is their direct sum
+and (W + W') cap V_lambda = W_lambda + W'_lambda.  Each piece is interned
+as a small int per level (`PieceIndex`), a subspace is the tuple of its
+piece ids, and a sum of two subspaces is one memoized level sum per
+level.  Full-width canonical rows are assembled only for the subspaces
+the saturation ends with.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ __all__ = [
     "random_round_subobjects",
     "subobject_class_key",
     "StableGoodLayout",
+    "PieceIndex",
     "DEFAULT_CAP",
 ]
 
@@ -110,9 +121,6 @@ class Subobject:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def contains(self, other: "Subobject") -> bool:
-        return all(linalg.in_span(self.rows, v) for v in other.rows)
 
 
 @dataclass(frozen=True)
@@ -525,38 +533,116 @@ def _pattern_vectors(n: int, level: Sequence[int]) -> list[Vec]:
     return out
 
 
-def _saturate(subs: dict[Mat, Subobject]) -> dict[Mat, Subobject]:
-    """Close `subs` under sums.
+class PieceIndex:
+    """The level pieces of the stable subspaces of one realization,
+    interned as small ints, one numbering per level.
+
+    A stable W is the direct sum of its pieces W cap V_lambda, so it is
+    given by the tuple of its piece ids (id 0 is the zero piece of every
+    level), and the sum of two stable subspaces is the level-wise sum of
+    their pieces.  Each level sum is computed once per pair of ids, on the
+    small level piece.  The canonical basis of a subspace is assembled
+    from its pieces: the level rows, embedded and sorted by pivot, are
+    already in reduced row echelon form, because levels occupy disjoint
+    columns and keep their order.
+    """
+
+    def __init__(self, realization: ConcreteRealization):
+        self.realization = realization
+        levels = realization.levels
+        self._pieces: list[list[Mat]] = [[()] for _ in levels]
+        self._ids: list[dict[Mat, int]] = [{(): 0} for _ in levels]
+        self._sums: list[dict[tuple[int, int], int]] = [{} for _ in levels]
+        self._levels = range(len(levels))
+
+    def _intern(self, level: int, piece: Mat) -> int:
+        ids = self._ids[level]
+        pid = ids.get(piece)
+        if pid is None:
+            pid = ids[piece] = len(ids)
+            self._pieces[level].append(piece)
+        return pid
+
+    def key(self, rows: Mat) -> tuple[int, ...]:
+        """Piece ids of the stable subspace spanned by `rows`."""
+        pieces = self.realization.level_pieces(rows)
+        return tuple(map(self._intern, self._levels, pieces))
+
+    def piece(self, level: int, pid: int) -> Mat:
+        """Canonical basis of a piece, in the level's own coordinates."""
+        return self._pieces[level][pid]
+
+    def _level_sum(self, level: int, i: int, j: int) -> int:
+        if i == j or not j:
+            return i
+        if not i:
+            return j
+        if i > j:
+            i, j = j, i
+        sums = self._sums[level]
+        pid = sums.get((i, j))
+        if pid is None:
+            pieces = self._pieces[level]
+            rows = linalg.span_sum(pieces[i], pieces[j])
+            pid = i if rows is pieces[i] else self._intern(level, rows)
+            sums[(i, j)] = pid
+        return pid
+
+    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Piece ids of the sum of two stable subspaces."""
+        return tuple(map(self._level_sum, self._levels, a, b))
+
+    def rows(self, key: tuple[int, ...]) -> Mat:
+        """Canonical basis of the subspace with these piece ids."""
+        n = self.realization.dimension
+        out = []
+        for coords, pieces, pid in zip(self.realization.levels, self._pieces, key):
+            for row in pieces[pid]:
+                full = [linalg.ZERO] * n
+                for c, x in zip(coords, row):
+                    full[c] = x
+                pivot = next(c for c, x in zip(coords, row) if x)
+                out.append((pivot, tuple(full)))
+        out.sort(key=lambda item: item[0])
+        return tuple(row for _, row in out)
+
+
+def _saturate(
+    index: PieceIndex, keys: Iterable[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Close a set of stable subspaces, given by piece ids, under sums.
 
     Every element of the sum-closure is a sum of starting elements, so it
     suffices to add each starting element to every element reached.
     """
-    gens = [sub.rows for sub in subs.values() if sub.rows]
-    queue = list(subs.values())
+    subs = dict.fromkeys(keys)
+    gens = [key for key in subs if any(key)]
+    queue = list(subs)
+    add = index.add
     while queue:
         x = queue.pop()
         for g in gens:
             if len(subs) > _LATTICE_GUARD:
                 raise CapExceededError("subobject lattice exceeds the guard size")
-            rows = linalg.span_sum(x.rows, g)
-            if rows is not x.rows and rows not in subs:
-                sub = Subobject(rows)
-                subs[rows] = sub
-                queue.append(sub)
-    return subs
+            key = add(x, g)
+            if key not in subs:
+                subs[key] = None
+                queue.append(key)
+    return list(subs)
 
 
-def _generate(
-    realization: ConcreteRealization, atom_vectors: Iterable[Vec]
-) -> dict[Mat, Subobject]:
-    subs: dict[Mat, Subobject] = {(): Subobject(())}
-    for g in stable_good_subobjects(realization.spec, realization.edges):
-        rows = linalg.rref(good_span(realization.spec, g))
-        subs.setdefault(rows, Subobject(rows))
+def _start_keys(
+    index: PieceIndex, atom_vectors: Iterable[Vec]
+) -> list[tuple[int, ...]]:
+    """Piece ids of zero, the stable good spans and the atom closures."""
+    realization = index.realization
+    spec = realization.spec
+    keys = [index.key(())]
+    for g in stable_good_subobjects(spec, realization.edges):
+        keys.append(index.key(good_span(spec, g)))
     for v in atom_vectors:
-        rows = realization.closure((v,))
-        subs.setdefault(rows, Subobject(rows))
-    return _saturate(subs)
+        keys.append(index.key(realization.closure((v,))))
+    return keys
 
 
 class StableGoodLayout:
@@ -566,11 +652,13 @@ class StableGoodLayout:
     dim(E cap W) is the sum over levels of dim(E_lambda cap W_lambda), and
     each term is len(piece) minus the rank of the level piece W_lambda on
     the level columns outside E.  Goods with the same outside columns on a
-    level share the term, and a piece seen before reuses its terms.
+    level share the term, and the terms of a piece are computed once per
+    piece id of the layout's `PieceIndex`.
     """
 
     def __init__(self, realization: ConcreteRealization):
         self.realization = realization
+        self.pieces = PieceIndex(realization)
         self.goods = stable_good_subobjects(realization.spec, realization.edges)
         # per level: the distinct outside column sets (level positions) and,
         # for each good, the index of its set
@@ -583,12 +671,14 @@ class StableGoodLayout:
                 out = tuple(k for k, i in enumerate(coords) if i not in ins)
                 which.append(sets.setdefault(out, len(sets)))
             self._outside.append((list(sets), which))
-        self._terms: dict[tuple[int, Mat], tuple[int, ...]] = {}
+        self._terms: list[dict[int, tuple[int, ...]]] = [
+            {} for _ in realization.levels
+        ]
 
-    def _level_terms(self, level: int, piece: Mat) -> tuple[int, ...]:
-        key = (level, piece)
-        terms = self._terms.get(key)
+    def _level_terms(self, level: int, pid: int) -> tuple[int, ...]:
+        terms = self._terms[level].get(pid)
         if terms is None:
+            piece = self.pieces.piece(level, pid)
             sets, which = self._outside[level]
             r = len(piece)
             by_set = [
@@ -596,21 +686,23 @@ class StableGoodLayout:
                 if out else r
                 for out in sets
             ]
-            terms = self._terms[key] = tuple(by_set[w] for w in which)
+            terms = self._terms[level][pid] = tuple(by_set[w] for w in which)
         return terms
 
-    def intersection_dims(self, rows: Mat) -> tuple[int, ...]:
-        """dim(E cap W) for every stable good E, where `rows` spans a
-        stable W."""
-        pieces = self.realization.level_pieces(rows)
+    def key_intersection_dims(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """dim(E cap W) for every stable good E, where W has the piece ids
+        `key`."""
         parts = [
-            self._level_terms(level, piece)
-            for level, piece in enumerate(pieces)
-            if piece
+            self._level_terms(level, pid) for level, pid in enumerate(key) if pid
         ]
         if not parts:
             return (0,) * len(self.goods)
         return tuple(map(sum, zip(*parts)))
+
+    def intersection_dims(self, rows: Mat) -> tuple[int, ...]:
+        """dim(E cap W) for every stable good E, where `rows` spans a
+        stable W."""
+        return self.key_intersection_dims(self.pieces.key(rows))
 
 
 def subobject_class_key(layout: StableGoodLayout, sub: Subobject) -> tuple:
@@ -638,17 +730,22 @@ def enumerate_concrete_subobjects(
     atoms: list[Vec] = []
     for level in realization.levels:
         atoms.extend(_pattern_vectors(n, level))
-    base = _generate(realization, atoms)
+    layout = StableGoodLayout(realization)
+    index = layout.pieces
+    base = [
+        (Subobject(index.rows(key)), key)
+        for key in _saturate(index, _start_keys(index, atoms))
+    ]
     # one representative per relative-position class, preferring bases
     # without negative entries, then the smallest canonical basis
-    def rep_key(s: Subobject):
+    def rep_key(item: tuple[Subobject, tuple[int, ...]]):
+        s = item[0]
         negatives = sum(1 for row in s.rows for x in row if x < 0)
         return (s.rank, negatives, s.rows)
 
-    layout = StableGoodLayout(realization)
     by_class: dict[tuple, Subobject] = {}
-    for sub in sorted(base.values(), key=rep_key):
-        by_class.setdefault(subobject_class_key(layout, sub), sub)
+    for sub, key in sorted(base, key=rep_key):
+        by_class.setdefault((sub.rank, layout.key_intersection_dims(key)), sub)
     result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
     base_keys = set(by_class)
     rng = random.Random(seed)

@@ -13,6 +13,10 @@ The intersection dimensions of the verify path are asked here once per
 pair, where the library reads them off one echelon pass: class keys good
 by good, transversality tail by tail, tail dimensions by stacking, and
 aligned candidates by one intersection per tail.
+
+The determinant, characteristic polynomial, p-adic valuation, stability
+test and dimension formulas check the realizations from outside: the
+library itself never needs them.
 """
 
 from __future__ import annotations
@@ -71,8 +75,95 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m)
 
 
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a
+    )
+
+
 def in_span(basis: Mat, v: Vec) -> bool:
+    """v lies in the row space of the canonical `basis`."""
     return len(rref(basis + (tuple(v),))) == len(basis)
+
+
+def dim_sum(a: Mat, b: Mat) -> int:
+    return len(rref(tuple(a) + tuple(b)))
+
+
+def dim_intersection(a: Mat, b: Mat) -> int:
+    """dim(rowspace(a) ∩ rowspace(b)); a and b need not be reduced."""
+    return len(rref(a)) + len(rref(b)) - dim_sum(a, b)
+
+
+def is_stable(basis: Mat, operators: Sequence[Mat]) -> bool:
+    basis = rref(basis)
+    return all(in_span(basis, mat_vec(op, v)) for op in operators for v in basis)
+
+
+def det(a: Mat) -> Fraction:
+    """Determinant by Gaussian elimination with row swaps."""
+    n = len(a)
+    work = [list(row) for row in a]
+    sign = 1
+    out = Fraction(1)
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if work[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            return ZERO
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            sign = -sign
+        p = work[c][c]
+        out *= p
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] / p
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return out * sign
+
+
+def trace(a: Mat) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), ZERO)
+
+
+def char_poly(a: Mat) -> tuple[Fraction, ...]:
+    """Coefficients (c_0 .. c_n) of det(xI - a) = c_0 x^n + ... + c_n.
+
+    Faddeev-LeVerrier recursion; exact over Fraction.
+    """
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = linalg.identity(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c = -trace(am) / k
+        coeffs.append(c)
+        m = tuple(
+            tuple(am[i][j] + (c if i == j else ZERO) for j in range(n))
+            for i in range(n)
+        )
+    return tuple(coeffs)
+
+
+def p_valuation(x: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    if x == 0:
+        raise ZeroDivisionError("valuation of zero")
+    v = 0
+    num = abs(x.numerator)
+    while num % p == 0:
+        num //= p
+        v += 1
+    den = x.denominator
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def closure_under(vectors: Iterable[Vec], operators: Sequence[Mat]) -> Mat:
@@ -141,8 +232,8 @@ def mat_pow(a: Mat, k: int) -> Mat:
     base = a
     while k:
         if k & 1:
-            out = linalg.mat_mul(out, base)
-        base = linalg.mat_mul(base, base)
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
         k >>= 1
     return out
 

@@ -18,6 +18,7 @@ from filtadm.model import (
     WeightProfile,
     profile_to_dict,
     spec_to_dict,
+    t_n,
 )
 
 DATA = Path(__file__).parent.parent / "data"
@@ -153,9 +154,8 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
-def test_build_filtration_refuses_above_cap(tmp_path, capsys):
-    # 40 chains, dimension 79: sampling would test every one of the
-    # prod(b_i + 1) good subobjects against each drawn basis
+def _forty_chain_files(tmp_path):
+    """Spec and weight files for 40 chains of dimension 79 in total."""
     spec = ModuleSpec(
         Config(p=2),
         (Family("F", 1, Fraction(0)),),
@@ -166,6 +166,13 @@ def test_build_filtration_refuses_above_cap(tmp_path, capsys):
     weights_path.write_text(
         json.dumps(profile_to_dict(WeightProfile((tuple(range(spec.dimension)),))))
     )
+    return spec, spec_path, weights_path
+
+
+def test_build_filtration_refuses_above_cap(tmp_path, capsys):
+    # 40 chains, dimension 79: sampling would test every one of the
+    # prod(b_i + 1) good subobjects against each drawn basis
+    _, spec_path, weights_path = _forty_chain_files(tmp_path)
     t0 = time.perf_counter()
     code, rep = run_cli(
         capsys, "build-filtration", "--spec", str(spec_path),
@@ -179,6 +186,27 @@ def test_build_filtration_refuses_above_cap(tmp_path, capsys):
         "--weights", str(DATA / "weights_ex2.json"), "--cap", "3",
     )
     assert code == 2 and "cap 3" in rep["error"]
+
+
+def test_verify_admissible_refuses_above_cap(tmp_path, capsys):
+    # refused before realizing or sampling anything, also when the totals
+    # differ and the equality check alone would have decided
+    spec, spec_path, weights_path = _forty_chain_files(tmp_path)
+    profile = WeightProfile((tuple(range(spec.dimension)),))
+    assert t_n(spec) != spec.config.deg_K_L * profile.total
+    t0 = time.perf_counter()
+    code, rep = run_cli(
+        capsys, "verify-admissible", "--spec", str(spec_path),
+        "--weights", str(weights_path), "--seed", "7",
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and "CapExceeded" in rep["error"]
+    assert "dimension 79 exceeds the enumeration cap 8" in rep["error"]
+    code, rep = run_cli(
+        capsys, "verify-admissible", "--spec", str(DATA / "ex1a_spec.json"),
+        "--weights", str(DATA / "weights_m212.json"), "--cap", "2",
+    )
+    assert code == 2 and "cap 2" in rep["error"]
 
 
 def test_json_flag_removed(capsys):

@@ -6,6 +6,7 @@ import pytest
 from filtadm import linalg
 from filtadm.frobenius import (
     ModificationEdge,
+    _check_commutation,
     build_modified_frobenius,
     hom_dim,
     realize_matrices,
@@ -69,7 +70,7 @@ def test_phi_invertible_n_nilpotent():
         if spec is None:
             continue
         real = realize_matrices(spec, build_modified_frobenius(spec))
-        assert linalg.det(real.phi) != 0
+        assert oracles.det(real.phi) != 0
         n = spec.dimension
         assert oracles.mat_pow(real.nmat, n) == linalg.zeros(n, n)
         done += 1
@@ -85,21 +86,51 @@ def test_commutation_and_det_valuation_random():
         edges = build_modified_frobenius(spec)
         real = realize_matrices(spec, edges)
         p = Fraction(spec.config.p)
-        lhs = linalg.mat_mul(real.nmat, real.phi)
-        rhs = linalg.mat_scale(p, linalg.mat_mul(real.phi, real.nmat))
+        lhs = oracles.mat_mul(real.nmat, real.phi)
+        rhs = linalg.mat_scale(p, oracles.mat_mul(real.phi, real.nmat))
         assert lhs == rhs
         want = sum(
-            linalg.p_valuation(real.seeds[blk.family.id], spec.config.p) + blk.twist
+            oracles.p_valuation(real.seeds[blk.family.id], spec.config.p) + blk.twist
             for blk in real.basis
         )
-        assert linalg.p_valuation(linalg.det(real.phi), spec.config.p) == want
+        assert oracles.p_valuation(oracles.det(real.phi), spec.config.p) == want
         done += 1
+
+
+def test_commutation_check_rejects_corrupted_matrices():
+    # one entry of N (or Phi) moved: the sparse check raises exactly when
+    # the dense products disagree
+    rng = random.Random(17)
+    raised = done = 0
+    while done < 60:
+        spec = random_spec(rng)
+        if spec is None or spec.dimension < 2:
+            continue
+        real = realize_matrices(spec, build_modified_frobenius(spec))
+        p = spec.config.p
+        _check_commutation(real.phi, real.nmat, p)
+        n = spec.dimension
+        mats = [[list(row) for row in m] for m in (real.phi, real.nmat)]
+        # N three times in four, Phi otherwise
+        i, j = rng.randrange(n), rng.randrange(n)
+        mats[done % 4 != 3][i][j] += rng.choice((1, -1, Fraction(1, 2)))
+        phi, nmat = (tuple(map(tuple, m)) for m in mats)
+        lhs = oracles.mat_mul(nmat, phi)
+        rhs = linalg.mat_scale(Fraction(p), oracles.mat_mul(phi, nmat))
+        if lhs != rhs:
+            with pytest.raises(RuntimeError, match="N\\*Phi = p\\*Phi\\*N"):
+                _check_commutation(phi, nmat, p)
+            raised += 1
+        else:
+            _check_commutation(phi, nmat, p)
+        done += 1
+    assert raised >= 40
 
 
 def test_det_valuation_custom_seeds(ex1a):
     seeds = {"F": Fraction(12)}   # val_2 = 2
     real = realize_matrices(ex1a, build_modified_frobenius(ex1a), seeds=seeds)
-    assert linalg.p_valuation(linalg.det(real.phi), 2) == 3 * 2 + (0 + 0 + 1)
+    assert oracles.p_valuation(oracles.det(real.phi), 2) == 3 * 2 + (0 + 0 + 1)
 
 
 def test_char_poly_independent_of_edges(ex1a):
@@ -112,7 +143,7 @@ def test_char_poly_independent_of_edges(ex1a):
         edges = build_modified_frobenius(spec)
         with_edges = realize_matrices(spec, edges)
         without = realize_matrices(spec, ())
-        assert linalg.char_poly(with_edges.phi) == linalg.char_poly(without.phi)
+        assert oracles.char_poly(with_edges.phi) == oracles.char_poly(without.phi)
         done += 1
 
 
@@ -149,12 +180,12 @@ def test_t_n_concrete_det_oracle(ex1a):
         if not rows:
             continue
         restr = oracles.restriction(real, rows)
-        det = linalg.det(restr)
-        val_p = linalg.p_valuation(det, 2)
+        det = oracles.det(restr)
+        val_p = oracles.p_valuation(det, 2)
         counts = {}
         for fam in spec.families:
             q = int(real.seeds[fam.id])
-            counts[fam.id] = linalg.p_valuation(det, q) if q != 1 else None
+            counts[fam.id] = oracles.p_valuation(det, q) if q != 1 else None
         expected = Fraction(val_p) * spec.config.deg_K_Qp
         for fam in spec.families:
             c = counts[fam.id]

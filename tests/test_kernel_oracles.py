@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from filtadm import linalg
+from filtadm import linalg, subobjects
 from filtadm.filtration import (
     Filtration,
     _aligned_candidates,
@@ -18,12 +18,15 @@ from filtadm.filtration import (
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.subobjects import (
+    CapExceededError,
+    PieceIndex,
     StableGoodLayout,
     Subobject,
     _pattern_vectors,
     _saturate,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
+    good_coords,
     good_span,
     random_round_subobjects,
     stable_good_subobjects,
@@ -122,7 +125,8 @@ def test_closure_matches_rerref_oracle():
             v = _vector(rng, n, density)
             want = oracles.closure_under((v,), ops)
             assert real.closure((v,)) == want
-            assert linalg.closure_under((v,), ops) == want
+            cols = [linalg.sparse_columns(op) for op in ops]
+            assert linalg.closure_under([(v,)], cols) == [want]
         level = rng.choice(levels)
         v = tuple(
             x if i in level else Fraction(0)
@@ -265,6 +269,20 @@ def test_aligned_candidates_match_per_tail_intersections():
         assert got == oracles.aligned_candidates(spec, real, small)
 
 
+def _start_rows(real):
+    """Canonical bases of zero, the stable good spans and the closures of
+    the pattern atoms: where the lattice enumeration starts."""
+    spec = real.spec
+    start = [()]
+    start += [
+        linalg.rref(good_span(spec, g))
+        for g in stable_good_subobjects(spec, real.edges)
+    ]
+    for level in real.levels:
+        start += [real.closure((v,)) for v in _pattern_vectors(real.dimension, level)]
+    return start
+
+
 def test_generator_saturation_matches_all_pairs():
     # one same-type component puts several chains on each level, which is
     # where sums of atoms give new subspaces; random_spec draws rarely do
@@ -275,15 +293,85 @@ def test_generator_saturation_matches_all_pairs():
         while spec is None:
             spec = random_single_component_spec(rng)
         real = realize_matrices(spec, build_modified_frobenius(spec) if k % 2 else ())
-        start = {(): Subobject(())}
-        for g in stable_good_subobjects(spec, real.edges):
-            rows = linalg.rref(good_span(spec, g))
-            start.setdefault(rows, Subobject(rows))
-        for level in real.eigen_levels().values():
-            for v in _pattern_vectors(real.dimension, level):
-                rows = real.closure((v,))
-                start.setdefault(rows, Subobject(rows))
-        got = set(_saturate(dict(start)))
+        start = _start_rows(real)
+        index = PieceIndex(real)
+        keys = _saturate(index, [index.key(rows) for rows in start])
+        got = {index.rows(key) for key in keys}
         assert got == oracles.saturate_all_pairs(start)
-        grown += len(got) > len(start)
+        grown += len(got) > len(set(start))
     assert grown >= 3
+
+
+def test_piece_saturation_matches_all_pairs_with_and_without_edges():
+    rng, single = random.Random(114), random.Random(115)
+    specs = []
+    while len(specs) < 24:
+        spec = random_spec(rng) if len(specs) % 2 else random_single_component_spec(single)
+        if spec is not None:
+            specs.append(spec)
+    grown = 0
+    for spec in specs:
+        for edges in ((), build_modified_frobenius(spec)):
+            real = realize_matrices(spec, edges)
+            start = _start_rows(real)
+            index = PieceIndex(real)
+            keys = _saturate(index, [index.key(rows) for rows in start])
+            lattice = [index.rows(key) for key in keys]
+            assert set(lattice) == oracles.saturate_all_pairs(start)
+            assert len(set(lattice)) == len(keys)
+            for key, rows in zip(keys, lattice):
+                # assembled rows are canonical as they stand
+                assert linalg.rref(rows) is rows
+                assert Subobject(rows).rows is rows
+                assert index.key(rows) == key
+            grown += len(lattice) > len(set(start))
+    assert grown >= 6
+
+
+def test_lowered_lattice_guard_raises(monkeypatch):
+    rng = random.Random(106)
+    while True:
+        spec = random_single_component_spec(rng)
+        if spec is None:
+            continue
+        real = realize_matrices(spec, build_modified_frobenius(spec))
+        index = PieceIndex(real)
+        start = list(dict.fromkeys(index.key(rows) for rows in _start_rows(real)))
+        full = _saturate(index, start)
+        if len(full) >= len(start) + 2:
+            break
+    monkeypatch.setattr(subobjects, "_LATTICE_GUARD", len(start))
+    with pytest.raises(CapExceededError, match="guard"):
+        _saturate(index, start)
+    with pytest.raises(CapExceededError, match="guard"):
+        enumerate_concrete_subobjects(real)
+    monkeypatch.setattr(subobjects, "_LATTICE_GUARD", len(full))
+    assert enumerate_concrete_subobjects(real)
+
+
+def test_nested_closures_match_closures_alone():
+    # E cap T_m, ..., E cap T_2 grow, and so do their closures: each one
+    # grown incrementally equals the closure computed alone
+    rng, triples = _filtered(116, 20)
+    steps = reused = 0
+    for spec, real, filt in triples:
+        ops = (real.phi, real.nmat)
+        for f in (filt, _small_box_filtration(rng, spec, filt)):
+            for good in enumerate_good_subobjects(spec):
+                coords = good_coords(spec, good)
+                m = len(coords)
+                for basis in f.bases:
+                    inters = [
+                        linalg.intersect_coords(coords, basis[j - 1:])
+                        for j in range(m, 1, -1)
+                    ]
+                    prev = ()
+                    for inter, rows in zip(inters, real.closures(inters)):
+                        assert rows == real.closure(inter)
+                        assert rows == oracles.closure_under(inter, ops)
+                        if rows == prev:
+                            assert rows is prev
+                            reused += 1
+                        prev = rows
+                        steps += 1
+    assert steps >= 400 and reused >= 100

@@ -22,7 +22,8 @@ def test_rank_and_intersection():
     a = mat([[1, 0, 0], [0, 1, 0]])
     b = mat([[0, 1, 0], [0, 0, 1]])
     assert linalg.rank(a) == 2
-    assert linalg.dim_intersection(a, b) == 1
+    assert oracles.dim_intersection(a, b) == 1
+    assert linalg.rank(a) + linalg.rank(b) - linalg.rank(a + b) == 1
     inter = oracles.intersect_basis(a, b)
     assert inter == ((Fraction(0), Fraction(1), Fraction(0)),)
     assert linalg.intersect_coords((0, 1), b) == inter
@@ -45,29 +46,36 @@ def test_kernel_basis():
 def test_char_poly_and_det():
     m = mat([[2, 1], [0, 3]])
     # det(xI - m) = x^2 - 5x + 6
-    assert linalg.char_poly(m) == (Fraction(1), Fraction(-5), Fraction(6))
-    assert linalg.det(m) == 6
+    assert oracles.char_poly(m) == (Fraction(1), Fraction(-5), Fraction(6))
+    assert oracles.det(m) == 6
     m3 = mat([[0, 1, 0], [0, 0, 1], [6, -11, 6]])
-    coeffs = linalg.char_poly(m3)
+    coeffs = oracles.char_poly(m3)
     # constant term is (-1)^n det
-    assert coeffs[-1] == (-1) ** 3 * linalg.det(m3)
+    assert coeffs[-1] == (-1) ** 3 * oracles.det(m3)
 
 
 def test_closure_idempotent():
     op = mat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])   # e1 -> e2 -> e3 -> 0
     start = (vec([1, 0, 0]),)
-    closed = linalg.closure_under(start, [op])
+    cols = [linalg.sparse_columns(op)]
+    (closed,) = linalg.closure_under([start], cols)
     assert len(closed) == 3
-    assert linalg.closure_under(closed, [op]) == closed
-    assert linalg.is_stable(closed, [op])
+    assert linalg.closure_under([closed], cols) == [closed]
+    assert oracles.is_stable(closed, [op])
+    # nested groups: one closure per group, the same rows object when a
+    # group adds nothing
+    e = linalg.identity(3)
+    nested = linalg.closure_under([(e[2],), (e[1],), (), (e[0],), (e[1],)], cols)
+    assert [len(rows) for rows in nested] == [1, 2, 2, 3, 3]
+    assert nested[2] is nested[1] and nested[4] is nested[3] == closed
 
 
 def test_p_valuation():
-    assert linalg.p_valuation(Fraction(12), 2) == 2
-    assert linalg.p_valuation(Fraction(3, 8), 2) == -3
-    assert linalg.p_valuation(Fraction(5), 3) == 0
+    assert oracles.p_valuation(Fraction(12), 2) == 2
+    assert oracles.p_valuation(Fraction(3, 8), 2) == -3
+    assert oracles.p_valuation(Fraction(5), 3) == 0
     with pytest.raises(ZeroDivisionError):
-        linalg.p_valuation(Fraction(0), 2)
+        oracles.p_valuation(Fraction(0), 2)
 
 
 @settings(max_examples=40)
@@ -85,7 +93,8 @@ def test_rank_agrees_with_rref(rows):
 def test_intersection_dim_formula(a_rows, b_rows):
     a, b = mat(a_rows), mat(b_rows)
     inter = oracles.intersect_basis(a, b)
-    assert len(inter) == linalg.dim_intersection(a, b)
+    assert len(inter) == oracles.dim_intersection(a, b)
+    assert len(inter) == linalg.rank(a) + linalg.rank(b) - linalg.rank(a + b)
     for v in inter:
-        assert linalg.in_span(linalg.rref(a), v)
-        assert linalg.in_span(linalg.rref(b), v)
+        assert oracles.in_span(linalg.rref(a), v)
+        assert oracles.in_span(linalg.rref(b), v)

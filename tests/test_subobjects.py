@@ -26,6 +26,7 @@ from filtadm.subobjects import (
     stable_good_subobjects,
 )
 from helpers import random_single_component_spec
+import oracles
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -85,8 +86,9 @@ def test_concrete_diagonal_coordinates():
 def test_enumerated_are_exactly_stable(ex2):
     real = realize_matrices(ex2, build_modified_frobenius(ex2))
     for sub in enumerate_concrete_subobjects(real):
-        assert linalg.is_stable(sub.rows, [real.phi, real.nmat])
-        assert linalg.closure_under(sub.rows, [real.phi, real.nmat]) == sub.rows
+        assert oracles.is_stable(sub.rows, [real.phi, real.nmat])
+        cols = [linalg.sparse_columns(real.phi), linalg.sparse_columns(real.nmat)]
+        assert linalg.closure_under([sub.rows], cols) == [sub.rows]
 
 
 def test_cap_exceeded():
