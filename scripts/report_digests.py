@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""One sha256 per benchmark workload and seed over every report it produces.
+
+The items come from the benchmark's own workload definitions in
+`perfbench/workloads.py`, which this script imports and does not change:
+
+- `verify_stream`: the `check_admissible` report of every timed and every
+  traced item, as sorted-key JSON;
+- `cli_reports`: the exit code and the stdout of every CLI call, with the
+  temporary directory of the generated inputs replaced by `<root>`.
+
+Equal digests for a parent and a changed checkout mean equal report
+bytes, item for item.  The package is imported from `src/` of the
+checkout that holds this script.
+
+    python3 scripts/report_digests.py --seeds 11 12 21
+    python3 scripts/report_digests.py --workload cli_reports --seeds 3 --count 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import filtadm  # noqa: E402
+import filtadm.cli  # noqa: E402,F401
+from workloads import WORKLOADS  # noqa: E402
+
+DIGESTED = ("verify_stream", "cli_reports")
+
+
+def _items(wl, count: int | None) -> list:
+    items = wl.timed if wl.traced is wl.timed else wl.timed + wl.traced
+    return items if count is None else items[:count]
+
+
+def digest(workload: str, seed: int, count: int | None = None) -> tuple[int, str]:
+    """(items hashed, sha256) for one workload and seed."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "data").symlink_to(ROOT / "data")
+        wl = WORKLOADS[workload](filtadm, seed, root)
+        wl.prepare()
+        items = _items(wl, count)
+        for k, item in enumerate(items):
+            if workload == "verify_stream":
+                out = json.dumps(wl.execute(item).as_dict(), sort_keys=True)
+            else:
+                code, stdout = wl.execute(item)
+                out = f"{code}\n{stdout.replace(str(root), '<root>')}"
+            h.update(f"{k}\0{out}\0".encode())
+    return len(items), h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=DIGESTED, action="append")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12, 21])
+    parser.add_argument(
+        "--count", type=int, default=None,
+        help="hash only the first COUNT items of each workload",
+    )
+    args = parser.parse_args(argv)
+    for workload in args.workload or DIGESTED:
+        for seed in args.seeds:
+            n, sha = digest(workload, seed, args.count)
+            print(f"{workload} seed={seed} items={n} sha256={sha}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,6 @@ from .model import (
     SpecError,
     Summand,
     WeightProfile,
-    level_decomposition,
     spec_violations,
     t_n,
     validate_spec,
@@ -22,7 +21,6 @@ from .ordering import canonical_order, check_not_precede, group_and_order
 from .slopes import check_all_block_orders, check_slope_chain
 from .frobenius import build_modified_frobenius, hom_dim, realize_matrices
 from .subobjects import (
-    alpha_ratio,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
     greedy_flag,
@@ -50,7 +48,6 @@ __all__ = [
     "validate_spec",
     "spec_violations",
     "t_n",
-    "level_decomposition",
     "canonical_order",
     "group_and_order",
     "check_not_precede",
@@ -61,7 +58,6 @@ __all__ = [
     "realize_matrices",
     "enumerate_good_subobjects",
     "enumerate_concrete_subobjects",
-    "alpha_ratio",
     "greedy_flag",
     "omega_from_flag",
     "special_pair_from_flag",

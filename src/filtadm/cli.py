@@ -71,13 +71,33 @@ def _load_weights(path: str) -> WeightProfile:
         return profile_from_dict(json.load(fh))
 
 
+def _positive(text: str) -> int | None:
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 1 else None
+
+
+def _cap_flag(text: str) -> int:
+    """argparse type of `--cap`: a positive integer."""
+    cap = _positive(text)
+    if cap is None:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return cap
+
+
 def _cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
+    """`--cap`, else the FILTADM_CAP environment variable, else the default."""
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("FILTADM_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    cap = _positive(env)
+    if cap is None:
+        raise ValueError(f"FILTADM_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 def _emit(report: dict, args) -> None:
@@ -276,13 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, weights=True, seed=False):
+    def common(p, weights=True, seed=False, cap=False):
         p.add_argument("--spec", required=True, help="module spec JSON file")
         if weights:
             p.add_argument("--weights", required=True, help="weight profile JSON file")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=None, help="dimension cap")
+        if cap:
+            p.add_argument(
+                "--cap", type=_cap_flag, default=None,
+                help=f"dimension cap (default: FILTADM_CAP, else {DEFAULT_CAP})",
+            )
         p.add_argument("--timing", action="store_true", help="include timing_ms")
 
     p = sub.add_parser("order", help="canonical summand order and groups")
@@ -304,17 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_phi)
 
     p = sub.add_parser("subobjects", help="enumerate stable subspaces")
-    common(p, weights=False, seed=True)
+    common(p, weights=False, seed=True, cap=True)
     p.add_argument("--modified", action="store_true")
     p.set_defaults(func=cmd_subobjects)
 
     p = sub.add_parser("build-filtration", help="sample a transverse filtration")
-    common(p, seed=True)
+    common(p, seed=True, cap=True)
     p.add_argument("--no-modify", action="store_true")
     p.set_defaults(func=cmd_build_filtration)
 
     p = sub.add_parser("verify-admissible", help="full admissibility verdict")
-    common(p, seed=True)
+    common(p, seed=True, cap=True)
     p.add_argument("--no-modify", action="store_true")
     p.set_defaults(func=cmd_verify_admissible)
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .linalg import Mat
@@ -72,7 +73,6 @@ __all__ = [
     "TransversalityError",
     "build_transverse_filtration",
     "t_h",
-    "induced_jumps",
     "AdmissibilityReport",
     "check_admissible",
 ]
@@ -106,6 +106,14 @@ class Filtration:
     def tail(self, sigma: int, j: int) -> Mat:
         """Rows spanning the filtration step at the j-th weight (1-based)."""
         return self.bases[sigma][j - 1 :]
+
+    @cached_property
+    def int_bases(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """`bases` with every row scaled to integers, for elimination."""
+        return tuple(
+            tuple(tuple(linalg.integral(row)) for row in basis)
+            for basis in self.bases
+        )
 
 
 def _violation(
@@ -157,12 +165,11 @@ def build_transverse_filtration(
         for _ in range(max_attempts):
             total_attempts += 1
             basis = tuple(
-                tuple(Fraction(rng.randint(-box, box)) for _ in range(n))
-                for _ in range(n)
+                tuple(rng.randint(-box, box) for _ in range(n)) for _ in range(n)
             )
             bad = _violation(spec, basis, goods)
             if bad is None:
-                bases.append(basis)
+                bases.append(tuple(tuple(map(Fraction, row)) for row in basis))
                 break
             last_bad = bad
         else:
@@ -178,12 +185,12 @@ def _tail_dims(filtration: Filtration, sigma: int, rows: Mat) -> list[int]:
     """
     n = filtration.dimension
     r = len(rows)
-    basis = filtration.bases[sigma]
+    basis = filtration.int_bases[sigma]
     ech = linalg.Echelon(n, rows)
     dims = [0] * (n + 1)
     for j in range(n, 0, -1):
         if len(ech) < n:
-            ech.add(basis[j - 1])
+            ech.add_integral(list(basis[j - 1]))
         dims[j - 1] = r + (n - j + 1) - len(ech)
     return dims
 
@@ -197,17 +204,6 @@ def t_h(filtration: Filtration, rows: Mat, config) -> Fraction:
         for j in range(1, filtration.dimension + 1):
             total += wrow[j - 1] * (dims[j - 1] - dims[j])
     return Fraction(config.deg_K_L * total)
-
-
-def induced_jumps(filtration: Filtration, sigma: int, rows: Mat) -> tuple[int, ...]:
-    """Sorted jump multiset of the filtration induced on a subspace."""
-    rows = linalg.rref(rows)
-    dims = _tail_dims(filtration, sigma, rows)
-    out = []
-    wrow = filtration.weights.weights[sigma]
-    for j in range(1, filtration.dimension + 1):
-        out.extend([wrow[j - 1]] * (dims[j - 1] - dims[j]))
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -251,7 +247,7 @@ def _aligned_candidates(
         order = [c for c in range(n) if c not in inside] + sorted(inside)
         position = sorted(range(n), key=order.__getitem__)
         for sigma in range(spec.config.embeddings):
-            basis = filtration.bases[sigma]
+            basis = filtration.int_bases[sigma]
             # columns outside E first: a row stored after v_n .. v_j with
             # its pivot inside E lies in E cap T_j, and these rows span it;
             # groups[k] holds the rows that E cap T_{m-k} adds
@@ -260,7 +256,7 @@ def _aligned_candidates(
             new: list = []
             for j in range(n, 1, -1):
                 v = basis[j - 1]
-                row = ech.add([v[c] for c in order])
+                row = ech.add_integral([v[c] for c in order])
                 if row is not None and not any(row[: n - m]):
                     new.append([row[p] for p in position])
                 if j <= m:
@@ -299,17 +295,20 @@ def check_admissible(
         }
         return AdmissibilityReport(False, "equality", witness, (), 0)
 
-    candidates: dict[Mat, Subobject] = {}
-    for sub in enumerate_concrete_subobjects(
-        realization, cap=cap, seed=seed, rounds=rounds
-    ):
-        candidates.setdefault(sub.rows, sub)
+    # keyed by the numerators and denominators of the canonical rows, which
+    # hash and compare as ints, where Fraction entries would not
+    candidates: dict[tuple, Subobject] = {}
+
+    def offer(subs) -> None:
+        for sub in subs:
+            key = tuple([(x.numerator, x.denominator) for row in sub.rows for x in row])
+            candidates.setdefault(key, sub)
+
+    offer(enumerate_concrete_subobjects(realization, cap=cap, seed=seed, rounds=rounds))
     rng = random.Random(seed + 1)
     for _ in range(rounds):
-        for sub in random_round_subobjects(realization, rng):
-            candidates.setdefault(sub.rows, sub)
-    for sub in _aligned_candidates(spec, realization, filtration):
-        candidates.setdefault(sub.rows, sub)
+        offer(random_round_subobjects(realization, rng))
+    offer(_aligned_candidates(spec, realization, filtration))
 
     ordered = sorted(candidates.values(), key=lambda s: (s.rank, s.rows))
     table = []

@@ -174,12 +174,12 @@ class ConcreteRealization:
         `vectors` (see `closures`)."""
         return self.closures((vectors,))[0]
 
-    def _level_projections(self, vectors: Iterable[Vec]) -> list[list[Fraction]]:
+    def _level_projections(self, vectors: Iterable[Vec]) -> list[list]:
         out = []
         for v in vectors:
             for coords in self.levels:
                 if any(v[i] for i in coords):
-                    piece = [linalg.ZERO] * len(v)
+                    piece = [0] * len(v)
                     for i in coords:
                         piece[i] = v[i]
                     out.append(piece)

@@ -1,27 +1,34 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row vectors.  A
+Vectors are sequences of rationals, given as int or Fraction entries; a
 subspace is identified with its row space and represented canonically by
-the reduced row echelon form of any spanning set, so two subspaces are
-equal iff their canonical matrices are equal as tuples.
+the reduced row echelon form of any spanning set, as a tuple of Fraction
+tuples, so two subspaces are equal iff their canonical matrices are equal
+as tuples.
 
-Two kernels do the elimination.  `rank` scales rows to integers and runs
-fraction-free integer elimination; it serves dimension counts on dense
-rows such as sampled filtration bases.  Every canonical basis (`rref`,
-`span_sum`, `intersect_coords`, `closure_under`) comes from `Echelon`, a
-pivot-indexed echelon basis that grows one vector at a time: a new vector
-is reduced against the existing pivots in ascending order, zero entries
-are skipped, and back-substitution runs once, when the canonical rows are
-read out.  Already reduced input therefore costs only zero tests, and
-`rref` returns input that it verifies to be a canonical tuple as it is.
-The size of an `Echelon` and its rows pivoting at or after a column are
-read out without back-substitution; intersection dimensions on the
-verify path come from these.
+One kernel does all elimination: `Echelon`, a pivot-indexed echelon
+basis that grows one vector at a time, fraction-free in the style of
+Bareiss.  A vector with denominators is cleared by one lcm on entry, and
+from then on only integers are stored: each row is primitive with a
+positive pivot, a vector is reduced against the pivots in ascending order
+by r <- p*r - x*row (both scaled down by gcd(p, x) first, so a pivot
+dividing x costs no scaling), and the result is divided by the gcd of its
+entries.  Fractions are built only when `rows` reads out the canonical
+basis, after one integer back-substitution.  `rank`, `rref`, `span_sum`,
+`intersect_coords` and `closure_under` are read-outs of this kernel.  The
+size of an `Echelon` and its rows pivoting at or after a column are read
+out without back-substitution; intersection dimensions on the verify
+path come from these.
+
+`CanonicalBasis` marks a tuple that is known to be in reduced row echelon
+form.  Only `Echelon.rows` and the checked constructor `canonical_basis`
+(which runs the full check once on a plain tuple) produce one, so `rref`
+and `canonical_basis` return a marked basis as it is, in O(1).  `rref`
+also returns a plain tuple that it verifies to be canonical as it is.
 
 `closure_under` grows the smallest subspace stable under operators given
 as sparse columns through nested groups of generators, one canonical
-basis per group.  The determinant, characteristic polynomial and p-adic
-valuation are not here: only the tests use them.
+basis per group.
 """
 
 from __future__ import annotations
@@ -35,79 +42,41 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+class CanonicalBasis(tuple):
+    """A tuple of Fraction rows verified to be in reduced row echelon form.
+
+    Slices and sums of it are plain tuples, which carry no such promise.
+    """
+
+    __slots__ = ()
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
-def zeros(n: int, m: int) -> Mat:
-    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def _int_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for r in rows:
-        den = 1
-        for x in r:
+def integral(v: Sequence) -> list[int]:
+    """`v` scaled by the lcm of its denominators, as ints."""
+    den = 1
+    for x in v:
+        if type(x) is not int:
             d = x.denominator
-            den = den * d // math.gcd(den, d)
-        row = [int(x.numerator * (den // x.denominator)) for x in r]
-        if any(row):
-            g = 0
-            for v in row:
-                g = math.gcd(g, v)
-            if g > 1:
-                row = [v // g for v in row]
-            out.append(row)
-    return out
-
-
-def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank via fraction-free Gaussian elimination on integer-scaled rows."""
-    work = _int_rows(rows)
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i in range(r + 1, len(work)):
-            q = work[i][c]
-            if q:
-                row = work[i]
-                work[i] = [p * a - q * b for a, b in zip(row, prow)]
-        r += 1
-        if r == len(work):
-            break
-    return r
+            if d != 1:
+                den = den * d // math.gcd(den, d)
+    if den == 1:
+        return [x if type(x) is int else x.numerator for x in v]
+    return [
+        x * den if type(x) is int else x.numerator * (den // x.denominator)
+        for x in v
+    ]
 
 
 class Echelon:
     """Echelon basis of a growing subspace of Q^ncols, indexed by pivot.
 
-    The row stored at pivot c has a 1 at c and zeros before it, so reducing
-    a vector against the pivots in ascending order clears every pivot
-    column of it.  Rows are kept together with the columns after the pivot
-    where they are nonzero, and only those entries are touched.
+    The row stored at pivot c is a primitive integer row, positive at c
+    and zero before it, so reducing a vector against the pivots in
+    ascending order clears every pivot column of it.  Rows are kept
+    together with the columns after the pivot where they are nonzero, and
+    only those entries are subtracted.
     """
 
     __slots__ = ("ncols", "_pivots", "_rows")
@@ -115,42 +84,55 @@ class Echelon:
     def __init__(self, ncols: int, canonical: Mat = ()):
         self.ncols = ncols
         self._pivots: list[int] = []
-        self._rows: dict[int, tuple[list[Fraction], list[int]]] = {}
+        self._rows: dict[int, tuple[list[int], list[int]]] = {}
         for row in canonical:
-            for c, x in enumerate(row):
+            w = integral(row)
+            for c, x in enumerate(w):
                 if x:
-                    self._store(c, list(row))
+                    self._pivots.append(c)
+                    self._rows[c] = (w, [j for j in range(c + 1, ncols) if w[j]])
                     break
 
-    def _store(self, c: int, row: list[Fraction]) -> None:
-        insort(self._pivots, c)
-        self._rows[c] = (row, [j for j in range(c + 1, self.ncols) if row[j]])
+    def add(self, v: Sequence) -> list[int] | None:
+        """Extend the basis by `v`; the new stored row, or None if `v` was
+        in the span."""
+        return self.add_integral(integral(v))
 
-    def add(self, v: Sequence[Fraction]) -> list[Fraction] | None:
-        """Extend the basis by `v`; the new row, or None if `v` was in it."""
-        w = list(v)
+    def add_integral(self, w: list[int]) -> list[int] | None:
+        """`add` for a list of ints, which it takes over and may change."""
         rows = self._rows
         for c in self._pivots:
             x = w[c]
             if x:
                 row, nz = rows[c]
+                p = row[c]
+                if p != 1:
+                    g = math.gcd(p, x)
+                    if g != p:
+                        p //= g
+                        w = [p * y for y in w]
+                    x //= g
                 for j in nz:
                     w[j] -= x * row[j]
-                w[c] = ZERO
+                w[c] = 0
         for c, x in enumerate(w):
             if x:
                 break
         else:
             return None
-        if x != 1:
-            w = [y / x if y else y for y in w]
-        self._store(c, w)
+        g = math.gcd(*w)
+        if x < 0:
+            g = -g
+        if g != 1:
+            w = [y // g for y in w]
+        insort(self._pivots, c)
+        rows[c] = (w, [j for j in range(c + 1, self.ncols) if w[j]])
         return w
 
     def __len__(self) -> int:
         return len(self._pivots)
 
-    def rows_from(self, col: int) -> Mat:
+    def rows_from(self, col: int) -> tuple[tuple[int, ...], ...]:
         """The stored rows whose pivot is at or after `col`.
 
         Every stored row is zero before its pivot, so these rows span the
@@ -161,25 +143,49 @@ class Echelon:
             tuple(self._rows[c][0]) for c in pivots[bisect_left(pivots, col):]
         )
 
-    def rows(self) -> Mat:
-        """The canonical basis (reduced row echelon form)."""
-        done: dict[int, tuple[list[Fraction], list[int]]] = {}
+    def rows(self) -> CanonicalBasis:
+        """The canonical basis (reduced row echelon form).
+
+        Back-substitution runs from the last pivot up, in integers: each
+        row is cleared at the later pivot columns by the rows already
+        reduced there, which are zero at every other pivot column.
+        """
+        done: dict[int, list[int]] = {}
+        out = []
         for c in reversed(self._pivots):
-            row, _ = self._rows[c]
-            row = list(row)
-            for c2 in done:
+            row, nz = self._rows[c]
+            for c2 in nz:
                 x = row[c2]
-                if x:
-                    other, nz = done[c2]
-                    for j in nz:
-                        row[j] -= x * other[j]
-                    row[c2] = ZERO
-            done[c] = (row, [j for j in range(c + 1, self.ncols) if row[j]])
-        return tuple(tuple(done[c][0]) for c in self._pivots)
+                if x and c2 in done:
+                    other = done[c2]
+                    p = other[c2]
+                    g = math.gcd(p, x)
+                    p //= g
+                    x //= g
+                    row = [p * a - x * b for a, b in zip(row, other)]
+            g = math.gcd(*row)
+            if g != 1:
+                row = [a // g for a in row]
+            done[c] = row
+            p = row[c]
+            if p == 1:
+                out.append(tuple(Fraction(a) if a else ZERO for a in row))
+            else:
+                out.append(tuple(Fraction(a, p) if a else ZERO for a in row))
+        out.reverse()
+        return CanonicalBasis(out)
 
 
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def rank(rows: Iterable[Sequence]) -> int:
+    """Dimension of the row space."""
+    ech = None
+    for r in rows:
+        if ech is None:
+            ech = Echelon(len(r))
+        ech.add(r)
+        if len(ech) == ech.ncols:
+            break
+    return len(ech) if ech is not None else 0
 
 
 def _is_canonical(rows) -> bool:
@@ -210,23 +216,37 @@ def _is_canonical(rows) -> bool:
     return True
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
-    """Reduced row echelon form with zero rows dropped (canonical basis).
-
-    Input that already is a canonical tuple comes back as the same object.
-    """
-    if _is_canonical(rows):
-        return rows
+def _reduce(rows: Iterable[Sequence]) -> CanonicalBasis:
     rows = list(rows)
-    if not rows:
-        return ()
-    ech = Echelon(len(rows[0]))
+    ech = Echelon(len(rows[0]) if rows else 0)
     for r in rows:
-        ech.add([_fraction(x) for x in r])
+        ech.add(r)
     return ech.rows()
 
 
-def span_sum(a: Mat, b: Iterable[Sequence[Fraction]]) -> Mat:
+def rref(rows: Iterable[Sequence]) -> Mat:
+    """Reduced row echelon form with zero rows dropped (canonical basis).
+
+    A `CanonicalBasis`, and a plain tuple verified to be canonical, come
+    back as the same object.
+    """
+    if type(rows) is CanonicalBasis or _is_canonical(rows):
+        return rows
+    return _reduce(rows)
+
+
+def canonical_basis(rows: Iterable[Sequence]) -> CanonicalBasis:
+    """`rows` as a `CanonicalBasis`: returned as it is when it is one,
+    marked after one check when it is a canonical plain tuple, and reduced
+    otherwise."""
+    if type(rows) is CanonicalBasis:
+        return rows
+    if _is_canonical(rows):
+        return CanonicalBasis(rows)
+    return _reduce(rows)
+
+
+def span_sum(a: Mat, b: Iterable[Sequence]) -> Mat:
     """Canonical basis of rowspace(a) + rowspace(b), for canonical `a`.
 
     Returns `a` itself when rowspace(b) lies inside rowspace(a).
@@ -259,18 +279,11 @@ def intersect_coords(coords: Sequence[int], b: Mat) -> Mat:
         ech.add([v[j] for j in order])
     out = Echelon(n)
     for row in ech.rows_from(n - len(inside)):
-        back = [ZERO] * n
+        back = [0] * n
         for pos, j in enumerate(order):
             back[j] = row[pos]
         out.add(back)
     return out.rows()
-
-
-def stack(*mats: Mat) -> Mat:
-    rows: list[Vec] = []
-    for m in mats:
-        rows.extend(m)
-    return tuple(rows)
 
 
 def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:
@@ -283,33 +296,22 @@ def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:
     return rank(b) - rank(proj)
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m)
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Fraction, a: Mat) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def sparse_columns(op: Mat) -> list[list[tuple[int, Fraction]]]:
-    """Nonzero entries of each column of `op`, as (row, value) pairs."""
-    cols: list[list[tuple[int, Fraction]]] = [[] for _ in op[0]] if op else []
+def sparse_columns(op: Mat) -> list[list[tuple[int, int | Fraction]]]:
+    """Nonzero entries of each column of `op`, as (row, value) pairs; an
+    integral value is held as an int."""
+    cols: list[list[tuple[int, int | Fraction]]] = [[] for _ in op[0]] if op else []
     for i, row in enumerate(op):
         for j, a in enumerate(row):
             if a:
+                if type(a) is not int and a.denominator == 1:
+                    a = a.numerator
                 cols[j].append((i, a))
     return cols
 
 
-def apply_columns(
-    cols: list[list[tuple[int, Fraction]]], v: Sequence[Fraction]
-) -> list[Fraction]:
+def apply_columns(cols: list[list[tuple[int, int | Fraction]]], v: Sequence) -> list:
     """The product of the operator given by `sparse_columns` with `v`."""
-    w = [ZERO] * len(cols)
+    w = [0] * len(cols)
     for j, x in enumerate(v):
         if x:
             for i, a in cols[j]:
@@ -318,8 +320,8 @@ def apply_columns(
 
 
 def closure_under(
-    groups: Iterable[Iterable[Sequence[Fraction]]],
-    operators: Sequence[list[list[tuple[int, Fraction]]]],
+    groups: Iterable[Iterable[Sequence]],
+    operators: Sequence[list[list[tuple[int, int | Fraction]]]],
 ) -> list[Mat]:
     """Canonical bases of the smallest subspaces stable under every
     operator that contain the vectors of the first 1, 2, ... of `groups`.
@@ -332,7 +334,7 @@ def closure_under(
     """
     ncols = len(operators[0])
     ech = Echelon(ncols)
-    rows: Mat = ()
+    rows = ech.rows()
     out = []
     for vectors in groups:
         queue = []

@@ -29,8 +29,6 @@ __all__ = [
     "spec_violations",
     "validate_spec",
     "t_n",
-    "level_decomposition",
-    "LevelDecomposition",
     "fraction_to_str",
     "fraction_from_json",
     "spec_to_dict",
@@ -291,90 +289,6 @@ def t_n_summand(spec: ModuleSpec, i: int) -> Fraction:
     s = spec.summands[i]
     twists = s.b * s.l + s.b * (s.b - 1) // 2
     return s.b * spec.family_of(i).t_base + twists * spec.config.deg_K_Qp
-
-
-@dataclass(frozen=True)
-class LevelDecomposition:
-    """Level data of one same-type component.
-
-    `levels` maps a twist level j to the dimension of the generalized
-    eigenspace at that level; `depth_dims` maps j to the increasing chain of
-    dimensions ker((phi' - q'^j a)^i), i = 1, 2, ..., computed from the
-    modification-edge chains (without edges every block dies at depth 1).
-    """
-
-    summands: tuple[int, ...]
-    family: str
-    levels: tuple[tuple[int, int], ...]
-    depth_dims: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def level_dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.levels)
-
-
-def level_decomposition(
-    spec: ModuleSpec, edges: Sequence[tuple[int, int]] = ()
-) -> list[LevelDecomposition]:
-    """Per same-type component, the level dimensions and depth flags.
-
-    `edges` is an optional list of (src, dst) modification edges (alignment
-    is implied by the summand offsets); with edges, blocks chained at one
-    level sit at increasing kernel depth along the chain.
-    """
-    from .ordering import type_components  # local import to avoid a cycle
-
-    comps = type_components(spec)
-    out = []
-    edge_map = {src: dst for src, dst in edges}
-    for comp in comps:
-        fam = spec.family_of(comp[0])
-        h = fam.h
-        levels: dict[int, list[int]] = {}
-        for i in comp:
-            s = spec.summands[i]
-            for k in range(s.b):
-                levels.setdefault(s.l + k, []).append(i)
-        level_dims = tuple(sorted((j, h * len(v)) for j, v in levels.items()))
-        depths = []
-        for j, members in sorted(levels.items()):
-            # forward walk along edges staying at level j
-            def walk_len(i: int) -> int:
-                seen = set()
-                cur, n = i, 1
-                while cur in edge_map and cur not in seen:
-                    seen.add(cur)
-                    nxt = edge_map[cur]
-                    if nxt not in members:
-                        break
-                    cur, n = nxt, n + 1
-                return n
-            max_depth = max(walk_len(i) for i in members)
-            dims = []
-            for depth in range(1, max_depth + 1):
-                # rank of the depth-step map = number of distinct endpoints
-                # of `depth`-step walks
-                ends = set()
-                for i in members:
-                    cur, ok = i, True
-                    for _ in range(depth):
-                        nxt = edge_map.get(cur)
-                        if nxt is None or nxt not in members:
-                            ok = False
-                            break
-                        cur = nxt
-                    if ok:
-                        ends.add(cur)
-                dims.append(h * len(members) - h * len(ends))
-            depths.append((j, tuple(dims)))
-        out.append(
-            LevelDecomposition(
-                summands=tuple(comp),
-                family=fam.id,
-                levels=level_dims,
-                depth_dims=tuple(depths),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,8 @@ __all__ = [
     "stable_good_subobjects",
     "good_coords",
     "good_span",
-    "alpha_ratio",
     "greedy_flag",
     "flag_chain",
-    "flag_conditions",
     "omega_from_flag",
     "special_pair_from_flag",
     "split_by_component",
@@ -75,6 +73,7 @@ __all__ = [
 
 DEFAULT_CAP = 8
 _LATTICE_GUARD = 1500
+_NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x != 0)
 
 
 class CapExceededError(ValueError):
@@ -111,12 +110,13 @@ class SpecialPairViolation(InternalConsistencyError):
 
 @dataclass(frozen=True)
 class Subobject:
-    """A Phi,N-stable subspace, canonically represented by RREF rows."""
+    """A Phi,N-stable subspace, canonically represented by RREF rows, held
+    as a `linalg.CanonicalBasis`."""
 
     rows: Mat
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", linalg.rref(self.rows))
+        object.__setattr__(self, "rows", linalg.canonical_basis(self.rows))
 
     @property
     def rank(self) -> int:
@@ -189,20 +189,6 @@ def _inter_dim(spec: ModuleSpec, good: GoodSubobject, dprime) -> int:
     return linalg.dim_intersection_coords(coords, dprime.rows, spec.dimension)
 
 
-def alpha_ratio(
-    e: GoodSubobject,
-    eprime: GoodSubobject,
-    dprime,
-    spec: ModuleSpec,
-) -> Fraction:
-    """Intersection-gain ratio of the step e -> eprime against D'."""
-    de, dp = e.dimension(spec), eprime.dimension(spec)
-    if dp <= de:
-        raise ValueError("alpha needs dim E' > dim E")
-    gain = _inter_dim(spec, eprime, dprime) - _inter_dim(spec, e, dprime)
-    return Fraction(gain, dp - de)
-
-
 def greedy_flag(
     spec: ModuleSpec,
     dprime,
@@ -256,62 +242,6 @@ def flag_chain(spec: ModuleSpec, flag: GoodFlag) -> tuple[GoodSubobject, ...]:
     zero = GoodSubobject(tuple(0 for _ in spec.summands))
     full = GoodSubobject(tuple(s.b for s in spec.summands))
     return (zero, *flag.members, full)
-
-
-def flag_conditions(
-    spec: ModuleSpec,
-    flag: GoodFlag,
-    realization: ConcreteRealization,
-) -> dict[str, bool]:
-    """Exact check of the structural flag conditions on a realization.
-
-    (a) alpha nonincreasing, with nondecreasing step dims on ties;
-    (b) N maps each member into the previous one;
-    (c) each step is killed into the previous member by Phi - p^j a for
-        some twist level j.
-    """
-    chain = flag_chain(spec, flag)
-    dims = [g.dimension(spec) for g in chain]
-    cond_a = True
-    for i in range(1, len(flag.alphas)):
-        if flag.alphas[i] > flag.alphas[i - 1]:
-            cond_a = False
-        if flag.alphas[i] == flag.alphas[i - 1]:
-            if dims[i + 1] - dims[i] < dims[i] - dims[i - 1]:
-                cond_a = False
-    spans = [good_span(spec, g) for g in chain]
-    n = spec.dimension
-    cond_b = True
-    cond_c = True
-    fam = spec.family_of(0)
-    seed = realization.seeds[fam.id]
-    twists = sorted({blk.twist for blk in realization.basis})
-    p = realization.p
-    for i in range(1, len(chain)):
-        prev, cur = spans[i - 1], spans[i]
-        prev_rank = len(prev)
-        for v in cur:
-            w = linalg.mat_vec(realization.nmat, v)
-            if any(w) and linalg.rank(linalg.stack(prev, (w,))) != prev_rank:
-                cond_b = False
-        found = False
-        for j in twists:
-            lam = seed * Fraction(p) ** j
-            op = linalg.mat_sub(
-                realization.phi, linalg.mat_scale(lam, linalg.identity(n))
-            )
-            ok = True
-            for v in cur:
-                w = linalg.mat_vec(op, v)
-                if any(w) and linalg.rank(linalg.stack(prev, (w,))) != prev_rank:
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        if not found:
-            cond_c = False
-    return {"a": cond_a, "b": cond_b, "c": cond_c}
 
 
 def _chain_jumps(
@@ -512,7 +442,7 @@ def global_omega(realization: ConcreteRealization, dprime: Subobject) -> frozens
 # ---------------------------------------------------------------------------
 
 
-def _pattern_vectors(n: int, level: Sequence[int]) -> list[Vec]:
+def _pattern_vectors(n: int, level: Sequence[int]) -> list[tuple[int, ...]]:
     """Signed {0, +-1} coefficient vectors inside one eigenspace level.
 
     Signs matter: two modification edges can converge on one block (an
@@ -525,10 +455,10 @@ def _pattern_vectors(n: int, level: Sequence[int]) -> list[Vec]:
     for size in range(1, len(level) + 1):
         for subset in itertools.combinations(level, size):
             for signs in itertools.product((1, -1), repeat=size - 1):
-                row = [Fraction(0)] * n
-                row[subset[0]] = Fraction(1)
+                row = [0] * n
+                row[subset[0]] = 1
                 for i, s in zip(subset[1:], signs):
-                    row[i] = Fraction(s)
+                    row[i] = s
                 out.append(tuple(row))
     return out
 
@@ -604,7 +534,7 @@ class PieceIndex:
                 pivot = next(c for c, x in zip(coords, row) if x)
                 out.append((pivot, tuple(full)))
         out.sort(key=lambda item: item[0])
-        return tuple(row for _, row in out)
+        return linalg.canonical_basis(tuple(row for _, row in out))
 
 
 def _saturate(
@@ -766,9 +696,9 @@ def random_round_subobjects(
     n = realization.dimension
     out = []
     for level in realization.levels:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for i in level:
-            num = rng.choice([x for x in range(-9, 10) if x != 0])
+            num = rng.choice(_NONZERO_DIGITS)
             row[i] = Fraction(num, rng.randint(1, 4))
-        out.append(Subobject(realization.closure((tuple(row),))))
+        out.append(Subobject(realization.closure((row,))))
     return out

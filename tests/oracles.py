@@ -17,22 +17,39 @@ aligned candidates by one intersection per tail.
 The determinant, characteristic polynomial, p-adic valuation, stability
 test and dimension formulas check the realizations from outside: the
 library itself never needs them.
+
+The helpers at the end (induced jumps, the intersection-gain ratio, the
+structural flag conditions and the level decomposition) are not oracles
+but tools only the tests use; the first two run on the library's kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from filtadm import linalg
 from filtadm.emerton import EmertonVerdict, gamma_blocks
+from filtadm.filtration import Filtration, _tail_dims
+from filtadm.frobenius import ConcreteRealization
 from filtadm.linalg import Mat, Vec
-from filtadm.model import ModuleSpec, WeightProfile, t_n, validate_spec
-from filtadm.ordering import require_canonical
+from filtadm.model import (
+    GoodSubobject,
+    ModuleSpec,
+    WeightProfile,
+    t_n,
+    validate_spec,
+)
+from filtadm.ordering import require_canonical, type_components
 from filtadm.subobjects import (
+    GoodFlag,
+    _inter_dim,
     enumerate_good_subobjects,
+    flag_chain,
     good_coords,
+    good_span,
     stable_good_subobjects,
 )
 
@@ -71,8 +88,34 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
     return tuple(tuple(row) for row in work)
 
 
+def vec(entries: Iterable) -> Vec:
+    return tuple(Fraction(x) for x in entries)
+
+
+def mat(rows: Iterable[Iterable]) -> Mat:
+    return tuple(vec(r) for r in rows)
+
+
+def zeros(n: int, m: int) -> Mat:
+    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
+
+
+def identity(n: int) -> Mat:
+    return tuple(
+        tuple(Fraction(1) if i == j else ZERO for j in range(n)) for i in range(n)
+    )
+
+
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m)
+
+
+def mat_sub(a: Mat, b: Mat) -> Mat:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c: Fraction, a: Mat) -> Mat:
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -138,7 +181,7 @@ def char_poly(a: Mat) -> tuple[Fraction, ...]:
     """
     n = len(a)
     coeffs = [Fraction(1)]
-    m = linalg.identity(n)
+    m = identity(n)
     for k in range(1, n + 1):
         am = mat_mul(a, m)
         c = -trace(am) / k
@@ -228,7 +271,7 @@ def coordinate_rows(coords: Sequence[int], n: int) -> Mat:
 
 
 def mat_pow(a: Mat, k: int) -> Mat:
-    out = linalg.identity(len(a))
+    out = identity(len(a))
     base = a
     while k:
         if k & 1:
@@ -265,7 +308,7 @@ def eigen_multiplicities(realization, rows: Mat) -> list[tuple[str, int, int]]:
         if lam in seen:
             continue
         seen.add(lam)
-        shifted = linalg.mat_sub(restr, linalg.mat_scale(lam, linalg.identity(r)))
+        shifted = mat_sub(restr, mat_scale(lam, identity(r)))
         mult = r - len(rref(mat_pow(shifted, r)))
         if mult:
             out.append((blk.family.id, blk.twist, mult))
@@ -390,4 +433,172 @@ def aligned_candidates(spec: ModuleSpec, realization, filtration) -> list[Mat]:
                 inter = intersect_basis(coords, filtration.tail(sigma, j))
                 if inter:
                     out.append(closure_under(inter, ops))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests use: the induced jump multiset, the
+# intersection-gain ratio, the structural flag conditions and the level
+# decomposition of the model.
+# ---------------------------------------------------------------------------
+
+
+def induced_jumps(filtration: Filtration, sigma: int, rows: Mat) -> tuple[int, ...]:
+    """Sorted jump multiset of the filtration induced on a subspace."""
+    rows = linalg.rref(rows)
+    dims = _tail_dims(filtration, sigma, rows)
+    out = []
+    wrow = filtration.weights.weights[sigma]
+    for j in range(1, filtration.dimension + 1):
+        out.extend([wrow[j - 1]] * (dims[j - 1] - dims[j]))
+    return tuple(sorted(out))
+
+
+def alpha_ratio(
+    e: GoodSubobject,
+    eprime: GoodSubobject,
+    dprime,
+    spec: ModuleSpec,
+) -> Fraction:
+    """Intersection-gain ratio of the step e -> eprime against D'."""
+    de, dp = e.dimension(spec), eprime.dimension(spec)
+    if dp <= de:
+        raise ValueError("alpha needs dim E' > dim E")
+    gain = _inter_dim(spec, eprime, dprime) - _inter_dim(spec, e, dprime)
+    return Fraction(gain, dp - de)
+
+
+def flag_conditions(
+    spec: ModuleSpec,
+    flag: GoodFlag,
+    realization: ConcreteRealization,
+) -> dict[str, bool]:
+    """Exact check of the structural flag conditions on a realization.
+
+    (a) alpha nonincreasing, with nondecreasing step dims on ties;
+    (b) N maps each member into the previous one;
+    (c) each step is killed into the previous member by Phi - p^j a for
+        some twist level j.
+    """
+    chain = flag_chain(spec, flag)
+    dims = [g.dimension(spec) for g in chain]
+    cond_a = True
+    for i in range(1, len(flag.alphas)):
+        if flag.alphas[i] > flag.alphas[i - 1]:
+            cond_a = False
+        if flag.alphas[i] == flag.alphas[i - 1]:
+            if dims[i + 1] - dims[i] < dims[i] - dims[i - 1]:
+                cond_a = False
+    spans = [good_span(spec, g) for g in chain]
+    n = spec.dimension
+    cond_b = True
+    cond_c = True
+    fam = spec.family_of(0)
+    seed = realization.seeds[fam.id]
+    twists = sorted({blk.twist for blk in realization.basis})
+    p = realization.p
+    for i in range(1, len(chain)):
+        prev, cur = spans[i - 1], spans[i]
+        prev_rank = len(prev)
+        for v in cur:
+            w = mat_vec(realization.nmat, v)
+            if any(w) and len(rref(prev + (w,))) != prev_rank:
+                cond_b = False
+        found = False
+        for j in twists:
+            lam = seed * Fraction(p) ** j
+            op = mat_sub(realization.phi, mat_scale(lam, identity(n)))
+            ok = True
+            for v in cur:
+                w = mat_vec(op, v)
+                if any(w) and len(rref(prev + (w,))) != prev_rank:
+                    ok = False
+                    break
+            if ok:
+                found = True
+                break
+        if not found:
+            cond_c = False
+    return {"a": cond_a, "b": cond_b, "c": cond_c}
+
+
+@dataclass(frozen=True)
+class LevelDecomposition:
+    """Level data of one same-type component.
+
+    `levels` maps a twist level j to the dimension of the generalized
+    eigenspace at that level; `depth_dims` maps j to the increasing chain of
+    dimensions ker((phi' - q'^j a)^i), i = 1, 2, ..., computed from the
+    modification-edge chains (without edges every block dies at depth 1).
+    """
+
+    summands: tuple[int, ...]
+    family: str
+    levels: tuple[tuple[int, int], ...]
+    depth_dims: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def level_dims(self) -> tuple[int, ...]:
+        return tuple(d for _, d in self.levels)
+
+
+def level_decomposition(
+    spec: ModuleSpec, edges: Sequence[tuple[int, int]] = ()
+) -> list[LevelDecomposition]:
+    """Per same-type component, the level dimensions and depth flags.
+
+    `edges` is an optional list of (src, dst) modification edges (alignment
+    is implied by the summand offsets); with edges, blocks chained at one
+    level sit at increasing kernel depth along the chain.
+    """
+    comps = type_components(spec)
+    out = []
+    edge_map = {src: dst for src, dst in edges}
+    for comp in comps:
+        fam = spec.family_of(comp[0])
+        h = fam.h
+        levels: dict[int, list[int]] = {}
+        for i in comp:
+            s = spec.summands[i]
+            for k in range(s.b):
+                levels.setdefault(s.l + k, []).append(i)
+        level_dims = tuple(sorted((j, h * len(v)) for j, v in levels.items()))
+        depths = []
+        for j, members in sorted(levels.items()):
+            # forward walk along edges staying at level j
+            def walk_len(i: int) -> int:
+                seen = set()
+                cur, n = i, 1
+                while cur in edge_map and cur not in seen:
+                    seen.add(cur)
+                    nxt = edge_map[cur]
+                    if nxt not in members:
+                        break
+                    cur, n = nxt, n + 1
+                return n
+            max_depth = max(walk_len(i) for i in members)
+            dims = []
+            for depth in range(1, max_depth + 1):
+                # rank of the depth-step map = number of distinct endpoints
+                # of `depth`-step walks
+                ends = set()
+                for i in members:
+                    cur, ok = i, True
+                    for _ in range(depth):
+                        nxt = edge_map.get(cur)
+                        if nxt is None or nxt not in members:
+                            ok = False
+                            break
+                        cur = nxt
+                    if ok:
+                        ends.add(cur)
+                dims.append(h * len(members) - h * len(ends))
+            depths.append((j, tuple(dims)))
+        out.append(
+            LevelDecomposition(
+                summands=tuple(comp),
+                family=fam.id,
+                levels=level_dims,
+                depth_dims=tuple(depths),
+            )
+        )
     return out

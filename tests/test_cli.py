@@ -154,6 +154,48 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["order", "check-iii", "check-emerton", "build-phi", "equivalence"]
+)
+def test_cap_flag_only_where_it_is_read(command, capsys):
+    argv = [command, "--spec", str(DATA / "ex1a_spec.json")]
+    if command not in ("order", "build-phi"):
+        argv += ["--weights", str(DATA / "weights_m212.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "8"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "abc"])
+def test_cap_flag_below_one_exits_2_naming_the_flag(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["subobjects", "--spec", str(DATA / "ex1a_spec.json"), "--cap", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cap" in err and "positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "abc"])
+def test_cap_variable_below_one_exits_2_naming_the_variable(value, capsys, monkeypatch):
+    monkeypatch.setenv("FILTADM_CAP", value)
+    for argv in (
+        ["subobjects", "--spec", str(DATA / "ex1a_spec.json")],
+        ["verify-admissible", "--spec", str(DATA / "ex1a_spec.json"),
+         "--weights", str(DATA / "weights_m212.json")],
+    ):
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2
+        assert "FILTADM_CAP must be a positive integer" in rep["error"]
+    # the flag wins over the variable
+    code, _ = run_cli(
+        capsys, "subobjects", "--spec", str(DATA / "ex1a_spec.json"), "--cap", "8"
+    )
+    assert code == 0
+
+
 def _forty_chain_files(tmp_path):
     """Spec and weight files for 40 chains of dimension 79 in total."""
     spec = ModuleSpec(

@@ -3,12 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from filtadm import linalg
 from filtadm.filtration import (
     TransversalityError,
     build_transverse_filtration,
     check_admissible,
-    induced_jumps,
     t_h,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
@@ -22,6 +20,7 @@ from filtadm.subobjects import (
     omega_from_flag,
 )
 from helpers import random_profile, random_spec
+import oracles
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -40,7 +39,7 @@ def test_transversality_exact_on_goods(ex1a, w_m212):
         m = good.dimension(ex1a)
         rows = good_span(ex1a, good)
         for sigma in range(ex1a.config.embeddings):
-            jumps = induced_jumps(filt, sigma, rows)
+            jumps = oracles.induced_jumps(filt, sigma, rows)
             assert jumps == tuple(sorted(w_m212.weights[sigma][:m]))
 
 
@@ -62,13 +61,13 @@ def test_t_h_of_dim1_goods_ex2(ex2, w_ex2):
 
 def test_t_h_whole_module(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
-    full = linalg.identity(4)
+    full = oracles.identity(4)
     assert t_h(filt, full, ex2.config) == ex2.config.deg_K_L * w_ex2.total
 
 
 def test_t_h_mixed_line_below_omega_bound(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
-    dp = Subobject(linalg.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
+    dp = Subobject(oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
     flag = greedy_flag(ex2, dp)
     om = omega_from_flag(ex2, flag, dp)
     assert om == frozenset({1, 3})
@@ -78,10 +77,10 @@ def test_t_h_mixed_line_below_omega_bound(ex2, w_ex2):
 
 def test_jump_monotone_under_inclusion(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
-    small = Subobject(linalg.mat([[1, 0, 0, 0]]))
-    big = Subobject(linalg.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
+    small = Subobject(oracles.mat([[1, 0, 0, 0]]))
+    big = Subobject(oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
     for sigma in range(ex2.config.embeddings):
-        js, jb = induced_jumps(filt, sigma, small.rows), induced_jumps(filt, sigma, big.rows)
+        js, jb = oracles.induced_jumps(filt, sigma, small.rows), oracles.induced_jumps(filt, sigma, big.rows)
         rest = list(jb)
         for x in js:
             rest.remove(x)     # raises if not a sub-multiset
@@ -139,7 +138,7 @@ def test_transverse_dim2_trivial():
     real = realize_matrices(spec, ())
     filt = build_transverse_filtration(spec, prof, real, seed=1)
     line = good_span(spec, GoodSubobject((1,)))
-    assert induced_jumps(filt, 0, line) == (0,)
+    assert oracles.induced_jumps(filt, 0, line) == (0,)
 
 
 def test_random_specs_transverse_and_bounded():
@@ -157,7 +156,7 @@ def test_random_specs_transverse_and_bounded():
             m = good.dimension(spec)
             rows = good_span(spec, good)
             for sigma in range(spec.config.embeddings):
-                assert induced_jumps(filt, sigma, rows) == tuple(
+                assert oracles.induced_jumps(filt, sigma, rows) == tuple(
                     sorted(prof.weights[sigma][:m])
                 )
         done += 1

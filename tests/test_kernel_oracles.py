@@ -3,6 +3,7 @@
 Every test draws its inputs from a fixed seed, so a failure reproduces.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -89,7 +90,183 @@ def test_rref_returns_canonical_input_unchanged():
         got = linalg.rref(rows)
         assert got == oracles.rref(rows) and got is not rows
         assert all(type(x) is Fraction for row in got for x in row)
-        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        assert type(got) is linalg.CanonicalBasis
+        assert all(type(row) is tuple for row in got)
+
+
+def _mixed_entry(rng, box):
+    """An int, or a Fraction with denominator 1 to 4, of size up to `box`."""
+    den = rng.randint(1, 4)
+    x = rng.randint(-box, box)
+    return x if den == 1 and rng.random() < 0.5 else Fraction(x, den)
+
+
+def _mixed_rows(rng, n, count, box=10**6):
+    """Rows of int and Fraction entries; about a third of them are
+    combinations of earlier rows, so that some lie in the span."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.35:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+            v = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+            rows.append(tuple(
+                x.numerator if x.denominator == 1 and rng.random() < 0.5 else x
+                for x in v
+            ))
+        else:
+            density = rng.choice((0.3, 0.7, 1.0))
+            rows.append(tuple(
+                _mixed_entry(rng, box) if rng.random() < density else 0
+                for _ in range(n)
+            ))
+    return rows
+
+
+def _pivot(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _assert_stored_row(row, n):
+    """A stored row: n ints, primitive, with a positive pivot."""
+    assert len(row) == n and all(type(x) is int for x in row)
+    assert row[_pivot(row)] > 0 and math.gcd(*row) == 1
+
+
+def test_integer_echelon_matches_gauss_jordan_on_mixed_input():
+    rng = random.Random(131)
+    in_span = 0
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        ech = linalg.Echelon(n)
+        seen: list = []
+        want = ()
+        for v in _mixed_rows(rng, n, rng.randint(1, 9)):
+            grown = oracles.rref(seen + [v])
+            got = ech.add(v)
+            # None exactly when v lies in the span so far
+            assert (got is None) == (len(grown) == len(want))
+            if got is None:
+                in_span += 1
+            else:
+                _assert_stored_row(got, n)
+                assert oracles.rref(seen + [v, got]) == grown
+            seen.append(v)
+            want = grown
+            assert len(ech) == len(want)
+        rows = ech.rows()
+        assert rows == want and type(rows) is linalg.CanonicalBasis
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert linalg.rank(seen) == len(want)
+        for col in range(n + 1):
+            # the rows pivoting at or after col span the vectors of the
+            # space that vanish before col
+            tail = ech.rows_from(col)
+            for row in tail:
+                _assert_stored_row(row, n)
+                assert _pivot(row) >= col
+            assert oracles.rref(tail) == tuple(r for r in want if _pivot(r) >= col)
+    assert in_span >= 100
+
+
+def test_echelon_seeded_with_a_canonical_basis_matches_gauss_jordan():
+    rng = random.Random(132)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        a = oracles.rref(_mixed_rows(rng, n, rng.randint(0, 5)))
+        b = _mixed_rows(rng, n, rng.randint(1, 4))
+        ech = linalg.Echelon(n, a)
+        assert len(ech) == len(a)
+        for v in b:
+            ech.add(v)
+        assert ech.rows() == oracles.rref(a + tuple(b))
+        got = linalg.span_sum(a, b)
+        assert got == oracles.rref(a + tuple(b))
+        assert (got is a) == (len(got) == len(a))
+
+
+def test_closure_under_integral_operators_matches_rerref_oracle():
+    rng = random.Random(133)
+    reused = 0
+    for case in range(90):
+        n = rng.randint(1, 7)
+        ops = tuple(
+            oracles.mat(
+                [[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+            )
+            for _ in range(rng.randint(1, 2))
+        )
+        if case % 3 == 2:
+            # a non-integral operator takes the general path
+            ops = ops[:1] + (oracles.mat_scale(Fraction(1, 2), ops[0]),)
+        cols = [linalg.sparse_columns(op) for op in ops]
+        for op, op_cols in zip(ops, cols):
+            # every nonzero entry, held as an int when it is integral
+            assert sum(map(len, op_cols)) == sum(1 for row in op for x in row if x)
+            for j, col in enumerate(op_cols):
+                for i, a in col:
+                    assert a == op[i][j] and (type(a) is int) == (a.denominator == 1)
+        groups = [
+            _mixed_rows(rng, n, rng.randint(0, 2), box=50)
+            for _ in range(rng.randint(1, 3))
+        ]
+        got = linalg.closure_under(groups, cols)
+        vectors: list = []
+        for k, group in enumerate(groups):
+            vectors += group
+            want = oracles.closure_under(tuple(vectors), ops)
+            assert got[k] == want and type(got[k]) is linalg.CanonicalBasis
+            if k and not group:
+                assert got[k] is got[k - 1]
+                reused += 1
+    assert reused >= 5
+
+
+def test_canonical_basis_marker():
+    rng = random.Random(134)
+    for _ in range(200):
+        _, rows = _matrix(rng)
+        want = oracles.rref(rows)
+        marked = linalg.canonical_basis(rows)
+        assert type(marked) is linalg.CanonicalBasis and marked == want
+        # a marked basis is returned as it is, without a check
+        assert linalg.rref(marked) is marked
+        assert linalg.canonical_basis(marked) is marked
+        # a verified plain tuple: rref keeps the object, canonical_basis marks it
+        assert linalg.rref(want) is want
+        again = linalg.canonical_basis(want)
+        assert type(again) is linalg.CanonicalBasis and again == want
+        assert Subobject(want).rows == want
+        assert type(Subobject(want).rows) is linalg.CanonicalBasis
+        # slices and sums carry no mark
+        assert type(marked[1:]) is tuple and type(marked + ()) is tuple
+    f = Fraction
+    for rows in (
+        ((f(2), f(0)),),                      # pivot not 1
+        ((f(1), f(1)), (f(0), f(1))),         # pivot column nonzero above
+        ((f(0), f(1)), (f(1), f(0))),         # pivots not increasing
+        ((f(1), f(0)), (f(0), f(0))),         # zero row
+        ((1, 0), (0, 1)),                     # not Fractions
+        [(f(1), f(0)), (f(0), f(1))],         # not a tuple
+    ):
+        for got in (linalg.canonical_basis(rows), Subobject(rows).rows):
+            assert got == oracles.rref(rows) and got is not rows
+            assert type(got) is linalg.CanonicalBasis
+            assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_every_subobject_holds_a_marked_basis():
+    rng, triples = _filtered(135, 12)
+    count = 0
+    for spec, real, filt in triples:
+        subs = list(enumerate_concrete_subobjects(real, rounds=1))
+        subs += random_round_subobjects(real, rng)
+        subs += _aligned_candidates(spec, real, filt)
+        subs += [piece for sub in subs for _, piece in subobjects.split_by_component(real, sub)]
+        for sub in subs:
+            assert type(sub.rows) is linalg.CanonicalBasis
+            assert sub.rows == oracles.rref(sub.rows)
+            count += 1
+    assert count >= 300
 
 
 def test_span_sum_matches_stacked_rref():

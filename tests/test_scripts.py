@@ -54,3 +54,21 @@ def test_run_worked_examples_verdicts(capsys):
         ] == want
         assert lines.count("  slope chain: pass") == 4
         assert lines.count("  shuffle valuations: pass") == 4
+
+
+def test_report_digests_smoke(capsys):
+    module = _load("report_digests")
+    argv = ["--seeds", "3", "--count", "4"]
+    module.main(argv)
+    first = capsys.readouterr().out.splitlines()
+    assert [line.split(" sha256=")[0] for line in first] == [
+        "verify_stream seed=3 items=4",
+        "cli_reports seed=3 items=4",
+    ]
+    assert all(len(line.split(" sha256=")[1]) == 64 for line in first)
+    # the digests repeat, and a different item count changes them
+    module.main(argv)
+    assert capsys.readouterr().out.splitlines() == first
+    module.main(["--workload", "cli_reports", "--seeds", "3", "--count", "3"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("cli_reports seed=3 items=3 ") and line != first[1]
