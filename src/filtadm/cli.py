@@ -71,20 +71,28 @@ def _load_weights(path: str) -> WeightProfile:
         return profile_from_dict(json.load(fh))
 
 
-def _positive(text: str) -> int | None:
+def _at_least(text: str, low: int) -> int | None:
     try:
         value = int(text)
     except ValueError:
         return None
-    return value if value >= 1 else None
+    return value if value >= low else None
 
 
 def _cap_flag(text: str) -> int:
     """argparse type of `--cap`: a positive integer."""
-    cap = _positive(text)
+    cap = _at_least(text, 1)
     if cap is None:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return cap
+
+
+def _trials_flag(text: str) -> int:
+    """argparse type of `--trials`: a non-negative integer."""
+    trials = _at_least(text, 0)
+    if trials is None:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return trials
 
 
 def _cap(args) -> int:
@@ -94,7 +102,7 @@ def _cap(args) -> int:
     env = os.environ.get("FILTADM_CAP")
     if env is None:
         return DEFAULT_CAP
-    cap = _positive(env)
+    cap = _at_least(env, 1)
     if cap is None:
         raise ValueError(f"FILTADM_CAP must be a positive integer, got {env!r}")
     return cap
@@ -185,9 +193,11 @@ def cmd_build_phi(args) -> int:
 
 def cmd_subobjects(args) -> int:
     _, _, ordered, _, perm = _prepare(args, False)
+    cap = _cap(args)
+    check_cap(ordered.dimension, cap)
     edges = build_modified_frobenius(ordered) if args.modified else ()
     realization = realize_matrices(ordered, edges)
-    subs = enumerate_concrete_subobjects(realization, cap=_cap(args), seed=args.seed)
+    subs = enumerate_concrete_subobjects(realization, cap=cap, seed=args.seed)
     report = {
         "command": "subobjects",
         "inputs": {"spec": _digest(args.spec)},
@@ -201,14 +211,18 @@ def cmd_subobjects(args) -> int:
 
 
 def _subobject_entry(realization, sub) -> dict:
-    levels = realization.eigen_multiplicities(sub.rows)
+    levels = []
+    for coords, piece in zip(realization.levels, realization.level_pieces(sub.rows)):
+        if piece:
+            blk = realization.basis[coords[0]]
+            levels.append(
+                {"family": blk.family.id, "twist": blk.twist, "mult": len(piece)}
+            )
     return {
         "dim": sub.rank,
         "basis": _mat_json(sub.rows),
-        "tN": fraction_to_str(realization.t_n_from_levels(levels)),
-        "levels": [
-            {"family": fid, "twist": tw, "mult": mult} for fid, tw, mult in levels
-        ],
+        "tN": fraction_to_str(realization.t_n_concrete(sub.rows)),
+        "levels": levels,
     }
 
 
@@ -347,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("fuzz-special", help="randomized special-pair verification")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_trials_flag, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_fuzz_special)

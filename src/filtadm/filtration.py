@@ -60,7 +60,7 @@ from .model import (
 )
 from .subobjects import (
     DEFAULT_CAP,
-    StableGoodLayout,
+    StableLattice,
     Subobject,
     enumerate_good_subobjects,
     good_coords,
@@ -346,8 +346,8 @@ def _smallest_enclosing_good(
 ) -> GoodSubobject:
     best = GoodSubobject(tuple(s.b for s in spec.summands))
     best_dim = best.dimension(spec)
-    layout = StableGoodLayout(realization)
-    for good, inter in zip(layout.goods, layout.intersection_dims(sub.rows)):
+    lattice = StableLattice(realization)
+    for good, inter in zip(lattice.goods, lattice.good_dims(lattice.key(sub.rows))):
         m = good.dimension(spec)
         if m < sub.rank or m >= best_dim:
             continue

@@ -19,7 +19,9 @@ eigenvalue and every edge stays inside a level, so on the coordinate span
 V_lambda of a level Phi = lambda * (1 + E) with E the 0/1 edge coupling,
 and E is nilpotent.  Each V_lambda is therefore a generalized eigenspace,
 and every Phi-stable subspace W is the direct sum of the W cap V_lambda.
-Stable closures and Newton slopes are computed level by level from this.
+Stable closures are computed level by level from this, and the Newton
+slope of W is the sum over levels of dim(W cap V_lambda) times the slope
+of one block of the level.
 
 `ConcreteRealization.level_pieces` reads the pieces W cap V_lambda off the
 canonical basis of W without trusting that W splits: it raises unless the
@@ -32,6 +34,7 @@ are then each supported on one level, which is how the check is made.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +42,7 @@ from typing import Iterable
 
 from . import linalg
 from .linalg import Mat, Vec
-from .model import Block, ModuleSpec, Summand
+from .model import Block, ModuleSpec, Summand, _is_prime
 from .ordering import require_canonical
 
 __all__ = [
@@ -89,19 +92,13 @@ def build_modified_frobenius(spec: ModuleSpec) -> tuple[ModificationEdge, ...]:
     return tuple(edges)
 
 
-_SEED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 def _default_seeds(spec: ModuleSpec) -> dict[str, Fraction]:
-    # one family needs no separation; several get distinct primes != p so
-    # that stable subspaces split across families
+    # one family needs no separation; several get the successive primes
+    # != p, so that stable subspaces split across families
     if len(spec.families) == 1:
         return {spec.families[0].id: Fraction(1)}
-    seeds = {}
-    it = (q for q in _SEED_PRIMES if q != spec.config.p)
-    for fam in spec.families:
-        seeds[fam.id] = Fraction(next(it))
-    return seeds
+    primes = (q for q in itertools.count(2) if _is_prime(q) and q != spec.config.p)
+    return {fam.id: Fraction(next(primes)) for fam in spec.families}
 
 
 @dataclass(frozen=True)
@@ -122,9 +119,6 @@ class ConcreteRealization:
     def p(self) -> int:
         return self.spec.config.p
 
-    def eigenvalue(self, blk: Block) -> Fraction:
-        return self.seeds[blk.family.id] * Fraction(self.p) ** blk.twist
-
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
         """Basis index groups of the eigen-levels, in basis order; blocks
@@ -141,11 +135,6 @@ class ConcreteRealization:
             for i in coords:
                 out[i] = k
         return tuple(out)
-
-    def eigen_levels(self) -> dict[Fraction, list[int]]:
-        """Generalized-eigenvalue classes as basis index groups, in basis
-        order."""
-        return {self.eigenvalue(self.basis[g[0]]): list(g) for g in self.levels}
 
     @cached_property
     def _closure_columns(self) -> tuple:
@@ -209,33 +198,17 @@ class ConcreteRealization:
             groups[level].append(tuple(row[i] for i in self.levels[level]))
         return tuple(tuple(g) for g in groups)
 
-    def eigen_multiplicities(self, rows: Mat) -> list[tuple[str, int, int]]:
-        """(family id, twist, multiplicity) of Phi restricted to a stable
-        subspace W; the multiplicity of a level is dim(W cap V_lambda)."""
-        out = []
-        for coords, piece in zip(self.levels, self.level_pieces(rows)):
-            if piece:
-                blk = self.basis[coords[0]]
-                out.append((blk.family.id, blk.twist, len(piece)))
-        return out
-
-    def t_n_from_levels(
-        self, multiplicities: Iterable[tuple[str, int, int]]
-    ) -> Fraction:
-        """Newton slope from `eigen_multiplicities` output.
-
-        Each generalized eigenvalue a_F * p^t contributes, with its
-        multiplicity, t_base(F) + t * [K:Qp].
-        """
-        total = Fraction(0)
+    @cached_property
+    def _level_slopes(self) -> tuple[Fraction, ...]:
+        """Newton slope of one block of each level, read off its first."""
         cfg = self.spec.config
-        for fam_id, twist, mult in multiplicities:
-            total += mult * (self.spec.family(fam_id).t_base + twist * cfg.deg_K_Qp)
-        return total
+        return tuple(self.basis[coords[0]].t_n(cfg) for coords in self.levels)
 
     def t_n_concrete(self, rows: Mat) -> Fraction:
-        """Newton slope of a Phi,N-stable subspace."""
-        return self.t_n_from_levels(self.eigen_multiplicities(rows))
+        """Newton slope of a Phi,N-stable subspace W: each level contributes
+        dim(W cap V_lambda) times the slope of its blocks."""
+        pieces = zip(self.level_pieces(rows), self._level_slopes)
+        return sum((len(piece) * slope for piece, slope in pieces if piece), Fraction(0))
 
 
 def realize_matrices(

@@ -14,11 +14,10 @@ positive pivot, a vector is reduced against the pivots in ascending order
 by r <- p*r - x*row (both scaled down by gcd(p, x) first, so a pivot
 dividing x costs no scaling), and the result is divided by the gcd of its
 entries.  Fractions are built only when `rows` reads out the canonical
-basis, after one integer back-substitution.  `rank`, `rref`, `span_sum`,
-`intersect_coords` and `closure_under` are read-outs of this kernel.  The
-size of an `Echelon` and its rows pivoting at or after a column are read
-out without back-substitution; intersection dimensions on the verify
-path come from these.
+basis, after one integer back-substitution.  `rank`, `rref`, `span_sum`
+and `closure_under` are read-outs of this kernel.  The size of an
+`Echelon` is read out without back-substitution; intersection dimensions
+on the verify path come from it.
 
 `CanonicalBasis` marks a tuple that is known to be in reduced row echelon
 form.  Only `Echelon.rows` and the checked constructor `canonical_basis`
@@ -34,7 +33,7 @@ basis per group.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -131,17 +130,6 @@ class Echelon:
 
     def __len__(self) -> int:
         return len(self._pivots)
-
-    def rows_from(self, col: int) -> tuple[tuple[int, ...], ...]:
-        """The stored rows whose pivot is at or after `col`.
-
-        Every stored row is zero before its pivot, so these rows span the
-        vectors of the space that vanish on every column before `col`.
-        """
-        pivots = self._pivots
-        return tuple(
-            tuple(self._rows[c][0]) for c in pivots[bisect_left(pivots, col):]
-        )
 
     def rows(self) -> CanonicalBasis:
         """The canonical basis (reduced row echelon form).
@@ -260,30 +248,6 @@ def span_sum(a: Mat, b: Iterable[Sequence]) -> Mat:
         if ech.add(v) is not None:
             grew = True
     return ech.rows() if grew else a
-
-
-def intersect_coords(coords: Sequence[int], b: Mat) -> Mat:
-    """Canonical basis of span(e_i : i in coords) ∩ rowspace(b).
-
-    Eliminating the columns outside `coords` first leaves the rows whose
-    pivot lies in `coords` with zeros everywhere else; they span the
-    intersection.
-    """
-    if not b:
-        return ()
-    n = len(b[0])
-    inside = set(coords)
-    order = [j for j in range(n) if j not in inside] + sorted(inside)
-    ech = Echelon(n)
-    for v in b:
-        ech.add([v[j] for j in order])
-    out = Echelon(n)
-    for row in ech.rows_from(n - len(inside)):
-        back = [0] * n
-        for pos, j in enumerate(order):
-            back[j] = row[pos]
-        out.add(back)
-    return out.rows()
 
 
 def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:

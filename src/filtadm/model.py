@@ -306,9 +306,17 @@ def fraction_to_str(x: Fraction) -> str:
 def fraction_from_json(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     raise SpecError([f"expected rational as 'num/den' string, got {value!r}"])
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer; a float, bool, string or null raises SpecError
+    naming `field` instead of being truncated or coerced."""
+    if type(value) is not int:
+        raise SpecError([f"{field}: expected an integer, got {value!r}"])
+    return value
 
 
 def spec_to_dict(spec: ModuleSpec) -> dict:
@@ -331,19 +339,27 @@ def spec_to_dict(spec: ModuleSpec) -> dict:
 def spec_from_dict(data: dict) -> ModuleSpec:
     try:
         cfg = Config(
-            p=int(data["p"]),
-            deg_K_Qp=int(data["degKQp"]),
-            deg_L_Qp=int(data["degLQp"]),
-            deg_K_L=int(data["degKL"]),
-            f_prime=int(data.get("fPrime", 1)),
+            p=_json_int(data["p"], "p"),
+            deg_K_Qp=_json_int(data["degKQp"], "degKQp"),
+            deg_L_Qp=_json_int(data["degLQp"], "degLQp"),
+            deg_K_L=_json_int(data["degKL"], "degKL"),
+            f_prime=_json_int(data.get("fPrime", 1), "fPrime"),
         )
         families = tuple(
-            Family(str(f["id"]), int(f["h"]), fraction_from_json(f["tBase"]))
-            for f in data["families"]
+            Family(
+                str(f["id"]),
+                _json_int(f["h"], f"families[{i}].h"),
+                fraction_from_json(f["tBase"]),
+            )
+            for i, f in enumerate(data["families"])
         )
         summands = tuple(
-            Summand(str(s["family"]), int(s["l"]), int(s["b"]))
-            for s in data["summands"]
+            Summand(
+                str(s["family"]),
+                _json_int(s["l"], f"summands[{i}].l"),
+                _json_int(s["b"], f"summands[{i}].b"),
+            )
+            for i, s in enumerate(data["summands"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError([f"malformed module spec: {exc}"]) from exc
@@ -362,6 +378,9 @@ def profile_from_dict(data) -> WeightProfile:
     else:
         raise SpecError(["malformed weight profile: expected {'weights': [[...]]}"])
     try:
-        return WeightProfile(tuple(tuple(int(x) for x in row) for row in rows))
+        return WeightProfile(tuple(
+            tuple(_json_int(x, f"weights[{sigma}][{j}]") for j, x in enumerate(row))
+            for sigma, row in enumerate(rows)
+        ))
     except (TypeError, ValueError) as exc:
         raise SpecError([f"malformed weight profile: {exc}"]) from exc

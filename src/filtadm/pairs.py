@@ -240,29 +240,19 @@ def random_special_pair(
     rng: random.Random,
     max_k: int = 4,
     integer: bool = False,
-    flag_realizable: bool = False,
 ) -> SpecialPair:
-    """Sample a pair satisfying (i)-(iii), by rejection on the ratio chain.
-
-    With flag_realizable=True interior steps satisfy 1 <= c_i <= a_i - 1
-    (greedy flags never emit c_i = a_i, hence their solved r is positive
-    whenever the index set has a gap).
-    """
+    """Sample a pair satisfying (i)-(iii), by rejection on the ratio chain."""
     for _ in range(10_000):
         k = rng.randint(0, max_k)
         a_mid: list[Fraction] = []
         c_mid: list[Fraction] = []
         for _ in range(k):
             if integer:
-                lo = 2 if flag_realizable else 1
-                ai = Fraction(rng.randint(lo, 6))
-                hi = int(ai) - 1 if flag_realizable else int(ai)
-                ci = Fraction(rng.randint(1, hi))
+                ai = Fraction(rng.randint(1, 6))
+                ci = Fraction(rng.randint(1, int(ai)))
             else:
                 ai = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4)))
                 ci = ai * Fraction(rng.randint(1, 4), 4)
-                if flag_realizable and ci == ai:
-                    ci = ai * Fraction(3, 4)
             a_mid.append(ai)
             c_mid.append(ci)
         ratios = [c / a for c, a in zip(c_mid, a_mid)]

@@ -43,31 +43,42 @@ class ChainVerdict:
         }
 
 
-def check_slope_chain(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
-    """Prefix slope inequalities plus total equality, canonical order required."""
-    validate_spec(spec, profile)
-    require_canonical(spec)
-    cfg = spec.config
-    s = len(spec.summands)
+def _chain_verdict(
+    spec: ModuleSpec,
+    profile: WeightProfile,
+    points: list[tuple[int, int, Fraction]],
+) -> ChainVerdict:
+    """Verdict from (prefix key, dimension, slope sum) points, one per
+    proper prefix: each slack is the slope sum minus [K:L] times the
+    lowest-dimension weight sum, and the first negative one fails."""
+    k_l = spec.config.deg_K_L
     slacks = []
-    dim = 0
-    slope_sum = Fraction(0)
     first_fail = None
-    for k in range(1, s):
-        dim += spec.summand_dim(k - 1)
-        slope_sum += t_n_summand(spec, k - 1)
-        lhs = cfg.deg_K_L * profile.prefix_sum(dim)
-        slack = slope_sum - lhs
-        slacks.append((k, slack))
+    for key, dim, slope_sum in points:
+        slack = slope_sum - k_l * profile.prefix_sum(dim)
+        slacks.append((key, slack))
         if slack < 0 and first_fail is None:
-            first_fail = k
-    total_lhs = cfg.deg_K_L * profile.total
-    gap = t_n(spec) - total_lhs
+            first_fail = key
+    gap = t_n(spec) - k_l * profile.total
     if first_fail is not None:
         return ChainVerdict(False, "prefix", first_fail, tuple(slacks), gap)
     if gap != 0:
         return ChainVerdict(False, "equality", None, tuple(slacks), gap)
     return ChainVerdict(True, None, None, tuple(slacks), gap)
+
+
+def check_slope_chain(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
+    """Prefix slope inequalities plus total equality, canonical order required."""
+    validate_spec(spec, profile)
+    require_canonical(spec)
+    points = []
+    dim = 0
+    slope_sum = Fraction(0)
+    for k in range(1, len(spec.summands)):
+        dim += spec.summand_dim(k - 1)
+        slope_sum += t_n_summand(spec, k - 1)
+        points.append((k, dim, slope_sum))
+    return _chain_verdict(spec, profile, points)
 
 
 def _min_slope_per_dim(spec: ModuleSpec) -> dict[int, Fraction]:
@@ -94,21 +105,6 @@ def check_all_block_orders(spec: ModuleSpec, profile: WeightProfile) -> ChainVer
     """
     validate_spec(spec, profile)
     require_canonical(spec)
-    cfg = spec.config
-    total_dim = spec.dimension
     best = _min_slope_per_dim(spec)
-    slacks = []
-    first_fail = None
-    for m in sorted(best):
-        if m == 0 or m == total_dim:
-            continue
-        slack = best[m] - cfg.deg_K_L * profile.prefix_sum(m)
-        slacks.append((m, slack))
-        if slack < 0 and first_fail is None:
-            first_fail = m
-    gap = t_n(spec) - cfg.deg_K_L * profile.total
-    if first_fail is not None:
-        return ChainVerdict(False, "prefix", first_fail, tuple(slacks), gap)
-    if gap != 0:
-        return ChainVerdict(False, "equality", None, tuple(slacks), gap)
-    return ChainVerdict(True, None, None, tuple(slacks), gap)
+    points = [(m, m, best[m]) for m in sorted(best) if 0 < m < spec.dimension]
+    return _chain_verdict(spec, profile, points)

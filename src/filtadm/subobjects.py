@@ -19,15 +19,17 @@ and saturating under sums, keeping one representative per relative
 position against the good lattice; random-coefficient rounds re-derive
 the classes and fail loudly if the pattern heuristic ever misses one.
 
-Saturation works on level pieces.  A stable W is the direct sum of its
+One fact carries the concrete layer: a stable W is the direct sum of its
 pieces W_lambda = W cap V_lambda (`ConcreteRealization.level_pieces`
-raises unless they fill W), and for stable W, W' the sums W_lambda +
+raises unless they fill W).  For stable W, W' the sums W_lambda +
 W'_lambda lie in the independent V_lambda, so W + W' is their direct sum
-and (W + W') cap V_lambda = W_lambda + W'_lambda.  Each piece is interned
-as a small int per level (`PieceIndex`), a subspace is the tuple of its
-piece ids, and a sum of two subspaces is one memoized level sum per
-level.  Full-width canonical rows are assembled only for the subspaces
-the saturation ends with.
+and (W + W') cap V_lambda = W_lambda + W'_lambda.  `StableLattice` interns
+each piece as a small int per level, so a subspace is the tuple of its
+piece ids, a sum of two subspaces is one memoized level sum per level,
+and dim(E cap W) for the stable goods E, the class key, is a sum of
+per-level terms memoized per piece id.  Full-width canonical rows are
+assembled only for the subspaces the saturation ends with, and the split
+across components keeps the pieces of each component's levels.
 """
 
 from __future__ import annotations
@@ -65,9 +67,7 @@ __all__ = [
     "global_omega",
     "enumerate_concrete_subobjects",
     "random_round_subobjects",
-    "subobject_class_key",
-    "StableGoodLayout",
-    "PieceIndex",
+    "StableLattice",
     "DEFAULT_CAP",
 ]
 
@@ -360,20 +360,23 @@ def split_by_component(
 ) -> list[tuple[list[int], Subobject]]:
     """Split a stable subspace across same-type components.
 
-    Distinct components have disjoint Phi-eigenvalue supports, so every
-    stable subspace is the direct sum of its component intersections (the
-    dimensions are asserted to add up).
+    A level is one family at one twist, and the chains of a family that
+    reach that twist overlap there, so every level lies inside one
+    component.  The part of D' in a component is the sum of its pieces on
+    the component's levels; `level_pieces` raises unless the pieces fill
+    D'.
     """
     spec = realization.spec
-    comps = type_components(spec)
+    lattice = StableLattice(realization)
+    key = lattice.key(dprime.rows)
     out = []
-    total = 0
-    for comp in comps:
-        piece = linalg.intersect_coords(_component_coords(spec, comp), dprime.rows)
-        out.append((comp, Subobject(piece)))
-        total += len(piece)
-    if total != dprime.rank:
-        raise InternalConsistencyError("subspace does not split across components")
+    for comp in type_components(spec):
+        inside = set(_component_coords(spec, comp))
+        part = tuple(
+            pid if coords[0] in inside else 0
+            for coords, pid in zip(realization.levels, key)
+        )
+        out.append((comp, Subobject(lattice.rows(part))))
     return out
 
 
@@ -463,18 +466,17 @@ def _pattern_vectors(n: int, level: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-class PieceIndex:
+class StableLattice:
     """The level pieces of the stable subspaces of one realization,
-    interned as small ints, one numbering per level.
+    interned as small ints per level (id 0 is the zero piece of every
+    level), and its stable goods `goods` laid out level by level.
 
-    A stable W is the direct sum of its pieces W cap V_lambda, so it is
-    given by the tuple of its piece ids (id 0 is the zero piece of every
-    level), and the sum of two stable subspaces is the level-wise sum of
-    their pieces.  Each level sum is computed once per pair of ids, on the
-    small level piece.  The canonical basis of a subspace is assembled
-    from its pieces: the level rows, embedded and sorted by pivot, are
-    already in reduced row echelon form, because levels occupy disjoint
-    columns and keep their order.
+    The canonical basis of a subspace is assembled from its pieces: the
+    level rows, embedded and sorted by pivot, are already in reduced row
+    echelon form, because levels occupy disjoint columns and keep their
+    order.  The term of a piece for a good E is len(piece) minus its rank
+    on the level columns outside E; goods with the same outside columns on
+    a level share it.
     """
 
     def __init__(self, realization: ConcreteRealization):
@@ -483,7 +485,20 @@ class PieceIndex:
         self._pieces: list[list[Mat]] = [[()] for _ in levels]
         self._ids: list[dict[Mat, int]] = [{(): 0} for _ in levels]
         self._sums: list[dict[tuple[int, int], int]] = [{} for _ in levels]
+        self._terms: list[dict[int, tuple[int, ...]]] = [{} for _ in levels]
         self._levels = range(len(levels))
+        self.goods = stable_good_subobjects(realization.spec, realization.edges)
+        # per level: the distinct outside column sets (level positions) and,
+        # for each good, the index of its set
+        self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
+        inside = [set(good_coords(realization.spec, g)) for g in self.goods]
+        for coords in levels:
+            sets: dict[tuple[int, ...], int] = {}
+            which = []
+            for ins in inside:
+                out = tuple(k for k, i in enumerate(coords) if i not in ins)
+                which.append(sets.setdefault(out, len(sets)))
+            self._outside.append((list(sets), which))
 
     def _intern(self, level: int, piece: Mat) -> int:
         ids = self._ids[level]
@@ -536,9 +551,33 @@ class PieceIndex:
         out.sort(key=lambda item: item[0])
         return linalg.canonical_basis(tuple(row for _, row in out))
 
+    def _level_terms(self, level: int, pid: int) -> tuple[int, ...]:
+        terms = self._terms[level].get(pid)
+        if terms is None:
+            piece = self.piece(level, pid)
+            sets, which = self._outside[level]
+            r = len(piece)
+            by_set = [
+                r - linalg.rank(tuple(tuple(row[k] for k in out) for row in piece))
+                if out else r
+                for out in sets
+            ]
+            terms = self._terms[level][pid] = tuple(by_set[w] for w in which)
+        return terms
+
+    def good_dims(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """dim(E cap W) for every stable good E, in the order of `goods`,
+        where W has the piece ids `key`."""
+        parts = [
+            self._level_terms(level, pid) for level, pid in enumerate(key) if pid
+        ]
+        if not parts:
+            return (0,) * len(self.goods)
+        return tuple(map(sum, zip(*parts)))
+
 
 def _saturate(
-    index: PieceIndex, keys: Iterable[tuple[int, ...]]
+    lattice: StableLattice, keys: Iterable[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """Close a set of stable subspaces, given by piece ids, under sums.
 
@@ -548,7 +587,7 @@ def _saturate(
     subs = dict.fromkeys(keys)
     gens = [key for key in subs if any(key)]
     queue = list(subs)
-    add = index.add
+    add = lattice.add
     while queue:
         x = queue.pop()
         for g in gens:
@@ -562,82 +601,17 @@ def _saturate(
 
 
 def _start_keys(
-    index: PieceIndex, atom_vectors: Iterable[Vec]
+    lattice: StableLattice, atom_vectors: Iterable[Vec]
 ) -> list[tuple[int, ...]]:
     """Piece ids of zero, the stable good spans and the atom closures."""
-    realization = index.realization
+    realization = lattice.realization
     spec = realization.spec
-    keys = [index.key(())]
-    for g in stable_good_subobjects(spec, realization.edges):
-        keys.append(index.key(good_span(spec, g)))
+    keys = [lattice.key(())]
+    for g in lattice.goods:
+        keys.append(lattice.key(good_span(spec, g)))
     for v in atom_vectors:
-        keys.append(index.key(realization.closure((v,))))
+        keys.append(lattice.key(realization.closure((v,))))
     return keys
-
-
-class StableGoodLayout:
-    """The stable good subobjects of a realization, level by level.
-
-    A stable good E and a stable W both split over the eigen-levels, so
-    dim(E cap W) is the sum over levels of dim(E_lambda cap W_lambda), and
-    each term is len(piece) minus the rank of the level piece W_lambda on
-    the level columns outside E.  Goods with the same outside columns on a
-    level share the term, and the terms of a piece are computed once per
-    piece id of the layout's `PieceIndex`.
-    """
-
-    def __init__(self, realization: ConcreteRealization):
-        self.realization = realization
-        self.pieces = PieceIndex(realization)
-        self.goods = stable_good_subobjects(realization.spec, realization.edges)
-        # per level: the distinct outside column sets (level positions) and,
-        # for each good, the index of its set
-        self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
-        inside = [set(good_coords(realization.spec, g)) for g in self.goods]
-        for coords in realization.levels:
-            sets: dict[tuple[int, ...], int] = {}
-            which = []
-            for ins in inside:
-                out = tuple(k for k, i in enumerate(coords) if i not in ins)
-                which.append(sets.setdefault(out, len(sets)))
-            self._outside.append((list(sets), which))
-        self._terms: list[dict[int, tuple[int, ...]]] = [
-            {} for _ in realization.levels
-        ]
-
-    def _level_terms(self, level: int, pid: int) -> tuple[int, ...]:
-        terms = self._terms[level].get(pid)
-        if terms is None:
-            piece = self.pieces.piece(level, pid)
-            sets, which = self._outside[level]
-            r = len(piece)
-            by_set = [
-                r - linalg.rank(tuple(tuple(row[k] for k in out) for row in piece))
-                if out else r
-                for out in sets
-            ]
-            terms = self._terms[level][pid] = tuple(by_set[w] for w in which)
-        return terms
-
-    def key_intersection_dims(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        """dim(E cap W) for every stable good E, where W has the piece ids
-        `key`."""
-        parts = [
-            self._level_terms(level, pid) for level, pid in enumerate(key) if pid
-        ]
-        if not parts:
-            return (0,) * len(self.goods)
-        return tuple(map(sum, zip(*parts)))
-
-    def intersection_dims(self, rows: Mat) -> tuple[int, ...]:
-        """dim(E cap W) for every stable good E, where `rows` spans a
-        stable W."""
-        return self.key_intersection_dims(self.pieces.key(rows))
-
-
-def subobject_class_key(layout: StableGoodLayout, sub: Subobject) -> tuple:
-    """Relative position against the stable good lattice (class invariant)."""
-    return (sub.rank, layout.intersection_dims(sub.rows))
 
 
 def enumerate_concrete_subobjects(
@@ -660,11 +634,10 @@ def enumerate_concrete_subobjects(
     atoms: list[Vec] = []
     for level in realization.levels:
         atoms.extend(_pattern_vectors(n, level))
-    layout = StableGoodLayout(realization)
-    index = layout.pieces
+    lattice = StableLattice(realization)
     base = [
-        (Subobject(index.rows(key)), key)
-        for key in _saturate(index, _start_keys(index, atoms))
+        (Subobject(lattice.rows(key)), key)
+        for key in _saturate(lattice, _start_keys(lattice, atoms))
     ]
     # one representative per relative-position class, preferring bases
     # without negative entries, then the smallest canonical basis
@@ -675,13 +648,13 @@ def enumerate_concrete_subobjects(
 
     by_class: dict[tuple, Subobject] = {}
     for sub, key in sorted(base, key=rep_key):
-        by_class.setdefault((sub.rank, layout.key_intersection_dims(key)), sub)
+        by_class.setdefault((sub.rank, lattice.good_dims(key)), sub)
     result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
     base_keys = set(by_class)
     rng = random.Random(seed)
     for _ in range(rounds):
         for sub in random_round_subobjects(realization, rng):
-            key = subobject_class_key(layout, sub)
+            key = (sub.rank, lattice.good_dims(lattice.key(sub.rows)))
             if key not in base_keys:
                 raise InternalConsistencyError(
                     "random-coefficient round found a new subobject class"

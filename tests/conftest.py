@@ -1,15 +1,20 @@
+import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from filtadm.model import Config, Family, ModuleSpec, Summand, WeightProfile
+from filtadm.model import Config, profile_from_dict, spec_from_dict
 
 CFG1 = Config(p=2, deg_K_Qp=1, deg_L_Qp=1, deg_K_L=1, f_prime=1)
-FAM = Family("F", 1, Fraction(0))
+DATA = Path(__file__).parent.parent / "data"
+
+
+def _load(name: str):
+    with open(DATA / name) as fh:
+        return json.load(fh)
 
 
 @pytest.fixture
@@ -17,42 +22,45 @@ def cfg1():
     return CFG1
 
 
+# The worked examples are read from data/, their one source.
+
+
 @pytest.fixture
 def ex1a():
     # one length-1 chain plus one length-2 chain, all offsets 0
-    return ModuleSpec(CFG1, (FAM,), (Summand("F", 0, 1), Summand("F", 0, 2)))
+    return spec_from_dict(_load("ex1a_spec.json"))
 
 
 @pytest.fixture
 def ex1b():
-    return ModuleSpec(CFG1, (FAM,), (Summand("F", 0, 2), Summand("F", 1, 1)))
+    return spec_from_dict(_load("ex1b_spec.json"))
 
 
 @pytest.fixture
 def ex2():
-    return ModuleSpec(CFG1, (FAM,), (Summand("F", 0, 2), Summand("F", 1, 2)))
+    return spec_from_dict(_load("ex2_spec.json"))
 
 
 @pytest.fixture
 def ex3():
-    return ModuleSpec(CFG1, (FAM,), (Summand("F", 0, 3), Summand("F", 1, 1)))
+    return spec_from_dict(_load("ex3_spec.json"))
 
 
 @pytest.fixture
 def w_m212():
-    return WeightProfile(((-2, 1, 2),))
+    return profile_from_dict(_load("weights_m212.json"))
 
 
 @pytest.fixture
 def w_012():
-    return WeightProfile(((0, 1, 2),))
+    return profile_from_dict(_load("weights_012.json"))
 
 
 @pytest.fixture
 def w_ex2():
-    return WeightProfile(((-1, 0, 2, 3),))
+    return profile_from_dict(_load("weights_ex2.json"))
 
 
 @pytest.fixture(scope="session")
 def data_dir():
-    return Path(__file__).parent.parent / "data"
+    return DATA

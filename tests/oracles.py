@@ -293,6 +293,20 @@ def restriction(realization, rows: Mat) -> Mat:
     return tuple(tuple(img[j] for j in pivots) for img in images)
 
 
+def eigenvalue(realization, blk) -> Fraction:
+    """The Phi-eigenvalue a_F * p^twist of a block."""
+    return realization.seeds[blk.family.id] * Fraction(realization.p) ** blk.twist
+
+
+def eigen_levels(realization) -> dict[Fraction, list[int]]:
+    """Generalized-eigenvalue classes as basis index groups, in basis
+    order."""
+    return {
+        eigenvalue(realization, realization.basis[g[0]]): list(g)
+        for g in realization.levels
+    }
+
+
 def eigen_multiplicities(realization, rows: Mat) -> list[tuple[str, int, int]]:
     """(family id, twist, multiplicity) from the ranks of
     (Phi|W - lambda)^r, over the distinct eigenvalues in basis order."""
@@ -304,7 +318,7 @@ def eigen_multiplicities(realization, rows: Mat) -> list[tuple[str, int, int]]:
     out = []
     seen = set()
     for blk in realization.basis:
-        lam = realization.eigenvalue(blk)
+        lam = eigenvalue(realization, blk)
         if lam in seen:
             continue
         seen.add(lam)

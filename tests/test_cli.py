@@ -374,3 +374,43 @@ def test_report_bytes_pinned(capsys, monkeypatch, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sixteen_families_get_seeds_and_subobjects_refuses_above_cap(tmp_path, capsys):
+    # one seed prime per family, and subobjects refuses at the cap before
+    # it realizes anything, as build-filtration and verify-admissible do
+    fams = tuple(Family(f"F{i}", 1, Fraction(0)) for i in range(16))
+    spec = ModuleSpec(Config(p=2), fams, tuple(Summand(f.id, 0, 1) for f in fams))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_to_dict(spec)))
+    code, rep = run_cli(capsys, "build-phi", "--spec", str(spec_path))
+    assert code == 0
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert sorted(int(s.split("/")[0]) for s in rep["seeds"].values()) == primes
+    code, rep = run_cli(capsys, "subobjects", "--spec", str(spec_path))
+    assert code == 2 and "dimension 16 exceeds the enumeration cap 8" in rep["error"]
+
+
+def test_malformed_numbers_exit_2(tmp_path, capsys):
+    weights = tmp_path / "weights.json"
+    weights.write_text('{"weights": [[-2, 1.7, 2]]}')
+    code, rep = run_cli(
+        capsys, "check-iii", "--spec", str(DATA / "ex1a_spec.json"),
+        "--weights", str(weights),
+    )
+    assert code == 2 and "weights[0][1]" in rep["error"]
+    spec = json.loads((DATA / "ex1a_spec.json").read_text())
+    spec["summands"][1]["b"] = 2.9
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, rep = run_cli(capsys, "order", "--spec", str(spec_path))
+    assert code == 2 and "summands[1].b" in rep["error"]
+
+
+@pytest.mark.parametrize("value", ["-5", "abc"])
+def test_fuzz_trials_below_zero_exits_2_naming_the_flag(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz-special", "--trials", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--trials" in err and "non-negative integer" in err

@@ -224,3 +224,18 @@ def test_realize_rejects_edge_across_levels(ex2):
     # alignment 0 where the offsets differ by 1 couples twist 0 to twist 1
     with pytest.raises(ValueError, match="different eigenvalues"):
         realize_matrices(ex2, (ModificationEdge(0, 1, 0),))
+
+
+def test_default_seeds_for_any_number_of_families():
+    # successive primes != p, as many as there are families; up to 14
+    # families these are the first primes up to 47 without p
+    first = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for p in (2, 3, 5, 7):
+        for count in (2, 14, 16, 17):
+            fams = tuple(Family(f"F{i}", 1, Fraction(0)) for i in range(count))
+            spec = ModuleSpec(
+                Config(p=p), fams, tuple(Summand(f.id, 0, 1) for f in fams)
+            )
+            real = realize_matrices(spec)
+            want = [q for q in first if q != p][:count]
+            assert [real.seeds[f.id] for f in fams] == want

@@ -18,10 +18,10 @@ from filtadm.filtration import (
     build_transverse_filtration,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
+from filtadm.ordering import type_components
 from filtadm.subobjects import (
     CapExceededError,
-    PieceIndex,
-    StableGoodLayout,
+    StableLattice,
     Subobject,
     _pattern_vectors,
     _saturate,
@@ -31,7 +31,6 @@ from filtadm.subobjects import (
     good_span,
     random_round_subobjects,
     stable_good_subobjects,
-    subobject_class_key,
 )
 from helpers import random_profile, random_single_component_spec, random_spec
 import oracles
@@ -157,14 +156,6 @@ def test_integer_echelon_matches_gauss_jordan_on_mixed_input():
         assert rows == want and type(rows) is linalg.CanonicalBasis
         assert all(type(x) is Fraction for row in rows for x in row)
         assert linalg.rank(seen) == len(want)
-        for col in range(n + 1):
-            # the rows pivoting at or after col span the vectors of the
-            # space that vanish before col
-            tail = ech.rows_from(col)
-            for row in tail:
-                _assert_stored_row(row, n)
-                assert _pivot(row) >= col
-            assert oracles.rref(tail) == tuple(r for r in want if _pivot(r) >= col)
     assert in_span >= 100
 
 
@@ -281,23 +272,12 @@ def test_span_sum_matches_stacked_rref():
             assert got is a
 
 
-def test_intersect_coords_matches_null_space_oracle():
-    rng = random.Random(103)
-    for _ in range(300):
-        n, b = _matrix(rng)
-        coords = sorted(rng.sample(range(n), rng.randint(0, n)))
-        got = linalg.intersect_coords(coords, b)
-        want = oracles.intersect_basis(oracles.coordinate_rows(coords, n), b)
-        assert got == want
-        assert len(got) == linalg.dim_intersection_coords(coords, b, n)
-
-
 def test_closure_matches_rerref_oracle():
     rng, reals = _realizations(104, 40)
     for real in reals:
         n = real.dimension
         ops = (real.phi, real.nmat)
-        levels = list(real.eigen_levels().values())
+        levels = list(oracles.eigen_levels(real).values())
         for density in (0.4, 1.0):
             v = _vector(rng, n, density)
             want = oracles.closure_under((v,), ops)
@@ -315,12 +295,22 @@ def test_closure_matches_rerref_oracle():
 def test_eigen_multiplicities_match_matrix_power_oracle():
     _, reals = _realizations(105, 25)
     for real in reals:
+        cfg = real.spec.config
         for sub in enumerate_concrete_subobjects(real, rounds=1):
             want = oracles.eigen_multiplicities(real, sub.rows)
-            assert real.eigen_multiplicities(sub.rows) == want
-            assert real.t_n_concrete(sub.rows) == real.t_n_from_levels(want)
+            pieces = real.level_pieces(sub.rows)
+            got = [
+                (real.basis[level[0]].family.id, real.basis[level[0]].twist, len(piece))
+                for level, piece in zip(real.levels, pieces) if piece
+            ]
+            assert got == want
+            assert real.t_n_concrete(sub.rows) == sum(
+                (mult * (real.spec.family(fid).t_base + twist * cfg.deg_K_Qp)
+                 for fid, twist, mult in want),
+                Fraction(0),
+            )
             n = real.dimension
-            for level, piece in zip(real.levels, real.level_pieces(sub.rows)):
+            for level, piece in zip(real.levels, pieces):
                 inter = oracles.intersect_basis(
                     oracles.coordinate_rows(level, n), sub.rows
                 )
@@ -339,7 +329,7 @@ def test_level_pieces_refuse_a_vector_mixing_two_levels():
         with pytest.raises(RuntimeError):
             real.level_pieces((tuple(v),))
         with pytest.raises(RuntimeError):
-            real.eigen_multiplicities((tuple(v),))
+            real.t_n_concrete((tuple(v),))
         # its stable closure splits
         assert sum(map(len, real.level_pieces(real.closure((tuple(v),))))) >= 2
         tried += 1
@@ -355,6 +345,37 @@ def _stable_subspaces(real, rng):
     return subs
 
 
+def test_split_by_component_matches_dense_intersections():
+    # the part of a stable subspace in a component against the
+    # intersection with the component's coordinate span, through the left
+    # null space
+    rng = random.Random(103)
+    plain, coupled = [], []
+    while len(plain) < 8 or len(coupled) < 8:
+        spec = random_spec(rng, max_summands=4)
+        if spec is not None and len(type_components(spec)) >= 2:
+            (coupled if build_modified_frobenius(spec) else plain).append(spec)
+    split = 0
+    for spec in plain[:8] + coupled[:8]:
+        comps = type_components(spec)
+        for edges in ((), build_modified_frobenius(spec)):
+            real = realize_matrices(spec, edges)
+            n = real.dimension
+            for sub in _stable_subspaces(real, rng):
+                parts = subobjects.split_by_component(real, sub)
+                assert [comp for comp, _ in parts] == comps
+                for comp, piece in parts:
+                    coords = [i for i, blk in enumerate(real.basis) if blk.summand in comp]
+                    want = oracles.intersect_basis(
+                        oracles.coordinate_rows(coords, n), sub.rows
+                    )
+                    assert piece.rows == want
+                    assert len(want) == linalg.dim_intersection_coords(coords, sub.rows, n)
+                assert sum(piece.rank for _, piece in parts) == sub.rank
+                split += sum(1 for _, piece in parts if piece.rank) >= 2
+    assert split >= 100
+
+
 def test_class_keys_match_per_good_intersections():
     rng, reals = _realizations(107, 25)
     single = random.Random(109)
@@ -365,9 +386,10 @@ def test_class_keys_match_per_good_intersections():
             reals.append(realize_matrices(spec, edges))
     keys = 0
     for real in reals:
-        layout = StableGoodLayout(real)
+        lattice = StableLattice(real)
         for sub in _stable_subspaces(real, rng):
-            assert subobject_class_key(layout, sub) == oracles.class_key(real, sub.rows)
+            key = (sub.rank, lattice.good_dims(lattice.key(sub.rows)))
+            assert key == oracles.class_key(real, sub.rows)
             keys += 1
     assert keys >= 300
 
@@ -471,9 +493,9 @@ def test_generator_saturation_matches_all_pairs():
             spec = random_single_component_spec(rng)
         real = realize_matrices(spec, build_modified_frobenius(spec) if k % 2 else ())
         start = _start_rows(real)
-        index = PieceIndex(real)
-        keys = _saturate(index, [index.key(rows) for rows in start])
-        got = {index.rows(key) for key in keys}
+        lattice = StableLattice(real)
+        keys = _saturate(lattice, [lattice.key(rows) for rows in start])
+        got = {lattice.rows(key) for key in keys}
         assert got == oracles.saturate_all_pairs(start)
         grown += len(got) > len(set(start))
     assert grown >= 3
@@ -491,17 +513,17 @@ def test_piece_saturation_matches_all_pairs_with_and_without_edges():
         for edges in ((), build_modified_frobenius(spec)):
             real = realize_matrices(spec, edges)
             start = _start_rows(real)
-            index = PieceIndex(real)
-            keys = _saturate(index, [index.key(rows) for rows in start])
-            lattice = [index.rows(key) for key in keys]
-            assert set(lattice) == oracles.saturate_all_pairs(start)
-            assert len(set(lattice)) == len(keys)
-            for key, rows in zip(keys, lattice):
+            lattice = StableLattice(real)
+            keys = _saturate(lattice, [lattice.key(rows) for rows in start])
+            spaces = [lattice.rows(key) for key in keys]
+            assert set(spaces) == oracles.saturate_all_pairs(start)
+            assert len(set(spaces)) == len(keys)
+            for key, rows in zip(keys, spaces):
                 # assembled rows are canonical as they stand
                 assert linalg.rref(rows) is rows
                 assert Subobject(rows).rows is rows
-                assert index.key(rows) == key
-            grown += len(lattice) > len(set(start))
+                assert lattice.key(rows) == key
+            grown += len(spaces) > len(set(start))
     assert grown >= 6
 
 
@@ -512,14 +534,14 @@ def test_lowered_lattice_guard_raises(monkeypatch):
         if spec is None:
             continue
         real = realize_matrices(spec, build_modified_frobenius(spec))
-        index = PieceIndex(real)
-        start = list(dict.fromkeys(index.key(rows) for rows in _start_rows(real)))
-        full = _saturate(index, start)
+        lattice = StableLattice(real)
+        start = list(dict.fromkeys(lattice.key(rows) for rows in _start_rows(real)))
+        full = _saturate(lattice, start)
         if len(full) >= len(start) + 2:
             break
     monkeypatch.setattr(subobjects, "_LATTICE_GUARD", len(start))
     with pytest.raises(CapExceededError, match="guard"):
-        _saturate(index, start)
+        _saturate(lattice, start)
     with pytest.raises(CapExceededError, match="guard"):
         enumerate_concrete_subobjects(real)
     monkeypatch.setattr(subobjects, "_LATTICE_GUARD", len(full))
@@ -539,7 +561,9 @@ def test_nested_closures_match_closures_alone():
                 m = len(coords)
                 for basis in f.bases:
                     inters = [
-                        linalg.intersect_coords(coords, basis[j - 1:])
+                        oracles.intersect_basis(
+                            oracles.coordinate_rows(coords, spec.dimension), basis[j - 1:]
+                        )
                         for j in range(m, 1, -1)
                     ]
                     prev = ()

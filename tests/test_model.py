@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -184,3 +185,33 @@ def test_weight_prefix_sums(shift, d1):
     assert prof.total == sum(sum(r) for r in rows)
     assert prof.prefix_sum(0) == 0
     assert prof.prefix_sum(1) == sum(r[0] for r in rows)
+
+
+def test_integer_fields_accept_only_json_integers():
+    # a float, bool or string in an integer field is refused, naming the
+    # field, where int() would truncate or coerce it
+    good = spec_to_dict(
+        ModuleSpec(Config(p=2), (Family("F", 1, Fraction(0)),), (Summand("F", 0, 2),))
+    )
+    assert spec_from_dict(good).summands[0].b == 2
+    for path, value, field in (
+        (("summands", 0, "b"), 2.9, "summands[0].b"),
+        (("summands", 0, "l"), "0", "summands[0].l"),
+        (("families", 0, "h"), 1.0, "families[0].h"),
+        (("p",), True, "p"),
+        (("degKL",), None, "degKL"),
+    ):
+        data = json.loads(json.dumps(good))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SpecError, match=rf"{re.escape(field)}: expected an integer"):
+            spec_from_dict(data)
+    assert profile_from_dict({"weights": [[-2, 1, 2]]}).weights == ((-2, 1, 2),)
+    for weights, field in (
+        ([[-2, 1.7, 2]], "weights[0][1]"),
+        ([[0, 1], [False, 2]], "weights[1][0]"),
+    ):
+        with pytest.raises(SpecError, match=re.escape(field)):
+            profile_from_dict({"weights": weights})
