@@ -6,6 +6,9 @@ The items come from the benchmark's own workload definitions in
 
 - `verify_stream`: the `check_admissible` report of every timed and every
   traced item, as sorted-key JSON;
+- `criteria_stream`: the `as_dict()` of the slope chain, all block orders
+  and shuffle condition verdicts of every timed and every traced item, as
+  one sorted-key JSON list per item;
 - `cli_reports`: the exit code and the stdout of every CLI call, with the
   temporary directory of the generated inputs replaced by `<root>`.
 
@@ -34,7 +37,7 @@ import filtadm  # noqa: E402
 import filtadm.cli  # noqa: E402,F401
 from workloads import WORKLOADS  # noqa: E402
 
-DIGESTED = ("verify_stream", "cli_reports")
+DIGESTED = ("verify_stream", "criteria_stream", "cli_reports")
 
 
 def _items(wl, count: int | None) -> list:
@@ -54,6 +57,9 @@ def digest(workload: str, seed: int, count: int | None = None) -> tuple[int, str
         for k, item in enumerate(items):
             if workload == "verify_stream":
                 out = json.dumps(wl.execute(item).as_dict(), sort_keys=True)
+            elif workload == "criteria_stream":
+                verdicts = [v.as_dict() for v in wl.execute(item)]
+                out = json.dumps(verdicts, sort_keys=True)
             else:
                 code, stdout = wl.execute(item)
                 out = f"{code}\n{stdout.replace(str(root), '<root>')}"

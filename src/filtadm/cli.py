@@ -87,12 +87,12 @@ def _cap_flag(text: str) -> int:
     return cap
 
 
-def _trials_flag(text: str) -> int:
-    """argparse type of `--trials`: a non-negative integer."""
-    trials = _at_least(text, 0)
-    if trials is None:
+def _count_flag(text: str) -> int:
+    """argparse type of `--trials` and `--max-rows`: a non-negative integer."""
+    count = _at_least(text, 0)
+    if count is None:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return trials
+    return count
 
 
 def _cap(args) -> int:
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-emerton", help="unitarity and shuffle valuations")
     common(p)
-    p.add_argument("--max-rows", type=int, default=50)
+    p.add_argument("--max-rows", type=_count_flag, default=50)
     p.set_defaults(func=cmd_check_emerton)
 
     p = sub.add_parser("build-phi", help="modification edges and exact matrices")
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("fuzz-special", help="randomized special-pair verification")
-    p.add_argument("--trials", type=_trials_flag, default=1000)
+    p.add_argument("--trials", type=_count_flag, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_fuzz_special)

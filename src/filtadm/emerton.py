@@ -29,8 +29,12 @@ lexicographically smaller selection is smaller at the first coordinate
 where the two differ, and that value had no violating completion, so the
 result is the first violation in lexicographic order.  The empty and the
 full selection have slack exactly 0 once unitarity holds, so the strict
-test never picks either.  Valuations and weight sums are scaled to
-integers by the common denominator of the valuations; nothing is rounded.
+test never picks either.  The tables run on integers: a block's
+valuation times [K:L] * den is its integer slope from
+`model.scaled_slopes` (den is the common denominator of the base
+slopes), and the weight sums are multiplied by the same factor, so the
+only Fractions built are the reported slack and unitarity gap; nothing
+is rounded.
 
 The explicit candidate enumeration is kept for reporting and
 cross-validation, capped at 10 total blocks; the report table stops
@@ -40,11 +44,16 @@ enumerating once it has its rows.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ModuleSpec, WeightProfile, fraction_to_str, t_n, validate_spec
+from .model import (
+    ModuleSpec,
+    WeightProfile,
+    fraction_to_str,
+    scaled_slopes,
+    validate_spec,
+)
 from .ordering import require_canonical
 from .subobjects import CapExceededError
 
@@ -192,25 +201,21 @@ def check_emerton_condition(
     """
     validate_spec(spec, profile)
     require_canonical(spec)
-    cfg = spec.config
-    gap = t_n(spec) - Fraction(cfg.deg_K_L * profile.total)
+    sc = scaled_slopes(spec)
+    scale = spec.config.deg_K_L * sc.den
+    gap = Fraction(sum(sc.totals) - scale * profile.total, sc.den)
     if gap != 0:
         return EmertonVerdict(False, "unitarity", None, None, gap)
-    seqs = gamma_blocks(spec)
-    den = math.lcm(*(blk.v.denominator for seq in seqs for blk in seq))
-    # mass[i][j]: valuation of the top j blocks of summand i, times den
-    mass = []
-    for seq in seqs:
-        acc = [0]
-        for blk in seq:
-            acc.append(acc[-1] + blk.v.numerator * (den // blk.v.denominator))
-        mass.append(acc)
-    sizes = [spec.family_of(i).h for i in range(len(seqs))]
-    # P[w]: sum over embeddings of the w lowest weights, times den
-    columns = map(sum, zip(*profile.weights))
-    P = [den * x for x in itertools.accumulate(columns, initial=0)]
+    # mass[i][j]: valuation of the top j blocks of summand i, times scale
+    mass = [
+        list(itertools.accumulate(reversed(sc.blocks(i)), initial=0))
+        for i in range(len(sc.sizes))
+    ]
+    sizes = sc.sizes
+    # P[w]: sum over embeddings of the w lowest weights, times scale
+    P = [scale * x for x in profile.prefix_sums()]
     suffix = [{0: 0}]
-    for i in reversed(range(len(seqs))):
+    for i in reversed(range(len(mass))):
         nxt = suffix[-1]
         table: dict[int, int] = {}
         for j, mj in enumerate(mass[i]):
@@ -234,7 +239,7 @@ def check_emerton_condition(
             raise RuntimeError("violating selection lost during backtracking")
         selection.append(j)
         weight, total = w0, m0
-    slack = Fraction(total - P[weight], den)
+    slack = Fraction(total - P[weight], scale)
     return EmertonVerdict(False, "prefix", tuple(selection), slack, gap)
 
 

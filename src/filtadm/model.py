@@ -9,10 +9,18 @@ block F(n) is F.t_base + n * [K:Qp]; slopes are additive over blocks.
 
 Weight profiles attach, per embedding sigma, a strictly increasing list of
 d+1 integers (the negated Hodge-Tate weights of the filtration sought).
+
+Slope arithmetic runs on integers: `scaled_slopes` multiplies every block
+slope by the least common denominator of the family base slopes, and a
+scaled sum s stands for the exact slope Fraction(s, den).  It is derived
+afresh for each call that needs it; specs and profiles carry no cached
+state.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -26,6 +34,8 @@ __all__ = [
     "GoodSubobject",
     "Block",
     "SpecError",
+    "ScaledSlopes",
+    "scaled_slopes",
     "spec_violations",
     "validate_spec",
     "t_n",
@@ -184,6 +194,10 @@ class WeightProfile:
     def total(self) -> int:
         return self.prefix_sum(self.length)
 
+    def prefix_sums(self) -> list[int]:
+        """[prefix_sum(0), ..., prefix_sum(d+1)], summed column by column."""
+        return list(itertools.accumulate(map(sum, zip(*self.weights)), initial=0))
+
 
 @dataclass(frozen=True)
 class GoodSubobject:
@@ -208,6 +222,50 @@ class GoodSubobject:
             fam = spec.family_of(i)
             for k in range(c):
                 yield Block(i, k, fam, s.l + k)
+
+
+@dataclass(frozen=True)
+class ScaledSlopes:
+    """The Newton slopes of a spec as integers over one denominator.
+
+    `den` is the least common denominator of the family base slopes, so
+    den times the slope of every block is an integer.  Summand i has
+    lengths[i] blocks of dimension sizes[i]; their scaled slopes start at
+    bottoms[i] and rise by step = den * [K:Qp] from block to block, and
+    totals[i] is their sum.
+    """
+
+    den: int
+    step: int
+    sizes: tuple[int, ...]
+    lengths: tuple[int, ...]
+    bottoms: tuple[int, ...]
+    totals: tuple[int, ...]
+
+    def bottom(self, i: int, c: int) -> int:
+        """Scaled slope of the bottom c blocks of summand i."""
+        return c * self.bottoms[i] + c * (c - 1) // 2 * self.step
+
+    def blocks(self, i: int) -> range:
+        """Scaled slopes of the blocks of summand i, bottom to top (the
+        step is positive on a valid spec)."""
+        start = self.bottoms[i]
+        return range(start, start + self.lengths[i] * self.step, self.step)
+
+
+def scaled_slopes(spec: ModuleSpec) -> ScaledSlopes:
+    """The spec's block slopes over the least common denominator of its
+    family base slopes."""
+    den = math.lcm(*(f.t_base.denominator for f in spec.families))
+    step = spec.config.deg_K_Qp * den
+    fams = [spec.family(s.family) for s in spec.summands]
+    lengths = tuple(s.b for s in spec.summands)
+    bottoms = tuple(
+        f.t_base.numerator * (den // f.t_base.denominator) + s.l * step
+        for s, f in zip(spec.summands, fams)
+    )
+    totals = tuple(b * x + b * (b - 1) // 2 * step for b, x in zip(lengths, bottoms))
+    return ScaledSlopes(den, step, tuple(f.h for f in fams), lengths, bottoms, totals)
 
 
 def spec_violations(spec: ModuleSpec, profile: WeightProfile | None = None) -> list[str]:
@@ -267,28 +325,16 @@ def validate_spec(
 def t_n(spec: ModuleSpec, part: GoodSubobject | None = None) -> Fraction:
     """Newton slope of the whole module or of a good subobject.
 
-    Sum over included blocks (family F, twist n) of F.t_base + n*[K:Qp].
+    Sum over included blocks (family F, twist n) of F.t_base + n*[K:Qp],
+    added up in closed form over the scaled integer slopes.
     """
-    cfg = spec.config
-    total = Fraction(0)
+    sc = scaled_slopes(spec)
     if part is None:
-        blocks = spec.blocks()
-    else:
-        for i, c in enumerate(part.counts):
-            if c < 0 or c > spec.summands[i].b:
-                raise ValueError(f"good subobject count out of range at summand {i}")
-        blocks = list(part.blocks(spec))
-    for blk in blocks:
-        total += blk.t_n(cfg)
-    return total
-
-
-def t_n_summand(spec: ModuleSpec, i: int) -> Fraction:
-    """Newton slope of summand i: the sum over its blocks k = 0..b-1 of
-    t_base + (l + k) * [K:Qp], in closed form."""
-    s = spec.summands[i]
-    twists = s.b * s.l + s.b * (s.b - 1) // 2
-    return s.b * spec.family_of(i).t_base + twists * spec.config.deg_K_Qp
+        return Fraction(sum(sc.totals), sc.den)
+    for i, c in enumerate(part.counts):
+        if c < 0 or c > spec.summands[i].b:
+            raise ValueError(f"good subobject count out of range at summand {i}")
+    return Fraction(sum(sc.bottom(i, c) for i, c in enumerate(part.counts)), sc.den)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +362,14 @@ def _json_int(value, field: str) -> int:
     naming `field` instead of being truncated or coerced."""
     if type(value) is not int:
         raise SpecError([f"{field}: expected an integer, got {value!r}"])
+    return value
+
+
+def _json_str(value, field: str) -> str:
+    """A JSON string; a number, bool or null raises SpecError naming
+    `field` instead of being turned into its text."""
+    if type(value) is not str:
+        raise SpecError([f"{field}: expected a string, got {value!r}"])
     return value
 
 
@@ -347,7 +401,7 @@ def spec_from_dict(data: dict) -> ModuleSpec:
         )
         families = tuple(
             Family(
-                str(f["id"]),
+                _json_str(f["id"], f"families[{i}].id"),
                 _json_int(f["h"], f"families[{i}].h"),
                 fraction_from_json(f["tBase"]),
             )
@@ -355,7 +409,7 @@ def spec_from_dict(data: dict) -> ModuleSpec:
         )
         summands = tuple(
             Summand(
-                str(s["family"]),
+                _json_str(s["family"], f"summands[{i}].family"),
                 _json_int(s["l"], f"summands[{i}].l"),
                 _json_int(s["b"], f"summands[{i}].b"),
             )

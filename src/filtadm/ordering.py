@@ -4,7 +4,10 @@ Two summands have the same type when a nonzero Frobenius-equivariant map
 exists between their chains in one direction or the other, which for block
 chains of one family happens exactly when their twist ranges overlap.  The
 canonical order sorts each same-type group by (offset, length) and the
-groups among themselves by average Newton slope.
+groups among themselves by average Newton slope.  Group slopes are added
+up as the integer summand slopes of `model.scaled_slopes`, and each group
+average is one exact Fraction over their common denominator; nothing is
+rounded.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ModuleSpec, Summand, t_n_summand
+from .model import ModuleSpec, Summand, scaled_slopes
 
 __all__ = [
     "TypePartition",
@@ -73,15 +76,16 @@ def group_and_order(spec: ModuleSpec) -> tuple[TypePartition, tuple[int, ...]]:
     average slope t_N/dim, ties broken by family id and member multiset for
     determinism (the verdicts downstream are insensitive to the tie rule).
     """
+    sc = scaled_slopes(spec)
     entries = []
     for comp in type_components(spec):
         members = sorted(
             comp, key=lambda i: (spec.summands[i].l, spec.summands[i].b, i)
         )
-        dim = sum(spec.summand_dim(i) for i in comp)
-        total = sum((t_n_summand(spec, i) for i in comp), Fraction(0))
+        dim = sum(sc.sizes[i] * sc.lengths[i] for i in comp)
+        total = sum(sc.totals[i] for i in comp)
         key = (
-            total / dim,
+            Fraction(total, sc.den * dim),
             spec.family_of(comp[0]).id,
             tuple(sorted((spec.summands[i].l, spec.summands[i].b) for i in comp)),
         )
@@ -96,7 +100,7 @@ def group_and_order(spec: ModuleSpec) -> tuple[TypePartition, tuple[int, ...]]:
     partition = TypePartition(
         tuple(groups),
         tuple(e[2] for e in entries),
-        tuple(e[3] for e in entries),
+        tuple(Fraction(e[3], sc.den) for e in entries),
         tuple(e[0][0] for e in entries),
     )
     return partition, perm
@@ -123,16 +127,13 @@ def require_canonical(spec: ModuleSpec) -> None:
 def _precedes(si: Summand, sj: Summand) -> bool:
     """Whether the chain si precedes sj (forbidden for an earlier summand).
 
-    Scans twist shifts l >= 0 with l + b_j > b_i for the isomorphism
-    l_i = l_j + (l + b_j - b_i); equivalently the segment of sj starts no
-    later and ends strictly later than the segment of si.
+    That is the isomorphism l_i = l_j + (l + b_j - b_i) for some twist
+    shift l >= 0 with l + b_j > b_i: in the same family, the segment of
+    sj starts strictly earlier and ends no later than the segment of si.
+    Inside a group sorted by (l, b) no later summand starts earlier, so a
+    canonical order has no such pair.
     """
-    if si.family != sj.family:
-        return False
-    for l in range(0, si.l + si.b + sj.b + 1):
-        if l + sj.b > si.b and si.l == sj.l + (l + sj.b - si.b):
-            return True
-    return False
+    return si.family == sj.family and sj.l < si.l and sj.l + sj.b <= si.l + si.b
 
 
 def check_not_precede(spec: ModuleSpec) -> tuple[bool, tuple[int, int] | None]:

@@ -10,14 +10,28 @@ with exact equality at the full module.  check_all_block_orders quantifies
 the same chain over every ordering of the individual blocks, which reduces
 to a subset-minimum question: for every achievable subset dimension m the
 minimal block-subset slope must dominate the lowest-m weight sum.
+
+Both checks run on integers: slopes come from `model.scaled_slopes`,
+multiplied by the common denominator den of the base slopes, and weight
+sums are multiplied by [K:L] * den.  Only the reported slacks and the
+equality gap become Fractions, one `Fraction(x, den)` each; nothing is
+rounded.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ModuleSpec, WeightProfile, t_n, t_n_summand, validate_spec
+from .model import (
+    ModuleSpec,
+    ScaledSlopes,
+    WeightProfile,
+    fraction_to_str,
+    scaled_slopes,
+    validate_spec,
+)
 from .ordering import require_canonical
 
 __all__ = ["ChainVerdict", "check_slope_chain", "check_all_block_orders"]
@@ -32,8 +46,6 @@ class ChainVerdict:
     equality_gap: Fraction = Fraction(0)            # t_N(D) - LHS_total
 
     def as_dict(self) -> dict:
-        from .model import fraction_to_str
-
         return {
             "ok": self.ok,
             "failure": self.failure,
@@ -46,20 +58,22 @@ class ChainVerdict:
 def _chain_verdict(
     spec: ModuleSpec,
     profile: WeightProfile,
-    points: list[tuple[int, int, Fraction]],
+    sc: ScaledSlopes,
+    points: list[tuple[int, int, int]],
 ) -> ChainVerdict:
-    """Verdict from (prefix key, dimension, slope sum) points, one per
-    proper prefix: each slack is the slope sum minus [K:L] times the
+    """Verdict from (prefix key, dimension, scaled slope sum) points, one
+    per proper prefix: each slack is the slope sum minus [K:L] times the
     lowest-dimension weight sum, and the first negative one fails."""
-    k_l = spec.config.deg_K_L
+    scale = spec.config.deg_K_L * sc.den
+    prefix = profile.prefix_sums()
     slacks = []
     first_fail = None
     for key, dim, slope_sum in points:
-        slack = slope_sum - k_l * profile.prefix_sum(dim)
-        slacks.append((key, slack))
+        slack = slope_sum - scale * prefix[dim]
+        slacks.append((key, Fraction(slack, sc.den)))
         if slack < 0 and first_fail is None:
             first_fail = key
-    gap = t_n(spec) - k_l * profile.total
+    gap = Fraction(sum(sc.totals) - scale * profile.total, sc.den)
     if first_fail is not None:
         return ChainVerdict(False, "prefix", first_fail, tuple(slacks), gap)
     if gap != 0:
@@ -71,27 +85,37 @@ def check_slope_chain(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
     """Prefix slope inequalities plus total equality, canonical order required."""
     validate_spec(spec, profile)
     require_canonical(spec)
+    sc = scaled_slopes(spec)
     points = []
-    dim = 0
-    slope_sum = Fraction(0)
+    dim = slope_sum = 0
     for k in range(1, len(spec.summands)):
-        dim += spec.summand_dim(k - 1)
-        slope_sum += t_n_summand(spec, k - 1)
+        dim += sc.sizes[k - 1] * sc.lengths[k - 1]
+        slope_sum += sc.totals[k - 1]
         points.append((k, dim, slope_sum))
-    return _chain_verdict(spec, profile, points)
+    return _chain_verdict(spec, profile, sc, points)
 
 
-def _min_slope_per_dim(spec: ModuleSpec) -> dict[int, Fraction]:
-    """For each achievable block-subset dimension, the minimal total slope."""
-    best: dict[int, Fraction] = {0: Fraction(0)}
-    for blk in spec.blocks():
-        step = blk.t_n(spec.config)
-        size = blk.size
-        for d in sorted(best, reverse=True):
-            cand = best[d] + step
-            cur = best.get(d + size)
-            if cur is None or cand < cur:
-                best[d + size] = cand
+def _min_slope_per_dim(sc: ScaledSlopes) -> dict[int, int]:
+    """For each achievable block-subset dimension, the minimal total
+    scaled slope.
+
+    Blocks of one size differ only in their slopes, so the cheapest k of
+    them are the k smallest; the sizes are then combined by a min-plus
+    knapsack over the dimension.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, size in enumerate(sc.sizes):
+        by_size.setdefault(size, []).extend(sc.blocks(i))
+    best = {0: 0}
+    for size, slopes in by_size.items():
+        cheapest = list(itertools.accumulate(sorted(slopes), initial=0))
+        nxt: dict[int, int] = {}
+        for d, m in best.items():
+            for k, s in enumerate(cheapest):
+                cur = nxt.get(d + k * size)
+                if cur is None or m + s < cur:
+                    nxt[d + k * size] = m + s
+        best = nxt
     return best
 
 
@@ -105,6 +129,8 @@ def check_all_block_orders(spec: ModuleSpec, profile: WeightProfile) -> ChainVer
     """
     validate_spec(spec, profile)
     require_canonical(spec)
-    best = _min_slope_per_dim(spec)
-    points = [(m, m, best[m]) for m in sorted(best) if 0 < m < spec.dimension]
-    return _chain_verdict(spec, profile, points)
+    sc = scaled_slopes(spec)
+    best = _min_slope_per_dim(sc)
+    dim = spec.dimension
+    points = [(m, m, best[m]) for m in sorted(best) if 0 < m < dim]
+    return _chain_verdict(spec, profile, sc, points)

@@ -153,6 +153,27 @@ def equal_total_stream(seed: int, count: int, **spec_args):
     return out
 
 
+def mixed_slope_stream(seed: int, count: int):
+    """(spec, profile) pairs for the integer-vs-Fraction criteria checks.
+
+    Families of dimension 1 to 3, [K:L] in {1, 2} and base slopes with
+    denominators up to 4, negative ones included; each spec comes with a
+    random profile and, when its total is integral, an equal-total one, so
+    both verdicts and every failure kind occur.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        spec = random_spec(rng, max_dim=9, h_choices=(1, 2, 3), max_twist=6)
+        if spec is None:
+            continue
+        out.append((spec, random_profile(rng, spec)))
+        prof = equal_total_profile(rng, spec, flat=rng.random() < 0.5)
+        if prof is not None:
+            out.append((spec, prof))
+    return out
+
+
 def instance_stream(seed: int, count: int, engineered_share: float = 0.5):
     """(spec, profile) pairs for the equivalence and pipeline suites."""
     rng = random.Random(seed)

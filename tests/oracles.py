@@ -7,7 +7,11 @@ new vector, intersection through a left null space, generalized eigenspace
 ranks via matrix powers, and saturation under all pairwise sums.  They
 share no elimination code with `filtadm.linalg`.  `emerton_scan` decides
 the shuffle valuation condition by walking every top selection, where the
-library solves a min-mass knapsack.
+library solves a min-mass knapsack.  `slope_chain`, `all_block_orders`
+and `min_slope_per_dim` are the slope criteria in `Fraction` arithmetic,
+block by block and through a block-by-dimension subset DP, where the
+library scales the slopes to integers; all three oracles add up the
+`Block.t_n` Fractions and never call `model.t_n` or `scaled_slopes`.
 
 The intersection dimensions of the verify path are asked here once per
 pair, where the library reads them off one echelon pass: class keys good
@@ -39,10 +43,10 @@ from filtadm.model import (
     GoodSubobject,
     ModuleSpec,
     WeightProfile,
-    t_n,
     validate_spec,
 )
 from filtadm.ordering import require_canonical, type_components
+from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     GoodFlag,
     _inter_dim,
@@ -345,6 +349,76 @@ def saturate_all_pairs(rows: Iterable[Mat]) -> set[Mat]:
     return subs
 
 
+def block_slope_sum(spec: ModuleSpec, blocks=None) -> Fraction:
+    """t_N as the Fraction sum of `Block.t_n` over `blocks` (all blocks of
+    the spec by default)."""
+    blocks = spec.blocks() if blocks is None else blocks
+    return sum((blk.t_n(spec.config) for blk in blocks), Fraction(0))
+
+
+def chain_verdict(
+    spec: ModuleSpec,
+    profile: WeightProfile,
+    points: list[tuple[int, int, Fraction]],
+) -> ChainVerdict:
+    """Verdict from (prefix key, dimension, slope sum) points, one per
+    proper prefix: each slack is the slope sum minus [K:L] times the
+    lowest-dimension weight sum, and the first negative one fails."""
+    k_l = spec.config.deg_K_L
+    slacks = []
+    first_fail = None
+    for key, dim, slope_sum in points:
+        slack = slope_sum - k_l * profile.prefix_sum(dim)
+        slacks.append((key, slack))
+        if slack < 0 and first_fail is None:
+            first_fail = key
+    gap = block_slope_sum(spec) - k_l * profile.total
+    if first_fail is not None:
+        return ChainVerdict(False, "prefix", first_fail, tuple(slacks), gap)
+    if gap != 0:
+        return ChainVerdict(False, "equality", None, tuple(slacks), gap)
+    return ChainVerdict(True, None, None, tuple(slacks), gap)
+
+
+def slope_chain(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
+    """`slopes.check_slope_chain` in Fraction arithmetic."""
+    validate_spec(spec, profile)
+    require_canonical(spec)
+    blocks = spec.blocks()
+    points = []
+    dim = 0
+    slope_sum = Fraction(0)
+    for k in range(1, len(spec.summands)):
+        dim += spec.summand_dim(k - 1)
+        slope_sum += block_slope_sum(spec, [b for b in blocks if b.summand == k - 1])
+        points.append((k, dim, slope_sum))
+    return chain_verdict(spec, profile, points)
+
+
+def min_slope_per_dim(spec: ModuleSpec) -> dict[int, Fraction]:
+    """For each achievable block-subset dimension, the minimal total slope,
+    by a DP over the blocks and the reachable dimensions."""
+    best: dict[int, Fraction] = {0: Fraction(0)}
+    for blk in spec.blocks():
+        step = blk.t_n(spec.config)
+        size = blk.size
+        for d in sorted(best, reverse=True):
+            cand = best[d] + step
+            cur = best.get(d + size)
+            if cur is None or cand < cur:
+                best[d + size] = cand
+    return best
+
+
+def all_block_orders(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
+    """`slopes.check_all_block_orders` in Fraction arithmetic."""
+    validate_spec(spec, profile)
+    require_canonical(spec)
+    best = min_slope_per_dim(spec)
+    points = [(m, m, best[m]) for m in sorted(best) if 0 < m < spec.dimension]
+    return chain_verdict(spec, profile, points)
+
+
 def emerton_scan(spec: ModuleSpec, profile: WeightProfile) -> EmertonVerdict:
     """Unitarity plus prefix domination over every candidate.
 
@@ -355,7 +429,7 @@ def emerton_scan(spec: ModuleSpec, profile: WeightProfile) -> EmertonVerdict:
     validate_spec(spec, profile)
     require_canonical(spec)
     cfg = spec.config
-    gap = t_n(spec) - Fraction(cfg.deg_K_L * profile.total)
+    gap = block_slope_sum(spec) - Fraction(cfg.deg_K_L * profile.total)
     if gap != 0:
         return EmertonVerdict(False, "unitarity", None, None, gap)
     seqs = gamma_blocks(spec)

@@ -414,3 +414,33 @@ def test_fuzz_trials_below_zero_exits_2_naming_the_flag(value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--trials" in err and "non-negative integer" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_max_rows_below_zero_exits_2_naming_the_flag(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "check-emerton", "--spec", str(DATA / "ex1a_spec.json"),
+            "--weights", str(DATA / "weights_m212.json"), "--max-rows", value,
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-rows" in err and "non-negative integer" in err
+
+
+def test_non_string_family_ids_exit_2(tmp_path, capsys):
+    # a null id with null summand families used to become the family "None"
+    spec = json.loads((DATA / "ex1a_spec.json").read_text())
+    spec_path = tmp_path / "spec.json"
+    for fid, families, field in (
+        (None, [None, None], "families[0].id"),
+        (7, [7, 7], "families[0].id"),
+        ("F", ["F", None], "summands[1].family"),
+    ):
+        data = json.loads(json.dumps(spec))
+        data["families"][0]["id"] = fid
+        for summand, family in zip(data["summands"], families):
+            summand["family"] = family
+        spec_path.write_text(json.dumps(data))
+        code, rep = run_cli(capsys, "order", "--spec", str(spec_path))
+        assert code == 2 and f"{field}: expected a string" in rep["error"], rep

@@ -164,6 +164,18 @@ def _assert_matches_scan(spec, prof):
     return got["failure"]
 
 
+def test_integer_dp_matches_fraction_scan_field_for_field():
+    # families of dimension 1-3, [K:L] in {1, 2}, negative and
+    # non-integer base slopes: the scaled-integer knapsack reports the
+    # same verdict, selection, slack and unitarity gap as the Fraction scan
+    failures = set()
+    for spec, prof in helpers.mixed_slope_stream(47, 400):
+        got, want = check_emerton_condition(spec, prof), emerton_scan(spec, prof)
+        assert got == want, (spec, prof)
+        failures.add(got.failure)
+    assert failures == {None, "prefix", "unitarity"}
+
+
 def test_dp_matches_scan_on_instance_stream():
     for spec, prof in instance_stream(19, 600):
         _assert_matches_scan(spec, prof)

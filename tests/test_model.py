@@ -19,7 +19,6 @@ from filtadm.model import (
     spec_to_dict,
     spec_violations,
     t_n,
-    t_n_summand,
     validate_spec,
 )
 from filtadm.frobenius import build_modified_frobenius
@@ -71,7 +70,8 @@ def test_t_n_twist_rule():
     cfg = Config(p=2, deg_K_Qp=4, deg_L_Qp=2, deg_K_L=2)
     fam = Family("F", 1, Fraction(1, 3))
     spec = ModuleSpec(cfg, (fam,), (Summand("F", 2, 2),))
-    assert t_n_summand(spec, 0) == Fraction(1, 3) * 2 + (2 + 3) * 4
+    assert t_n(spec) == Fraction(1, 3) * 2 + (2 + 3) * 4
+    assert t_n(spec, GoodSubobject((1,))) == Fraction(1, 3) + 2 * 4
 
 
 def test_t_n_out_of_range(ex1a):
@@ -215,3 +215,32 @@ def test_integer_fields_accept_only_json_integers():
     ):
         with pytest.raises(SpecError, match=re.escape(field)):
             profile_from_dict({"weights": weights})
+
+
+def test_checked_specs_keep_identity_and_refuse_a_reordering():
+    # running the criteria leaves no state that changes == or hash, and a
+    # reordered copy of a canonical spec is a fresh object that the
+    # canonical check rejects
+    from filtadm.emerton import check_emerton_condition
+    from filtadm.ordering import is_canonical, require_canonical
+    from filtadm.slopes import check_all_block_orders, check_slope_chain
+
+    fams = (Family("F", 1, Fraction(-1, 2)), Family("G", 2, Fraction(3)))
+    summands = (Summand("F", 0, 1), Summand("F", 0, 2), Summand("G", 1, 1))
+    spec = ModuleSpec(Config(p=3), fams, summands)
+    twin = ModuleSpec(Config(p=3), fams, summands)
+    prof = WeightProfile(((-3, -1, 0, 1, 4),))
+    assert is_canonical(spec)
+    before = (hash(spec), spec == twin)
+    for check in (check_slope_chain, check_all_block_orders, check_emerton_condition):
+        first, second = check(spec, prof), check(spec, prof)
+        assert first == second
+    assert (hash(spec), spec == twin) == before == (hash(twin), True)
+    reordered = spec.with_summands(summands[::-1])
+    assert reordered is not spec and reordered != spec
+    with pytest.raises(ValueError, match="canonical order"):
+        require_canonical(reordered)
+    for check in (check_slope_chain, check_all_block_orders, check_emerton_condition):
+        with pytest.raises(ValueError, match="canonical order"):
+            check(reordered, prof)
+    assert is_canonical(spec)

@@ -67,17 +67,19 @@ def test_not_precede_examples(ex1b):
 
 
 def test_not_precede_matches_exhaustive_scan():
-    # oracle: violation iff some shift l >= 0 satisfies the twist relation
-    rng = random.Random(0)
-    for _ in range(300):
-        si = Summand("F", rng.randint(0, 4), rng.randint(1, 4))
-        sj = Summand("F", rng.randint(0, 4), rng.randint(1, 4))
+    # oracle: violation iff some shift l >= 0 satisfies the twist relation;
+    # every pair of segments with l <= 6 and 1 <= b <= 6
+    box = [Summand("F", l, b) for l in range(7) for b in range(1, 7)]
+    violations = 0
+    for si, sj in itertools.product(box, repeat=2):
         spec = ModuleSpec(CFG, (F,), (si, sj))
         expected = any(
             l + sj.b > si.b and si.l == sj.l + (l + sj.b - si.b)
             for l in range(0, 20)
         )
-        assert check_not_precede(spec)[0] == (not expected)
+        assert check_not_precede(spec)[0] == (not expected), (si, sj)
+        violations += expected
+    assert 0 < violations < len(box) ** 2
 
 
 def test_canonical_always_not_precede():

@@ -63,6 +63,7 @@ def test_report_digests_smoke(capsys):
     first = capsys.readouterr().out.splitlines()
     assert [line.split(" sha256=")[0] for line in first] == [
         "verify_stream seed=3 items=4",
+        "criteria_stream seed=3 items=4",
         "cli_reports seed=3 items=4",
     ]
     assert all(len(line.split(" sha256=")[1]) == 64 for line in first)
@@ -71,4 +72,4 @@ def test_report_digests_smoke(capsys):
     assert capsys.readouterr().out.splitlines() == first
     module.main(["--workload", "cli_reports", "--seeds", "3", "--count", "3"])
     (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith("cli_reports seed=3 items=3 ") and line != first[1]
+    assert line.startswith("cli_reports seed=3 items=3 ") and line != first[2]

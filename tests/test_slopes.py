@@ -7,7 +7,8 @@ import pytest
 from filtadm.model import Config, Family, ModuleSpec, Summand, WeightProfile, t_n
 from filtadm.ordering import canonical_order
 from filtadm.slopes import check_all_block_orders, check_slope_chain
-from helpers import random_profile, random_spec
+import oracles
+from helpers import mixed_slope_stream, random_profile, random_spec
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -157,3 +158,27 @@ def test_chain_invariant_under_slope_weight_shift():
         assert (v1.ok, v1.failure, v1.prefix) == (v2.ok, v2.failure, v2.prefix)
         assert [s for _, s in v1.slacks] == [s for _, s in v2.slacks]
         done += 1
+
+
+def test_integer_chains_match_fraction_oracles():
+    # the scaled-integer checks against the Fraction forms they replaced,
+    # field for field: verdict, failure, prefix, every slack and the gap
+    seen = set()
+    for spec, prof in mixed_slope_stream(41, 400):
+        for check, oracle in (
+            (check_slope_chain, oracles.slope_chain),
+            (check_all_block_orders, oracles.all_block_orders),
+        ):
+            got, want = check(spec, prof), oracle(spec, prof)
+            assert got == want, (spec, prof)
+            assert got.as_dict() == want.as_dict()
+            seen.add((check.__name__, got.failure))
+        seen.add(("degKL", spec.config.deg_K_L))
+        seen.update(("h", f.h) for f in spec.families)
+        for f in spec.families:
+            seen.add(("tBase", f.t_base < 0, f.t_base.denominator > 1))
+    for name in ("check_slope_chain", "check_all_block_orders"):
+        assert {(name, x) for x in (None, "prefix", "equality")} <= seen
+    assert {("degKL", 1), ("degKL", 2), ("h", 1), ("h", 2), ("h", 3)} <= seen
+    assert ("tBase", True, True) in seen and ("tBase", False, True) in seen
+
