@@ -38,6 +38,7 @@ from .slopes import check_all_block_orders, check_slope_chain
 from .subobjects import (
     CapExceededError,
     DEFAULT_CAP,
+    StableLattice,
     check_cap,
     enumerate_concrete_subobjects,
 )
@@ -197,31 +198,34 @@ def cmd_subobjects(args) -> int:
     check_cap(ordered.dimension, cap)
     edges = build_modified_frobenius(ordered) if args.modified else ()
     realization = realize_matrices(ordered, edges)
-    subs = enumerate_concrete_subobjects(realization, cap=cap, seed=args.seed)
+    lattice = StableLattice(realization)
+    subs = enumerate_concrete_subobjects(
+        realization, cap=cap, seed=args.seed, lattice=lattice
+    )
     report = {
         "command": "subobjects",
         "inputs": {"spec": _digest(args.spec)},
         "permutation": list(perm),
         "modified": bool(args.modified),
         "count": len(subs),
-        "subobjects": [_subobject_entry(realization, s) for s in subs],
+        "subobjects": [_subobject_entry(lattice, s) for s in subs],
     }
     _emit(report, args)
     return 0
 
 
-def _subobject_entry(realization, sub) -> dict:
+def _subobject_entry(lattice: StableLattice, sub) -> dict:
+    realization = lattice.realization
+    dims = lattice.level_dims(sub.key)
     levels = []
-    for coords, piece in zip(realization.levels, realization.level_pieces(sub.rows)):
-        if piece:
+    for coords, mult in zip(realization.levels, dims):
+        if mult:
             blk = realization.basis[coords[0]]
-            levels.append(
-                {"family": blk.family.id, "twist": blk.twist, "mult": len(piece)}
-            )
+            levels.append({"family": blk.family.id, "twist": blk.twist, "mult": mult})
     return {
         "dim": sub.rank,
         "basis": _mat_json(sub.rows),
-        "tN": fraction_to_str(realization.t_n_concrete(sub.rows)),
+        "tN": fraction_to_str(realization.level_t_n(dims)),
         "levels": levels,
     }
 

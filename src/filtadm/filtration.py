@@ -225,16 +225,15 @@ class AdmissibilityReport:
 
 
 def _aligned_candidates(
-    spec: ModuleSpec,
-    realization: ConcreteRealization,
-    filtration: Filtration,
-) -> list[Subobject]:
-    """Closures of good-cap-filtration-tail intersections.
+    lattice: StableLattice, filtration: Filtration
+) -> list[tuple[int, ...]]:
+    """Piece ids of the closures of good-cap-filtration-tail intersections.
 
     These are the adversarially placed subspaces: a violating stable
     subspace, when one exists, sits inside some good subobject aligned
     with a high-weight tail.
     """
+    spec = lattice.realization.spec
     out = []
     n = spec.dimension
     for good in enumerate_good_subobjects(spec):
@@ -246,11 +245,17 @@ def _aligned_candidates(
         inside = set(good_coords(spec, good))
         order = [c for c in range(n) if c not in inside] + sorted(inside)
         position = sorted(range(n), key=order.__getitem__)
+        # the levels E meets, with the positions of their coordinates in order
+        parts = [
+            (level, [position[i] for i in coords])
+            for level, coords in enumerate(lattice.realization.levels)
+            if not inside.isdisjoint(coords)
+        ]
         for sigma in range(spec.config.embeddings):
             basis = filtration.int_bases[sigma]
             # columns outside E first: a row stored after v_n .. v_j with
             # its pivot inside E lies in E cap T_j, and these rows span it;
-            # groups[k] holds the rows that E cap T_{m-k} adds
+            # groups[k] holds the level vectors of the rows E cap T_{m-k} adds
             ech = linalg.Echelon(n)
             groups: list[list] = []
             new: list = []
@@ -258,12 +263,15 @@ def _aligned_candidates(
                 v = basis[j - 1]
                 row = ech.add_integral([v[c] for c in order])
                 if row is not None and not any(row[: n - m]):
-                    new.append([row[p] for p in position])
+                    for level, pos in parts:
+                        local = [row[p] for p in pos]
+                        if any(local):
+                            new.append((level, local))
                 if j <= m:
                     groups.append(new)
                     new = []
-            closures = realization.closures(groups)
-            out.extend(Subobject(rows) for rows in reversed(closures) if rows)
+            keys = lattice.closures(groups)
+            out.extend(key for key in reversed(keys) if any(key))
     return out
 
 
@@ -295,28 +303,29 @@ def check_admissible(
         }
         return AdmissibilityReport(False, "equality", witness, (), 0)
 
-    # keyed by the numerators and denominators of the canonical rows, which
-    # hash and compare as ints, where Fraction entries would not
-    candidates: dict[tuple, Subobject] = {}
-
-    def offer(subs) -> None:
-        for sub in subs:
-            key = tuple([(x.numerator, x.denominator) for row in sub.rows for x in row])
-            candidates.setdefault(key, sub)
-
-    offer(enumerate_concrete_subobjects(realization, cap=cap, seed=seed, rounds=rounds))
+    # every source interns its pieces in one lattice, so a candidate is
+    # its tuple of piece ids; rows are built once per distinct candidate
+    lattice = StableLattice(realization)
+    candidates: dict[tuple[int, ...], Subobject | None] = {}
+    for sub in enumerate_concrete_subobjects(
+        realization, cap=cap, seed=seed, rounds=rounds, lattice=lattice
+    ):
+        candidates[sub.key] = sub
     rng = random.Random(seed + 1)
     for _ in range(rounds):
-        offer(random_round_subobjects(realization, rng))
-    offer(_aligned_candidates(spec, realization, filtration))
+        for key in random_round_subobjects(lattice, rng):
+            candidates.setdefault(key, None)
+    for key in _aligned_candidates(lattice, filtration):
+        candidates.setdefault(key, None)
 
-    ordered = sorted(candidates.values(), key=lambda s: (s.rank, s.rows))
+    subs = [s or Subobject(lattice.rows(key), key) for key, s in candidates.items()]
+    ordered = sorted(subs, key=lambda s: (s.rank, s.rows))
     table = []
     witness = None
     for sub in ordered:
         if sub.rank in (0, spec.dimension):
             continue
-        tn_val = realization.t_n_concrete(sub.rows)
+        tn_val = lattice.t_n(sub.key)
         th_val = t_h(filtration, sub.rows, cfg)
         table.append(
             {
@@ -326,7 +335,7 @@ def check_admissible(
             }
         )
         if th_val > tn_val and witness is None:
-            enclosing = _smallest_enclosing_good(spec, realization, sub)
+            enclosing = _smallest_enclosing_good(lattice, sub.key)
             witness = {
                 "kind": "witness",
                 "dim": sub.rank,
@@ -342,15 +351,17 @@ def check_admissible(
 
 
 def _smallest_enclosing_good(
-    spec: ModuleSpec, realization: ConcreteRealization, sub: Subobject
+    lattice: StableLattice, key: tuple[int, ...]
 ) -> GoodSubobject:
+    """The smallest stable good containing the subspace `key`, or the whole."""
+    spec = lattice.realization.spec
+    rank = lattice.dim(key)
     best = GoodSubobject(tuple(s.b for s in spec.summands))
     best_dim = best.dimension(spec)
-    lattice = StableLattice(realization)
-    for good, inter in zip(lattice.goods, lattice.good_dims(lattice.key(sub.rows))):
+    for good, inter in zip(lattice.goods, lattice.good_dims(key)):
         m = good.dimension(spec)
-        if m < sub.rank or m >= best_dim:
+        if m < rank or m >= best_dim:
             continue
-        if inter == sub.rank:
+        if inter == rank:
             best, best_dim = good, m
     return best

@@ -19,29 +19,34 @@ eigenvalue and every edge stays inside a level, so on the coordinate span
 V_lambda of a level Phi = lambda * (1 + E) with E the 0/1 edge coupling,
 and E is nilpotent.  Each V_lambda is therefore a generalized eigenspace,
 and every Phi-stable subspace W is the direct sum of the W cap V_lambda.
-Stable closures are computed level by level from this, and the Newton
-slope of W is the sum over levels of dim(W cap V_lambda) times the slope
-of one block of the level.
+N sends the level of (F, t) into that of (F, t - 1), so stable closures
+are grown level by level (`subobjects.StableLattice.closures`) on the
+integer operators of `level_operators`, which is where the level split is
+enforced: it raises if E leaves a level or N sends one into two.  The
+Newton slope of W is the sum over levels of dim(W cap V_lambda) times the
+slope of one block of the level (`level_t_n`).
 
 `ConcreteRealization.level_pieces` reads the pieces W cap V_lambda off the
-canonical basis of W without trusting that W splits: it raises unless the
-ranks of the column slices of W on the levels add up to rank W.  The
-slices always span a space containing W, so equal dimensions mean W is
-their direct sum, hence each slice lies in W and equals W cap V_lambda.
-By uniqueness of the reduced echelon form the canonical rows of such a W
-are then each supported on one level, which is how the check is made.
+canonical basis of a W given by rows, without trusting that W splits: it
+raises unless the ranks of the column slices of W on the levels add up to
+rank W.  The slices always span a space containing W, so equal dimensions
+mean W is their direct sum, hence each slice lies in W and equals
+W cap V_lambda.  By uniqueness of the reduced echelon form the canonical
+rows of such a W are then each supported on one level, which is how the
+check is made.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from . import linalg
-from .linalg import Mat, Vec
+from .linalg import Mat
 from .model import Block, ModuleSpec, Summand, _is_prime
 from .ordering import require_canonical
 
@@ -129,50 +134,39 @@ class ConcreteRealization:
         return tuple(tuple(g) for g in groups.values())
 
     @cached_property
-    def _level_of(self) -> tuple[int, ...]:
-        out = [0] * self.dimension
+    def _level_of(self) -> tuple[tuple[int, int], ...]:
+        """(level, position in the level) of each basis index."""
+        out = [(0, 0)] * self.dimension
         for k, coords in enumerate(self.levels):
-            for i in coords:
-                out[i] = k
+            for pos, i in enumerate(coords):
+                out[i] = (k, pos)
         return tuple(out)
 
     @cached_property
-    def _closure_columns(self) -> tuple:
-        return (
-            linalg.sparse_columns(self.coupling),
-            linalg.sparse_columns(self.nmat),
-        )
-
-    def closures(self, groups: Iterable[Iterable[Vec]]) -> list[Mat]:
-        """Canonical bases of the smallest Phi,N-stable subspaces containing
-        the vectors of the first 1, 2, ... of `groups`.
-
-        The stable closure holds the level components of every generator,
-        and on level-homogeneous vectors stability under Phi is stability
-        under the 0/1 coupling E, so the level projections are closed under
-        E and N.  Closing the raw generators under E and N instead would in
-        general give a smaller, non-Phi-stable subspace.  A group that adds
-        nothing gives back the previous rows object.
-        """
-        return linalg.closure_under(
-            map(self._level_projections, groups), self._closure_columns
-        )
-
-    def closure(self, vectors: Iterable[Vec]) -> Mat:
-        """Canonical basis of the smallest Phi,N-stable subspace containing
-        `vectors` (see `closures`)."""
-        return self.closures((vectors,))[0]
-
-    def _level_projections(self, vectors: Iterable[Vec]) -> list[list]:
+    def level_operators(self) -> tuple[tuple[tuple | None, tuple | None], ...]:
+        """Per level, the coupling E and N on it, each as (target level,
+        integer columns in level coordinates as (row, value) pairs), or None
+        where zero.  Raises RuntimeError unless E maps the level into itself
+        and N into one level."""
+        level_of = self._level_of
+        ops = [(name, linalg.sparse_columns(mat))
+               for name, mat in (("coupling", self.coupling), ("N", self.nmat))]
         out = []
-        for v in vectors:
-            for coords in self.levels:
-                if any(v[i] for i in coords):
-                    piece = [0] * len(v)
-                    for i in coords:
-                        piece[i] = v[i]
-                    out.append(piece)
-        return out
+        for level, coords in enumerate(self.levels):
+            pair = []
+            for name, cols in ops:
+                block = [cols[j] for j in coords]
+                targets = {level_of[i][0] for col in block for i, _ in col}
+                if len(targets) > 1 or (name == "coupling" and targets - {level}):
+                    raise RuntimeError(
+                        f"{name} sends level {level} into levels {sorted(targets)}"
+                    )
+                local = tuple(
+                    tuple((level_of[i][1], a) for i, a in col) for col in block
+                )
+                pair.append((targets.pop(), local) if targets else None)
+            out.append(tuple(pair))
+        return tuple(out)
 
     def level_pieces(self, rows: Mat) -> tuple[Mat, ...]:
         """Canonical basis of W cap V_lambda for each level, in the level's
@@ -190,8 +184,8 @@ class ConcreteRealization:
             for j, x in enumerate(row):
                 if x:
                     if level is None:
-                        level = level_of[j]
-                    elif level_of[j] != level:
+                        level = level_of[j][0]
+                    elif level_of[j][0] != level:
                         raise RuntimeError(
                             "eigenvalue multiplicities do not fill the subspace"
                         )
@@ -199,16 +193,24 @@ class ConcreteRealization:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
-    def _level_slopes(self) -> tuple[Fraction, ...]:
-        """Newton slope of one block of each level, read off its first."""
+    def _level_slopes(self) -> tuple[tuple[int, ...], int]:
+        """Newton slope of one block of each level, read off its first, as
+        integers over one common denominator."""
         cfg = self.spec.config
-        return tuple(self.basis[coords[0]].t_n(cfg) for coords in self.levels)
+        slopes = [Fraction(self.basis[c[0]].t_n(cfg)) for c in self.levels]
+        den = math.lcm(*(t.denominator for t in slopes))
+        return tuple(int(t * den) for t in slopes), den
+
+    def level_t_n(self, dims: Iterable[int]) -> Fraction:
+        """Newton slope of a Phi,N-stable subspace W with dim(W cap V_lambda)
+        given per level: each level contributes it times the slope of its
+        blocks."""
+        nums, den = self._level_slopes
+        return Fraction(sum(d * x for d, x in zip(dims, nums)), den)
 
     def t_n_concrete(self, rows: Mat) -> Fraction:
-        """Newton slope of a Phi,N-stable subspace W: each level contributes
-        dim(W cap V_lambda) times the slope of its blocks."""
-        pieces = zip(self.level_pieces(rows), self._level_slopes)
-        return sum((len(piece) * slope for piece, slope in pieces if piece), Fraction(0))
+        """Newton slope of the Phi,N-stable subspace spanned by `rows`."""
+        return self.level_t_n(map(len, self.level_pieces(rows)))
 
 
 def realize_matrices(

@@ -13,21 +13,23 @@ from then on only integers are stored: each row is primitive with a
 positive pivot, a vector is reduced against the pivots in ascending order
 by r <- p*r - x*row (both scaled down by gcd(p, x) first, so a pivot
 dividing x costs no scaling), and the result is divided by the gcd of its
-entries.  Fractions are built only when `rows` reads out the canonical
-basis, after one integer back-substitution.  `rank`, `rref`, `span_sum`
-and `closure_under` are read-outs of this kernel.  The size of an
-`Echelon` is read out without back-substitution; intersection dimensions
-on the verify path come from it.
+entries.  `int_rows` reads out the canonical basis after one integer
+back-substitution, as primitive integer rows with positive pivots (again
+unique), and `fraction_rows` divides them by their pivots: the only place
+Fractions are built.  `rank`, `rref` and `span_sum` are read-outs of this
+kernel.  The size of an `Echelon` is read out without back-substitution;
+intersection dimensions on the verify path come from it.
 
 `CanonicalBasis` marks a tuple that is known to be in reduced row echelon
-form.  Only `Echelon.rows` and the checked constructor `canonical_basis`
-(which runs the full check once on a plain tuple) produce one, so `rref`
+form.  Only `fraction_rows` (fed canonical integer rows by `Echelon.rows`
+and by the lattice of stable subspaces) and the checked constructor
+`canonical_basis` (which runs the full check once on a plain tuple)
+produce one, so `rref`
 and `canonical_basis` return a marked basis as it is, in O(1).  `rref`
 also returns a plain tuple that it verifies to be canonical as it is.
 
-`closure_under` grows the smallest subspace stable under operators given
-as sparse columns through nested groups of generators, one canonical
-basis per group.
+Stable closures are grown level by level in `subobjects.StableLattice`;
+the level split is enforced in `frobenius` (`level_operators`).
 """
 
 from __future__ import annotations
@@ -131,8 +133,9 @@ class Echelon:
     def __len__(self) -> int:
         return len(self._pivots)
 
-    def rows(self) -> CanonicalBasis:
-        """The canonical basis (reduced row echelon form).
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical basis with each row scaled to a primitive integer
+        row with a positive pivot.
 
         Back-substitution runs from the last pivot up, in integers: each
         row is cleared at the later pivot columns by the rows already
@@ -155,13 +158,26 @@ class Echelon:
             if g != 1:
                 row = [a // g for a in row]
             done[c] = row
-            p = row[c]
-            if p == 1:
-                out.append(tuple(Fraction(a) if a else ZERO for a in row))
-            else:
-                out.append(tuple(Fraction(a, p) if a else ZERO for a in row))
+            out.append(tuple(row))
         out.reverse()
-        return CanonicalBasis(out)
+        return tuple(out)
+
+    def rows(self) -> CanonicalBasis:
+        """The canonical basis (reduced row echelon form)."""
+        return fraction_rows(self.int_rows())
+
+
+def fraction_rows(rows: Iterable[Sequence[int]]) -> CanonicalBasis:
+    """Canonical Fraction rows of primitive integer rows in reduced echelon
+    form with positive pivots (as `Echelon.int_rows` gives them)."""
+    out = []
+    for row in rows:
+        p = next(a for a in row if a)
+        if p == 1:
+            out.append(tuple(Fraction(a) if a else ZERO for a in row))
+        else:
+            out.append(tuple(Fraction(a, p) if a else ZERO for a in row))
+    return CanonicalBasis(out)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -234,8 +250,9 @@ def canonical_basis(rows: Iterable[Sequence]) -> CanonicalBasis:
     return _reduce(rows)
 
 
-def span_sum(a: Mat, b: Iterable[Sequence]) -> Mat:
-    """Canonical basis of rowspace(a) + rowspace(b), for canonical `a`.
+def span_sum(a: tuple, b: Iterable[Sequence]) -> tuple:
+    """Canonical integer rows (as `Echelon.int_rows` reads them out) of
+    rowspace(a) + rowspace(b), for `a` given in that form.
 
     Returns `a` itself when rowspace(b) lies inside rowspace(a).
     """
@@ -247,7 +264,7 @@ def span_sum(a: Mat, b: Iterable[Sequence]) -> Mat:
     for v in b:
         if ech.add(v) is not None:
             grew = True
-    return ech.rows() if grew else a
+    return ech.int_rows() if grew else a
 
 
 def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:
@@ -281,40 +298,3 @@ def apply_columns(cols: list[list[tuple[int, int | Fraction]]], v: Sequence) -> 
             for i, a in cols[j]:
                 w[i] += a * x
     return w
-
-
-def closure_under(
-    groups: Iterable[Iterable[Sequence]],
-    operators: Sequence[list[list[tuple[int, int | Fraction]]]],
-) -> list[Mat]:
-    """Canonical bases of the smallest subspaces stable under every
-    operator that contain the vectors of the first 1, 2, ... of `groups`.
-
-    The operators are given by `sparse_columns`.  One closure grows
-    through the groups: each vector that extends the echelon basis is
-    queued once, and only the images of queued vectors are reduced against
-    the basis.  Once the basis fills the space nothing more is reduced, and
-    a group that adds nothing gives back the previous rows object.
-    """
-    ncols = len(operators[0])
-    ech = Echelon(ncols)
-    rows = ech.rows()
-    out = []
-    for vectors in groups:
-        queue = []
-        for v in vectors:
-            if len(ech) == ncols:
-                break
-            w = ech.add(v)
-            if w is not None:
-                queue.append(w)
-        if queue:
-            while queue and len(ech) < ncols:
-                v = queue.pop()
-                for cols in operators:
-                    w = ech.add(apply_columns(cols, v))
-                    if w is not None:
-                        queue.append(w)
-            rows = ech.rows()
-        out.append(rows)
-    return out

@@ -20,32 +20,36 @@ position against the good lattice; random-coefficient rounds re-derive
 the classes and fail loudly if the pattern heuristic ever misses one.
 
 One fact carries the concrete layer: a stable W is the direct sum of its
-pieces W_lambda = W cap V_lambda (`ConcreteRealization.level_pieces`
-raises unless they fill W).  For stable W, W' the sums W_lambda +
+pieces W_lambda = W cap V_lambda.  For stable W, W' the sums W_lambda +
 W'_lambda lie in the independent V_lambda, so W + W' is their direct sum
 and (W + W') cap V_lambda = W_lambda + W'_lambda.  `StableLattice` interns
 each piece as a small int per level, so a subspace is the tuple of its
 piece ids, a sum of two subspaces is one memoized level sum per level,
 and dim(E cap W) for the stable goods E, the class key, is a sum of
-per-level terms memoized per piece id.  Full-width canonical rows are
-assembled only for the subspaces the saturation ends with, and the split
-across components keeps the pieces of each component's levels.
+per-level terms memoized per piece id.  Stable subspaces are born there
+as piece ids: closures grow one level at a time in integers, on the
+operators `ConcreteRealization.level_operators` builds only when they keep
+the level split, and rows given from outside are split by `level_pieces`,
+which raises unless the pieces fill W.  Full-width canonical rows are
+built only for the subspaces that need them, and the split across
+components keeps the pieces of each component's levels.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linalg import Mat, Vec
+from .linalg import Mat
 from .frobenius import ConcreteRealization, ModificationEdge
 from .model import GoodSubobject, ModuleSpec
 from .ordering import type_components
-from .pairs import GlobalEntry, InternalConsistencyError, SpecialPair, is_special
+from .pairs import InternalConsistencyError, SpecialPair, is_special
 
 __all__ = [
     "CapExceededError",
@@ -63,8 +67,6 @@ __all__ = [
     "omega_from_flag",
     "special_pair_from_flag",
     "split_by_component",
-    "component_analysis",
-    "global_omega",
     "enumerate_concrete_subobjects",
     "random_round_subobjects",
     "StableLattice",
@@ -111,9 +113,11 @@ class SpecialPairViolation(InternalConsistencyError):
 @dataclass(frozen=True)
 class Subobject:
     """A Phi,N-stable subspace, canonically represented by RREF rows, held
-    as a `linalg.CanonicalBasis`."""
+    as a `linalg.CanonicalBasis`; `key` holds its piece ids in the
+    `StableLattice` that produced it, when one did."""
 
     rows: Mat
+    key: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", linalg.canonical_basis(self.rows))
@@ -380,73 +384,14 @@ def split_by_component(
     return out
 
 
-def _component_subspec(spec: ModuleSpec, comp: Sequence[int]) -> ModuleSpec:
-    return spec.with_summands([spec.summands[i] for i in comp])
-
-
-def _restrict_rows(rows: Mat, coords: Sequence[int]) -> Mat:
-    return tuple(tuple(row[c] for c in coords) for row in rows)
-
-
-def component_analysis(
-    realization: ConcreteRealization, dprime: Subobject
-) -> list[dict]:
-    """Per-component greedy flag, special pair, and index set.
-
-    When the jump data of a component hit the hull-at-the-top boundary
-    (see SpecialPairViolation) the pair is recorded as None with r = 0;
-    the index set, which only needs the chain, is unaffected.
-    """
-    spec = realization.spec
-    out = []
-    for comp, piece in split_by_component(realization, dprime):
-        subspec = _component_subspec(spec, comp)
-        coords = _component_coords(spec, comp)
-        local = Subobject(_restrict_rows(piece.rows, coords))
-        sub_edges = tuple(
-            ModificationEdge(comp.index(e.src), comp.index(e.dst), e.alignment)
-            for e in realization.edges
-            if e.src in comp and e.dst in comp
-        )
-        flag = greedy_flag(subspec, local, sub_edges)
-        try:
-            pair = special_pair_from_flag(subspec, flag, local, sub_edges)
-            r = pair.r if pair.r is not None else Fraction(0)
-        except SpecialPairViolation:
-            pair = None
-            r = Fraction(0)
-        omega = omega_from_flag(subspec, flag, local)
-        out.append(
-            {
-                "component": tuple(comp),
-                "dim": subspec.dimension,
-                "flag": flag,
-                "pair": pair,
-                "omega": omega,
-                "r": r,
-            }
-        )
-    return out
-
-
-def global_omega(realization: ConcreteRealization, dprime: Subobject) -> frozenset[int]:
-    """Assembled index set over all components, sorted by descending r."""
-    from .pairs import assemble_global
-
-    parts = component_analysis(realization, dprime)
-    entries = [
-        GlobalEntry(part["omega"], part["r"], part["dim"]) for part in parts
-    ]
-    return assemble_global(entries)
-
-
 # ---------------------------------------------------------------------------
 # concrete enumeration
 # ---------------------------------------------------------------------------
 
 
-def _pattern_vectors(n: int, level: Sequence[int]) -> list[tuple[int, ...]]:
-    """Signed {0, +-1} coefficient vectors inside one eigenspace level.
+def _pattern_vectors(width: int) -> list[tuple[int, ...]]:
+    """Signed {0, +-1} coefficient vectors on one eigenspace level, in the
+    level's own coordinates.
 
     Signs matter: two modification edges can converge on one block (an
     aligned source plus a top-matched one), and the difference stratum of
@@ -455,10 +400,10 @@ def _pattern_vectors(n: int, level: Sequence[int]) -> list[tuple[int, ...]]:
     span.
     """
     out = []
-    for size in range(1, len(level) + 1):
-        for subset in itertools.combinations(level, size):
+    for size in range(1, width + 1):
+        for subset in itertools.combinations(range(width), size):
             for signs in itertools.product((1, -1), repeat=size - 1):
-                row = [0] * n
+                row = [0] * width
                 row[subset[0]] = 1
                 for i, s in zip(subset[1:], signs):
                     row[i] = s
@@ -471,36 +416,49 @@ class StableLattice:
     interned as small ints per level (id 0 is the zero piece of every
     level), and its stable goods `goods` laid out level by level.
 
-    The canonical basis of a subspace is assembled from its pieces: the
-    level rows, embedded and sorted by pivot, are already in reduced row
-    echelon form, because levels occupy disjoint columns and keep their
-    order.  The term of a piece for a good E is len(piece) minus its rank
-    on the level columns outside E; goods with the same outside columns on
-    a level share it.
+    A piece is its canonical basis in the level's coordinates, as
+    primitive integer rows with positive pivots (`Echelon.int_rows`).
+    `closures` and the good spans `good_keys` are born as piece ids.  The
+    canonical basis of a subspace is assembled from its pieces: the level
+    rows, embedded and sorted by pivot, are already in reduced row echelon
+    form, because levels occupy disjoint columns and keep their order.  The
+    term of a piece for a good E is len(piece) minus its rank on the level
+    columns outside E; goods with the same outside columns on a level share
+    it.
     """
 
     def __init__(self, realization: ConcreteRealization):
         self.realization = realization
         levels = realization.levels
-        self._pieces: list[list[Mat]] = [[()] for _ in levels]
-        self._ids: list[dict[Mat, int]] = [{(): 0} for _ in levels]
+        self._widths = [len(coords) for coords in levels]
+        self._pieces: list[list[tuple]] = [[()] for _ in levels]
+        self._ids: list[dict[tuple, int]] = [{(): 0} for _ in levels]
         self._sums: list[dict[tuple[int, int], int]] = [{} for _ in levels]
         self._terms: list[dict[int, tuple[int, ...]]] = [{} for _ in levels]
-        self._levels = range(len(levels))
+        self.zero = (0,) * len(levels)
         self.goods = stable_good_subobjects(realization.spec, realization.edges)
         # per level: the distinct outside column sets (level positions) and,
-        # for each good, the index of its set
+        # for each good, the index of its set; and the good spans, whose
+        # pieces are unit rows
         self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
         inside = [set(good_coords(realization.spec, g)) for g in self.goods]
-        for coords in levels:
+        spans = []
+        for level, coords in enumerate(levels):
             sets: dict[tuple[int, ...], int] = {}
-            which = []
+            which, span = [], []
+            width = len(coords)
+            units = [tuple(int(j == k) for j in range(width)) for k in range(width)]
             for ins in inside:
                 out = tuple(k for k, i in enumerate(coords) if i not in ins)
                 which.append(sets.setdefault(out, len(sets)))
+                span.append(self._intern(level, tuple(
+                    units[k] for k, i in enumerate(coords) if i in ins
+                )))
             self._outside.append((list(sets), which))
+            spans.append(span)
+        self.good_keys = list(zip(*spans))
 
-    def _intern(self, level: int, piece: Mat) -> int:
+    def _intern(self, level: int, piece: tuple) -> int:
         ids = self._ids[level]
         pid = ids.get(piece)
         if pid is None:
@@ -509,13 +467,71 @@ class StableLattice:
         return pid
 
     def key(self, rows: Mat) -> tuple[int, ...]:
-        """Piece ids of the stable subspace spanned by `rows`."""
-        pieces = self.realization.level_pieces(rows)
-        return tuple(map(self._intern, self._levels, pieces))
+        """Piece ids of the subspace `rows` spans, split by `level_pieces`."""
+        return tuple(
+            self._intern(level, tuple(tuple(linalg.integral(row)) for row in piece))
+            for level, piece in enumerate(self.realization.level_pieces(rows))
+        )
 
-    def piece(self, level: int, pid: int) -> Mat:
-        """Canonical basis of a piece, in the level's own coordinates."""
+    def closures(self, groups: Iterable[Iterable[tuple[int, Sequence]]]) -> list[tuple]:
+        """Piece ids of the smallest Phi,N-stable subspaces containing the
+        vectors of the first 1, 2, ... of `groups`, each given as (level,
+        entries in the level's coordinates).
+
+        On level vectors Phi-stability is E-stability, so one integer
+        echelon per level reached grows under E and N (`level_operators`):
+        each row that extends it is queued once and only images of queued
+        rows are reduced; the levels that grew are read out after a group.
+        """
+        ops = self.realization.level_operators
+        echs: dict[int, linalg.Echelon] = {}
+        key = list(self.zero)
+        out = []
+        for vectors in groups:
+            queue = []
+            for level, v in vectors:
+                ech = echs.get(level)
+                if ech is None:
+                    ech = echs[level] = linalg.Echelon(self._widths[level])
+                w = ech.add(v)
+                if w is not None:
+                    queue.append((level, w))
+            grown = {level for level, _ in queue}
+            while queue:
+                level, v = queue.pop()
+                for target, cols in filter(None, ops[level]):
+                    ech = echs.get(target)
+                    if ech is None:
+                        ech = echs[target] = linalg.Echelon(self._widths[target])
+                    elif len(ech) == ech.ncols:
+                        continue
+                    image = [0] * ech.ncols
+                    for x, col in zip(v, cols):
+                        if x:
+                            for i, a in col:
+                                image[i] += a * x
+                    w = ech.add_integral(image)
+                    if w is not None:
+                        grown.add(target)
+                        queue.append((target, w))
+            for level in grown:
+                key[level] = self._intern(level, echs[level].int_rows())
+            out.append(tuple(key))
+        return out
+
+    def piece(self, level: int, pid: int) -> tuple:
+        """Canonical integer basis of a piece, in the level's own coordinates."""
         return self._pieces[level][pid]
+
+    def level_dims(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """dim(W cap V_lambda) per level, where W has the piece ids `key`."""
+        return tuple(len(pieces[pid]) for pieces, pid in zip(self._pieces, key))
+
+    def dim(self, key: tuple[int, ...]) -> int:
+        return sum(self.level_dims(key))
+
+    def t_n(self, key: tuple[int, ...]) -> Fraction:
+        return self.realization.level_t_n(self.level_dims(key))
 
     def _level_sum(self, level: int, i: int, j: int) -> int:
         if i == j or not j:
@@ -535,7 +551,7 @@ class StableLattice:
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Piece ids of the sum of two stable subspaces."""
-        return tuple(map(self._level_sum, self._levels, a, b))
+        return tuple(map(self._level_sum, range(len(a)), a, b))
 
     def rows(self, key: tuple[int, ...]) -> Mat:
         """Canonical basis of the subspace with these piece ids."""
@@ -543,13 +559,12 @@ class StableLattice:
         out = []
         for coords, pieces, pid in zip(self.realization.levels, self._pieces, key):
             for row in pieces[pid]:
-                full = [linalg.ZERO] * n
+                full = [0] * n
                 for c, x in zip(coords, row):
                     full[c] = x
-                pivot = next(c for c, x in zip(coords, row) if x)
-                out.append((pivot, tuple(full)))
-        out.sort(key=lambda item: item[0])
-        return linalg.canonical_basis(tuple(row for _, row in out))
+                out.append(full)
+        out.sort(key=lambda row: next(c for c, x in enumerate(row) if x))
+        return linalg.fraction_rows(out)
 
     def _level_terms(self, level: int, pid: int) -> tuple[int, ...]:
         terms = self._terms[level].get(pid)
@@ -600,25 +615,12 @@ def _saturate(
     return list(subs)
 
 
-def _start_keys(
-    lattice: StableLattice, atom_vectors: Iterable[Vec]
-) -> list[tuple[int, ...]]:
-    """Piece ids of zero, the stable good spans and the atom closures."""
-    realization = lattice.realization
-    spec = realization.spec
-    keys = [lattice.key(())]
-    for g in lattice.goods:
-        keys.append(lattice.key(good_span(spec, g)))
-    for v in atom_vectors:
-        keys.append(lattice.key(realization.closure((v,))))
-    return keys
-
-
 def enumerate_concrete_subobjects(
     realization: ConcreteRealization,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
     rounds: int = 5,
+    lattice: StableLattice | None = None,
 ) -> tuple[Subobject, ...]:
     """All Phi,N-stable subspaces up to relative position, canonically sorted.
 
@@ -627,35 +629,33 @@ def enumerate_concrete_subobjects(
     the atoms and of the stable good spans, one representative per class.
     `rounds` extra passes with random nonzero coefficients must not produce
     any new relative-position class, or the pattern heuristic is declared
-    broken.
+    broken.  Results carry their piece ids `key` in `lattice` (new if None).
     """
-    n = realization.dimension
-    check_cap(n, cap)
-    atoms: list[Vec] = []
-    for level in realization.levels:
-        atoms.extend(_pattern_vectors(n, level))
-    lattice = StableLattice(realization)
-    base = [
-        (Subobject(lattice.rows(key)), key)
-        for key in _saturate(lattice, _start_keys(lattice, atoms))
-    ]
+    check_cap(realization.dimension, cap)
+    lattice = lattice or StableLattice(realization)
+    keys = [lattice.zero, *lattice.good_keys]
+    for level, coords in enumerate(realization.levels):
+        keys += [
+            lattice.closures((((level, v),),))[0] for v in _pattern_vectors(len(coords))
+        ]
+    base = [Subobject(lattice.rows(key), key) for key in _saturate(lattice, keys)]
     # one representative per relative-position class, preferring bases
     # without negative entries, then the smallest canonical basis
-    def rep_key(item: tuple[Subobject, tuple[int, ...]]):
-        s = item[0]
-        negatives = sum(1 for row in s.rows for x in row if x < 0)
+    def rep_key(s: Subobject):
+        negatives = sum(
+            x < 0 for level, pid in enumerate(s.key)
+            for row in lattice.piece(level, pid) for x in row
+        )
         return (s.rank, negatives, s.rows)
 
     by_class: dict[tuple, Subobject] = {}
-    for sub, key in sorted(base, key=rep_key):
-        by_class.setdefault((sub.rank, lattice.good_dims(key)), sub)
+    for sub in sorted(base, key=rep_key):
+        by_class.setdefault((sub.rank, lattice.good_dims(sub.key)), sub)
     result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
-    base_keys = set(by_class)
     rng = random.Random(seed)
     for _ in range(rounds):
-        for sub in random_round_subobjects(realization, rng):
-            key = (sub.rank, lattice.good_dims(lattice.key(sub.rows)))
-            if key not in base_keys:
+        for key in random_round_subobjects(lattice, rng):
+            if (lattice.dim(key), lattice.good_dims(key)) not in by_class:
                 raise InternalConsistencyError(
                     "random-coefficient round found a new subobject class"
                 )
@@ -663,15 +663,15 @@ def enumerate_concrete_subobjects(
 
 
 def random_round_subobjects(
-    realization: ConcreteRealization, rng: random.Random
-) -> list[Subobject]:
-    """Closures of one random nonzero-coefficient vector per eigenspace level."""
-    n = realization.dimension
+    lattice: StableLattice, rng: random.Random
+) -> list[tuple[int, ...]]:
+    """Piece ids of the closures of one random nonzero-coefficient vector
+    per eigenspace level."""
     out = []
-    for level in realization.levels:
-        row = [0] * n
-        for i in level:
-            num = rng.choice(_NONZERO_DIGITS)
-            row[i] = Fraction(num, rng.randint(1, 4))
-        out.append(Subobject(realization.closure((row,))))
+    for level, coords in enumerate(lattice.realization.levels):
+        # the vector of the coefficients num / den, scaled by the lcm of den
+        draws = [(rng.choice(_NONZERO_DIGITS), rng.randint(1, 4)) for _ in coords]
+        scale = math.lcm(*(den for _, den in draws))
+        v = [num * (scale // den) for num, den in draws]
+        out.append(lattice.closures((((level, v),),))[0])
     return out

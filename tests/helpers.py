@@ -12,6 +12,7 @@ from fractions import Fraction
 from filtadm.model import Config, Family, ModuleSpec, Summand, WeightProfile, t_n
 from filtadm.ordering import canonical_order, type_components
 from filtadm.slopes import check_slope_chain
+from filtadm.subobjects import StableLattice
 
 
 def random_spec(rng: random.Random, max_dim: int = 6, max_summands: int = 3,
@@ -190,3 +191,21 @@ def instance_stream(seed: int, count: int, engineered_share: float = 0.5):
             prof = random_profile(rng, spec)
         out.append((spec, prof))
     return out
+
+
+def level_vectors(real, vectors) -> list:
+    """(level, entries on the level) for every nonzero level component of
+    full-width vectors: the generators `StableLattice.closures` takes."""
+    return [
+        (level, [v[i] for i in coords])
+        for v in vectors
+        for level, coords in enumerate(real.levels)
+        if any(v[i] for i in coords)
+    ]
+
+
+def closure_rows(real, vectors, lattice=None):
+    """Canonical basis of the Phi,N-stable closure of full-width vectors,
+    grown on the level path."""
+    lattice = lattice or StableLattice(real)
+    return lattice.rows(lattice.closures([level_vectors(real, vectors)])[0])

@@ -23,8 +23,9 @@ test and dimension formulas check the realizations from outside: the
 library itself never needs them.
 
 The helpers at the end (induced jumps, the intersection-gain ratio, the
-structural flag conditions and the level decomposition) are not oracles
-but tools only the tests use; the first two run on the library's kernel.
+structural flag conditions, the level decomposition and the per-component
+flag analysis with its assembled index set) are not oracles but tools
+only the tests use; they run on the library's kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterable, Sequence
 from filtadm import linalg
 from filtadm.emerton import EmertonVerdict, gamma_blocks
 from filtadm.filtration import Filtration, _tail_dims
-from filtadm.frobenius import ConcreteRealization
+from filtadm.frobenius import ConcreteRealization, ModificationEdge
 from filtadm.linalg import Mat, Vec
 from filtadm.model import (
     GoodSubobject,
@@ -46,14 +47,22 @@ from filtadm.model import (
     validate_spec,
 )
 from filtadm.ordering import require_canonical, type_components
+from filtadm.pairs import GlobalEntry, assemble_global
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     GoodFlag,
+    SpecialPairViolation,
+    Subobject,
+    _component_coords,
     _inter_dim,
     enumerate_good_subobjects,
     flag_chain,
     good_coords,
     good_span,
+    greedy_flag,
+    omega_from_flag,
+    special_pair_from_flag,
+    split_by_component,
     stable_good_subobjects,
 )
 
@@ -690,3 +699,42 @@ def level_decomposition(
             )
         )
     return out
+
+
+def component_analysis(realization: ConcreteRealization, dprime: Subobject) -> list[dict]:
+    """Per-component greedy flag, special pair, and index set.
+
+    When the jump data of a component hit the hull-at-the-top boundary
+    (see SpecialPairViolation) the pair is recorded as None with r = 0;
+    the index set, which only needs the chain, is unaffected.
+    """
+    spec = realization.spec
+    out = []
+    for comp, piece in split_by_component(realization, dprime):
+        subspec = spec.with_summands([spec.summands[i] for i in comp])
+        coords = _component_coords(spec, comp)
+        local = Subobject(tuple(tuple(row[c] for c in coords) for row in piece.rows))
+        sub_edges = tuple(
+            ModificationEdge(comp.index(e.src), comp.index(e.dst), e.alignment)
+            for e in realization.edges
+            if e.src in comp and e.dst in comp
+        )
+        flag = greedy_flag(subspec, local, sub_edges)
+        try:
+            pair = special_pair_from_flag(subspec, flag, local, sub_edges)
+            r = pair.r if pair.r is not None else Fraction(0)
+        except SpecialPairViolation:
+            pair = None
+            r = Fraction(0)
+        omega = omega_from_flag(subspec, flag, local)
+        out.append({
+            "component": tuple(comp), "dim": subspec.dimension, "flag": flag,
+            "pair": pair, "omega": omega, "r": r,
+        })
+    return out
+
+
+def global_omega(realization: ConcreteRealization, dprime: Subobject) -> frozenset[int]:
+    """Assembled index set over all components, sorted by descending r."""
+    parts = component_analysis(realization, dprime)
+    return assemble_global([GlobalEntry(p["omega"], p["r"], p["dim"]) for p in parts])

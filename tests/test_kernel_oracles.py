@@ -3,6 +3,7 @@
 Every test draws its inputs from a fixed seed, so a failure reproduces.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -32,7 +33,13 @@ from filtadm.subobjects import (
     random_round_subobjects,
     stable_good_subobjects,
 )
-from helpers import random_profile, random_single_component_spec, random_spec
+from helpers import (
+    closure_rows,
+    level_vectors,
+    random_profile,
+    random_single_component_spec,
+    random_spec,
+)
 import oracles
 
 
@@ -170,46 +177,49 @@ def test_echelon_seeded_with_a_canonical_basis_matches_gauss_jordan():
         for v in b:
             ech.add(v)
         assert ech.rows() == oracles.rref(a + tuple(b))
-        got = linalg.span_sum(a, b)
-        assert got == oracles.rref(a + tuple(b))
-        assert (got is a) == (len(got) == len(a))
+        ints = tuple(tuple(linalg.integral(row)) for row in a)
+        got = linalg.span_sum(ints, b)
+        assert linalg.fraction_rows(got) == oracles.rref(a + tuple(b))
+        assert (got is ints) == (len(got) == len(a))
 
 
-def test_closure_under_integral_operators_matches_rerref_oracle():
+def test_level_closures_match_dense_closure_oracle():
+    # mixed-level vectors with Fraction entries, grown through nested
+    # groups, on one- and two-family specs up to dimension 8, with and
+    # without edges, against the dense closure under Phi and N
     rng = random.Random(133)
-    reused = 0
-    for case in range(90):
-        n = rng.randint(1, 7)
-        ops = tuple(
-            oracles.mat(
-                [[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
-            )
-            for _ in range(rng.randint(1, 2))
-        )
-        if case % 3 == 2:
-            # a non-integral operator takes the general path
-            ops = ops[:1] + (oracles.mat_scale(Fraction(1, 2), ops[0]),)
-        cols = [linalg.sparse_columns(op) for op in ops]
-        for op, op_cols in zip(ops, cols):
-            # every nonzero entry, held as an int when it is integral
-            assert sum(map(len, op_cols)) == sum(1 for row in op for x in row if x)
-            for j, col in enumerate(op_cols):
-                for i, a in col:
-                    assert a == op[i][j] and (type(a) is int) == (a.denominator == 1)
-        groups = [
-            _mixed_rows(rng, n, rng.randint(0, 2), box=50)
-            for _ in range(rng.randint(1, 3))
-        ]
-        got = linalg.closure_under(groups, cols)
-        vectors: list = []
-        for k, group in enumerate(groups):
-            vectors += group
-            want = oracles.closure_under(tuple(vectors), ops)
-            assert got[k] == want and type(got[k]) is linalg.CanonicalBasis
-            if k and not group:
-                assert got[k] is got[k - 1]
-                reused += 1
-    assert reused >= 5
+    checked = reused = mixed = families = top = 0
+    for _ in range(60):
+        spec = None
+        while spec is None:
+            spec = random_spec(rng, max_dim=8, max_summands=4)
+        for edges in ((), build_modified_frobenius(spec)):
+            real = realize_matrices(spec, edges)
+            n = real.dimension
+            top = max(top, n)
+            groups = [
+                [_vector(rng, n, rng.choice((0.3, 0.7, 1.0))) for _ in range(rng.randint(0, 2))]
+                for _ in range(rng.randint(1, 4))
+            ]
+            lattice = StableLattice(real)
+            keys = lattice.closures(level_vectors(real, group) for group in groups)
+            vectors: list = []
+            for k, (group, key) in enumerate(zip(groups, keys)):
+                vectors += group
+                want = oracles.closure_under(tuple(vectors), (real.phi, real.nmat))
+                got = lattice.rows(key)
+                assert got == want and type(got) is linalg.CanonicalBasis
+                # the pieces are those the fill-checked split reads off
+                assert lattice.key(want) == key
+                assert lattice.t_n(key) == real.t_n_concrete(want)
+                if k and not group:
+                    assert key == keys[k - 1]
+                    reused += 1
+                checked += 1
+            mixed += any(len(level_vectors(real, (v,))) >= 2 for v in vectors)
+            families += len(spec.families) == 2
+    assert checked >= 250 and reused >= 20 and mixed >= 60 and families >= 30
+    assert top == 8
 
 
 def test_canonical_basis_marker():
@@ -249,9 +259,13 @@ def test_every_subobject_holds_a_marked_basis():
     rng, triples = _filtered(135, 12)
     count = 0
     for spec, real, filt in triples:
-        subs = list(enumerate_concrete_subobjects(real, rounds=1))
-        subs += random_round_subobjects(real, rng)
-        subs += _aligned_candidates(spec, real, filt)
+        lattice = StableLattice(real)
+        subs = list(enumerate_concrete_subobjects(real, rounds=1, lattice=lattice))
+        keys = random_round_subobjects(lattice, rng) + _aligned_candidates(lattice, filt)
+        subs += [Subobject(lattice.rows(key), key) for key in keys]
+        for sub in subs:
+            # a subspace born as piece ids splits back into the same ids
+            assert lattice.key(sub.rows) == sub.key
         subs += [piece for sub in subs for _, piece in subobjects.split_by_component(real, sub)]
         for sub in subs:
             assert type(sub.rows) is linalg.CanonicalBasis
@@ -266,10 +280,14 @@ def test_span_sum_matches_stacked_rref():
         n, rows = _matrix(rng)
         a = oracles.rref(rows[: len(rows) // 2])
         b = rows[len(rows) // 2:]
-        got = linalg.span_sum(a, b)
-        assert got == oracles.rref(a + b)
+        ints = tuple(tuple(linalg.integral(row)) for row in a)
+        got = linalg.span_sum(ints, b)
+        # primitive integer rows, positive at the pivot
+        for row in got:
+            _assert_stored_row(row, n)
+        assert linalg.fraction_rows(got) == oracles.rref(a + b)
         if len(got) == len(a):
-            assert got is a
+            assert got is ints
 
 
 def test_closure_matches_rerref_oracle():
@@ -280,16 +298,13 @@ def test_closure_matches_rerref_oracle():
         levels = list(oracles.eigen_levels(real).values())
         for density in (0.4, 1.0):
             v = _vector(rng, n, density)
-            want = oracles.closure_under((v,), ops)
-            assert real.closure((v,)) == want
-            cols = [linalg.sparse_columns(op) for op in ops]
-            assert linalg.closure_under([(v,)], cols) == [want]
+            assert closure_rows(real, (v,)) == oracles.closure_under((v,), ops)
         level = rng.choice(levels)
         v = tuple(
             x if i in level else Fraction(0)
             for i, x in enumerate(_vector(rng, n, 1.0))
         )
-        assert real.closure((v,)) == oracles.closure_under((v,), ops)
+        assert closure_rows(real, (v,)) == oracles.closure_under((v,), ops)
 
 
 def test_eigen_multiplicities_match_matrix_power_oracle():
@@ -331,17 +346,51 @@ def test_level_pieces_refuse_a_vector_mixing_two_levels():
         with pytest.raises(RuntimeError):
             real.t_n_concrete((tuple(v),))
         # its stable closure splits
-        assert sum(map(len, real.level_pieces(real.closure((tuple(v),))))) >= 2
+        assert sum(map(len, real.level_pieces(closure_rows(real, (v,))))) >= 2
+        tried += 1
+    assert tried >= 10
+
+
+def _tampered(real, name, entries):
+    """`real` with the operator `name` set to 1 at the (row, column) entries."""
+    m = [list(row) for row in getattr(real, name)]
+    for i, j in entries:
+        m[i][j] = Fraction(1)
+    return dataclasses.replace(real, **{name: tuple(map(tuple, m))})
+
+
+def test_operators_leaving_the_level_split_raise_on_the_first_closure():
+    _, reals = _realizations(118, 40)
+    tried = 0
+    for real in reals:
+        levels = real.levels
+        if len(levels) < 3:
+            continue
+        j = levels[0][0]
+        atom = [(0, [1] + [0] * (len(levels[0]) - 1))]
+        for name, entries in (
+            ("nmat", [(levels[1][0], j), (levels[2][0], j)]),      # two levels
+            ("coupling", [(levels[0][-1], j), (levels[1][0], j)]),  # two levels
+            ("coupling", [(levels[2][0], j)]),                      # another level
+        ):
+            bad = _tampered(real, name, entries)
+            with pytest.raises(RuntimeError, match="sends level 0 into levels"):
+                StableLattice(bad).closures([atom])
+            with pytest.raises(RuntimeError, match="sends level 0 into levels"):
+                enumerate_concrete_subobjects(bad)
+        # untampered, the same atom closes
+        assert any(StableLattice(real).closures([atom])[0])
         tried += 1
     assert tried >= 10
 
 
 def _stable_subspaces(real, rng):
     """Enumerated classes, random rounds and closures of dense vectors."""
-    subs = list(enumerate_concrete_subobjects(real, rounds=1))
-    subs += random_round_subobjects(real, rng)
+    lattice = StableLattice(real)
+    subs = list(enumerate_concrete_subobjects(real, rounds=1, lattice=lattice))
+    subs += [Subobject(lattice.rows(key)) for key in random_round_subobjects(lattice, rng)]
     for _ in range(3):
-        subs.append(Subobject(real.closure((_vector(rng, real.dimension, 0.6),))))
+        subs.append(Subobject(closure_rows(real, (_vector(rng, real.dimension, 0.6),))))
     return subs
 
 
@@ -461,16 +510,17 @@ def test_violation_matches_all_tails_on_small_box_bases():
 def test_aligned_candidates_match_per_tail_intersections():
     rng, triples = _filtered(112, 20)
     for spec, real, filt in triples:
+        lattice = StableLattice(real)
         want = oracles.aligned_candidates(spec, real, filt)
-        assert [sub.rows for sub in _aligned_candidates(spec, real, filt)] == want
+        assert [lattice.rows(key) for key in _aligned_candidates(lattice, filt)] == want
         small = _small_box_filtration(rng, spec, filt)
-        got = [sub.rows for sub in _aligned_candidates(spec, real, small)]
+        got = [lattice.rows(key) for key in _aligned_candidates(lattice, small)]
         assert got == oracles.aligned_candidates(spec, real, small)
 
 
 def _start_rows(real):
-    """Canonical bases of zero, the stable good spans and the closures of
-    the pattern atoms: where the lattice enumeration starts."""
+    """Canonical bases of zero, the stable good spans and the dense
+    closures of the pattern atoms: where the lattice enumeration starts."""
     spec = real.spec
     start = [()]
     start += [
@@ -478,8 +528,30 @@ def _start_rows(real):
         for g in stable_good_subobjects(spec, real.edges)
     ]
     for level in real.levels:
-        start += [real.closure((v,)) for v in _pattern_vectors(real.dimension, level)]
+        for local in _pattern_vectors(len(level)):
+            v = [0] * real.dimension
+            for i, x in zip(level, local):
+                v[i] = x
+            start.append(oracles.closure_under((v,), (real.phi, real.nmat)))
     return start
+
+
+def test_start_keys_are_born_as_the_split_of_their_rows():
+    # the good spans as unit pieces and the atoms closed on the level path
+    # against the fill-checked split of the dense start rows
+    rng = random.Random(117)
+    for k in range(16):
+        spec = None
+        while spec is None:
+            spec = random_spec(rng) if k % 2 else random_single_component_spec(rng)
+        real = realize_matrices(spec, build_modified_frobenius(spec) if k % 4 > 1 else ())
+        lattice = StableLattice(real)
+        born = [lattice.zero, *lattice.good_keys]
+        for level, coords in enumerate(real.levels):
+            born += [
+                lattice.closures([[(level, v)]])[0] for v in _pattern_vectors(len(coords))
+            ]
+        assert born == [lattice.key(rows) for rows in _start_rows(real)]
 
 
 def test_generator_saturation_matches_all_pairs():
@@ -566,13 +638,14 @@ def test_nested_closures_match_closures_alone():
                         )
                         for j in range(m, 1, -1)
                     ]
-                    prev = ()
-                    for inter, rows in zip(inters, real.closures(inters)):
-                        assert rows == real.closure(inter)
+                    lattice = StableLattice(real)
+                    keys = lattice.closures(level_vectors(real, inter) for inter in inters)
+                    prev = None
+                    for inter, key in zip(inters, keys):
+                        rows = lattice.rows(key)
+                        assert rows == closure_rows(real, inter)
                         assert rows == oracles.closure_under(inter, ops)
-                        if rows == prev:
-                            assert rows is prev
-                            reused += 1
-                        prev = rows
+                        reused += key == prev
+                        prev = key
                         steps += 1
     assert steps >= 400 and reused >= 100

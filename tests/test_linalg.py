@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtadm import linalg
-from oracles import identity, mat, vec
+from filtadm.frobenius import realize_matrices
+from filtadm.model import Config, Family, ModuleSpec, Summand
+from filtadm.subobjects import StableLattice
+from helpers import closure_rows, level_vectors
+from oracles import identity, mat
 import oracles
 
 frac = st.fractions(
@@ -71,19 +75,23 @@ def test_char_poly_and_det():
 
 
 def test_closure_idempotent():
-    op = mat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])   # e1 -> e2 -> e3 -> 0
-    start = (vec([1, 0, 0]),)
-    cols = [linalg.sparse_columns(op)]
-    (closed,) = linalg.closure_under([start], cols)
-    assert len(closed) == 3
-    assert linalg.closure_under([closed], cols) == [closed]
-    assert oracles.is_stable(closed, [op])
-    # nested groups: one closure per group, the same rows object when a
-    # group adds nothing
+    # one chain F(0) + F(1) + F(2): N sends e3 -> e2 -> e1 -> 0, and every
+    # block is a level of its own
+    spec = ModuleSpec(Config(p=2), (Family("F", 1, Fraction(0)),), (Summand("F", 0, 3),))
+    real = realize_matrices(spec)
     e = identity(3)
-    nested = linalg.closure_under([(e[2],), (e[1],), (), (e[0],), (e[1],)], cols)
-    assert [len(rows) for rows in nested] == [1, 2, 2, 3, 3]
-    assert nested[2] is nested[1] and nested[4] is nested[3] == closed
+    closed = closure_rows(real, (e[2],))
+    assert len(closed) == 3
+    assert closure_rows(real, closed) == closed
+    assert oracles.is_stable(closed, [real.phi, real.nmat])
+    # nested groups: one closure per group, the same piece ids when a
+    # group adds nothing
+    lattice = StableLattice(real)
+    groups = [(e[0],), (e[1],), (), (e[2],), (e[1],)]
+    nested = lattice.closures(level_vectors(real, group) for group in groups)
+    assert [lattice.dim(key) for key in nested] == [1, 2, 2, 3, 3]
+    assert nested[2] == nested[1] and nested[4] == nested[3]
+    assert lattice.rows(nested[4]) == closed
 
 
 def test_p_valuation():

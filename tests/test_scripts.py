@@ -73,3 +73,24 @@ def test_report_digests_smoke(capsys):
     module.main(["--workload", "cli_reports", "--seeds", "3", "--count", "3"])
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("cli_reports seed=3 items=3 ") and line != first[2]
+
+
+# The first 12 seed-3 items: the check_admissible reports of the stream,
+# and the CLI calls on data/ (every subcommand, including `subobjects`
+# and both `verify-admissible` runs).  A change to the report bytes of
+# either fails here.
+PINNED_DIGESTS = [
+    "verify_stream seed=3 items=12 "
+    "sha256=2e906d83fd2971c1f0cb04729280640b7ff926288bc3323b5d211e48317f234c",
+    "cli_reports seed=3 items=12 "
+    "sha256=2d6d7a269c96e3809973eabcf6a8eb74fac6886b3b90c7d25c4ff688f005c7f3",
+]
+
+
+def test_report_digests_pinned(capsys):
+    module = _load("report_digests")
+    module.main([
+        "--workload", "verify_stream", "--workload", "cli_reports",
+        "--seeds", "3", "--count", "12",
+    ])
+    assert capsys.readouterr().out.splitlines() == PINNED_DIGESTS

@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from filtadm import linalg
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand
 from filtadm.pairs import is_special
 from filtadm.subobjects import (
     CapExceededError,
     SpecialPairViolation,
+    StableLattice,
     Subobject,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
     flag_chain,
-    global_omega,
     good_span,
     greedy_flag,
     is_stable_good,
@@ -23,7 +22,7 @@ from filtadm.subobjects import (
     split_by_component,
     stable_good_subobjects,
 )
-from helpers import random_single_component_spec
+from helpers import closure_rows, random_single_component_spec
 import oracles
 
 CFG = Config(p=2)
@@ -83,10 +82,11 @@ def test_concrete_diagonal_coordinates():
 
 def test_enumerated_are_exactly_stable(ex2):
     real = realize_matrices(ex2, build_modified_frobenius(ex2))
-    for sub in enumerate_concrete_subobjects(real):
+    lattice = StableLattice(real)
+    for sub in enumerate_concrete_subobjects(real, lattice=lattice):
         assert oracles.is_stable(sub.rows, [real.phi, real.nmat])
-        cols = [linalg.sparse_columns(real.phi), linalg.sparse_columns(real.nmat)]
-        assert linalg.closure_under([sub.rows], cols) == [sub.rows]
+        assert closure_rows(real, sub.rows) == sub.rows
+        assert lattice.key(sub.rows) == sub.key
 
 
 def test_cap_exceeded():
@@ -242,7 +242,7 @@ def test_split_and_global_omega_multi_component():
     for dp in enumerate_concrete_subobjects(real):
         parts = split_by_component(real, dp)
         assert sum(piece.rank for _, piece in parts) == dp.rank
-        om = global_omega(real, dp)
+        om = oracles.global_omega(real, dp)
         assert len(om) == dp.rank
 
 
