@@ -66,6 +66,7 @@ from .subobjects import (
     good_coords,
     enumerate_concrete_subobjects,
     random_round_subobjects,
+    smallest_enclosing_good,
 )
 
 __all__ = [
@@ -335,7 +336,9 @@ def check_admissible(
             }
         )
         if th_val > tn_val and witness is None:
-            enclosing = _smallest_enclosing_good(lattice, sub.key)
+            enclosing = smallest_enclosing_good(
+                realization.spec, lattice.profile(sub.key)
+            )
             witness = {
                 "kind": "witness",
                 "dim": sub.rank,
@@ -349,19 +352,3 @@ def check_admissible(
         return AdmissibilityReport(False, "witness", witness, tuple(table), len(ordered))
     return AdmissibilityReport(True, None, None, tuple(table), len(ordered))
 
-
-def _smallest_enclosing_good(
-    lattice: StableLattice, key: tuple[int, ...]
-) -> GoodSubobject:
-    """The smallest stable good containing the subspace `key`, or the whole."""
-    spec = lattice.realization.spec
-    rank = lattice.dim(key)
-    best = GoodSubobject(tuple(s.b for s in spec.summands))
-    best_dim = best.dimension(spec)
-    for good, inter in zip(lattice.goods, lattice.good_dims(key)):
-        m = good.dimension(spec)
-        if m < rank or m >= best_dim:
-            continue
-        if inter == rank:
-            best, best_dim = good, m
-    return best

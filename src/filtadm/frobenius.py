@@ -25,15 +25,6 @@ integer operators of `level_operators`, which is where the level split is
 enforced: it raises if E leaves a level or N sends one into two.  The
 Newton slope of W is the sum over levels of dim(W cap V_lambda) times the
 slope of one block of the level (`level_t_n`).
-
-`ConcreteRealization.level_pieces` reads the pieces W cap V_lambda off the
-canonical basis of a W given by rows, without trusting that W splits: it
-raises unless the ranks of the column slices of W on the levels add up to
-rank W.  The slices always span a space containing W, so equal dimensions
-mean W is their direct sum, hence each slice lies in W and equals
-W cap V_lambda.  By uniqueness of the reduced echelon form the canonical
-rows of such a W are then each supported on one level, which is how the
-check is made.
 """
 
 from __future__ import annotations
@@ -168,30 +159,6 @@ class ConcreteRealization:
             out.append(tuple(pair))
         return tuple(out)
 
-    def level_pieces(self, rows: Mat) -> tuple[Mat, ...]:
-        """Canonical basis of W cap V_lambda for each level, in the level's
-        own coordinates, where `rows` spans W.
-
-        Raises RuntimeError unless the column slices of W on the levels
-        have ranks adding up to rank W (see the module docstring): a
-        canonical row of W meeting two levels is exactly that failure.
-        """
-        rows = linalg.rref(rows)
-        level_of = self._level_of
-        groups: list[list] = [[] for _ in self.levels]
-        for row in rows:
-            level = None
-            for j, x in enumerate(row):
-                if x:
-                    if level is None:
-                        level = level_of[j][0]
-                    elif level_of[j][0] != level:
-                        raise RuntimeError(
-                            "eigenvalue multiplicities do not fill the subspace"
-                        )
-            groups[level].append(tuple(row[i] for i in self.levels[level]))
-        return tuple(tuple(g) for g in groups)
-
     @cached_property
     def _level_slopes(self) -> tuple[tuple[int, ...], int]:
         """Newton slope of one block of each level, read off its first, as
@@ -207,10 +174,6 @@ class ConcreteRealization:
         blocks."""
         nums, den = self._level_slopes
         return Fraction(sum(d * x for d, x in zip(dims, nums)), den)
-
-    def t_n_concrete(self, rows: Mat) -> Fraction:
-        """Newton slope of the Phi,N-stable subspace spanned by `rows`."""
-        return self.level_t_n(map(len, self.level_pieces(rows)))
 
 
 def realize_matrices(

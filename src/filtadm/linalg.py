@@ -22,11 +22,8 @@ intersection dimensions on the verify path come from it.
 
 `CanonicalBasis` marks a tuple that is known to be in reduced row echelon
 form.  Only `fraction_rows` (fed canonical integer rows by `Echelon.rows`
-and by the lattice of stable subspaces) and the checked constructor
-`canonical_basis` (which runs the full check once on a plain tuple)
-produce one, so `rref`
-and `canonical_basis` return a marked basis as it is, in O(1).  `rref`
-also returns a plain tuple that it verifies to be canonical as it is.
+and by the lattice of stable subspaces) produces one, so `rref` returns a
+marked basis as it is, in O(1), and reduces anything else.
 
 Stable closures are grown level by level in `subobjects.StableLattice`;
 the level split is enforced in `frobenius` (`level_operators`).
@@ -192,62 +189,18 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(ech) if ech is not None else 0
 
 
-def _is_canonical(rows) -> bool:
-    """True when `rows` is a tuple of Fraction tuples in reduced row
-    echelon form: no zero row, pivots strictly increasing and equal to 1,
-    and every pivot column zero outside its own row."""
-    if type(rows) is not tuple:
-        return False
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    for row in rows:
-        if type(row) is not tuple or len(row) != width:
-            return False
-        c = None
-        for j, x in enumerate(row):
-            if type(x) is not Fraction:
-                return False
-            if c is None and x:
-                c = j
-        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
-            return False
-        # rows below have zeros before their later pivots, so only the
-        # rows above can break column c
-        for above in rows[: len(pivots)]:
-            if above[c]:
-                return False
-        pivots.append(c)
-    return True
+def rref(rows: Iterable[Sequence]) -> CanonicalBasis:
+    """Reduced row echelon form with zero rows dropped (canonical basis).
 
-
-def _reduce(rows: Iterable[Sequence]) -> CanonicalBasis:
+    A `CanonicalBasis` comes back as the same object.
+    """
+    if type(rows) is CanonicalBasis:
+        return rows
     rows = list(rows)
     ech = Echelon(len(rows[0]) if rows else 0)
     for r in rows:
         ech.add(r)
     return ech.rows()
-
-
-def rref(rows: Iterable[Sequence]) -> Mat:
-    """Reduced row echelon form with zero rows dropped (canonical basis).
-
-    A `CanonicalBasis`, and a plain tuple verified to be canonical, come
-    back as the same object.
-    """
-    if type(rows) is CanonicalBasis or _is_canonical(rows):
-        return rows
-    return _reduce(rows)
-
-
-def canonical_basis(rows: Iterable[Sequence]) -> CanonicalBasis:
-    """`rows` as a `CanonicalBasis`: returned as it is when it is one,
-    marked after one check when it is a canonical plain tuple, and reduced
-    otherwise."""
-    if type(rows) is CanonicalBasis:
-        return rows
-    if _is_canonical(rows):
-        return CanonicalBasis(rows)
-    return _reduce(rows)
 
 
 def span_sum(a: tuple, b: Iterable[Sequence]) -> tuple:
@@ -265,16 +218,6 @@ def span_sum(a: tuple, b: Iterable[Sequence]) -> tuple:
         if ech.add(v) is not None:
             grew = True
     return ech.int_rows() if grew else a
-
-
-def dim_intersection_coords(coords: Sequence[int], b: Mat, ncols: int) -> int:
-    """dim(span(e_i : i in coords) ∩ rowspace(b)) via projection rank."""
-    inside = set(coords)
-    others = [j for j in range(ncols) if j not in inside]
-    if not others:
-        return rank(b)
-    proj = tuple(tuple(row[j] for j in others) for row in b)
-    return rank(b) - rank(proj)
 
 
 def sparse_columns(op: Mat) -> list[list[tuple[int, int | Fraction]]]:

@@ -349,12 +349,17 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def fraction_from_json(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if type(value) is int:
-        return Fraction(value)
-    raise SpecError([f"expected rational as 'num/den' string, got {value!r}"])
+def fraction_from_json(value, field: str = "value") -> Fraction:
+    """A rational from a 'num/den' string or a JSON integer; anything
+    else, a zero denominator included, raises SpecError naming `field`."""
+    if isinstance(value, str) or type(value) is int:
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise SpecError([f"{field}: zero denominator in {value!r}"]) from None
+        except ValueError as exc:
+            raise SpecError([f"{field}: {exc}"]) from None
+    raise SpecError([f"{field}: expected rational as 'num/den' string, got {value!r}"])
 
 
 def _json_int(value, field: str) -> int:
@@ -403,7 +408,7 @@ def spec_from_dict(data: dict) -> ModuleSpec:
             Family(
                 _json_str(f["id"], f"families[{i}].id"),
                 _json_int(f["h"], f"families[{i}].h"),
-                fraction_from_json(f["tBase"]),
+                fraction_from_json(f["tBase"], f"families[{i}].tBase"),
             )
             for i, f in enumerate(data["families"])
         )

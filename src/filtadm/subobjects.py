@@ -12,6 +12,12 @@ intersection-gain ratio
 breaking ties toward the smallest step and then the lexicographically
 smallest count vector.  Its jump data feed the special-pair machinery; its
 trailing intervals give the index set bounding the Hodge slope of D'.
+The flag, the index set and the special pair depend on D' only through
+its intersection profile, the mapping from each stable good E to
+dim(E cap D'), so that is how D' enters them: `StableLattice.profile`
+gives it for a stable subspace, `good_profile` for a block-aligned one,
+and rank D' is the entry of the whole module.  The flag layer does no
+linear algebra.
 
 The concrete enumerator lists Phi,N-stable subspaces of a realization by
 closing signed {0,+-1}-pattern vectors inside each generalized eigenspace
@@ -26,13 +32,11 @@ and (W + W') cap V_lambda = W_lambda + W'_lambda.  `StableLattice` interns
 each piece as a small int per level, so a subspace is the tuple of its
 piece ids, a sum of two subspaces is one memoized level sum per level,
 and dim(E cap W) for the stable goods E, the class key, is a sum of
-per-level terms memoized per piece id.  Stable subspaces are born there
-as piece ids: closures grow one level at a time in integers, on the
-operators `ConcreteRealization.level_operators` builds only when they keep
-the level split, and rows given from outside are split by `level_pieces`,
-which raises unless the pieces fill W.  Full-width canonical rows are
-built only for the subspaces that need them, and the split across
-components keeps the pieces of each component's levels.
+per-level terms memoized per piece id.  Stable subspaces enter the
+library only there, born as piece ids: closures grow one level at a time
+in integers, on the operators `ConcreteRealization.level_operators`
+builds only when they keep the level split.  Full-width canonical rows
+are built only for the subspaces that need them.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import Mat
@@ -66,7 +70,8 @@ __all__ = [
     "flag_chain",
     "omega_from_flag",
     "special_pair_from_flag",
-    "split_by_component",
+    "good_profile",
+    "smallest_enclosing_good",
     "enumerate_concrete_subobjects",
     "random_round_subobjects",
     "StableLattice",
@@ -120,7 +125,7 @@ class Subobject:
     key: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", linalg.canonical_basis(self.rows))
+        object.__setattr__(self, "rows", linalg.rref(self.rows))
 
     @property
     def rank(self) -> int:
@@ -182,33 +187,37 @@ def good_span(spec: ModuleSpec, good: GoodSubobject) -> Mat:
     return tuple(rows)
 
 
-def _inter_dim(spec: ModuleSpec, good: GoodSubobject, dprime) -> int:
-    """dim(span(good) cap D') for concrete or combinatorial D'."""
-    if isinstance(dprime, GoodSubobject):
-        return sum(
-            min(a, b) * spec.family_of(i).h
-            for i, (a, b) in enumerate(zip(good.counts, dprime.counts))
-        )
-    coords = good_coords(spec, good)
-    return linalg.dim_intersection_coords(coords, dprime.rows, spec.dimension)
+def good_profile(
+    spec: ModuleSpec, dprime: GoodSubobject, edges: Sequence[ModificationEdge] = ()
+) -> dict[GoodSubobject, int]:
+    """Intersection profile of a block-aligned D': dim(E cap D') =
+    sum_i min(c_i, c'_i) h_i for every stable good E."""
+    hs = [spec.family_of(i).h for i in range(len(spec.summands))]
+    return {
+        g: sum(min(a, b) * h for a, b, h in zip(g.counts, dprime.counts, hs))
+        for g in stable_good_subobjects(spec, edges)
+    }
+
+
+def _full(spec: ModuleSpec) -> GoodSubobject:
+    return GoodSubobject(tuple(s.b for s in spec.summands))
 
 
 def greedy_flag(
     spec: ModuleSpec,
-    dprime,
-    edges: Sequence[ModificationEdge] = (),
+    profile: Mapping[GoodSubobject, int],
     rng: random.Random | None = None,
 ) -> GoodFlag:
     """Greedy flag for D' inside a single same-type component.
 
-    D' is a Subobject (h = 1) or a GoodSubobject.  With `rng`, residual
-    ties between steps of equal (alpha, dim) are broken at random; the
-    resulting (dims, alpha sequence) is an invariant of D'.
+    D' enters through its intersection profile (see the module
+    docstring).  With `rng`, residual ties between steps of equal
+    (alpha, dim) are broken at random; the resulting (dims, alpha
+    sequence) is an invariant of D'.
     """
     if len(type_components(spec)) != 1:
         raise ValueError("greedy flag is defined per same-type component")
-    goods = stable_good_subobjects(spec, edges)
-    full = GoodSubobject(tuple(s.b for s in spec.summands))
+    full = _full(spec)
     current = GoodSubobject(tuple(0 for _ in spec.summands))
     members: list[GoodSubobject] = []
     alphas: list[Fraction] = []
@@ -217,12 +226,11 @@ def greedy_flag(
     while current != full:
         best_key = None
         best: list[GoodSubobject] = []
-        for g in goods:
+        for g, inter in profile.items():
             if g == current or not g.contains(current):
                 continue
             dg = g.dimension(spec)
-            gain = _inter_dim(spec, g, dprime) - inter_cur
-            alpha = Fraction(gain, dg - dim_cur)
+            alpha = Fraction(inter - inter_cur, dg - dim_cur)
             key = (-alpha, dg - dim_cur)
             if best_key is None or key < best_key:
                 best_key, best = key, [g]
@@ -235,7 +243,7 @@ def greedy_flag(
         alphas.append(-best_key[0])
         current = choice
         dim_cur = current.dimension(spec)
-        inter_cur = _inter_dim(spec, current, dprime)
+        inter_cur = profile[current]
         if current != full:
             members.append(current)
     return GoodFlag(tuple(members), tuple(alphas))
@@ -244,24 +252,13 @@ def greedy_flag(
 def flag_chain(spec: ModuleSpec, flag: GoodFlag) -> tuple[GoodSubobject, ...]:
     """The extended chain 0 = E_0 < E_1 < ... < E_m < E_{m+1} = D."""
     zero = GoodSubobject(tuple(0 for _ in spec.summands))
-    full = GoodSubobject(tuple(s.b for s in spec.summands))
-    return (zero, *flag.members, full)
-
-
-def _chain_jumps(
-    spec: ModuleSpec, chain: Sequence[GoodSubobject], dprime
-) -> tuple[list[int], list[int]]:
-    dims = [g.dimension(spec) for g in chain]
-    caps = [_inter_dim(spec, g, dprime) for g in chain]
-    a = [dims[i] - dims[i - 1] for i in range(1, len(chain))]
-    c = [caps[i] - caps[i - 1] for i in range(1, len(chain))]
-    return a, c
+    return (zero, *flag.members, _full(spec))
 
 
 def omega_from_flag(
     spec: ModuleSpec,
     flag_or_chain,
-    dprime,
+    profile: Mapping[GoodSubobject, int],
 ) -> frozenset[int]:
     """Trailing-interval index set of a good chain adapted to D'.
 
@@ -273,64 +270,62 @@ def omega_from_flag(
         chain = flag_chain(spec, flag_or_chain)
     else:
         chain = tuple(flag_or_chain)
-    a, c = _chain_jumps(spec, chain, dprime)
     out: set[int] = set()
-    acc = 0
-    for step, cap in zip(a, c):
-        acc += step
-        out.update(range(acc - cap + 1, acc + 1))
+    base = chain[0].dimension(spec)
+    for prev, g in zip(chain, chain[1:]):
+        top = g.dimension(spec) - base
+        out.update(range(top - profile[g] + profile[prev] + 1, top + 1))
     return frozenset(out)
 
 
-def _dprime_rank(spec: ModuleSpec, dprime) -> int:
-    if isinstance(dprime, GoodSubobject):
-        return dprime.dimension(spec)
-    return dprime.rank
+def smallest_enclosing_good(
+    spec: ModuleSpec, profile: Mapping[GoodSubobject, int]
+) -> GoodSubobject:
+    """The smallest stable good containing D'.
 
-
-def _extreme_stable_goods(
-    spec: ModuleSpec, edges: Sequence[ModificationEdge], dprime
-) -> tuple[GoodSubobject, GoodSubobject]:
-    """Largest stable good inside D' and smallest stable good containing D'."""
-    rank_dp = _dprime_rank(spec, dprime)
-    low = [0] * len(spec.summands)
-    high = [s.b for s in spec.summands]
-    for g in stable_good_subobjects(spec, edges):
-        d = g.dimension(spec)
-        if _inter_dim(spec, g, dprime) == d:
-            low = [max(x, y) for x, y in zip(low, g.counts)]
-        if _inter_dim(spec, g, dprime) == rank_dp:
-            high = [min(x, y) for x, y in zip(high, g.counts)]
-    return GoodSubobject(tuple(low)), GoodSubobject(tuple(high))
+    The stable goods E with dim(E cap D') = rank D' are closed under
+    componentwise minimum (the intersection of two goods), so that minimum
+    over all of them is the unique smallest one.
+    """
+    full = _full(spec)
+    rank = profile[full]
+    counts = full.counts
+    for g, inter in profile.items():
+        if inter == rank:
+            counts = tuple(map(min, counts, g.counts))
+    return GoodSubobject(counts)
 
 
 def special_pair_from_flag(
     spec: ModuleSpec,
     flag: GoodFlag,
-    dprime,
-    edges: Sequence[ModificationEdge] = (),
+    profile: Mapping[GoodSubobject, int],
 ) -> SpecialPair:
     """Jump data between the alpha = 1 saturation and the hull of D'.
 
-    F_1 is the largest stable good subobject contained in D', F_2 the
-    smallest stable good subobject containing it; both must occur in the
-    flag.  The pair collects a_0 = dim F_1, the interior jumps between F_1
-    and F_2, and a_{k+1} = dim D - dim F_2, and is returned solved.
-    A zero D' yields the vacuous pair.
+    F_1 is the largest stable good subobject contained in D' (the goods
+    inside D' are closed under componentwise maximum), F_2 the smallest
+    stable good subobject containing it; both must occur in the flag.  The
+    pair collects a_0 = dim F_1, the interior jumps between F_1 and F_2,
+    and a_{k+1} = dim D - dim F_2, and is returned solved.  A zero D'
+    yields the vacuous pair.
     """
-    if _dprime_rank(spec, dprime) == 0:
-        return SpecialPair.empty()
     chain = flag_chain(spec, flag)
-    f1, f2 = _extreme_stable_goods(spec, edges, dprime)
+    if profile[chain[-1]] == 0:
+        return SpecialPair.empty()
+    low = chain[0].counts
+    for g, inter in profile.items():
+        if inter == g.dimension(spec):
+            low = tuple(map(max, low, g.counts))
     try:
-        i1 = chain.index(f1)
-        i2 = chain.index(f2)
+        i1 = chain.index(GoodSubobject(low))
+        i2 = chain.index(smallest_enclosing_good(spec, profile))
     except ValueError as exc:
         raise InternalConsistencyError(
             "extreme good subobjects missing from the greedy flag"
         ) from exc
     dims = [g.dimension(spec) for g in chain]
-    caps = [_inter_dim(spec, g, dprime) for g in chain]
+    caps = [profile[g] for g in chain]
     a = [Fraction(dims[i1])]
     c = []
     for i in range(i1 + 1, i2 + 1):
@@ -341,47 +336,6 @@ def special_pair_from_flag(
     if not ok:
         raise SpecialPairViolation(clause, tuple(a), tuple(c))
     return SpecialPair(tuple(a), tuple(c)).solved()
-
-
-# ---------------------------------------------------------------------------
-# component splitting and global assembly
-# ---------------------------------------------------------------------------
-
-
-def _component_coords(spec: ModuleSpec, comp: Sequence[int]) -> list[int]:
-    coords = []
-    pos = 0
-    for i, s in enumerate(spec.summands):
-        h = spec.family_of(i).h
-        if i in comp:
-            coords.extend(range(pos, pos + s.b * h))
-        pos += s.b * h
-    return coords
-
-
-def split_by_component(
-    realization: ConcreteRealization, dprime: Subobject
-) -> list[tuple[list[int], Subobject]]:
-    """Split a stable subspace across same-type components.
-
-    A level is one family at one twist, and the chains of a family that
-    reach that twist overlap there, so every level lies inside one
-    component.  The part of D' in a component is the sum of its pieces on
-    the component's levels; `level_pieces` raises unless the pieces fill
-    D'.
-    """
-    spec = realization.spec
-    lattice = StableLattice(realization)
-    key = lattice.key(dprime.rows)
-    out = []
-    for comp in type_components(spec):
-        inside = set(_component_coords(spec, comp))
-        part = tuple(
-            pid if coords[0] in inside else 0
-            for coords, pid in zip(realization.levels, key)
-        )
-        out.append((comp, Subobject(lattice.rows(part))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +419,6 @@ class StableLattice:
             pid = ids[piece] = len(ids)
             self._pieces[level].append(piece)
         return pid
-
-    def key(self, rows: Mat) -> tuple[int, ...]:
-        """Piece ids of the subspace `rows` spans, split by `level_pieces`."""
-        return tuple(
-            self._intern(level, tuple(tuple(linalg.integral(row)) for row in piece))
-            for level, piece in enumerate(self.realization.level_pieces(rows))
-        )
 
     def closures(self, groups: Iterable[Iterable[tuple[int, Sequence]]]) -> list[tuple]:
         """Piece ids of the smallest Phi,N-stable subspaces containing the
@@ -589,6 +536,11 @@ class StableLattice:
         if not parts:
             return (0,) * len(self.goods)
         return tuple(map(sum, zip(*parts)))
+
+    def profile(self, key: tuple[int, ...]) -> dict[GoodSubobject, int]:
+        """The intersection profile of the subspace with the piece ids
+        `key`: `good_dims` keyed by the stable goods."""
+        return dict(zip(self.goods, self.good_dims(key)))
 
 
 def _saturate(

@@ -14,9 +14,11 @@ library scales the slopes to integers; all three oracles add up the
 `Block.t_n` Fractions and never call `model.t_n` or `scaled_slopes`.
 
 The intersection dimensions of the verify path are asked here once per
-pair, where the library reads them off one echelon pass: class keys good
-by good, transversality tail by tail, tail dimensions by stacking, and
-aligned candidates by one intersection per tail.
+pair, where the library reads them off one echelon pass or its lattice of
+level pieces: intersection profiles and class keys good by good, from any
+rows, transversality tail by tail, tail dimensions by stacking, and
+aligned candidates by one intersection per tail.  Hand-written subspaces
+reach the greedy flags through `intersection_profile`.
 
 The determinant, characteristic polynomial, p-adic valuation, stability
 test and dimension formulas check the realizations from outside: the
@@ -25,7 +27,9 @@ library itself never needs them.
 The helpers at the end (induced jumps, the intersection-gain ratio, the
 structural flag conditions, the level decomposition and the per-component
 flag analysis with its assembled index set) are not oracles but tools
-only the tests use; they run on the library's kernel.
+only the tests use; they run on the library's kernel and flags.  The
+per-component analysis restricts the full intersection profile to each
+component's goods instead of splitting rows.
 """
 
 from __future__ import annotations
@@ -52,9 +56,6 @@ from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     GoodFlag,
     SpecialPairViolation,
-    Subobject,
-    _component_coords,
-    _inter_dim,
     enumerate_good_subobjects,
     flag_chain,
     good_coords,
@@ -62,7 +63,6 @@ from filtadm.subobjects import (
     greedy_flag,
     omega_from_flag,
     special_pair_from_flag,
-    split_by_component,
     stable_good_subobjects,
 )
 
@@ -344,6 +344,17 @@ def eigen_multiplicities(realization, rows: Mat) -> list[tuple[str, int, int]]:
     return out
 
 
+def newton_slope(realization, rows: Mat) -> Fraction:
+    """t_N of a stable subspace from its generalized eigenspace
+    multiplicities: each counts the slope of a block at its twist."""
+    spec = realization.spec
+    return sum(
+        (mult * (spec.family(fid).t_base + twist * spec.config.deg_K_Qp)
+         for fid, twist, mult in eigen_multiplicities(realization, rows)),
+        Fraction(0),
+    )
+
+
 def saturate_all_pairs(rows: Iterable[Mat]) -> set[Mat]:
     """Closure of a set of canonical bases under sums of every two members."""
     subs = set(rows)
@@ -472,17 +483,19 @@ def dim_intersection_coords(coords: Sequence[int], b: Mat, n: int) -> int:
     return len(rref(b)) - len(rref(proj))
 
 
+def intersection_profile(spec: ModuleSpec, rows: Mat, edges=()) -> dict:
+    """dim(E ∩ W) keyed by every stable good E, one intersection each."""
+    n = spec.dimension
+    return {
+        g: dim_intersection_coords(good_coords(spec, g), rows, n)
+        for g in stable_good_subobjects(spec, edges)
+    }
+
+
 def class_key(realization, rows: Mat) -> tuple:
     """(rank, dim(E ∩ W) for every stable good E), one intersection each."""
-    spec = realization.spec
-    n = spec.dimension
-    return (
-        len(rref(rows)),
-        tuple(
-            dim_intersection_coords(good_coords(spec, g), rows, n)
-            for g in stable_good_subobjects(spec, realization.edges)
-        ),
-    )
+    profile = intersection_profile(realization.spec, rows, realization.edges)
+    return len(rref(rows)), tuple(profile.values())
 
 
 def violation(spec: ModuleSpec, basis: Mat, goods):
@@ -554,15 +567,15 @@ def induced_jumps(filtration: Filtration, sigma: int, rows: Mat) -> tuple[int, .
 def alpha_ratio(
     e: GoodSubobject,
     eprime: GoodSubobject,
-    dprime,
+    profile: dict,
     spec: ModuleSpec,
 ) -> Fraction:
-    """Intersection-gain ratio of the step e -> eprime against D'."""
+    """Intersection-gain ratio of the step e -> eprime against the D' of
+    the intersection profile."""
     de, dp = e.dimension(spec), eprime.dimension(spec)
     if dp <= de:
         raise ValueError("alpha needs dim E' > dim E")
-    gain = _inter_dim(spec, eprime, dprime) - _inter_dim(spec, e, dprime)
-    return Fraction(gain, dp - de)
+    return Fraction(profile[eprime] - profile[e], dp - de)
 
 
 def flag_conditions(
@@ -701,40 +714,50 @@ def level_decomposition(
     return out
 
 
-def component_analysis(realization: ConcreteRealization, dprime: Subobject) -> list[dict]:
-    """Per-component greedy flag, special pair, and index set.
+def component_analysis(realization: ConcreteRealization, profile: dict) -> list[dict]:
+    """Per-component greedy flag, special pair, and index set of the D'
+    with the intersection profile `profile`.
 
-    When the jump data of a component hit the hull-at-the-top boundary
-    (see SpecialPairViolation) the pair is recorded as None with r = 0;
-    the index set, which only needs the chain, is unaffected.
+    Edges never leave a component, so a good supported on one component is
+    stable iff its restriction to the component is, and D' meets it where
+    the part of D' in the component does: the component's profile is the
+    restriction of the full one to those goods.  When the jump data of a
+    component hit the hull-at-the-top boundary (see SpecialPairViolation)
+    the pair is recorded as None with r = 0; the index set, which only
+    needs the chain, is unaffected.
     """
     spec = realization.spec
     out = []
-    for comp, piece in split_by_component(realization, dprime):
+    for comp in type_components(spec):
         subspec = spec.with_summands([spec.summands[i] for i in comp])
-        coords = _component_coords(spec, comp)
-        local = Subobject(tuple(tuple(row[c] for c in coords) for row in piece.rows))
         sub_edges = tuple(
             ModificationEdge(comp.index(e.src), comp.index(e.dst), e.alignment)
             for e in realization.edges
             if e.src in comp and e.dst in comp
         )
-        flag = greedy_flag(subspec, local, sub_edges)
+        local = {
+            GoodSubobject(tuple(g.counts[i] for i in comp)): inter
+            for g, inter in profile.items()
+            if not any(c for i, c in enumerate(g.counts) if i not in comp)
+        }
+        assert list(local) == list(stable_good_subobjects(subspec, sub_edges))
+        flag = greedy_flag(subspec, local)
         try:
-            pair = special_pair_from_flag(subspec, flag, local, sub_edges)
+            pair = special_pair_from_flag(subspec, flag, local)
             r = pair.r if pair.r is not None else Fraction(0)
         except SpecialPairViolation:
             pair = None
             r = Fraction(0)
         omega = omega_from_flag(subspec, flag, local)
         out.append({
-            "component": tuple(comp), "dim": subspec.dimension, "flag": flag,
+            "component": tuple(comp), "dim": subspec.dimension,
+            "rank": local[flag_chain(subspec, flag)[-1]], "flag": flag,
             "pair": pair, "omega": omega, "r": r,
         })
     return out
 
 
-def global_omega(realization: ConcreteRealization, dprime: Subobject) -> frozenset[int]:
+def global_omega(realization: ConcreteRealization, profile: dict) -> frozenset[int]:
     """Assembled index set over all components, sorted by descending r."""
-    parts = component_analysis(realization, dprime)
+    parts = component_analysis(realization, profile)
     return assemble_global([GlobalEntry(p["omega"], p["r"], p["dim"]) for p in parts])

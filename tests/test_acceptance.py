@@ -27,13 +27,12 @@ from filtadm.pairs import (
 )
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
-    Subobject,
+    StableLattice,
     enumerate_concrete_subobjects,
     flag_chain,
     greedy_flag,
     omega_from_flag,
     stable_good_subobjects,
-    _inter_dim,
 )
 from helpers import instance_stream, random_single_component_spec
 import oracles
@@ -112,9 +111,9 @@ def test_criterion_2_second_example_regression(ex2):
         }
         assert subs == expected
 
-        dp = Subobject(oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
-        flag = greedy_flag(ex2, dp)
-        omega = omega_from_flag(ex2, flag, dp)
+        dp = oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]])
+        prof = oracles.intersection_profile(ex2, dp)
+        omega = omega_from_flag(ex2, greedy_flag(ex2, prof), prof)
         assert omega == frozenset({1, 3})
 
         tuples = _weight_tuples_sum4(20)
@@ -125,7 +124,7 @@ def test_criterion_2_second_example_regression(ex2):
             rep = check_admissible(ex2, prof, real, filt, rounds=1)
             assert rep.ok, (weights, rep.witness)
             bound = weights[0] + weights[2]
-            assert t_h(filt, dp.rows, ex2.config) <= bound
+            assert t_h(filt, dp, ex2.config) <= bound
 
 
 def test_criterion_3_third_example_regression(ex3):
@@ -185,33 +184,38 @@ def test_criterion_7_greedy_flag_invariants():
                 continue
             edges = build_modified_frobenius(spec)
             real = realize_matrices(spec, edges)
-            subs = enumerate_concrete_subobjects(real, seed=done, rounds=0)
+            lattice = StableLattice(real)
+            subs = enumerate_concrete_subobjects(real, seed=done, rounds=0, lattice=lattice)
             dp = subs[rng.randrange(len(subs))]
-            flag = greedy_flag(spec, dp, edges)
+            prof = lattice.profile(dp.key)
+            flag = greedy_flag(spec, prof)
             conds = oracles.flag_conditions(spec, flag, real)
             assert all(conds.values()), (spec.summands, dp.rows, conds)
             dims = tuple(m.dimension(spec) for m in flag.members)
             for trial in range(3):
-                other = greedy_flag(spec, dp, edges, rng=random.Random(trial))
+                other = greedy_flag(spec, prof, rng=random.Random(trial))
                 assert tuple(m.dimension(spec) for m in other.members) == dims
                 assert other.alphas == flag.alphas
+            # the intersection dimensions the flag is checked against come
+            # from the dense oracle, not from the lattice that built it
+            inter = dict(zip(
+                stable_good_subobjects(spec, edges), oracles.class_key(real, dp.rows)[1]
+            ))
             chain = flag_chain(spec, flag)
             cdims = [g.dimension(spec) for g in chain]
-            caps = [_inter_dim(spec, g, dp) for g in chain]
+            caps = [inter[g] for g in chain]
             for good in stable_good_subobjects(spec, edges):
                 d_l = good.dimension(spec)
                 if d_l == 0:
                     continue
                 i = max(k for k in range(len(chain)) if cdims[k] < d_l)
-                alpha_l = Fraction(
-                    _inter_dim(spec, good, dp) - caps[i], d_l - cdims[i]
-                )
+                alpha_l = Fraction(inter[good] - caps[i], d_l - cdims[i])
                 alpha_step = Fraction(
                     caps[i + 1] - caps[i], cdims[i + 1] - cdims[i]
                 )
                 assert alpha_l <= alpha_step
                 if d_l == cdims[i + 1]:
-                    assert _inter_dim(spec, good, dp) <= caps[i + 1]
+                    assert inter[good] <= caps[i + 1]
             done += 1
 
 

@@ -444,3 +444,13 @@ def test_non_string_family_ids_exit_2(tmp_path, capsys):
         spec_path.write_text(json.dumps(data))
         code, rep = run_cli(capsys, "order", "--spec", str(spec_path))
         assert code == 2 and f"{field}: expected a string" in rep["error"], rep
+
+
+def test_zero_denominator_exits_2_naming_the_field(tmp_path, capsys):
+    spec = json.loads((DATA / "ex1a_spec.json").read_text())
+    spec["families"][0]["tBase"] = "1/0"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, rep = run_cli(capsys, "order", "--spec", str(spec_path))
+    assert code == 2
+    assert "families[0].tBase: zero denominator in '1/0'" in rep["error"], rep

@@ -68,8 +68,8 @@ def test_t_h_whole_module(ex2, w_ex2):
 def test_t_h_mixed_line_below_omega_bound(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
     dp = Subobject(oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
-    flag = greedy_flag(ex2, dp)
-    om = omega_from_flag(ex2, flag, dp)
+    prof = oracles.intersection_profile(ex2, dp.rows)
+    om = omega_from_flag(ex2, greedy_flag(ex2, prof), prof)
     assert om == frozenset({1, 3})
     bound = sum(w_ex2.column_sum(j) for j in om)
     assert t_h(filt, dp.rows, ex2.config) <= bound == -1 + 2

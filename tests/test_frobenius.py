@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from filtadm import linalg
 from filtadm.frobenius import (
     ModificationEdge,
     _check_commutation,
@@ -12,7 +11,7 @@ from filtadm.frobenius import (
     realize_matrices,
 )
 from filtadm.model import Config, Family, ModuleSpec, Summand, t_n
-from filtadm.subobjects import good_span, stable_good_subobjects
+from filtadm.subobjects import StableLattice, good_span, stable_good_subobjects
 from helpers import random_spec
 import oracles
 
@@ -156,9 +155,11 @@ def test_t_n_concrete_matches_combinatorial():
             continue
         edges = build_modified_frobenius(spec)
         real = realize_matrices(spec, edges)
-        for good in stable_good_subobjects(spec, edges):
-            rows = good_span(spec, good)
-            assert real.t_n_concrete(rows) == t_n(spec, good)
+        lattice = StableLattice(real)
+        assert lattice.goods == stable_good_subobjects(spec, edges)
+        for good, key in zip(lattice.goods, lattice.good_keys):
+            assert lattice.t_n(key) == t_n(spec, good)
+            assert oracles.newton_slope(real, good_span(spec, good)) == t_n(spec, good)
         done += 1
 
 
@@ -175,8 +176,9 @@ def test_t_n_concrete_det_oracle(ex1a):
     spec = canonical_order(spec)[0]
     edges = build_modified_frobenius(spec)
     real = realize_matrices(spec, edges)
-    for good in stable_good_subobjects(spec, edges):
-        rows = linalg.rref(good_span(spec, good))
+    lattice = StableLattice(real)
+    for good, key in zip(lattice.goods, lattice.good_keys):
+        rows = oracles.rref(good_span(spec, good))
         if not rows:
             continue
         restr = oracles.restriction(real, rows)
@@ -191,7 +193,7 @@ def test_t_n_concrete_det_oracle(ex1a):
             c = counts[fam.id]
             assert c is not None
             expected += c * fam.t_base
-        assert real.t_n_concrete(rows) == expected
+        assert lattice.t_n(key) == expected
 
 
 def test_realize_rejects_zero_seed(ex1a):
@@ -213,9 +215,11 @@ def test_realize_rejects_shared_eigenvalue():
     with pytest.raises(ValueError, match="share the eigenvalue 2"):
         realize_matrices(spec, (), seeds={"F": Fraction(1), "G": Fraction(2)})
     real = realize_matrices(spec, (), seeds={"F": Fraction(1), "G": Fraction(3)})
+    lattice = StableLattice(real)
+    key = dict(zip((g.counts for g in lattice.goods), lattice.good_keys))
     slopes = {
-        blk.family.id: real.t_n_concrete(oracles.identity(2)[i:i + 1])
-        for i, blk in enumerate(real.basis)
+        blk.family.id: lattice.t_n(key[tuple(int(j == blk.summand) for j in range(2))])
+        for blk in real.basis
     }
     assert slopes == {"F": Fraction(3, 2), "G": Fraction(-1)}
 

@@ -19,7 +19,6 @@ from filtadm.filtration import (
     build_transverse_filtration,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
-from filtadm.ordering import type_components
 from filtadm.subobjects import (
     CapExceededError,
     StableLattice,
@@ -82,7 +81,7 @@ def test_rref_returns_canonical_input_unchanged():
     for _ in range(300):
         _, rows = _matrix(rng)
         canonical = oracles.rref(rows)
-        assert linalg.rref(canonical) is canonical
+        assert linalg.rref(canonical) == canonical
     f = Fraction
     # almost canonical input is reduced, not trusted
     for rows in (
@@ -209,9 +208,10 @@ def test_level_closures_match_dense_closure_oracle():
                 want = oracles.closure_under(tuple(vectors), (real.phi, real.nmat))
                 got = lattice.rows(key)
                 assert got == want and type(got) is linalg.CanonicalBasis
-                # the pieces are those the fill-checked split reads off
-                assert lattice.key(want) == key
-                assert lattice.t_n(key) == real.t_n_concrete(want)
+                # the class key and t_N read off the pieces are those of
+                # the dense rows
+                assert (len(got), lattice.good_dims(key)) == oracles.class_key(real, want)
+                assert lattice.t_n(key) == oracles.newton_slope(real, want)
                 if k and not group:
                     assert key == keys[k - 1]
                     reused += 1
@@ -227,14 +227,13 @@ def test_canonical_basis_marker():
     for _ in range(200):
         _, rows = _matrix(rng)
         want = oracles.rref(rows)
-        marked = linalg.canonical_basis(rows)
+        marked = linalg.rref(rows)
         assert type(marked) is linalg.CanonicalBasis and marked == want
         # a marked basis is returned as it is, without a check
         assert linalg.rref(marked) is marked
-        assert linalg.canonical_basis(marked) is marked
-        # a verified plain tuple: rref keeps the object, canonical_basis marks it
-        assert linalg.rref(want) is want
-        again = linalg.canonical_basis(want)
+        assert Subobject(marked).rows is marked
+        # a canonical plain tuple is reduced again and marked
+        again = linalg.rref(want)
         assert type(again) is linalg.CanonicalBasis and again == want
         assert Subobject(want).rows == want
         assert type(Subobject(want).rows) is linalg.CanonicalBasis
@@ -249,14 +248,14 @@ def test_canonical_basis_marker():
         ((1, 0), (0, 1)),                     # not Fractions
         [(f(1), f(0)), (f(0), f(1))],         # not a tuple
     ):
-        for got in (linalg.canonical_basis(rows), Subobject(rows).rows):
+        for got in (linalg.rref(rows), Subobject(rows).rows):
             assert got == oracles.rref(rows) and got is not rows
             assert type(got) is linalg.CanonicalBasis
             assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_every_subobject_holds_a_marked_basis():
-    rng, triples = _filtered(135, 12)
+    rng, triples = _filtered(135, 18)
     count = 0
     for spec, real, filt in triples:
         lattice = StableLattice(real)
@@ -264,12 +263,11 @@ def test_every_subobject_holds_a_marked_basis():
         keys = random_round_subobjects(lattice, rng) + _aligned_candidates(lattice, filt)
         subs += [Subobject(lattice.rows(key), key) for key in keys]
         for sub in subs:
-            # a subspace born as piece ids splits back into the same ids
-            assert lattice.key(sub.rows) == sub.key
-        subs += [piece for sub in subs for _, piece in subobjects.split_by_component(real, sub)]
-        for sub in subs:
             assert type(sub.rows) is linalg.CanonicalBasis
             assert sub.rows == oracles.rref(sub.rows)
+            # the class key a subspace was born with is that of its rows
+            key = (sub.rank, lattice.good_dims(sub.key))
+            assert key == oracles.class_key(real, sub.rows)
             count += 1
     assert count >= 300
 
@@ -310,45 +308,22 @@ def test_closure_matches_rerref_oracle():
 def test_eigen_multiplicities_match_matrix_power_oracle():
     _, reals = _realizations(105, 25)
     for real in reals:
-        cfg = real.spec.config
-        for sub in enumerate_concrete_subobjects(real, rounds=1):
+        lattice = StableLattice(real)
+        for sub in enumerate_concrete_subobjects(real, rounds=1, lattice=lattice):
             want = oracles.eigen_multiplicities(real, sub.rows)
-            pieces = real.level_pieces(sub.rows)
             got = [
-                (real.basis[level[0]].family.id, real.basis[level[0]].twist, len(piece))
-                for level, piece in zip(real.levels, pieces) if piece
+                (real.basis[level[0]].family.id, real.basis[level[0]].twist, dim)
+                for level, dim in zip(real.levels, lattice.level_dims(sub.key)) if dim
             ]
             assert got == want
-            assert real.t_n_concrete(sub.rows) == sum(
-                (mult * (real.spec.family(fid).t_base + twist * cfg.deg_K_Qp)
-                 for fid, twist, mult in want),
-                Fraction(0),
-            )
+            assert lattice.t_n(sub.key) == oracles.newton_slope(real, sub.rows)
             n = real.dimension
-            for level, piece in zip(real.levels, pieces):
+            for level, (coords, pid) in enumerate(zip(real.levels, sub.key)):
                 inter = oracles.intersect_basis(
-                    oracles.coordinate_rows(level, n), sub.rows
+                    oracles.coordinate_rows(coords, n), sub.rows
                 )
-                assert piece == tuple(tuple(row[i] for i in level) for row in inter)
-
-
-def test_level_pieces_refuse_a_vector_mixing_two_levels():
-    _, reals = _realizations(108, 30)
-    tried = 0
-    for real in reals:
-        levels = real.levels
-        if len(levels) < 2:
-            continue
-        v = [Fraction(0)] * real.dimension
-        v[levels[0][0]] = v[levels[-1][-1]] = Fraction(1)
-        with pytest.raises(RuntimeError):
-            real.level_pieces((tuple(v),))
-        with pytest.raises(RuntimeError):
-            real.t_n_concrete((tuple(v),))
-        # its stable closure splits
-        assert sum(map(len, real.level_pieces(closure_rows(real, (v,))))) >= 2
-        tried += 1
-    assert tried >= 10
+                piece = oracles.rref(lattice.piece(level, pid))
+                assert piece == tuple(tuple(row[i] for i in coords) for row in inter)
 
 
 def _tampered(real, name, entries):
@@ -384,45 +359,16 @@ def test_operators_leaving_the_level_split_raise_on_the_first_closure():
     assert tried >= 10
 
 
-def _stable_subspaces(real, rng):
-    """Enumerated classes, random rounds and closures of dense vectors."""
-    lattice = StableLattice(real)
+def _stable_subspaces(real, rng, lattice=None):
+    """Enumerated classes, random rounds and closures of dense vectors,
+    each with its piece ids in `lattice`."""
+    lattice = lattice or StableLattice(real)
     subs = list(enumerate_concrete_subobjects(real, rounds=1, lattice=lattice))
-    subs += [Subobject(lattice.rows(key)) for key in random_round_subobjects(lattice, rng)]
+    keys = random_round_subobjects(lattice, rng)
     for _ in range(3):
-        subs.append(Subobject(closure_rows(real, (_vector(rng, real.dimension, 0.6),))))
-    return subs
-
-
-def test_split_by_component_matches_dense_intersections():
-    # the part of a stable subspace in a component against the
-    # intersection with the component's coordinate span, through the left
-    # null space
-    rng = random.Random(103)
-    plain, coupled = [], []
-    while len(plain) < 8 or len(coupled) < 8:
-        spec = random_spec(rng, max_summands=4)
-        if spec is not None and len(type_components(spec)) >= 2:
-            (coupled if build_modified_frobenius(spec) else plain).append(spec)
-    split = 0
-    for spec in plain[:8] + coupled[:8]:
-        comps = type_components(spec)
-        for edges in ((), build_modified_frobenius(spec)):
-            real = realize_matrices(spec, edges)
-            n = real.dimension
-            for sub in _stable_subspaces(real, rng):
-                parts = subobjects.split_by_component(real, sub)
-                assert [comp for comp, _ in parts] == comps
-                for comp, piece in parts:
-                    coords = [i for i, blk in enumerate(real.basis) if blk.summand in comp]
-                    want = oracles.intersect_basis(
-                        oracles.coordinate_rows(coords, n), sub.rows
-                    )
-                    assert piece.rows == want
-                    assert len(want) == linalg.dim_intersection_coords(coords, sub.rows, n)
-                assert sum(piece.rank for _, piece in parts) == sub.rank
-                split += sum(1 for _, piece in parts if piece.rank) >= 2
-    assert split >= 100
+        v = _vector(rng, real.dimension, 0.6)
+        keys += lattice.closures([level_vectors(real, (v,))])
+    return subs + [Subobject(lattice.rows(key), key) for key in keys]
 
 
 def test_class_keys_match_per_good_intersections():
@@ -436,9 +382,12 @@ def test_class_keys_match_per_good_intersections():
     keys = 0
     for real in reals:
         lattice = StableLattice(real)
-        for sub in _stable_subspaces(real, rng):
-            key = (sub.rank, lattice.good_dims(lattice.key(sub.rows)))
+        for sub in _stable_subspaces(real, rng, lattice):
+            key = (sub.rank, lattice.good_dims(sub.key))
             assert key == oracles.class_key(real, sub.rows)
+            profile = lattice.profile(sub.key)
+            assert profile == oracles.intersection_profile(real.spec, sub.rows, real.edges)
+            assert profile[lattice.goods[-1]] == sub.rank
             keys += 1
     assert keys >= 300
 
@@ -524,7 +473,7 @@ def _start_rows(real):
     spec = real.spec
     start = [()]
     start += [
-        linalg.rref(good_span(spec, g))
+        oracles.rref(good_span(spec, g))
         for g in stable_good_subobjects(spec, real.edges)
     ]
     for level in real.levels:
@@ -536,9 +485,20 @@ def _start_rows(real):
     return start
 
 
+def _start_keys(lattice):
+    """Piece ids of zero, the stable good spans and the closures of the
+    pattern atoms, as the lattice enumeration starts from them."""
+    born = [lattice.zero, *lattice.good_keys]
+    for level, coords in enumerate(lattice.realization.levels):
+        born += [
+            lattice.closures([[(level, v)]])[0] for v in _pattern_vectors(len(coords))
+        ]
+    return born
+
+
 def test_start_keys_are_born_as_the_split_of_their_rows():
     # the good spans as unit pieces and the atoms closed on the level path
-    # against the fill-checked split of the dense start rows
+    # against the dense start rows, with the class keys of those rows
     rng = random.Random(117)
     for k in range(16):
         spec = None
@@ -546,12 +506,11 @@ def test_start_keys_are_born_as_the_split_of_their_rows():
             spec = random_spec(rng) if k % 2 else random_single_component_spec(rng)
         real = realize_matrices(spec, build_modified_frobenius(spec) if k % 4 > 1 else ())
         lattice = StableLattice(real)
-        born = [lattice.zero, *lattice.good_keys]
-        for level, coords in enumerate(real.levels):
-            born += [
-                lattice.closures([[(level, v)]])[0] for v in _pattern_vectors(len(coords))
-            ]
-        assert born == [lattice.key(rows) for rows in _start_rows(real)]
+        born = _start_keys(lattice)
+        start = _start_rows(real)
+        assert [lattice.rows(key) for key in born] == start
+        for key, rows in zip(born, start):
+            assert (lattice.dim(key), lattice.good_dims(key)) == oracles.class_key(real, rows)
 
 
 def test_generator_saturation_matches_all_pairs():
@@ -566,7 +525,7 @@ def test_generator_saturation_matches_all_pairs():
         real = realize_matrices(spec, build_modified_frobenius(spec) if k % 2 else ())
         start = _start_rows(real)
         lattice = StableLattice(real)
-        keys = _saturate(lattice, [lattice.key(rows) for rows in start])
+        keys = _saturate(lattice, _start_keys(lattice))
         got = {lattice.rows(key) for key in keys}
         assert got == oracles.saturate_all_pairs(start)
         grown += len(got) > len(set(start))
@@ -586,7 +545,7 @@ def test_piece_saturation_matches_all_pairs_with_and_without_edges():
             real = realize_matrices(spec, edges)
             start = _start_rows(real)
             lattice = StableLattice(real)
-            keys = _saturate(lattice, [lattice.key(rows) for rows in start])
+            keys = _saturate(lattice, _start_keys(lattice))
             spaces = [lattice.rows(key) for key in keys]
             assert set(spaces) == oracles.saturate_all_pairs(start)
             assert len(set(spaces)) == len(keys)
@@ -594,7 +553,7 @@ def test_piece_saturation_matches_all_pairs_with_and_without_edges():
                 # assembled rows are canonical as they stand
                 assert linalg.rref(rows) is rows
                 assert Subobject(rows).rows is rows
-                assert lattice.key(rows) == key
+                assert (len(rows), lattice.good_dims(key)) == oracles.class_key(real, rows)
             grown += len(spaces) > len(set(start))
     assert grown >= 6
 
@@ -607,7 +566,7 @@ def test_lowered_lattice_guard_raises(monkeypatch):
             continue
         real = realize_matrices(spec, build_modified_frobenius(spec))
         lattice = StableLattice(real)
-        start = list(dict.fromkeys(lattice.key(rows) for rows in _start_rows(real)))
+        start = list(dict.fromkeys(_start_keys(lattice)))
         full = _saturate(lattice, start)
         if len(full) >= len(start) + 2:
             break

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -32,27 +31,6 @@ def test_rank_and_intersection():
     inter = oracles.intersect_basis(a, b)
     assert inter == ((Fraction(0), Fraction(1), Fraction(0)),)
     assert oracles.intersect_basis(oracles.coordinate_rows((0, 1), 3), b) == inter
-
-
-def test_intersection_coords_trick():
-    b = mat([[1, 1, 0], [0, 0, 1]])
-    assert linalg.dim_intersection_coords((0, 1), b, 3) == 1
-    assert linalg.dim_intersection_coords((0,), b, 3) == 0
-    rng = random.Random(103)
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        density = rng.choice((0.3, 0.7, 1.0))
-        b = tuple(
-            tuple(
-                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                if rng.random() < density else Fraction(0)
-                for _ in range(n)
-            )
-            for _ in range(rng.randint(1, 7))
-        )
-        coords = sorted(rng.sample(range(n), rng.randint(0, n)))
-        want = oracles.intersect_basis(oracles.coordinate_rows(coords, n), b)
-        assert linalg.dim_intersection_coords(coords, b, n) == len(want)
 
 
 def test_kernel_basis():

@@ -217,6 +217,23 @@ def test_integer_fields_accept_only_json_integers():
             profile_from_dict({"weights": weights})
 
 
+def test_zero_denominator_is_refused_naming_the_field():
+    # Fraction("1/0") raises ZeroDivisionError, which is no ValueError
+    data = spec_to_dict(
+        ModuleSpec(Config(p=2), (Family("F", 1, Fraction(0)),), (Summand("F", 0, 2),))
+    )
+    for value, message in (
+        ("1/0", "zero denominator in '1/0'"),
+        ("-3/0", "zero denominator in '-3/0'"),
+        ("0/0", "zero denominator in '0/0'"),
+        ("abc", "Invalid literal for Fraction: 'abc'"),
+        (1.5, "expected rational as 'num/den' string, got 1.5"),
+    ):
+        data["families"][0]["tBase"] = value
+        with pytest.raises(SpecError, match=re.escape(f"families[0].tBase: {message}")):
+            spec_from_dict(data)
+
+
 def test_checked_specs_keep_identity_and_refuse_a_reordering():
     # running the criteria leaves no state that changes == or hash, and a
     # reordered copy of a canonical spec is a fresh object that the

@@ -94,3 +94,14 @@ def test_report_digests_pinned(capsys):
         "--seeds", "3", "--count", "12",
     ])
     assert capsys.readouterr().out.splitlines() == PINNED_DIGESTS
+
+
+def test_criteria_digest_pinned(capsys):
+    # the slope chain, block order and shuffle verdicts of the first 12
+    # seed-3 `criteria_stream` items
+    module = _load("report_digests")
+    module.main(["--workload", "criteria_stream", "--seeds", "3", "--count", "12"])
+    assert capsys.readouterr().out.splitlines() == [
+        "criteria_stream seed=3 items=12 "
+        "sha256=23b5ea2334fbc7d553bd874f5f56665deebe87aca8958167278c23cb04533059",
+    ]

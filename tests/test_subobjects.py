@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from filtadm import linalg
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand
 from filtadm.pairs import is_special
@@ -10,19 +11,19 @@ from filtadm.subobjects import (
     CapExceededError,
     SpecialPairViolation,
     StableLattice,
-    Subobject,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
     flag_chain,
+    good_profile,
     good_span,
     greedy_flag,
     is_stable_good,
     omega_from_flag,
+    smallest_enclosing_good,
     special_pair_from_flag,
-    split_by_component,
     stable_good_subobjects,
 )
-from helpers import closure_rows, random_single_component_spec
+from helpers import closure_rows, random_single_component_spec, random_spec
 import oracles
 
 CFG = Config(p=2)
@@ -31,6 +32,11 @@ F = Family("F", 1, Fraction(0))
 
 def rows(*vs):
     return oracles.mat(vs)
+
+
+def profile(spec, *vs, edges=()):
+    """The intersection profile of hand-written rows, from the dense oracle."""
+    return oracles.intersection_profile(spec, oracles.mat(vs), edges)
 
 
 def test_good_counts(ex1a, ex2):
@@ -86,7 +92,9 @@ def test_enumerated_are_exactly_stable(ex2):
     for sub in enumerate_concrete_subobjects(real, lattice=lattice):
         assert oracles.is_stable(sub.rows, [real.phi, real.nmat])
         assert closure_rows(real, sub.rows) == sub.rows
-        assert lattice.key(sub.rows) == sub.key
+        # the key the subspace was born with agrees with its rows
+        assert lattice.rows(sub.key) == sub.rows
+        assert (sub.rank, lattice.good_dims(sub.key)) == oracles.class_key(real, sub.rows)
 
 
 def test_cap_exceeded():
@@ -97,18 +105,18 @@ def test_cap_exceeded():
 
 
 def test_alpha_examples(ex2):
-    dp = Subobject(rows([1, 0, 0, 0], [0, 1, 1, 0]))
+    dp = profile(ex2, [1, 0, 0, 0], [0, 1, 1, 0])
     zero = GoodSubobject((0, 0))
     assert oracles.alpha_ratio(zero, GoodSubobject((1, 0)), dp, ex2) == 1
     assert oracles.alpha_ratio(GoodSubobject((1, 0)), GoodSubobject((2, 0)), dp, ex2) == 0
-    empty = Subobject(())
+    empty = profile(ex2)
     assert oracles.alpha_ratio(zero, GoodSubobject((1, 0)), empty, ex2) == 0
     with pytest.raises(ValueError):
         oracles.alpha_ratio(GoodSubobject((1, 0)), GoodSubobject((1, 0)), dp, ex2)
 
 
 def test_greedy_flag_ex2(ex2):
-    dp = Subobject(rows([1, 0, 0, 0], [0, 1, 1, 0]))
+    dp = profile(ex2, [1, 0, 0, 0], [0, 1, 1, 0])
     flag = greedy_flag(ex2, dp)
     assert [m.dimension(ex2) for m in flag.members] == [1, 3]
     assert [m.counts for m in flag.members] == [(1, 0), (2, 1)]
@@ -117,14 +125,13 @@ def test_greedy_flag_ex2(ex2):
 
 def test_greedy_flag_ex1a_modified(ex1a):
     edges = build_modified_frobenius(ex1a)
-    dp = Subobject(rows([0, 1, 0]))
-    flag = greedy_flag(ex1a, dp, edges)
+    flag = greedy_flag(ex1a, profile(ex1a, [0, 1, 0], edges=edges))
     assert [m.counts for m in flag.members] == [(0, 1), (0, 2)]
     assert [m.dimension(ex1a) for m in flag.members] == [1, 2]
 
 
 def test_greedy_flag_whole_module(ex2):
-    dp = Subobject(rows([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]))
+    dp = profile(ex2, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
     flag = greedy_flag(ex2, dp)
     assert all(a == 1 for a in flag.alphas)
     dims = [m.dimension(ex2) for m in flag.members]
@@ -132,26 +139,27 @@ def test_greedy_flag_whole_module(ex2):
 
 
 def test_omega_examples(ex2):
-    dp = Subobject(rows([1, 0, 0, 0], [0, 1, 1, 0]))
+    dp = profile(ex2, [1, 0, 0, 0], [0, 1, 1, 0])
     flag = greedy_flag(ex2, dp)
     assert omega_from_flag(ex2, flag, dp) == frozenset({1, 3})
-    empty = Subobject(())
+    empty = profile(ex2)
     assert omega_from_flag(ex2, greedy_flag(ex2, empty), empty) == frozenset()
-    full = Subobject(oracles.identity(4))
+    full = profile(ex2, *oracles.identity(4))
     assert omega_from_flag(ex2, greedy_flag(ex2, full), full) == frozenset({1, 2, 3, 4})
 
 
 def test_omega_size_invariant(ex2):
     real = realize_matrices(ex2, build_modified_frobenius(ex2))
-    for dp in enumerate_concrete_subobjects(real):
-        flag = greedy_flag(ex2, dp)
-        om = omega_from_flag(ex2, flag, dp)
+    lattice = StableLattice(real)
+    for dp in enumerate_concrete_subobjects(real, lattice=lattice):
+        prof = lattice.profile(dp.key)
+        om = omega_from_flag(ex2, greedy_flag(ex2, prof), prof)
         assert len(om) == dp.rank
         assert all(1 <= j <= 4 for j in om)
 
 
 def test_special_pair_ex2(ex2):
-    dp = Subobject(rows([1, 0, 0, 0], [0, 1, 1, 0]))
+    dp = profile(ex2, [1, 0, 0, 0], [0, 1, 1, 0])
     pair = special_pair_from_flag(ex2, greedy_flag(ex2, dp), dp)
     assert pair.a == (1, 2, 1) and pair.c == (1,)
     assert is_special(pair.a, pair.c) == (True, None)
@@ -159,14 +167,15 @@ def test_special_pair_ex2(ex2):
 
 
 def test_special_pair_good_dprime(ex2):
-    dp = Subobject(good_span(ex2, GoodSubobject((2, 1))))
+    dp = good_profile(ex2, GoodSubobject((2, 1)))
+    assert dp == profile(ex2, *good_span(ex2, GoodSubobject((2, 1))))
     pair = special_pair_from_flag(ex2, greedy_flag(ex2, dp), dp)
     assert pair.k == 0
     assert pair.a == (3, 1)
 
 
 def test_special_pair_vacuous(ex2):
-    dp = Subobject(())
+    dp = profile(ex2)
     pair = special_pair_from_flag(ex2, greedy_flag(ex2, dp), dp)
     assert pair.vacuous
 
@@ -179,18 +188,19 @@ def test_special_pair_boundary_violation():
         CFG, (F,), (Summand("F", 0, 2), Summand("F", 0, 3), Summand("F", 1, 1))
     )
     edges = build_modified_frobenius(spec)
-    dp = Subobject(
-        rows(
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 1],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-        )
+    dp = profile(
+        spec,
+        [1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 1],
+        [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        edges=edges,
     )
-    flag = greedy_flag(spec, dp, edges)
+    flag = greedy_flag(spec, dp)
+    assert smallest_enclosing_good(spec, dp) == GoodSubobject((2, 3, 1))
     with pytest.raises(SpecialPairViolation) as exc:
-        special_pair_from_flag(spec, flag, dp, edges)
+        special_pair_from_flag(spec, flag, dp)
     assert exc.value.clause == "iii"
     assert exc.value.a[-1] == 0
 
@@ -204,12 +214,13 @@ def test_tie_break_randomization_invariance():
             continue
         edges = build_modified_frobenius(spec)
         real = realize_matrices(spec, edges)
-        subs = enumerate_concrete_subobjects(real, seed=done, rounds=0)
-        dp = subs[rng.randrange(len(subs))]
-        base = greedy_flag(spec, dp, edges)
+        lattice = StableLattice(real)
+        subs = enumerate_concrete_subobjects(real, seed=done, rounds=0, lattice=lattice)
+        dp = lattice.profile(subs[rng.randrange(len(subs))].key)
+        base = greedy_flag(spec, dp)
         dims = tuple(m.dimension(spec) for m in base.members)
         for trial in range(3):
-            other = greedy_flag(spec, dp, edges, rng=random.Random(trial))
+            other = greedy_flag(spec, dp, rng=random.Random(trial))
             assert tuple(m.dimension(spec) for m in other.members) == dims
             assert other.alphas == base.alphas
         done += 1
@@ -219,8 +230,9 @@ def test_flag_conditions_on_examples(ex1a, ex2):
     for spec in (ex1a, ex2):
         edges = build_modified_frobenius(spec)
         real = realize_matrices(spec, edges)
-        for dp in enumerate_concrete_subobjects(real):
-            flag = greedy_flag(spec, dp, edges)
+        lattice = StableLattice(real)
+        for dp in enumerate_concrete_subobjects(real, lattice=lattice):
+            flag = greedy_flag(spec, lattice.profile(dp.key))
             conds = oracles.flag_conditions(spec, flag, real)
             assert all(conds.values()), (spec.summands, dp.rows, conds)
 
@@ -229,7 +241,7 @@ def test_greedy_rejects_multi_component():
     g = Family("G", 1, Fraction(0))
     spec = ModuleSpec(CFG, (F, g), (Summand("F", 0, 1), Summand("G", 0, 1)))
     with pytest.raises(ValueError):
-        greedy_flag(spec, Subobject(()))
+        greedy_flag(spec, profile(spec))
 
 
 def test_split_and_global_omega_multi_component():
@@ -239,10 +251,17 @@ def test_split_and_global_omega_multi_component():
     )
     edges = build_modified_frobenius(spec)
     real = realize_matrices(spec, edges)
-    for dp in enumerate_concrete_subobjects(real):
-        parts = split_by_component(real, dp)
-        assert sum(piece.rank for _, piece in parts) == dp.rank
-        om = oracles.global_omega(real, dp)
+    lattice = StableLattice(real)
+    for dp in enumerate_concrete_subobjects(real, lattice=lattice):
+        prof = lattice.profile(dp.key)
+        parts = oracles.component_analysis(real, prof)
+        # the rank of each part is that of D' meeting the component's span
+        for part in parts:
+            coords = [i for i, blk in enumerate(real.basis) if blk.summand in part["component"]]
+            span = oracles.coordinate_rows(coords, real.dimension)
+            assert part["rank"] == len(oracles.intersect_basis(span, dp.rows))
+        assert sum(part["rank"] for part in parts) == dp.rank
+        om = oracles.global_omega(real, prof)
         assert len(om) == dp.rank
 
 
@@ -258,13 +277,74 @@ def test_combinatorial_greedy_h2():
     # flag machinery runs for families of dimension two as well
     fam = Family("F", 2, Fraction(0))
     spec = ModuleSpec(CFG, (fam,), (Summand("F", 0, 1), Summand("F", 0, 2)))
-    dp = GoodSubobject((0, 1))
-    assert oracles.alpha_ratio(GoodSubobject((0, 0)), GoodSubobject((0, 1)), dp, spec) == 1
     edges = build_modified_frobenius(spec)
-    flag = greedy_flag(spec, dp, edges)
+    dp = good_profile(spec, GoodSubobject((0, 1)), edges)
+    assert oracles.alpha_ratio(GoodSubobject((0, 0)), GoodSubobject((0, 1)), dp, spec) == 1
+    flag = greedy_flag(spec, dp)
     dims = [m.dimension(spec) for m in flag.members]
     assert all(d % 2 == 0 for d in dims)
-    pair = special_pair_from_flag(spec, flag, dp, edges)
+    pair = special_pair_from_flag(spec, flag, dp)
     assert is_special(pair.a, pair.c)[0]
     om = omega_from_flag(spec, flag, dp)
-    assert len(om) == dp.dimension(spec)
+    assert len(om) == GoodSubobject((0, 1)).dimension(spec)
+
+
+def test_smallest_enclosing_good_matches_a_brute_force_scan():
+    # against the least-dimension stable good whose dense intersection with
+    # D' has dimension rank D', and for block-aligned D' the least-dimension
+    # stable good containing it, on random specs with and without edges
+    rng = random.Random(121)
+    checked = coupled = proper = 0
+    while checked < 400:
+        spec = random_spec(rng)
+        if spec is None:
+            continue
+        edges = build_modified_frobenius(spec) if rng.random() < 0.5 else ()
+        real = realize_matrices(spec, edges)
+        lattice = StableLattice(real)
+        goods = stable_good_subobjects(spec, edges)
+        for sub in enumerate_concrete_subobjects(real, rounds=0, lattice=lattice):
+            rank, dims = oracles.class_key(real, sub.rows)
+            want = min(
+                (g for g, d in zip(goods, dims) if d == rank),
+                key=lambda g: g.dimension(spec),
+            )
+            assert smallest_enclosing_good(spec, lattice.profile(sub.key)) == want
+            checked += 1
+            coupled += bool(edges)
+            proper += want != goods[-1]
+        for dp in enumerate_good_subobjects(spec):
+            want = min(
+                (g for g in goods if g.contains(dp)), key=lambda g: g.dimension(spec)
+            )
+            assert smallest_enclosing_good(spec, good_profile(spec, dp, edges)) == want
+    assert coupled >= 100 and proper >= 100
+
+
+def test_flag_layer_does_no_linear_algebra(monkeypatch, ex1a, ex2):
+    cases = []
+    for spec in (ex1a, ex2):
+        edges = build_modified_frobenius(spec)
+        real = realize_matrices(spec, edges)
+        lattice = StableLattice(real)
+        subs = enumerate_concrete_subobjects(real, lattice=lattice)
+        cases += [(spec, lattice.profile(sub.key)) for sub in subs]
+        cases += [(spec, good_profile(spec, g, edges)) for g in enumerate_good_subobjects(spec)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flag layer called into linalg")
+
+    monkeypatch.setattr(linalg, "Echelon", refuse)
+    monkeypatch.setattr(linalg, "rank", refuse)
+    pairs = 0
+    for spec, prof in cases:
+        flag = greedy_flag(spec, prof)
+        assert greedy_flag(spec, prof, rng=random.Random(1)).alphas == flag.alphas
+        assert len(omega_from_flag(spec, flag, prof)) == prof[flag_chain(spec, flag)[-1]]
+        smallest_enclosing_good(spec, prof)
+        try:
+            special_pair_from_flag(spec, flag, prof)
+            pairs += 1
+        except SpecialPairViolation:
+            pass
+    assert pairs >= 20
