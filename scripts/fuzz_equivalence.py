@@ -4,8 +4,11 @@
 Samples module specs with rational base slopes and weight profiles (half
 of them engineered to satisfy the total-slope equality), asserts that the
 prefix slope chain and the shuffle valuation condition agree, and
-optionally runs the full construction pipeline on every instance.  The
-generators are the ones the test suite uses, from tests/helpers.py.
+optionally runs the full construction pipeline on every instance: its
+verdict must match, every ok must rest on chain certificates, and the
+count of each proof source (certificate, or the good, search or
+equality witness of a failure) is printed.  The generators are the ones
+the test suite uses, from tests/helpers.py.
 
     PYTHONPATH=src python scripts/fuzz_equivalence.py --trials 500 --seed 0
 """
@@ -43,6 +46,7 @@ def main(argv=None) -> None:
     rng = random.Random(args.seed)
     t0 = time.time()
     done = passes = 0
+    sources: dict[str, int] = {}
     while done < args.trials:
         spec = random_spec(rng, args.max_dim)
         if spec is None:
@@ -68,6 +72,13 @@ def main(argv=None) -> None:
                 raise SystemExit(
                     f"PIPELINE MISMATCH at trial {done}: {spec.summands}"
                 )
+            if rep.ok and rep.proof != "certificate":
+                raise SystemExit(
+                    f"UNCERTIFIED OK at trial {done}: {spec.summands} {prof.weights}"
+                )
+            # an ok names its proof, a failure the source of its witness
+            source = rep.proof if rep.ok else rep.witness.get("source", rep.reason)
+            sources[source] = sources.get(source, 0) + 1
         passes += a
         done += 1
     dt = time.time() - t0
@@ -76,6 +87,9 @@ def main(argv=None) -> None:
         f"{mode}: {done} instances agree ({passes} pass, {done - passes} fail) "
         f"in {dt:.1f}s"
     )
+    if args.pipeline:
+        counts = ", ".join(f"{name} {n}" for name, n in sorted(sources.items()))
+        print(f"proof sources: {counts}")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,16 @@ The items come from the benchmark's own workload definitions in
   temporary directory of the generated inputs replaced by `<root>`.
 
 Equal digests for a parent and a changed checkout mean equal report
-bytes, item for item.  The package is imported from `src/` of the
+bytes, item for item.  With `--verdicts` only the verdicts are hashed:
+`ok`, `reason` and `witness.kind` of every `check_admissible` report and
+of every CLI report's `verdict`, the `ok` of every criteria verdict, and
+the CLI exit codes.  Equal verdict digests mean equal decisions where the
+report content differs.  The package is imported from `src/` of the
 checkout that holds this script.
 
     python3 scripts/report_digests.py --seeds 11 12 21
     python3 scripts/report_digests.py --workload cli_reports --seeds 3 --count 10
+    python3 scripts/report_digests.py --verdicts --seeds 11 12 21
 """
 
 from __future__ import annotations
@@ -45,8 +50,19 @@ def _items(wl, count: int | None) -> list:
     return items if count is None else items[:count]
 
 
-def digest(workload: str, seed: int, count: int | None = None) -> tuple[int, str]:
-    """(items hashed, sha256) for one workload and seed."""
+def _decision(verdict: dict | None) -> list | None:
+    """ok, reason and witness kind of a verdict dict."""
+    if verdict is None:
+        return None
+    witness = verdict.get("witness") or {}
+    return [verdict.get("ok"), verdict.get("reason"), witness.get("kind")]
+
+
+def digest(
+    workload: str, seed: int, count: int | None = None, verdicts: bool = False
+) -> tuple[int, str]:
+    """(items hashed, sha256) for one workload and seed; with `verdicts`,
+    over the decisions only."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -56,13 +72,23 @@ def digest(workload: str, seed: int, count: int | None = None) -> tuple[int, str
         items = _items(wl, count)
         for k, item in enumerate(items):
             if workload == "verify_stream":
-                out = json.dumps(wl.execute(item).as_dict(), sort_keys=True)
+                report = wl.execute(item).as_dict()
+                if verdicts:
+                    report = _decision(report)
+                out = json.dumps(report, sort_keys=True)
             elif workload == "criteria_stream":
-                verdicts = [v.as_dict() for v in wl.execute(item)]
-                out = json.dumps(verdicts, sort_keys=True)
+                result = wl.execute(item)
+                if verdicts:
+                    out = json.dumps([v.ok for v in result])
+                else:
+                    out = json.dumps([v.as_dict() for v in result], sort_keys=True)
             else:
                 code, stdout = wl.execute(item)
-                out = f"{code}\n{stdout.replace(str(root), '<root>')}"
+                if verdicts:
+                    report = json.loads(stdout)
+                    out = json.dumps([code, _decision(report.get("verdict"))])
+                else:
+                    out = f"{code}\n{stdout.replace(str(root), '<root>')}"
             h.update(f"{k}\0{out}\0".encode())
     return len(items), h.hexdigest()
 
@@ -75,11 +101,16 @@ def main(argv=None) -> int:
         "--count", type=int, default=None,
         help="hash only the first COUNT items of each workload",
     )
+    parser.add_argument(
+        "--verdicts", action="store_true",
+        help="hash only the decisions: ok, reason, witness kind, exit codes",
+    )
     args = parser.parse_args(argv)
+    tag = " verdicts" if args.verdicts else ""
     for workload in args.workload or DIGESTED:
         for seed in args.seeds:
-            n, sha = digest(workload, seed, args.count)
-            print(f"{workload} seed={seed} items={n} sha256={sha}")
+            n, sha = digest(workload, seed, args.count, args.verdicts)
+            print(f"{workload}{tag} seed={seed} items={n} sha256={sha}")
     return 0
 
 

@@ -8,6 +8,7 @@ verdicts, and the full admissibility pipeline, printed as a compact table.
 
 import argparse
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from filtadm import (
@@ -58,7 +59,9 @@ def run(name: str, seed: int, no_modify: bool) -> None:
     print(f"  slope chain: {'pass' if chain.ok else f'fail ({chain.failure})'}")
     print(f"  shuffle valuations: {'pass' if emerton.ok else f'fail ({emerton.failure})'}")
     verdict = "admissible" if rep.ok else f"violated ({rep.reason})"
-    print(f"  pipeline: {verdict}, {rep.checked} subspaces checked")
+    classes = [row for row in rep.table if "tHBound" in row]
+    certified = sum(Fraction(row["tHBound"]) <= Fraction(row["tN"]) for row in classes)
+    print(f"  pipeline: {verdict}, {len(classes)} classes, {certified} certified")
     if rep.witness and rep.reason == "witness":
         w = rep.witness
         print(

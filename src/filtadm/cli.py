@@ -34,7 +34,7 @@ from .model import (
 )
 from .ordering import canonical_order, check_not_precede
 from .pairs import fuzz_special_pairs
-from .slopes import check_all_block_orders, check_slope_chain
+from .slopes import check_slope_chain
 from .subobjects import (
     CapExceededError,
     DEFAULT_CAP,

@@ -10,7 +10,9 @@ in the generic dimension max(0, dim E - j + 1).
 
 Generic integer bases sampled from a seeded generator satisfy this after
 exact verification (the failure locus is a proper closed condition);
-failed samples are redrawn.
+failed samples are redrawn.  `build_transverse_filtration` marks the
+filtrations it verified; `check_admissible` verifies any other one before
+it relies on transversality.
 
 For a basis of full rank one minor per good decides transversality: a
 good E of dimension m meets every tail generically iff E meets
@@ -19,6 +21,49 @@ rank n - m on the columns outside E.  If so, for j > m+1 the tail T_j lies
 inside T_{m+1} and meets E in 0; for j <= m+1 it contains T_{m+1}, so
 E + T_j is the whole space and dim(E cap T_j) = m - j + 1.  Conversely
 j = m+1 is itself one of the tails checked.
+
+Admissibility of the pair (realization, filtration) demands the Hodge
+slope t_H(D') to stay below the Newton slope t_N(D') for every stable
+subspace D', with exact equality on the whole module.  Transversality
+bounds t_H by the intersection profile of D' alone.  Write P_sigma for
+the prefix sums of the weights of sigma and P for their sum over sigma
+(`WeightProfile.prefix_sums`).
+
+- A stable good E of dimension m has t_H(E) = [K:L] P[m] for every
+  transverse filtration, so a stable good with [K:L] P[m] > t_N(E) is a
+  witness that needs no search.
+- Chain bound.  Let 0 = E_0 < ... < E_r = D be stable goods, e_l = dim E_l
+  and c_l = dim(E_l cap D') - dim(E_{l-1} cap D').  Hodge slopes add up
+  over the subquotients of a filtered space, so t_H(D') is the sum of
+  t_H((E_l cap D') / (E_{l-1} cap D')).  That subquotient sits inside
+  E_l / E_{l-1}, whose induced filtration jumps at the weights e_{l-1}+1
+  .. e_l of each sigma (transversality on E_l and on E_{l-1}), and its own
+  filtration is at most the one induced from there.  So its t_H is at
+  most the sum of the top c_l of those weights, and
+      t_H(D') <= [K:L] sum_sigma sum_l (P_sigma[e_l] - P_sigma[e_l - c_l]).
+  The bound depends on D' only through its class (rank, dim(E cap D') for
+  the stable goods E), and each sigma may take its own chain.
+- Refinement lemma.  Putting a stable good E' between E_{l-1} and E_l
+  splits c_l = c' + c'' and replaces the top c_l weights of (e_{l-1},
+  e_l] by the top c' of (e_{l-1}, e'] and the top c'' of (e', e_l].
+  Since c'' <= e_l - e', these are c_l distinct weights of (e_{l-1},
+  e_l], so the bound never rises.  The best chain is therefore a maximal
+  one: a shortest path from 0 to D over the cover pairs of the stable
+  goods (`StableLattice.lower_covers`), in integers.
+
+The verdict, in order: the slope equality on the whole module; the
+enumeration of the stable subspace classes with its random-round audit
+(`enumerate_concrete_subobjects`); the first stable good, in (dim,
+counts) order, that is a witness, its t_H checked once against the
+filtration; otherwise one chain certificate per listed class, bound <=
+t_N.  The certificates cover the listed classes, and the audit vouches
+that the list is complete.  Only when some class does not certify does
+the search run: the listed classes, random-coefficient variants and
+closures of good-cap-tail intersections (the adversarially aligned
+subspaces), outside the certified classes, each against its exact t_H,
+the first violator being the witness.  The search decides as it would
+without the certificates, since no member of a certified class can
+violate.
 
 Tail dimensions of a subspace W come from one echelon pass per
 embedding: seeded with the canonical basis of W, it takes v_n, v_{n-1},
@@ -31,19 +76,13 @@ in E cap T_2 are too, and each step adds the rows that v_j stores there.
 The closure of a union is the closure of the earlier closure and the new
 vectors, so one closure grown through these steps gives every
 closure(E cap T_j) in turn.
-
-Admissibility of the pair (realization, filtration) demands the Hodge
-slope t_H(D') to stay below the Newton slope t_N(D') for every stable
-subspace D', with exact equality on the whole module.  The checker runs
-the enumerated pattern subobjects, the random-coefficient variants, and
-closures of good-cap-tail intersections (the adversarially aligned
-subspaces), reporting the first violator as a witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -58,6 +97,7 @@ from .model import (
     t_n,
     validate_spec,
 )
+from .pairs import InternalConsistencyError
 from .subobjects import (
     DEFAULT_CAP,
     StableLattice,
@@ -80,16 +120,31 @@ __all__ = [
 
 SAMPLE_BOX = 10**6
 MAX_ATTEMPTS = 64
+# what `_violation` reports for a basis that is not of full rank
+SINGULAR = "singular basis"
 
 
 class TransversalityError(RuntimeError):
-    def __init__(self, sigma: int, good: GoodSubobject, attempts: int):
-        super().__init__(
-            f"no transverse basis found for embedding {sigma} after "
-            f"{attempts} attempts (last failure at good {good.counts})"
-        )
+    """A basis is not transverse to the goods: `failure` is the good it
+    fails, or SINGULAR.  `attempts` is the sampling budget spent, or None
+    for a given filtration."""
+
+    def __init__(
+        self, sigma: int, failure: GoodSubobject | str, attempts: int | None
+    ):
+        where = failure
+        if isinstance(failure, GoodSubobject):
+            where = f"good {failure.counts}"
+        if attempts is None:
+            text = f"the basis of embedding {sigma} is not transverse"
+        else:
+            text = (
+                f"no transverse basis found for embedding {sigma} "
+                f"after {attempts} attempts"
+            )
+        super().__init__(f"{text} (last failure: {where})")
         self.sigma = sigma
-        self.good = good
+        self.failure = failure
         self.attempts = attempts
 
 
@@ -99,6 +154,9 @@ class Filtration:
     bases: tuple[Mat, ...]        # per sigma, rows v_1 .. v_{d+1}
     seed: int
     attempts: int
+    # set only by build_transverse_filtration, on the bases it verified;
+    # a copy made with dataclasses.replace starts unverified again
+    transverse: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -119,15 +177,16 @@ class Filtration:
 
 def _violation(
     spec: ModuleSpec, basis: Mat, goods: tuple[GoodSubobject, ...]
-) -> GoodSubobject | None:
-    """The first good the basis is not transverse to, or None.
+) -> GoodSubobject | str | None:
+    """The first good the basis is not transverse to, SINGULAR when the
+    basis is not of full rank, or None.
 
     A good of dimension m is transverse iff the minor of rows m+1..n on
     the columns outside it has full rank (see the module docstring).
     """
     n = spec.dimension
     if linalg.rank(basis) != n:
-        return goods[0]
+        return SINGULAR
     for good in goods:
         m = good.dimension(spec)
         if m in (0, n):
@@ -162,7 +221,7 @@ def build_transverse_filtration(
     bases = []
     total_attempts = 0
     for sigma in range(spec.config.embeddings):
-        last_bad: GoodSubobject | None = None
+        last_bad: GoodSubobject | str | None = None
         for _ in range(max_attempts):
             total_attempts += 1
             basis = tuple(
@@ -175,7 +234,9 @@ def build_transverse_filtration(
             last_bad = bad
         else:
             raise TransversalityError(sigma, last_bad, max_attempts)
-    return Filtration(profile, tuple(bases), seed, total_attempts)
+    filtration = Filtration(profile, tuple(bases), seed, total_attempts)
+    object.__setattr__(filtration, "transverse", True)
+    return filtration
 
 
 def _tail_dims(filtration: Filtration, sigma: int, rows: Mat) -> list[int]:
@@ -214,6 +275,7 @@ class AdmissibilityReport:
     witness: dict | None
     table: tuple[dict, ...]
     checked: int
+    proof: str | None = None                 # "certificate" | "search" | None
 
     def as_dict(self) -> dict:
         return {
@@ -222,7 +284,37 @@ class AdmissibilityReport:
             "witness": self.witness,
             "checked": self.checked,
             "table": list(self.table),
+            "proof": self.proof,
         }
+
+
+def _top_sums(profile: WeightProfile) -> list[list[list[int]]]:
+    """Per sigma, top[e][c] = P_sigma[e] - P_sigma[e - c]: the sum of the
+    top c of the lowest e weights."""
+    out = []
+    for row in profile.weights:
+        pre = list(itertools.accumulate(row, initial=0))
+        out.append([[pre[e] - pre[e - c] for c in range(e + 1)] for e in range(len(pre))])
+    return out
+
+
+def _chain_bound(
+    lattice: StableLattice, tops: list[list[list[int]]], inter: tuple[int, ...]
+) -> int:
+    """The chain bound of a class, divided by [K:L]: per sigma the shortest
+    path from 0 to D over the cover pairs of the stable goods, where the
+    step E -> E' costs top[dim E'][c] with c the growth of dim(E cap D')
+    given by `inter` (see the module docstring)."""
+    sizes = lattice.good_sizes
+    lower = lattice.lower_covers
+    total = 0
+    for top in tops:
+        dist = [0] * len(sizes)
+        for j in range(1, len(sizes)):
+            tj, cj = top[sizes[j]], inter[j]
+            dist[j] = min([dist[i] + tj[cj - inter[i]] for i in lower[j]])
+        total += dist[-1]
+    return total
 
 
 def _aligned_candidates(
@@ -276,6 +368,30 @@ def _aligned_candidates(
     return out
 
 
+def _witness(
+    sub: Subobject,
+    th: Fraction,
+    tn: Fraction,
+    enclosing: GoodSubobject,
+    spec: ModuleSpec,
+    source: str,
+) -> dict:
+    return {
+        "kind": "witness",
+        "source": source,
+        "dim": sub.rank,
+        "tH": fraction_to_str(th),
+        "tN": fraction_to_str(tn),
+        "basis": [[fraction_to_str(x) for x in row] for row in sub.rows],
+        "enclosingGood": list(enclosing.counts),
+        "enclosingDim": enclosing.dimension(spec),
+    }
+
+
+def _class_row(dim: int, tn: Fraction, bound: int) -> dict:
+    return {"dim": dim, "tN": fraction_to_str(tn), "tHBound": fraction_to_str(bound)}
+
+
 def check_admissible(
     spec: ModuleSpec,
     profile: WeightProfile,
@@ -285,14 +401,21 @@ def check_admissible(
     seed: int = 0,
     rounds: int = 5,
 ) -> AdmissibilityReport:
-    """Decide admissibility with an explicit witness on failure.
+    """Decide admissibility, with a proof either way where one closes.
 
-    Checks exact slope equality on the whole module, then t_H <= t_N over
-    the enumerated subobjects, the random-coefficient variants, and the
-    tail-aligned closures.  The witness records the violating subspace and
-    its smallest enclosing stable good subobject (the position where the
-    excess Hodge weight lives).
+    In the order of the module docstring: exact slope equality on the
+    whole module, the audited class list, a stable good witness, one chain
+    certificate per class, and the search outside the certified classes
+    only when some class does not certify.  A failure's witness records
+    the violating subspace, its smallest enclosing stable good subobject
+    (the position where the excess Hodge weight lives) and its `source`
+    ("good" or "search"); `proof` says what an ok rests on.  A filtration
+    that `build_transverse_filtration` did not verify is checked for
+    transversality first (TransversalityError).
     """
+    if filtration.weights != profile:
+        # the bounds read the profile, t_H reads the filtration
+        raise ValueError("the filtration's weights differ from the profile")
     cfg = spec.config
     total_th = Fraction(cfg.deg_K_L * profile.total)
     total_tn = t_n(spec)
@@ -303,29 +426,81 @@ def check_admissible(
             "tN": fraction_to_str(total_tn),
         }
         return AdmissibilityReport(False, "equality", witness, (), 0)
+    if not filtration.transverse:
+        goods = enumerate_good_subobjects(spec)
+        for sigma, basis in enumerate(filtration.bases):
+            bad = _violation(spec, basis, goods)
+            if bad is not None:
+                raise TransversalityError(sigma, bad, None)
 
     # every source interns its pieces in one lattice, so a candidate is
     # its tuple of piece ids; rows are built once per distinct candidate
     lattice = StableLattice(realization)
-    candidates: dict[tuple[int, ...], Subobject | None] = {}
-    for sub in enumerate_concrete_subobjects(
+    listed = enumerate_concrete_subobjects(
         realization, cap=cap, seed=seed, rounds=rounds, lattice=lattice
-    ):
-        candidates[sub.key] = sub
+    )
+    kl = cfg.deg_K_L
+    n = spec.dimension
+    den = realization.level_slopes[1]
+    goods, good_keys = lattice.goods, lattice.good_keys
+
+    # a stable good above its prefix weight; each good is its own class,
+    # whose chain bound [K:L] P[m] is attained.  Slopes are compared as
+    # integers over den.
+    prefix = profile.prefix_sums()
+    sizes = lattice.good_sizes
+    scan = sorted(
+        (m, good.counts, k) for k, (m, good) in enumerate(zip(sizes, goods)) if 0 < m < n
+    )
+    for pos, (m, _, k) in enumerate(scan):
+        if kl * prefix[m] * den > lattice.scaled_t_n(good_keys[k]):
+            table = tuple(
+                _class_row(size, lattice.t_n(good_keys[j]), kl * prefix[size])
+                for size, _, j in scan[: pos + 1]
+            )
+            sub = Subobject(lattice.rows(good_keys[k]), good_keys[k])
+            th_val = t_h(filtration, sub.rows, cfg)
+            if th_val != kl * prefix[m]:
+                raise InternalConsistencyError(
+                    f"stable good {goods[k].counts} has t_H {th_val}, not "
+                    f"[K:L] P[{m}] = {kl * prefix[m]}: the filtration is not transverse"
+                )
+            tn_val = lattice.t_n(good_keys[k])
+            witness = _witness(sub, th_val, tn_val, goods[k], spec, "good")
+            return AdmissibilityReport(False, "witness", witness, table, len(table))
+
+    tops = _top_sums(profile)
+    table = []
+    certified = set()
+    for sub in listed:
+        if sub.rank in (0, n):
+            continue
+        inter = lattice.good_dims(sub.key)
+        scaled = lattice.scaled_t_n(sub.key)
+        bound = kl * _chain_bound(lattice, tops, inter)
+        table.append(_class_row(sub.rank, Fraction(scaled, den), bound))
+        if bound * den <= scaled:
+            certified.add((sub.rank, inter))
+    if len(certified) == len(table):
+        return AdmissibilityReport(
+            True, None, None, tuple(table), len(table), "certificate"
+        )
+
+    candidates: dict[tuple[int, ...], Subobject | None] = {s.key: s for s in listed}
     rng = random.Random(seed + 1)
     for _ in range(rounds):
         for key in random_round_subobjects(lattice, rng):
             candidates.setdefault(key, None)
     for key in _aligned_candidates(lattice, filtration):
         candidates.setdefault(key, None)
-
-    subs = [s or Subobject(lattice.rows(key), key) for key, s in candidates.items()]
-    ordered = sorted(subs, key=lambda s: (s.rank, s.rows))
-    table = []
+    subs = [
+        s or Subobject(lattice.rows(key), key)
+        for key, s in candidates.items()
+        if 0 < lattice.dim(key) < n
+        and (lattice.dim(key), lattice.good_dims(key)) not in certified
+    ]
     witness = None
-    for sub in ordered:
-        if sub.rank in (0, spec.dimension):
-            continue
+    for sub in sorted(subs, key=lambda s: (s.rank, s.rows)):
         tn_val = lattice.t_n(sub.key)
         th_val = t_h(filtration, sub.rows, cfg)
         table.append(
@@ -339,16 +514,7 @@ def check_admissible(
             enclosing = smallest_enclosing_good(
                 realization.spec, lattice.profile(sub.key)
             )
-            witness = {
-                "kind": "witness",
-                "dim": sub.rank,
-                "tH": fraction_to_str(th_val),
-                "tN": fraction_to_str(tn_val),
-                "basis": [[fraction_to_str(x) for x in row] for row in sub.rows],
-                "enclosingGood": list(enclosing.counts),
-                "enclosingDim": enclosing.dimension(spec),
-            }
+            witness = _witness(sub, th_val, tn_val, enclosing, spec, "search")
     if witness is not None:
-        return AdmissibilityReport(False, "witness", witness, tuple(table), len(ordered))
-    return AdmissibilityReport(True, None, None, tuple(table), len(ordered))
-
+        return AdmissibilityReport(False, "witness", witness, tuple(table), len(table))
+    return AdmissibilityReport(True, None, None, tuple(table), len(table), "search")

@@ -160,9 +160,9 @@ class ConcreteRealization:
         return tuple(out)
 
     @cached_property
-    def _level_slopes(self) -> tuple[tuple[int, ...], int]:
+    def level_slopes(self) -> tuple[tuple[int, ...], int]:
         """Newton slope of one block of each level, read off its first, as
-        integers over one common denominator."""
+        integers over one common denominator: (numerators, denominator)."""
         cfg = self.spec.config
         slopes = [Fraction(self.basis[c[0]].t_n(cfg)) for c in self.levels]
         den = math.lcm(*(t.denominator for t in slopes))
@@ -172,7 +172,7 @@ class ConcreteRealization:
         """Newton slope of a Phi,N-stable subspace W with dim(W cap V_lambda)
         given per level: each level contributes it times the slope of its
         blocks."""
-        nums, den = self._level_slopes
+        nums, den = self.level_slopes
         return Fraction(sum(d * x for d, x in zip(dims, nums)), den)
 
 

@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -257,23 +259,19 @@ def flag_chain(spec: ModuleSpec, flag: GoodFlag) -> tuple[GoodSubobject, ...]:
 
 def omega_from_flag(
     spec: ModuleSpec,
-    flag_or_chain,
+    flag: GoodFlag,
     profile: Mapping[GoodSubobject, int],
 ) -> frozenset[int]:
-    """Trailing-interval index set of a good chain adapted to D'.
+    """Trailing-interval index set of the extended chain of a greedy flag.
 
     For each chain member E_l the interval (dim E_l - c_l, dim E_l] enters,
     where c_l is the jump of dim(E cap D') at that step; the set has
     exactly rank(D') elements.
     """
-    if isinstance(flag_or_chain, GoodFlag):
-        chain = flag_chain(spec, flag_or_chain)
-    else:
-        chain = tuple(flag_or_chain)
+    chain = flag_chain(spec, flag)
     out: set[int] = set()
-    base = chain[0].dimension(spec)
     for prev, g in zip(chain, chain[1:]):
-        top = g.dimension(spec) - base
+        top = g.dimension(spec)
         out.update(range(top - profile[g] + profile[prev] + 1, top + 1))
     return frozenset(out)
 
@@ -378,7 +376,8 @@ class StableLattice:
     form, because levels occupy disjoint columns and keep their order.  The
     term of a piece for a good E is len(piece) minus its rank on the level
     columns outside E; goods with the same outside columns on a level share
-    it.
+    it.  `good_sizes` and `lower_covers` give the poset of the stable
+    goods that chain bounds walk.
     """
 
     def __init__(self, realization: ConcreteRealization):
@@ -411,6 +410,50 @@ class StableLattice:
             self._outside.append((list(sets), which))
             spans.append(span)
         self.good_keys = list(zip(*spans))
+
+    @cached_property
+    def good_sizes(self) -> tuple[int, ...]:
+        """dim E for every stable good E, in the order of `goods`."""
+        spec = self.realization.spec
+        return tuple(g.dimension(spec) for g in self.goods)
+
+    @cached_property
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """For every stable good, the indices in `goods` of the stable goods
+        it covers: those below it with no stable good in between.
+
+        The stable goods are closed under componentwise minimum, so above a
+        good E the smallest stable good with one more block of summand i
+        exists: raise c_i by one, then raise c_dst to c_src - l along every
+        violated edge until none is.  Every good above E lies above one of
+        these, so the goods E is covered by are the minimal ones among
+        them.  `goods` is in lexicographic order, which extends
+        containment, so every index here is below the good's own.
+        """
+        goods = self.goods
+        index = {g.counts: k for k, g in enumerate(goods)}
+        edges = self.realization.edges
+        tops = [s.b for s in self.realization.spec.summands]
+        lower: list[list[int]] = [[] for _ in goods]
+        for k, good in enumerate(goods):
+            ups = set()
+            for i, top in enumerate(tops):
+                if good.counts[i] == top:
+                    continue
+                c = list(good.counts)
+                c[i] += 1
+                grew = True
+                while grew:
+                    grew = False
+                    for e in edges:
+                        if c[e.src] > e.alignment + c[e.dst]:
+                            c[e.dst] = c[e.src] - e.alignment
+                            grew = True
+                ups.add(tuple(c))
+            for up in ups:
+                if not any(v != up and all(map(operator.le, v, up)) for v in ups):
+                    lower[index[up]].append(k)
+        return tuple(map(tuple, lower))
 
     def _intern(self, level: int, piece: tuple) -> int:
         ids = self._ids[level]
@@ -479,6 +522,11 @@ class StableLattice:
 
     def t_n(self, key: tuple[int, ...]) -> Fraction:
         return self.realization.level_t_n(self.level_dims(key))
+
+    def scaled_t_n(self, key: tuple[int, ...]) -> int:
+        """t_N times the denominator of `ConcreteRealization.level_slopes`."""
+        nums = self.realization.level_slopes[0]
+        return sum(d * x for d, x in zip(self.level_dims(key), nums))
 
     def _level_sum(self, level: int, i: int, j: int) -> int:
         if i == j or not j:

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 from filtadm import linalg
 from filtadm.emerton import EmertonVerdict, gamma_blocks
-from filtadm.filtration import Filtration, _tail_dims
+from filtadm.filtration import SINGULAR, Filtration, _tail_dims
 from filtadm.frobenius import ConcreteRealization, ModificationEdge
 from filtadm.linalg import Mat, Vec
 from filtadm.model import (
@@ -499,10 +499,11 @@ def class_key(realization, rows: Mat) -> tuple:
 
 
 def violation(spec: ModuleSpec, basis: Mat, goods):
-    """The first good some tail meets in a non-generic dimension."""
+    """The first good some tail meets in a non-generic dimension, or
+    `filtration.SINGULAR` for a basis not of full rank."""
     n = spec.dimension
     if len(rref(basis)) != n:
-        return goods[0]
+        return SINGULAR
     for good in goods:
         m = good.dimension(spec)
         if m in (0, n):
@@ -544,6 +545,27 @@ def aligned_candidates(spec: ModuleSpec, realization, filtration) -> list[Mat]:
                 if inter:
                     out.append(closure_under(inter, ops))
     return out
+
+
+def chain_bound(spec: ModuleSpec, profile: WeightProfile, inter: dict) -> int:
+    """[K:L] times the sum over sigma of the least chain bound of D', over
+    every chain of stable goods: a shortest path in which any stable good
+    E may step to any stable good E' strictly containing it, at the cost
+    of the top c weights among the lowest dim E' of sigma, c the growth of
+    dim(E ∩ D') given by the profile `inter` (keyed by the stable goods)."""
+    goods = sorted(inter, key=lambda g: g.dimension(spec))
+    total = 0
+    for weights in profile.weights:
+        dist = {goods[0]: 0}
+        for g in goods[1:]:
+            e = g.dimension(spec)
+            dist[g] = min(
+                dist[f] + sum(sorted(weights[:e])[e - (inter[g] - inter[f]):])
+                for f in goods
+                if f in dist and f != g and g.contains(f)
+            )
+        total += dist[goods[-1]]
+    return spec.config.deg_K_L * total
 
 
 # ---------------------------------------------------------------------------

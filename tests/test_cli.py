@@ -89,6 +89,8 @@ def test_verify_admissible_modified_passes(capsys):
         "--seed", "7",
     )
     assert code == 0 and rep["verdict"]["ok"]
+    assert rep["verdict"]["proof"] == "certificate"
+    assert all("tHBound" in row for row in rep["verdict"]["table"])
 
 
 def test_verify_admissible_unmodified_fails(capsys):
@@ -103,6 +105,9 @@ def test_verify_admissible_unmodified_fails(capsys):
     assert code == 1
     w = rep["verdict"]["witness"]
     assert w["kind"] == "witness" and w["enclosingDim"] == 2
+    # no stable good violates here, so the search found the witness
+    assert w["source"] == "search" and w["enclosingGood"] == [1, 1]
+    assert rep["verdict"]["proof"] is None
 
 
 def test_equivalence_exit_zero(capsys):
@@ -292,8 +297,10 @@ def test_timing_field_excluded_from_determinism():
 # relative input paths (the paths enter the report).  A change to the
 # echelon kernel, the closure, t_N, the shuffle valuation check, the
 # candidate table or the transversality check that alters any byte fails
-# here.  Every digest was
-# computed before the change it guards.
+# here.  Every digest was computed before the change it guards, except
+# the six verify ones: they were re-pinned when chain certificates took
+# the place of the candidate search (the table holds one row per class
+# with its bound; no exit code moved).
 GOLDEN = [
     ("subobjects ex1a", "subobjects --spec data/ex1a_spec.json --modified", 0,
      "51bc993e7c0d60af4b6827e7f0e7c539d792ca3a406b62de840eb41c67da5ec7"),
@@ -305,22 +312,22 @@ GOLDEN = [
      "aa6b241b3c1fb07464331559cc400a0fef8be3a2f66be60bb55dcf882b2270c4"),
     ("verify ex1a", "verify-admissible --spec data/ex1a_spec.json "
      "--weights data/weights_m212.json --seed 7", 0,
-     "d27b304c5ad430764f77cb2526c92b5d525359fe1420a76de009cbe043b3165d"),
+     "8f0828f7abf193d0125f45a6fde843db02819431d6f4eae965b9984e7778e460"),
     ("verify ex1a unmodified", "verify-admissible --spec data/ex1a_spec.json "
      "--weights data/weights_m212.json --seed 7 --no-modify", 1,
-     "1ef4e6642a75d2172076bf1c0e35afb7402fe1b8f4cf97b0f40edbe6633009fc"),
+     "e0e247c317d9ed4d9a55a2c6486cf69073fb57ed012268448267a482bdb6b966"),
     ("verify ex2", "verify-admissible --spec data/ex2_spec.json "
      "--weights data/weights_ex2.json --seed 7", 0,
-     "9f86b8e7df2d3db70cf91458aa8ce26b379c1ab0018afd52133ad42f69844f2f"),
+     "351654f6343b3cccd5e54b65a047b927d225abafc41f0edd3aa9e7ce1d2ba7a4"),
     ("verify ex2 unmodified", "verify-admissible --spec data/ex2_spec.json "
      "--weights data/weights_ex2.json --seed 7 --no-modify", 0,
-     "7d489a06088033f257eade62ca211edb08ef97e34b1ea2ea3f0617604dbc85b9"),
+     "001b96bf398dfe263c13cf30ab7b869bd34272620ffd1f47db6815f039ab7ef6"),
     ("verify ex3", "verify-admissible --spec data/ex3_spec.json "
      "--weights data/weights_ex2.json --seed 7", 0,
-     "d898a79356e97f1efd8974b32d27ac749f3d8cacd1c05f80f55c5347e5ecfdd7"),
+     "89fbb8a8046b335d5a7199fc2768f999093c59a516fd2c511c026133a9495890"),
     ("verify ex3 unmodified", "verify-admissible --spec data/ex3_spec.json "
      "--weights data/weights_ex2.json --seed 7 --no-modify", 0,
-     "ebf013da20c28c3102c84584715ebf1fd06458ff6067806ac6d0a6cfa9310282"),
+     "8dcaf7c16198f64cec7a61e071ebea2c9a53eee58e5beca2e8cf7f8214b3787f"),
     ("emerton ex1a 012", "check-emerton --spec data/ex1a_spec.json "
      "--weights data/weights_012.json", 1,
      "0483b4814597417af82a49a85d34ad662cf2defee1ce9b661cc5eb4c3f777a44"),

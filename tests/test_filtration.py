@@ -1,25 +1,34 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from filtadm.filtration import (
+    Filtration,
     TransversalityError,
+    _aligned_candidates,
+    _chain_bound,
+    _top_sums,
     build_transverse_filtration,
     check_admissible,
     t_h,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand, WeightProfile, t_n
+from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
+    StableLattice,
     Subobject,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
     good_span,
     greedy_flag,
     omega_from_flag,
+    random_round_subobjects,
+    stable_good_subobjects,
 )
-from helpers import random_profile, random_spec
+from helpers import equal_total_stream, random_profile, random_spec
 import oracles
 
 CFG = Config(p=2)
@@ -96,11 +105,18 @@ def test_admissible_ex1a_modified(ex1a, w_m212):
 def test_admissible_ex1a_unmodified_fails(ex1a, w_m212):
     real, filt = _setup(ex1a, w_m212, modify=False)
     report = check_admissible(ex1a, w_m212, real, filt)
-    assert not report.ok and report.reason == "witness"
+    assert not report.ok and report.reason == "witness" and report.proof is None
     w = report.witness
     assert Fraction(w["tH"].replace("/", "/")) >= 1
     assert Fraction(w["tN"]) == 0
     assert w["enclosingDim"] == 2 and w["enclosingGood"] == [1, 1]
+    # no stable good violates and some class does not certify: the
+    # witness comes from the search, which ran outside the certified
+    # classes only
+    assert w["source"] == "search"
+    classes = [r for r in report.table if "tHBound" in r]
+    assert any(Fraction(r["tHBound"]) > Fraction(r["tN"]) for r in classes)
+    assert report.checked == len(report.table)
 
 
 def test_admissible_ex2(ex2, w_ex2):
@@ -125,9 +141,131 @@ def test_filtration_deterministic(ex2, w_ex2):
 
 def test_transversality_budget_error(ex2, w_ex2):
     real = realize_matrices(ex2, ())
-    with pytest.raises(TransversalityError):
+    with pytest.raises(TransversalityError) as exc:
         # a one-element box cannot produce a full-rank basis
         build_transverse_filtration(ex2, w_ex2, real, seed=0, max_attempts=3, box=0)
+    message = str(exc.value)
+    assert "after 3 attempts (last failure: singular basis)" in message
+    assert "good" not in message
+
+
+def test_hand_built_filtration_is_verified(ex1a, w_m212):
+    real, filt = _setup(ex1a, w_m212)
+    assert filt.transverse
+    # the standard basis puts v_1 inside the good line: not transverse
+    standard = tuple(oracles.identity(ex1a.dimension) for _ in w_m212.weights)
+    bad = Filtration(w_m212, standard, 0, 1)
+    assert not bad.transverse
+    with pytest.raises(TransversalityError, match="embedding 0 is not transverse"):
+        check_admissible(ex1a, w_m212, real, bad)
+    # the bounds read the profile: a filtration with other weights is refused
+    other = WeightProfile(tuple(tuple(w + 1 for w in row) for row in w_m212.weights))
+    with pytest.raises(ValueError, match="weights differ"):
+        check_admissible(ex1a, w_m212, real, dataclasses.replace(filt, weights=other))
+    # the same bases, rebuilt by hand or copied, are checked and pass
+    for copy in (Filtration(w_m212, filt.bases, 7, 1), dataclasses.replace(filt)):
+        assert not copy.transverse
+        assert check_admissible(ex1a, w_m212, real, copy) == check_admissible(
+            ex1a, w_m212, real, filt
+        )
+
+
+def _class_bound(lattice, profile, key):
+    return lattice.realization.spec.config.deg_K_L * _chain_bound(
+        lattice, _top_sums(profile), lattice.good_dims(key)
+    )
+
+
+def test_chain_bound_dominates_every_search_candidate():
+    # the three sources of the search: the listed classes, the seed+1
+    # random rounds and the aligned closures; every candidate lies in a
+    # listed class, and the class bound is at least its exact t_H
+    stream = equal_total_stream(5, 24, max_dim=6)
+    checked = 0
+    for k, (spec, profile) in enumerate(stream):
+        for modify in (True, False):
+            real, filt = _setup(spec, profile, seed=k, modify=modify)
+            lattice = StableLattice(real)
+            listed = enumerate_concrete_subobjects(real, seed=k, lattice=lattice)
+            bounds = {
+                (s.rank, lattice.good_dims(s.key)): _class_bound(lattice, profile, s.key)
+                for s in listed
+            }
+            keys = [s.key for s in listed]
+            rng = random.Random(k + 1)
+            for _ in range(5):
+                keys += random_round_subobjects(lattice, rng)
+            keys += _aligned_candidates(lattice, filt)
+            for key in keys:
+                bound = bounds[(lattice.dim(key), lattice.good_dims(key))]
+                assert t_h(filt, lattice.rows(key), spec.config) <= bound
+                checked += 1
+    assert checked > 1000
+
+
+def test_cover_dp_equals_all_pairs_dp():
+    rng = random.Random(31)
+    done = 0
+    while done < 25:
+        spec = random_spec(rng, max_dim=6)
+        if spec is None:
+            continue
+        profile = random_profile(rng, spec)
+        edges = build_modified_frobenius(spec) if done % 3 else ()
+        real = realize_matrices(spec, edges)
+        lattice = StableLattice(real)
+        # the goods of the lattice, their covers, and the classes
+        assert lattice.goods == stable_good_subobjects(spec, edges)
+        for sub in enumerate_concrete_subobjects(real, lattice=lattice):
+            want = oracles.chain_bound(spec, profile, lattice.profile(sub.key))
+            assert _class_bound(lattice, profile, sub.key) == want
+        done += 1
+
+
+def test_lower_covers_are_the_cover_pairs():
+    rng = random.Random(32)
+    done = 0
+    while done < 25:
+        spec = random_spec(rng, max_dim=7, max_summands=4)
+        if spec is None:
+            continue
+        edges = build_modified_frobenius(spec)
+        lattice = StableLattice(realize_matrices(spec, edges))
+        goods = lattice.goods
+        for j, g in enumerate(goods):
+            below = [f for f in goods if f != g and g.contains(f)]
+            want = [
+                i for i, f in enumerate(goods)
+                if f in below and not any(h != f and h.contains(f) for h in below)
+            ]
+            assert sorted(lattice.lower_covers[j]) == want
+        done += 1
+
+
+def test_modified_streams_decide_by_proof():
+    # a good witness exists exactly when the slope chain fails, and every
+    # ok rests on chain certificates
+    stream = equal_total_stream(7, 30, max_dim=7, min_summands=2)
+    for k, (spec, profile) in enumerate(stream):
+        chain = check_slope_chain(spec, profile).ok
+        kl = spec.config.deg_K_L
+        prefix = profile.prefix_sums()
+        edges = build_modified_frobenius(spec)
+        witness_goods = [
+            g for g in stable_good_subobjects(spec, edges)
+            if kl * prefix[g.dimension(spec)] > t_n(spec, g)
+        ]
+        assert bool(witness_goods) == (not chain)
+        real, filt = _setup(spec, profile, seed=k)
+        report = check_admissible(spec, profile, real, filt, seed=k)
+        assert report.ok == chain
+        if chain:
+            assert report.proof == "certificate"
+            assert all("tH" not in row for row in report.table)
+        else:
+            assert report.proof is None and report.witness["source"] == "good"
+            first = min(witness_goods, key=lambda g: (g.dimension(spec), g.counts))
+            assert report.witness["enclosingGood"] == list(first.counts)
 
 
 def test_transverse_dim2_trivial():

@@ -17,28 +17,42 @@ def test_fuzz_equivalence_smoke(capsys):
     assert out.startswith("equivalence: 30 instances agree")
 
 
-# Verdict lines printed before the examples moved to data/.
+def test_fuzz_equivalence_pipeline_counts_proof_sources(capsys):
+    # every ok on a modified realization is certified (the script exits
+    # otherwise), and failures come from goods or the total equality
+    _load("fuzz_equivalence").main(["--trials", "40", "--seed", "2", "--pipeline"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("equivalence+pipeline: 40 instances agree")
+    counts = dict(
+        part.split(" ") for part in lines[1].removeprefix("proof sources: ").split(", ")
+    )
+    assert set(counts) <= {"certificate", "good", "equality"}
+    assert sum(map(int, counts.values())) == 40 and "certificate" in counts
+
+
+# Verdict lines printed before the examples moved to data/; the pipeline
+# lines count the subspace classes and those a chain certificate closes.
 WORKED_VERDICTS = {
     (): [
         "example 1a: dims=[1, 2] t_N=1 weights=(-2, 1, 2)",
-        "  pipeline: admissible, 5 subspaces checked",
+        "  pipeline: admissible, 3 classes, 3 certified",
         "example 1b: dims=[2, 1] t_N=2 weights=(-2, 1, 3)",
-        "  pipeline: admissible, 5 subspaces checked",
+        "  pipeline: admissible, 3 classes, 3 certified",
         "example 2: dims=[2, 2] t_N=4 weights=(-1, 0, 2, 3)",
-        "  pipeline: admissible, 16 subspaces checked",
+        "  pipeline: admissible, 8 classes, 8 certified",
         "example 3: dims=[3, 1] t_N=4 weights=(-2, 0, 2, 4)",
-        "  pipeline: admissible, 15 subspaces checked",
+        "  pipeline: admissible, 7 classes, 7 certified",
     ],
     ("--no-modify",): [
         "example 1a: dims=[1, 2] t_N=1 weights=(-2, 1, 2)",
-        "  pipeline: violated (witness), 11 subspaces checked",
+        "  pipeline: violated (witness), 5 classes, 4 certified",
         "  witness: dim 1, tH=1/1, tN=0/1, inside good [1, 1]",
         "example 1b: dims=[2, 1] t_N=2 weights=(-2, 1, 3)",
-        "  pipeline: admissible, 13 subspaces checked",
+        "  pipeline: admissible, 5 classes, 5 certified",
         "example 2: dims=[2, 2] t_N=4 weights=(-1, 0, 2, 3)",
-        "  pipeline: admissible, 16 subspaces checked",
+        "  pipeline: admissible, 8 classes, 8 certified",
         "example 3: dims=[3, 1] t_N=4 weights=(-2, 0, 2, 4)",
-        "  pipeline: admissible, 15 subspaces checked",
+        "  pipeline: admissible, 7 classes, 7 certified",
     ],
 }
 
@@ -78,12 +92,14 @@ def test_report_digests_smoke(capsys):
 # The first 12 seed-3 items: the check_admissible reports of the stream,
 # and the CLI calls on data/ (every subcommand, including `subobjects`
 # and both `verify-admissible` runs).  A change to the report bytes of
-# either fails here.
+# either fails here.  Re-pinned when chain certificates took the place of
+# the candidate search; `PINNED_VERDICTS` below shows that no decision
+# moved.
 PINNED_DIGESTS = [
     "verify_stream seed=3 items=12 "
-    "sha256=2e906d83fd2971c1f0cb04729280640b7ff926288bc3323b5d211e48317f234c",
+    "sha256=8da2e10fa6ec969d0cd79f5f899b1d0f46fa4dced50c022af51e2b9595ce33fd",
     "cli_reports seed=3 items=12 "
-    "sha256=2d6d7a269c96e3809973eabcf6a8eb74fac6886b3b90c7d25c4ff688f005c7f3",
+    "sha256=3ddafa98c323388e30c5d2766bec74e544861c2d1be8c8a858041d6330d60847",
 ]
 
 
@@ -94,6 +110,27 @@ def test_report_digests_pinned(capsys):
         "--seeds", "3", "--count", "12",
     ])
     assert capsys.readouterr().out.splitlines() == PINNED_DIGESTS
+
+
+# The decisions of the same items: ok, reason and witness kind of every
+# verdict, and the CLI exit codes.  Computed before chain certificates
+# replaced the search: the proofs changed the report bytes, not one
+# decision.
+PINNED_VERDICTS = [
+    "verify_stream verdicts seed=3 items=12 "
+    "sha256=85a473f89a4a4efc9c013a7d3ebc7015e4787ef277be019fe5fa76f3366bac65",
+    "cli_reports verdicts seed=3 items=12 "
+    "sha256=29e80412204ffe785d411dc3860575f86370ce5ab7fef89d9e6012e42adf71f5",
+]
+
+
+def test_verdict_digests_pinned(capsys):
+    module = _load("report_digests")
+    module.main([
+        "--verdicts", "--workload", "verify_stream", "--workload", "cli_reports",
+        "--seeds", "3", "--count", "12",
+    ])
+    assert capsys.readouterr().out.splitlines() == PINNED_VERDICTS
 
 
 def test_criteria_digest_pinned(capsys):
