@@ -16,14 +16,27 @@ For integer a the pair induces an index set Omega (trailing intervals of
 length c_i inside consecutive ranges of length a_i), and for any
 nondecreasing m, n whose m-increments dominate the n-increments and with
 sum m <= sum n, one has sum_{Omega} m <= sum_{Omega} n.
+
+An integer core (`_clause`, `_solve`, `_omega`, `_weighted` and the
+samplers `_draw_pair`, `_draw_weights`) does all of this over one integer
+scale per quantity, so nothing is approximated: the clauses, the
+hypotheses and the Omega comparison are invariant under a positive scale.
+Pairs sit at scale 1 (integer draws) or 48 (other draws: a_i = u/d with
+d | 4, c_i = a_i j/4, pads in halves), weights at scale 2L (half units
+shifted by excess/L + q), and t_1 is a ratio P/Q of integers.  The public
+functions build `Fraction`s only at their boundary, and
+`fuzz_special_pairs` only to report a failure.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .model import fraction_to_str
 
 __all__ = [
     "SpecialPair",
@@ -80,86 +93,113 @@ class SpecialPair:
         return SpecialPair((), (), (), Fraction(0), vacuous=True)
 
 
-def _full_c(a: Sequence[Fraction], c: Sequence[Fraction]) -> list[Fraction]:
-    # conventions c_0 = a_0 and c_{k+1} = 0
-    return [Fraction(a[0])] + [Fraction(x) for x in c] + [Fraction(0)]
+def _common_scale(xs: Sequence, ys: Sequence) -> tuple[list[int], list[int], int]:
+    """Both sequences times the lcm s of all their denominators, and s."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    scale = math.lcm(*(x.denominator for x in (*xs, *ys)))
+    ints = [[x.numerator * (scale // x.denominator) for x in seq] for seq in (xs, ys)]
+    return ints[0], ints[1], scale
+
+
+def _clause(a: Sequence[int], c: Sequence[int]) -> str | None:
+    """The first clause of (i)-(iii) that entries at one scale violate."""
+    k = len(c)
+    if len(a) != k + 2:
+        raise ValueError("length mismatch: need len(a) == len(c) + 2")
+    if a[0] <= 0 or any(x < 0 for x in a):
+        return "i"
+    if not all(0 < ci <= ai for ai, ci in zip(a[1:], c)):
+        return "i"
+    cf = (a[0], *c, 0)
+    # ratio chain compared by cross multiplication (tolerates a_{k+1} = 0)
+    if any(cf[i] * a[i + 1] < cf[i + 1] * a[i] for i in range(k + 1)):
+        return "ii"
+    if k and (a[0] < max(c) or a[k + 1] < max(x - y for x, y in zip(a[1:], c))):
+        return "iii"
+    return None
+
+
+def _solve(a: Sequence[int], c: Sequence[int]) -> tuple[int, int]:
+    """t_1 = P / Q of a special pair, at the scale of its entries.
+
+    Checks both post-conditions by cross multiplication: the prefix sums of
+    t are r (a_0 + c_1 + ... + c_{l-1}) with r = t_1 / a_0 = P / (Q a_0).
+    """
+    a0, k = a[0], len(c)
+    p, q = 0, 1
+    d = s = 0                   # prefix sums of a_i - c_i and of c_1..c_{l-1}
+    for l in range(k):
+        d += a[l + 1] - c[l]
+        if d * a0 * q > p * (a0 + s):
+            p, q = d * a0, a0 + s
+        s += c[l]
+    d = s = 0
+    for l in range(k):
+        d += a[l + 1] - c[l]
+        if p * (a0 + s) < d * q * a0:
+            raise InternalConsistencyError("solve_t prefix condition failed")
+        s += c[l]
+    if p * (a0 + s) > (a[k + 1] + d) * q * a0:
+        raise InternalConsistencyError("solve_t closing condition failed")
+    return p, q
+
+
+def _omega(a: Sequence[int], c: Sequence[int]) -> frozenset[int]:
+    """Trailing intervals of length c_i inside the ranges of length a_i."""
+    out = set()
+    acc = 0
+    for ai, ci in zip(a, (a[0], *c, 0)):
+        acc += ai
+        out.update(range(acc - ci + 1, acc + 1))
+    return frozenset(out)
+
+
+def _weighted(omega, m: Sequence[int], n: Sequence[int]) -> tuple[int, int]:
+    """sum_Omega m and sum_Omega n, for m, n at one scale that meet the hypotheses."""
+    if len(m) != len(n):
+        raise HypothesisError("m and n must have equal length")
+    for name, seq in (("m", m), ("n", n)):
+        if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
+            raise HypothesisError(f"{name} is not nondecreasing")
+    if any(m[i + 1] - m[i] < n[i + 1] - n[i] for i in range(len(m) - 1)):
+        raise HypothesisError("m increments must dominate n increments")
+    if sum(m) > sum(n):
+        raise HypothesisError("sum m must not exceed sum n")
+    if any(j < 1 or j > len(m) for j in omega):
+        raise HypothesisError("omega indices out of range")
+    return sum(m[j - 1] for j in omega), sum(n[j - 1] for j in omega)
 
 
 def is_special(
     a: Sequence[Fraction], c: Sequence[Fraction]
 ) -> tuple[bool, str | None]:
     """Exact check of conditions (i)-(iii); returns the first violated clause."""
-    a = [Fraction(x) for x in a]
-    c = [Fraction(x) for x in c]
-    k = len(c)
-    if len(a) != k + 2:
-        raise ValueError("length mismatch: need len(a) == len(c) + 2")
-    if a[0] <= 0 or any(x < 0 for x in a):
-        return False, "i"
-    for i in range(1, k + 1):
-        if not (0 < c[i - 1] <= a[i]):
-            return False, "i"
-    cf = _full_c(a, c)
-    # ratio chain compared by cross multiplication (tolerates a_{k+1} = 0)
-    for i in range(0, k + 1):
-        if cf[i] * a[i + 1] < cf[i + 1] * a[i]:
-            return False, "ii"
-    if k >= 1:
-        if a[0] < max(c):
-            return False, "iii"
-        if a[k + 1] < max(a[i] - c[i - 1] for i in range(1, k + 1)):
-            return False, "iii"
-    return True, None
+    clause = _clause(*_common_scale(a, c)[:2])
+    return clause is None, clause
 
 
 def solve_t(pair: SpecialPair) -> tuple[tuple[Fraction, ...], Fraction]:
     """Minimal-r solution of the proportional weight system."""
     if pair.vacuous:
         return (), Fraction(0)
-    ok, clause = is_special(pair.a, pair.c)
-    if not ok:
+    a, c, scale = _common_scale(pair.a, pair.c)
+    clause = _clause(a, c)
+    if clause is not None:
         raise ValueError(f"pair is not special (clause {clause})")
-    a, c = pair.a, pair.c
-    k = pair.k
-    if k == 0:
+    if not c:
         return (), Fraction(0)
-    cf = _full_c(a, c)
-    t1 = Fraction(0)
-    for l in range(1, k + 1):
-        num = sum((a[i] - c[i - 1] for i in range(1, l + 1)), Fraction(0))
-        den = 1 + sum(c[: l - 1], Fraction(0)) / a[0]
-        t1 = max(t1, num / den)
-    t = tuple(t1 * cf[i - 1] / a[0] for i in range(1, k + 1))
-    r = t1 / a[0]
-    # exact post-conditions: prefix domination and the closing bound
-    acc_t = Fraction(0)
-    acc_d = Fraction(0)
-    for l in range(1, k + 1):
-        acc_t += t[l - 1]
-        acc_d += a[l] - c[l - 1]
-        if acc_t < acc_d:
-            raise InternalConsistencyError("solve_t prefix condition failed")
-    if acc_t - acc_d + r * c[k - 1] > a[k + 1]:
-        raise InternalConsistencyError("solve_t closing condition failed")
-    return t, r
+    p, q = _solve(a, c)
+    r = Fraction(p, q * a[0])
+    return tuple(r * Fraction(x, scale) for x in (a[0], *c[:-1])), r
 
 
 def omega_of_pair(pair: SpecialPair) -> frozenset[int]:
     """Trailing-interval index set; requires integer entries."""
     if pair.vacuous:
         return frozenset()
-    cf = _full_c(pair.a, pair.c)
-    if any(x.denominator != 1 for x in pair.a) or any(
-        x.denominator != 1 for x in cf
-    ):
+    if any(x.denominator != 1 for x in (*pair.a, *pair.c)):
         raise ValueError("omega needs integer pair entries")
-    out = set()
-    acc = 0
-    for i, ai in enumerate(pair.a):
-        acc += int(ai)
-        ci = int(cf[i])
-        out.update(range(acc - ci + 1, acc + 1))
-    return frozenset(out)
+    return _omega([int(x) for x in pair.a], [int(x) for x in pair.c])
 
 
 @dataclass(frozen=True)
@@ -181,23 +221,9 @@ def check_weighted_inequality(
     """
     if isinstance(omega, SpecialPair):
         omega = omega_of_pair(omega)
-    m = [Fraction(x) for x in m]
-    n = [Fraction(x) for x in n]
-    if len(m) != len(n):
-        raise HypothesisError("m and n must have equal length")
-    for name, seq in (("m", m), ("n", n)):
-        if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
-            raise HypothesisError(f"{name} is not nondecreasing")
-    for i in range(len(m) - 1):
-        if m[i + 1] - m[i] < n[i + 1] - n[i]:
-            raise HypothesisError("m increments must dominate n increments")
-    if sum(m, Fraction(0)) > sum(n, Fraction(0)):
-        raise HypothesisError("sum m must not exceed sum n")
-    if any(j < 1 or j > len(m) for j in omega):
-        raise HypothesisError("omega indices out of range")
-    lhs = sum((m[j - 1] for j in omega), Fraction(0))
-    rhs = sum((n[j - 1] for j in omega), Fraction(0))
-    return WeightedResult(lhs <= rhs, lhs, rhs)
+    m, n, scale = _common_scale(m, n)
+    lhs, rhs = _weighted(omega, m, n)
+    return WeightedResult(lhs <= rhs, Fraction(lhs, scale), Fraction(rhs, scale))
 
 
 @dataclass(frozen=True)
@@ -236,89 +262,103 @@ def assemble_global(entries: Sequence[GlobalEntry]) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
+def _draw_pair(
+    rng: random.Random, max_k: int, integer: bool
+) -> tuple[list[int], list[int], int]:
+    """Entries of a special pair at scale 1 (integer) or 48, and the scale."""
+    scale = 1 if integer else 48
+    for _ in range(10_000):
+        k = rng.randint(0, max_k)
+        a_mid: list[int] = []
+        c_mid: list[int] = []
+        for _ in range(k):
+            if integer:
+                ai = rng.randint(1, 6)
+                ci = rng.randint(1, ai)
+            else:
+                # a_i = u / d with d | 4 and c_i = a_i j / 4: 48 c_i is whole
+                ai = rng.randint(1, 6) * (48 // rng.choice((1, 2, 3, 4)))
+                ci = ai * rng.randint(1, 4) // 4
+            a_mid.append(ai)
+            c_mid.append(ci)
+        if any(c_mid[i] * a_mid[i + 1] < c_mid[i + 1] * a_mid[i] for i in range(k - 1)):
+            continue
+        if integer:
+            pad0, pad1 = rng.randint(0, 3), rng.randint(0, 3)
+        else:
+            pad0, pad1 = rng.randint(0, 6) * 24, rng.randint(0, 6) * 24
+        a0 = max(c_mid, default=0) + pad0
+        if a0 <= 0:
+            a0 = rng.randint(1, 4) * scale
+        a_last = max((x - y for x, y in zip(a_mid, c_mid)), default=0) + pad1
+        a = [a0, *a_mid, a_last]
+        if _clause(a, c_mid) is None:
+            return a, c_mid, scale
+    raise RuntimeError("failed to sample a special pair")
+
+
 def random_special_pair(
     rng: random.Random,
     max_k: int = 4,
     integer: bool = False,
 ) -> SpecialPair:
     """Sample a pair satisfying (i)-(iii), by rejection on the ratio chain."""
-    for _ in range(10_000):
-        k = rng.randint(0, max_k)
-        a_mid: list[Fraction] = []
-        c_mid: list[Fraction] = []
-        for _ in range(k):
-            if integer:
-                ai = Fraction(rng.randint(1, 6))
-                ci = Fraction(rng.randint(1, int(ai)))
-            else:
-                ai = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4)))
-                ci = ai * Fraction(rng.randint(1, 4), 4)
-            a_mid.append(ai)
-            c_mid.append(ci)
-        ratios = [c / a for c, a in zip(c_mid, a_mid)]
-        if any(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1)):
-            continue
-        if integer:
-            pad0 = Fraction(rng.randint(0, 3))
-            pad1 = Fraction(rng.randint(0, 3))
-        else:
-            pad0 = Fraction(rng.randint(0, 6), 2)
-            pad1 = Fraction(rng.randint(0, 6), 2)
-        a0 = max(c_mid, default=Fraction(0)) + pad0
-        if a0 <= 0:
-            a0 = Fraction(rng.randint(1, 4))
-        a_last = max(
-            (a - c for a, c in zip(a_mid, c_mid)), default=Fraction(0)
-        ) + pad1
-        pair = SpecialPair((a0, *a_mid, a_last), tuple(c_mid))
-        ok, _ = is_special(pair.a, pair.c)
-        if ok:
-            return pair
-    raise RuntimeError("failed to sample a special pair")
+    a, c, scale = _draw_pair(rng, max_k, integer)
+    return SpecialPair(
+        tuple(Fraction(x, scale) for x in a), tuple(Fraction(x, scale) for x in c)
+    )
+
+
+def _draw_weights(rng: random.Random, length: int) -> tuple[list[int], list[int], int]:
+    """(m, n) in half units (scale 2), or shifted at scale 2 length."""
+
+    def half(lo: int, hi: int) -> int:
+        return rng.randint(lo, hi) * (2 // rng.choice((1, 2)))
+
+    n = [half(-4, 4)]
+    m = [n[0] + half(-4, 2)]
+    for _ in range(length - 1):
+        dn = half(0, 3)
+        n.append(n[-1] + dn)
+        m.append(m[-1] + dn + half(0, 3))
+    excess = sum(m) - sum(n)
+    if excess <= 0:
+        return m, n, 2
+    q = rng.randint(0, 2)
+    m = [length * x - excess - 2 * length * q for x in m]
+    return m, [length * x for x in n], 2 * length
 
 
 def random_weight_pair(
     rng: random.Random, length: int
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Sample (m, n) satisfying the hypotheses (a)-(c) by construction."""
-    n0 = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-    n = [n0]
-    m = [n0 + Fraction(rng.randint(-4, 2), rng.choice((1, 2)))]
-    for _ in range(length - 1):
-        dn = Fraction(rng.randint(0, 3), rng.choice((1, 2)))
-        extra = Fraction(rng.randint(0, 3), rng.choice((1, 2)))
-        n.append(n[-1] + dn)
-        m.append(m[-1] + dn + extra)
-    excess = sum(m, Fraction(0)) - sum(n, Fraction(0))
-    if excess > 0:
-        shift = excess / length + Fraction(rng.randint(0, 2))
-        m = [x - shift for x in m]
-    return m, n
+    m, n, scale = _draw_weights(rng, length)
+    return [Fraction(x, scale) for x in m], [Fraction(x, scale) for x in n]
 
 
 def fuzz_special_pairs(trials: int, seed: int) -> dict:
-    """Randomized verification of the weighted-sum property; JSON-friendly."""
+    """Randomized verification of the weighted-sum property; JSON-friendly.
+
+    Runs on the integer core; `Fraction`s are built only for a failure.
+    """
     rng = random.Random(seed)
     failures = 0
     first_failure = None
     for trial in range(trials):
-        pair = random_special_pair(rng, integer=True).solved()
-        length = int(pair.total)
-        if length < 1:
-            continue
-        m, n = random_weight_pair(rng, length)
-        res = check_weighted_inequality(pair, m, n)
-        if not res.holds:
+        a, c, _ = _draw_pair(rng, 4, True)
+        _solve(a, c)
+        m, n, scale = _draw_weights(rng, sum(a))
+        lhs, rhs = _weighted(_omega(a, c), m, n)
+        if lhs > rhs:
             failures += 1
             if first_failure is None:
-                from .model import fraction_to_str
-
                 first_failure = {
                     "trial": trial,
-                    "a": [fraction_to_str(x) for x in pair.a],
-                    "c": [fraction_to_str(x) for x in pair.c],
-                    "m": [fraction_to_str(x) for x in m],
-                    "n": [fraction_to_str(x) for x in n],
+                    "a": [fraction_to_str(x) for x in a],
+                    "c": [fraction_to_str(x) for x in c],
+                    "m": [fraction_to_str(Fraction(x, scale)) for x in m],
+                    "n": [fraction_to_str(Fraction(x, scale)) for x in n],
                 }
     report = {"trials": trials, "failures": failures}
     if first_failure is not None:

@@ -596,22 +596,21 @@ def _saturate(
 ) -> list[tuple[int, ...]]:
     """Close a set of stable subspaces, given by piece ids, under sums.
 
-    Every element of the sum-closure is a sum of starting elements, so it
-    suffices to add each starting element to every element reached.
+    The generators join one at a time, S <- S + {s + g : s in S} + {g}, and
+    S stays closed under sums since g + g = g; a generator already in S
+    adds nothing.
     """
-    subs = dict.fromkeys(keys)
-    gens = [key for key in subs if any(key)]
-    queue = list(subs)
+    keys = dict.fromkeys(keys)
+    subs = dict.fromkeys(key for key in keys if not any(key))
     add = lattice.add
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            if len(subs) > _LATTICE_GUARD:
-                raise CapExceededError("subobject lattice exceeds the guard size")
-            key = add(x, g)
+    for g in keys:
+        if g in subs:
+            continue
+        for key in [g, *(add(s, g) for s in subs)]:
             if key not in subs:
                 subs[key] = None
-                queue.append(key)
+                if len(subs) > _LATTICE_GUARD:
+                    raise CapExceededError("subobject lattice exceeds the guard size")
     return list(subs)
 
 

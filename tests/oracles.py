@@ -20,6 +20,10 @@ rows, transversality tail by tail, tail dimensions by stacking, and
 aligned candidates by one intersection per tail.  Hand-written subspaces
 reach the greedy flags through `intersection_profile`.
 
+The special-pair oracles are the `Fraction` forms of the clause check, the
+weight solver, the index set, the weighted comparison and both seeded
+generators, where the library computes each over one integer scale.
+
 The determinant, characteristic polynomial, p-adic valuation, stability
 test and dimension formulas check the realizations from outside: the
 library itself never needs them.
@@ -35,6 +39,7 @@ component's goods instead of splitting rows.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -51,7 +56,14 @@ from filtadm.model import (
     validate_spec,
 )
 from filtadm.ordering import require_canonical, type_components
-from filtadm.pairs import GlobalEntry, assemble_global
+from filtadm.pairs import (
+    GlobalEntry,
+    HypothesisError,
+    InternalConsistencyError,
+    SpecialPair,
+    WeightedResult,
+    assemble_global,
+)
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     GoodFlag,
@@ -566,6 +578,156 @@ def chain_bound(spec: ModuleSpec, profile: WeightProfile, inter: dict) -> int:
             )
         total += dist[goods[-1]]
     return spec.config.deg_K_L * total
+
+
+# ---------------------------------------------------------------------------
+# Special pairs in `Fraction` arithmetic, entry by entry, where the library
+# puts a pair, a weight pair or t_1 over one integer scale.  The generators
+# make the same `rng` calls in the same order as the library's.
+# ---------------------------------------------------------------------------
+
+
+def is_special(a: Sequence, c: Sequence) -> tuple[bool, str | None]:
+    a = [Fraction(x) for x in a]
+    c = [Fraction(x) for x in c]
+    k = len(c)
+    if len(a) != k + 2:
+        raise ValueError("length mismatch: need len(a) == len(c) + 2")
+    if a[0] <= 0 or any(x < 0 for x in a):
+        return False, "i"
+    for i in range(1, k + 1):
+        if not (0 < c[i - 1] <= a[i]):
+            return False, "i"
+    cf = [a[0], *c, ZERO]
+    for i in range(0, k + 1):
+        if cf[i] * a[i + 1] < cf[i + 1] * a[i]:
+            return False, "ii"
+    if k >= 1:
+        if a[0] < max(c):
+            return False, "iii"
+        if a[k + 1] < max(a[i] - c[i - 1] for i in range(1, k + 1)):
+            return False, "iii"
+    return True, None
+
+
+def solve_t(pair: SpecialPair) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Minimal-r weights, t_1 as the largest num_l / den_l, post-conditions
+    on the running sums of t."""
+    if pair.vacuous:
+        return (), ZERO
+    ok, clause = is_special(pair.a, pair.c)
+    if not ok:
+        raise ValueError(f"pair is not special (clause {clause})")
+    a, c = pair.a, pair.c
+    k = pair.k
+    if k == 0:
+        return (), ZERO
+    cf = [a[0], *c, ZERO]
+    t1 = ZERO
+    for l in range(1, k + 1):
+        num = sum((a[i] - c[i - 1] for i in range(1, l + 1)), ZERO)
+        den = 1 + sum(c[: l - 1], ZERO) / a[0]
+        t1 = max(t1, num / den)
+    t = tuple(t1 * cf[i - 1] / a[0] for i in range(1, k + 1))
+    r = t1 / a[0]
+    acc_t = acc_d = ZERO
+    for l in range(1, k + 1):
+        acc_t += t[l - 1]
+        acc_d += a[l] - c[l - 1]
+        if acc_t < acc_d:
+            raise InternalConsistencyError("solve_t prefix condition failed")
+    if acc_t - acc_d + r * c[k - 1] > a[k + 1]:
+        raise InternalConsistencyError("solve_t closing condition failed")
+    return t, r
+
+
+def omega_of_pair(pair: SpecialPair) -> frozenset[int]:
+    if pair.vacuous:
+        return frozenset()
+    cf = [pair.a[0], *pair.c, ZERO]
+    if any(x.denominator != 1 for x in pair.a) or any(x.denominator != 1 for x in cf):
+        raise ValueError("omega needs integer pair entries")
+    out = set()
+    acc = 0
+    for i, ai in enumerate(pair.a):
+        acc += int(ai)
+        out.update(range(acc - int(cf[i]) + 1, acc + 1))
+    return frozenset(out)
+
+
+def check_weighted_inequality(omega, m: Sequence, n: Sequence) -> WeightedResult:
+    if isinstance(omega, SpecialPair):
+        omega = omega_of_pair(omega)
+    m = [Fraction(x) for x in m]
+    n = [Fraction(x) for x in n]
+    if len(m) != len(n):
+        raise HypothesisError("m and n must have equal length")
+    for name, seq in (("m", m), ("n", n)):
+        if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
+            raise HypothesisError(f"{name} is not nondecreasing")
+    for i in range(len(m) - 1):
+        if m[i + 1] - m[i] < n[i + 1] - n[i]:
+            raise HypothesisError("m increments must dominate n increments")
+    if sum(m, ZERO) > sum(n, ZERO):
+        raise HypothesisError("sum m must not exceed sum n")
+    if any(j < 1 or j > len(m) for j in omega):
+        raise HypothesisError("omega indices out of range")
+    lhs = sum((m[j - 1] for j in omega), ZERO)
+    rhs = sum((n[j - 1] for j in omega), ZERO)
+    return WeightedResult(lhs <= rhs, lhs, rhs)
+
+
+def random_special_pair(
+    rng: random.Random, max_k: int = 4, integer: bool = False
+) -> SpecialPair:
+    for _ in range(10_000):
+        k = rng.randint(0, max_k)
+        a_mid: list[Fraction] = []
+        c_mid: list[Fraction] = []
+        for _ in range(k):
+            if integer:
+                ai = Fraction(rng.randint(1, 6))
+                ci = Fraction(rng.randint(1, int(ai)))
+            else:
+                ai = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4)))
+                ci = ai * Fraction(rng.randint(1, 4), 4)
+            a_mid.append(ai)
+            c_mid.append(ci)
+        ratios = [c / a for c, a in zip(c_mid, a_mid)]
+        if any(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1)):
+            continue
+        if integer:
+            pad0 = Fraction(rng.randint(0, 3))
+            pad1 = Fraction(rng.randint(0, 3))
+        else:
+            pad0 = Fraction(rng.randint(0, 6), 2)
+            pad1 = Fraction(rng.randint(0, 6), 2)
+        a0 = max(c_mid, default=ZERO) + pad0
+        if a0 <= 0:
+            a0 = Fraction(rng.randint(1, 4))
+        a_last = max((a - c for a, c in zip(a_mid, c_mid)), default=ZERO) + pad1
+        pair = SpecialPair((a0, *a_mid, a_last), tuple(c_mid))
+        if is_special(pair.a, pair.c)[0]:
+            return pair
+    raise RuntimeError("failed to sample a special pair")
+
+
+def random_weight_pair(
+    rng: random.Random, length: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    n0 = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+    n = [n0]
+    m = [n0 + Fraction(rng.randint(-4, 2), rng.choice((1, 2)))]
+    for _ in range(length - 1):
+        dn = Fraction(rng.randint(0, 3), rng.choice((1, 2)))
+        extra = Fraction(rng.randint(0, 3), rng.choice((1, 2)))
+        n.append(n[-1] + dn)
+        m.append(m[-1] + dn + extra)
+    excess = sum(m, ZERO) - sum(n, ZERO)
+    if excess > 0:
+        shift = excess / length + Fraction(rng.randint(0, 2))
+        m = [x - shift for x in m]
+    return m, n
 
 
 # ---------------------------------------------------------------------------

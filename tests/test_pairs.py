@@ -1,9 +1,15 @@
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from filtadm import pairs
+from filtadm.cli import main
 from filtadm.pairs import (
     GlobalEntry,
     HypothesisError,
@@ -17,6 +23,14 @@ from filtadm.pairs import (
     random_weight_pair,
     solve_t,
 )
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return "ok", f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_is_special_examples():
@@ -180,3 +194,116 @@ def test_random_pairs_always_special(seed):
     rng = random.Random(seed)
     pair = random_special_pair(rng)
     assert is_special(pair.a, pair.c) == (True, None)
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_integer_core_matches_fraction_oracles(integer):
+    # same rng calls, same pairs, weights, t, r, Omega and verdicts as the
+    # entry-by-entry Fraction forms
+    for seed in range(20):
+        lib, ref = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            pair = random_special_pair(lib, integer=integer).solved()
+            want = oracles.random_special_pair(ref, integer=integer)
+            assert lib.getstate() == ref.getstate()
+            assert (pair.a, pair.c, (pair.t, pair.r)) == (
+                want.a, want.c, oracles.solve_t(want)
+            )
+            omega = _outcome(omega_of_pair, pair)
+            assert omega == _outcome(oracles.omega_of_pair, want)
+            length = math.ceil(pair.total)
+            m, n = random_weight_pair(lib, length)
+            assert (m, n) == oracles.random_weight_pair(ref, length)
+            assert lib.getstate() == ref.getstate()
+            if not integer:
+                omega = "ok", frozenset(range(1, length + 1, 2))
+            assert check_weighted_inequality(
+                omega[1], m, n
+            ) == oracles.check_weighted_inequality(omega[1], m, n)
+
+
+def test_clauses_and_solver_refusals_match_oracle():
+    # special pairs with one entry moved by a half or a whole step reach
+    # every clause; the solver refuses exactly the non-special ones
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3000):
+        pair = random_special_pair(rng, max_k=3, integer=rng.random() < 0.5)
+        a, c = list(pair.a), list(pair.c)
+        entries = (a, c) if c else (a,)
+        row = rng.choice(entries)
+        row[rng.randrange(len(row))] += Fraction(rng.randint(-2, 2), 2)
+        got = is_special(a, c)
+        assert got == oracles.is_special(a, c)
+        seen.add(got[1])
+        moved = SpecialPair(tuple(a), tuple(c))
+        assert _outcome(solve_t, moved) == _outcome(oracles.solve_t, moved)
+    assert seen == {None, "i", "ii", "iii"}
+    with pytest.raises(ValueError, match="length mismatch"):
+        is_special((1, 1), (1,))
+
+
+def test_weighted_hypotheses_match_oracle():
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(3000):
+        length = rng.randint(1, 6)
+        m, n = random_weight_pair(rng, length)
+        row = rng.choice((m, n))
+        row[rng.randrange(length)] += Fraction(rng.randint(-3, 3), 2)
+        if rng.random() < 0.05:
+            n.append(n[-1])
+        omega = {rng.randint(0, length + 1) for _ in range(rng.randint(0, 3))}
+        got = _outcome(check_weighted_inequality, omega, m, n)
+        assert got == _outcome(oracles.check_weighted_inequality, omega, m, n)
+        seen.add(got[1].holds if got[0] == "ok" else got[1])
+    assert seen == {
+        True,
+        False,
+        "m and n must have equal length",
+        "m is not nondecreasing",
+        "n is not nondecreasing",
+        "m increments must dominate n increments",
+        "sum m must not exceed sum n",
+        "omega indices out of range",
+    }
+
+
+def test_sampler_gives_up_after_10000_rejections():
+    class Stuck(random.Random):
+        # k = 2 with c_1 / a_1 = 1/6 < c_2 / a_2 = 1, every attempt
+        draws = itertools.cycle((2, 6, 1, 1, 1))
+
+        def randint(self, lo, hi):
+            return next(self.draws)
+
+    for sampler in (random_special_pair, oracles.random_special_pair):
+        with pytest.raises(RuntimeError, match="failed to sample"):
+            sampler(Stuck(0), integer=True)
+
+
+def test_fuzz_first_failure_matches_oracle(monkeypatch, capsys):
+    # a non-special index set {L} breaks the inequality; the report names
+    # the first failing trial in "num/den" strings
+    monkeypatch.setattr(pairs, "_omega", lambda a, c: frozenset({sum(a)}))
+    rng = random.Random(5)
+    failures, first = 0, None
+    for trial in range(200):
+        pair = oracles.random_special_pair(rng, integer=True)
+        oracles.solve_t(pair)
+        length = int(pair.total)
+        m, n = oracles.random_weight_pair(rng, length)
+        if not oracles.check_weighted_inequality({length}, m, n).holds:
+            failures += 1
+            if first is None:
+                first = {"trial": trial} | {
+                    key: [f"{x.numerator}/{x.denominator}" for x in xs]
+                    for key, xs in (("a", pair.a), ("c", pair.c), ("m", m), ("n", n))
+                }
+    assert failures and any(not s.endswith("/1") for s in first["m"])
+    report = fuzz_special_pairs(200, seed=5)
+    assert report == {"trials": 200, "failures": failures, "first_failure": first}
+    assert list(report["first_failure"]) == ["trial", "a", "c", "m", "n"]
+    assert main(["fuzz-special", "--trials", "200", "--seed", "5"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"command": "fuzz-special", "seed": 5, **report}
