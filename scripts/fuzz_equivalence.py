@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Randomized cross-check of the two decidable slope conditions.
 
-Samples module specs with rational base slopes and weight profiles (half
-of them engineered to satisfy the total-slope equality), asserts that the
-prefix slope chain and the shuffle valuation condition agree, and
+Samples module specs with rational base slopes and weight profiles,
+alternating between random profiles and profiles that meet the
+total-slope equality, half of the latter failing a slope-chain prefix (as
+`equal_total_stream` draws them), asserts that the prefix slope chain and
+the shuffle valuation condition agree, and
 optionally runs the full construction pipeline on every instance: its
 verdict must match, every ok must rest on chain certificates, and the
 count of each proof source (certificate, or the good, search or
@@ -29,7 +31,7 @@ from filtadm import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import engineered_profile, random_profile, random_spec  # noqa: E402
+from helpers import equal_total_stream, random_profile, random_spec  # noqa: E402
 
 
 def main(argv=None) -> None:
@@ -45,17 +47,18 @@ def main(argv=None) -> None:
 
     rng = random.Random(args.seed)
     t0 = time.time()
+    equal = iter(equal_total_stream(
+        args.seed, args.trials - args.trials // 2, max_dim=args.max_dim
+    ))
     done = passes = 0
     sources: dict[str, int] = {}
     while done < args.trials:
-        spec = random_spec(rng, args.max_dim)
-        if spec is None:
-            continue
-        if rng.random() < 0.5:
-            prof = engineered_profile(rng, spec)
-            if prof is None:
-                continue
+        if done % 2 == 0:
+            spec, prof = next(equal)
         else:
+            spec = random_spec(rng, args.max_dim)
+            if spec is None:
+                continue
             prof = random_profile(rng, spec)
         a = check_slope_chain(spec, prof).ok
         b = check_emerton_condition(spec, prof).ok

@@ -20,13 +20,7 @@ from .model import (
 from .ordering import canonical_order, check_not_precede, group_and_order
 from .slopes import check_all_block_orders, check_slope_chain
 from .frobenius import build_modified_frobenius, hom_dim, realize_matrices
-from .subobjects import (
-    enumerate_concrete_subobjects,
-    enumerate_good_subobjects,
-    greedy_flag,
-    omega_from_flag,
-    special_pair_from_flag,
-)
+from .subobjects import enumerate_concrete_subobjects, enumerate_good_subobjects
 from .filtration import build_transverse_filtration, check_admissible, t_h
 from .pairs import (
     SpecialPair,
@@ -58,9 +52,6 @@ __all__ = [
     "realize_matrices",
     "enumerate_good_subobjects",
     "enumerate_concrete_subobjects",
-    "greedy_flag",
-    "omega_from_flag",
-    "special_pair_from_flag",
     "build_transverse_filtration",
     "t_h",
     "check_admissible",

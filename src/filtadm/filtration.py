@@ -162,10 +162,6 @@ class Filtration:
     def dimension(self) -> int:
         return len(self.bases[0])
 
-    def tail(self, sigma: int, j: int) -> Mat:
-        """Rows spanning the filtration step at the j-th weight (1-based)."""
-        return self.bases[sigma][j - 1 :]
-
     @cached_property
     def int_bases(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """`bases` with every row scaled to integers, for elimination."""
@@ -204,13 +200,13 @@ def build_transverse_filtration(
     profile: WeightProfile,
     realization: ConcreteRealization,
     seed: int = 0,
-    max_attempts: int = MAX_ATTEMPTS,
-    box: int = SAMPLE_BOX,
 ) -> Filtration:
-    """Sample per-embedding bases until exactly transverse to every good.
+    """Sample per-embedding bases, with entries in [-SAMPLE_BOX, SAMPLE_BOX],
+    until exactly transverse to every good.
 
-    Deterministic in `seed`; raises TransversalityError when the attempt
-    budget runs out (which would indicate a non-generic failure locus).
+    Deterministic in `seed`; raises TransversalityError when MAX_ATTEMPTS
+    draws for one embedding all fail (which would indicate a non-generic
+    failure locus).
     """
     validate_spec(spec, profile)
     if realization.spec.dimension != spec.dimension:
@@ -222,10 +218,11 @@ def build_transverse_filtration(
     total_attempts = 0
     for sigma in range(spec.config.embeddings):
         last_bad: GoodSubobject | str | None = None
-        for _ in range(max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             total_attempts += 1
             basis = tuple(
-                tuple(rng.randint(-box, box) for _ in range(n)) for _ in range(n)
+                tuple(rng.randint(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(n))
+                for _ in range(n)
             )
             bad = _violation(spec, basis, goods)
             if bad is None:
@@ -233,7 +230,7 @@ def build_transverse_filtration(
                 break
             last_bad = bad
         else:
-            raise TransversalityError(sigma, last_bad, max_attempts)
+            raise TransversalityError(sigma, last_bad, MAX_ATTEMPTS)
     filtration = Filtration(profile, tuple(bases), seed, total_attempts)
     object.__setattr__(filtration, "transverse", True)
     return filtration

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "Config",
@@ -152,10 +152,6 @@ class ModuleSpec:
     def dimension(self) -> int:
         return sum(s.b * self.family(s.family).h for s in self.summands)
 
-    def summand_dim(self, i: int) -> int:
-        s = self.summands[i]
-        return s.b * self.family(s.family).h
-
     def blocks(self) -> list[Block]:
         """All blocks in summand order, bottom to top inside each summand."""
         out = []
@@ -181,10 +177,6 @@ class WeightProfile:
     @property
     def length(self) -> int:
         return len(self.weights[0]) if self.weights else 0
-
-    def column_sum(self, j: int) -> int:
-        """Sum over sigma of the j-th weight (j is 1-based)."""
-        return sum(row[j - 1] for row in self.weights)
 
     def prefix_sum(self, m: int) -> int:
         """Sum over sigma of the m lowest weights."""
@@ -215,13 +207,6 @@ class GoodSubobject:
 
     def contains(self, other: "GoodSubobject") -> bool:
         return all(a >= b for a, b in zip(self.counts, other.counts))
-
-    def blocks(self, spec: ModuleSpec) -> Iterator[Block]:
-        for i, c in enumerate(self.counts):
-            s = spec.summands[i]
-            fam = spec.family_of(i)
-            for k in range(c):
-                yield Block(i, k, fam, s.l + k)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,9 @@ class HypothesisError(ValueError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """A structural guarantee failed; would falsify the flag/pair theory."""
+    """A structural guarantee failed: the random-round audit of the class
+    list, the t_H check of a good witness, the weight solver's
+    post-conditions or the disjointness of assembled index sets."""
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,17 @@
-"""Good subobjects, greedy flags, index-set bounds, and the concrete lattice.
+"""Good subobjects, their stable lattice, and the concrete enumeration.
 
 Good subobjects are bottom-aligned block selections (one count per
 summand).  Under a Frobenius modification only the selections compatible
 with every edge remain honest submodules: an edge (src -> dst, alignment l)
-forces c_src <= l + c_dst.  The greedy flag attached to a submodule D'
-repeatedly extends by the stable good subobject maximizing the
-intersection-gain ratio
-
-    alpha(E'/E, D') = (dim E' cap D' - dim E cap D') / (dim E' - dim E),
-
-breaking ties toward the smallest step and then the lexicographically
-smallest count vector.  Its jump data feed the special-pair machinery; its
-trailing intervals give the index set bounding the Hodge slope of D'.
-The flag, the index set and the special pair depend on D' only through
-its intersection profile, the mapping from each stable good E to
-dim(E cap D'), so that is how D' enters them: `StableLattice.profile`
-gives it for a stable subspace, `good_profile` for a block-aligned one,
-and rank D' is the entry of the whole module.  The flag layer does no
-linear algebra.
+forces c_src <= l + c_dst.  A subspace D' meets the stable goods in its
+intersection profile, the mapping from each stable good E to
+dim(E cap D'), with rank D' the entry of the whole module:
+`StableLattice.profile` gives it for a stable subspace, and
+`smallest_enclosing_good` reads the witness's enclosing good off it.  The
+paper's greedy flags, their index sets and the special pairs read off
+them are built from the same profile by the test oracles
+(`tests/oracles.py`); the verdict bounds t_H by chain certificates over
+`StableLattice.lower_covers` instead.
 
 The concrete enumerator lists Phi,N-stable subspaces of a realization by
 closing signed {0,+-1}-pattern vectors inside each generalized eigenspace
@@ -54,25 +48,16 @@ from . import linalg
 from .linalg import Mat
 from .frobenius import ConcreteRealization, ModificationEdge
 from .model import GoodSubobject, ModuleSpec
-from .ordering import type_components
-from .pairs import InternalConsistencyError, SpecialPair, is_special
+from .pairs import InternalConsistencyError
 
 __all__ = [
     "CapExceededError",
     "check_cap",
-    "SpecialPairViolation",
     "Subobject",
-    "GoodFlag",
     "enumerate_good_subobjects",
     "is_stable_good",
     "stable_good_subobjects",
     "good_coords",
-    "good_span",
-    "greedy_flag",
-    "flag_chain",
-    "omega_from_flag",
-    "special_pair_from_flag",
-    "good_profile",
     "smallest_enclosing_good",
     "enumerate_concrete_subobjects",
     "random_round_subobjects",
@@ -98,25 +83,6 @@ def check_cap(dimension: int, cap: int) -> None:
         )
 
 
-class SpecialPairViolation(InternalConsistencyError):
-    """Flag jump data violating the special-pair conditions.
-
-    Carries the offending clause and the raw (a, c) data; the only
-    configuration known to reach this is the hull-at-the-top boundary
-    (smallest enclosing good = whole module, so a_{k+1} = 0, while a final
-    mixed step leaves max(a_i - c_i) positive).
-    """
-
-    def __init__(self, clause: str, a: tuple[Fraction, ...], c: tuple[Fraction, ...]):
-        super().__init__(
-            f"flag jump data violate the special-pair conditions "
-            f"(clause {clause}; a={tuple(map(str, a))}, c={tuple(map(str, c))})"
-        )
-        self.clause = clause
-        self.a = a
-        self.c = c
-
-
 @dataclass(frozen=True)
 class Subobject:
     """A Phi,N-stable subspace, canonically represented by RREF rows, held
@@ -132,18 +98,6 @@ class Subobject:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class GoodFlag:
-    """Strictly increasing chain of good subobjects below the full module.
-
-    `alphas` has one entry per step of the extended chain
-    0 -> E_1 -> ... -> E_m -> D (so len(alphas) == len(members) + 1).
-    """
-
-    members: tuple[GoodSubobject, ...]
-    alphas: tuple[Fraction, ...]
 
 
 def enumerate_good_subobjects(spec: ModuleSpec) -> tuple[GoodSubobject, ...]:
@@ -179,101 +133,8 @@ def good_coords(spec: ModuleSpec, good: GoodSubobject) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def good_span(spec: ModuleSpec, good: GoodSubobject) -> Mat:
-    n = spec.dimension
-    rows = []
-    for c in good_coords(spec, good):
-        row = [Fraction(0)] * n
-        row[c] = Fraction(1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def good_profile(
-    spec: ModuleSpec, dprime: GoodSubobject, edges: Sequence[ModificationEdge] = ()
-) -> dict[GoodSubobject, int]:
-    """Intersection profile of a block-aligned D': dim(E cap D') =
-    sum_i min(c_i, c'_i) h_i for every stable good E."""
-    hs = [spec.family_of(i).h for i in range(len(spec.summands))]
-    return {
-        g: sum(min(a, b) * h for a, b, h in zip(g.counts, dprime.counts, hs))
-        for g in stable_good_subobjects(spec, edges)
-    }
-
-
 def _full(spec: ModuleSpec) -> GoodSubobject:
     return GoodSubobject(tuple(s.b for s in spec.summands))
-
-
-def greedy_flag(
-    spec: ModuleSpec,
-    profile: Mapping[GoodSubobject, int],
-    rng: random.Random | None = None,
-) -> GoodFlag:
-    """Greedy flag for D' inside a single same-type component.
-
-    D' enters through its intersection profile (see the module
-    docstring).  With `rng`, residual ties between steps of equal
-    (alpha, dim) are broken at random; the resulting (dims, alpha
-    sequence) is an invariant of D'.
-    """
-    if len(type_components(spec)) != 1:
-        raise ValueError("greedy flag is defined per same-type component")
-    full = _full(spec)
-    current = GoodSubobject(tuple(0 for _ in spec.summands))
-    members: list[GoodSubobject] = []
-    alphas: list[Fraction] = []
-    inter_cur = 0
-    dim_cur = 0
-    while current != full:
-        best_key = None
-        best: list[GoodSubobject] = []
-        for g, inter in profile.items():
-            if g == current or not g.contains(current):
-                continue
-            dg = g.dimension(spec)
-            alpha = Fraction(inter - inter_cur, dg - dim_cur)
-            key = (-alpha, dg - dim_cur)
-            if best_key is None or key < best_key:
-                best_key, best = key, [g]
-            elif key == best_key:
-                best.append(g)
-        if rng is not None and len(best) > 1:
-            choice = rng.choice(best)
-        else:
-            choice = min(best, key=lambda g: g.counts)
-        alphas.append(-best_key[0])
-        current = choice
-        dim_cur = current.dimension(spec)
-        inter_cur = profile[current]
-        if current != full:
-            members.append(current)
-    return GoodFlag(tuple(members), tuple(alphas))
-
-
-def flag_chain(spec: ModuleSpec, flag: GoodFlag) -> tuple[GoodSubobject, ...]:
-    """The extended chain 0 = E_0 < E_1 < ... < E_m < E_{m+1} = D."""
-    zero = GoodSubobject(tuple(0 for _ in spec.summands))
-    return (zero, *flag.members, _full(spec))
-
-
-def omega_from_flag(
-    spec: ModuleSpec,
-    flag: GoodFlag,
-    profile: Mapping[GoodSubobject, int],
-) -> frozenset[int]:
-    """Trailing-interval index set of the extended chain of a greedy flag.
-
-    For each chain member E_l the interval (dim E_l - c_l, dim E_l] enters,
-    where c_l is the jump of dim(E cap D') at that step; the set has
-    exactly rank(D') elements.
-    """
-    chain = flag_chain(spec, flag)
-    out: set[int] = set()
-    for prev, g in zip(chain, chain[1:]):
-        top = g.dimension(spec)
-        out.update(range(top - profile[g] + profile[prev] + 1, top + 1))
-    return frozenset(out)
 
 
 def smallest_enclosing_good(
@@ -292,48 +153,6 @@ def smallest_enclosing_good(
         if inter == rank:
             counts = tuple(map(min, counts, g.counts))
     return GoodSubobject(counts)
-
-
-def special_pair_from_flag(
-    spec: ModuleSpec,
-    flag: GoodFlag,
-    profile: Mapping[GoodSubobject, int],
-) -> SpecialPair:
-    """Jump data between the alpha = 1 saturation and the hull of D'.
-
-    F_1 is the largest stable good subobject contained in D' (the goods
-    inside D' are closed under componentwise maximum), F_2 the smallest
-    stable good subobject containing it; both must occur in the flag.  The
-    pair collects a_0 = dim F_1, the interior jumps between F_1 and F_2,
-    and a_{k+1} = dim D - dim F_2, and is returned solved.  A zero D'
-    yields the vacuous pair.
-    """
-    chain = flag_chain(spec, flag)
-    if profile[chain[-1]] == 0:
-        return SpecialPair.empty()
-    low = chain[0].counts
-    for g, inter in profile.items():
-        if inter == g.dimension(spec):
-            low = tuple(map(max, low, g.counts))
-    try:
-        i1 = chain.index(GoodSubobject(low))
-        i2 = chain.index(smallest_enclosing_good(spec, profile))
-    except ValueError as exc:
-        raise InternalConsistencyError(
-            "extreme good subobjects missing from the greedy flag"
-        ) from exc
-    dims = [g.dimension(spec) for g in chain]
-    caps = [profile[g] for g in chain]
-    a = [Fraction(dims[i1])]
-    c = []
-    for i in range(i1 + 1, i2 + 1):
-        a.append(Fraction(dims[i] - dims[i - 1]))
-        c.append(Fraction(caps[i] - caps[i - 1]))
-    a.append(Fraction(dims[-1] - dims[i2]))
-    ok, clause = is_special(a, c)
-    if not ok:
-        raise SpecialPairViolation(clause, tuple(a), tuple(c))
-    return SpecialPair(tuple(a), tuple(c)).solved()
 
 
 # ---------------------------------------------------------------------------

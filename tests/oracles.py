@@ -24,6 +24,12 @@ The special-pair oracles are the `Fraction` forms of the clause check, the
 weight solver, the index set, the weighted comparison and both seeded
 generators, where the library computes each over one integer scale.
 
+The flag layer of the paper's weighted-sum lemma (greedy flags of stable
+goods, their index sets and the special pairs read off them) lives here
+as well: the library's verdict bounds t_H by chain certificates and never
+builds a flag.  It checks its pairs with the library's `pairs.is_special`,
+not with the `Fraction` oracle of the same name.
+
 The determinant, characteristic polynomial, p-adic valuation, stability
 test and dimension formulas check the realizations from outside: the
 library itself never needs them.
@@ -31,9 +37,9 @@ library itself never needs them.
 The helpers at the end (induced jumps, the intersection-gain ratio, the
 structural flag conditions, the level decomposition and the per-component
 flag analysis with its assembled index set) are not oracles but tools
-only the tests use; they run on the library's kernel and flags.  The
-per-component analysis restricts the full intersection profile to each
-component's goods instead of splitting rows.
+only the tests use; they run on the library's kernel and the flag layer.
+The per-component analysis restricts the full intersection profile to
+each component's goods instead of splitting rows.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from filtadm import linalg
+from filtadm import linalg, pairs
 from filtadm.emerton import EmertonVerdict, gamma_blocks
 from filtadm.filtration import SINGULAR, Filtration, _tail_dims
 from filtadm.frobenius import ConcreteRealization, ModificationEdge
@@ -66,15 +72,10 @@ from filtadm.pairs import (
 )
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
-    GoodFlag,
-    SpecialPairViolation,
+    _full,
     enumerate_good_subobjects,
-    flag_chain,
     good_coords,
-    good_span,
-    greedy_flag,
-    omega_from_flag,
-    special_pair_from_flag,
+    smallest_enclosing_good,
     stable_good_subobjects,
 )
 
@@ -421,7 +422,7 @@ def slope_chain(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
     dim = 0
     slope_sum = Fraction(0)
     for k in range(1, len(spec.summands)):
-        dim += spec.summand_dim(k - 1)
+        dim += spec.summands[k - 1].b * spec.family_of(k - 1).h
         slope_sum += block_slope_sum(spec, [b for b in blocks if b.summand == k - 1])
         points.append((k, dim, slope_sum))
     return chain_verdict(spec, profile, points)
@@ -532,7 +533,7 @@ def tail_dims(filtration, sigma: int, rows: Mat) -> list[int]:
     r = len(rref(rows))
     dims = []
     for j in range(1, filtration.dimension + 1):
-        tail = filtration.tail(sigma, j)
+        tail = filtration.bases[sigma][j - 1:]
         dims.append(r + len(tail) - len(rref(tuple(rows) + tuple(tail))))
     return dims + [0]
 
@@ -553,7 +554,7 @@ def aligned_candidates(spec: ModuleSpec, realization, filtration) -> list[Mat]:
                 want = max(0, m - j + 1)
                 if want == 0 or want >= m:
                     continue
-                inter = intersect_basis(coords, filtration.tail(sigma, j))
+                inter = intersect_basis(coords, filtration.bases[sigma][j - 1:])
                 if inter:
                     out.append(closure_under(inter, ops))
     return out
@@ -728,6 +729,188 @@ def random_weight_pair(
         shift = excess / length + Fraction(rng.randint(0, 2))
         m = [x - shift for x in m]
     return m, n
+
+
+# ---------------------------------------------------------------------------
+# The flag layer of the paper's weighted-sum lemma.  The greedy flag of D'
+# repeatedly extends by the stable good maximizing the intersection-gain
+# ratio
+#
+#     alpha(E'/E, D') = (dim E' cap D' - dim E cap D') / (dim E' - dim E),
+#
+# breaking ties toward the smallest step and then the lexicographically
+# smallest count vector.  Its jump data give the special pair, its
+# trailing intervals the index set bounding t_H(D').  All of them read D'
+# as its intersection profile and do no linear algebra.  The verdict
+# bounds t_H by chain certificates instead, so only the tests build
+# flags.  `good_span` gives the rows of a good, `good_profile` the profile
+# of a block-aligned D'.
+# ---------------------------------------------------------------------------
+
+
+class SpecialPairViolation(InternalConsistencyError):
+    """Flag jump data violating the special-pair conditions.
+
+    Carries the offending clause and the raw (a, c) data; the only
+    configuration known to reach this is the hull-at-the-top boundary
+    (smallest enclosing good = whole module, so a_{k+1} = 0, while a final
+    mixed step leaves max(a_i - c_i) positive).
+    """
+
+    def __init__(self, clause: str, a: tuple[Fraction, ...], c: tuple[Fraction, ...]):
+        super().__init__(
+            f"flag jump data violate the special-pair conditions "
+            f"(clause {clause}; a={tuple(map(str, a))}, c={tuple(map(str, c))})"
+        )
+        self.clause = clause
+        self.a = a
+        self.c = c
+
+
+@dataclass(frozen=True)
+class GoodFlag:
+    """Strictly increasing chain of good subobjects below the full module.
+
+    `alphas` has one entry per step of the extended chain
+    0 -> E_1 -> ... -> E_m -> D (so len(alphas) == len(members) + 1).
+    """
+
+    members: tuple[GoodSubobject, ...]
+    alphas: tuple[Fraction, ...]
+
+
+def good_span(spec: ModuleSpec, good: GoodSubobject) -> Mat:
+    n = spec.dimension
+    rows = []
+    for c in good_coords(spec, good):
+        row = [Fraction(0)] * n
+        row[c] = Fraction(1)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def good_profile(
+    spec: ModuleSpec, dprime: GoodSubobject, edges: Sequence[ModificationEdge] = ()
+) -> dict[GoodSubobject, int]:
+    """Intersection profile of a block-aligned D': dim(E cap D') =
+    sum_i min(c_i, c'_i) h_i for every stable good E."""
+    hs = [spec.family_of(i).h for i in range(len(spec.summands))]
+    return {
+        g: sum(min(a, b) * h for a, b, h in zip(g.counts, dprime.counts, hs))
+        for g in stable_good_subobjects(spec, edges)
+    }
+
+
+def greedy_flag(
+    spec: ModuleSpec,
+    profile: Mapping[GoodSubobject, int],
+    rng: random.Random | None = None,
+) -> GoodFlag:
+    """Greedy flag for D' inside a single same-type component.
+
+    D' enters through its intersection profile (see `filtadm.subobjects`).  With `rng`, residual ties between steps of equal
+    (alpha, dim) are broken at random; the resulting (dims, alpha
+    sequence) is an invariant of D'.
+    """
+    if len(type_components(spec)) != 1:
+        raise ValueError("greedy flag is defined per same-type component")
+    full = _full(spec)
+    current = GoodSubobject(tuple(0 for _ in spec.summands))
+    members: list[GoodSubobject] = []
+    alphas: list[Fraction] = []
+    inter_cur = 0
+    dim_cur = 0
+    while current != full:
+        best_key = None
+        best: list[GoodSubobject] = []
+        for g, inter in profile.items():
+            if g == current or not g.contains(current):
+                continue
+            dg = g.dimension(spec)
+            alpha = Fraction(inter - inter_cur, dg - dim_cur)
+            key = (-alpha, dg - dim_cur)
+            if best_key is None or key < best_key:
+                best_key, best = key, [g]
+            elif key == best_key:
+                best.append(g)
+        if rng is not None and len(best) > 1:
+            choice = rng.choice(best)
+        else:
+            choice = min(best, key=lambda g: g.counts)
+        alphas.append(-best_key[0])
+        current = choice
+        dim_cur = current.dimension(spec)
+        inter_cur = profile[current]
+        if current != full:
+            members.append(current)
+    return GoodFlag(tuple(members), tuple(alphas))
+
+
+def flag_chain(spec: ModuleSpec, flag: GoodFlag) -> tuple[GoodSubobject, ...]:
+    """The extended chain 0 = E_0 < E_1 < ... < E_m < E_{m+1} = D."""
+    zero = GoodSubobject(tuple(0 for _ in spec.summands))
+    return (zero, *flag.members, _full(spec))
+
+
+def omega_from_flag(
+    spec: ModuleSpec,
+    flag: GoodFlag,
+    profile: Mapping[GoodSubobject, int],
+) -> frozenset[int]:
+    """Trailing-interval index set of the extended chain of a greedy flag.
+
+    For each chain member E_l the interval (dim E_l - c_l, dim E_l] enters,
+    where c_l is the jump of dim(E cap D') at that step; the set has
+    exactly rank(D') elements.
+    """
+    chain = flag_chain(spec, flag)
+    out: set[int] = set()
+    for prev, g in zip(chain, chain[1:]):
+        top = g.dimension(spec)
+        out.update(range(top - profile[g] + profile[prev] + 1, top + 1))
+    return frozenset(out)
+
+
+def special_pair_from_flag(
+    spec: ModuleSpec,
+    flag: GoodFlag,
+    profile: Mapping[GoodSubobject, int],
+) -> SpecialPair:
+    """Jump data between the alpha = 1 saturation and the hull of D'.
+
+    F_1 is the largest stable good subobject contained in D' (the goods
+    inside D' are closed under componentwise maximum), F_2 the smallest
+    stable good subobject containing it; both must occur in the flag.  The
+    pair collects a_0 = dim F_1, the interior jumps between F_1 and F_2,
+    and a_{k+1} = dim D - dim F_2, and is returned solved.  A zero D'
+    yields the vacuous pair.
+    """
+    chain = flag_chain(spec, flag)
+    if profile[chain[-1]] == 0:
+        return SpecialPair.empty()
+    low = chain[0].counts
+    for g, inter in profile.items():
+        if inter == g.dimension(spec):
+            low = tuple(map(max, low, g.counts))
+    try:
+        i1 = chain.index(GoodSubobject(low))
+        i2 = chain.index(smallest_enclosing_good(spec, profile))
+    except ValueError as exc:
+        raise InternalConsistencyError(
+            "extreme good subobjects missing from the greedy flag"
+        ) from exc
+    dims = [g.dimension(spec) for g in chain]
+    caps = [profile[g] for g in chain]
+    a = [Fraction(dims[i1])]
+    c = []
+    for i in range(i1 + 1, i2 + 1):
+        a.append(Fraction(dims[i] - dims[i - 1]))
+        c.append(Fraction(caps[i] - caps[i - 1]))
+    a.append(Fraction(dims[-1] - dims[i2]))
+    ok, clause = pairs.is_special(a, c)
+    if not ok:
+        raise SpecialPairViolation(clause, tuple(a), tuple(c))
+    return SpecialPair(tuple(a), tuple(c)).solved()
 
 
 # ---------------------------------------------------------------------------

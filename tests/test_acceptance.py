@@ -29,13 +29,11 @@ from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
     StableLattice,
     enumerate_concrete_subobjects,
-    flag_chain,
-    greedy_flag,
-    omega_from_flag,
     stable_good_subobjects,
 )
 from helpers import instance_stream, random_single_component_spec
 import oracles
+from oracles import flag_chain, greedy_flag, omega_from_flag
 
 DATA = Path(__file__).parent.parent / "data"
 

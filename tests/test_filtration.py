@@ -22,14 +22,12 @@ from filtadm.subobjects import (
     Subobject,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
-    good_span,
-    greedy_flag,
-    omega_from_flag,
     random_round_subobjects,
     stable_good_subobjects,
 )
 from helpers import equal_total_stream, random_profile, random_spec
 import oracles
+from oracles import good_span, greedy_flag, omega_from_flag
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -80,7 +78,7 @@ def test_t_h_mixed_line_below_omega_bound(ex2, w_ex2):
     prof = oracles.intersection_profile(ex2, dp.rows)
     om = omega_from_flag(ex2, greedy_flag(ex2, prof), prof)
     assert om == frozenset({1, 3})
-    bound = sum(w_ex2.column_sum(j) for j in om)
+    bound = sum(row[j - 1] for row in w_ex2.weights for j in om)
     assert t_h(filt, dp.rows, ex2.config) <= bound == -1 + 2
 
 
@@ -139,11 +137,13 @@ def test_filtration_deterministic(ex2, w_ex2):
     assert f3.bases != f1.bases
 
 
-def test_transversality_budget_error(ex2, w_ex2):
+def test_transversality_budget_error(ex2, w_ex2, monkeypatch):
     real = realize_matrices(ex2, ())
+    monkeypatch.setattr("filtadm.filtration.MAX_ATTEMPTS", 3)
+    # a one-element box cannot produce a full-rank basis
+    monkeypatch.setattr("filtadm.filtration.SAMPLE_BOX", 0)
     with pytest.raises(TransversalityError) as exc:
-        # a one-element box cannot produce a full-rank basis
-        build_transverse_filtration(ex2, w_ex2, real, seed=0, max_attempts=3, box=0)
+        build_transverse_filtration(ex2, w_ex2, real, seed=0)
     message = str(exc.value)
     assert "after 3 attempts (last failure: singular basis)" in message
     assert "good" not in message

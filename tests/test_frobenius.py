@@ -11,9 +11,10 @@ from filtadm.frobenius import (
     realize_matrices,
 )
 from filtadm.model import Config, Family, ModuleSpec, Summand, t_n
-from filtadm.subobjects import StableLattice, good_span, stable_good_subobjects
+from filtadm.subobjects import StableLattice, stable_good_subobjects
 from helpers import random_spec
 import oracles
+from oracles import good_span
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))

@@ -28,7 +28,6 @@ from filtadm.subobjects import (
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
     good_coords,
-    good_span,
     random_round_subobjects,
     stable_good_subobjects,
 )
@@ -40,6 +39,7 @@ from helpers import (
     random_spec,
 )
 import oracles
+from oracles import good_span
 
 
 def _vector(rng, n, density):

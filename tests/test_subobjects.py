@@ -9,22 +9,24 @@ from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand
 from filtadm.pairs import is_special
 from filtadm.subobjects import (
     CapExceededError,
-    SpecialPairViolation,
     StableLattice,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
-    flag_chain,
-    good_profile,
-    good_span,
-    greedy_flag,
     is_stable_good,
-    omega_from_flag,
     smallest_enclosing_good,
-    special_pair_from_flag,
     stable_good_subobjects,
 )
 from helpers import closure_rows, random_single_component_spec, random_spec
 import oracles
+from oracles import (
+    SpecialPairViolation,
+    flag_chain,
+    good_profile,
+    good_span,
+    greedy_flag,
+    omega_from_flag,
+    special_pair_from_flag,
+)
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
