@@ -52,12 +52,14 @@ the prefix sums of the weights of sigma and P for their sum over sigma
   goods (`StableLattice.lower_covers`), in integers.
 
 The verdict, in order: the slope equality on the whole module; the
+enumeration cap; the first stable good, in (dim, counts) order, that is
+a witness, its t_H checked once against the filtration; only then the
 enumeration of the stable subspace classes with its random-round audit
-(`enumerate_concrete_subobjects`); the first stable good, in (dim,
-counts) order, that is a witness, its t_H checked once against the
-filtration; otherwise one chain certificate per listed class, bound <=
-t_N.  The certificates cover the listed classes, and the audit vouches
-that the list is complete.  Only when some class does not certify does
+(`enumerate_concrete_subobjects`) and one chain certificate per listed
+class, bound <= t_N.  A good witness needs no class list, so a failing
+verdict runs neither the enumeration nor its audit.  The certificates
+cover the listed classes, and the audit vouches that the list is
+complete.  Only when some class does not certify does
 the search run: the listed classes, random-coefficient variants and
 closures of good-cap-tail intersections (the adversarially aligned
 subspaces), outside the certified classes, each against its exact t_H,
@@ -100,6 +102,7 @@ from .model import (
 from .pairs import InternalConsistencyError
 from .subobjects import (
     DEFAULT_CAP,
+    check_cap,
     StableLattice,
     Subobject,
     enumerate_good_subobjects,
@@ -171,24 +174,34 @@ class Filtration:
         )
 
 
+def _good_layout(
+    spec: ModuleSpec, goods: tuple[GoodSubobject, ...]
+) -> list[tuple[GoodSubobject, int, list[int]]]:
+    """(good, dim, columns outside it) for the goods strictly between 0 and
+    the whole module, in the order of `goods`: what `_violation` reads."""
+    n = spec.dimension
+    out = []
+    for good in goods:
+        m = good.dimension(spec)
+        if 0 < m < n:
+            inside = set(good_coords(spec, good))
+            out.append((good, m, [c for c in range(n) if c not in inside]))
+    return out
+
+
 def _violation(
-    spec: ModuleSpec, basis: Mat, goods: tuple[GoodSubobject, ...]
+    basis: Mat, layout: list[tuple[GoodSubobject, int, list[int]]]
 ) -> GoodSubobject | str | None:
-    """The first good the basis is not transverse to, SINGULAR when the
-    basis is not of full rank, or None.
+    """The first good of `layout` (from `_good_layout`) the basis is not
+    transverse to, SINGULAR when the basis is not of full rank, or None.
 
     A good of dimension m is transverse iff the minor of rows m+1..n on
     the columns outside it has full rank (see the module docstring).
     """
-    n = spec.dimension
+    n = len(basis)
     if linalg.rank(basis) != n:
         return SINGULAR
-    for good in goods:
-        m = good.dimension(spec)
-        if m in (0, n):
-            continue
-        inside = set(good_coords(spec, good))
-        outside = [c for c in range(n) if c not in inside]
+    for good, m, outside in layout:
         minor = tuple(tuple(row[c] for c in outside) for row in basis[m:])
         if linalg.rank(minor) != n - m:
             return good
@@ -212,7 +225,7 @@ def build_transverse_filtration(
     if realization.spec.dimension != spec.dimension:
         raise ValueError("realization does not match the spec")
     n = spec.dimension
-    goods = enumerate_good_subobjects(spec)
+    layout = _good_layout(spec, enumerate_good_subobjects(spec))
     rng = random.Random(seed)
     bases = []
     total_attempts = 0
@@ -224,7 +237,7 @@ def build_transverse_filtration(
                 tuple(rng.randint(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(n))
                 for _ in range(n)
             )
-            bad = _violation(spec, basis, goods)
+            bad = _violation(basis, layout)
             if bad is None:
                 bases.append(tuple(tuple(map(Fraction, row)) for row in basis))
                 break
@@ -236,8 +249,9 @@ def build_transverse_filtration(
     return filtration
 
 
-def _tail_dims(filtration: Filtration, sigma: int, rows: Mat) -> list[int]:
-    """dim(W cap T_j) for j = 1..n, then 0, for canonical `rows` spanning W.
+def _tail_dims(filtration: Filtration, sigma: int, rows) -> list[int]:
+    """dim(W cap T_j) for j = 1..n, then 0, for canonical `rows` spanning W,
+    given as Fractions or as primitive integer rows.
 
     One echelon pass seeded with W takes v_n, v_{n-1}, ... while it grows;
     after v_j its size is dim(W + T_j).
@@ -256,7 +270,12 @@ def _tail_dims(filtration: Filtration, sigma: int, rows: Mat) -> list[int]:
 
 def t_h(filtration: Filtration, rows: Mat, config) -> Fraction:
     """Exact Hodge slope of a subspace against the filtration."""
-    rows = linalg.rref(rows)
+    return _t_h(filtration, linalg.rref(rows), config)
+
+
+def _t_h(filtration: Filtration, rows, config) -> Fraction:
+    """`t_h` of canonical rows, given as Fractions or as primitive integer
+    rows (`StableLattice.int_rows`)."""
     total = 0
     for sigma, wrow in enumerate(filtration.weights.weights):
         dims = _tail_dims(filtration, sigma, rows)
@@ -401,9 +420,10 @@ def check_admissible(
     """Decide admissibility, with a proof either way where one closes.
 
     In the order of the module docstring: exact slope equality on the
-    whole module, the audited class list, a stable good witness, one chain
-    certificate per class, and the search outside the certified classes
-    only when some class does not certify.  A failure's witness records
+    whole module, the cap (CapExceededError), a stable good witness, then
+    the audited class list with one chain certificate per class, and the
+    search outside the certified classes only when some class does not
+    certify.  A failure's witness records
     the violating subspace, its smallest enclosing stable good subobject
     (the position where the excess Hodge weight lives) and its `source`
     ("good" or "search"); `proof` says what an ok rests on.  A filtration
@@ -424,18 +444,16 @@ def check_admissible(
         }
         return AdmissibilityReport(False, "equality", witness, (), 0)
     if not filtration.transverse:
-        goods = enumerate_good_subobjects(spec)
+        layout = _good_layout(spec, enumerate_good_subobjects(spec))
         for sigma, basis in enumerate(filtration.bases):
-            bad = _violation(spec, basis, goods)
+            bad = _violation(basis, layout)
             if bad is not None:
                 raise TransversalityError(sigma, bad, None)
+    check_cap(realization.dimension, cap)
 
     # every source interns its pieces in one lattice, so a candidate is
     # its tuple of piece ids; rows are built once per distinct candidate
     lattice = StableLattice(realization)
-    listed = enumerate_concrete_subobjects(
-        realization, cap=cap, seed=seed, rounds=rounds, lattice=lattice
-    )
     kl = cfg.deg_K_L
     n = spec.dimension
     den = realization.level_slopes[1]
@@ -455,8 +473,9 @@ def check_admissible(
                 _class_row(size, lattice.t_n(good_keys[j]), kl * prefix[size])
                 for size, _, j in scan[: pos + 1]
             )
-            sub = Subobject(lattice.rows(good_keys[k]), good_keys[k])
-            th_val = t_h(filtration, sub.rows, cfg)
+            ints = lattice.int_rows(good_keys[k])
+            sub = Subobject(linalg.fraction_rows(ints), good_keys[k])
+            th_val = _t_h(filtration, ints, cfg)
             if th_val != kl * prefix[m]:
                 raise InternalConsistencyError(
                     f"stable good {goods[k].counts} has t_H {th_val}, not "
@@ -466,6 +485,9 @@ def check_admissible(
             witness = _witness(sub, th_val, tn_val, goods[k], spec, "good")
             return AdmissibilityReport(False, "witness", witness, table, len(table))
 
+    listed = enumerate_concrete_subobjects(
+        realization, cap=cap, seed=seed, rounds=rounds, lattice=lattice
+    )
     tops = _top_sums(profile)
     table = []
     certified = set()
@@ -499,7 +521,7 @@ def check_admissible(
     witness = None
     for sub in sorted(subs, key=lambda s: (s.rank, s.rows)):
         tn_val = lattice.t_n(sub.key)
-        th_val = t_h(filtration, sub.rows, cfg)
+        th_val = _t_h(filtration, lattice.int_rows(sub.key), cfg)
         table.append(
             {
                 "dim": sub.rank,

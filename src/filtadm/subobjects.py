@@ -18,6 +18,11 @@ closing signed {0,+-1}-pattern vectors inside each generalized eigenspace
 and saturating under sums, keeping one representative per relative
 position against the good lattice; random-coefficient rounds re-derive
 the classes and fail loudly if the pattern heuristic ever misses one.
+The closure of c*v is the closure of v for c != 0: the first step of
+both stores the same primitive row with a positive pivot, and every
+later step reads only that row.  So single-vector closures are memoized
+per line (`StableLattice.closure`), and a random draw on a width-1
+level, a multiple of the unit pattern, is a lookup.
 
 One fact carries the concrete layer: a stable W is the direct sum of its
 pieces W_lambda = W cap V_lambda.  For stable W, W' the sums W_lambda +
@@ -207,27 +212,36 @@ class StableLattice:
         self._ids: list[dict[tuple, int]] = [{(): 0} for _ in levels]
         self._sums: list[dict[tuple[int, int], int]] = [{} for _ in levels]
         self._terms: list[dict[int, tuple[int, ...]]] = [{} for _ in levels]
+        self._lines: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._good_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.zero = (0,) * len(levels)
         self.goods = stable_good_subobjects(realization.spec, realization.edges)
         # per level: the distinct outside column sets (level positions) and,
         # for each good, the index of its set; and the good spans, whose
-        # pieces are unit rows
+        # pieces are unit rows.  Block (i, k) lies in the good with counts c
+        # iff k < c_i, so a good's split of a level is read off the
+        # (summand, k) signature of the level's blocks, and each distinct
+        # split is laid out once.
         self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
-        inside = [set(good_coords(realization.spec, g)) for g in self.goods]
         spans = []
+        basis = realization.basis
         for level, coords in enumerate(levels):
-            sets: dict[tuple[int, ...], int] = {}
-            which, span = [], []
-            width = len(coords)
-            units = [tuple(int(j == k) for j in range(width)) for k in range(width)]
-            for ins in inside:
-                out = tuple(k for k, i in enumerate(coords) if i not in ins)
-                which.append(sets.setdefault(out, len(sets)))
-                span.append(self._intern(level, tuple(
-                    units[k] for k, i in enumerate(coords) if i in ins
-                )))
-            self._outside.append((list(sets), which))
-            spans.append(span)
+            signature = [(basis[c].summand, basis[c].k) for c in coords]
+            splits: dict[tuple[bool, ...], int] = {}
+            which = [
+                splits.setdefault(
+                    tuple(k < g.counts[i] for i, k in signature), len(splits)
+                )
+                for g in self.goods
+            ]
+            units = [tuple(int(j == k) for j in coords) for k in coords]
+            pids = [
+                self._intern(level, tuple(u for u, ins in zip(units, split) if ins))
+                for split in splits
+            ]
+            sets = [tuple(k for k, ins in enumerate(sp) if not ins) for sp in splits]
+            self._outside.append((sets, which))
+            spans.append([pids[w] for w in which])
         self.good_keys = list(zip(*spans))
 
     @cached_property
@@ -328,6 +342,18 @@ class StableLattice:
             out.append(tuple(key))
         return out
 
+    def closure(self, level: int, v: Sequence[int]) -> tuple[int, ...]:
+        """Piece ids of the closure of one nonzero integer vector on a level,
+        memoized per line: the closure of c*v is that of v for c != 0."""
+        g = math.gcd(*v)
+        if next(filter(None, v)) < 0:
+            g = -g
+        line = (level, tuple(x // g for x in v))
+        key = self._lines.get(line)
+        if key is None:
+            key = self._lines[line] = self.closures(((line,),))[0]
+        return key
+
     def piece(self, level: int, pid: int) -> tuple:
         """Canonical integer basis of a piece, in the level's own coordinates."""
         return self._pieces[level][pid]
@@ -367,8 +393,9 @@ class StableLattice:
         """Piece ids of the sum of two stable subspaces."""
         return tuple(map(self._level_sum, range(len(a)), a, b))
 
-    def rows(self, key: tuple[int, ...]) -> Mat:
-        """Canonical basis of the subspace with these piece ids."""
+    def int_rows(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Canonical basis of the subspace with these piece ids, as primitive
+        integer rows with positive pivots."""
         n = self.realization.dimension
         out = []
         for coords, pieces, pid in zip(self.realization.levels, self._pieces, key):
@@ -376,9 +403,13 @@ class StableLattice:
                 full = [0] * n
                 for c, x in zip(coords, row):
                     full[c] = x
-                out.append(full)
-        out.sort(key=lambda row: next(c for c, x in enumerate(row) if x))
-        return linalg.fraction_rows(out)
+                out.append((coords[next(k for k, x in enumerate(row) if x)], full))
+        out.sort(key=operator.itemgetter(0))
+        return tuple(tuple(full) for _, full in out)
+
+    def rows(self, key: tuple[int, ...]) -> Mat:
+        """Canonical basis of the subspace with these piece ids."""
+        return linalg.fraction_rows(self.int_rows(key))
 
     def _level_terms(self, level: int, pid: int) -> tuple[int, ...]:
         terms = self._terms[level].get(pid)
@@ -396,13 +427,15 @@ class StableLattice:
 
     def good_dims(self, key: tuple[int, ...]) -> tuple[int, ...]:
         """dim(E cap W) for every stable good E, in the order of `goods`,
-        where W has the piece ids `key`."""
-        parts = [
-            self._level_terms(level, pid) for level, pid in enumerate(key) if pid
-        ]
-        if not parts:
-            return (0,) * len(self.goods)
-        return tuple(map(sum, zip(*parts)))
+        where W has the piece ids `key`; memoized per key."""
+        dims = self._good_dims.get(key)
+        if dims is None:
+            parts = [
+                self._level_terms(level, pid) for level, pid in enumerate(key) if pid
+            ]
+            dims = tuple(map(sum, zip(*parts))) if parts else (0,) * len(self.goods)
+            self._good_dims[key] = dims
+        return dims
 
     def profile(self, key: tuple[int, ...]) -> dict[GoodSubobject, int]:
         """The intersection profile of the subspace with the piece ids
@@ -453,9 +486,7 @@ def enumerate_concrete_subobjects(
     lattice = lattice or StableLattice(realization)
     keys = [lattice.zero, *lattice.good_keys]
     for level, coords in enumerate(realization.levels):
-        keys += [
-            lattice.closures((((level, v),),))[0] for v in _pattern_vectors(len(coords))
-        ]
+        keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
     base = [Subobject(lattice.rows(key), key) for key in _saturate(lattice, keys)]
     # one representative per relative-position class, preferring bases
     # without negative entries, then the smallest canonical basis
@@ -491,5 +522,5 @@ def random_round_subobjects(
         draws = [(rng.choice(_NONZERO_DIGITS), rng.randint(1, 4)) for _ in coords]
         scale = math.lcm(*(den for _, den in draws))
         v = [num * (scale // den) for num, den in draws]
-        out.append(lattice.closures((((level, v),),))[0])
+        out.append(lattice.closure(level, v))
     return out

@@ -1,14 +1,17 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from filtadm import filtration, linalg
 from filtadm.filtration import (
     Filtration,
     TransversalityError,
     _aligned_candidates,
     _chain_bound,
+    _t_h,
     _top_sums,
     build_transverse_filtration,
     check_admissible,
@@ -18,6 +21,7 @@ from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand, WeightProfile, t_n
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
+    CapExceededError,
     StableLattice,
     Subobject,
     enumerate_concrete_subobjects,
@@ -266,6 +270,58 @@ def test_modified_streams_decide_by_proof():
             assert report.proof is None and report.witness["source"] == "good"
             first = min(witness_goods, key=lambda g: (g.dimension(spec), g.counts))
             assert report.witness["enclosingGood"] == list(first.counts)
+
+
+def test_good_witness_comes_before_the_class_list(monkeypatch):
+    # a failing item returns its good witness without listing classes; an
+    # ok item lists them once; the cap is still checked before any verdict
+    calls = []
+    listing = filtration.enumerate_concrete_subobjects
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return listing(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a failing item listed its classes")
+
+    stream = equal_total_stream(13, 30, max_dim=7, min_summands=2)
+    failing = 0
+    for k, (spec, profile) in enumerate(stream):
+        ok = check_slope_chain(spec, profile).ok
+        real, filt = _setup(spec, profile, seed=k)
+        monkeypatch.setattr(
+            filtration, "enumerate_concrete_subobjects", counted if ok else refuse
+        )
+        calls.clear()
+        report = check_admissible(spec, profile, real, filt, seed=k)
+        assert report.ok == ok
+        if ok:
+            assert len(calls) == 1
+            continue
+        failing += 1
+        assert report.witness["source"] == "good"
+        cap = spec.dimension - 1
+        with pytest.raises(CapExceededError, match=f"enumeration cap {cap}$"):
+            check_admissible(spec, profile, real, filt, cap=cap, seed=k)
+    assert failing == 15
+
+
+def test_t_h_of_integer_rows_matches_fraction_rows():
+    # the verdict feeds t_H the lattice's primitive integer rows
+    stream = equal_total_stream(17, 12, max_dim=6)
+    checked = 0
+    for k, (spec, profile) in enumerate(stream):
+        real, filt = _setup(spec, profile, seed=k, modify=k % 2 == 0)
+        lattice = StableLattice(real)
+        for sub in enumerate_concrete_subobjects(real, lattice=lattice):
+            ints = lattice.int_rows(sub.key)
+            assert all(next(filter(None, row)) > 0 for row in ints)
+            assert all(math.gcd(*row) == 1 for row in ints)
+            assert linalg.fraction_rows(ints) == oracles.rref(ints) == sub.rows
+            assert _t_h(filt, ints, spec.config) == t_h(filt, sub.rows, spec.config)
+            checked += 1
+    assert checked > 100
 
 
 def test_transverse_dim2_trivial():

@@ -14,6 +14,7 @@ from filtadm import linalg, subobjects
 from filtadm.filtration import (
     Filtration,
     _aligned_candidates,
+    _good_layout,
     _tail_dims,
     _violation,
     build_transverse_filtration,
@@ -447,7 +448,7 @@ def test_violation_matches_all_tails_on_small_box_bases():
         goods = enumerate_good_subobjects(spec)
         for _ in range(5):
             basis = _small_box_basis(rng, spec.dimension)
-            got = _violation(spec, basis, goods)
+            got = _violation(basis, _good_layout(spec, goods))
             assert got == oracles.violation(spec, basis, goods)
             checked += 1
             failed += got is not None

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from filtadm import linalg
+from filtadm import linalg, subobjects
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand
-from filtadm.pairs import is_special
+from filtadm.pairs import InternalConsistencyError, is_special
 from filtadm.subobjects import (
     CapExceededError,
     StableLattice,
+    _NONZERO_DIGITS,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
     is_stable_good,
+    random_round_subobjects,
     smallest_enclosing_good,
     stable_good_subobjects,
 )
@@ -272,6 +274,103 @@ def test_random_rounds_consistent(ex2):
     # several seeds, none may discover a new relative-position class
     for seed in range(4):
         enumerate_concrete_subobjects(real, seed=seed, rounds=3)
+
+
+def test_audit_fires_when_the_sign_patterns_of_a_level_are_missing(monkeypatch, ex1a):
+    # unmodified, ex1a has the uncoupled level {(0, 0), (1, 0)}: its lines
+    # off both axes form one class, which only the patterns (1, +-1) list
+    # (dropping one of the two loses nothing, the other lists the class)
+    real = realize_matrices(ex1a, ())
+    assert sorted(map(len, real.levels)) == [1, 2]
+    enumerate_concrete_subobjects(real)
+    patterns = subobjects._pattern_vectors
+    monkeypatch.setattr(
+        subobjects, "_pattern_vectors",
+        lambda width: [v for v in patterns(width) if width != 2 or 0 in v],
+    )
+    with pytest.raises(InternalConsistencyError, match="random-coefficient round"):
+        enumerate_concrete_subobjects(real)
+
+
+def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
+    # the closure of the unit vector of a width-1 level is the span of the
+    # smallest stable good holding its block, so the pattern and the good
+    # span both list its class and dropping either alone loses nothing;
+    # without both, the random rounds on that level (multiples of the unit
+    # vector, looked up in the line memo) must find the class
+    for edges in ((), build_modified_frobenius(ex1a)):
+        real = realize_matrices(ex1a, edges)
+        level = next(k for k, coords in enumerate(real.levels) if len(coords) == 1)
+
+        def without_span():
+            lattice = StableLattice(real)
+            span = lattice.closures([[(level, (1,))]])[0]
+            assert span in lattice.good_keys
+            lattice.good_keys = [key for key in lattice.good_keys if key != span]
+            return lattice
+
+        want = enumerate_concrete_subobjects(real)
+        assert enumerate_concrete_subobjects(real, lattice=without_span()) == want
+        with monkeypatch.context() as patch:
+            patterns = subobjects._pattern_vectors
+            patch.setattr(
+                subobjects, "_pattern_vectors",
+                lambda width: patterns(width) if width > 1 else [],
+            )
+            assert enumerate_concrete_subobjects(real) == want
+            with pytest.raises(InternalConsistencyError, match="random-coefficient"):
+                enumerate_concrete_subobjects(real, lattice=without_span())
+
+
+def test_line_memo_is_exact():
+    # the memoized closure of c*v has the pieces of an unmemoized closure
+    # of v in a fresh lattice, whichever multiple of the line came first
+    rng = random.Random(141)
+    checked = 0
+    while checked < 300:
+        spec = random_spec(rng, max_dim=6)
+        if spec is None:
+            continue
+        edges = build_modified_frobenius(spec) if rng.random() < 0.5 else ()
+        real = realize_matrices(spec, edges)
+        lattice = StableLattice(real)
+        for level, coords in enumerate(real.levels):
+            v = [rng.randint(-3, 3) for _ in coords]
+            if not any(v):
+                continue
+            fresh = StableLattice(real)
+            want = fresh.rows(fresh.closures([[(level, v)]])[0])
+            for c in (rng.choice((-6, -2, 3, 7)), 1, -1, rng.randint(2, 40)):
+                key = lattice.closure(level, [c * x for x in v])
+                assert lattice.rows(key) == want
+                checked += 1
+
+
+def test_random_rounds_keep_their_draws():
+    # one digit in +-1..9 and one denominator in 1..4 per coordinate, level
+    # by level: the rng leaves a round where it did before the memo, and
+    # each key is the closure of the drawn coefficient vector
+    rng = random.Random(142)
+    rounds = 0
+    while rounds < 60:
+        spec = random_spec(rng, max_dim=6)
+        if spec is None:
+            continue
+        real = realize_matrices(spec, build_modified_frobenius(spec))
+        lattice = StableLattice(real)
+        seed = rng.randrange(1000)
+        draws, replay = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            keys = random_round_subobjects(lattice, draws)
+            for level, (coords, key) in enumerate(zip(real.levels, keys)):
+                v = [
+                    Fraction(replay.choice(_NONZERO_DIGITS), replay.randint(1, 4))
+                    for _ in coords
+                ]
+                fresh = StableLattice(real)
+                assert lattice.rows(key) == fresh.rows(fresh.closures([[(level, v)]])[0])
+            assert draws.getstate() == replay.getstate()
+            rounds += 1
 
 
 def test_combinatorial_greedy_h2():
