@@ -17,10 +17,20 @@ it relies on transversality.
 For a basis of full rank one minor per good decides transversality: a
 good E of dimension m meets every tail generically iff E meets
 T_{m+1} = span(v_{m+1}, ..., v_n) in 0, i.e. iff rows m+1..n have full
-rank n - m on the columns outside E.  If so, for j > m+1 the tail T_j lies
-inside T_{m+1} and meets E in 0; for j <= m+1 it contains T_{m+1}, so
-E + T_j is the whole space and dim(E cap T_j) = m - j + 1.  Conversely
+rank n - m on the columns O outside E.  If so, for j > m+1 the tail T_j
+lies inside T_{m+1} and meets E in 0; for j <= m+1 it contains T_{m+1},
+so E + T_j is the whole space and dim(E cap T_j) = m - j + 1.  Conversely
 j = m+1 is itself one of the tails checked.
+
+All these minors come from one echelon per basis.  It grows over v_n,
+v_{n-1}, ..., v_1, and a step that does not grow means the basis is
+singular.  After v_{m+1} its reduced form R = RREF(rows m+1..n) is A
+times those rows for an invertible A, so the minor on O is nonsingular
+iff R is on O.  The pivot columns of R are unit vectors: those in O
+contribute one independent column each, and what is left is R on the
+rows whose pivot lies inside E and the columns of O that are no pivot,
+a square t x t matrix with t <= min(m, n - m).  Closed forms decide
+t <= 2, a rank the rest.
 
 Admissibility of the pair (realization, filtration) demands the Hodge
 slope t_H(D') to stay below the Newton slope t_N(D') for every stable
@@ -54,13 +64,14 @@ the prefix sums of the weights of sigma and P for their sum over sigma
 The verdict, in order: the slope equality on the whole module; the
 enumeration cap; the first stable good, in (dim, counts) order, that is
 a witness, its t_H checked once against the filtration; only then the
-enumeration of the stable subspace classes with its random-round audit
-(`enumerate_concrete_subobjects`) and one chain certificate per listed
-class, bound <= t_N.  A good witness needs no class list, so a failing
-verdict runs neither the enumeration nor its audit.  The certificates
-cover the listed classes, and the audit vouches that the list is
-complete.  Only when some class does not certify does
-the search run: the listed classes, random-coefficient variants and
+enumeration of the stable subspace classes with its random-round audit,
+as piece ids (`subobjects._class_keys`), and one chain certificate per
+listed class, bound <= t_N, over per-embedding chain steps built once.
+A good witness needs no class list, so a failing verdict runs neither
+the enumeration nor its audit.  The certificates cover the listed
+classes, and the audit vouches that the list is complete.  Only when
+some class does not certify are rows built, and the search runs: the
+listed classes, random-coefficient variants and
 closures of good-cap-tail intersections (the adversarially aligned
 subspaces), outside the certified classes, each against its exact t_H,
 the first violator being the witness.  The search decides as it would
@@ -105,9 +116,9 @@ from .subobjects import (
     check_cap,
     StableLattice,
     Subobject,
+    _class_keys,
     enumerate_good_subobjects,
     good_coords,
-    enumerate_concrete_subobjects,
     random_round_subobjects,
     smallest_enclosing_good,
 )
@@ -178,32 +189,65 @@ def _good_layout(
     spec: ModuleSpec, goods: tuple[GoodSubobject, ...]
 ) -> list[tuple[GoodSubobject, int, list[int]]]:
     """(good, dim, columns outside it) for the goods strictly between 0 and
-    the whole module, in the order of `goods`: what `_violation` reads."""
+    the whole module, in the order of `goods`: what `_violation` reads.
+
+    Summand i occupies the columns from its offset on, bottom block first
+    (h = 1), so a good with counts c leaves out the top b_i - c_i of them.
+    """
     n = spec.dimension
+    flat = all(spec.family_of(i).h == 1 for i in range(len(spec.summands)))
+    spans = list(
+        itertools.pairwise(itertools.accumulate((s.b for s in spec.summands), initial=0))
+    )
     out = []
     for good in goods:
         m = good.dimension(spec)
         if 0 < m < n:
-            inside = set(good_coords(spec, good))
-            out.append((good, m, [c for c in range(n) if c not in inside]))
+            if not flat:
+                raise ValueError("coordinate layout requires h=1")
+            outside = [
+                c for (start, end), k in zip(spans, good.counts)
+                for c in range(start + k, end)
+            ]
+            out.append((good, m, outside))
     return out
 
 
 def _violation(
-    basis: Mat, layout: list[tuple[GoodSubobject, int, list[int]]]
+    basis, layout: list[tuple[GoodSubobject, int, list[int]]]
 ) -> GoodSubobject | str | None:
     """The first good of `layout` (from `_good_layout`) the basis is not
     transverse to, SINGULAR when the basis is not of full rank, or None.
+    The rows may be ints or Fractions.
 
-    A good of dimension m is transverse iff the minor of rows m+1..n on
-    the columns outside it has full rank (see the module docstring).
+    A good of dimension m is transverse iff R = RREF(rows m+1..n) has full
+    rank on the columns outside it, which one t x t matrix decides (see
+    the module docstring).
     """
     n = len(basis)
-    if linalg.rank(basis) != n:
-        return SINGULAR
+    ech = linalg.Echelon(n)
+    # pivots[m] and reduced[m]: RREF(rows m+1..n), for 0 < m < n
+    pivots: list = [()] * n
+    reduced: list = [()] * n
+    for m in range(n - 1, -1, -1):
+        if ech.add(basis[m]) is None:
+            return SINGULAR
+        if m:
+            pivots[m], reduced[m] = ech.pivots(), ech.int_rows()
     for good, m, outside in layout:
-        minor = tuple(tuple(row[c] for c in outside) for row in basis[m:])
-        if linalg.rank(minor) != n - m:
+        piv = pivots[m]
+        rows = [row for p, row in zip(piv, reduced[m]) if p not in outside]
+        if not rows:
+            continue
+        cols = [c for c in outside if c not in piv]
+        if len(cols) == 1:
+            ok = rows[0][cols[0]] != 0
+        elif len(cols) == 2:
+            (a, b), (c, d) = ([row[k] for k in cols] for row in rows)
+            ok = a * d != b * c
+        else:
+            ok = linalg.rank([[row[k] for k in cols] for row in rows]) == len(cols)
+        if not ok:
             return good
     return None
 
@@ -226,26 +270,30 @@ def build_transverse_filtration(
         raise ValueError("realization does not match the spec")
     n = spec.dimension
     layout = _good_layout(spec, enumerate_good_subobjects(spec))
-    rng = random.Random(seed)
-    bases = []
+    draw = random.Random(seed).randrange
+    ints = []
     total_attempts = 0
     for sigma in range(spec.config.embeddings):
         last_bad: GoodSubobject | str | None = None
         for _ in range(MAX_ATTEMPTS):
             total_attempts += 1
+            # randrange(a, b + 1) draws what randint(a, b) does
             basis = tuple(
-                tuple(rng.randint(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(n))
+                tuple(draw(-SAMPLE_BOX, SAMPLE_BOX + 1) for _ in range(n))
                 for _ in range(n)
             )
             bad = _violation(basis, layout)
             if bad is None:
-                bases.append(tuple(tuple(map(Fraction, row)) for row in basis))
+                ints.append(basis)
                 break
             last_bad = bad
         else:
             raise TransversalityError(sigma, last_bad, MAX_ATTEMPTS)
-    filtration = Filtration(profile, tuple(bases), seed, total_attempts)
+    bases = tuple(tuple(tuple(map(Fraction, row)) for row in b) for b in ints)
+    filtration = Filtration(profile, bases, seed, total_attempts)
     object.__setattr__(filtration, "transverse", True)
+    # the drawn integers are the `int_bases` the cached property would build
+    filtration.__dict__["int_bases"] = tuple(ints)
     return filtration
 
 
@@ -304,31 +352,37 @@ class AdmissibilityReport:
         }
 
 
-def _top_sums(profile: WeightProfile) -> list[list[list[int]]]:
-    """Per sigma, top[e][c] = P_sigma[e] - P_sigma[e - c]: the sum of the
-    top c of the lowest e weights."""
+def _chain_steps(
+    lattice: StableLattice, profile: WeightProfile
+) -> list[list[tuple[int, tuple[int, ...], list[int]]]]:
+    """Per sigma, (j, the goods good j covers, top) for every stable good j
+    but 0, in the order of `goods`: what `_chain_bound` walks, built once
+    per verdict.  top[c] = P_sigma[e] - P_sigma[e - c] is the sum of the
+    top c of the lowest e = dim(good j) weights."""
+    sizes = lattice.good_sizes
+    lower = lattice.lower_covers
     out = []
     for row in profile.weights:
         pre = list(itertools.accumulate(row, initial=0))
-        out.append([[pre[e] - pre[e - c] for c in range(e + 1)] for e in range(len(pre))])
+        tops = [[pre[e] - pre[e - c] for c in range(e + 1)] for e in range(len(pre))]
+        out.append([(j, lower[j], tops[sizes[j]]) for j in range(1, len(sizes))])
     return out
 
 
 def _chain_bound(
-    lattice: StableLattice, tops: list[list[list[int]]], inter: tuple[int, ...]
+    steps: list[list[tuple[int, tuple[int, ...], list[int]]]], inter: tuple[int, ...]
 ) -> int:
     """The chain bound of a class, divided by [K:L]: per sigma the shortest
     path from 0 to D over the cover pairs of the stable goods, where the
     step E -> E' costs top[dim E'][c] with c the growth of dim(E cap D')
-    given by `inter` (see the module docstring)."""
-    sizes = lattice.good_sizes
-    lower = lattice.lower_covers
+    given by `inter` (see the module docstring).  `steps` comes from
+    `_chain_steps`."""
     total = 0
-    for top in tops:
-        dist = [0] * len(sizes)
-        for j in range(1, len(sizes)):
-            tj, cj = top[sizes[j]], inter[j]
-            dist[j] = min([dist[i] + tj[cj - inter[i]] for i in lower[j]])
+    for walk in steps:
+        dist = [0] * (len(walk) + 1)
+        for j, lower, tj in walk:
+            cj = inter[j]
+            dist[j] = min([dist[i] + tj[cj - inter[i]] for i in lower])
         total += dist[-1]
     return total
 
@@ -445,7 +499,7 @@ def check_admissible(
         return AdmissibilityReport(False, "equality", witness, (), 0)
     if not filtration.transverse:
         layout = _good_layout(spec, enumerate_good_subobjects(spec))
-        for sigma, basis in enumerate(filtration.bases):
+        for sigma, basis in enumerate(filtration.int_bases):
             bad = _violation(basis, layout)
             if bad is not None:
                 raise TransversalityError(sigma, bad, None)
@@ -485,36 +539,33 @@ def check_admissible(
             witness = _witness(sub, th_val, tn_val, goods[k], spec, "good")
             return AdmissibilityReport(False, "witness", witness, table, len(table))
 
-    listed = enumerate_concrete_subobjects(
-        realization, cap=cap, seed=seed, rounds=rounds, lattice=lattice
-    )
-    tops = _top_sums(profile)
+    listed = _class_keys(lattice, seed, rounds)
+    steps = _chain_steps(lattice, profile)
     table = []
     certified = set()
-    for sub in listed:
-        if sub.rank in (0, n):
+    for key in listed:
+        dim = lattice.dim(key)
+        if dim in (0, n):
             continue
-        inter = lattice.good_dims(sub.key)
-        scaled = lattice.scaled_t_n(sub.key)
-        bound = kl * _chain_bound(lattice, tops, inter)
-        table.append(_class_row(sub.rank, Fraction(scaled, den), bound))
+        inter = lattice.good_dims(key)
+        scaled = lattice.scaled_t_n(key)
+        bound = kl * _chain_bound(steps, inter)
+        table.append(_class_row(dim, Fraction(scaled, den), bound))
         if bound * den <= scaled:
-            certified.add((sub.rank, inter))
+            certified.add((dim, inter))
     if len(certified) == len(table):
         return AdmissibilityReport(
             True, None, None, tuple(table), len(table), "certificate"
         )
 
-    candidates: dict[tuple[int, ...], Subobject | None] = {s.key: s for s in listed}
+    candidates = dict.fromkeys(listed)
     rng = random.Random(seed + 1)
     for _ in range(rounds):
-        for key in random_round_subobjects(lattice, rng):
-            candidates.setdefault(key, None)
-    for key in _aligned_candidates(lattice, filtration):
-        candidates.setdefault(key, None)
+        candidates.update(dict.fromkeys(random_round_subobjects(lattice, rng)))
+    candidates.update(dict.fromkeys(_aligned_candidates(lattice, filtration)))
     subs = [
-        s or Subobject(lattice.rows(key), key)
-        for key, s in candidates.items()
+        Subobject(lattice.rows(key), key)
+        for key in candidates
         if 0 < lattice.dim(key) < n
         and (lattice.dim(key), lattice.good_dims(key)) not in certified
     ]

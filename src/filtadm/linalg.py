@@ -130,6 +130,10 @@ class Echelon:
     def __len__(self) -> int:
         return len(self._pivots)
 
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot columns in ascending order, one per row of `int_rows`."""
+        return tuple(self._pivots)
+
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """The canonical basis with each row scaled to a primitive integer
         row with a positive pivot.

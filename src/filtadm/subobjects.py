@@ -18,6 +18,13 @@ closing signed {0,+-1}-pattern vectors inside each generalized eigenspace
 and saturating under sums, keeping one representative per relative
 position against the good lattice; random-coefficient rounds re-derive
 the classes and fail loudly if the pattern heuristic ever misses one.
+The work runs on piece ids (`_class_keys`, which the verdict calls): the
+saturated keys are grouped by class before anything is ordered, only a
+class with several keys runs the tie-break, and both orders compare
+integer rows, each `int_rows` row scaled by L / pivot with L the lcm of
+the pivots of the keys compared.  That is L times the canonical
+`Fraction` rows, so the order is theirs, and `Subobject` rows are built
+only for the public list.
 The closure of c*v is the closure of v for c != 0: the first step of
 both stores the same primitive row with a positive pivot, and every
 later step reads only that row.  So single-vector closures are memoized
@@ -466,6 +473,75 @@ def _saturate(
     return list(subs)
 
 
+def _negatives(lattice: StableLattice, key: tuple[int, ...]) -> int:
+    """The negative entries of the canonical integer rows of `key`, which
+    are those of its canonical rows."""
+    return sum(
+        x < 0 for level, pid in enumerate(key)
+        for row in lattice.piece(level, pid) for x in row
+    )
+
+
+def _row_order(
+    lattice: StableLattice, keys: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per key, its canonical rows times one integer L common to `keys`: the
+    lcm of every pivot of their `int_rows`.
+
+    A primitive row with pivot p is p times its canonical row, so scaling
+    it by L / p gives L times the canonical row, in integers.  With L
+    common to all keys these compare exactly as the `Fraction` rows do.
+    """
+    ints = [lattice.int_rows(key) for key in keys]
+    heads = [[next(filter(None, row)) for row in rows] for rows in ints]
+    scale = math.lcm(*(p for ps in heads for p in ps))
+    return {
+        key: tuple(
+            row if p == scale else tuple(x * (scale // p) for x in row)
+            for p, row in zip(ps, rows)
+        )
+        for key, rows, ps in zip(keys, ints, heads)
+    }
+
+
+def _class_keys(
+    lattice: StableLattice, seed: int = 0, rounds: int = 5
+) -> list[tuple[int, ...]]:
+    """Piece ids of one representative per relative-position class of the
+    stable subspaces, in the order of `enumerate_concrete_subobjects`; the
+    caller checks the cap.
+
+    The saturated keys are grouped by class (rank, `good_dims`) first.  A
+    class with several keys keeps the one without negative entries, then
+    with the smallest canonical rows; the representatives are sorted by
+    (rank, canonical rows).  Both orders compare the integer rows of
+    `_row_order`, so no `Fraction` row is built.
+    """
+    realization = lattice.realization
+    keys = [lattice.zero, *lattice.good_keys]
+    for level, coords in enumerate(realization.levels):
+        keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    for key in _saturate(lattice, keys):
+        classes.setdefault((lattice.dim(key), lattice.good_dims(key)), []).append(key)
+    reps = {}
+    for (dim, _), members in classes.items():
+        if len(members) > 1:
+            order = _row_order(lattice, members)
+            members = [min(members, key=lambda k: (_negatives(lattice, k), order[k]))]
+        reps[members[0]] = dim
+    order = _row_order(lattice, list(reps))
+    ranked = sorted(reps, key=lambda k: (reps[k], order[k]))
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for key in random_round_subobjects(lattice, rng):
+            if (lattice.dim(key), lattice.good_dims(key)) not in classes:
+                raise InternalConsistencyError(
+                    "random-coefficient round found a new subobject class"
+                )
+    return ranked
+
+
 def enumerate_concrete_subobjects(
     realization: ConcreteRealization,
     cap: int = DEFAULT_CAP,
@@ -477,38 +553,18 @@ def enumerate_concrete_subobjects(
 
     Pattern atoms are the signed {0,+-1} vectors inside each generalized
     eigenspace, closed under Phi and N; the result is the sum-closure of
-    the atoms and of the stable good spans, one representative per class.
+    the atoms and of the stable good spans, one representative per class
+    (`_class_keys`): the one without negative entries, then with the
+    smallest canonical basis, sorted by (rank, canonical basis).
     `rounds` extra passes with random nonzero coefficients must not produce
     any new relative-position class, or the pattern heuristic is declared
     broken.  Results carry their piece ids `key` in `lattice` (new if None).
     """
     check_cap(realization.dimension, cap)
     lattice = lattice or StableLattice(realization)
-    keys = [lattice.zero, *lattice.good_keys]
-    for level, coords in enumerate(realization.levels):
-        keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
-    base = [Subobject(lattice.rows(key), key) for key in _saturate(lattice, keys)]
-    # one representative per relative-position class, preferring bases
-    # without negative entries, then the smallest canonical basis
-    def rep_key(s: Subobject):
-        negatives = sum(
-            x < 0 for level, pid in enumerate(s.key)
-            for row in lattice.piece(level, pid) for x in row
-        )
-        return (s.rank, negatives, s.rows)
-
-    by_class: dict[tuple, Subobject] = {}
-    for sub in sorted(base, key=rep_key):
-        by_class.setdefault((sub.rank, lattice.good_dims(sub.key)), sub)
-    result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
-    rng = random.Random(seed)
-    for _ in range(rounds):
-        for key in random_round_subobjects(lattice, rng):
-            if (lattice.dim(key), lattice.good_dims(key)) not in by_class:
-                raise InternalConsistencyError(
-                    "random-coefficient round found a new subobject class"
-                )
-    return tuple(result)
+    return tuple(
+        Subobject(lattice.rows(key), key) for key in _class_keys(lattice, seed, rounds)
+    )
 
 
 def random_round_subobjects(

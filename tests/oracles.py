@@ -16,8 +16,11 @@ library scales the slopes to integers; all three oracles add up the
 The intersection dimensions of the verify path are asked here once per
 pair, where the library reads them off one echelon pass or its lattice of
 level pieces: intersection profiles and class keys good by good, from any
-rows, transversality tail by tail, tail dimensions by stacking, and
-aligned candidates by one intersection per tail.  Hand-written subspaces
+rows, transversality tail by tail (and by one minor per good, the form
+before the one-echelon check), tail dimensions by stacking, and aligned
+candidates by one intersection per tail.  `class_subobjects` chooses and
+sorts the class list on `Fraction` rows, where the library compares
+integer rows.  Hand-written subspaces
 reach the greedy flags through `intersection_profile`.
 
 The special-pair oracles are the `Fraction` forms of the clause check, the
@@ -72,9 +75,16 @@ from filtadm.pairs import (
 )
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
+    DEFAULT_CAP,
+    StableLattice,
+    Subobject,
     _full,
+    _pattern_vectors,
+    _saturate,
+    check_cap,
     enumerate_good_subobjects,
     good_coords,
+    random_round_subobjects,
     smallest_enclosing_good,
     stable_good_subobjects,
 )
@@ -526,6 +536,64 @@ def violation(spec: ModuleSpec, basis: Mat, goods):
             if dim_intersection_coords(coords, basis[j - 1:], n) != max(0, m - j + 1):
                 return good
     return None
+
+
+def violation_minors(basis: Mat, layout) -> GoodSubobject | str | None:
+    """The first good of `layout` (from `filtration._good_layout`) the basis
+    is not transverse to, SINGULAR when the basis is not of full rank, or
+    None: one full-rank check of rows m+1..n on the columns outside each
+    good, a separate elimination per good.  This is the per-good form of
+    `filtration._violation`, which reads every minor off one echelon; its
+    ranks run on the library's kernel, on the minors themselves."""
+    n = len(basis)
+    if linalg.rank(basis) != n:
+        return SINGULAR
+    for good, m, outside in layout:
+        minor = tuple(tuple(row[c] for c in outside) for row in basis[m:])
+        if linalg.rank(minor) != n - m:
+            return good
+    return None
+
+
+def class_subobjects(
+    realization: ConcreteRealization,
+    cap: int = DEFAULT_CAP,
+    seed: int = 0,
+    rounds: int = 5,
+    lattice: StableLattice | None = None,
+) -> tuple[Subobject, ...]:
+    """The class list of `enumerate_concrete_subobjects`, chosen and sorted
+    on `Fraction` rows: the canonical rows of every saturated key are
+    built, sorted by (rank, negative entries, rows), the first of each
+    class is kept and the kept ones are sorted by (rank, rows), where the
+    library groups the keys by class first and compares integer rows."""
+    check_cap(realization.dimension, cap)
+    lattice = lattice or StableLattice(realization)
+    keys = [lattice.zero, *lattice.good_keys]
+    for level, coords in enumerate(realization.levels):
+        keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
+    base = [Subobject(lattice.rows(key), key) for key in _saturate(lattice, keys)]
+    # one representative per relative-position class, preferring bases
+    # without negative entries, then the smallest canonical basis
+    def rep_key(s: Subobject):
+        negatives = sum(
+            x < 0 for level, pid in enumerate(s.key)
+            for row in lattice.piece(level, pid) for x in row
+        )
+        return (s.rank, negatives, s.rows)
+
+    by_class: dict[tuple, Subobject] = {}
+    for sub in sorted(base, key=rep_key):
+        by_class.setdefault((sub.rank, lattice.good_dims(sub.key)), sub)
+    result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for key in random_round_subobjects(lattice, rng):
+            if (lattice.dim(key), lattice.good_dims(key)) not in by_class:
+                raise InternalConsistencyError(
+                    "random-coefficient round found a new subobject class"
+                )
+    return tuple(result)
 
 
 def tail_dims(filtration, sigma: int, rows: Mat) -> list[int]:

@@ -11,8 +11,8 @@ from filtadm.filtration import (
     TransversalityError,
     _aligned_candidates,
     _chain_bound,
+    _chain_steps,
     _t_h,
-    _top_sums,
     build_transverse_filtration,
     check_admissible,
     t_h,
@@ -176,7 +176,7 @@ def test_hand_built_filtration_is_verified(ex1a, w_m212):
 
 def _class_bound(lattice, profile, key):
     return lattice.realization.spec.config.deg_K_L * _chain_bound(
-        lattice, _top_sums(profile), lattice.good_dims(key)
+        _chain_steps(lattice, profile), lattice.good_dims(key)
     )
 
 
@@ -276,7 +276,7 @@ def test_good_witness_comes_before_the_class_list(monkeypatch):
     # a failing item returns its good witness without listing classes; an
     # ok item lists them once; the cap is still checked before any verdict
     calls = []
-    listing = filtration.enumerate_concrete_subobjects
+    listing = filtration._class_keys
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -291,7 +291,7 @@ def test_good_witness_comes_before_the_class_list(monkeypatch):
         ok = check_slope_chain(spec, profile).ok
         real, filt = _setup(spec, profile, seed=k)
         monkeypatch.setattr(
-            filtration, "enumerate_concrete_subobjects", counted if ok else refuse
+            filtration, "_class_keys", counted if ok else refuse
         )
         calls.clear()
         report = check_admissible(spec, profile, real, filt, seed=k)

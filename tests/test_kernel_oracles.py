@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from filtadm import linalg, subobjects
+from filtadm import filtration, linalg, subobjects
 from filtadm.filtration import (
     Filtration,
     _aligned_candidates,
@@ -455,6 +455,96 @@ def test_violation_matches_all_tails_on_small_box_bases():
             singular += len(oracles.rref(basis)) < spec.dimension
     # failures well beyond the singular bases, and passes too
     assert failed - singular >= 60 and checked - failed >= 60
+
+
+def _violation_pairs(basis, layout):
+    """The one-echelon check and the per-good minors on the integer rows
+    and on the same rows as Fractions."""
+    fractions = tuple(tuple(map(Fraction, row)) for row in basis)
+    want = oracles.violation_minors(basis, layout)
+    assert oracles.violation_minors(fractions, layout) == want
+    return (_violation(basis, layout), _violation(fractions, layout)), want
+
+
+def test_one_echelon_violation_matches_per_good_minors():
+    rng = random.Random(114)
+    dims = set()
+    for _ in range(60):
+        spec = None
+        while spec is None or spec.dimension < 3:
+            spec = random_spec(rng, max_dim=8, max_summands=4)
+        n = spec.dimension
+        dims.add(n)
+        layout = _good_layout(spec, enumerate_good_subobjects(spec))
+        for _ in range(4):
+            basis = tuple(
+                tuple(rng.randint(-10**6, 10**6) for _ in range(n)) for _ in range(n)
+            )
+            got, want = _violation_pairs(basis, layout)
+            assert got == (want, want)
+    assert dims == set(range(3, 9))
+    # small entries: singular bases, and goods met in non-generic dimensions
+    checked = singular = failed = 0
+    while checked < 600:
+        spec = random_spec(rng, max_dim=8, max_summands=4)
+        if spec is None:
+            continue
+        layout = _good_layout(spec, enumerate_good_subobjects(spec))
+        for _ in range(6):
+            n = spec.dimension
+            basis = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+            got, want = _violation_pairs(basis, layout)
+            assert got == (want, want)
+            checked += 1
+            singular += want == filtration.SINGULAR
+            failed += want not in (None, filtration.SINGULAR)
+    assert singular >= 15 and failed >= 150 and checked - singular - failed >= 150
+
+
+def test_good_layout_reads_summand_offsets():
+    rng = random.Random(115)
+    for _ in range(40):
+        spec = random_spec(rng, max_dim=8, max_summands=4)
+        if spec is None:
+            continue
+        n = spec.dimension
+        goods = enumerate_good_subobjects(spec)
+        want = [
+            (g, g.dimension(spec), [c for c in range(n) if c not in good_coords(spec, g)])
+            for g in goods if 0 < g.dimension(spec) < n
+        ]
+        assert _good_layout(spec, goods) == want
+    spec = random_spec(random.Random(3), h_choices=(2,))
+    with pytest.raises(ValueError, match="coordinate layout requires h=1"):
+        _good_layout(spec, enumerate_good_subobjects(spec))
+
+
+def test_sampled_bases_replay_the_randint_draws():
+    # the bases, attempts and integer rows of build_transverse_filtration
+    # are those of randint draws checked by the per-good minors
+    rng, triples = _filtered(116, 20, max_dim=7)
+    for k, (spec, real, filt) in enumerate(triples):
+        n = spec.dimension
+        layout = _good_layout(spec, enumerate_good_subobjects(spec))
+        replay = random.Random(k)
+        bases, attempts = [], 0
+        for _ in range(spec.config.embeddings):
+            while True:
+                attempts += 1
+                basis = tuple(
+                    tuple(replay.randint(-10**6, 10**6) for _ in range(n))
+                    for _ in range(n)
+                )
+                if oracles.violation_minors(basis, layout) is None:
+                    bases.append(basis)
+                    break
+        assert filt.attempts == attempts
+        assert filt.int_bases == tuple(bases)
+        assert filt.bases == tuple(
+            tuple(tuple(map(Fraction, row)) for row in b) for b in bases
+        )
+        # the cached property of an unverified copy builds the same rows
+        assert Filtration(filt.weights, filt.bases, k, 1).int_bases == filt.int_bases
 
 
 def test_aligned_candidates_match_per_tail_intersections():

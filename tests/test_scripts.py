@@ -144,3 +144,67 @@ def test_criteria_digest_pinned(capsys):
         "criteria_stream seed=3 items=12 "
         "sha256=23b5ea2334fbc7d553bd874f5f56665deebe87aca8958167278c23cb04533059",
     ]
+
+
+# A stand-in for `perfbench/run.py`: it logs which checkout ran, then
+# prints a description line and the result line the harness prints.
+STUB_HARNESS = """
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(f"{here.name} {args['--seed']}\\n")
+speed = {"base": 100.0, "change": 120.0}[here.name] + int(args["--seed"])
+metrics = {
+    "throughput_per_s": speed, "latency_p50_ms": 1000 / speed,
+    "latency_p90_ms": 2000 / speed, "setup_s": 0.1, "peak_rss_mb": 30.0,
+}
+print(json.dumps({"workload": args["--workload"]}))
+print(json.dumps({
+    "correct": True, "attempted": 10, "failed": 0,
+    "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()},
+}))
+"""
+
+
+def test_ab_pairs_alternates_and_counts_wins(tmp_path, capsys):
+    root = Path(__file__).parent.parent
+    for side in ("base", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_HARNESS)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (root / "BENCHMARK.json").read_text()
+    )
+    status = _load("ab_pairs").main([
+        "--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+        "--workload", "verify_stream", "--seeds", "1", "2", "3", "--seconds", "1",
+    ])
+    assert status == 0
+    # base first in pairs 1 and 3, change first in pair 2
+    assert (tmp_path / "order.log").read_text().split() == [
+        "base", "1", "change", "1", "change", "2", "base", "2",
+        "base", "3", "change", "3",
+    ]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("verify_stream pair 2 seed 2 (change first): ")
+    summary = {line.split()[0]: line for line in out[4:]}
+    assert "base 102 [101, 103], change 122 [121, 123]" in summary["throughput_per_s"]
+    assert "change won 3/3, gain beyond the base IQR" in summary["throughput_per_s"]
+    assert "change won 3/3" in summary["latency_p90_ms"]
+    assert "change won 0/3, gain not beyond the base IQR" in summary["setup_s"]
+
+
+def test_ab_pairs_stops_on_a_failed_run(tmp_path, capsys):
+    for side in ("base", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (Path(__file__).parent.parent / "BENCHMARK.json").read_text()
+    )
+    status = _load("ab_pairs").main([
+        "--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+        "--workload", "verify_stream", "--seeds", "1",
+    ])
+    assert status == 1
+    assert "exited 2" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -449,3 +450,38 @@ def test_flag_layer_does_no_linear_algebra(monkeypatch, ex1a, ex2):
         except SpecialPairViolation:
             pass
     assert pairs >= 20
+
+
+def test_integer_class_order_matches_fraction_rows(ex1a, ex1b, ex2, ex3):
+    # the representatives chosen and sorted on integer rows are those the
+    # Fraction rows give, key for key and in the same order, on the worked
+    # examples and random specs up to dimension 8, modified and not
+    rng = random.Random(122)
+    specs = [ex1a, ex1b, ex2, ex3]
+    while len(specs) < 40:
+        spec = random_spec(rng, max_dim=8, max_summands=4)
+        if spec is not None:
+            specs.append(spec)
+    multi = big = 0
+    for k, spec in enumerate(specs):
+        for modify in (True, False):
+            real = realize_matrices(spec, build_modified_frobenius(spec) if modify else ())
+            want = oracles.class_subobjects(real, seed=k, rounds=1)
+            lattice = StableLattice(real)
+            keys = subobjects._class_keys(lattice, seed=k, rounds=1)
+            assert keys == [sub.key for sub in want]
+            assert [lattice.rows(key) for key in keys] == [sub.rows for sub in want]
+            assert enumerate_concrete_subobjects(real, seed=k, rounds=1) == want
+            # classes holding several saturated keys, where the tie-break chooses
+            atoms = [lattice.zero, *lattice.good_keys] + [
+                lattice.closure(level, v)
+                for level, coords in enumerate(real.levels)
+                for v in subobjects._pattern_vectors(len(coords))
+            ]
+            counts = Counter(
+                (lattice.dim(key), lattice.good_dims(key))
+                for key in subobjects._saturate(lattice, atoms)
+            )
+            multi += sum(c > 1 for c in counts.values())
+            big += spec.dimension >= 7
+    assert multi >= 200 and big >= 10
