@@ -9,8 +9,10 @@ the shuffle valuation condition agree, and
 optionally runs the full construction pipeline on every instance: its
 verdict must match, every ok must rest on chain certificates, and the
 count of each proof source (certificate, or the good, search or
-equality witness of a failure) is printed.  The generators are the ones
-the test suite uses, from tests/helpers.py.
+equality witness of a failure) is printed, with the count of modified
+realizations whose stable subspaces are finitely many (the walk over
+covers lists them all) and infinitely many.  The generators are the
+ones the test suite uses, from tests/helpers.py.
 
     PYTHONPATH=src python scripts/fuzz_equivalence.py --trials 500 --seed 0
 """
@@ -29,6 +31,7 @@ from filtadm import (
     check_slope_chain,
     realize_matrices,
 )
+from filtadm.subobjects import StableLattice
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import equal_total_stream, random_profile, random_spec  # noqa: E402
@@ -52,6 +55,7 @@ def main(argv=None) -> None:
     ))
     done = passes = 0
     sources: dict[str, int] = {}
+    lattices = {"finite": 0, "infinite": 0}
     while done < args.trials:
         if done % 2 == 0:
             spec, prof = next(equal)
@@ -82,6 +86,8 @@ def main(argv=None) -> None:
             # an ok names its proof, a failure the source of its witness
             source = rep.proof if rep.ok else rep.witness.get("source", rep.reason)
             sources[source] = sources.get(source, 0) + 1
+            finite = StableLattice(real).walk() is not None
+            lattices["finite" if finite else "infinite"] += 1
         passes += a
         done += 1
     dt = time.time() - t0
@@ -93,6 +99,7 @@ def main(argv=None) -> None:
     if args.pipeline:
         counts = ", ".join(f"{name} {n}" for name, n in sorted(sources.items()))
         print(f"proof sources: {counts}")
+        print(f"lattices: finite {lattices['finite']}, infinite {lattices['infinite']}")
 
 
 if __name__ == "__main__":

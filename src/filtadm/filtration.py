@@ -64,17 +64,19 @@ the prefix sums of the weights of sigma and P for their sum over sigma
 The verdict, in order: the slope equality on the whole module; the
 enumeration cap; the first stable good, in (dim, counts) order, that is
 a witness, its t_H checked once against the filtration; only then the
-enumeration of the stable subspace classes with its random-round audit,
-as piece ids (`subobjects._class_keys`), and one chain certificate per
-listed class, bound <= t_N, over per-embedding chain steps built once.
-A good witness needs no class list, so a failing verdict runs neither
-the enumeration nor its audit.  The certificates cover the listed
-classes, and the audit vouches that the list is complete.  Only when
-some class does not certify are rows built, and the search runs: the
-listed classes, random-coefficient variants and
-closures of good-cap-tail intersections (the adversarially aligned
-subspaces), outside the certified classes, each against its exact t_H,
-the first violator being the witness.  The search decides as it would
+class list of the stable subspaces, as piece ids
+(`subobjects._class_keys`), and one chain certificate per listed class,
+bound <= t_N, over per-embedding chain steps built once.  A good witness
+needs no class list, so a failing verdict builds none.  The certificates
+cover the listed classes.  When the stable subspaces are finitely many
+the list holds every one of them, from the walk over covers, and an ok
+there is a proof; when they are infinitely many it comes from the
+pattern route, and its random-round audit vouches that it is complete.
+Only when some class does not certify are rows built, and the search
+runs: the listed classes, random-coefficient variants and closures of
+good-cap-tail intersections (the adversarially aligned subspaces),
+outside the certified classes, each against its exact t_H, the first
+violator being the witness.  The search decides as it would
 without the certificates, since no member of a certified class can
 violate.
 
@@ -475,13 +477,16 @@ def check_admissible(
 
     In the order of the module docstring: exact slope equality on the
     whole module, the cap (CapExceededError), a stable good witness, then
-    the audited class list with one chain certificate per class, and the
-    search outside the certified classes only when some class does not
-    certify.  A failure's witness records
-    the violating subspace, its smallest enclosing stable good subobject
-    (the position where the excess Hodge weight lives) and its `source`
-    ("good" or "search"); `proof` says what an ok rests on.  A filtration
-    that `build_transverse_filtration` did not verify is checked for
+    the class list with one chain certificate per class, and the search
+    outside the certified classes only when some class does not certify.
+    `rounds` random rounds, drawn from `seed`, audit the class list where
+    the stable subspaces are infinitely many (a finite lattice's list is
+    complete and runs none), and `rounds` more, drawn from seed + 1, join
+    the search.  A failure's witness records the violating subspace, its
+    smallest enclosing stable good subobject (the position where the
+    excess Hodge weight lives) and its `source` ("good" or "search");
+    `proof` says what an ok rests on.  A filtration that
+    `build_transverse_filtration` did not verify is checked for
     transversality first (TransversalityError).
     """
     if filtration.weights != profile:

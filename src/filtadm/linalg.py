@@ -17,7 +17,8 @@ entries.  `int_rows` reads out the canonical basis after one integer
 back-substitution, as primitive integer rows with positive pivots (again
 unique), and `fraction_rows` divides them by their pivots: the only place
 Fractions are built.  `rank`, `rref` and `span_sum` are read-outs of this
-kernel.  The size of an `Echelon` is read out without back-substitution;
+kernel, and `kernel_rows` reads a null space off its canonical rows with
+no elimination of its own.  The size of an `Echelon` is read out without back-substitution;
 intersection dimensions on the verify path come from it.
 
 `CanonicalBasis` marks a tuple that is known to be in reduced row echelon
@@ -222,6 +223,29 @@ def span_sum(a: tuple, b: Iterable[Sequence]) -> tuple:
         if ech.add(v) is not None:
             grew = True
     return ech.int_rows() if grew else a
+
+
+def kernel_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """An integer basis of {x : r . x = 0 for every row r}, read off
+    primitive integer rows in reduced echelon form with positive pivots (as
+    `Echelon.int_rows` gives them).
+
+    For each column f that is no pivot: L at f and -r[f] * (L / p) at the
+    pivot p of each row r nonzero at f, L the lcm of those pivots.  A row
+    is zero at the other pivots and at the other vectors' free columns, so
+    it meets the vector in p * (-r[f] * L / p) + r[f] * L = 0.
+    """
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    out = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        hits = [(c, row[c], row[f]) for c, row in zip(pivots, rows) if row[f]]
+        scale = math.lcm(*(p for _, p, _ in hits))
+        v = [0] * ncols
+        v[f] = scale
+        for c, p, x in hits:
+            v[c] = -x * (scale // p)
+        out.append(v)
+    return out
 
 
 def sparse_columns(op: Mat) -> list[list[tuple[int, int | Fraction]]]:

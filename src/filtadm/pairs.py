@@ -61,8 +61,9 @@ class HypothesisError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A structural guarantee failed: the random-round audit of the class
-    list, the t_H check of a good witness, the weight solver's
-    post-conditions or the disjointness of assembled index sets."""
+    list, a stable subspace inside its cover span, the t_H check of a good
+    witness, the weight solver's post-conditions or the disjointness of
+    assembled index sets."""
 
 
 @dataclass(frozen=True)

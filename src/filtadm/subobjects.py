@@ -13,23 +13,44 @@ them are built from the same profile by the test oracles
 (`tests/oracles.py`); the verdict bounds t_H by chain certificates over
 `StableLattice.lower_covers` instead.
 
-The concrete enumerator lists Phi,N-stable subspaces of a realization by
-closing signed {0,+-1}-pattern vectors inside each generalized eigenspace
-and saturating under sums, keeping one representative per relative
-position against the good lattice; random-coefficient rounds re-derive
-the classes and fail loudly if the pattern heuristic ever misses one.
+The concrete enumerator lists the Phi,N-stable subspaces of a realization
+up to relative position against the good lattice, one representative per
+class.  Where the stable subspaces are finitely many, `StableLattice.walk`
+lists every one of them, breadth first over covers, so the list is
+complete by construction and nothing audits it.  Where they are
+infinitely many, the walk stops at the first family of covers, and the
+classes come from closing signed {0,+-1}-pattern vectors inside each
+generalized eigenspace and saturating under sums; random-coefficient
+rounds re-derive the classes there and fail loudly if the pattern
+heuristic ever misses one.
 The work runs on piece ids (`_class_keys`, which the verdict calls): the
-saturated keys are grouped by class before anything is ordered, only a
-class with several keys runs the tie-break, and both orders compare
-integer rows, each `int_rows` row scaled by L / pivot with L the lcm of
-the pivots of the keys compared.  That is L times the canonical
-`Fraction` rows, so the order is theirs, and `Subobject` rows are built
-only for the public list.
+keys are grouped by class before anything is ordered, only a class with
+several keys runs the tie-break, and both orders compare integer rows,
+each `int_rows` row scaled by L / pivot with L the lcm of the pivots of
+the keys compared.  That is L times the canonical `Fraction` rows, so the
+order is theirs, and `Subobject` rows are built only for the public list.
 The closure of c*v is the closure of v for c != 0: the first step of
 both stores the same primitive row with a positive pivot, and every
 later step reads only that row.  So single-vector closures are memoized
 per line (`StableLattice.closure`), and a random draw on a width-1
 level, a multiple of the unit pattern, is a lookup.
+
+The walk.  On a level vector Phi-stability is E-stability, with E
+nilpotent on the level and N sending it into one other level, so a
+simple quotient W / U of stable subspaces is one-dimensional, lies in
+one level and is killed by E and N.  The covers of a stable U are
+therefore the U + <x> with x in S_lambda(U) = {x in V_lambda : Ex in
+U_lambda, Nx in U_target} outside U_lambda, and every stable subspace is
+reached from 0 through a composition series.  Where every
+S_lambda(U) / U_lambda has dimension at most 1, the cover of U in level
+lambda is U_lambda replaced by S_lambda(U): one null space per level, no
+closure, no pattern and no random draw, and with at most one cover per
+level and chains of length at most dim V the walk ends.  A quotient of
+dimension 2 or more holds a projective line of distinct covers, so the
+stable subspaces are infinitely many.  This is the distributive case of
+Camillo (Distributive modules, J. Algebra 36, 1975), with the
+one-dimensional level modules as the simple modules, isomorphic iff
+they share a level.
 
 One fact carries the concrete layer: a stable W is the direct sum of its
 pieces W_lambda = W cap V_lambda.  For stable W, W' the sums W_lambda +
@@ -39,9 +60,10 @@ each piece as a small int per level, so a subspace is the tuple of its
 piece ids, a sum of two subspaces is one memoized level sum per level,
 and dim(E cap W) for the stable goods E, the class key, is a sum of
 per-level terms memoized per piece id.  Stable subspaces enter the
-library only there, born as piece ids: closures grow one level at a time
-in integers, on the operators `ConcreteRealization.level_operators`
-builds only when they keep the level split.  Full-width canonical rows
+library only there, born as piece ids: closures and the walk's covers
+grow one level at a time in integers, on the operators
+`ConcreteRealization.level_operators` builds only when they keep the
+level split.  Full-width canonical rows
 are built only for the subspaces that need them.
 """
 
@@ -176,11 +198,12 @@ def _pattern_vectors(width: int) -> list[tuple[int, ...]]:
     """Signed {0, +-1} coefficient vectors on one eigenspace level, in the
     level's own coordinates.
 
-    Signs matter: two modification edges can converge on one block (an
-    aligned source plus a top-matched one), and the difference stratum of
-    their coefficients carries its own subobject class.  The first nonzero
-    coefficient is normalized to +1 since a global sign never changes the
-    span.
+    The first nonzero coefficient is +1, since a global sign never changes
+    the span, and the others take both signs.  What the tests show of the
+    signs: on an uncoupled level of width 2 the lines off both axes form
+    one class, which (1, 1) and (1, -1) each list, and dropping both loses
+    it; and one module with infinitely many stable subspaces has a class
+    that only a pattern with a negative entry lists.
     """
     out = []
     for size in range(1, width + 1):
@@ -208,7 +231,9 @@ class StableLattice:
     term of a piece for a good E is len(piece) minus its rank on the level
     columns outside E; goods with the same outside columns on a level share
     it.  `good_sizes` and `lower_covers` give the poset of the stable
-    goods that chain bounds walk.
+    goods that chain bounds walk.  `walk` lists every stable subspace when
+    there are finitely many, over the cover spans of `cover_span`, and
+    otherwise records in `family` where it found infinitely many.
     """
 
     def __init__(self, realization: ConcreteRealization):
@@ -221,6 +246,12 @@ class StableLattice:
         self._terms: list[dict[int, tuple[int, ...]]] = [{} for _ in levels]
         self._lines: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._good_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._measures: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._full_rows: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+        self._form_memo: dict[tuple[int, int, int], list[list[int]]] = {}
+        self._cover_spans: dict[tuple[int, int, int], int] = {}
+        self._walked: list[tuple[int, ...]] | None = None
+        self.family: tuple[tuple[int, ...], int, int] | None = None
         self.zero = (0,) * len(levels)
         self.goods = stable_good_subobjects(realization.spec, realization.edges)
         # per level: the distinct outside column sets (level positions) and,
@@ -230,6 +261,7 @@ class StableLattice:
         # (summand, k) signature of the level's blocks, and each distinct
         # split is laid out once.
         self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
+        self._whole: list[int] = []   # per level, the piece id of V_lambda
         spans = []
         basis = realization.basis
         for level, coords in enumerate(levels):
@@ -249,6 +281,7 @@ class StableLattice:
             sets = [tuple(k for k, ins in enumerate(sp) if not ins) for sp in splits]
             self._outside.append((sets, which))
             spans.append([pids[w] for w in which])
+            self._whole.append(self._intern(level, tuple(units)))
         self.good_keys = list(zip(*spans))
 
     @cached_property
@@ -369,16 +402,24 @@ class StableLattice:
         """dim(W cap V_lambda) per level, where W has the piece ids `key`."""
         return tuple(len(pieces[pid]) for pieces, pid in zip(self._pieces, key))
 
+    def _measure(self, key: tuple[int, ...]) -> tuple[int, int]:
+        """(`dim`, `scaled_t_n`) of a key, memoized per key."""
+        out = self._measures.get(key)
+        if out is None:
+            dims = self.level_dims(key)
+            nums = self.realization.level_slopes[0]
+            out = self._measures[key] = (sum(dims), sum(map(operator.mul, dims, nums)))
+        return out
+
     def dim(self, key: tuple[int, ...]) -> int:
-        return sum(self.level_dims(key))
+        return self._measure(key)[0]
 
     def t_n(self, key: tuple[int, ...]) -> Fraction:
-        return self.realization.level_t_n(self.level_dims(key))
+        return Fraction(self._measure(key)[1], self.realization.level_slopes[1])
 
     def scaled_t_n(self, key: tuple[int, ...]) -> int:
         """t_N times the denominator of `ConcreteRealization.level_slopes`."""
-        nums = self.realization.level_slopes[0]
-        return sum(d * x for d, x in zip(self.level_dims(key), nums))
+        return self._measure(key)[1]
 
     def _level_sum(self, level: int, i: int, j: int) -> int:
         if i == j or not j:
@@ -400,19 +441,154 @@ class StableLattice:
         """Piece ids of the sum of two stable subspaces."""
         return tuple(map(self._level_sum, range(len(a)), a, b))
 
+    def _forms(self, level: int, op: int, pid: int) -> list[list[int]]:
+        """The nonzero forms A^T y on a level, for A the coupling E (op 0)
+        or N (op 1) from it and y vanishing on the piece `pid` of A's
+        target level; memoized per (level, op, pid)."""
+        memo = (level, op, pid)
+        forms = self._form_memo.get(memo)
+        if forms is None:
+            target, cols = self.realization.level_operators[level][op]
+            forms = self._form_memo[memo] = []
+            for y in linalg.kernel_rows(self._pieces[target][pid], self._widths[target]):
+                f = [sum([a * y[i] for i, a in col]) for col in cols]
+                if any(f):
+                    forms.append(f)
+        return forms
+
+    def cover_span(self, level: int, key: tuple[int, ...]) -> int:
+        """The piece id of S = {x in V_lambda : Ex in U_lambda, Nx in
+        U_target} for the stable U with piece ids `key` and lambda = `level`;
+        memoized per (level, U_lambda, U_target).
+
+        S is the null space of the nonzero forms E^T y for y vanishing on
+        U_lambda and N^T z for z vanishing on U_target (`_forms`).  With no
+        form it is V_lambda; otherwise its dimension is width minus the
+        rank of the forms, one integer echelon of them (one form has rank
+        1), and only when that exceeds dim U_lambda is S read off the null
+        space of the echelon (`linalg.kernel_rows`).  U + <x> is stable for
+        x in S, so S / U_lambda is the lambda-part of the socle of V / U.
+        Raises InternalConsistencyError unless every form vanishes on
+        U_lambda, as it does for a stable U.
+        """
+        coupling, nmat = self.realization.level_operators[level]
+        memo = (level, key[level], 0 if nmat is None else key[nmat[0]])
+        pid = self._cover_spans.get(memo)
+        if pid is not None:
+            return pid
+        forms = self._forms(level, 0, key[level]) if coupling else []
+        if nmat:
+            forms = forms + self._forms(level, 1, memo[2])
+        piece = self._pieces[level][key[level]]
+        if piece and any(sum(map(operator.mul, f, u)) for f in forms for u in piece):
+            raise InternalConsistencyError(
+                f"the stable subspace {key} is not inside its cover span on level {level}"
+            )
+        width = self._widths[level]
+        pid = key[level]
+        if not forms:
+            pid = self._whole[level]
+        elif len(forms) > 1 or len(piece) < width - 1:
+            ech = linalg.Echelon(width)
+            for f in forms:
+                if len(ech) == width:
+                    break
+                ech.add_integral(list(f))
+            size = width - len(ech)
+            if size > len(piece):
+                span = linalg.Echelon(width, piece)
+                for v in linalg.kernel_rows(ech.int_rows(), width):
+                    if span.add_integral(v) is not None and len(span) == size:
+                        break
+                pid = self._intern(level, span.int_rows())
+        self._cover_spans[memo] = pid
+        return pid
+
+    def walk(self) -> list[tuple[int, ...]] | None:
+        """Piece ids of every stable subspace when there are finitely many,
+        else None; memoized.
+
+        Breadth first from 0 over covers.  A cover of a stable U is U + <x>
+        for x in `cover_span` S of one level outside U_lambda: the quotient
+        is simple, so one-dimensional and killed by E and N.  Every stable
+        subspace is reached from 0 through a composition series.  Where
+        dim S / U_lambda = 1 the cover in that level is unique, U_lambda
+        replaced by S; where it is 2 or more, every line of S / U_lambda
+        gives its own cover, so the lattice is infinite: the walk stops and
+        records (U, level, dim S / U_lambda) in `family`.  Raises
+        CapExceededError past `_LATTICE_GUARD` subspaces.
+        """
+        if self._walked is not None or self.family is not None:
+            return self._walked
+        pieces = self._pieces
+        spans = self._cover_spans
+        targets = [nmat[0] if nmat else None for _, nmat in self.realization.level_operators]
+        nodes = [self.zero]
+        seen = {self.zero}
+        steps = []   # (cover, U, level, its piece in the cover, in U)
+        for key in nodes:
+            for level, target in enumerate(targets):
+                # the memo lookup of `cover_span`, inlined
+                own = key[level]
+                pid = spans.get((level, own, 0 if target is None else key[target]))
+                if pid is None:
+                    pid = self.cover_span(level, key)
+                if pid == own:
+                    continue
+                grow = len(pieces[level][pid]) - len(pieces[level][own])
+                if grow > 1:
+                    self.family = (key, level, grow)
+                    return None
+                cover = key[:level] + (pid,) + key[level + 1:]
+                if cover not in seen:
+                    seen.add(cover)
+                    nodes.append(cover)
+                    steps.append((cover, key, level, pid, own))
+                    if len(nodes) > _LATTICE_GUARD:
+                        raise CapExceededError("subobject lattice exceeds the guard size")
+        # a cover differs from U on one level, so its `dim`, `scaled_t_n`
+        # and `good_dims` are U's plus that level's change; U comes first
+        nums = self.realization.level_slopes[0]
+        measures, good_dims, terms = self._measures, self._good_dims, self._level_terms
+        measures[self.zero] = (0, 0)
+        good_dims[self.zero] = (0,) * len(self.goods)
+        for cover, key, level, pid, own in steps:
+            dim, scaled = measures[key]
+            measures[cover] = (dim + 1, scaled + nums[level])
+            good_dims[cover] = tuple(map(
+                operator.add, good_dims[key],
+                map(operator.sub, terms(level, pid), terms(level, own)),
+            ))
+        self._walked = nodes
+        return nodes
+
+    def _pivot_rows(self, key: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """(pivot column, row) for the rows of `int_rows`, in their order;
+        each piece's full-width rows are built once per piece id."""
+        out = []
+        for level, pid in enumerate(key):
+            if pid:
+                rows = self._full_rows.get((level, pid))
+                if rows is None:
+                    n = self.realization.dimension
+                    coords = self.realization.levels[level]
+                    rows = []
+                    for row in self._pieces[level][pid]:
+                        full = [0] * n
+                        for c, x in zip(coords, row):
+                            full[c] = x
+                        rows.append((coords[next(k for k, x in enumerate(row) if x)], tuple(full)))
+                    self._full_rows[(level, pid)] = rows
+                out += rows
+        # pivots are distinct, so the sort never compares rows
+        out.sort()
+        return out
+
     def int_rows(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Canonical basis of the subspace with these piece ids, as primitive
-        integer rows with positive pivots."""
-        n = self.realization.dimension
-        out = []
-        for coords, pieces, pid in zip(self.realization.levels, self._pieces, key):
-            for row in pieces[pid]:
-                full = [0] * n
-                for c, x in zip(coords, row):
-                    full[c] = x
-                out.append((coords[next(k for k, x in enumerate(row) if x)], full))
-        out.sort(key=operator.itemgetter(0))
-        return tuple(tuple(full) for _, full in out)
+        integer rows with positive pivots: the embedded piece rows sorted by
+        pivot, already reduced since levels occupy disjoint columns."""
+        return tuple(row for _, row in self._pivot_rows(key))
 
     def rows(self, key: tuple[int, ...]) -> Mat:
         """Canonical basis of the subspace with these piece ids."""
@@ -426,7 +602,7 @@ class StableLattice:
             r = len(piece)
             by_set = [
                 r - linalg.rank(tuple(tuple(row[k] for k in out) for row in piece))
-                if out else r
+                if out and r else r
                 for out in sets
             ]
             terms = self._terms[level][pid] = tuple(by_set[w] for w in which)
@@ -492,15 +668,14 @@ def _row_order(
     it by L / p gives L times the canonical row, in integers.  With L
     common to all keys these compare exactly as the `Fraction` rows do.
     """
-    ints = [lattice.int_rows(key) for key in keys]
-    heads = [[next(filter(None, row)) for row in rows] for rows in ints]
-    scale = math.lcm(*(p for ps in heads for p in ps))
+    ints = [lattice._pivot_rows(key) for key in keys]
+    scale = math.lcm(*(row[c] for rows in ints for c, row in rows))
     return {
         key: tuple(
-            row if p == scale else tuple(x * (scale // p) for x in row)
-            for p, row in zip(ps, rows)
+            row if row[c] == scale else tuple(x * (scale // row[c]) for x in row)
+            for c, row in rows
         )
-        for key, rows, ps in zip(keys, ints, heads)
+        for key, rows in zip(keys, ints)
     }
 
 
@@ -511,29 +686,38 @@ def _class_keys(
     stable subspaces, in the order of `enumerate_concrete_subobjects`; the
     caller checks the cap.
 
-    The saturated keys are grouped by class (rank, `good_dims`) first.  A
-    class with several keys keeps the one without negative entries, then
-    with the smallest canonical rows; the representatives are sorted by
-    (rank, canonical rows).  Both orders compare the integer rows of
-    `_row_order`, so no `Fraction` row is built.
+    The keys are the walk's on a finite lattice, and on an infinite one
+    the pattern route's, audited by `rounds` random rounds.  They are
+    grouped by class (rank, `good_dims`) first.  A class with several keys
+    keeps the one without negative entries, then with the smallest
+    canonical rows; the representatives are sorted by (rank, canonical
+    rows), and rows are built only where ranks tie.  Both orders compare
+    the integer rows of `_row_order`, so no `Fraction` row is built.
     """
-    realization = lattice.realization
-    keys = [lattice.zero, *lattice.good_keys]
-    for level, coords in enumerate(realization.levels):
-        keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
+    keys = lattice.walk()
+    audit = keys is None
+    if audit:
+        keys = [lattice.zero, *lattice.good_keys]
+        for level, coords in enumerate(lattice.realization.levels):
+            keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
+        keys = _saturate(lattice, keys)
     classes: dict[tuple, list[tuple[int, ...]]] = {}
-    for key in _saturate(lattice, keys):
+    for key in keys:
         classes.setdefault((lattice.dim(key), lattice.good_dims(key)), []).append(key)
-    reps = {}
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
     for (dim, _), members in classes.items():
         if len(members) > 1:
             order = _row_order(lattice, members)
             members = [min(members, key=lambda k: (_negatives(lattice, k), order[k]))]
-        reps[members[0]] = dim
-    order = _row_order(lattice, list(reps))
-    ranked = sorted(reps, key=lambda k: (reps[k], order[k]))
+        by_dim.setdefault(dim, []).append(members[0])
+    ranked = []
+    for dim in sorted(by_dim):
+        reps = by_dim[dim]
+        if len(reps) > 1:
+            reps.sort(key=_row_order(lattice, reps).__getitem__)
+        ranked += reps
     rng = random.Random(seed)
-    for _ in range(rounds):
+    for _ in range(rounds if audit else 0):
         for key in random_round_subobjects(lattice, rng):
             if (lattice.dim(key), lattice.good_dims(key)) not in classes:
                 raise InternalConsistencyError(
@@ -551,14 +735,18 @@ def enumerate_concrete_subobjects(
 ) -> tuple[Subobject, ...]:
     """All Phi,N-stable subspaces up to relative position, canonically sorted.
 
-    Pattern atoms are the signed {0,+-1} vectors inside each generalized
-    eigenspace, closed under Phi and N; the result is the sum-closure of
-    the atoms and of the stable good spans, one representative per class
-    (`_class_keys`): the one without negative entries, then with the
-    smallest canonical basis, sorted by (rank, canonical basis).
-    `rounds` extra passes with random nonzero coefficients must not produce
-    any new relative-position class, or the pattern heuristic is declared
-    broken.  Results carry their piece ids `key` in `lattice` (new if None).
+    When the stable subspaces are finitely many, they are the subspaces of
+    the walk over covers (`StableLattice.walk`), every one of them, and
+    `seed` and `rounds` go unused.  Otherwise pattern atoms are the signed
+    {0,+-1} vectors inside each generalized eigenspace, closed under Phi
+    and N, the subspaces are the sum-closure of the atoms and of the stable
+    good spans, and `rounds` extra passes with random nonzero coefficients,
+    drawn from `seed`, must not produce any new relative-position class,
+    or the pattern heuristic is declared broken.  Either way one
+    representative per class is kept (`_class_keys`): the one without
+    negative entries, then with the smallest canonical basis, sorted by
+    (rank, canonical basis).  Results carry their piece ids `key` in
+    `lattice` (new if None).
     """
     check_cap(realization.dimension, cap)
     lattice = lattice or StableLattice(realization)

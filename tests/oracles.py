@@ -13,6 +13,10 @@ block by block and through a block-by-dimension subset DP, where the
 library scales the slopes to integers; all three oracles add up the
 `Block.t_n` Fractions and never call `model.t_n` or `scaled_slopes`.
 
+`stable_extensions` tests U + <x> for stability vector by vector over a
+small box, where the lattice reads the cover span S_lambda(U) of a level
+off one null space.
+
 The intersection dimensions of the verify path are asked here once per
 pair, where the library reads them off one echelon pass or its lattice of
 level pieces: intersection profiles and class keys good by good, from any
@@ -376,6 +380,25 @@ def newton_slope(realization, rows: Mat) -> Fraction:
          for fid, twist, mult in eigen_multiplicities(realization, rows)),
         Fraction(0),
     )
+
+
+def stable_extensions(
+    realization, rows: Mat, coords: Sequence[int], box: int = 1
+) -> dict[Vec, bool]:
+    """For every nonzero x with entries in [-box, box] on `coords` and 0
+    elsewhere, whether rowspace(rows) + <x> is Phi,N-stable, one dense
+    stability test each: where the library reads the cover span of a level
+    off one null space, this tries every vector of the box."""
+    n = realization.dimension
+    ops = (realization.phi, realization.nmat)
+    out = {}
+    for entries in itertools.product(range(-box, box + 1), repeat=len(coords)):
+        if any(entries):
+            x = [ZERO] * n
+            for c, a in zip(coords, entries):
+                x[c] = Fraction(a)
+            out[tuple(x)] = is_stable(tuple(rows) + (tuple(x),), ops)
+    return out
 
 
 def saturate_all_pairs(rows: Iterable[Mat]) -> set[Mat]:

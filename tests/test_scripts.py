@@ -30,6 +30,13 @@ def test_fuzz_equivalence_pipeline_counts_proof_sources(capsys):
     assert set(counts) <= {"certificate", "good", "equality"}
     assert sum(map(int, counts.values())) == 40 and "certificate" in counts
     assert int(counts.get("good", 0)) >= 8
+    # the modified realizations hold lattices of both kinds
+    finite, infinite = (
+        int(part.rsplit(" ", 1)[1])
+        for part in lines[2].removeprefix("lattices: ").split(", ")
+    )
+    assert lines[2].startswith("lattices: finite ")
+    assert finite > 0 and infinite > 0 and finite + infinite == 40
 
 
 # Verdict lines printed before the examples moved to data/; the pipeline

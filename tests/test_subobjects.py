@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from filtadm import linalg, subobjects
+from filtadm.filtration import build_transverse_filtration, check_admissible
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand
 from filtadm.pairs import InternalConsistencyError, is_special
@@ -19,7 +20,14 @@ from filtadm.subobjects import (
     smallest_enclosing_good,
     stable_good_subobjects,
 )
-from helpers import closure_rows, random_single_component_spec, random_spec
+from filtadm.slopes import check_slope_chain
+from helpers import (
+    closure_rows,
+    equal_total_stream,
+    instance_stream,
+    random_single_component_spec,
+    random_spec,
+)
 import oracles
 from oracles import (
     SpecialPairViolation,
@@ -296,9 +304,12 @@ def test_audit_fires_when_the_sign_patterns_of_a_level_are_missing(monkeypatch, 
 def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
     # the closure of the unit vector of a width-1 level is the span of the
     # smallest stable good holding its block, so the pattern and the good
-    # span both list its class and dropping either alone loses nothing;
-    # without both, the random rounds on that level (multiples of the unit
-    # vector, looked up in the line memo) must find the class
+    # span both list its class and dropping either alone loses nothing.
+    # Unmodified, ex1a has a lattice with infinitely many subspaces, listed
+    # by the patterns: without both, the random rounds on that level
+    # (multiples of the unit vector, looked up in the line memo) must find
+    # the class.  Modified, its lattice is finite and the walk over covers
+    # lists it, so the list stands without any pattern or good span.
     for edges in ((), build_modified_frobenius(ex1a)):
         real = realize_matrices(ex1a, edges)
         level = next(k for k, coords in enumerate(real.levels) if len(coords) == 1)
@@ -314,6 +325,14 @@ def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
         assert enumerate_concrete_subobjects(real, lattice=without_span()) == want
         with monkeypatch.context() as patch:
             patterns = subobjects._pattern_vectors
+            if edges:
+                assert StableLattice(real).walk() is not None
+                patch.setattr(subobjects, "_pattern_vectors", lambda width: [])
+                lattice = StableLattice(real)
+                lattice.good_keys = []
+                assert enumerate_concrete_subobjects(real, lattice=lattice) == want
+                continue
+            assert StableLattice(real).walk() is None
             patch.setattr(
                 subobjects, "_pattern_vectors",
                 lambda width: patterns(width) if width > 1 else [],
@@ -466,8 +485,9 @@ def test_integer_class_order_matches_fraction_rows(ex1a, ex1b, ex2, ex3):
     for k, spec in enumerate(specs):
         for modify in (True, False):
             real = realize_matrices(spec, build_modified_frobenius(spec) if modify else ())
-            want = oracles.class_subobjects(real, seed=k, rounds=1)
+            # one lattice for both, so that equal keys mean equal pieces
             lattice = StableLattice(real)
+            want = oracles.class_subobjects(real, seed=k, rounds=1, lattice=lattice)
             keys = subobjects._class_keys(lattice, seed=k, rounds=1)
             assert keys == [sub.key for sub in want]
             assert [lattice.rows(key) for key in keys] == [sub.rows for sub in want]
@@ -485,3 +505,212 @@ def test_integer_class_order_matches_fraction_rows(ex1a, ex1b, ex2, ex3):
             multi += sum(c > 1 for c in counts.values())
             big += spec.dimension >= 7
     assert multi >= 200 and big >= 10
+
+
+# ---------------------------------------------------------------------------
+# the walk over covers
+# ---------------------------------------------------------------------------
+
+
+def _walk_realizations(examples):
+    """The `data/` examples, the specs of the streams the verdict tests
+    draw, and random specs up to dimension 8, each realized modified and
+    not."""
+    specs = list(examples)
+    specs += [spec for spec, _ in equal_total_stream(1, 40, max_dim=8, min_summands=3)]
+    specs += [spec for spec, _ in instance_stream(42, 200)]
+    for seed, count, dim, least in ((5, 24, 6, 1), (7, 30, 7, 2), (13, 30, 7, 2)):
+        specs += [
+            spec for spec, _ in
+            equal_total_stream(seed, count, max_dim=dim, min_summands=least)
+        ]
+    rng = random.Random(161)
+    drawn = 0
+    while drawn < 60:
+        spec = random_spec(rng, max_dim=8, max_summands=4)
+        if spec is not None:
+            specs.append(spec)
+            drawn += 1
+    for spec in specs:
+        for modify in (True, False):
+            yield realize_matrices(spec, build_modified_frobenius(spec) if modify else ())
+
+
+def _saturated_patterns(lattice, keep=lambda v: True):
+    """The pattern route of `_class_keys`: the closures of the signed
+    patterns (those `keep` takes) and the good spans, saturated under
+    sums."""
+    keys = [lattice.zero, *lattice.good_keys]
+    for level, coords in enumerate(lattice.realization.levels):
+        keys += [
+            lattice.closure(level, v)
+            for v in subobjects._pattern_vectors(len(coords)) if keep(v)
+        ]
+    return subobjects._saturate(lattice, keys)
+
+
+def _level_key(lattice, level, pid):
+    """Piece ids with `pid` on `level` and the zero piece elsewhere."""
+    return lattice.zero[:level] + (pid,) + lattice.zero[level + 1:]
+
+
+def test_a_class_only_a_negative_pattern_entry_lists():
+    # modified, the module with summands (l, b) = (0, 3), (1, 1), (1, 2)
+    # has infinitely many stable subspaces in 19 classes; the patterns with
+    # entries in {0, 1} alone, with the good spans, saturate to 18
+    spec = ModuleSpec(
+        CFG, (F,), (Summand("F", 0, 3), Summand("F", 1, 1), Summand("F", 1, 2))
+    )
+    real = realize_matrices(spec, build_modified_frobenius(spec))
+    assert StableLattice(real).walk() is None
+    assert len(enumerate_concrete_subobjects(real)) == 19
+    for keep, count in ((lambda v: True, 19), (lambda v: min(v) >= 0, 18)):
+        lattice = StableLattice(real)
+        keys = _saturated_patterns(lattice, keep)
+        assert len({(lattice.dim(key), lattice.good_dims(key)) for key in keys}) == count
+
+
+def test_walk_lists_the_saturated_pattern_set_on_finite_lattices(ex1a, ex1b, ex2, ex3):
+    # on every finite lattice the walk's subspaces are those of the pattern
+    # route, key for key in one lattice, so classes and reports stay
+    finite = infinite = high = 0
+    for real in _walk_realizations((ex1a, ex1b, ex2, ex3)):
+        lattice = StableLattice(real)
+        nodes = lattice.walk()
+        if nodes is None:
+            assert lattice.family is not None
+            infinite += 1
+            continue
+        assert lattice.family is None and lattice.walk() is nodes
+        assert nodes[0] == lattice.zero and len(set(nodes)) == len(nodes)
+        assert set(nodes) == set(_saturated_patterns(lattice))
+        # the measures the walk carries from a subspace to its covers
+        for key in nodes:
+            dims = lattice.level_dims(key)
+            assert lattice.dim(key) == sum(dims)
+            assert lattice.t_n(key) == real.level_t_n(dims)
+            parts = [lattice._level_terms(level, pid) for level, pid in enumerate(key)]
+            assert lattice.good_dims(key) == tuple(map(sum, zip(*parts)))
+        finite += 1
+        high += real.dimension >= 7
+    assert finite >= 500 and infinite >= 250 and high >= 10
+
+
+def test_cover_spans_match_dense_stability_over_a_box():
+    # x lies in S_lambda(U) iff U + <x> is stable, for every x of the box
+    # {-1, 0, 1} on the level, on the walk's subspaces of finite lattices
+    # and the listed classes and the family node of infinite ones
+    rng = random.Random(162)
+    checked = grown = wide = 0
+    reals = 0
+    while reals < 40:
+        spec = random_spec(rng, max_dim=5)
+        if spec is None:
+            continue
+        real = realize_matrices(spec, build_modified_frobenius(spec) if reals % 2 else ())
+        reals += 1
+        lattice = StableLattice(real)
+        keys = lattice.walk()
+        if keys is None:
+            subs = enumerate_concrete_subobjects(real, rounds=0, lattice=lattice)
+            keys = [lattice.family[0]] + [sub.key for sub in subs]
+        for key in keys[:10]:
+            rows = lattice.rows(key)
+            for level, coords in enumerate(real.levels):
+                pid = lattice.cover_span(level, key)
+                span = lattice.rows(_level_key(lattice, level, pid))
+                want = oracles.stable_extensions(real, rows, coords)
+                assert {x: oracles.in_span(span, x) for x in want} == want
+                checked += len(want)
+                grown += pid != key[level]
+                wide += len(lattice.piece(level, pid)) - len(lattice.piece(level, key[level])) > 1
+    assert checked >= 2500 and grown >= 300 and wide >= 25
+
+
+def test_infinite_lattices_come_with_two_stable_covers_in_one_level(ex1a, ex1b, ex2, ex3):
+    # the family the walk stops at: U stable, and two vectors of S_lambda(U)
+    # independent modulo U give two distinct stable covers of U in level
+    # lambda, checked densely
+    families = 0
+    for real in _walk_realizations((ex1a, ex1b, ex2, ex3)):
+        lattice = StableLattice(real)
+        if lattice.walk() is not None:
+            continue
+        key, level, socle = lattice.family
+        assert socle >= 2
+        pid = lattice.cover_span(level, key)
+        assert len(lattice.piece(level, pid)) - len(lattice.piece(level, key[level])) == socle
+        ops = (real.phi, real.nmat)
+        rows = lattice.rows(key)
+        assert oracles.is_stable(rows, ops)
+        picked = []
+        for x in lattice.rows(_level_key(lattice, level, pid)):
+            if len(oracles.rref(rows + tuple(picked) + (x,))) > len(rows) + len(picked):
+                picked.append(x)
+        assert len(picked) == socle
+        covers = [oracles.rref(rows + (x,)) for x in picked[:2]]
+        assert covers[0] != covers[1]
+        for cover in covers:
+            assert len(cover) == len(rows) + 1 and oracles.is_stable(cover, ops)
+            assert all(oracles.in_span(cover, row) for row in rows)
+        families += 1
+    assert families >= 250
+
+
+def test_walk_refuses_past_the_lattice_guard(monkeypatch, ex1a):
+    # modified, ex1a has five stable subspaces
+    real = realize_matrices(ex1a, build_modified_frobenius(ex1a))
+    size = len(StableLattice(real).walk())
+    assert size == 5
+    monkeypatch.setattr(subobjects, "_LATTICE_GUARD", size)
+    assert len(StableLattice(real).walk()) == size
+    monkeypatch.setattr(subobjects, "_LATTICE_GUARD", size - 1)
+    with pytest.raises(CapExceededError, match="exceeds the guard size"):
+        StableLattice(real).walk()
+    with pytest.raises(CapExceededError, match="exceeds the guard size"):
+        enumerate_concrete_subobjects(real)
+
+
+def test_cover_span_refuses_a_subspace_that_is_not_stable(ex1a, ex2):
+    # the whole of a level that N sends into a level held at 0: N moves
+    # the piece out of the subspace, so it is not inside its cover span
+    refused = 0
+    for spec in (ex1a, ex2):
+        for edges in ((), build_modified_frobenius(spec)):
+            real = realize_matrices(spec, edges)
+            lattice = StableLattice(real)
+            whole = lattice.good_keys[-1]
+            for level, (_, nmat) in enumerate(real.level_operators):
+                if nmat:
+                    key = _level_key(lattice, level, whole[level])
+                    assert not oracles.is_stable(lattice.rows(key), (real.phi, real.nmat))
+                    with pytest.raises(InternalConsistencyError, match="cover span"):
+                        lattice.cover_span(level, key)
+                    refused += 1
+    assert refused >= 4
+
+
+def test_finite_lattices_run_no_pattern_saturation_or_random_round(monkeypatch):
+    # the class list and the verdict of a finite lattice never reach the
+    # pattern route; an infinite one still does
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pattern route ran")
+
+    for name in ("_pattern_vectors", "_saturate", "random_round_subobjects"):
+        monkeypatch.setattr(subobjects, name, refuse)
+    finite = infinite = 0
+    for k, (spec, profile) in enumerate(equal_total_stream(7, 30, max_dim=7, min_summands=2)):
+        for modify in (True, False):
+            real = realize_matrices(spec, build_modified_frobenius(spec) if modify else ())
+            if StableLattice(real).walk() is None:
+                with pytest.raises(AssertionError, match="pattern route"):
+                    enumerate_concrete_subobjects(real, seed=k)
+                infinite += 1
+                continue
+            assert len(enumerate_concrete_subobjects(real, seed=k)) >= 2
+            filt = build_transverse_filtration(spec, profile, real, seed=k)
+            report = check_admissible(spec, profile, real, filt, seed=k)
+            if modify:
+                assert report.ok == check_slope_chain(spec, profile).ok
+            finite += 1
+    assert finite >= 40 and infinite >= 15
