@@ -3,11 +3,17 @@
 Exit codes: 0 = pass/success, 1 = the checked property fails, 2 = input
 error (malformed JSON, invariant violations, caps), 3 = disagreement in
 the `equivalence` cross-check (which would indicate a bug).
+
+`main(argv)` may be called repeatedly in one process: every call shares
+the one parser `build_parser` builds, and reads `FILTADM_CAP` and the
+terminal width afresh when it needs them.  Each report is written to
+stdout in one piece.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -112,8 +118,11 @@ def _cap(args) -> int:
 def _emit(report: dict, args) -> None:
     if getattr(args, "timing", False):
         report["timing_ms"] = round((time.perf_counter() - args._t0) * 1000, 3)
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _write(report)
+
+
+def _write(report: dict) -> None:
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _mat_json(m) -> list:
@@ -305,7 +314,9 @@ def cmd_fuzz_special(args) -> int:
     return 0 if result["failures"] == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="filtadm",
         description="exact checks and constructions for admissible filtrations "
@@ -391,8 +402,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "error": f"{type(exc).__name__}: {exc}",
         }
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _write(report)
         return 2
 
 

@@ -37,8 +37,11 @@ only Fractions built are the reported slack and unitarity gap; nothing
 is rounded.
 
 The explicit candidate enumeration is kept for reporting and
-cross-validation, capped at 10 total blocks; the report table stops
-enumerating once it has its rows.
+cross-validation, capped at 10 total blocks.  The report table walks the
+same shuffles and cuts on the scaled integer slopes: per shuffle it keys
+every interval by the multiset of its (scaled slope, h) pairs and every
+prefix by its scaled slack, so a cut costs a few lookups and a row one
+Fraction; it stops enumerating once it has its rows.
 """
 
 from __future__ import annotations
@@ -246,30 +249,66 @@ def check_emerton_condition(
 def candidate_table(
     spec: ModuleSpec, profile: WeightProfile, limit: int = 50
 ) -> list[dict]:
-    """Per-candidate minimal prefix slack, for reporting."""
+    """Per-candidate minimal prefix slack, for reporting.
+
+    The rows of `enumerate_candidates` in its order, at most `limit` of
+    them, computed on the scaled integer slopes: a group is keyed by the
+    multiset of its (scaled slope, h) pairs, and a slack times
+    [K:L] * den is a scaled slope sum minus a scaled weight sum.
+    """
+    require_canonical(spec)
+    sc = scaled_slopes(spec)
+    b = sum(sc.lengths)
+    if b > CANDIDATE_CAP:
+        raise CapExceededError(f"{b} blocks exceed the candidate cap {CANDIDATE_CAP}")
+    scale = spec.config.deg_K_L * sc.den
+    P = [scale * x for x in profile.prefix_sums()]
+    # per summand, (origin, j, h, scaled slope) with j = 0 the top block
+    seqs = [
+        tuple((i, j, h, s) for j, s in enumerate(reversed(sc.blocks(i))))
+        for i, h in enumerate(sc.sizes)
+    ]
+    # group boundaries of every cut, in the order of `_candidates`
+    cuts = [
+        (0, *(k + 1 for k, cut in enumerate(mask) if cut), b)
+        for mask in itertools.product((False, True), repeat=b - 1)
+    ]
+    pieces: dict[tuple, int] = {}   # group multiset -> small id
+    seen = set()
     rows = []
-    for cand in _candidates(spec, dedup=True):
-        if len(rows) >= limit:
-            break
-        acc_v = Fraction(0)
-        acc_w = 0
-        min_slack = None
-        pos = 0
-        for g in cand.group_sizes[:-1]:
-            grp = cand.order[pos : pos + g]
-            pos += g
-            acc_v += sum((b.v for b in grp), Fraction(0))
-            acc_w += sum(b.size for b in grp)
-            slack = acc_v - profile.prefix_sum(acc_w)
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-        rows.append(
-            {
-                "beta": list(cand.beta),
-                "order": [[b.origin, b.j] for b in cand.order],
-                "minSlack": fraction_to_str(min_slack)
-                if min_slack is not None
-                else None,
-            }
-        )
+    for order in _shuffles(seqs):
+        # per interval [a, c) of the order: its multiset id and dimension
+        ids = {}
+        dims = {}
+        for a in range(b):
+            for c in range(a + 1, b + 1):
+                grp = order[a:c]
+                ids[a, c] = pieces.setdefault(
+                    tuple(sorted((blk[3], blk[2]) for blk in grp)), len(pieces)
+                )
+                dims[a, c] = sum(blk[2] for blk in grp)
+        # slack[k]: scaled slack of the first k blocks
+        acc_w = itertools.accumulate(blk[2] for blk in order)
+        acc_s = itertools.accumulate(blk[3] for blk in order)
+        slack = [0, *(m - P[w] for w, m in zip(acc_w, acc_s))]
+        for bounds in cuts:
+            if len(rows) >= limit:
+                return rows
+            spans = list(zip(bounds, bounds[1:]))
+            key = tuple(ids[span] for span in spans)
+            if key in seen:
+                continue
+            seen.add(key)
+            inner = bounds[1:-1]
+            rows.append(
+                {
+                    "beta": [dims[span] for span in spans],
+                    "order": [[blk[0], blk[1]] for blk in order],
+                    "minSlack": fraction_to_str(
+                        Fraction(min(slack[k] for k in inner), scale)
+                    )
+                    if inner
+                    else None,
+                }
+            )
     return rows

@@ -545,7 +545,10 @@ class StableLattice:
                     nodes.append(cover)
                     steps.append((cover, key, level, pid, own))
                     if len(nodes) > _LATTICE_GUARD:
-                        raise CapExceededError("subobject lattice exceeds the guard size")
+                        raise CapExceededError(
+                            "subobject lattice exceeds the guard size of "
+                            f"{_LATTICE_GUARD} subspaces"
+                        )
         # a cover differs from U on one level, so its `dim`, `scaled_t_n`
         # and `good_dims` are U's plus that level's change; U comes first
         nums = self.realization.level_slopes[0]
@@ -645,7 +648,10 @@ def _saturate(
             if key not in subs:
                 subs[key] = None
                 if len(subs) > _LATTICE_GUARD:
-                    raise CapExceededError("subobject lattice exceeds the guard size")
+                    raise CapExceededError(
+                        "subobject lattice exceeds the guard size of "
+                        f"{_LATTICE_GUARD} subspaces"
+                    )
     return list(subs)
 
 

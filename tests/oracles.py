@@ -7,7 +7,10 @@ new vector, intersection through a left null space, generalized eigenspace
 ranks via matrix powers, and saturation under all pairwise sums.  They
 share no elimination code with `filtadm.linalg`.  `emerton_scan` decides
 the shuffle valuation condition by walking every top selection, where the
-library solves a min-mass knapsack.  `slope_chain`, `all_block_orders`
+library solves a min-mass knapsack, and `candidate_table_fractions`
+builds the report table of the shuffle condition from `Fraction`
+valuations candidate by candidate, where the library sums scaled integer
+slopes over each shuffle's intervals.  `slope_chain`, `all_block_orders`
 and `min_slope_per_dim` are the slope criteria in `Fraction` arithmetic,
 block by block and through a block-by-dimension subset DP, where the
 library scales the slopes to integers; all three oracles add up the
@@ -58,7 +61,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from filtadm import linalg, pairs
-from filtadm.emerton import EmertonVerdict, gamma_blocks
+from filtadm.emerton import EmertonVerdict, _candidates, gamma_blocks
 from filtadm.filtration import SINGULAR, Filtration, _tail_dims
 from filtadm.frobenius import ConcreteRealization, ModificationEdge
 from filtadm.linalg import Mat, Vec
@@ -66,6 +69,7 @@ from filtadm.model import (
     GoodSubobject,
     ModuleSpec,
     WeightProfile,
+    fraction_to_str,
     validate_spec,
 )
 from filtadm.ordering import require_canonical, type_components
@@ -519,6 +523,38 @@ def emerton_scan(spec: ModuleSpec, profile: WeightProfile) -> EmertonVerdict:
         if slack < 0:
             return EmertonVerdict(False, "prefix", tuple(selection), slack, gap)
     return EmertonVerdict(True, None, None, None, gap)
+
+
+def candidate_table_fractions(
+    spec: ModuleSpec, profile: WeightProfile, limit: int = 50
+) -> list[dict]:
+    """Per-candidate minimal prefix slack, for reporting."""
+    rows = []
+    for cand in _candidates(spec, dedup=True):
+        if len(rows) >= limit:
+            break
+        acc_v = Fraction(0)
+        acc_w = 0
+        min_slack = None
+        pos = 0
+        for g in cand.group_sizes[:-1]:
+            grp = cand.order[pos : pos + g]
+            pos += g
+            acc_v += sum((b.v for b in grp), Fraction(0))
+            acc_w += sum(b.size for b in grp)
+            slack = acc_v - profile.prefix_sum(acc_w)
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+        rows.append(
+            {
+                "beta": list(cand.beta),
+                "order": [[b.origin, b.j] for b in cand.order],
+                "minSlack": fraction_to_str(min_slack)
+                if min_slack is not None
+                else None,
+            }
+        )
+    return rows
 
 
 def dim_intersection_coords(coords: Sequence[int], b: Mat, n: int) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from filtadm.cli import main
+from filtadm.cli import build_parser, main
 from filtadm.model import (
     Config,
     Family,
@@ -277,6 +277,38 @@ def test_reports_byte_identical():
     assert a.stdout == b.stdout
 
 
+def test_shared_parser_matches_fresh_processes(capsys, monkeypatch):
+    # one process, one parser: each call prints what a fresh process prints
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(DATA.parent)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("FILTADM_CAP", raising=False)
+    emerton = "check-emerton --spec data/ex2_spec.json --weights data/weights_ex2.json"
+    subobjects = "subobjects --spec data/ex2_spec.json"
+    calls = [
+        (None, "fuzz-special --trials -5", 2),
+        (None, "--version", 0),
+        (None, emerton, 0),
+        (None, emerton, 0),
+        ("3", subobjects, 2),
+        ("8", subobjects, 0),
+    ]
+    for cap, argv, code in calls:
+        if cap is not None:
+            monkeypatch.setenv("FILTADM_CAP", cap)
+        try:
+            got = main(argv.split())
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "filtadm.cli", *argv.split()],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert (got, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert got == code, argv
+
+
 def test_timing_field_excluded_from_determinism():
     cmd = [
         sys.executable, "-m", "filtadm.cli",
@@ -364,6 +396,12 @@ GOLDEN = [
     ("equivalence ex3", "equivalence --spec data/ex3_spec.json "
      "--weights data/weights_ex2.json", 0,
      "0cd1dc6cf9aefe8f4c04281b0ff2f1109fbdc6414a510e3a5ff959fca72a4a62"),
+    ("emerton ex2 max-rows 0", "check-emerton --spec data/ex2_spec.json "
+     "--weights data/weights_ex2.json --max-rows 0", 0,
+     "19bd45b91a3dc38ea3f8f14a83014ea82872b3f7186deddbc9f50f1006425ae0"),
+    ("emerton ex2 max-rows 3", "check-emerton --spec data/ex2_spec.json "
+     "--weights data/weights_ex2.json --max-rows 3", 0,
+     "36aa57dd4a4269faac685c04b2e9f7a895c8f2536df942c12f86e9e325ee6bd5"),
     ("build-filtration ex2", "build-filtration --spec data/ex2_spec.json "
      "--weights data/weights_ex2.json --seed 7", 0,
      "c17f8f2ee262dd45f73af73b5ba381888cb575be29438b75afd969958906736c"),

@@ -9,6 +9,7 @@ import pytest
 import helpers
 from filtadm.cli import main
 from filtadm.emerton import (
+    CANDIDATE_CAP,
     Candidate,
     candidate_table,
     check_emerton_condition,
@@ -21,15 +22,18 @@ from filtadm.model import (
     ModuleSpec,
     Summand,
     WeightProfile,
+    profile_from_dict,
     profile_to_dict,
+    spec_from_dict,
     spec_to_dict,
+    spec_violations,
     t_n,
 )
 from filtadm.ordering import canonical_order
 from filtadm.slopes import check_all_block_orders, check_slope_chain
 from filtadm.subobjects import CapExceededError
 from helpers import instance_stream
-from oracles import emerton_scan
+from oracles import candidate_table_fractions, emerton_scan
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -306,3 +310,58 @@ def test_candidate_table_stops_at_limit(ex2, w_ex2):
     prof = WeightProfile((tuple(range(12)),))
     with pytest.raises(CapExceededError):
         candidate_table(spec, prof, limit=0)
+
+
+def _table_cases(data_dir):
+    """The data/ examples with every weight file that fits them, a pair of
+    families of equal base slope and different h, and seeded draws."""
+    specs = [
+        spec_from_dict(json.loads(p.read_text()))
+        for p in sorted(data_dir.glob("*_spec.json"))
+    ]
+    profiles = [
+        profile_from_dict(json.loads(p.read_text()))
+        for p in sorted(data_dir.glob("weights_*.json"))
+    ]
+    for spec in specs:
+        spec = canonical_order(spec)[0]
+        for prof in profiles:
+            if not spec_violations(spec, prof):
+                yield spec, prof
+    fams = (Family("F", 1, Fraction(0)), Family("G", 2, Fraction(0)))
+    spec = ModuleSpec(
+        CFG, fams, (Summand("F", 0, 2), Summand("G", 0, 1), Summand("F", 1, 1))
+    )
+    spec = canonical_order(spec)[0]
+    yield spec, helpers.random_profile(random.Random(0), spec)
+    rng = random.Random(1717)
+    drawn = 0
+    while drawn < 40:
+        spec = helpers.random_spec(rng, max_dim=8, h_choices=(1, 2))
+        if spec is not None:
+            drawn += 1
+            yield spec, helpers.random_profile(rng, spec)
+
+
+def test_integer_candidate_table_matches_fraction_oracle(data_dir):
+    cases = list(_table_cases(data_dir))
+    assert len(cases) >= 50
+    assert sum(any(f.h == 2 for f in spec.families) for spec, _ in cases) >= 10
+    for spec, prof in cases:
+        # the full table of 8 blocks holds up to 71,680 candidates, seconds
+        # in Fractions; the smaller limits still cover those draws
+        full = sum(s.b for s in spec.summands) <= 7
+        for limit in (0, 1, 7, 50, 10**6) if full else (0, 1, 7, 50):
+            assert candidate_table(spec, prof, limit) == candidate_table_fractions(
+                spec, prof, limit
+            ), (spec, prof, limit)
+    spec = canonical_order(
+        ModuleSpec(CFG, (F,), (Summand("F", 0, CANDIDATE_CAP), Summand("F", 0, 1)))
+    )[0]
+    prof = WeightProfile((tuple(range(CANDIDATE_CAP + 1)),))
+    for limit in (0, 50):
+        with pytest.raises(CapExceededError) as ours:
+            candidate_table(spec, prof, limit)
+        with pytest.raises(CapExceededError) as oracle:
+            candidate_table_fractions(spec, prof, limit)
+        assert str(ours.value) == str(oracle.value)

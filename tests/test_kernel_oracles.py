@@ -680,7 +680,7 @@ def test_lowered_lattice_guard_raises(monkeypatch):
         if len(full) >= len(start) + 2:
             break
     monkeypatch.setattr(subobjects, "_LATTICE_GUARD", len(start))
-    with pytest.raises(CapExceededError, match="guard"):
+    with pytest.raises(CapExceededError, match=f"guard size of {len(start)} subspaces"):
         _saturate(lattice, start)
     with pytest.raises(CapExceededError, match="guard"):
         enumerate_concrete_subobjects(real)

@@ -665,9 +665,10 @@ def test_walk_refuses_past_the_lattice_guard(monkeypatch, ex1a):
     monkeypatch.setattr(subobjects, "_LATTICE_GUARD", size)
     assert len(StableLattice(real).walk()) == size
     monkeypatch.setattr(subobjects, "_LATTICE_GUARD", size - 1)
-    with pytest.raises(CapExceededError, match="exceeds the guard size"):
+    refusal = f"exceeds the guard size of {size - 1} subspaces"
+    with pytest.raises(CapExceededError, match=refusal):
         StableLattice(real).walk()
-    with pytest.raises(CapExceededError, match="exceeds the guard size"):
+    with pytest.raises(CapExceededError, match=refusal):
         enumerate_concrete_subobjects(real)
 
 
