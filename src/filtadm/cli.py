@@ -6,8 +6,10 @@ the `equivalence` cross-check (which would indicate a bug).
 
 `main(argv)` may be called repeatedly in one process: every call shares
 the one parser `build_parser` builds, and reads `FILTADM_CAP` and the
-terminal width afresh when it needs them.  Each report is written to
-stdout in one piece.
+terminal width afresh when it needs them.  Each input file is read once
+per call: the same bytes are hashed for the report and decoded, as
+`open` decodes them, for parsing.  Each report is written to stdout in one
+piece.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -29,9 +32,7 @@ from .filtration import (
 )
 from .frobenius import build_modified_frobenius, realize_matrices
 from .model import (
-    ModuleSpec,
     SpecError,
-    WeightProfile,
     fraction_to_str,
     profile_from_dict,
     spec_from_dict,
@@ -62,20 +63,30 @@ SUBCOMMANDS = (
 )
 
 
-def _digest(path: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+def _bytes(args, path: str) -> bytes:
+    """The bytes of an input file, read once per call and kept on `args`."""
+    files = vars(args).setdefault("_files", {})
+    data = files.get(path)
+    if data is None:
+        with open(path, "rb") as fh:
+            data = files[path] = fh.read()
+    return data
 
 
-def _load_spec(path: str) -> ModuleSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+def _inputs(args, weights: bool = True) -> dict:
+    """The path and sha256 of each input file, for a report."""
+    out = {}
+    for name in ("spec", "weights") if weights else ("spec",):
+        path = getattr(args, name)
+        out[name] = {"path": path, "sha256": hashlib.sha256(_bytes(args, path)).hexdigest()}
+    return out
 
 
-def _load_weights(path: str) -> WeightProfile:
-    with open(path) as fh:
-        return profile_from_dict(json.load(fh))
+def _load_json(args, path: str):
+    """The JSON value of an input file, its bytes decoded as `open(path)`
+    decodes them (default encoding, universal newlines), so decoding and
+    parse errors read as they would from the file."""
+    return json.loads(io.TextIOWrapper(io.BytesIO(_bytes(args, path))).read())
 
 
 def _at_least(text: str, low: int) -> int | None:
@@ -130,8 +141,8 @@ def _mat_json(m) -> list:
 
 
 def _prepare(args, need_weights: bool):
-    spec = _load_spec(args.spec)
-    profile = _load_weights(args.weights) if need_weights else None
+    spec = spec_from_dict(_load_json(args, args.spec))
+    profile = profile_from_dict(_load_json(args, args.weights)) if need_weights else None
     validate_spec(spec, profile)
     ordered, partition, perm = canonical_order(spec)
     return spec, profile, ordered, partition, perm
@@ -142,7 +153,7 @@ def cmd_order(args) -> int:
     ok, pair = check_not_precede(ordered)
     report = {
         "command": "order",
-        "inputs": {"spec": _digest(args.spec)},
+        "inputs": _inputs(args, weights=False),
         "permutation": list(perm),
         "groups": [list(g) for g in partition.groups],
         "groupDims": list(partition.dims),
@@ -160,7 +171,7 @@ def cmd_check_iii(args) -> int:
     verdict = check_slope_chain(ordered, profile)
     report = {
         "command": "check-iii",
-        "inputs": {"spec": _digest(args.spec), "weights": _digest(args.weights)},
+        "inputs": _inputs(args),
         "permutation": list(perm),
         "verdict": verdict.as_dict(),
     }
@@ -173,7 +184,7 @@ def cmd_check_emerton(args) -> int:
     verdict = check_emerton_condition(ordered, profile)
     report = {
         "command": "check-emerton",
-        "inputs": {"spec": _digest(args.spec), "weights": _digest(args.weights)},
+        "inputs": _inputs(args),
         "permutation": list(perm),
         "verdict": verdict.as_dict(),
         "candidates": candidate_table(ordered, profile, limit=args.max_rows),
@@ -188,7 +199,7 @@ def cmd_build_phi(args) -> int:
     realization = realize_matrices(ordered, edges)
     report = {
         "command": "build-phi",
-        "inputs": {"spec": _digest(args.spec)},
+        "inputs": _inputs(args, weights=False),
         "permutation": list(perm),
         "edges": [
             {"src": e.src, "dst": e.dst, "alignment": e.alignment} for e in edges
@@ -213,7 +224,7 @@ def cmd_subobjects(args) -> int:
     )
     report = {
         "command": "subobjects",
-        "inputs": {"spec": _digest(args.spec)},
+        "inputs": _inputs(args, weights=False),
         "permutation": list(perm),
         "modified": bool(args.modified),
         "count": len(subs),
@@ -248,7 +259,7 @@ def cmd_build_filtration(args) -> int:
     filtration = build_transverse_filtration(ordered, profile, realization, args.seed)
     report = {
         "command": "build-filtration",
-        "inputs": {"spec": _digest(args.spec), "weights": _digest(args.weights)},
+        "inputs": _inputs(args),
         "permutation": list(perm),
         "seed": args.seed,
         "attempts": filtration.attempts,
@@ -272,7 +283,7 @@ def cmd_verify_admissible(args) -> int:
     )
     report = {
         "command": "verify-admissible",
-        "inputs": {"spec": _digest(args.spec), "weights": _digest(args.weights)},
+        "inputs": _inputs(args),
         "permutation": list(perm),
         "seed": args.seed,
         "attempts": filtration.attempts,
@@ -293,7 +304,7 @@ def cmd_equivalence(args) -> int:
     agree = chain.ok == shuffle.ok
     report = {
         "command": "equivalence",
-        "inputs": {"spec": _digest(args.spec), "weights": _digest(args.weights)},
+        "inputs": _inputs(args),
         "permutation": list(perm),
         "slopeChain": chain.as_dict(),
         "emerton": shuffle.as_dict(),

@@ -10,9 +10,11 @@ in the generic dimension max(0, dim E - j + 1).
 
 Generic integer bases sampled from a seeded generator satisfy this after
 exact verification (the failure locus is a proper closed condition);
-failed samples are redrawn.  `build_transverse_filtration` marks the
-filtrations it verified; `check_admissible` verifies any other one before
-it relies on transversality.
+failed samples are redrawn.  `build_transverse_filtration` keeps the
+integers it drew, with no `Fraction` row built, and marks the filtrations
+it verified; `check_admissible` verifies any other one before it relies
+on transversality.  The goods it checks come from the spec's good table
+(`ModuleSpec.goods`), which the lattice of stable subspaces shares.
 
 For a basis of full rank one minor per good decides transversality: a
 good E of dimension m meets every tail generically iff E meets
@@ -96,10 +98,12 @@ closure(E cap T_j) in turn.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from . import linalg
 from .linalg import Mat
@@ -166,8 +170,17 @@ class TransversalityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Filtration:
+    """Per embedding sigma, the basis v_1 .. v_{d+1} of `vectors`, whose
+    step at the weight i_j of `weights` is span(v_j, ..., v_{d+1}).
+
+    `vectors` holds the rows as given: the integers that
+    `build_transverse_filtration` drew, or rationals.  Elimination reads
+    `int_bases`, every row scaled to integers (for drawn rows, the rows
+    themselves); `bases` holds them as Fraction rows, built only when read.
+    """
+
     weights: WeightProfile
-    bases: tuple[Mat, ...]        # per sigma, rows v_1 .. v_{d+1}
+    vectors: tuple[tuple[Sequence, ...], ...]   # per sigma, rows v_1 .. v_{d+1}
     seed: int
     attempts: int
     # set only by build_transverse_filtration, on the bases it verified;
@@ -176,14 +189,21 @@ class Filtration:
 
     @property
     def dimension(self) -> int:
-        return len(self.bases[0])
+        return len(self.vectors[0])
+
+    @cached_property
+    def bases(self) -> tuple[Mat, ...]:
+        """Per sigma, the rows v_1 .. v_{d+1} as Fractions."""
+        return tuple(
+            tuple(tuple(map(Fraction, row)) for row in basis) for basis in self.vectors
+        )
 
     @cached_property
     def int_bases(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """`bases` with every row scaled to integers, for elimination."""
+        """`vectors` with every row scaled to integers, for elimination."""
         return tuple(
             tuple(tuple(linalg.integral(row)) for row in basis)
-            for basis in self.bases
+            for basis in self.vectors
         )
 
 
@@ -203,7 +223,7 @@ def _good_layout(
     )
     out = []
     for good in goods:
-        m = good.dimension(spec)
+        m = sum(good.counts) if flat else good.dimension(spec)
         if 0 < m < n:
             if not flat:
                 raise ValueError("coordinate layout requires h=1")
@@ -271,7 +291,7 @@ def build_transverse_filtration(
     if realization.spec.dimension != spec.dimension:
         raise ValueError("realization does not match the spec")
     n = spec.dimension
-    layout = _good_layout(spec, enumerate_good_subobjects(spec))
+    layout = _good_layout(spec, spec.goods)
     draw = random.Random(seed).randrange
     ints = []
     total_attempts = 0
@@ -291,11 +311,11 @@ def build_transverse_filtration(
             last_bad = bad
         else:
             raise TransversalityError(sigma, last_bad, MAX_ATTEMPTS)
-    bases = tuple(tuple(tuple(map(Fraction, row)) for row in b) for b in ints)
-    filtration = Filtration(profile, bases, seed, total_attempts)
+    ints = tuple(ints)
+    filtration = Filtration(profile, ints, seed, total_attempts)
     object.__setattr__(filtration, "transverse", True)
     # the drawn integers are the `int_bases` the cached property would build
-    filtration.__dict__["int_bases"] = tuple(ints)
+    filtration.__dict__["int_bases"] = ints
     return filtration
 
 
@@ -384,7 +404,14 @@ def _chain_bound(
         dist = [0] * (len(walk) + 1)
         for j, lower, tj in walk:
             cj = inter[j]
-            dist[j] = min([dist[i] + tj[cj - inter[i]] for i in lower])
+            # a plain loop: a comprehension and min() per step cost about
+            # three times as much over the few covers of a good
+            best = None
+            for i in lower:
+                v = dist[i] + tj[cj - inter[i]]
+                if best is None or v < best:
+                    best = v
+            dist[j] = best
         total += dist[-1]
     return total
 
@@ -460,8 +487,15 @@ def _witness(
     }
 
 
-def _class_row(dim: int, tn: Fraction, bound: int) -> dict:
-    return {"dim": dim, "tN": fraction_to_str(tn), "tHBound": fraction_to_str(bound)}
+def _ratio_str(num: int, den: int) -> str:
+    """`fraction_to_str(Fraction(num, den))` for den > 0, in integers."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def _class_row(dim: int, scaled_tn: int, den: int, bound: int) -> dict:
+    """A table row: t_N is scaled_tn / den, the bound an integer."""
+    return {"dim": dim, "tN": _ratio_str(scaled_tn, den), "tHBound": f"{bound}/1"}
 
 
 def check_admissible(
@@ -503,7 +537,7 @@ def check_admissible(
         }
         return AdmissibilityReport(False, "equality", witness, (), 0)
     if not filtration.transverse:
-        layout = _good_layout(spec, enumerate_good_subobjects(spec))
+        layout = _good_layout(spec, spec.goods)
         for sigma, basis in enumerate(filtration.int_bases):
             bad = _violation(basis, layout)
             if bad is not None:
@@ -529,7 +563,7 @@ def check_admissible(
     for pos, (m, _, k) in enumerate(scan):
         if kl * prefix[m] * den > lattice.scaled_t_n(good_keys[k]):
             table = tuple(
-                _class_row(size, lattice.t_n(good_keys[j]), kl * prefix[size])
+                _class_row(size, lattice.scaled_t_n(good_keys[j]), den, kl * prefix[size])
                 for size, _, j in scan[: pos + 1]
             )
             ints = lattice.int_rows(good_keys[k])
@@ -555,7 +589,7 @@ def check_admissible(
         inter = lattice.good_dims(key)
         scaled = lattice.scaled_t_n(key)
         bound = kl * _chain_bound(steps, inter)
-        table.append(_class_row(dim, Fraction(scaled, den), bound))
+        table.append(_class_row(dim, scaled, den, bound))
         if bound * den <= scaled:
             certified.add((dim, inter))
     if len(certified) == len(table):

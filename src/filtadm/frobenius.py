@@ -8,11 +8,16 @@ smallest later chain admitting such a map with l = 0 or r1 = l + r2; the
 modified Frobenius sends the source's top generator to itself plus the
 aligned image in the target.
 
-The concrete layer (h = 1 only) realizes Phi and N as exact rational
-matrices: each block (summand i, position k) is a basis vector with
+The concrete layer (h = 1 only) realizes Phi and N exactly, as sparse
+integer columns: each block (summand i, position k) is a basis vector with
 Phi-eigenvalue a_F * p^(l_i + k), where the family seeds a_F are distinct
 primes different from p by default, and edges add the equal-eigenvalue
-coupling term.  N * Phi = p * Phi * N holds exactly.
+coupling term, so column j of Phi is lambda_j (e_j + E e_j) with E the 0/1
+edge coupling.  The realization keeps the eigenvalues and the nonzero
+entries of the columns of E and N; N * Phi = p * Phi * N is checked
+exactly on them, with work proportional to the nonzero entries.  Dense
+rational matrices are built only when read (`ConcreteRealization.phi`,
+`nmat`, `coupling`), for the `build-phi` report.
 
 Blocks of one eigenvalue form a level; distinct families never share an
 eigenvalue and every edge stays inside a level, so on the coordinate span
@@ -21,24 +26,23 @@ and E is nilpotent.  Each V_lambda is therefore a generalized eigenspace,
 and every Phi-stable subspace W is the direct sum of the W cap V_lambda.
 N sends the level of (F, t) into that of (F, t - 1), so stable closures
 are grown level by level (`subobjects.StableLattice.closures`) on the
-integer operators of `level_operators`, which is where the level split is
-enforced: it raises if E leaves a level or N sends one into two.  The
-Newton slope of W is the sum over levels of dim(W cap V_lambda) times the
-slope of one block of the level (`level_t_n`).
+integer operators of `level_operators`, read off the sparse columns, which
+is where the level split is enforced: it raises if E leaves a level or N
+sends one into two.  The Newton slope of W is the sum over levels of
+dim(W cap V_lambda) times the slope of one block of the level
+(`level_t_n`), in the integers of `model.scaled_slopes`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from . import linalg
 from .linalg import Mat
-from .model import Block, ModuleSpec, Summand, _is_prime
+from .model import Block, ModuleSpec, Summand, _is_prime, scaled_slopes
 from .ordering import require_canonical
 
 __all__ = [
@@ -99,13 +103,22 @@ def _default_seeds(spec: ModuleSpec) -> dict[str, Fraction]:
 
 @dataclass(frozen=True)
 class ConcreteRealization:
+    """(Phi, N) on the basis of blocks, as sparse integer columns.
+
+    Column j of Phi is lambda_j (e_j + E e_j), with lambda_j the eigenvalue
+    of basis index j (an int where integral) and E the edge coupling; the
+    columns of E and N hold their nonzero entries as (row, value) pairs.
+    The dense Fraction matrices `phi`, `nmat` and `coupling` are built from
+    them on first read.
+    """
+
     spec: ModuleSpec
     edges: tuple[ModificationEdge, ...]
     seeds: dict[str, Fraction]
     basis: tuple[Block, ...]
-    phi: Mat
-    nmat: Mat
-    coupling: Mat   # E with Phi = lambda * (1 + E) on each level
+    eigenvalues: tuple[int | Fraction, ...]
+    e_cols: tuple[tuple[tuple[int, int], ...], ...]   # E, by column
+    n_cols: tuple[tuple[tuple[int, int], ...], ...]   # N, by column
 
     @property
     def dimension(self) -> int:
@@ -114,6 +127,36 @@ class ConcreteRealization:
     @property
     def p(self) -> int:
         return self.spec.config.p
+
+    def _dense(self, cols, scales=None) -> Mat:
+        """The matrix with the given sparse columns, column j scaled by
+        scales[j], plus the diagonal of `scales` when given."""
+        n = self.dimension
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for j, col in enumerate(cols):
+            lam = 1
+            if scales is not None:
+                lam = scales[j]
+                out[j][j] += lam
+            for i, a in col:
+                out[i][j] += lam * a
+        return tuple(tuple(row) for row in out)
+
+    @cached_property
+    def phi(self) -> Mat:
+        """Phi as a dense Fraction matrix."""
+        return self._dense(self.e_cols, self.eigenvalues)
+
+    @cached_property
+    def nmat(self) -> Mat:
+        """N as a dense Fraction matrix."""
+        return self._dense(self.n_cols)
+
+    @cached_property
+    def coupling(self) -> Mat:
+        """E, with Phi = lambda * (1 + E) on each level, as a dense Fraction
+        matrix."""
+        return self._dense(self.e_cols)
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
@@ -137,11 +180,10 @@ class ConcreteRealization:
     def level_operators(self) -> tuple[tuple[tuple | None, tuple | None], ...]:
         """Per level, the coupling E and N on it, each as (target level,
         integer columns in level coordinates as (row, value) pairs), or None
-        where zero.  Raises RuntimeError unless E maps the level into itself
-        and N into one level."""
+        where zero, read off `e_cols` and `n_cols`.  Raises RuntimeError
+        unless E maps the level into itself and N into one level."""
         level_of = self._level_of
-        ops = [(name, linalg.sparse_columns(mat))
-               for name, mat in (("coupling", self.coupling), ("N", self.nmat))]
+        ops = (("coupling", self.e_cols), ("N", self.n_cols))
         out = []
         for level, coords in enumerate(self.levels):
             pair = []
@@ -162,11 +204,11 @@ class ConcreteRealization:
     @cached_property
     def level_slopes(self) -> tuple[tuple[int, ...], int]:
         """Newton slope of one block of each level, read off its first, as
-        integers over one common denominator: (numerators, denominator)."""
-        cfg = self.spec.config
-        slopes = [Fraction(self.basis[c[0]].t_n(cfg)) for c in self.levels]
-        den = math.lcm(*(t.denominator for t in slopes))
-        return tuple(int(t * den) for t in slopes), den
+        integers over one common denominator: (numerators, denominator),
+        from `model.scaled_slopes`."""
+        sc = scaled_slopes(self.spec)
+        firsts = (self.basis[coords[0]] for coords in self.levels)
+        return tuple(sc.bottoms[b.summand] + b.k * sc.step for b in firsts), sc.den
 
     def level_t_n(self, dims: Iterable[int]) -> Fraction:
         """Newton slope of a Phi,N-stable subspace W with dim(W cap V_lambda)
@@ -181,7 +223,8 @@ def realize_matrices(
     edges: tuple[ModificationEdge, ...] = (),
     seeds: dict[str, Fraction] | None = None,
 ) -> ConcreteRealization:
-    """Exact rational (Phi, N) realizing the spec; restricted to h = 1.
+    """Exact (Phi, N) realizing the spec, as sparse integer columns; h = 1
+    only.
 
     Raises ValueError for a zero seed, for two families sharing an
     eigenvalue, and for an edge coupling blocks of different eigenvalues:
@@ -195,11 +238,16 @@ def realize_matrices(
     for fid, seed in seeds.items():
         if seed == 0:
             raise ValueError(f"Frobenius seed of family {fid!r} is zero")
+    # an integral seed is held as an int, so integral eigenvalues are ints
+    scale = {fid: s.numerator if s.denominator == 1 else s for fid, s in seeds.items()}
     basis = tuple(spec.blocks())
-    n = len(basis)
     p = spec.config.p
-    lams = [seeds[blk.family.id] * Fraction(p) ** blk.twist for blk in basis]
-    owner: dict[Fraction, str] = {}
+    # p ** t is an int for the twists t >= 0 of a valid spec
+    lams = tuple(
+        scale[b.family.id] * (p ** b.twist if b.twist >= 0 else Fraction(p) ** b.twist)
+        for b in basis
+    )
+    owner: dict[int | Fraction, str] = {}
     for blk, lam in zip(basis, lams):
         fid = owner.setdefault(lam, blk.family.id)
         if fid != blk.family.id:
@@ -207,42 +255,41 @@ def realize_matrices(
                 f"families {fid!r} and {blk.family.id!r} share the eigenvalue {lam}"
             )
     index = {(blk.summand, blk.k): i for i, blk in enumerate(basis)}
-    phi = [[Fraction(0)] * n for _ in range(n)]
-    nmat = [[Fraction(0)] * n for _ in range(n)]
-    coupling = [[Fraction(0)] * n for _ in range(n)]
+    e_cols = []
+    n_cols = []
     edge_by_src = {e.src: e for e in edges}
     for j, blk in enumerate(basis):
-        lam = lams[j]
-        phi[j][j] = lam
         e = edge_by_src.get(blk.summand)
         if e is not None and blk.k >= e.alignment:
             tgt = index[(e.dst, blk.k - e.alignment)]
-            if lams[tgt] != lam:
+            if lams[tgt] != lams[j]:
                 raise ValueError(f"edge {e} couples blocks of different eigenvalues")
-            phi[tgt][j] = lam
-            coupling[tgt][j] = Fraction(1)
-        if blk.k > 0:
-            below = index[(blk.summand, blk.k - 1)]
-            nmat[below][j] = Fraction(1)
-    phi_m = tuple(tuple(row) for row in phi)
-    nmat_m = tuple(tuple(row) for row in nmat)
-    _check_commutation(phi_m, nmat_m, p)
+            e_cols.append(((tgt, 1),))
+        else:
+            e_cols.append(())
+        # blocks run bottom to top inside a summand: (i, k - 1) is j - 1
+        n_cols.append(((j - 1, 1),) if blk.k > 0 else ())
+    _check_commutation(lams, e_cols, n_cols, p)
     return ConcreteRealization(
-        spec, tuple(edges), dict(seeds), basis, phi_m, nmat_m,
-        tuple(tuple(row) for row in coupling),
+        spec, tuple(edges), dict(seeds), basis, lams, tuple(e_cols), tuple(n_cols)
     )
 
 
-def _check_commutation(phi: Mat, nmat: Mat, p: int) -> None:
-    """Raise RuntimeError unless N * Phi = p * Phi * N, column by column,
-    with each product applied through the nonzero entries only."""
-    n = len(phi)
-    phi_cols = linalg.sparse_columns(phi)
-    n_cols = linalg.sparse_columns(nmat)
-    scale = Fraction(p)
-    for j in range(n):
-        lhs = linalg.apply_columns(n_cols, [row[j] for row in phi])
-        rhs = linalg.apply_columns(phi_cols, [row[j] for row in nmat])
-        for x, y in zip(lhs, rhs):
-            if (x or y) and x != scale * y:
-                raise RuntimeError("realization violates N*Phi = p*Phi*N")
+def _check_commutation(eigenvalues, e_cols, n_cols, p: int) -> None:
+    """Raise RuntimeError unless N * Phi = p * Phi * N, for the Phi whose
+    column j is lambda_j (e_j + E e_j), column by column over the nonzero
+    entries of the sparse columns only."""
+    phi_cols = [
+        ((j, lam), *((i, lam * a) for i, a in col))
+        for j, (lam, col) in enumerate(zip(eigenvalues, e_cols))
+    ]
+    for j, col in enumerate(n_cols):
+        diff: dict[int, int | Fraction] = {}
+        for k, x in phi_cols[j]:          # N * (Phi e_j)
+            for i, a in n_cols[k]:
+                diff[i] = diff.get(i, 0) + a * x
+        for k, x in col:                  # p * Phi * (N e_j)
+            for i, a in phi_cols[k]:
+                diff[i] = diff.get(i, 0) - p * a * x
+        if any(diff.values()):
+            raise RuntimeError("realization violates N*Phi = p*Phi*N")

@@ -246,26 +246,3 @@ def kernel_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
             v[c] = -x * (scale // p)
         out.append(v)
     return out
-
-
-def sparse_columns(op: Mat) -> list[list[tuple[int, int | Fraction]]]:
-    """Nonzero entries of each column of `op`, as (row, value) pairs; an
-    integral value is held as an int."""
-    cols: list[list[tuple[int, int | Fraction]]] = [[] for _ in op[0]] if op else []
-    for i, row in enumerate(op):
-        for j, a in enumerate(row):
-            if a:
-                if type(a) is not int and a.denominator == 1:
-                    a = a.numerator
-                cols[j].append((i, a))
-    return cols
-
-
-def apply_columns(cols: list[list[tuple[int, int | Fraction]]], v: Sequence) -> list:
-    """The product of the operator given by `sparse_columns` with `v`."""
-    w = [0] * len(cols)
-    for j, x in enumerate(v):
-        if x:
-            for i, a in cols[j]:
-                w[i] += a * x
-    return w

@@ -13,8 +13,10 @@ d+1 integers (the negated Hodge-Tate weights of the filtration sought).
 Slope arithmetic runs on integers: `scaled_slopes` multiplies every block
 slope by the least common denominator of the family base slopes, and a
 scaled sum s stands for the exact slope Fraction(s, den).  It is derived
-afresh for each call that needs it; specs and profiles carry no cached
-state.
+afresh for each call that needs it.  A spec memoizes only what its fields
+fix outright: the family lookup by id, its dimension and the table of its
+good subobjects.  Specs are frozen, and a spec made by `with_summands` or
+`dataclasses.replace` is a new object that builds its own.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 __all__ = [
@@ -139,18 +142,31 @@ class ModuleSpec:
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "summands", tuple(self.summands))
 
-    def family(self, fid: str) -> Family:
+    @cached_property
+    def _family_by_id(self) -> dict[str, Family]:
+        # the first family of an id wins, as a scan in order would find it
+        out: dict[str, Family] = {}
         for f in self.families:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
+            out.setdefault(f.id, f)
+        return out
+
+    def family(self, fid: str) -> Family:
+        """The family with id `fid`; KeyError if there is none."""
+        return self._family_by_id[fid]
 
     def family_of(self, i: int) -> Family:
-        return self.family(self.summands[i].family)
+        return self._family_by_id[self.summands[i].family]
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return sum(s.b * self.family(s.family).h for s in self.summands)
+
+    @cached_property
+    def goods(self) -> tuple["GoodSubobject", ...]:
+        """Every good subobject, the count vectors of prod_i {0..b_i} in
+        lexicographic order, zero and the whole included."""
+        ranges = [range(s.b + 1) for s in self.summands]
+        return tuple(map(GoodSubobject, itertools.product(*ranges)))
 
     def blocks(self) -> list[Block]:
         """All blocks in summand order, bottom to top inside each summand."""

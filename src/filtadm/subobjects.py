@@ -135,9 +135,9 @@ class Subobject:
 
 
 def enumerate_good_subobjects(spec: ModuleSpec) -> tuple[GoodSubobject, ...]:
-    """Every count vector in prod_i {0..b_i}, zero and the whole included."""
-    ranges = [range(s.b + 1) for s in spec.summands]
-    return tuple(GoodSubobject(c) for c in itertools.product(*ranges))
+    """Every count vector in prod_i {0..b_i}, zero and the whole included
+    (`ModuleSpec.goods`, built once per spec)."""
+    return spec.goods
 
 
 def is_stable_good(
@@ -230,10 +230,13 @@ class StableLattice:
     form, because levels occupy disjoint columns and keep their order.  The
     term of a piece for a good E is len(piece) minus its rank on the level
     columns outside E; goods with the same outside columns on a level share
-    it.  `good_sizes` and `lower_covers` give the poset of the stable
-    goods that chain bounds walk.  `walk` lists every stable subspace when
-    there are finitely many, over the cover spans of `cover_span`, and
-    otherwise records in `family` where it found infinitely many.
+    it.  The stable goods are read off the spec's good table
+    (`ModuleSpec.goods`), the one transversality reads too; with their
+    dimensions `good_sizes` and `lower_covers` they give the poset of the
+    stable goods that chain bounds walk.  `walk` lists every stable
+    subspace when there are finitely many, over the cover spans of
+    `cover_span`, and otherwise records in `family` where it found
+    infinitely many.
     """
 
     def __init__(self, realization: ConcreteRealization):
@@ -254,25 +257,25 @@ class StableLattice:
         self.family: tuple[tuple[int, ...], int, int] | None = None
         self.zero = (0,) * len(levels)
         self.goods = stable_good_subobjects(realization.spec, realization.edges)
+        # every block has dimension 1 (h = 1), so dim E is the sum of counts
+        self.good_sizes = tuple(sum(g.counts) for g in self.goods)
         # per level: the distinct outside column sets (level positions) and,
         # for each good, the index of its set; and the good spans, whose
         # pieces are unit rows.  Block (i, k) lies in the good with counts c
         # iff k < c_i, so a good's split of a level is read off the
-        # (summand, k) signature of the level's blocks, and each distinct
-        # split is laid out once.
+        # (summand, k) signature of the level's blocks, one column of counts
+        # per summand, and each distinct split is laid out once.
         self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
         self._whole: list[int] = []   # per level, the piece id of V_lambda
         spans = []
         basis = realization.basis
+        counts = list(zip(*(g.counts for g in self.goods)))
         for level, coords in enumerate(levels):
-            signature = [(basis[c].summand, basis[c].k) for c in coords]
-            splits: dict[tuple[bool, ...], int] = {}
-            which = [
-                splits.setdefault(
-                    tuple(k < g.counts[i] for i, k in signature), len(splits)
-                )
-                for g in self.goods
-            ]
+            inside = list(zip(*(
+                map(basis[c].k.__lt__, counts[basis[c].summand]) for c in coords
+            )))
+            splits = {split: w for w, split in enumerate(dict.fromkeys(inside))}
+            which = list(map(splits.__getitem__, inside))
             units = [tuple(int(j == k) for j in coords) for k in coords]
             pids = [
                 self._intern(level, tuple(u for u, ins in zip(units, split) if ins))
@@ -280,15 +283,9 @@ class StableLattice:
             ]
             sets = [tuple(k for k, ins in enumerate(sp) if not ins) for sp in splits]
             self._outside.append((sets, which))
-            spans.append([pids[w] for w in which])
+            spans.append(list(map(pids.__getitem__, which)))
             self._whole.append(self._intern(level, tuple(units)))
         self.good_keys = list(zip(*spans))
-
-    @cached_property
-    def good_sizes(self) -> tuple[int, ...]:
-        """dim E for every stable good E, in the order of `goods`."""
-        spec = self.realization.spec
-        return tuple(g.dimension(spec) for g in self.goods)
 
     @cached_property
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
@@ -603,12 +600,17 @@ class StableLattice:
             piece = self.piece(level, pid)
             sets, which = self._outside[level]
             r = len(piece)
-            by_set = [
-                r - linalg.rank(tuple(tuple(row[k] for k in out) for row in piece))
-                if out and r else r
-                for out in sets
-            ]
-            terms = self._terms[level][pid] = tuple(by_set[w] for w in which)
+            if r == 1:
+                # one row has rank 1 on the outside columns iff it is nonzero there
+                row = piece[0]
+                by_set = [1 - any([row[k] for k in out]) for out in sets]
+            else:
+                by_set = [
+                    r - linalg.rank(tuple(tuple(row[k] for k in out) for row in piece))
+                    if out and r else r
+                    for out in sets
+                ]
+            terms = self._terms[level][pid] = tuple(map(by_set.__getitem__, which))
         return terms
 
     def good_dims(self, key: tuple[int, ...]) -> tuple[int, ...]:

@@ -40,6 +40,12 @@ as well: the library's verdict bounds t_H by chain certificates and never
 builds a flag.  It checks its pairs with the library's `pairs.is_special`,
 not with the `Fraction` oracle of the same name.
 
+The dense realization (`dense_realization`, `check_commutation_dense`,
+`dense_level_operators`) builds Phi, N and the edge coupling E as
+`Fraction` matrices entry by entry, checks N * Phi = p * Phi * N on them
+and reads the level operators off them, where the library keeps sparse
+integer columns and builds dense matrices only when read.
+
 The determinant, characteristic polynomial, p-adic valuation, stability
 test and dimension formulas check the realizations from outside: the
 library itself never needs them.
@@ -63,7 +69,7 @@ from typing import Iterable, Mapping, Sequence
 from filtadm import linalg, pairs
 from filtadm.emerton import EmertonVerdict, _candidates, gamma_blocks
 from filtadm.filtration import SINGULAR, Filtration, _tail_dims
-from filtadm.frobenius import ConcreteRealization, ModificationEdge
+from filtadm.frobenius import ConcreteRealization, ModificationEdge, _default_seeds
 from filtadm.linalg import Mat, Vec
 from filtadm.model import (
     GoodSubobject,
@@ -323,6 +329,122 @@ def mat_pow(a: Mat, k: int) -> Mat:
         base = mat_mul(base, base)
         k >>= 1
     return out
+
+
+def dense_realization(
+    spec: ModuleSpec,
+    edges: tuple[ModificationEdge, ...] = (),
+    seeds: dict[str, Fraction] | None = None,
+) -> tuple[Mat, Mat, Mat]:
+    """(Phi, N, E) of `realize_matrices` as dense Fraction matrices, built
+    entry by entry with the same refusals and checked by
+    `check_commutation_dense`."""
+    for fam in spec.families:
+        if fam.h != 1:
+            raise ValueError("concrete layer requires h=1")
+    if seeds is None:
+        seeds = _default_seeds(spec)
+    for fid, seed in seeds.items():
+        if seed == 0:
+            raise ValueError(f"Frobenius seed of family {fid!r} is zero")
+    basis = tuple(spec.blocks())
+    n = len(basis)
+    p = spec.config.p
+    lams = [seeds[blk.family.id] * Fraction(p) ** blk.twist for blk in basis]
+    owner: dict[Fraction, str] = {}
+    for blk, lam in zip(basis, lams):
+        fid = owner.setdefault(lam, blk.family.id)
+        if fid != blk.family.id:
+            raise ValueError(
+                f"families {fid!r} and {blk.family.id!r} share the eigenvalue {lam}"
+            )
+    index = {(blk.summand, blk.k): i for i, blk in enumerate(basis)}
+    phi = [[Fraction(0)] * n for _ in range(n)]
+    nmat = [[Fraction(0)] * n for _ in range(n)]
+    coupling = [[Fraction(0)] * n for _ in range(n)]
+    edge_by_src = {e.src: e for e in edges}
+    for j, blk in enumerate(basis):
+        lam = lams[j]
+        phi[j][j] = lam
+        e = edge_by_src.get(blk.summand)
+        if e is not None and blk.k >= e.alignment:
+            tgt = index[(e.dst, blk.k - e.alignment)]
+            if lams[tgt] != lam:
+                raise ValueError(f"edge {e} couples blocks of different eigenvalues")
+            phi[tgt][j] = lam
+            coupling[tgt][j] = Fraction(1)
+        if blk.k > 0:
+            below = index[(blk.summand, blk.k - 1)]
+            nmat[below][j] = Fraction(1)
+    phi_m = tuple(tuple(row) for row in phi)
+    nmat_m = tuple(tuple(row) for row in nmat)
+    check_commutation_dense(phi_m, nmat_m, p)
+    return phi_m, nmat_m, tuple(tuple(row) for row in coupling)
+
+
+def check_commutation_dense(phi: Mat, nmat: Mat, p: int) -> None:
+    """Raise RuntimeError unless N * Phi = p * Phi * N, column by column,
+    with each product applied through the nonzero entries only."""
+    n = len(phi)
+    phi_cols = sparse_columns(phi)
+    n_cols = sparse_columns(nmat)
+    scale = Fraction(p)
+    for j in range(n):
+        lhs = apply_columns(n_cols, [row[j] for row in phi])
+        rhs = apply_columns(phi_cols, [row[j] for row in nmat])
+        for x, y in zip(lhs, rhs):
+            if (x or y) and x != scale * y:
+                raise RuntimeError("realization violates N*Phi = p*Phi*N")
+
+
+def sparse_columns(op: Mat) -> list[list[tuple[int, int | Fraction]]]:
+    """Nonzero entries of each column of `op`, as (row, value) pairs; an
+    integral value is held as an int."""
+    cols: list[list[tuple[int, int | Fraction]]] = [[] for _ in op[0]] if op else []
+    for i, row in enumerate(op):
+        for j, a in enumerate(row):
+            if a:
+                if type(a) is not int and a.denominator == 1:
+                    a = a.numerator
+                cols[j].append((i, a))
+    return cols
+
+
+def apply_columns(cols: list[list[tuple[int, int | Fraction]]], v: Sequence) -> list:
+    """The product of the operator given by `sparse_columns` with `v`."""
+    w = [0] * len(cols)
+    for j, x in enumerate(v):
+        if x:
+            for i, a in cols[j]:
+                w[i] += a * x
+    return w
+
+
+def dense_level_operators(levels, coupling: Mat, nmat: Mat) -> tuple:
+    """`ConcreteRealization.level_operators` read off dense E and N: per
+    level, each operator as (target level, integer columns in level
+    coordinates), or None where zero, with the same refusals."""
+    level_of = [(0, 0)] * len(coupling)
+    for k, coords in enumerate(levels):
+        for pos, i in enumerate(coords):
+            level_of[i] = (k, pos)
+    ops = [(name, sparse_columns(mat)) for name, mat in (("coupling", coupling), ("N", nmat))]
+    out = []
+    for level, coords in enumerate(levels):
+        pair = []
+        for name, cols in ops:
+            block = [cols[j] for j in coords]
+            targets = {level_of[i][0] for col in block for i, _ in col}
+            if len(targets) > 1 or (name == "coupling" and targets - {level}):
+                raise RuntimeError(
+                    f"{name} sends level {level} into levels {sorted(targets)}"
+                )
+            local = tuple(
+                tuple((level_of[i][1], a) for i, a in col) for col in block
+            )
+            pair.append((targets.pop(), local) if targets else None)
+        out.append(tuple(pair))
+    return tuple(out)
 
 
 def restriction(realization, rows: Mat) -> Mat:

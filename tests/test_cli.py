@@ -499,3 +499,68 @@ def test_zero_denominator_exits_2_naming_the_field(tmp_path, capsys):
     code, rep = run_cli(capsys, "order", "--spec", str(spec_path))
     assert code == 2
     assert "families[0].tBase: zero denominator in '1/0'" in rep["error"], rep
+
+
+# Each input file is read once per call, its bytes hashed and decoded as
+# `open` decodes them; the error reports of these four inputs are those
+# recorded from the two-read loader (one `open(path, "rb")` to hash, one
+# `open(path)` to parse), byte for byte.
+READ_ERRORS = [
+    ("missing", "missing.json", "w.json",
+     "FileNotFoundError: [Errno 2] No such file or directory: 'missing.json'"),
+    ("crlf", "spec.json", "crlf.json",
+     "JSONDecodeError: Expecting property name enclosed in double quotes: "
+     "line 3 column 3 (char 31)"),
+    ("bom", "bom.json", "w.json",
+     "JSONDecodeError: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    ("non-utf8", "latin.json", "w.json",
+     "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9 in position 110: "
+     "invalid continuation byte"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec_name, weights_name, error", [c[1:] for c in READ_ERRORS],
+    ids=[c[0] for c in READ_ERRORS],
+)
+def test_input_read_errors_match_the_file_reads(
+    capsys, tmp_path, monkeypatch, spec_name, weights_name, error
+):
+    spec = (DATA / "ex1a_spec.json").read_bytes()
+    files = {
+        "spec.json": spec,
+        "w.json": (DATA / "weights_m212.json").read_bytes(),
+        "crlf.json": b'{\r\n  "weights": [[-2, 1, 2]],\r\n  oops\r\n}\r\n',
+        "bom.json": b"\xef\xbb\xbf" + spec,
+        "latin.json": spec.replace(b'"F"', b'"\xe9"', 1),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    code = main(["check-iii", "--spec", spec_name, "--weights", weights_name])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert out == json.dumps({"command": "check-iii", "error": error}, indent=2) + "\n"
+
+
+def test_each_input_file_is_read_once(capsys, monkeypatch):
+    import builtins
+
+    from filtadm import cli
+
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    spec, weights = str(DATA / "ex1a_spec.json"), str(DATA / "weights_m212.json")
+    code, rep = run_cli(
+        capsys, "verify-admissible", "--spec", spec, "--weights", weights, "--seed", "7"
+    )
+    assert code == 0 and sorted(opened) == sorted([spec, weights])
+    want = hashlib.sha256((DATA / "ex1a_spec.json").read_bytes()).hexdigest()
+    assert rep["inputs"]["spec"] == {"path": spec, "sha256": want}
+

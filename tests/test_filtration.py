@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,18 @@ from filtadm.filtration import (
     t_h,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
-from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand, WeightProfile, t_n
+from filtadm.model import (
+    Config,
+    Family,
+    GoodSubobject,
+    ModuleSpec,
+    Summand,
+    WeightProfile,
+    profile_from_dict,
+    spec_from_dict,
+    t_n,
+)
+from filtadm.ordering import canonical_order
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
     CapExceededError,
@@ -354,3 +366,37 @@ def test_random_specs_transverse_and_bounded():
                     sorted(prof.weights[sigma][:m])
                 )
         done += 1
+
+
+def test_verify_path_builds_no_fraction_matrices(data_dir):
+    # order -> modify -> realize -> filter -> verify reads the sparse
+    # columns and the drawn integer rows only: the dense Fraction matrices
+    # of the realization and the Fraction rows of the filtration are never
+    # built, on the worked examples and on equal-total draws, modified and
+    # not, whatever the verdict rests on
+    def load(name):
+        return json.loads((data_dir / name).read_text())
+
+    pairs = [
+        (spec_from_dict(load(f"{spec}_spec.json")), profile_from_dict(load(f"{w}.json")))
+        for spec, w in (
+            ("ex1a", "weights_m212"), ("ex1a", "weights_012"), ("ex1b", "weights_ex1b"),
+            ("ex2", "weights_ex2"), ("ex3", "weights_ex3"),
+        )
+    ]
+    pairs += equal_total_stream(41, 16, max_dim=6)
+    outcomes = set()
+    for spec, profile in pairs:
+        ordered = canonical_order(spec)[0]
+        for edges in (build_modified_frobenius(ordered), ()):
+            real = realize_matrices(ordered, edges)
+            filt = build_transverse_filtration(ordered, profile, real, seed=5)
+            report = check_admissible(ordered, profile, real, filt, seed=5)
+            outcomes.add(report.proof or report.reason)
+            assert not {"phi", "nmat", "coupling"} & real.__dict__.keys()
+            assert "bases" not in filt.__dict__
+    assert {"certificate", "search", "witness", "equality"} <= outcomes
+    # reading them builds them, once
+    assert real.phi is real.phi and "phi" in real.__dict__
+    assert filt.bases is filt.bases and "bases" in filt.__dict__
+

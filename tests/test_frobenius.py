@@ -11,6 +11,7 @@ from filtadm.frobenius import (
     realize_matrices,
 )
 from filtadm.model import Config, Family, ModuleSpec, Summand, t_n
+from filtadm.ordering import canonical_order
 from filtadm.subobjects import StableLattice, stable_good_subobjects
 from helpers import random_spec
 import oracles
@@ -97,9 +98,30 @@ def test_commutation_and_det_valuation_random():
         done += 1
 
 
+def _add_entry(cols, i, j, x):
+    """Sparse columns with x added at (row i, column j)."""
+    col = dict(cols[j])
+    col[i] = col.get(i, 0) + x
+    return cols[:j] + (tuple(sorted(col.items())),) + cols[j + 1:]
+
+
+def _dense(n, cols, scales=None):
+    """The dense matrix of sparse columns, column j scaled by scales[j] and
+    scales on the diagonal when given (Phi = lambda_j (1 + E) by column)."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        lam = 1
+        if scales is not None:
+            lam = scales[j]
+            out[j][j] += lam
+        for i, a in col:
+            out[i][j] += lam * a
+    return tuple(map(tuple, out))
+
+
 def test_commutation_check_rejects_corrupted_matrices():
-    # one entry of N (or Phi) moved: the sparse check raises exactly when
-    # the dense products disagree
+    # one entry of the sparse N, E or eigenvalues moved: the sparse check
+    # raises exactly when the dense products disagree
     rng = random.Random(17)
     raised = done = 0
     while done < 60:
@@ -108,23 +130,72 @@ def test_commutation_check_rejects_corrupted_matrices():
             continue
         real = realize_matrices(spec, build_modified_frobenius(spec))
         p = spec.config.p
-        _check_commutation(real.phi, real.nmat, p)
+        lams, e_cols, n_cols = list(real.eigenvalues), real.e_cols, real.n_cols
+        _check_commutation(lams, e_cols, n_cols, p)
         n = spec.dimension
-        mats = [[list(row) for row in m] for m in (real.phi, real.nmat)]
-        # N three times in four, Phi otherwise
         i, j = rng.randrange(n), rng.randrange(n)
-        mats[done % 4 != 3][i][j] += rng.choice((1, -1, Fraction(1, 2)))
-        phi, nmat = (tuple(map(tuple, m)) for m in mats)
+        x = rng.choice((1, -1, Fraction(1, 2)))
+        # N three times in four, Phi otherwise: its diagonal through the
+        # eigenvalue, an entry off it through E
+        if done % 4 != 3:
+            n_cols = _add_entry(n_cols, i, j, x)
+        elif i == j:
+            lams[j] += x
+        else:
+            e_cols = _add_entry(e_cols, i, j, x)
+        phi, nmat = _dense(n, e_cols, lams), _dense(n, n_cols)
         lhs = oracles.mat_mul(nmat, phi)
         rhs = oracles.mat_scale(Fraction(p), oracles.mat_mul(phi, nmat))
         if lhs != rhs:
             with pytest.raises(RuntimeError, match="N\\*Phi = p\\*Phi\\*N"):
-                _check_commutation(phi, nmat, p)
+                _check_commutation(lams, e_cols, n_cols, p)
             raised += 1
         else:
-            _check_commutation(phi, nmat, p)
+            _check_commutation(lams, e_cols, n_cols, p)
         done += 1
     assert raised >= 40
+
+
+def _realization_cases(ex1a, ex1b, ex2, ex3):
+    """(spec, seeds) on the worked examples and on seeded draws, with the
+    default seeds and with custom Fraction seeds, integral or not."""
+    cases = [(canonical_order(s)[0], None) for s in (ex1a, ex1b, ex2, ex3)]
+    cases.append((cases[0][0], {"F": Fraction(12)}))
+    rng = random.Random(29)
+    while len(cases) < 60:
+        spec = random_spec(rng, max_dim=7)
+        if spec is None:
+            continue
+        cases.append((spec, None))
+        seeds = {f.id: Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 5))) for f in spec.families}
+        cases.append((spec, seeds))
+    return cases
+
+
+def test_sparse_realization_matches_dense_oracle(ex1a, ex1b, ex2, ex3):
+    # the dense matrices and level operators of the sparse realization are
+    # those of the entry-by-entry Fraction build, modified and not; a
+    # refusal (families sharing an eigenvalue) is refused alike
+    compared = refused = 0
+    for spec, seeds in _realization_cases(ex1a, ex1b, ex2, ex3):
+        for edges in ((), build_modified_frobenius(spec)):
+            try:
+                phi, nmat, coupling = oracles.dense_realization(spec, edges, seeds)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    realize_matrices(spec, edges, seeds)
+                assert str(got.value) == str(exc)
+                refused += 1
+                continue
+            real = realize_matrices(spec, edges, seeds)
+            assert (real.phi, real.nmat, real.coupling) == (phi, nmat, coupling)
+            for m in (real.phi, real.nmat, real.coupling):
+                assert all(type(x) is Fraction for row in m for x in row)
+            assert real.level_operators == oracles.dense_level_operators(
+                real.levels, coupling, nmat
+            )
+            compared += 1
+    assert compared >= 100 and refused >= 1
 
 
 def test_det_valuation_custom_seeds(ex1a):

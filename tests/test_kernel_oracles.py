@@ -346,11 +346,14 @@ def test_eigen_multiplicities_match_matrix_power_oracle():
 
 
 def _tampered(real, name, entries):
-    """`real` with the operator `name` set to 1 at the (row, column) entries."""
-    m = [list(row) for row in getattr(real, name)]
+    """`real` with the sparse columns `name` of an operator set to 1 at the
+    (row, column) entries."""
+    cols = [dict(col) for col in getattr(real, name)]
     for i, j in entries:
-        m[i][j] = Fraction(1)
-    return dataclasses.replace(real, **{name: tuple(map(tuple, m))})
+        cols[j][i] = 1
+    return dataclasses.replace(
+        real, **{name: tuple(tuple(sorted(col.items())) for col in cols)}
+    )
 
 
 def test_operators_leaving_the_level_split_raise_on_the_first_closure():
@@ -363,9 +366,9 @@ def test_operators_leaving_the_level_split_raise_on_the_first_closure():
         j = levels[0][0]
         atom = [(0, [1] + [0] * (len(levels[0]) - 1))]
         for name, entries in (
-            ("nmat", [(levels[1][0], j), (levels[2][0], j)]),      # two levels
-            ("coupling", [(levels[0][-1], j), (levels[1][0], j)]),  # two levels
-            ("coupling", [(levels[2][0], j)]),                      # another level
+            ("n_cols", [(levels[1][0], j), (levels[2][0], j)]),    # two levels
+            ("e_cols", [(levels[0][-1], j), (levels[1][0], j)]),   # two levels
+            ("e_cols", [(levels[2][0], j)]),                       # another level
         ):
             bad = _tampered(real, name, entries)
             with pytest.raises(RuntimeError, match="sends level 0 into levels"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -261,3 +262,35 @@ def test_checked_specs_keep_identity_and_refuse_a_reordering():
         with pytest.raises(ValueError, match="canonical order"):
             check(reordered, prof)
     assert is_canonical(spec)
+
+
+def test_spec_memos_belong_to_one_spec():
+    # the family lookup, the dimension and the good table are memoized on
+    # the frozen spec; a spec made from it by with_summands or
+    # dataclasses.replace builds its own
+    f, g = Family("F", 1, Fraction(0)), Family("G", 2, Fraction(1, 2))
+    spec = ModuleSpec(Config(p=2), (f, g), (Summand("F", 0, 2), Summand("G", 1, 1)))
+    assert spec.dimension == 4 and spec.family_of(1) is g
+    assert [x.counts for x in spec.goods] == [(a, b) for a in range(3) for b in range(2)]
+    fewer = spec.with_summands(spec.summands[:1])
+    assert fewer.dimension == 2 and [x.counts for x in fewer.goods] == [(0,), (1,), (2,)]
+    g3 = Family("G", 3, Fraction(1, 2))
+    wider = dataclasses.replace(spec, families=(f, g3))
+    assert wider.dimension == 5 and wider.family("G") is g3 and wider.family_of(1) is g3
+    # the memos of the first spec are untouched
+    assert spec.dimension == 4 and spec.family("G") is g and len(spec.goods) == 6
+    # an unknown family id still raises KeyError, before and after a lookup
+    with pytest.raises(KeyError, match="H"):
+        spec.family("H")
+    unknown = spec.with_summands((Summand("H", 0, 1),))
+    with pytest.raises(KeyError, match="H"):
+        unknown.dimension
+    with pytest.raises(KeyError, match="H"):
+        unknown.family_of(0)
+    # duplicate ids are still reported; the lookup returns the first
+    twice = dataclasses.replace(spec, families=(f, g, Family("F", 2, Fraction(0))))
+    assert twice.family("F") is f
+    assert "families[F]: duplicate id" in spec_violations(twice)
+    with pytest.raises(SpecError, match="duplicate id"):
+        validate_spec(twice)
+
