@@ -14,8 +14,17 @@ Per workload and end-to-end metric it prints the median and the quartiles
 (`statistics.quantiles`, exclusive method) of each side, the ratio of the
 medians, the pairs the change won (strictly better in the metric's
 direction), and whether the median gained, in that direction, more than
-the base's interquartile range.  A run that exits non-zero, prints no result or
-fails an item is reported and stops the script with status 1.
+the base's interquartile range.  It ends with a no-regression verdict
+against the metric's `bound` in `BENCHMARK.json`, a fraction of the base
+median:
+
+- "unresolved" when the base's interquartile range is wider than the
+  bound times its median, unless every change run beats every base run;
+- otherwise "worse beyond bound" when the change's median is worse than
+  the base's by more than the bound, and "within bound" when it is not.
+
+A run that exits non-zero, prints no result or fails an item is reported
+and stops the script with status 1.
 
     python3 scripts/ab_pairs.py --base ../parent --change . \\
         --workload verify_stream --seeds 601 602 603 604 605 606 607 608 609 610
@@ -64,9 +73,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
-    """Medians, quartiles and wins of (base, change) values of one metric;
-    `better` is "higher" or "lower"."""
+def verdict(base: list[float], change: list[float], sign: int, bound: float) -> str:
+    """The no-regression verdict of one metric (see the module docstring);
+    `sign` is 1 where higher is better and -1 where lower is."""
+    bq1, bmed, bq3 = quartiles(base)
+    cmed = quartiles(change)[1]
+    all_better = min(sign * c for c in change) > max(sign * b for b in base)
+    if bq3 - bq1 > bound * abs(bmed) and not all_better:
+        return "unresolved"
+    if sign * (bmed - cmed) > bound * abs(bmed):
+        return "worse beyond bound"
+    return "within bound"
+
+
+def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
+    """Medians, quartiles, wins and the verdict of (base, change) values of
+    one metric; `better` is "higher" or "lower", `bound` its regression
+    bound."""
     base = [b for b, _ in pairs]
     change = [c for _, c in pairs]
     bq1, bmed, bq3 = quartiles(base)
@@ -80,6 +103,7 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
         "wins": wins,
         "pairs": len(pairs),
         "beyond_iqr": sign * (cmed - bmed) > bq3 - bq1,
+        "verdict": verdict(base, change, sign, bound),
     }
 
 
@@ -99,11 +123,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, change = args.base.resolve(), args.change.resolve()
     bench = json.loads((change / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
 
     status = 0
     for workload in args.workload:
-        values: dict[str, list[tuple[float, float]]] = {name: [] for name, _ in metrics}
+        values: dict[str, list[tuple[float, float]]] = {name: [] for name, _, _ in metrics}
         for k, seed in enumerate(args.seeds):
             order = [("base", base), ("change", change)]
             if k % 2:
@@ -116,27 +140,28 @@ def main(argv=None) -> int:
                 print(f"error: {err}", file=sys.stderr)
                 status = 1
                 break
-            for name, _ in metrics:
+            for name, _, _ in metrics:
                 values[name].append(
                     tuple(results[side]["metrics"][name]["value"] for side in ("base", "change"))
                 )
             first = order[0][0]
             line = ", ".join(
                 f"{name} {_fmt(values[name][-1][0])} -> {_fmt(values[name][-1][1])}"
-                for name, _ in metrics
+                for name, _, _ in metrics
             )
             print(f"{workload} pair {k + 1} seed {seed} ({first} first): {line}", flush=True)
         if status:
             break
         print(f"{workload}: {len(args.seeds)} pairs, {args.seconds:g} s runs")
-        for name, better in metrics:
-            s = summarize(values[name], better)
+        for name, better, bound in metrics:
+            s = summarize(values[name], better, bound)
             print(
                 f"  {name} ({better} is better): base {_fmt(s['base'][1])} "
                 f"[{_fmt(s['base'][0])}, {_fmt(s['base'][2])}], change "
                 f"{_fmt(s['change'][1])} [{_fmt(s['change'][0])}, {_fmt(s['change'][2])}], "
                 f"x{s['ratio']:.3f}, change won {s['wins']}/{s['pairs']}, "
-                f"gain {'beyond' if s['beyond_iqr'] else 'not beyond'} the base IQR"
+                f"gain {'beyond' if s['beyond_iqr'] else 'not beyond'} the base IQR, "
+                f"{s['verdict']} (bound {bound:g})"
             )
     return status
 

@@ -29,7 +29,7 @@ from .pairs import (
     is_special,
     solve_t,
 )
-from .emerton import check_emerton_condition, enumerate_candidates
+from .emerton import check_emerton_condition
 
 __all__ = [
     "Config",
@@ -61,5 +61,4 @@ __all__ = [
     "check_weighted_inequality",
     "assemble_global",
     "check_emerton_condition",
-    "enumerate_candidates",
 ]

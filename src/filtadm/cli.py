@@ -245,7 +245,7 @@ def _subobject_entry(lattice: StableLattice, sub) -> dict:
     return {
         "dim": sub.rank,
         "basis": _mat_json(sub.rows),
-        "tN": fraction_to_str(realization.level_t_n(dims)),
+        "tN": fraction_to_str(lattice.t_n(sub.key)),
         "levels": levels,
     }
 

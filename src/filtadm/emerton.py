@@ -36,12 +36,13 @@ slopes), and the weight sums are multiplied by the same factor, so the
 only Fractions built are the reported slack and unitarity gap; nothing
 is rounded.
 
-The explicit candidate enumeration is kept for reporting and
-cross-validation, capped at 10 total blocks.  The report table walks the
-same shuffles and cuts on the scaled integer slopes: per shuffle it keys
-every interval by the multiset of its (scaled slope, h) pairs and every
-prefix by its scaled slack, so a cut costs a few lookups and a row one
-Fraction; it stops enumerating once it has its rows.
+The explicit candidates are walked only for the report table, capped at
+10 total blocks (`candidate_table`); the `Fraction` enumeration of the
+same candidates is a test oracle.  The table walks the shuffles and cuts
+on the scaled integer slopes: per shuffle it keys every interval by the
+multiset of its (scaled slope, h) pairs and every prefix by its scaled
+slack, so a cut costs a few lookups and a row one Fraction; it stops
+enumerating once it has its rows.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ from .ordering import require_canonical
 from .subobjects import CapExceededError
 
 __all__ = [
-    "GammaBlock",
-    "Candidate",
-    "gamma_blocks",
-    "enumerate_candidates",
     "EmertonVerdict",
     "check_emerton_condition",
     "candidate_table",
@@ -74,53 +71,10 @@ __all__ = [
 CANDIDATE_CAP = 10
 
 
-@dataclass(frozen=True)
-class GammaBlock:
-    origin: int          # summand index
-    j: int               # position inside the summand, 0-based
-    size: int            # dimension h of the underlying family
-    v: Fraction          # valuation of the block's central character at p
-
-
-@dataclass(frozen=True)
-class Candidate:
-    order: tuple[GammaBlock, ...]
-    group_sizes: tuple[int, ...]    # blocks per group, sums to len(order)
-
-    @property
-    def beta(self) -> tuple[int, ...]:
-        dims = []
-        pos = 0
-        for g in self.group_sizes:
-            dims.append(sum(b.size for b in self.order[pos : pos + g]))
-            pos += g
-        return tuple(dims)
-
-    def groups(self) -> list[tuple[GammaBlock, ...]]:
-        out = []
-        pos = 0
-        for g in self.group_sizes:
-            out.append(self.order[pos : pos + g])
-            pos += g
-        return out
-
-
-def gamma_blocks(spec: ModuleSpec) -> list[tuple[GammaBlock, ...]]:
-    """Per summand, the descending gamma-block sequence."""
-    cfg = spec.config
-    out = []
-    for i, s in enumerate(spec.summands):
-        fam = spec.family_of(i)
-        seq = []
-        for j in range(s.b):
-            twist = s.l + s.b - 1 - j
-            tn_block = fam.t_base + twist * cfg.deg_K_Qp
-            seq.append(GammaBlock(i, j, fam.h, tn_block / cfg.deg_K_L))
-        out.append(tuple(seq))
-    return out
-
-
-def _shuffles(sequences: list[tuple[GammaBlock, ...]]):
+def _shuffles(sequences: list[tuple]):
+    """Every interleaving of the sequences that keeps the order inside each,
+    in a fixed order: the first element comes from each nonempty sequence
+    in turn."""
     nonempty = [s for s in sequences if s]
     if not nonempty:
         yield ()
@@ -130,49 +84,6 @@ def _shuffles(sequences: list[tuple[GammaBlock, ...]]):
         head = seq[0]
         for tail in _shuffles(rest):
             yield (head, *tail)
-
-
-def _candidates(spec: ModuleSpec, dedup: bool):
-    """Candidates in enumeration order, generated lazily; the canonical
-    order and the cap are checked before the first one."""
-    require_canonical(spec)
-    seqs = gamma_blocks(spec)
-    b = sum(len(s) for s in seqs)
-    if b > CANDIDATE_CAP:
-        raise CapExceededError(f"{b} blocks exceed the candidate cap {CANDIDATE_CAP}")
-    seen = set()
-    for order in _shuffles(seqs):
-        for cut_mask in itertools.product((False, True), repeat=b - 1):
-            sizes = []
-            run = 1
-            for cut in cut_mask:
-                if cut:
-                    sizes.append(run)
-                    run = 1
-                else:
-                    run += 1
-            sizes.append(run)
-            cand = Candidate(order, tuple(sizes))
-            if dedup:
-                key = tuple(
-                    tuple(sorted((blk.v, blk.size) for blk in grp))
-                    for grp in cand.groups()
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield cand
-
-
-def enumerate_candidates(
-    spec: ModuleSpec, dedup: bool = True
-) -> list[Candidate]:
-    """All shuffles of the summand sequences with all contiguous cuts.
-
-    Duplicates agreeing in group-size sequence and per-group block multiset
-    are removed unless dedup is False.  Capped at 10 total blocks.
-    """
-    return list(_candidates(spec, dedup))
 
 
 @dataclass(frozen=True)
@@ -251,8 +162,11 @@ def candidate_table(
 ) -> list[dict]:
     """Per-candidate minimal prefix slack, for reporting.
 
-    The rows of `enumerate_candidates` in its order, at most `limit` of
-    them, computed on the scaled integer slopes: a group is keyed by the
+    One row per candidate, at most `limit` of them: every shuffle of the
+    per-summand block sequences (`_shuffles` order), each with every
+    contiguous cut (cut masks in `itertools.product` order), skipping a
+    candidate whose groups repeat an earlier one's block multisets.  It is
+    computed on the scaled integer slopes: a group is keyed by the
     multiset of its (scaled slope, h) pairs, and a slack times
     [K:L] * den is a scaled slope sum minus a scaled weight sum.
     """
@@ -268,7 +182,7 @@ def candidate_table(
         tuple((i, j, h, s) for j, s in enumerate(reversed(sc.blocks(i))))
         for i, h in enumerate(sc.sizes)
     ]
-    # group boundaries of every cut, in the order of `_candidates`
+    # group boundaries of every cut, in cut-mask order
     cuts = [
         (0, *(k + 1 for k, cut in enumerate(mask) if cut), b)
         for mask in itertools.product((False, True), repeat=b - 1)

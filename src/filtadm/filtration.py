@@ -74,20 +74,23 @@ cover the listed classes.  When the stable subspaces are finitely many
 the list holds every one of them, from the walk over covers, and an ok
 there is a proof; when they are infinitely many it comes from the
 pattern route, and its random-round audit vouches that it is complete.
-Only when some class does not certify are rows built, and the search
-runs: the listed classes, random-coefficient variants and closures of
-good-cap-tail intersections (the adversarially aligned subspaces),
-outside the certified classes, each against its exact t_H, the first
-violator being the witness.  The search decides as it would
-without the certificates, since no member of a certified class can
-violate.
+Only when some class does not certify does the search run: the listed
+classes, random-coefficient variants and closures of good-cap-tail
+intersections (the adversarially aligned subspaces), outside the
+certified classes, each against its exact t_H, the first violator being
+the witness.  The candidates stay piece ids, in (rank, canonical rows)
+order, which `subobjects._row_order` gives in integers as for the class
+list; `Fraction` rows are built only for a witness's basis.  The search
+decides as it would without the certificates, since no member of a
+certified class can violate.
 
 Tail dimensions of a subspace W come from one echelon pass per
 embedding: seeded with the canonical basis of W, it takes v_n, v_{n-1},
 ... while it grows, and after v_j its size is dim(W + T_j), so
 dim(W cap T_j) = dim W + (n - j + 1) - size.  The aligned candidates
 E cap T_j come from one pass per good and embedding over the columns
-outside E first, read off after each v_j as the rows pivoting inside E.
+outside E (from `_good_layout`) first, read off after each v_j as the
+rows pivoting inside E.
 The tails are nested, T_m in T_{m-1} in ... in T_2, so E cap T_m in ...
 in E cap T_2 are too, and each step adds the rows that v_j stores there.
 The closure of a union is the closure of the earlier closure and the new
@@ -121,10 +124,8 @@ from .subobjects import (
     DEFAULT_CAP,
     check_cap,
     StableLattice,
-    Subobject,
     _class_keys,
-    enumerate_good_subobjects,
-    good_coords,
+    _row_order,
     random_round_subobjects,
     smallest_enclosing_good,
 )
@@ -360,8 +361,12 @@ class AdmissibilityReport:
     reason: str | None                       # "equality" | "witness" | None
     witness: dict | None
     table: tuple[dict, ...]
-    checked: int
     proof: str | None = None                 # "certificate" | "search" | None
+
+    @property
+    def checked(self) -> int:
+        """The classes and candidates checked: one table row each."""
+        return len(self.table)
 
     def as_dict(self) -> dict:
         return {
@@ -428,14 +433,16 @@ def _aligned_candidates(
     spec = lattice.realization.spec
     out = []
     n = spec.dimension
-    for good in enumerate_good_subobjects(spec):
-        m = good.dimension(spec)
+    # the goods strictly between 0 and the whole module with their outside
+    # columns, then the whole module, last in `spec.goods`, with none
+    layout = _good_layout(spec, spec.goods) + [(None, n, [])]
+    for _, m, outside in layout:
         # E meets T_j in the generic dimension m - j + 1, strictly between
         # 0 and m, only for 2 <= j <= m
         if m < 2:
             continue
-        inside = set(good_coords(spec, good))
-        order = [c for c in range(n) if c not in inside] + sorted(inside)
+        inside = set(range(n)).difference(outside)
+        order = outside + sorted(inside)
         position = sorted(range(n), key=order.__getitem__)
         # the levels E meets, with the positions of their coordinates in order
         parts = [
@@ -468,20 +475,21 @@ def _aligned_candidates(
 
 
 def _witness(
-    sub: Subobject,
+    rows: Mat,
     th: Fraction,
     tn: Fraction,
     enclosing: GoodSubobject,
     spec: ModuleSpec,
     source: str,
 ) -> dict:
+    """The witness entry of a violating subspace with canonical `rows`."""
     return {
         "kind": "witness",
         "source": source,
-        "dim": sub.rank,
+        "dim": len(rows),
         "tH": fraction_to_str(th),
         "tN": fraction_to_str(tn),
-        "basis": [[fraction_to_str(x) for x in row] for row in sub.rows],
+        "basis": [[fraction_to_str(x) for x in row] for row in rows],
         "enclosingGood": list(enclosing.counts),
         "enclosingDim": enclosing.dimension(spec),
     }
@@ -535,7 +543,7 @@ def check_admissible(
             "tH": fraction_to_str(total_th),
             "tN": fraction_to_str(total_tn),
         }
-        return AdmissibilityReport(False, "equality", witness, (), 0)
+        return AdmissibilityReport(False, "equality", witness, ())
     if not filtration.transverse:
         layout = _good_layout(spec, spec.goods)
         for sigma, basis in enumerate(filtration.int_bases):
@@ -566,17 +574,16 @@ def check_admissible(
                 _class_row(size, lattice.scaled_t_n(good_keys[j]), den, kl * prefix[size])
                 for size, _, j in scan[: pos + 1]
             )
-            ints = lattice.int_rows(good_keys[k])
-            sub = Subobject(linalg.fraction_rows(ints), good_keys[k])
-            th_val = _t_h(filtration, ints, cfg)
+            th_val = _t_h(filtration, lattice.int_rows(good_keys[k]), cfg)
             if th_val != kl * prefix[m]:
                 raise InternalConsistencyError(
                     f"stable good {goods[k].counts} has t_H {th_val}, not "
                     f"[K:L] P[{m}] = {kl * prefix[m]}: the filtration is not transverse"
                 )
             tn_val = lattice.t_n(good_keys[k])
-            witness = _witness(sub, th_val, tn_val, goods[k], spec, "good")
-            return AdmissibilityReport(False, "witness", witness, table, len(table))
+            rows = lattice.rows(good_keys[k])
+            witness = _witness(rows, th_val, tn_val, goods[k], spec, "good")
+            return AdmissibilityReport(False, "witness", witness, table)
 
     listed = _class_keys(lattice, seed, rounds)
     steps = _chain_steps(lattice, profile)
@@ -593,37 +600,35 @@ def check_admissible(
         if bound * den <= scaled:
             certified.add((dim, inter))
     if len(certified) == len(table):
-        return AdmissibilityReport(
-            True, None, None, tuple(table), len(table), "certificate"
-        )
+        return AdmissibilityReport(True, None, None, tuple(table), "certificate")
 
     candidates = dict.fromkeys(listed)
     rng = random.Random(seed + 1)
     for _ in range(rounds):
         candidates.update(dict.fromkeys(random_round_subobjects(lattice, rng)))
     candidates.update(dict.fromkeys(_aligned_candidates(lattice, filtration)))
-    subs = [
-        Subobject(lattice.rows(key), key)
+    keys = [
+        key
         for key in candidates
         if 0 < lattice.dim(key) < n
         and (lattice.dim(key), lattice.good_dims(key)) not in certified
     ]
+    # (rank, canonical rows) order: distinct keys are distinct subspaces
+    rows_order = _row_order(lattice, keys)
     witness = None
-    for sub in sorted(subs, key=lambda s: (s.rank, s.rows)):
-        tn_val = lattice.t_n(sub.key)
-        th_val = _t_h(filtration, lattice.int_rows(sub.key), cfg)
+    for key in sorted(keys, key=lambda k: (lattice.dim(k), rows_order[k])):
+        tn_val = lattice.t_n(key)
+        th_val = _t_h(filtration, lattice.int_rows(key), cfg)
         table.append(
             {
-                "dim": sub.rank,
+                "dim": lattice.dim(key),
                 "tH": fraction_to_str(th_val),
                 "tN": fraction_to_str(tn_val),
             }
         )
         if th_val > tn_val and witness is None:
-            enclosing = smallest_enclosing_good(
-                realization.spec, lattice.profile(sub.key)
-            )
-            witness = _witness(sub, th_val, tn_val, enclosing, spec, "search")
+            enclosing = smallest_enclosing_good(realization.spec, lattice.profile(key))
+            witness = _witness(lattice.rows(key), th_val, tn_val, enclosing, spec, "search")
     if witness is not None:
-        return AdmissibilityReport(False, "witness", witness, tuple(table), len(table))
-    return AdmissibilityReport(True, None, None, tuple(table), len(table), "search")
+        return AdmissibilityReport(False, "witness", witness, tuple(table))
+    return AdmissibilityReport(True, None, None, tuple(table), "search")

@@ -16,8 +16,8 @@ coupling term, so column j of Phi is lambda_j (e_j + E e_j) with E the 0/1
 edge coupling.  The realization keeps the eigenvalues and the nonzero
 entries of the columns of E and N; N * Phi = p * Phi * N is checked
 exactly on them, with work proportional to the nonzero entries.  Dense
-rational matrices are built only when read (`ConcreteRealization.phi`,
-`nmat`, `coupling`), for the `build-phi` report.
+rational matrices of Phi and N are built only when read
+(`ConcreteRealization.phi`, `nmat`), for the `build-phi` report.
 
 Blocks of one eigenvalue form a level; distinct families never share an
 eigenvalue and every edge stays inside a level, so on the coordinate span
@@ -30,7 +30,8 @@ integer operators of `level_operators`, read off the sparse columns, which
 is where the level split is enforced: it raises if E leaves a level or N
 sends one into two.  The Newton slope of W is the sum over levels of
 dim(W cap V_lambda) times the slope of one block of the level
-(`level_t_n`), in the integers of `model.scaled_slopes`.
+(`level_slopes`, in the integers of `model.scaled_slopes`), which
+`subobjects.StableLattice.t_n` adds up per stable subspace.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from .linalg import Mat
 from .model import Block, ModuleSpec, Summand, _is_prime, scaled_slopes
@@ -108,8 +108,8 @@ class ConcreteRealization:
     Column j of Phi is lambda_j (e_j + E e_j), with lambda_j the eigenvalue
     of basis index j (an int where integral) and E the edge coupling; the
     columns of E and N hold their nonzero entries as (row, value) pairs.
-    The dense Fraction matrices `phi`, `nmat` and `coupling` are built from
-    them on first read.
+    The dense Fraction matrices `phi` and `nmat` are built from them on
+    first read.
     """
 
     spec: ModuleSpec
@@ -151,12 +151,6 @@ class ConcreteRealization:
     def nmat(self) -> Mat:
         """N as a dense Fraction matrix."""
         return self._dense(self.n_cols)
-
-    @cached_property
-    def coupling(self) -> Mat:
-        """E, with Phi = lambda * (1 + E) on each level, as a dense Fraction
-        matrix."""
-        return self._dense(self.e_cols)
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
@@ -210,13 +204,6 @@ class ConcreteRealization:
         firsts = (self.basis[coords[0]] for coords in self.levels)
         return tuple(sc.bottoms[b.summand] + b.k * sc.step for b in firsts), sc.den
 
-    def level_t_n(self, dims: Iterable[int]) -> Fraction:
-        """Newton slope of a Phi,N-stable subspace W with dim(W cap V_lambda)
-        given per level: each level contributes it times the slope of its
-        blocks."""
-        nums, den = self.level_slopes
-        return Fraction(sum(d * x for d, x in zip(dims, nums)), den)
-
 
 def realize_matrices(
     spec: ModuleSpec,
@@ -226,16 +213,24 @@ def realize_matrices(
     """Exact (Phi, N) realizing the spec, as sparse integer columns; h = 1
     only.
 
-    Raises ValueError for a zero seed, for two families sharing an
-    eigenvalue, and for an edge coupling blocks of different eigenvalues:
-    each breaks the level structure that closures and t_N rely on.
+    Raises ValueError for a seed missing for a family of the spec or given
+    for a family it does not have, for a zero seed, for two families
+    sharing an eigenvalue, and for an edge coupling blocks of different
+    eigenvalues: each breaks the level structure that closures and t_N
+    rely on.
     """
     for fam in spec.families:
         if fam.h != 1:
             raise ValueError("concrete layer requires h=1")
     if seeds is None:
         seeds = _default_seeds(spec)
+    known = [fam.id for fam in spec.families]
+    for fid in known:
+        if fid not in seeds:
+            raise ValueError(f"no Frobenius seed for family {fid!r}")
     for fid, seed in seeds.items():
+        if fid not in known:
+            raise ValueError(f"Frobenius seed for unknown family {fid!r}")
         if seed == 0:
             raise ValueError(f"Frobenius seed of family {fid!r} is zero")
     # an integral seed is held as an int, so integral eigenvalues are ints

@@ -217,9 +217,18 @@ class GoodSubobject:
         object.__setattr__(self, "counts", tuple(self.counts))
 
     def dimension(self, spec: ModuleSpec) -> int:
+        self._require_shape(spec)
         return sum(
             c * spec.family_of(i).h for i, c in enumerate(self.counts)
         )
+
+    def _require_shape(self, spec: ModuleSpec) -> None:
+        """Raise ValueError unless there is one count per summand of `spec`."""
+        if len(self.counts) != len(spec.summands):
+            raise ValueError(
+                f"good subobject has {len(self.counts)} counts for "
+                f"{len(spec.summands)} summands"
+            )
 
     def contains(self, other: "GoodSubobject") -> bool:
         return all(a >= b for a, b in zip(self.counts, other.counts))
@@ -327,11 +336,13 @@ def t_n(spec: ModuleSpec, part: GoodSubobject | None = None) -> Fraction:
     """Newton slope of the whole module or of a good subobject.
 
     Sum over included blocks (family F, twist n) of F.t_base + n*[K:Qp],
-    added up in closed form over the scaled integer slopes.
+    added up in closed form over the scaled integer slopes.  Raises
+    ValueError unless `part` has one count per summand, each in range.
     """
     sc = scaled_slopes(spec)
     if part is None:
         return Fraction(sum(sc.totals), sc.den)
+    part._require_shape(spec)
     for i, c in enumerate(part.counts):
         if c < 0 or c > spec.summands[i].b:
             raise ValueError(f"good subobject count out of range at summand {i}")

@@ -34,7 +34,6 @@ class TypePartition:
 
     groups: tuple[tuple[int, ...], ...]
     dims: tuple[int, ...]
-    slopes_num: tuple[Fraction, ...]   # total t_N per group
     avg_slopes: tuple[Fraction, ...]
 
 
@@ -89,18 +88,17 @@ def group_and_order(spec: ModuleSpec) -> tuple[TypePartition, tuple[int, ...]]:
             spec.family_of(comp[0]).id,
             tuple(sorted((spec.summands[i].l, spec.summands[i].b) for i in comp)),
         )
-        entries.append((key, members, dim, total))
+        entries.append((key, members, dim))
     entries.sort(key=lambda e: e[0])
-    perm = tuple(i for _, members, _, _ in entries for i in members)
+    perm = tuple(i for _, members, _ in entries for i in members)
     groups = []
     pos = 0
-    for _, members, _, _ in entries:
+    for _, members, _ in entries:
         groups.append(tuple(range(pos, pos + len(members))))
         pos += len(members)
     partition = TypePartition(
         tuple(groups),
         tuple(e[2] for e in entries),
-        tuple(Fraction(e[3], sc.den) for e in entries),
         tuple(e[0][0] for e in entries),
     )
     return partition, perm

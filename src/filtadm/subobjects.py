@@ -91,7 +91,6 @@ __all__ = [
     "enumerate_good_subobjects",
     "is_stable_good",
     "stable_good_subobjects",
-    "good_coords",
     "smallest_enclosing_good",
     "enumerate_concrete_subobjects",
     "random_round_subobjects",
@@ -152,19 +151,6 @@ def stable_good_subobjects(
     return tuple(
         g for g in enumerate_good_subobjects(spec) if is_stable_good(g, edges)
     )
-
-
-def good_coords(spec: ModuleSpec, good: GoodSubobject) -> tuple[int, ...]:
-    """Basis indices of the included blocks (h = 1 block layout)."""
-    coords = []
-    pos = 0
-    for i, s in enumerate(spec.summands):
-        h = spec.family_of(i).h
-        if h != 1:
-            raise ValueError("coordinate layout requires h=1")
-        coords.extend(range(pos, pos + good.counts[i]))
-        pos += s.b
-    return tuple(coords)
 
 
 def _full(spec: ModuleSpec) -> GoodSubobject:

@@ -9,8 +9,9 @@ share no elimination code with `filtadm.linalg`.  `emerton_scan` decides
 the shuffle valuation condition by walking every top selection, where the
 library solves a min-mass knapsack, and `candidate_table_fractions`
 builds the report table of the shuffle condition from `Fraction`
-valuations candidate by candidate, where the library sums scaled integer
-slopes over each shuffle's intervals.  `slope_chain`, `all_block_orders`
+valuations candidate by candidate, over the candidates of
+`enumerate_candidates` (`gamma_blocks` with every shuffle and cut), where
+the library sums scaled integer slopes over each shuffle's intervals.  `slope_chain`, `all_block_orders`
 and `min_slope_per_dim` are the slope criteria in `Fraction` arithmetic,
 block by block and through a block-by-dimension subset DP, where the
 library scales the slopes to integers; all three oracles add up the
@@ -21,14 +22,16 @@ small box, where the lattice reads the cover span S_lambda(U) of a level
 off one null space.
 
 The intersection dimensions of the verify path are asked here once per
-pair, where the library reads them off one echelon pass or its lattice of
-level pieces: intersection profiles and class keys good by good, from any
-rows, transversality tail by tail (and by one minor per good, the form
-before the one-echelon check), tail dimensions by stacking, and aligned
-candidates by one intersection per tail.  `class_subobjects` chooses and
-sorts the class list on `Fraction` rows, where the library compares
-integer rows.  Hand-written subspaces
-reach the greedy flags through `intersection_profile`.
+pair, on the coordinates of each good (`good_coords`), where the library
+reads them off one echelon pass or its lattice of level pieces (and the
+columns outside each good off the summand offsets): intersection
+profiles and class keys good by good, from any rows, transversality tail
+by tail (and by one minor per good, the form before the one-echelon
+check), tail dimensions by stacking, and aligned candidates by one
+intersection per tail.  `class_subobjects` chooses and sorts the class
+list on `Fraction` rows, where the library compares integer rows.
+Hand-written subspaces reach the greedy flags through
+`intersection_profile`.
 
 The special-pair oracles are the `Fraction` forms of the clause check, the
 weight solver, the index set, the weighted comparison and both seeded
@@ -67,7 +70,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from filtadm import linalg, pairs
-from filtadm.emerton import EmertonVerdict, _candidates, gamma_blocks
+from filtadm.emerton import CANDIDATE_CAP, EmertonVerdict, _shuffles
 from filtadm.filtration import SINGULAR, Filtration, _tail_dims
 from filtadm.frobenius import ConcreteRealization, ModificationEdge, _default_seeds
 from filtadm.linalg import Mat, Vec
@@ -90,6 +93,7 @@ from filtadm.pairs import (
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     DEFAULT_CAP,
+    CapExceededError,
     StableLattice,
     Subobject,
     _full,
@@ -97,7 +101,6 @@ from filtadm.subobjects import (
     _saturate,
     check_cap,
     enumerate_good_subobjects,
-    good_coords,
     random_round_subobjects,
     smallest_enclosing_good,
     stable_good_subobjects,
@@ -344,7 +347,13 @@ def dense_realization(
             raise ValueError("concrete layer requires h=1")
     if seeds is None:
         seeds = _default_seeds(spec)
+    known = [fam.id for fam in spec.families]
+    for fid in known:
+        if fid not in seeds:
+            raise ValueError(f"no Frobenius seed for family {fid!r}")
     for fid, seed in seeds.items():
+        if fid not in known:
+            raise ValueError(f"Frobenius seed for unknown family {fid!r}")
         if seed == 0:
             raise ValueError(f"Frobenius seed of family {fid!r} is zero")
     basis = tuple(spec.blocks())
@@ -611,6 +620,95 @@ def all_block_orders(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
     return chain_verdict(spec, profile, points)
 
 
+@dataclass(frozen=True)
+class GammaBlock:
+    origin: int          # summand index
+    j: int               # position inside the summand, 0-based
+    size: int            # dimension h of the underlying family
+    v: Fraction          # valuation of the block's central character at p
+
+
+@dataclass(frozen=True)
+class Candidate:
+    order: tuple[GammaBlock, ...]
+    group_sizes: tuple[int, ...]    # blocks per group, sums to len(order)
+
+    @property
+    def beta(self) -> tuple[int, ...]:
+        dims = []
+        pos = 0
+        for g in self.group_sizes:
+            dims.append(sum(b.size for b in self.order[pos : pos + g]))
+            pos += g
+        return tuple(dims)
+
+    def groups(self) -> list[tuple[GammaBlock, ...]]:
+        out = []
+        pos = 0
+        for g in self.group_sizes:
+            out.append(self.order[pos : pos + g])
+            pos += g
+        return out
+
+
+def gamma_blocks(spec: ModuleSpec) -> list[tuple[GammaBlock, ...]]:
+    """Per summand, the descending gamma-block sequence."""
+    cfg = spec.config
+    out = []
+    for i, s in enumerate(spec.summands):
+        fam = spec.family_of(i)
+        seq = []
+        for j in range(s.b):
+            twist = s.l + s.b - 1 - j
+            tn_block = fam.t_base + twist * cfg.deg_K_Qp
+            seq.append(GammaBlock(i, j, fam.h, tn_block / cfg.deg_K_L))
+        out.append(tuple(seq))
+    return out
+
+
+def _candidates(spec: ModuleSpec, dedup: bool):
+    """Candidates in enumeration order, generated lazily; the canonical
+    order and the cap are checked before the first one."""
+    require_canonical(spec)
+    seqs = gamma_blocks(spec)
+    b = sum(len(s) for s in seqs)
+    if b > CANDIDATE_CAP:
+        raise CapExceededError(f"{b} blocks exceed the candidate cap {CANDIDATE_CAP}")
+    seen = set()
+    for order in _shuffles(seqs):
+        for cut_mask in itertools.product((False, True), repeat=b - 1):
+            sizes = []
+            run = 1
+            for cut in cut_mask:
+                if cut:
+                    sizes.append(run)
+                    run = 1
+                else:
+                    run += 1
+            sizes.append(run)
+            cand = Candidate(order, tuple(sizes))
+            if dedup:
+                key = tuple(
+                    tuple(sorted((blk.v, blk.size) for blk in grp))
+                    for grp in cand.groups()
+                )
+                if key in seen:
+                    continue
+                seen.add(key)
+            yield cand
+
+
+def enumerate_candidates(
+    spec: ModuleSpec, dedup: bool = True
+) -> list[Candidate]:
+    """All shuffles of the summand sequences with all contiguous cuts.
+
+    Duplicates agreeing in group-size sequence and per-group block multiset
+    are removed unless dedup is False.  Capped at 10 total blocks.
+    """
+    return list(_candidates(spec, dedup))
+
+
 def emerton_scan(spec: ModuleSpec, profile: WeightProfile) -> EmertonVerdict:
     """Unitarity plus prefix domination over every candidate.
 
@@ -677,6 +775,19 @@ def candidate_table_fractions(
             }
         )
     return rows
+
+
+def good_coords(spec: ModuleSpec, good: GoodSubobject) -> tuple[int, ...]:
+    """Basis indices of the included blocks (h = 1 block layout)."""
+    coords = []
+    pos = 0
+    for i, s in enumerate(spec.summands):
+        h = spec.family_of(i).h
+        if h != 1:
+            raise ValueError("coordinate layout requires h=1")
+        coords.extend(range(pos, pos + good.counts[i]))
+        pos += s.b
+    return tuple(coords)
 
 
 def dim_intersection_coords(coords: Sequence[int], b: Mat, n: int) -> int:

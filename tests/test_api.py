@@ -7,6 +7,8 @@ import pkgutil
 import pytest
 
 import filtadm
+import filtadm.emerton
+import filtadm.frobenius
 import filtadm.subobjects
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(filtadm.__path__))
@@ -33,8 +35,7 @@ PUBLIC = [
     "build_modified_frobenius", "build_transverse_filtration",
     "canonical_order", "check_admissible", "check_all_block_orders",
     "check_emerton_condition", "check_not_precede", "check_slope_chain",
-    "check_weighted_inequality", "enumerate_candidates",
-    "enumerate_concrete_subobjects", "enumerate_good_subobjects",
+    "check_weighted_inequality", "enumerate_concrete_subobjects", "enumerate_good_subobjects",
     "group_and_order", "hom_dim", "is_special", "realize_matrices",
     "solve_t", "spec_violations", "t_h", "t_n", "validate_spec",
 ]
@@ -55,3 +56,25 @@ def test_public_surface_pinned():
 def test_flag_layer_not_in_package(name):
     assert not hasattr(filtadm, name)
     assert not hasattr(filtadm.subobjects, name)
+
+
+# second implementations of jobs the library does once: the Fraction
+# shuffle candidates, the good coordinates and the dense coupling live
+# with the test oracles; t_N of a stable subspace is `StableLattice.t_n`
+MOVED = [
+    (filtadm.emerton, "GammaBlock"),
+    (filtadm.emerton, "Candidate"),
+    (filtadm.emerton, "gamma_blocks"),
+    (filtadm.emerton, "enumerate_candidates"),
+    (filtadm.subobjects, "good_coords"),
+    (filtadm.frobenius.ConcreteRealization, "coupling"),
+    (filtadm.frobenius.ConcreteRealization, "level_t_n"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name", MOVED, ids=[f"{o.__name__}.{n}" for o, n in MOVED]
+)
+def test_moved_twins_not_in_package(owner, name):
+    assert not hasattr(filtadm, name)
+    assert not hasattr(owner, name)

@@ -6,6 +6,9 @@ no instance stops at the total-equality check.  Every instance runs with
 two filtration seeds.  Every ok rests on chain certificates and every
 failure on a stable good witness.  The sha256 of all reports pins their
 bytes.
+
+Unmodified realizations reach the candidate search, which the modified
+stream never does; a second digest pins those reports.
 """
 
 import hashlib
@@ -23,6 +26,11 @@ FILTRATION_SEEDS = (0, 1)
 # re-pinned when chain certificates took the place of the candidate
 # search: one table row per class with its bound, no verdict moved
 REPORTS_SHA256 = "a42db46694422cc3fb555d08d652753090c7dbad51187898c5e608e20da84613"
+# computed before the search ordered its candidates on piece ids instead
+# of `Subobject` rows
+UNMODIFIED_SEED = 3
+UNMODIFIED_COUNT = 100
+UNMODIFIED_SHA256 = "b41c3a195b175de18b81bed454a02fb53fe18b5b5df6b687c6d62d84c8a84618"
 
 
 def test_constructive_route_matches_slope_chain_up_to_dimension_8():
@@ -48,3 +56,21 @@ def test_constructive_route_matches_slope_chain_up_to_dimension_8():
     # the stream reaches dimensions 7-8 with both verdicts
     assert high[True] >= 3 and high[False] >= 3
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_unmodified_reports_through_the_search_pinned():
+    stream = equal_total_stream(UNMODIFIED_SEED, UNMODIFIED_COUNT, max_dim=7)
+    digest = hashlib.sha256()
+    searched = {True: 0, False: 0}
+    for spec, profile in stream:
+        real = realize_matrices(spec)
+        for seed in FILTRATION_SEEDS:
+            filt = build_transverse_filtration(spec, profile, real, seed=seed)
+            report = check_admissible(spec, profile, real, filt, seed=seed)
+            witness = report.witness or {}
+            if report.proof == "search" or witness.get("source") == "search":
+                searched[report.ok] += 1
+            digest.update(json.dumps(report.as_dict(), sort_keys=True).encode())
+    # both search outcomes occur: ok by search and a searched witness
+    assert searched[True] >= 5 and searched[False] >= 5
+    assert digest.hexdigest() == UNMODIFIED_SHA256

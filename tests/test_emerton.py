@@ -8,14 +8,7 @@ import pytest
 
 import helpers
 from filtadm.cli import main
-from filtadm.emerton import (
-    CANDIDATE_CAP,
-    Candidate,
-    candidate_table,
-    check_emerton_condition,
-    enumerate_candidates,
-    gamma_blocks,
-)
+from filtadm.emerton import CANDIDATE_CAP, candidate_table, check_emerton_condition
 from filtadm.model import (
     Config,
     Family,
@@ -33,7 +26,12 @@ from filtadm.ordering import canonical_order
 from filtadm.slopes import check_all_block_orders, check_slope_chain
 from filtadm.subobjects import CapExceededError
 from helpers import instance_stream
-from oracles import candidate_table_fractions, emerton_scan
+from oracles import (
+    candidate_table_fractions,
+    emerton_scan,
+    enumerate_candidates,
+    gamma_blocks,
+)
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))

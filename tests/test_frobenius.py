@@ -188,8 +188,8 @@ def test_sparse_realization_matches_dense_oracle(ex1a, ex1b, ex2, ex3):
                 refused += 1
                 continue
             real = realize_matrices(spec, edges, seeds)
-            assert (real.phi, real.nmat, real.coupling) == (phi, nmat, coupling)
-            for m in (real.phi, real.nmat, real.coupling):
+            assert (real.phi, real.nmat) == (phi, nmat)
+            for m in (real.phi, real.nmat):
                 assert all(type(x) is Fraction for row in m for x in row)
             assert real.level_operators == oracles.dense_level_operators(
                 real.levels, coupling, nmat
@@ -271,6 +271,18 @@ def test_t_n_concrete_det_oracle(ex1a):
 def test_realize_rejects_zero_seed(ex1a):
     with pytest.raises(ValueError, match="seed of family 'F' is zero"):
         realize_matrices(ex1a, build_modified_frobenius(ex1a), seeds={"F": Fraction(0)})
+
+
+@pytest.mark.parametrize(
+    "seeds, want",
+    [
+        ({"nope": Fraction(3)}, "no Frobenius seed for family 'F'"),
+        ({"F": Fraction(3), "nope": Fraction(3)}, "seed for unknown family 'nope'"),
+    ],
+)
+def test_realize_rejects_seeds_off_the_families(ex3, seeds, want):
+    with pytest.raises(ValueError, match=want):
+        realize_matrices(ex3, (), seeds)
 
 
 def test_realize_rejects_shared_eigenvalue():

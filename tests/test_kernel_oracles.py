@@ -28,7 +28,6 @@ from filtadm.subobjects import (
     _saturate,
     enumerate_concrete_subobjects,
     enumerate_good_subobjects,
-    good_coords,
     random_round_subobjects,
     stable_good_subobjects,
 )
@@ -40,7 +39,7 @@ from helpers import (
     random_spec,
 )
 import oracles
-from oracles import good_span
+from oracles import good_coords, good_span
 
 
 def _vector(rng, n, density):

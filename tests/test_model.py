@@ -80,6 +80,18 @@ def test_t_n_out_of_range(ex1a):
         t_n(ex1a, GoodSubobject((2, 0)))
 
 
+@pytest.mark.parametrize("counts", [(1,), (1, 0, 0, 0, 0)])
+def test_good_subobject_needs_one_count_per_summand(ex2, counts):
+    # a short count vector used to read as zeros past its end, and a long
+    # one to raise a bare IndexError
+    good = GoodSubobject(counts)
+    want = f"{len(counts)} counts for 2 summands"
+    with pytest.raises(ValueError, match=want):
+        t_n(ex2, good)
+    with pytest.raises(ValueError, match=want):
+        good.dimension(ex2)
+
+
 @given(st.integers(0, 1), st.integers(0, 2))
 def test_t_n_additive_over_direct_sums(c1, c2):
     # two copies of the same chain data viewed as one four-summand module:

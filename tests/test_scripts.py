@@ -202,6 +202,55 @@ def test_ab_pairs_alternates_and_counts_wins(tmp_path, capsys):
     assert "change won 0/3, gain not beyond the base IQR" in summary["setup_s"]
 
 
+# A stand-in whose metrics are read from a table per side and seed: a
+# base throughput spread wider than its bound, a p50 twice the base, a
+# spread p90 that every change run beats, a setup 10% slower (bound 25%)
+# and an RSS 13% higher (bound 10%).
+TABLE_HARNESS = """
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+k = int(args["--seed"])
+metrics = {
+    "base": {
+        "throughput_per_s": [50, 100, 150, 200][k], "latency_p50_ms": 10 + k / 10,
+        "latency_p90_ms": [10, 20, 30, 40][k], "setup_s": 1.0, "peak_rss_mb": 30.0,
+    },
+    "change": {
+        "throughput_per_s": [51, 101, 151, 201][k], "latency_p50_ms": 20 + k / 10,
+        "latency_p90_ms": [1, 2, 3, 4][k], "setup_s": 1.1, "peak_rss_mb": 34.0,
+    },
+}[here.name]
+print(json.dumps({
+    "correct": True, "attempted": 10, "failed": 0,
+    "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()},
+}))
+"""
+
+
+def test_ab_pairs_gives_a_verdict_per_metric(tmp_path, capsys):
+    root = Path(__file__).parent.parent
+    for side in ("base", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(TABLE_HARNESS)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (root / "BENCHMARK.json").read_text()
+    )
+    status = _load("ab_pairs").main([
+        "--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+        "--workload", "verify_stream", "--seeds", "0", "1", "2", "3", "--seconds", "1",
+    ])
+    assert status == 0
+    out = capsys.readouterr().out.splitlines()
+    summary = {line.split()[0]: line for line in out[5:]}
+    assert summary["throughput_per_s"].endswith("unresolved (bound 0.25)")
+    assert summary["latency_p50_ms"].endswith("worse beyond bound (bound 0.25)")
+    assert summary["latency_p90_ms"].endswith("within bound (bound 0.25)")
+    assert summary["setup_s"].endswith("within bound (bound 0.25)")
+    assert summary["peak_rss_mb"].endswith("worse beyond bound (bound 0.1)")
+
+
 def test_ab_pairs_stops_on_a_failed_run(tmp_path, capsys):
     for side in ("base", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)

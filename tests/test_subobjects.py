@@ -585,10 +585,11 @@ def test_walk_lists_the_saturated_pattern_set_on_finite_lattices(ex1a, ex1b, ex2
         assert nodes[0] == lattice.zero and len(set(nodes)) == len(nodes)
         assert set(nodes) == set(_saturated_patterns(lattice))
         # the measures the walk carries from a subspace to its covers
+        nums, den = real.level_slopes
         for key in nodes:
             dims = lattice.level_dims(key)
             assert lattice.dim(key) == sum(dims)
-            assert lattice.t_n(key) == real.level_t_n(dims)
+            assert lattice.t_n(key) == Fraction(sum(d * x for d, x in zip(dims, nums)), den)
             parts = [lattice._level_terms(level, pid) for level, pid in enumerate(key)]
             assert lattice.good_dims(key) == tuple(map(sum, zip(*parts)))
         finite += 1
