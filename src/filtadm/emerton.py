@@ -40,13 +40,16 @@ The explicit candidates are walked only for the report table, capped at
 10 total blocks (`candidate_table`); the `Fraction` enumeration of the
 same candidates is a test oracle.  The table walks the shuffles and cuts
 on the scaled integer slopes: per shuffle it keys every interval by the
-multiset of its (scaled slope, h) pairs and every prefix by its scaled
-slack, so a cut costs a few lookups and a row one Fraction; it stops
-enumerating once it has its rows.
+multiset of its (scaled slope, h) pairs, each grown from the interval
+one block shorter by one sorted insertion, and every prefix by its scaled
+slack, so a cut costs a few lookups; a row shares its shuffle's order
+listing and writes its slack from integers (`model.ratio_to_str`), with
+no Fraction built.  It stops enumerating once it has its rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +58,7 @@ from .model import (
     ModuleSpec,
     WeightProfile,
     fraction_to_str,
+    ratio_to_str,
     scaled_slopes,
     validate_spec,
 )
@@ -191,16 +195,20 @@ def candidate_table(
     seen = set()
     rows = []
     for order in _shuffles(seqs):
-        # per interval [a, c) of the order: its multiset id and dimension
+        # per interval [a, c) of the order: its multiset id and dimension,
+        # the multiset grown from that of [a, c - 1) by one insertion
         ids = {}
         dims = {}
         for a in range(b):
-            for c in range(a + 1, b + 1):
-                grp = order[a:c]
-                ids[a, c] = pieces.setdefault(
-                    tuple(sorted((blk[3], blk[2]) for blk in grp)), len(pieces)
-                )
-                dims[a, c] = sum(blk[2] for blk in grp)
+            grp: list[tuple[int, int]] = []
+            dim = 0
+            for c in range(a, b):
+                blk = order[c]
+                bisect.insort(grp, (blk[3], blk[2]))
+                dim += blk[2]
+                ids[a, c + 1] = pieces.setdefault(tuple(grp), len(pieces))
+                dims[a, c + 1] = dim
+        listing = [[blk[0], blk[1]] for blk in order]
         # slack[k]: scaled slack of the first k blocks
         acc_w = itertools.accumulate(blk[2] for blk in order)
         acc_s = itertools.accumulate(blk[3] for blk in order)
@@ -217,10 +225,8 @@ def candidate_table(
             rows.append(
                 {
                     "beta": [dims[span] for span in spans],
-                    "order": [[blk[0], blk[1]] for blk in order],
-                    "minSlack": fraction_to_str(
-                        Fraction(min(slack[k] for k in inner), scale)
-                    )
+                    "order": listing,
+                    "minSlack": ratio_to_str(min(slack[k] for k in inner), scale)
                     if inner
                     else None,
                 }

@@ -101,7 +101,6 @@ closure(E cap T_j) in turn.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,6 +115,7 @@ from .model import (
     ModuleSpec,
     WeightProfile,
     fraction_to_str,
+    ratio_to_str,
     t_n,
     validate_spec,
 )
@@ -495,15 +495,9 @@ def _witness(
     }
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """`fraction_to_str(Fraction(num, den))` for den > 0, in integers."""
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
 def _class_row(dim: int, scaled_tn: int, den: int, bound: int) -> dict:
     """A table row: t_N is scaled_tn / den, the bound an integer."""
-    return {"dim": dim, "tN": _ratio_str(scaled_tn, den), "tHBound": f"{bound}/1"}
+    return {"dim": dim, "tN": ratio_to_str(scaled_tn, den), "tHBound": f"{bound}/1"}
 
 
 def check_admissible(

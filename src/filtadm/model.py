@@ -43,6 +43,7 @@ __all__ = [
     "validate_spec",
     "t_n",
     "fraction_to_str",
+    "ratio_to_str",
     "fraction_from_json",
     "spec_to_dict",
     "spec_from_dict",
@@ -356,9 +357,21 @@ def t_n(spec: ModuleSpec, part: GoodSubobject | None = None) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+def fraction_to_str(x: Fraction | int) -> str:
+    """A rational as 'num/den' in lowest terms, den > 0."""
+    if type(x) is int:
+        return f"{x}/1"
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def ratio_to_str(num: int, den: int) -> str:
+    """`fraction_to_str(Fraction(num, den))` for integers num and den > 0,
+    reduced by one gcd with no Fraction built: what a report writes for a
+    scaled integer (a slack or t_N times its common denominator)."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def fraction_from_json(value, field: str = "value") -> Fraction:
@@ -407,33 +420,50 @@ def spec_to_dict(spec: ModuleSpec) -> dict:
     }
 
 
-def spec_from_dict(data: dict) -> ModuleSpec:
-    try:
-        cfg = Config(
-            p=_json_int(data["p"], "p"),
-            deg_K_Qp=_json_int(data["degKQp"], "degKQp"),
-            deg_L_Qp=_json_int(data["degLQp"], "degLQp"),
-            deg_K_L=_json_int(data["degKL"], "degKL"),
-            f_prime=_json_int(data.get("fPrime", 1), "fPrime"),
-        )
-        families = tuple(
-            Family(
-                _json_str(f["id"], f"families[{i}].id"),
-                _json_int(f["h"], f"families[{i}].h"),
-                fraction_from_json(f["tBase"], f"families[{i}].tBase"),
-            )
-            for i, f in enumerate(data["families"])
-        )
-        summands = tuple(
-            Summand(
-                _json_str(s["family"], f"summands[{i}].family"),
-                _json_int(s["l"], f"summands[{i}].l"),
-                _json_int(s["b"], f"summands[{i}].b"),
-            )
-            for i, s in enumerate(data["summands"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError([f"malformed module spec: {exc}"]) from exc
+def _member(obj, key: str, where: str = ""):
+    """obj[key] of a JSON object; a value that is not an object, or one
+    without `key`, raises SpecError naming `where` and the key."""
+    at = f"{where}: " if where else ""
+    if type(obj) is not dict:
+        raise SpecError([f"{at}expected a JSON object"])
+    if key not in obj:
+        raise SpecError([f"{at}missing field {key!r}"])
+    return obj[key]
+
+
+def _json_list(value, field: str) -> list:
+    """A JSON list; anything else raises SpecError naming `field`."""
+    if type(value) is not list:
+        raise SpecError([f"{field}: expected a list, got {value!r}"])
+    return value
+
+
+def spec_from_dict(data) -> ModuleSpec:
+    """The spec a JSON object describes; a missing field or a value of the
+    wrong shape raises SpecError naming it."""
+    cfg = Config(
+        p=_json_int(_member(data, "p"), "p"),
+        deg_K_Qp=_json_int(_member(data, "degKQp"), "degKQp"),
+        deg_L_Qp=_json_int(_member(data, "degLQp"), "degLQp"),
+        deg_K_L=_json_int(_member(data, "degKL"), "degKL"),
+        f_prime=_json_int(data.get("fPrime", 1), "fPrime"),
+    )
+    families = []
+    for i, f in enumerate(_json_list(_member(data, "families"), "families")):
+        at = f"families[{i}]"
+        families.append(Family(
+            _json_str(_member(f, "id", at), f"{at}.id"),
+            _json_int(_member(f, "h", at), f"{at}.h"),
+            fraction_from_json(_member(f, "tBase", at), f"{at}.tBase"),
+        ))
+    summands = []
+    for i, s in enumerate(_json_list(_member(data, "summands"), "summands")):
+        at = f"summands[{i}]"
+        summands.append(Summand(
+            _json_str(_member(s, "family", at), f"{at}.family"),
+            _json_int(_member(s, "l", at), f"{at}.l"),
+            _json_int(_member(s, "b", at), f"{at}.b"),
+        ))
     return ModuleSpec(cfg, families, summands)
 
 
@@ -442,16 +472,18 @@ def profile_to_dict(profile: WeightProfile) -> dict:
 
 
 def profile_from_dict(data) -> WeightProfile:
+    """The profile of `{"weights": [[...], ...]}` or of the bare list of
+    rows; a row that is not a list of integers raises SpecError naming it."""
     if isinstance(data, list):
         rows = data
     elif isinstance(data, dict) and "weights" in data:
-        rows = data["weights"]
+        rows = _json_list(data["weights"], "weights")
     else:
         raise SpecError(["malformed weight profile: expected {'weights': [[...]]}"])
-    try:
-        return WeightProfile(tuple(
-            tuple(_json_int(x, f"weights[{sigma}][{j}]") for j, x in enumerate(row))
-            for sigma, row in enumerate(rows)
-        ))
-    except (TypeError, ValueError) as exc:
-        raise SpecError([f"malformed weight profile: {exc}"]) from exc
+    for sigma, row in enumerate(rows):
+        if type(row) is not list:
+            raise SpecError([f"weights[{sigma}]: expected a list of integers, got {row!r}"])
+    return WeightProfile(tuple(
+        tuple(_json_int(x, f"weights[{sigma}][{j}]") for j, x in enumerate(row))
+        for sigma, row in enumerate(rows)
+    ))

@@ -564,3 +564,86 @@ def test_each_input_file_is_read_once(capsys, monkeypatch):
     want = hashlib.sha256((DATA / "ex1a_spec.json").read_bytes()).hexdigest()
     assert rep["inputs"]["spec"] == {"path": spec, "sha256": want}
 
+
+
+def test_malformed_inputs_name_the_field_or_the_shape(tmp_path, capsys):
+    spec = json.loads((DATA / "ex1a_spec.json").read_text())
+    no_p = {k: v for k, v in spec.items() if k != "p"}
+    no_tbase = json.loads(json.dumps(spec))
+    del no_tbase["families"][0]["tBase"]
+    no_l = json.loads(json.dumps(spec))
+    del no_l["summands"][1]["l"]
+    weights = str(DATA / "weights_m212.json")
+    spec_path = tmp_path / "spec.json"
+    for data, error in (
+        (no_p, "missing field 'p'"),
+        (no_tbase, "families[0]: missing field 'tBase'"),
+        (no_l, "summands[1]: missing field 'l'"),
+        ([spec], "expected a JSON object"),
+        (dict(spec, families=[7]), "families[0]: expected a JSON object"),
+        (dict(spec, summands={}), "summands: expected a list"),
+    ):
+        spec_path.write_text(json.dumps(data))
+        code, rep = run_cli(capsys, "check-iii", "--spec", str(spec_path), "--weights", weights)
+        assert code == 2 and rep["error"].startswith(f"SpecError: {error}"), rep
+    weights_path = tmp_path / "weights.json"
+    for data, error in (
+        ([1, 2], "weights[0]: expected a list of integers"),
+        ({"weights": [[-2, 1, 2], 5]}, "weights[1]: expected a list of integers"),
+        ({"weights": 5}, "weights: expected a list"),
+    ):
+        weights_path.write_text(json.dumps(data))
+        code, rep = run_cli(
+            capsys, "check-iii", "--spec", str(DATA / "ex1a_spec.json"),
+            "--weights", str(weights_path),
+        )
+        assert code == 2 and rep["error"].startswith(f"SpecError: {error}"), rep
+
+
+def test_report_writer_matches_json_dumps_on_the_cli_workload(tmp_path, monkeypatch, capsys):
+    # every call of the benchmark's seed-3 `cli_reports` workload (two of
+    # them exit-2 refusals), a missing input file and a --timing report
+    import filtadm
+    from filtadm import cli
+
+    monkeypatch.syspath_prepend(str(DATA.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    (tmp_path / "data").symlink_to(DATA)
+    wl = WORKLOADS["cli_reports"](filtadm, 3, tmp_path)
+    wl.prepare()
+    argvs = [item["argv"] for item in wl.timed] + [
+        ["order", "--spec", str(tmp_path / "missing.json")],
+        ["check-iii", "--spec", str(DATA / "ex1a_spec.json"),
+         "--weights", str(DATA / "weights_m212.json"), "--timing"],
+    ]
+    reports = []
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", lambda report: (reports.append(report), write(report)))
+    capsys.readouterr()
+    for argv in argvs:
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(reports[-1], indent=2, sort_keys=True) + "\n"
+    assert len(reports) == 100 and sum("error" in report for report in reports) == 3
+    assert "error" in reports[-2] and type(reports[-1]["timing_ms"]) is float
+
+
+def test_report_writer_matches_json_dumps_on_edge_values():
+    from filtadm.cli import _encode
+
+    value = {
+        "empty": [[], {}, [[]], [{}], {"a": {}, "b": []}],
+        "tuple": (1, "x", (2, ()), ()),
+        "text": ["é ü 中 \U0001F600", "\x00\x1f\x7f\t\n\"\\/", ""],
+        "ints": [-7, 0, 10**30, -(10**30)],
+        "floats": [0.1, 1e-07, 1e16, -0.0, float("nan"), float("inf"), -float("inf")],
+        "flags": [True, 1, False, 0, None],
+        "Z": {"z": 1, "a": True, "é": None, "": "k"},
+    }
+    assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+    for leaf in ("", "x", 0, 10**30, None, True, False, 1e16, (), [], {}):
+        assert _encode(leaf) == json.dumps(leaf, indent=2, sort_keys=True)
+    for bad in ({1: "a"}, {"a": {None: 1}}, [Fraction(1, 2)], {"a": (Fraction(1),)}):
+        with pytest.raises(TypeError):
+            _encode(bad)

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -119,6 +120,22 @@ def test_report_digests_pinned(capsys):
         "--seeds", "3", "--count", "12",
     ])
     assert capsys.readouterr().out.splitlines() == PINNED_DIGESTS
+
+
+# Every call of two whole seeds: the 50-row `check-emerton` tables and
+# `build-filtration` on generated specs, which the first 12 items do not
+# reach.  Computed before the report writer replaced `json.dumps`.
+PINNED_CLI_SEEDS = [
+    "cli_reports seed=3 items=98 "
+    "sha256=999f4ceb435d37be092ac5eb08df7b315c8240ae49cb80cbed1bb9064f17adf1",
+    "cli_reports seed=5 items=98 "
+    "sha256=c354c038a4f271f58db17c9212f8bea0dad71a42c011a3e8adfde194f24fd681",
+]
+
+
+def test_cli_seed_digests_pinned(capsys):
+    _load("report_digests").main(["--workload", "cli_reports", "--seeds", "3", "5"])
+    assert capsys.readouterr().out.splitlines() == PINNED_CLI_SEEDS
 
 
 # The decisions of the same items: ok, reason and witness kind of every
@@ -264,3 +281,20 @@ def test_ab_pairs_stops_on_a_failed_run(tmp_path, capsys):
     ])
     assert status == 1
     assert "exited 2" in capsys.readouterr().err
+
+
+def test_ab_interleave_smoke(capsys):
+    # base and change are both this checkout, imported under two names
+    root = SCRIPTS.parent
+    module = _load("ab_interleave")
+    code = module.main([
+        "--base", str(root), "--change", str(root),
+        "--workload", "cli_reports", "--seed", "3", "--rounds", "2",
+    ])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert line.startswith("cli_reports seed 3: 2 rounds of 98 items, base ")
+    assert "ratio change/base median x" in line
+    base, change = sys.modules["filtadm_base"], sys.modules["filtadm_change"]
+    assert base is not change and base.cli.main is not change.cli.main
+    assert base.__file__ == change.__file__ == str(root / "src" / "filtadm" / "__init__.py")
