@@ -4,14 +4,21 @@ Exit codes: 0 = pass/success, 1 = the checked property fails, 2 = input
 error (malformed JSON, invariant violations, caps), 3 = disagreement in
 the `equivalence` cross-check (which would indicate a bug).
 
+Every spec subcommand takes one path, `_run_spec`: it reads each input
+file once (`_read` gives the report's `{"path", "sha256"}` entry and the
+JSON value from the same bytes), validates the spec and profile, orders
+the spec canonically, calls the command, and adds the shared `inputs`
+and `permutation` fields to the fields the command returns.  `main`
+alone adds `command` and, with `--timing`, `timing_ms`, writes the
+report, and turns an input error into the exit-2 report
+`{"command", "error"}`.
+
 `main(argv)` may be called repeatedly in one process: every call shares
-the one parser `build_parser` builds, and reads `FILTADM_CAP` and the
-terminal width afresh when it needs them.  Each input file is read once
-per call: the same bytes are hashed for the report and decoded, as
-`open` decodes them, for parsing.  Each report is written to stdout in one
-piece by `_encode`, which gives the bytes of `json.dumps(report, indent=2,
-sort_keys=True)` by joining strings: `json` falls back to its pure-Python
-encoder whenever it indents, and that encoder took about twice as long.
+the one parser `build_parser` builds, and reads `FILTADM_CAP` afresh when
+it needs it.  `_write` writes each report in one piece; `_encode` gives
+the bytes of `json.dumps(report, indent=2, sort_keys=True)` by joining
+strings, since `json` falls back to its pure-Python encoder whenever it
+indents, and that encoder took about twice as long.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .filtration import (
 )
 from .frobenius import build_modified_frobenius, realize_matrices
 from .model import (
-    SpecError,
     fraction_to_str,
     profile_from_dict,
     spec_from_dict,
@@ -45,50 +51,22 @@ from .ordering import canonical_order, check_not_precede
 from .pairs import fuzz_special_pairs
 from .slopes import check_slope_chain
 from .subobjects import (
-    CapExceededError,
     DEFAULT_CAP,
     StableLattice,
     check_cap,
     enumerate_concrete_subobjects,
 )
 
-SUBCOMMANDS = (
-    "order",
-    "check-iii",
-    "check-emerton",
-    "build-phi",
-    "subobjects",
-    "build-filtration",
-    "verify-admissible",
-    "equivalence",
-    "fuzz-special",
-)
 
-
-def _bytes(args, path: str) -> bytes:
-    """The bytes of an input file, read once per call and kept on `args`."""
-    files = vars(args).setdefault("_files", {})
-    data = files.get(path)
-    if data is None:
-        with open(path, "rb") as fh:
-            data = files[path] = fh.read()
-    return data
-
-
-def _inputs(args, weights: bool = True) -> dict:
-    """The path and sha256 of each input file, for a report."""
-    out = {}
-    for name in ("spec", "weights") if weights else ("spec",):
-        path = getattr(args, name)
-        out[name] = {"path": path, "sha256": hashlib.sha256(_bytes(args, path)).hexdigest()}
-    return out
-
-
-def _load_json(args, path: str):
-    """The JSON value of an input file, its bytes decoded as `open(path)`
-    decodes them (default encoding, universal newlines), so decoding and
-    parse errors read as they would from the file."""
-    return json.loads(io.TextIOWrapper(io.BytesIO(_bytes(args, path))).read())
+def _read(path: str) -> tuple[dict, object]:
+    """The report entry of an input file and its JSON value, from one read.
+    The bytes are decoded as `open(path)` decodes them (default encoding,
+    universal newlines), so decoding and parse errors read as they would
+    from the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entry = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return entry, json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
 
 
 def _at_least(text: str, low: int) -> int | None:
@@ -126,12 +104,6 @@ def _cap(args) -> int:
     if cap is None:
         raise ValueError(f"FILTADM_CAP must be a positive integer, got {env!r}")
     return cap
-
-
-def _emit(report: dict, args) -> None:
-    if getattr(args, "timing", False):
-        report["timing_ms"] = round((time.perf_counter() - args._t0) * 1000, 3)
-    _write(report)
 
 
 _STR = json.encoder.encode_basestring_ascii
@@ -177,98 +149,80 @@ def _mat_json(m) -> list:
     return [[fraction_to_str(x) for x in row] for row in m]
 
 
-def _prepare(args, need_weights: bool):
-    spec = spec_from_dict(_load_json(args, args.spec))
-    profile = profile_from_dict(_load_json(args, args.weights)) if need_weights else None
+def _edges_json(edges) -> list:
+    return [{"src": e.src, "dst": e.dst, "alignment": e.alignment} for e in edges]
+
+
+def _realize(ordered, modify: bool):
+    """The modification edges (none unless `modify`) and the realization."""
+    edges = build_modified_frobenius(ordered) if modify else ()
+    return edges, realize_matrices(ordered, edges)
+
+
+def _run_spec(args) -> tuple[dict, int]:
+    """Read, validate and order the inputs, run the command, and add the
+    shared `inputs` and `permutation` fields to the ones it returns."""
+    inputs = {}
+    inputs["spec"], value = _read(args.spec)
+    spec = spec_from_dict(value)
+    profile = None
+    if "weights" in args:
+        inputs["weights"], value = _read(args.weights)
+        profile = profile_from_dict(value)
     validate_spec(spec, profile)
     ordered, partition, perm = canonical_order(spec)
-    return spec, profile, ordered, partition, perm
+    fields, code = args.func(args, ordered, profile, partition)
+    return {"inputs": inputs, "permutation": list(perm), **fields}, code
 
 
-def cmd_order(args) -> int:
-    spec, _, ordered, partition, perm = _prepare(args, False)
+def cmd_order(args, ordered, profile, partition) -> tuple[dict, int]:
     ok, pair = check_not_precede(ordered)
-    report = {
-        "command": "order",
-        "inputs": _inputs(args, weights=False),
-        "permutation": list(perm),
+    return {
         "groups": [list(g) for g in partition.groups],
         "groupDims": list(partition.dims),
         "groupSlopes": [fraction_to_str(s) for s in partition.avg_slopes],
         "summands": spec_to_dict(ordered)["summands"],
         "notPrecede": ok,
         "notPrecedeWitness": list(pair) if pair else None,
-    }
-    _emit(report, args)
-    return 0 if ok else 1
+    }, 0 if ok else 1
 
 
-def cmd_check_iii(args) -> int:
-    _, profile, ordered, _, perm = _prepare(args, True)
+def cmd_check_iii(args, ordered, profile, partition) -> tuple[dict, int]:
     verdict = check_slope_chain(ordered, profile)
-    report = {
-        "command": "check-iii",
-        "inputs": _inputs(args),
-        "permutation": list(perm),
-        "verdict": verdict.as_dict(),
-    }
-    _emit(report, args)
-    return 0 if verdict.ok else 1
+    return {"verdict": verdict.as_dict()}, 0 if verdict.ok else 1
 
 
-def cmd_check_emerton(args) -> int:
-    _, profile, ordered, _, perm = _prepare(args, True)
+def cmd_check_emerton(args, ordered, profile, partition) -> tuple[dict, int]:
     verdict = check_emerton_condition(ordered, profile)
-    report = {
-        "command": "check-emerton",
-        "inputs": _inputs(args),
-        "permutation": list(perm),
+    return {
         "verdict": verdict.as_dict(),
         "candidates": candidate_table(ordered, profile, limit=args.max_rows),
-    }
-    _emit(report, args)
-    return 0 if verdict.ok else 1
+    }, 0 if verdict.ok else 1
 
 
-def cmd_build_phi(args) -> int:
-    _, _, ordered, _, perm = _prepare(args, False)
-    edges = () if args.no_modify else build_modified_frobenius(ordered)
-    realization = realize_matrices(ordered, edges)
-    report = {
-        "command": "build-phi",
-        "inputs": _inputs(args, weights=False),
-        "permutation": list(perm),
-        "edges": [
-            {"src": e.src, "dst": e.dst, "alignment": e.alignment} for e in edges
-        ],
+def cmd_build_phi(args, ordered, profile, partition) -> tuple[dict, int]:
+    edges, realization = _realize(ordered, not args.no_modify)
+    return {
+        "edges": _edges_json(edges),
         "phi": _mat_json(realization.phi),
         "n": _mat_json(realization.nmat),
         "seeds": {k: fraction_to_str(v) for k, v in sorted(realization.seeds.items())},
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
-def cmd_subobjects(args) -> int:
-    _, _, ordered, _, perm = _prepare(args, False)
+def cmd_subobjects(args, ordered, profile, partition) -> tuple[dict, int]:
     cap = _cap(args)
     check_cap(ordered.dimension, cap)
-    edges = build_modified_frobenius(ordered) if args.modified else ()
-    realization = realize_matrices(ordered, edges)
+    _, realization = _realize(ordered, args.modified)
     lattice = StableLattice(realization)
     subs = enumerate_concrete_subobjects(
         realization, cap=cap, seed=args.seed, lattice=lattice
     )
-    report = {
-        "command": "subobjects",
-        "inputs": _inputs(args, weights=False),
-        "permutation": list(perm),
+    return {
         "modified": bool(args.modified),
         "count": len(subs),
         "subobjects": [_subobject_entry(lattice, s) for s in subs],
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
 def _subobject_entry(lattice: StableLattice, sub) -> dict:
@@ -287,79 +241,52 @@ def _subobject_entry(lattice: StableLattice, sub) -> dict:
     }
 
 
-def cmd_build_filtration(args) -> int:
-    _, profile, ordered, _, perm = _prepare(args, True)
+def cmd_build_filtration(args, ordered, profile, partition) -> tuple[dict, int]:
     # transversality is checked against every good subobject
     check_cap(ordered.dimension, _cap(args))
-    edges = () if args.no_modify else build_modified_frobenius(ordered)
-    realization = realize_matrices(ordered, edges)
+    _, realization = _realize(ordered, not args.no_modify)
     filtration = build_transverse_filtration(ordered, profile, realization, args.seed)
-    report = {
-        "command": "build-filtration",
-        "inputs": _inputs(args),
-        "permutation": list(perm),
+    return {
         "seed": args.seed,
         "attempts": filtration.attempts,
         "bases": [_mat_json(b) for b in filtration.vectors],
         "weights": [list(row) for row in profile.weights],
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
-def cmd_verify_admissible(args) -> int:
-    _, profile, ordered, _, perm = _prepare(args, True)
+def cmd_verify_admissible(args, ordered, profile, partition) -> tuple[dict, int]:
     # the filtration is checked against every good, the subspaces are
     # enumerated
-    check_cap(ordered.dimension, _cap(args))
-    edges = () if args.no_modify else build_modified_frobenius(ordered)
-    realization = realize_matrices(ordered, edges)
+    cap = _cap(args)
+    check_cap(ordered.dimension, cap)
+    edges, realization = _realize(ordered, not args.no_modify)
     filtration = build_transverse_filtration(ordered, profile, realization, args.seed)
     result = check_admissible(
-        ordered, profile, realization, filtration, cap=_cap(args), seed=args.seed
+        ordered, profile, realization, filtration, cap=cap, seed=args.seed
     )
-    report = {
-        "command": "verify-admissible",
-        "inputs": _inputs(args),
-        "permutation": list(perm),
+    return {
         "seed": args.seed,
         "attempts": filtration.attempts,
         "modified": not args.no_modify,
-        "edges": [
-            {"src": e.src, "dst": e.dst, "alignment": e.alignment} for e in edges
-        ],
+        "edges": _edges_json(edges),
         "verdict": result.as_dict(),
-    }
-    _emit(report, args)
-    return 0 if result.ok else 1
+    }, 0 if result.ok else 1
 
 
-def cmd_equivalence(args) -> int:
-    _, profile, ordered, _, perm = _prepare(args, True)
+def cmd_equivalence(args, ordered, profile, partition) -> tuple[dict, int]:
     chain = check_slope_chain(ordered, profile)
     shuffle = check_emerton_condition(ordered, profile)
     agree = chain.ok == shuffle.ok
-    report = {
-        "command": "equivalence",
-        "inputs": _inputs(args),
-        "permutation": list(perm),
+    return {
         "slopeChain": chain.as_dict(),
         "emerton": shuffle.as_dict(),
         "agree": agree,
-    }
-    _emit(report, args)
-    return 0 if agree else 3
+    }, 0 if agree else 3
 
 
-def cmd_fuzz_special(args) -> int:
+def cmd_fuzz_special(args) -> tuple[dict, int]:
     result = fuzz_special_pairs(args.trials, args.seed)
-    report = {
-        "command": "fuzz-special",
-        "seed": args.seed,
-        **result,
-    }
-    _emit(report, args)
-    return 0 if result["failures"] == 0 else 1
+    return {"seed": args.seed, **result}, 0 if result["failures"] == 0 else 1
 
 
 @functools.cache
@@ -433,25 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._t0 = time.perf_counter()
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except (
-        SpecError,
-        CapExceededError,
-        TransversalityError,
-        json.JSONDecodeError,
-        OSError,
-        ValueError,
-    ) as exc:
-        report = {
-            "command": args.command,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        _write(report)
+        fields, code = _run_spec(args) if "spec" in args else args.func(args)
+    except (TransversalityError, OSError, ValueError) as exc:
+        # SpecError, CapExceededError and json.JSONDecodeError are ValueErrors
+        _write({"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
         return 2
+    report = {"command": args.command, **fields}
+    if args.timing:
+        report["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+    _write(report)
+    return code
 
 
 if __name__ == "__main__":

@@ -286,10 +286,11 @@ def build_transverse_filtration(
 
     Deterministic in `seed`; raises TransversalityError when MAX_ATTEMPTS
     draws for one embedding all fail (which would indicate a non-generic
-    failure locus).
+    failure locus), and ValueError when `realization` realizes a spec
+    other than `spec`.
     """
     validate_spec(spec, profile)
-    if realization.spec.dimension != spec.dimension:
+    if realization.spec != spec:
         raise ValueError("realization does not match the spec")
     n = spec.dimension
     layout = _good_layout(spec, spec.goods)
@@ -523,8 +524,12 @@ def check_admissible(
     excess Hodge weight lives) and its `source` ("good" or "search");
     `proof` says what an ok rests on.  A filtration that
     `build_transverse_filtration` did not verify is checked for
-    transversality first (TransversalityError).
+    transversality first (TransversalityError).  A realization of a spec
+    other than `spec`, or a filtration with other weights than `profile`,
+    raises ValueError.
     """
+    if realization.spec != spec:
+        raise ValueError("realization does not match the spec")
     if filtration.weights != profile:
         # the bounds read the profile, t_H reads the filtration
         raise ValueError("the filtration's weights differ from the profile")

@@ -97,13 +97,19 @@ class Config:
 
 @dataclass(frozen=True)
 class Family:
-    """An irreducible bottom object: opaque label, dimension h, base slope."""
+    """An irreducible bottom object: opaque label, dimension h, base slope.
+    The slope is exact: a float raises SpecError."""
 
     id: str
     h: int
     t_base: Fraction
 
     def __post_init__(self):
+        # a float is stored as its binary value: 0.1 would become 3602879701896397/2**55
+        if isinstance(self.t_base, float):
+            raise SpecError([
+                f"families[{self.id}].t_base: expected an exact rational, got {self.t_base!r}"
+            ])
         object.__setattr__(self, "t_base", Fraction(self.t_base))
 
 
@@ -184,12 +190,19 @@ class ModuleSpec:
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Per embedding sigma, a strictly increasing list of d+1 integers."""
+    """Per embedding sigma, a strictly increasing list of d+1 integers.  A
+    weight whose type is not `int` (a float, a bool, a Fraction) raises
+    SpecError, as it does in the JSON reader."""
 
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))
+        weights = tuple(tuple(row) for row in self.weights)
+        for sigma, row in enumerate(weights):
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    raise SpecError([f"weights[{sigma}][{j}]: expected an integer, got {x!r}"])
+        object.__setattr__(self, "weights", weights)
 
     @property
     def length(self) -> int:

@@ -565,6 +565,71 @@ def test_each_input_file_is_read_once(capsys, monkeypatch):
     assert rep["inputs"]["spec"] == {"path": spec, "sha256": want}
 
 
+# (command, reads weights, extra flags) of every subcommand that reads a spec
+SPEC_COMMANDS = [
+    ("order", False, []),
+    ("check-iii", True, []),
+    ("check-emerton", True, []),
+    ("build-phi", False, []),
+    ("subobjects", False, ["--modified"]),
+    ("build-filtration", True, ["--seed", "7"]),
+    ("verify-admissible", True, ["--seed", "7"]),
+    ("equivalence", True, []),
+]
+
+
+@pytest.mark.parametrize(
+    "command, weights, extra", SPEC_COMMANDS, ids=[c[0] for c in SPEC_COMMANDS]
+)
+def test_every_spec_command_shares_one_envelope(
+    capsys, monkeypatch, tmp_path, command, weights, extra
+):
+    import builtins
+
+    from filtadm import cli
+
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    # ex1a with its summands reversed: `order` reports the permutation [1, 0]
+    data = json.loads((DATA / "ex1a_spec.json").read_text())
+    data["summands"].reverse()
+    reversed_path = tmp_path / "reversed.json"
+    reversed_path.write_text(json.dumps(data))
+
+    def call(spec):
+        files = {"spec": str(spec)}
+        if weights:
+            files["weights"] = str(DATA / "weights_m212.json")
+        argv = [command, *(a for name, path in files.items() for a in (f"--{name}", path))]
+        return files, argv + extra
+
+    for spec in (DATA / "ex1a_spec.json", reversed_path):
+        files, argv = call(spec)
+        opened.clear()
+        code, rep = run_cli(capsys, *argv)
+        assert rep["command"] == command and "error" not in rep, rep
+        assert sorted(opened) == sorted(files.values())
+        assert rep["inputs"] == {
+            name: {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+            for name, path in files.items()
+        }
+        _, order = run_cli(capsys, "order", "--spec", str(spec))
+        assert rep["permutation"] == order["permutation"]
+        timed_code, timed = run_cli(capsys, *argv, "--timing")
+        assert timed_code == code and type(timed.pop("timing_ms")) is float
+        assert timed == rep
+    assert rep["permutation"] == [1, 0]
+    _, argv = call(tmp_path / "missing.json")
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and set(rep) == {"command", "error"} and rep["command"] == command
+    assert rep["error"].startswith("FileNotFoundError: ")
+
+
 
 def test_malformed_inputs_name_the_field_or_the_shape(tmp_path, capsys):
     spec = json.loads((DATA / "ex1a_spec.json").read_text())

@@ -186,6 +186,20 @@ def test_hand_built_filtration_is_verified(ex1a, w_m212):
         )
 
 
+def test_a_realization_of_another_spec_is_refused(ex1a, w_m212):
+    # both are 3-dimensional like ex1a, and both would certify ok
+    raised = dataclasses.replace(ex1a, families=(Family("F", 1, Fraction(3)),))
+    chain = ModuleSpec(ex1a.config, ex1a.families, (Summand("F", 0, 3),))
+    _, filt = _setup(ex1a, w_m212)
+    for other in (raised, chain):
+        real = realize_matrices(other, build_modified_frobenius(other))
+        assert real.dimension == ex1a.dimension
+        with pytest.raises(ValueError, match="realization does not match the spec"):
+            build_transverse_filtration(ex1a, w_m212, real, seed=7)
+        with pytest.raises(ValueError, match="realization does not match the spec"):
+            check_admissible(ex1a, w_m212, real, filt)
+
+
 def _class_bound(lattice, profile, key):
     return lattice.realization.spec.config.deg_K_L * _chain_bound(
         _chain_steps(lattice, profile), lattice.good_dims(key)

@@ -247,6 +247,23 @@ def test_zero_denominator_is_refused_naming_the_field():
             spec_from_dict(data)
 
 
+def test_constructors_refuse_inexact_values_naming_the_field():
+    # a float base slope would be stored as its binary value, and a float
+    # weight would pass validation and fail later inside the criteria
+    with pytest.raises(SpecError, match=re.escape("families[F].t_base: expected an exact rational, got 0.1")):
+        Family("F", 1, 0.1)
+    for t_base in (Fraction(1, 10), "1/10", 0):
+        assert Family("F", 1, t_base).t_base == Fraction(t_base)
+    for rows, field, value in (
+        (((-2, 1.0, 2),), "weights[0][1]", "1.0"),
+        (((0, 1), (True, 2)), "weights[1][0]", "True"),
+        (((0, Fraction(1)),), "weights[0][1]", "Fraction(1, 1)"),
+    ):
+        with pytest.raises(SpecError, match=re.escape(f"{field}: expected an integer, got {value}")):
+            WeightProfile(rows)
+    assert WeightProfile([[-2, 1, 2]]).weights == ((-2, 1, 2),)
+
+
 def test_checked_specs_keep_identity_and_refuse_a_reordering():
     # running the criteria leaves no state that changes == or hash, and a
     # reordered copy of a canonical spec is a fresh object that the
