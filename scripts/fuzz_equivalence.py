@@ -74,7 +74,7 @@ def main(argv=None) -> None:
             edges = build_modified_frobenius(spec)
             real = realize_matrices(spec, edges)
             filt = build_transverse_filtration(spec, prof, real, seed=done)
-            rep = check_admissible(spec, prof, real, filt, seed=done, rounds=2)
+            rep = check_admissible(spec, prof, real, filt, seed=done)
             if rep.ok != a:
                 raise SystemExit(
                     f"PIPELINE MISMATCH at trial {done}: {spec.summands}"

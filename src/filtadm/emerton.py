@@ -55,6 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    CapExceededError,
+    InternalConsistencyError,
     ModuleSpec,
     WeightProfile,
     fraction_to_str,
@@ -63,7 +65,6 @@ from .model import (
     validate_spec,
 )
 from .ordering import require_canonical
-from .subobjects import CapExceededError
 
 __all__ = [
     "EmertonVerdict",
@@ -154,7 +155,7 @@ def check_emerton_condition(
             if any(m0 + m < P[w0 + w] for w, m in nxt.items()):
                 break
         else:
-            raise RuntimeError("violating selection lost during backtracking")
+            raise InternalConsistencyError("violating selection lost during backtracking")
         selection.append(j)
         weight, total = w0, m0
     slack = Fraction(total - P[weight], scale)

@@ -112,6 +112,7 @@ from .linalg import Mat
 from .frobenius import ConcreteRealization
 from .model import (
     GoodSubobject,
+    InternalConsistencyError,
     ModuleSpec,
     WeightProfile,
     fraction_to_str,
@@ -119,9 +120,9 @@ from .model import (
     t_n,
     validate_spec,
 )
-from .pairs import InternalConsistencyError
 from .subobjects import (
     DEFAULT_CAP,
+    RANDOM_ROUNDS,
     check_cap,
     StableLattice,
     _class_keys,
@@ -508,7 +509,6 @@ def check_admissible(
     filtration: Filtration,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
-    rounds: int = 5,
 ) -> AdmissibilityReport:
     """Decide admissibility, with a proof either way where one closes.
 
@@ -516,13 +516,13 @@ def check_admissible(
     whole module, the cap (CapExceededError), a stable good witness, then
     the class list with one chain certificate per class, and the search
     outside the certified classes only when some class does not certify.
-    `rounds` random rounds, drawn from `seed`, audit the class list where
-    the stable subspaces are infinitely many (a finite lattice's list is
-    complete and runs none), and `rounds` more, drawn from seed + 1, join
-    the search.  A failure's witness records the violating subspace, its
-    smallest enclosing stable good subobject (the position where the
-    excess Hodge weight lives) and its `source` ("good" or "search");
-    `proof` says what an ok rests on.  A filtration that
+    `subobjects.RANDOM_ROUNDS` random rounds, drawn from `seed`, audit the
+    class list where the stable subspaces are infinitely many (a finite
+    lattice's list is complete and runs none), and as many more, drawn
+    from seed + 1, join the search.  A failure's witness records the
+    violating subspace, its smallest enclosing stable good subobject (the
+    position where the excess Hodge weight lives) and its `source` ("good"
+    or "search"); `proof` says what an ok rests on.  A filtration that
     `build_transverse_filtration` did not verify is checked for
     transversality first (TransversalityError).  A realization of a spec
     other than `spec`, or a filtration with other weights than `profile`,
@@ -584,7 +584,7 @@ def check_admissible(
             witness = _witness(rows, th_val, tn_val, goods[k], spec, "good")
             return AdmissibilityReport(False, "witness", witness, table)
 
-    listed = _class_keys(lattice, seed, rounds)
+    listed = _class_keys(lattice, seed)
     steps = _chain_steps(lattice, profile)
     table = []
     certified = set()
@@ -603,7 +603,7 @@ def check_admissible(
 
     candidates = dict.fromkeys(listed)
     rng = random.Random(seed + 1)
-    for _ in range(rounds):
+    for _ in range(RANDOM_ROUNDS):
         candidates.update(dict.fromkeys(random_round_subobjects(lattice, rng)))
     candidates.update(dict.fromkeys(_aligned_candidates(lattice, filtration)))
     keys = [

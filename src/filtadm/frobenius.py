@@ -10,8 +10,11 @@ aligned image in the target.
 
 The concrete layer (h = 1 only) realizes Phi and N exactly, as sparse
 integer columns: each block (summand i, position k) is a basis vector with
-Phi-eigenvalue a_F * p^(l_i + k), where the family seeds a_F are distinct
-primes different from p by default, and edges add the equal-eigenvalue
+Phi-eigenvalue a_F * p^(l_i + k).  The family seed a_F is 1 for a single
+family and otherwise the successive primes other than p: each is a unit
+at p, so the valuations of Phi are the spec's slopes, and by unique
+factorization a_F p^a = a_G p^b has no solution for F != G, so no two
+families share an eigenvalue.  Edges add the equal-eigenvalue
 coupling term, so column j of Phi is lambda_j (e_j + E e_j) with E the 0/1
 edge coupling.  The realization keeps the eigenvalues and the nonzero
 entries of the columns of E and N; N * Phi = p * Phi * N is checked
@@ -42,7 +45,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import Mat
-from .model import Block, ModuleSpec, Summand, _is_prime, scaled_slopes
+from .model import Block, InternalConsistencyError, ModuleSpec, Summand
+from .model import _is_prime, scaled_slopes
 from .ordering import require_canonical
 
 __all__ = [
@@ -92,13 +96,12 @@ def build_modified_frobenius(spec: ModuleSpec) -> tuple[ModificationEdge, ...]:
     return tuple(edges)
 
 
-def _default_seeds(spec: ModuleSpec) -> dict[str, Fraction]:
-    # one family needs no separation; several get the successive primes
-    # != p, so that stable subspaces split across families
+def _seeds(spec: ModuleSpec) -> dict[str, int]:
+    """The family seeds a_F of the module docstring, in family order."""
     if len(spec.families) == 1:
-        return {spec.families[0].id: Fraction(1)}
+        return {spec.families[0].id: 1}
     primes = (q for q in itertools.count(2) if _is_prime(q) and q != spec.config.p)
-    return {fam.id: Fraction(next(primes)) for fam in spec.families}
+    return {fam.id: next(primes) for fam in spec.families}
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ class ConcreteRealization:
 
     spec: ModuleSpec
     edges: tuple[ModificationEdge, ...]
-    seeds: dict[str, Fraction]
+    seeds: dict[str, int]
     basis: tuple[Block, ...]
     eigenvalues: tuple[int | Fraction, ...]
     e_cols: tuple[tuple[tuple[int, int], ...], ...]   # E, by column
@@ -174,8 +177,9 @@ class ConcreteRealization:
     def level_operators(self) -> tuple[tuple[tuple | None, tuple | None], ...]:
         """Per level, the coupling E and N on it, each as (target level,
         integer columns in level coordinates as (row, value) pairs), or None
-        where zero, read off `e_cols` and `n_cols`.  Raises RuntimeError
-        unless E maps the level into itself and N into one level."""
+        where zero, read off `e_cols` and `n_cols`.  Raises
+        InternalConsistencyError unless E maps the level into itself and N
+        into one level."""
         level_of = self._level_of
         ops = (("coupling", self.e_cols), ("N", self.n_cols))
         out = []
@@ -185,7 +189,7 @@ class ConcreteRealization:
                 block = [cols[j] for j in coords]
                 targets = {level_of[i][0] for col in block for i, _ in col}
                 if len(targets) > 1 or (name == "coupling" and targets - {level}):
-                    raise RuntimeError(
+                    raise InternalConsistencyError(
                         f"{name} sends level {level} into levels {sorted(targets)}"
                     )
                 local = tuple(
@@ -206,49 +210,26 @@ class ConcreteRealization:
 
 
 def realize_matrices(
-    spec: ModuleSpec,
-    edges: tuple[ModificationEdge, ...] = (),
-    seeds: dict[str, Fraction] | None = None,
+    spec: ModuleSpec, edges: tuple[ModificationEdge, ...] = ()
 ) -> ConcreteRealization:
-    """Exact (Phi, N) realizing the spec, as sparse integer columns; h = 1
-    only.
+    """Exact (Phi, N) realizing the spec, as sparse integer columns, with
+    the family seeds of the module docstring; h = 1 only.
 
-    Raises ValueError for a seed missing for a family of the spec or given
-    for a family it does not have, for a zero seed, for two families
-    sharing an eigenvalue, and for an edge coupling blocks of different
-    eigenvalues: each breaks the level structure that closures and t_N
-    rely on.
+    Raises ValueError for an edge coupling blocks of different
+    eigenvalues: it breaks the level structure that closures and t_N rely
+    on.
     """
     for fam in spec.families:
         if fam.h != 1:
             raise ValueError("concrete layer requires h=1")
-    if seeds is None:
-        seeds = _default_seeds(spec)
-    known = [fam.id for fam in spec.families]
-    for fid in known:
-        if fid not in seeds:
-            raise ValueError(f"no Frobenius seed for family {fid!r}")
-    for fid, seed in seeds.items():
-        if fid not in known:
-            raise ValueError(f"Frobenius seed for unknown family {fid!r}")
-        if seed == 0:
-            raise ValueError(f"Frobenius seed of family {fid!r} is zero")
-    # an integral seed is held as an int, so integral eigenvalues are ints
-    scale = {fid: s.numerator if s.denominator == 1 else s for fid, s in seeds.items()}
+    seeds = _seeds(spec)
     basis = tuple(spec.blocks())
     p = spec.config.p
     # p ** t is an int for the twists t >= 0 of a valid spec
     lams = tuple(
-        scale[b.family.id] * (p ** b.twist if b.twist >= 0 else Fraction(p) ** b.twist)
+        seeds[b.family.id] * (p ** b.twist if b.twist >= 0 else Fraction(p) ** b.twist)
         for b in basis
     )
-    owner: dict[int | Fraction, str] = {}
-    for blk, lam in zip(basis, lams):
-        fid = owner.setdefault(lam, blk.family.id)
-        if fid != blk.family.id:
-            raise ValueError(
-                f"families {fid!r} and {blk.family.id!r} share the eigenvalue {lam}"
-            )
     index = {(blk.summand, blk.k): i for i, blk in enumerate(basis)}
     e_cols = []
     n_cols = []
@@ -266,14 +247,14 @@ def realize_matrices(
         n_cols.append(((j - 1, 1),) if blk.k > 0 else ())
     _check_commutation(lams, e_cols, n_cols, p)
     return ConcreteRealization(
-        spec, tuple(edges), dict(seeds), basis, lams, tuple(e_cols), tuple(n_cols)
+        spec, tuple(edges), seeds, basis, lams, tuple(e_cols), tuple(n_cols)
     )
 
 
 def _check_commutation(eigenvalues, e_cols, n_cols, p: int) -> None:
-    """Raise RuntimeError unless N * Phi = p * Phi * N, for the Phi whose
-    column j is lambda_j (e_j + E e_j), column by column over the nonzero
-    entries of the sparse columns only."""
+    """Raise InternalConsistencyError unless N * Phi = p * Phi * N, for the
+    Phi whose column j is lambda_j (e_j + E e_j), column by column over the
+    nonzero entries of the sparse columns only."""
     phi_cols = [
         ((j, lam), *((i, lam * a) for i, a in col))
         for j, (lam, col) in enumerate(zip(eigenvalues, e_cols))
@@ -287,4 +268,4 @@ def _check_commutation(eigenvalues, e_cols, n_cols, p: int) -> None:
             for i, a in phi_cols[k]:
                 diff[i] = diff.get(i, 0) - p * a * x
         if any(diff.values()):
-            raise RuntimeError("realization violates N*Phi = p*Phi*N")
+            raise InternalConsistencyError("realization violates N*Phi = p*Phi*N")

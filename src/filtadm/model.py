@@ -37,6 +37,8 @@ __all__ = [
     "GoodSubobject",
     "Block",
     "SpecError",
+    "CapExceededError",
+    "InternalConsistencyError",
     "ScaledSlopes",
     "scaled_slopes",
     "spec_violations",
@@ -58,6 +60,29 @@ class SpecError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+class CapExceededError(ValueError):
+    """Work would exceed an enumeration, candidate or lattice-guard cap;
+    the message names the cap."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A structural guarantee failed: the random-round audit of the class
+    list, a stable subspace inside its cover span, the t_H check of a good
+    witness, the level split of the realization's operators, the relation
+    N*Phi = p*Phi*N, the backtracking of the shuffle condition to a
+    violating selection, the weight solver's post-conditions or the
+    disjointness of assembled index sets."""
+
+
+def _int(value, field: str) -> int:
+    """`value` when it is an int; anything else, a bool, float, Fraction,
+    string or null included, raises SpecError naming `field` instead of
+    being truncated or coerced."""
+    if type(value) is not int:
+        raise SpecError([f"{field}: expected an integer, got {value!r}"])
+    return value
 
 
 def _is_prime(n: int) -> bool:
@@ -90,6 +115,10 @@ class Config:
     deg_K_L: int = 1
     f_prime: int = 1
 
+    def __post_init__(self):
+        for name in ("p", "deg_K_Qp", "deg_L_Qp", "deg_K_L", "f_prime"):
+            _int(getattr(self, name), f"config.{name}")
+
     @property
     def embeddings(self) -> int:
         return self.deg_L_Qp
@@ -98,13 +127,15 @@ class Config:
 @dataclass(frozen=True)
 class Family:
     """An irreducible bottom object: opaque label, dimension h, base slope.
-    The slope is exact: a float raises SpecError."""
+    The slope is exact: a float raises SpecError, as does an h whose type
+    is not `int`."""
 
     id: str
     h: int
     t_base: Fraction
 
     def __post_init__(self):
+        _int(self.h, f"families[{self.id}].h")
         # a float is stored as its binary value: 0.1 would become 3602879701896397/2**55
         if isinstance(self.t_base, float):
             raise SpecError([
@@ -141,6 +172,9 @@ class Block:
 
 @dataclass(frozen=True)
 class ModuleSpec:
+    """A direct sum of chains.  A summand whose l or b is not an `int`
+    raises SpecError naming it."""
+
     config: Config
     families: tuple[Family, ...]
     summands: tuple[Summand, ...]
@@ -148,6 +182,11 @@ class ModuleSpec:
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "summands", tuple(self.summands))
+        for i, s in enumerate(self.summands):
+            # the field names are formatted only for a value that fails
+            if type(s.l) is not int or type(s.b) is not int:
+                _int(s.l, f"summands[{i}].l")
+                _int(s.b, f"summands[{i}].b")
 
     @cached_property
     def _family_by_id(self) -> dict[str, Family]:
@@ -400,14 +439,6 @@ def fraction_from_json(value, field: str = "value") -> Fraction:
     raise SpecError([f"{field}: expected rational as 'num/den' string, got {value!r}"])
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer; a float, bool, string or null raises SpecError
-    naming `field` instead of being truncated or coerced."""
-    if type(value) is not int:
-        raise SpecError([f"{field}: expected an integer, got {value!r}"])
-    return value
-
-
 def _json_str(value, field: str) -> str:
     """A JSON string; a number, bool or null raises SpecError naming
     `field` instead of being turned into its text."""
@@ -455,18 +486,18 @@ def spec_from_dict(data) -> ModuleSpec:
     """The spec a JSON object describes; a missing field or a value of the
     wrong shape raises SpecError naming it."""
     cfg = Config(
-        p=_json_int(_member(data, "p"), "p"),
-        deg_K_Qp=_json_int(_member(data, "degKQp"), "degKQp"),
-        deg_L_Qp=_json_int(_member(data, "degLQp"), "degLQp"),
-        deg_K_L=_json_int(_member(data, "degKL"), "degKL"),
-        f_prime=_json_int(data.get("fPrime", 1), "fPrime"),
+        p=_int(_member(data, "p"), "p"),
+        deg_K_Qp=_int(_member(data, "degKQp"), "degKQp"),
+        deg_L_Qp=_int(_member(data, "degLQp"), "degLQp"),
+        deg_K_L=_int(_member(data, "degKL"), "degKL"),
+        f_prime=_int(data.get("fPrime", 1), "fPrime"),
     )
     families = []
     for i, f in enumerate(_json_list(_member(data, "families"), "families")):
         at = f"families[{i}]"
         families.append(Family(
             _json_str(_member(f, "id", at), f"{at}.id"),
-            _json_int(_member(f, "h", at), f"{at}.h"),
+            _int(_member(f, "h", at), f"{at}.h"),
             fraction_from_json(_member(f, "tBase", at), f"{at}.tBase"),
         ))
     summands = []
@@ -474,8 +505,8 @@ def spec_from_dict(data) -> ModuleSpec:
         at = f"summands[{i}]"
         summands.append(Summand(
             _json_str(_member(s, "family", at), f"{at}.family"),
-            _json_int(_member(s, "l", at), f"{at}.l"),
-            _json_int(_member(s, "b", at), f"{at}.b"),
+            _int(_member(s, "l", at), f"{at}.l"),
+            _int(_member(s, "b", at), f"{at}.b"),
         ))
     return ModuleSpec(cfg, families, summands)
 
@@ -497,6 +528,6 @@ def profile_from_dict(data) -> WeightProfile:
         if type(row) is not list:
             raise SpecError([f"weights[{sigma}]: expected a list of integers, got {row!r}"])
     return WeightProfile(tuple(
-        tuple(_json_int(x, f"weights[{sigma}][{j}]") for j, x in enumerate(row))
+        tuple(_int(x, f"weights[{sigma}][{j}]") for j, x in enumerate(row))
         for sigma, row in enumerate(rows)
     ))

@@ -21,11 +21,11 @@ An integer core (`_clause`, `_solve`, `_omega`, `_weighted` and the
 samplers `_draw_pair`, `_draw_weights`) does all of this over one integer
 scale per quantity, so nothing is approximated: the clauses, the
 hypotheses and the Omega comparison are invariant under a positive scale.
-Pairs sit at scale 1 (integer draws) or 48 (other draws: a_i = u/d with
-d | 4, c_i = a_i j/4, pads in halves), weights at scale 2L (half units
-shifted by excess/L + q), and t_1 is a ratio P/Q of integers.  The public
-functions build `Fraction`s only at their boundary, and
-`fuzz_special_pairs` only to report a failure.
+Drawn pairs are integers, weights sit at scale 2L (half units shifted by
+excess/L + q), and t_1 is a ratio P/Q of integers.  The public functions
+build `Fraction`s only at their boundary, and `fuzz_special_pairs` only
+to report a failure; the `Fraction` forms of the samplers are test
+oracles.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import fraction_to_str
+from .model import InternalConsistencyError, fraction_to_str
 
 __all__ = [
     "SpecialPair",
     "HypothesisError",
-    "InternalConsistencyError",
     "is_special",
     "solve_t",
     "omega_of_pair",
@@ -49,21 +48,12 @@ __all__ = [
     "check_weighted_inequality",
     "GlobalEntry",
     "assemble_global",
-    "random_special_pair",
-    "random_weight_pair",
     "fuzz_special_pairs",
 ]
 
 
 class HypothesisError(ValueError):
     """Raised when (m, n) violate the hypotheses of the weighted inequality."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural guarantee failed: the random-round audit of the class
-    list, a stable subspace inside its cover span, the t_H check of a good
-    witness, the weight solver's post-conditions or the disjointness of
-    assembled index sets."""
 
 
 @dataclass(frozen=True)
@@ -265,51 +255,28 @@ def assemble_global(entries: Sequence[GlobalEntry]) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _draw_pair(
-    rng: random.Random, max_k: int, integer: bool
-) -> tuple[list[int], list[int], int]:
-    """Entries of a special pair at scale 1 (integer) or 48, and the scale."""
-    scale = 1 if integer else 48
+def _draw_pair(rng: random.Random, max_k: int) -> tuple[list[int], list[int]]:
+    """Integer entries (a, c) of a special pair, by rejection on the ratio
+    chain."""
     for _ in range(10_000):
         k = rng.randint(0, max_k)
         a_mid: list[int] = []
         c_mid: list[int] = []
         for _ in range(k):
-            if integer:
-                ai = rng.randint(1, 6)
-                ci = rng.randint(1, ai)
-            else:
-                # a_i = u / d with d | 4 and c_i = a_i j / 4: 48 c_i is whole
-                ai = rng.randint(1, 6) * (48 // rng.choice((1, 2, 3, 4)))
-                ci = ai * rng.randint(1, 4) // 4
+            ai = rng.randint(1, 6)
             a_mid.append(ai)
-            c_mid.append(ci)
+            c_mid.append(rng.randint(1, ai))
         if any(c_mid[i] * a_mid[i + 1] < c_mid[i + 1] * a_mid[i] for i in range(k - 1)):
             continue
-        if integer:
-            pad0, pad1 = rng.randint(0, 3), rng.randint(0, 3)
-        else:
-            pad0, pad1 = rng.randint(0, 6) * 24, rng.randint(0, 6) * 24
+        pad0, pad1 = rng.randint(0, 3), rng.randint(0, 3)
         a0 = max(c_mid, default=0) + pad0
         if a0 <= 0:
-            a0 = rng.randint(1, 4) * scale
+            a0 = rng.randint(1, 4)
         a_last = max((x - y for x, y in zip(a_mid, c_mid)), default=0) + pad1
         a = [a0, *a_mid, a_last]
         if _clause(a, c_mid) is None:
-            return a, c_mid, scale
+            return a, c_mid
     raise RuntimeError("failed to sample a special pair")
-
-
-def random_special_pair(
-    rng: random.Random,
-    max_k: int = 4,
-    integer: bool = False,
-) -> SpecialPair:
-    """Sample a pair satisfying (i)-(iii), by rejection on the ratio chain."""
-    a, c, scale = _draw_pair(rng, max_k, integer)
-    return SpecialPair(
-        tuple(Fraction(x, scale) for x in a), tuple(Fraction(x, scale) for x in c)
-    )
 
 
 def _draw_weights(rng: random.Random, length: int) -> tuple[list[int], list[int], int]:
@@ -332,14 +299,6 @@ def _draw_weights(rng: random.Random, length: int) -> tuple[list[int], list[int]
     return m, [length * x for x in n], 2 * length
 
 
-def random_weight_pair(
-    rng: random.Random, length: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Sample (m, n) satisfying the hypotheses (a)-(c) by construction."""
-    m, n, scale = _draw_weights(rng, length)
-    return [Fraction(x, scale) for x in m], [Fraction(x, scale) for x in n]
-
-
 def fuzz_special_pairs(trials: int, seed: int) -> dict:
     """Randomized verification of the weighted-sum property; JSON-friendly.
 
@@ -349,7 +308,7 @@ def fuzz_special_pairs(trials: int, seed: int) -> dict:
     failures = 0
     first_failure = None
     for trial in range(trials):
-        a, c, _ = _draw_pair(rng, 4, True)
+        a, c = _draw_pair(rng, 4)
         _solve(a, c)
         m, n, scale = _draw_weights(rng, sum(a))
         lhs, rhs = _weighted(_omega(a, c), m, n)

@@ -20,9 +20,9 @@ lists every one of them, breadth first over covers, so the list is
 complete by construction and nothing audits it.  Where they are
 infinitely many, the walk stops at the first family of covers, and the
 classes come from closing signed {0,+-1}-pattern vectors inside each
-generalized eigenspace and saturating under sums; random-coefficient
-rounds re-derive the classes there and fail loudly if the pattern
-heuristic ever misses one.
+generalized eigenspace and saturating under sums; `RANDOM_ROUNDS`
+random-coefficient rounds re-derive the classes there and fail loudly if
+the pattern heuristic ever misses one.
 The work runs on piece ids (`_class_keys`, which the verdict calls): the
 keys are grouped by class before anything is ordered, only a class with
 several keys runs the tie-break, and both orders compare integer rows,
@@ -81,11 +81,9 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .linalg import Mat
 from .frobenius import ConcreteRealization, ModificationEdge
-from .model import GoodSubobject, ModuleSpec
-from .pairs import InternalConsistencyError
+from .model import CapExceededError, GoodSubobject, InternalConsistencyError, ModuleSpec
 
 __all__ = [
-    "CapExceededError",
     "check_cap",
     "Subobject",
     "enumerate_good_subobjects",
@@ -96,15 +94,15 @@ __all__ = [
     "random_round_subobjects",
     "StableLattice",
     "DEFAULT_CAP",
+    "RANDOM_ROUNDS",
 ]
 
 DEFAULT_CAP = 8
+# the audit rounds of an infinite lattice's class list, and the rounds of
+# random candidates the verdict's search adds
+RANDOM_ROUNDS = 5
 _LATTICE_GUARD = 1500
 _NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x != 0)
-
-
-class CapExceededError(ValueError):
-    pass
 
 
 def check_cap(dimension: int, cap: int) -> None:
@@ -673,19 +671,17 @@ def _row_order(
     }
 
 
-def _class_keys(
-    lattice: StableLattice, seed: int = 0, rounds: int = 5
-) -> list[tuple[int, ...]]:
+def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
     """Piece ids of one representative per relative-position class of the
     stable subspaces, in the order of `enumerate_concrete_subobjects`; the
     caller checks the cap.
 
     The keys are the walk's on a finite lattice, and on an infinite one
-    the pattern route's, audited by `rounds` random rounds.  They are
-    grouped by class (rank, `good_dims`) first.  A class with several keys
-    keeps the one without negative entries, then with the smallest
-    canonical rows; the representatives are sorted by (rank, canonical
-    rows), and rows are built only where ranks tie.  Both orders compare
+    the pattern route's, audited by `RANDOM_ROUNDS` random rounds drawn
+    from `seed`.  They are grouped by class (rank, `good_dims`) first.  A
+    class with several keys keeps the one without negative entries, then
+    with the smallest canonical rows; the representatives are sorted by
+    (rank, canonical rows), and rows are built only where ranks tie.  Both orders compare
     the integer rows of `_row_order`, so no `Fraction` row is built.
     """
     keys = lattice.walk()
@@ -711,7 +707,7 @@ def _class_keys(
             reps.sort(key=_row_order(lattice, reps).__getitem__)
         ranked += reps
     rng = random.Random(seed)
-    for _ in range(rounds if audit else 0):
+    for _ in range(RANDOM_ROUNDS if audit else 0):
         for key in random_round_subobjects(lattice, rng):
             if (lattice.dim(key), lattice.good_dims(key)) not in classes:
                 raise InternalConsistencyError(
@@ -724,17 +720,16 @@ def enumerate_concrete_subobjects(
     realization: ConcreteRealization,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
-    rounds: int = 5,
     lattice: StableLattice | None = None,
 ) -> tuple[Subobject, ...]:
     """All Phi,N-stable subspaces up to relative position, canonically sorted.
 
     When the stable subspaces are finitely many, they are the subspaces of
     the walk over covers (`StableLattice.walk`), every one of them, and
-    `seed` and `rounds` go unused.  Otherwise pattern atoms are the signed
-    {0,+-1} vectors inside each generalized eigenspace, closed under Phi
-    and N, the subspaces are the sum-closure of the atoms and of the stable
-    good spans, and `rounds` extra passes with random nonzero coefficients,
+    `seed` goes unused.  Otherwise pattern atoms are the signed {0,+-1}
+    vectors inside each generalized eigenspace, closed under Phi and N,
+    the subspaces are the sum-closure of the atoms and of the stable good
+    spans, and `RANDOM_ROUNDS` passes with random nonzero coefficients,
     drawn from `seed`, must not produce any new relative-position class,
     or the pattern heuristic is declared broken.  Either way one
     representative per class is kept (`_class_keys`): the one without
@@ -745,7 +740,7 @@ def enumerate_concrete_subobjects(
     check_cap(realization.dimension, cap)
     lattice = lattice or StableLattice(realization)
     return tuple(
-        Subobject(lattice.rows(key), key) for key in _class_keys(lattice, seed, rounds)
+        Subobject(lattice.rows(key), key) for key in _class_keys(lattice, seed)
     )
 
 

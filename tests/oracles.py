@@ -35,7 +35,10 @@ Hand-written subspaces reach the greedy flags through
 
 The special-pair oracles are the `Fraction` forms of the clause check, the
 weight solver, the index set, the weighted comparison and both seeded
-generators, where the library computes each over one integer scale.
+generators, where the library computes each over one integer scale.  The
+generators are the only `Fraction` samplers: the library keeps their
+integer forms (`pairs._draw_pair`, integer pairs only, and
+`pairs._draw_weights`) for the fuzzer.
 
 The flag layer of the paper's weighted-sum lemma (greedy flags of stable
 goods, their index sets and the special pairs read off them) lives here
@@ -72,10 +75,12 @@ from typing import Iterable, Mapping, Sequence
 from filtadm import linalg, pairs
 from filtadm.emerton import CANDIDATE_CAP, EmertonVerdict, _shuffles
 from filtadm.filtration import SINGULAR, Filtration, _tail_dims
-from filtadm.frobenius import ConcreteRealization, ModificationEdge, _default_seeds
+from filtadm.frobenius import ConcreteRealization, ModificationEdge, _seeds
 from filtadm.linalg import Mat, Vec
 from filtadm.model import (
+    CapExceededError,
     GoodSubobject,
+    InternalConsistencyError,
     ModuleSpec,
     WeightProfile,
     fraction_to_str,
@@ -85,7 +90,6 @@ from filtadm.ordering import require_canonical, type_components
 from filtadm.pairs import (
     GlobalEntry,
     HypothesisError,
-    InternalConsistencyError,
     SpecialPair,
     WeightedResult,
     assemble_global,
@@ -93,7 +97,7 @@ from filtadm.pairs import (
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     DEFAULT_CAP,
-    CapExceededError,
+    RANDOM_ROUNDS,
     StableLattice,
     Subobject,
     _full,
@@ -335,38 +339,19 @@ def mat_pow(a: Mat, k: int) -> Mat:
 
 
 def dense_realization(
-    spec: ModuleSpec,
-    edges: tuple[ModificationEdge, ...] = (),
-    seeds: dict[str, Fraction] | None = None,
+    spec: ModuleSpec, edges: tuple[ModificationEdge, ...] = ()
 ) -> tuple[Mat, Mat, Mat]:
-    """(Phi, N, E) of `realize_matrices` as dense Fraction matrices, built
-    entry by entry with the same refusals and checked by
-    `check_commutation_dense`."""
+    """(Phi, N, E) of `realize_matrices` as dense Fraction matrices, on the
+    same family seeds, built entry by entry with the same refusals and
+    checked by `check_commutation_dense`."""
     for fam in spec.families:
         if fam.h != 1:
             raise ValueError("concrete layer requires h=1")
-    if seeds is None:
-        seeds = _default_seeds(spec)
-    known = [fam.id for fam in spec.families]
-    for fid in known:
-        if fid not in seeds:
-            raise ValueError(f"no Frobenius seed for family {fid!r}")
-    for fid, seed in seeds.items():
-        if fid not in known:
-            raise ValueError(f"Frobenius seed for unknown family {fid!r}")
-        if seed == 0:
-            raise ValueError(f"Frobenius seed of family {fid!r} is zero")
+    seeds = _seeds(spec)
     basis = tuple(spec.blocks())
     n = len(basis)
     p = spec.config.p
     lams = [seeds[blk.family.id] * Fraction(p) ** blk.twist for blk in basis]
-    owner: dict[Fraction, str] = {}
-    for blk, lam in zip(basis, lams):
-        fid = owner.setdefault(lam, blk.family.id)
-        if fid != blk.family.id:
-            raise ValueError(
-                f"families {fid!r} and {blk.family.id!r} share the eigenvalue {lam}"
-            )
     index = {(blk.summand, blk.k): i for i, blk in enumerate(basis)}
     phi = [[Fraction(0)] * n for _ in range(n)]
     nmat = [[Fraction(0)] * n for _ in range(n)]
@@ -851,7 +836,6 @@ def class_subobjects(
     realization: ConcreteRealization,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
-    rounds: int = 5,
     lattice: StableLattice | None = None,
 ) -> tuple[Subobject, ...]:
     """The class list of `enumerate_concrete_subobjects`, chosen and sorted
@@ -879,7 +863,7 @@ def class_subobjects(
         by_class.setdefault((sub.rank, lattice.good_dims(sub.key)), sub)
     result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
     rng = random.Random(seed)
-    for _ in range(rounds):
+    for _ in range(RANDOM_ROUNDS):
         for key in random_round_subobjects(lattice, rng):
             if (lattice.dim(key), lattice.good_dims(key)) not in by_class:
                 raise InternalConsistencyError(

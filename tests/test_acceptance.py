@@ -19,12 +19,7 @@ from filtadm.emerton import check_emerton_condition
 from filtadm.filtration import build_transverse_filtration, check_admissible, t_h
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import WeightProfile, t_n
-from filtadm.pairs import (
-    check_weighted_inequality,
-    random_special_pair,
-    random_weight_pair,
-    solve_t,
-)
+from filtadm.pairs import check_weighted_inequality, solve_t
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
     StableLattice,
@@ -33,7 +28,13 @@ from filtadm.subobjects import (
 )
 from helpers import instance_stream, random_single_component_spec
 import oracles
-from oracles import flag_chain, greedy_flag, omega_from_flag
+from oracles import (
+    flag_chain,
+    greedy_flag,
+    omega_from_flag,
+    random_special_pair,
+    random_weight_pair,
+)
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -119,7 +120,7 @@ def test_criterion_2_second_example_regression(ex2):
         for idx, weights in enumerate(tuples):
             prof = WeightProfile((weights,))
             filt = build_transverse_filtration(ex2, prof, real, seed=idx)
-            rep = check_admissible(ex2, prof, real, filt, rounds=1)
+            rep = check_admissible(ex2, prof, real, filt)
             assert rep.ok, (weights, rep.witness)
             bound = weights[0] + weights[2]
             assert t_h(filt, dp, ex2.config) <= bound
@@ -150,7 +151,7 @@ def test_criterion_5_constructive_pipeline(randomized_instances):
             edges = build_modified_frobenius(spec)
             real = realize_matrices(spec, edges)
             filt = build_transverse_filtration(spec, prof, real, seed=idx)
-            rep = check_admissible(spec, prof, real, filt, seed=idx, rounds=2)
+            rep = check_admissible(spec, prof, real, filt, seed=idx)
             assert rep.ok == chain_ok, (spec.summands, prof.weights, rep.witness)
             if chain_ok:
                 assert Fraction(spec.config.deg_K_L * prof.total) == t_n(spec)
@@ -183,7 +184,7 @@ def test_criterion_7_greedy_flag_invariants():
             edges = build_modified_frobenius(spec)
             real = realize_matrices(spec, edges)
             lattice = StableLattice(real)
-            subs = enumerate_concrete_subobjects(real, seed=done, rounds=0, lattice=lattice)
+            subs = enumerate_concrete_subobjects(real, seed=done, lattice=lattice)
             dp = subs[rng.randrange(len(subs))]
             prof = lattice.profile(dp.key)
             flag = greedy_flag(spec, prof)

@@ -9,6 +9,7 @@ import pytest
 import filtadm
 import filtadm.emerton
 import filtadm.frobenius
+import filtadm.pairs
 import filtadm.subobjects
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(filtadm.__path__))
@@ -59,8 +60,9 @@ def test_flag_layer_not_in_package(name):
 
 
 # second implementations of jobs the library does once: the Fraction
-# shuffle candidates, the good coordinates and the dense coupling live
-# with the test oracles; t_N of a stable subspace is `StableLattice.t_n`
+# shuffle candidates, the good coordinates, the dense coupling and the
+# Fraction special-pair samplers live with the test oracles; t_N of a
+# stable subspace is `StableLattice.t_n`
 MOVED = [
     (filtadm.emerton, "GammaBlock"),
     (filtadm.emerton, "Candidate"),
@@ -69,6 +71,8 @@ MOVED = [
     (filtadm.subobjects, "good_coords"),
     (filtadm.frobenius.ConcreteRealization, "coupling"),
     (filtadm.frobenius.ConcreteRealization, "level_t_n"),
+    (filtadm.pairs, "random_special_pair"),
+    (filtadm.pairs, "random_weight_pair"),
 ]
 
 

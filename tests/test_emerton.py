@@ -10,6 +10,7 @@ import helpers
 from filtadm.cli import main
 from filtadm.emerton import CANDIDATE_CAP, candidate_table, check_emerton_condition
 from filtadm.model import (
+    CapExceededError,
     Config,
     Family,
     ModuleSpec,
@@ -24,7 +25,6 @@ from filtadm.model import (
 )
 from filtadm.ordering import canonical_order
 from filtadm.slopes import check_all_block_orders, check_slope_chain
-from filtadm.subobjects import CapExceededError
 from helpers import instance_stream
 from oracles import (
     candidate_table_fractions,

@@ -20,6 +20,7 @@ from filtadm.filtration import (
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import (
+    CapExceededError,
     Config,
     Family,
     GoodSubobject,
@@ -33,7 +34,6 @@ from filtadm.model import (
 from filtadm.ordering import canonical_order
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
-    CapExceededError,
     StableLattice,
     Subobject,
     enumerate_concrete_subobjects,

@@ -90,10 +90,8 @@ def test_commutation_and_det_valuation_random():
         lhs = oracles.mat_mul(real.nmat, real.phi)
         rhs = oracles.mat_scale(p, oracles.mat_mul(real.phi, real.nmat))
         assert lhs == rhs
-        want = sum(
-            oracles.p_valuation(real.seeds[blk.family.id], spec.config.p) + blk.twist
-            for blk in real.basis
-        )
+        # the seeds are units at p, so the valuation is the sum of the twists
+        want = sum(blk.twist for blk in real.basis)
         assert oracles.p_valuation(oracles.det(real.phi), spec.config.p) == want
         done += 1
 
@@ -156,52 +154,26 @@ def test_commutation_check_rejects_corrupted_matrices():
     assert raised >= 40
 
 
-def _realization_cases(ex1a, ex1b, ex2, ex3):
-    """(spec, seeds) on the worked examples and on seeded draws, with the
-    default seeds and with custom Fraction seeds, integral or not."""
-    cases = [(canonical_order(s)[0], None) for s in (ex1a, ex1b, ex2, ex3)]
-    cases.append((cases[0][0], {"F": Fraction(12)}))
-    rng = random.Random(29)
-    while len(cases) < 60:
-        spec = random_spec(rng, max_dim=7)
-        if spec is None:
-            continue
-        cases.append((spec, None))
-        seeds = {f.id: Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 5))) for f in spec.families}
-        cases.append((spec, seeds))
-    return cases
-
-
 def test_sparse_realization_matches_dense_oracle(ex1a, ex1b, ex2, ex3):
     # the dense matrices and level operators of the sparse realization are
-    # those of the entry-by-entry Fraction build, modified and not; a
-    # refusal (families sharing an eigenvalue) is refused alike
-    compared = refused = 0
-    for spec, seeds in _realization_cases(ex1a, ex1b, ex2, ex3):
+    # those of the entry-by-entry Fraction build, modified and not, on the
+    # worked examples and on seeded draws
+    specs = [canonical_order(s)[0] for s in (ex1a, ex1b, ex2, ex3)]
+    rng = random.Random(29)
+    while len(specs) < 60:
+        spec = random_spec(rng, max_dim=7)
+        if spec is not None:
+            specs.append(spec)
+    for spec in specs:
         for edges in ((), build_modified_frobenius(spec)):
-            try:
-                phi, nmat, coupling = oracles.dense_realization(spec, edges, seeds)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as got:
-                    realize_matrices(spec, edges, seeds)
-                assert str(got.value) == str(exc)
-                refused += 1
-                continue
-            real = realize_matrices(spec, edges, seeds)
+            phi, nmat, coupling = oracles.dense_realization(spec, edges)
+            real = realize_matrices(spec, edges)
             assert (real.phi, real.nmat) == (phi, nmat)
             for m in (real.phi, real.nmat):
                 assert all(type(x) is Fraction for row in m for x in row)
             assert real.level_operators == oracles.dense_level_operators(
                 real.levels, coupling, nmat
             )
-            compared += 1
-    assert compared >= 100 and refused >= 1
-
-
-def test_det_valuation_custom_seeds(ex1a):
-    seeds = {"F": Fraction(12)}   # val_2 = 2
-    real = realize_matrices(ex1a, build_modified_frobenius(ex1a), seeds=seeds)
-    assert oracles.p_valuation(oracles.det(real.phi), 2) == 3 * 2 + (0 + 0 + 1)
 
 
 def test_char_poly_independent_of_edges(ex1a):
@@ -268,37 +240,18 @@ def test_t_n_concrete_det_oracle(ex1a):
         assert lattice.t_n(key) == expected
 
 
-def test_realize_rejects_zero_seed(ex1a):
-    with pytest.raises(ValueError, match="seed of family 'F' is zero"):
-        realize_matrices(ex1a, build_modified_frobenius(ex1a), seeds={"F": Fraction(0)})
-
-
-@pytest.mark.parametrize(
-    "seeds, want",
-    [
-        ({"nope": Fraction(3)}, "no Frobenius seed for family 'F'"),
-        ({"F": Fraction(3), "nope": Fraction(3)}, "seed for unknown family 'nope'"),
-    ],
-)
-def test_realize_rejects_seeds_off_the_families(ex3, seeds, want):
-    with pytest.raises(ValueError, match=want):
-        realize_matrices(ex3, (), seeds)
-
-
 def test_realize_rejects_shared_eigenvalue():
-    # F at twist 1 and G at twist 0 both get eigenvalue 2, so the two lines
-    # would fall into one level and one of them would read the other's t_N
-    from filtadm.ordering import canonical_order
-
+    # seeds 1 and 2 would give F at twist 1 and G at twist 0 the eigenvalue
+    # 2, one level, where one line would read the other's t_N; the default
+    # seeds 3 and 5 keep them apart, so each line reads its own
     spec = ModuleSpec(
         Config(p=2),
         (Family("F", 1, Fraction(1, 2)), Family("G", 1, Fraction(-1))),
         (Summand("F", 1, 1), Summand("G", 0, 1)),
     )
     spec = canonical_order(spec)[0]
-    with pytest.raises(ValueError, match="share the eigenvalue 2"):
-        realize_matrices(spec, (), seeds={"F": Fraction(1), "G": Fraction(2)})
-    real = realize_matrices(spec, (), seeds={"F": Fraction(1), "G": Fraction(3)})
+    real = realize_matrices(spec, ())
+    assert real.seeds == {"F": 3, "G": 5} and len(real.levels) == 2
     lattice = StableLattice(real)
     key = dict(zip((g.counts for g in lattice.goods), lattice.good_keys))
     slopes = {
@@ -327,3 +280,29 @@ def test_default_seeds_for_any_number_of_families():
             real = realize_matrices(spec)
             want = [q for q in first if q != p][:count]
             assert [real.seeds[f.id] for f in fams] == want
+
+
+def test_default_seeds_are_units_at_p_and_keep_levels_apart():
+    # on random specs, p in {2, 3}, modified and not: one eigenvalue per
+    # level, distinct ones on distinct levels, and the seeds are 1 for one
+    # family and otherwise the first primes other than p, in family order
+    rng = random.Random(43)
+    two = 0
+    while two < 50:
+        spec = random_spec(rng)
+        if spec is None:
+            continue
+        p = spec.config.p
+        fams = [f.id for f in spec.families]
+        want = [1] if len(fams) == 1 else [q for q in (2, 3, 5) if q != p][:2]
+        two += len(fams) == 2
+        for edges in ((), build_modified_frobenius(spec)):
+            real = realize_matrices(spec, edges)
+            assert real.seeds == dict(zip(fams, want))
+            assert all(type(q) is int for q in real.seeds.values())
+            assert [oracles.p_valuation(lam, p) for lam in real.eigenvalues] == [
+                blk.twist for blk in real.basis
+            ]
+            lams = [{real.eigenvalues[i] for i in coords} for coords in real.levels]
+            assert all(len(lam) == 1 for lam in lams)
+            assert len(set().union(*lams)) == len(lams)

@@ -20,8 +20,8 @@ from filtadm.filtration import (
     build_transverse_filtration,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
+from filtadm.model import CapExceededError
 from filtadm.subobjects import (
-    CapExceededError,
     StableLattice,
     Subobject,
     _pattern_vectors,
@@ -259,7 +259,7 @@ def test_every_subobject_holds_a_marked_basis():
     count = 0
     for spec, real, filt in triples:
         lattice = StableLattice(real)
-        subs = list(enumerate_concrete_subobjects(real, rounds=1, lattice=lattice))
+        subs = list(enumerate_concrete_subobjects(real, lattice=lattice))
         keys = random_round_subobjects(lattice, rng) + _aligned_candidates(lattice, filt)
         subs += [Subobject(lattice.rows(key), key) for key in keys]
         for sub in subs:
@@ -327,7 +327,7 @@ def test_eigen_multiplicities_match_matrix_power_oracle():
     _, reals = _realizations(105, 25)
     for real in reals:
         lattice = StableLattice(real)
-        for sub in enumerate_concrete_subobjects(real, rounds=1, lattice=lattice):
+        for sub in enumerate_concrete_subobjects(real, lattice=lattice):
             want = oracles.eigen_multiplicities(real, sub.rows)
             got = [
                 (real.basis[level[0]].family.id, real.basis[level[0]].twist, dim)
@@ -384,7 +384,7 @@ def _stable_subspaces(real, rng, lattice=None):
     """Enumerated classes, random rounds and closures of dense vectors,
     each with its piece ids in `lattice`."""
     lattice = lattice or StableLattice(real)
-    subs = list(enumerate_concrete_subobjects(real, rounds=1, lattice=lattice))
+    subs = list(enumerate_concrete_subobjects(real, lattice=lattice))
     keys = random_round_subobjects(lattice, rng)
     for _ in range(3):
         v = _vector(rng, real.dimension, 0.6)

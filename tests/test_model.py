@@ -262,6 +262,25 @@ def test_constructors_refuse_inexact_values_naming_the_field():
         with pytest.raises(SpecError, match=re.escape(f"{field}: expected an integer, got {value}")):
             WeightProfile(rows)
     assert WeightProfile([[-2, 1, 2]]).weights == ((-2, 1, 2),)
+    # an integer field that is not an int: p = 2.0 would realize a float
+    # Phi, a float or bool l, b or h would be read as a number and fail, or
+    # pass, later
+    fam = Family("F", 1, 0)
+    for make, field, value in (
+        (lambda: Config(p=2.0), "config.p", "2.0"),
+        (lambda: Config(p=2, deg_K_Qp=True), "config.deg_K_Qp", "True"),
+        (lambda: Config(p=2, f_prime=Fraction(1)), "config.f_prime", "Fraction(1, 1)"),
+        (lambda: Family("F", 1.0, 0), "families[F].h", "1.0"),
+        (lambda: ModuleSpec(Config(p=2), (fam,), (Summand("F", 0, 1), Summand("F", 0.5, 2))),
+         "summands[1].l", "0.5"),
+        (lambda: ModuleSpec(Config(p=2), (fam,), (Summand("F", 0, 2.0),)), "summands[0].b", "2.0"),
+        (lambda: ModuleSpec(Config(p=2), (fam,), (Summand("F", True, 2),)), "summands[0].l", "True"),
+    ):
+        with pytest.raises(SpecError, match=re.escape(f"{field}: expected an integer, got {value}")):
+            make()
+    spec = ModuleSpec(Config(p=2), (fam,), (Summand("F", 0, 2),))
+    with pytest.raises(SpecError, match=re.escape("summands[1].b: expected an integer, got 1.0")):
+        spec.with_summands([Summand("F", 0, 2), Summand("F", 1, 1.0)])
 
 
 def test_checked_specs_keep_identity_and_refuse_a_reordering():

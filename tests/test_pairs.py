@@ -19,10 +19,9 @@ from filtadm.pairs import (
     fuzz_special_pairs,
     is_special,
     omega_of_pair,
-    random_special_pair,
-    random_weight_pair,
     solve_t,
 )
+from oracles import random_special_pair, random_weight_pair
 
 
 def _outcome(f, *args):
@@ -196,25 +195,36 @@ def test_random_pairs_always_special(seed):
     assert is_special(pair.a, pair.c) == (True, None)
 
 
+def _replay(state, draw, *args):
+    """draw(rng, *args) on a generator in `state`, and the state it leaves."""
+    rng = random.Random()
+    rng.setstate(state)
+    return draw(rng, *args), rng.getstate()
+
+
 @pytest.mark.parametrize("integer", [True, False])
 def test_integer_core_matches_fraction_oracles(integer):
-    # same rng calls, same pairs, weights, t, r, Omega and verdicts as the
-    # entry-by-entry Fraction forms
+    # the integer samplers make the same rng calls and give the same pairs
+    # and weights as the entry-by-entry Fraction forms; t, r, Omega and the
+    # verdicts match on integer pairs and on pairs with denominators
     for seed in range(20):
-        lib, ref = random.Random(seed), random.Random(seed)
+        rng = random.Random(seed)
         for _ in range(500):
-            pair = random_special_pair(lib, integer=integer).solved()
-            want = oracles.random_special_pair(ref, integer=integer)
-            assert lib.getstate() == ref.getstate()
-            assert (pair.a, pair.c, (pair.t, pair.r)) == (
-                want.a, want.c, oracles.solve_t(want)
-            )
+            start = rng.getstate()
+            want = oracles.random_special_pair(rng, integer=integer)
+            if integer:
+                drawn = (list(want.a), list(want.c)), rng.getstate()
+                assert _replay(start, pairs._draw_pair, 4) == drawn
+            pair = SpecialPair(want.a, want.c).solved()
+            assert (pair.t, pair.r) == oracles.solve_t(want)
             omega = _outcome(omega_of_pair, pair)
             assert omega == _outcome(oracles.omega_of_pair, want)
             length = math.ceil(pair.total)
-            m, n = random_weight_pair(lib, length)
-            assert (m, n) == oracles.random_weight_pair(ref, length)
-            assert lib.getstate() == ref.getstate()
+            start = rng.getstate()
+            m, n = oracles.random_weight_pair(rng, length)
+            (ms, ns, scale), state = _replay(start, pairs._draw_weights, length)
+            assert state == rng.getstate()
+            assert ([Fraction(x, scale) for x in ms], [Fraction(x, scale) for x in ns]) == (m, n)
             if not integer:
                 omega = "ok", frozenset(range(1, length + 1, 2))
             assert check_weighted_inequality(
@@ -277,9 +287,10 @@ def test_sampler_gives_up_after_10000_rejections():
         def randint(self, lo, hi):
             return next(self.draws)
 
-    for sampler in (random_special_pair, oracles.random_special_pair):
-        with pytest.raises(RuntimeError, match="failed to sample"):
-            sampler(Stuck(0), integer=True)
+    with pytest.raises(RuntimeError, match="failed to sample"):
+        pairs._draw_pair(Stuck(0), 4)
+    with pytest.raises(RuntimeError, match="failed to sample"):
+        oracles.random_special_pair(Stuck(0), integer=True)
 
 
 def test_fuzz_first_failure_matches_oracle(monkeypatch, capsys):

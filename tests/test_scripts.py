@@ -1,6 +1,11 @@
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
@@ -298,3 +303,27 @@ def test_ab_interleave_smoke(capsys):
     base, change = sys.modules["filtadm_base"], sys.modules["filtadm_change"]
     assert base is not change and base.cli.main is not change.cli.main
     assert base.__file__ == change.__file__ == str(root / "src" / "filtadm" / "__init__.py")
+
+
+@pytest.mark.parametrize("workload", ["verify_stream", "criteria_stream", "cli_reports"])
+def test_harness_traced_mode_runs_clean(tmp_path, workload):
+    # the traced pass reads package attributes by name (`Filtration.bases`
+    # and `.attempts`, `AdmissibilityReport.checked`), so a trim of them
+    # shows here.  run.py takes its root from its own path and writes its
+    # work directory there: it runs from a copy, with src/ and data/ linked
+    root = SCRIPTS.parent
+    shutil.copytree(
+        root / "perfbench", tmp_path / "perfbench",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    for name in ("src", "data"):
+        (tmp_path / name).symlink_to(root / name)
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "3", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -7,10 +7,17 @@ import pytest
 from filtadm import linalg, subobjects
 from filtadm.filtration import build_transverse_filtration, check_admissible
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
-from filtadm.model import Config, Family, GoodSubobject, ModuleSpec, Summand
-from filtadm.pairs import InternalConsistencyError, is_special
-from filtadm.subobjects import (
+from filtadm.model import (
     CapExceededError,
+    Config,
+    Family,
+    GoodSubobject,
+    InternalConsistencyError,
+    ModuleSpec,
+    Summand,
+)
+from filtadm.pairs import is_special
+from filtadm.subobjects import (
     StableLattice,
     _NONZERO_DIGITS,
     enumerate_concrete_subobjects,
@@ -228,7 +235,7 @@ def test_tie_break_randomization_invariance():
         edges = build_modified_frobenius(spec)
         real = realize_matrices(spec, edges)
         lattice = StableLattice(real)
-        subs = enumerate_concrete_subobjects(real, seed=done, rounds=0, lattice=lattice)
+        subs = enumerate_concrete_subobjects(real, seed=done, lattice=lattice)
         dp = lattice.profile(subs[rng.randrange(len(subs))].key)
         base = greedy_flag(spec, dp)
         dims = tuple(m.dimension(spec) for m in base.members)
@@ -282,7 +289,7 @@ def test_random_rounds_consistent(ex2):
     real = realize_matrices(ex2, build_modified_frobenius(ex2))
     # several seeds, none may discover a new relative-position class
     for seed in range(4):
-        enumerate_concrete_subobjects(real, seed=seed, rounds=3)
+        enumerate_concrete_subobjects(real, seed=seed)
 
 
 def test_audit_fires_when_the_sign_patterns_of_a_level_are_missing(monkeypatch, ex1a):
@@ -424,7 +431,7 @@ def test_smallest_enclosing_good_matches_a_brute_force_scan():
         real = realize_matrices(spec, edges)
         lattice = StableLattice(real)
         goods = stable_good_subobjects(spec, edges)
-        for sub in enumerate_concrete_subobjects(real, rounds=0, lattice=lattice):
+        for sub in enumerate_concrete_subobjects(real, lattice=lattice):
             rank, dims = oracles.class_key(real, sub.rows)
             want = min(
                 (g for g, d in zip(goods, dims) if d == rank),
@@ -487,11 +494,11 @@ def test_integer_class_order_matches_fraction_rows(ex1a, ex1b, ex2, ex3):
             real = realize_matrices(spec, build_modified_frobenius(spec) if modify else ())
             # one lattice for both, so that equal keys mean equal pieces
             lattice = StableLattice(real)
-            want = oracles.class_subobjects(real, seed=k, rounds=1, lattice=lattice)
-            keys = subobjects._class_keys(lattice, seed=k, rounds=1)
+            want = oracles.class_subobjects(real, seed=k, lattice=lattice)
+            keys = subobjects._class_keys(lattice, seed=k)
             assert keys == [sub.key for sub in want]
             assert [lattice.rows(key) for key in keys] == [sub.rows for sub in want]
-            assert enumerate_concrete_subobjects(real, seed=k, rounds=1) == want
+            assert enumerate_concrete_subobjects(real, seed=k) == want
             # classes holding several saturated keys, where the tie-break chooses
             atoms = [lattice.zero, *lattice.good_keys] + [
                 lattice.closure(level, v)
@@ -613,7 +620,7 @@ def test_cover_spans_match_dense_stability_over_a_box():
         lattice = StableLattice(real)
         keys = lattice.walk()
         if keys is None:
-            subs = enumerate_concrete_subobjects(real, rounds=0, lattice=lattice)
+            subs = enumerate_concrete_subobjects(real, lattice=lattice)
             keys = [lattice.family[0]] + [sub.key for sub in subs]
         for key in keys[:10]:
             rows = lattice.rows(key)
