@@ -20,7 +20,7 @@ from .model import (
 from .ordering import canonical_order, check_not_precede, group_and_order
 from .slopes import check_all_block_orders, check_slope_chain
 from .frobenius import build_modified_frobenius, hom_dim, realize_matrices
-from .subobjects import enumerate_concrete_subobjects, enumerate_good_subobjects
+from .subobjects import enumerate_concrete_subobjects
 from .filtration import build_transverse_filtration, check_admissible, t_h
 from .pairs import (
     SpecialPair,
@@ -50,7 +50,6 @@ __all__ = [
     "hom_dim",
     "build_modified_frobenius",
     "realize_matrices",
-    "enumerate_good_subobjects",
     "enumerate_concrete_subobjects",
     "build_transverse_filtration",
     "t_h",

@@ -43,6 +43,8 @@ from .frobenius import build_modified_frobenius, realize_matrices
 from .model import (
     fraction_to_str,
     profile_from_dict,
+    ratio_to_str,
+    row_to_str,
     spec_from_dict,
     spec_to_dict,
     validate_spec,
@@ -235,8 +237,8 @@ def _subobject_entry(lattice: StableLattice, sub) -> dict:
             levels.append({"family": blk.family.id, "twist": blk.twist, "mult": mult})
     return {
         "dim": sub.rank,
-        "basis": _mat_json(sub.rows),
-        "tN": fraction_to_str(lattice.t_n(sub.key)),
+        "basis": [row_to_str(row) for row in sub.rows],
+        "tN": ratio_to_str(lattice.scaled_t_n(sub.key), realization.level_slopes[1]),
         "levels": levels,
     }
 

@@ -11,10 +11,11 @@ in the generic dimension max(0, dim E - j + 1).
 Generic integer bases sampled from a seeded generator satisfy this after
 exact verification (the failure locus is a proper closed condition);
 failed samples are redrawn.  `build_transverse_filtration` keeps the
-integers it drew, with no `Fraction` row built, and marks the filtrations
-it verified; `check_admissible` verifies any other one before it relies
-on transversality.  The goods it checks come from the spec's good table
-(`ModuleSpec.goods`), which the lattice of stable subspaces shares.
+integers it drew and marks the filtrations it verified; `check_admissible`
+verifies any other one before it relies on transversality, after it
+refuses one whose bases are not integer bases of the right shape.  The
+goods it checks come from the spec's good table (`ModuleSpec.goods`),
+which the lattice of stable subspaces shares.
 
 For a basis of full rank one minor per good decides transversality: a
 good E of dimension m meets every tail generically iff E meets
@@ -78,14 +79,15 @@ Only when some class does not certify does the search run: the listed
 classes, random-coefficient variants and closures of good-cap-tail
 intersections (the adversarially aligned subspaces), outside the
 certified classes, each against its exact t_H, the first violator being
-the witness.  The candidates stay piece ids, in (rank, canonical rows)
-order, which `subobjects._row_order` gives in integers as for the class
-list; `Fraction` rows are built only for a witness's basis.  The search
-decides as it would without the certificates, since no member of a
-certified class can violate.
+the witness.  The candidates stay piece ids, in (rank, rows) order, which
+`subobjects._row_order` gives as for the class list.  Slopes are compared
+as integers over the denominator of `level_slopes`, and a report writes
+rows and slopes as rationals only from there (`model.row_to_str`,
+`model.ratio_to_str`).  The search decides as it would without the
+certificates, since no member of a certified class can violate.
 
 Tail dimensions of a subspace W come from one echelon pass per
-embedding: seeded with the canonical basis of W, it takes v_n, v_{n-1},
+embedding: seeded with integer rows spanning W, it takes v_n, v_{n-1},
 ... while it grows, and after v_j its size is dim(W + T_j), so
 dim(W cap T_j) = dim W + (n - j + 1) - size.  The aligned candidates
 E cap T_j come from one pass per good and embedding over the columns
@@ -108,15 +110,16 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from .linalg import Mat
 from .frobenius import ConcreteRealization
 from .model import (
     GoodSubobject,
     InternalConsistencyError,
     ModuleSpec,
+    SpecError,
     WeightProfile,
     fraction_to_str,
     ratio_to_str,
+    row_to_str,
     t_n,
     validate_spec,
 )
@@ -175,14 +178,12 @@ class Filtration:
     """Per embedding sigma, the basis v_1 .. v_{d+1} of `vectors`, whose
     step at the weight i_j of `weights` is span(v_j, ..., v_{d+1}).
 
-    `vectors` holds the rows as given: the integers that
-    `build_transverse_filtration` drew, or rationals.  Elimination reads
-    `int_bases`, every row scaled to integers (for drawn rows, the rows
-    themselves); `bases` holds them as Fraction rows, built only when read.
+    `vectors` holds integer rows, such as `build_transverse_filtration`
+    draws; `bases` holds them as Fraction rows, built only when read.
     """
 
     weights: WeightProfile
-    vectors: tuple[tuple[Sequence, ...], ...]   # per sigma, rows v_1 .. v_{d+1}
+    vectors: tuple[tuple[tuple[int, ...], ...], ...]   # per sigma, v_1 .. v_{d+1}
     seed: int
     attempts: int
     # set only by build_transverse_filtration, on the bases it verified;
@@ -194,19 +195,28 @@ class Filtration:
         return len(self.vectors[0])
 
     @cached_property
-    def bases(self) -> tuple[Mat, ...]:
+    def bases(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """Per sigma, the rows v_1 .. v_{d+1} as Fractions."""
         return tuple(
             tuple(tuple(map(Fraction, row)) for row in basis) for basis in self.vectors
         )
 
-    @cached_property
-    def int_bases(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """`vectors` with every row scaled to integers, for elimination."""
-        return tuple(
-            tuple(tuple(linalg.integral(row)) for row in basis)
-            for basis in self.vectors
-        )
+
+def _vector_violations(filtration: Filtration) -> list[str]:
+    """What keeps `vectors` from holding one basis per weight row, each of
+    `weights.length` rows of `weights.length` ints."""
+    n = filtration.weights.length
+    count = len(filtration.weights.weights)
+    vectors = filtration.vectors
+    errs = [f"vectors[{sigma}]: missing basis" for sigma in range(len(vectors), count)]
+    errs += [f"vectors[{sigma}]: no weight row" for sigma in range(count, len(vectors))]
+    for sigma, basis in enumerate(vectors[:count]):
+        if len(basis) != n:
+            errs.append(f"vectors[{sigma}]: {len(basis)} rows, expected {n}")
+        for j, row in enumerate(basis):
+            if len(row) != n or any(type(x) is not int for x in row):
+                errs.append(f"vectors[{sigma}][{j}]: expected {n} ints")
+    return errs
 
 
 def _good_layout(
@@ -240,9 +250,9 @@ def _good_layout(
 def _violation(
     basis, layout: list[tuple[GoodSubobject, int, list[int]]]
 ) -> GoodSubobject | str | None:
-    """The first good of `layout` (from `_good_layout`) the basis is not
-    transverse to, SINGULAR when the basis is not of full rank, or None.
-    The rows may be ints or Fractions.
+    """The first good of `layout` (from `_good_layout`) the integer basis is
+    not transverse to, SINGULAR when the basis is not of full rank, or
+    None.
 
     A good of dimension m is transverse iff R = RREF(rows m+1..n) has full
     rank on the columns outside it, which one t x t matrix decides (see
@@ -254,7 +264,7 @@ def _violation(
     pivots: list = [()] * n
     reduced: list = [()] * n
     for m in range(n - 1, -1, -1):
-        if ech.add(basis[m]) is None:
+        if ech.add(list(basis[m])) is None:
             return SINGULAR
         if m:
             pivots[m], reduced[m] = ech.pivots(), ech.int_rows()
@@ -314,47 +324,40 @@ def build_transverse_filtration(
             last_bad = bad
         else:
             raise TransversalityError(sigma, last_bad, MAX_ATTEMPTS)
-    ints = tuple(ints)
-    filtration = Filtration(profile, ints, seed, total_attempts)
+    filtration = Filtration(profile, tuple(ints), seed, total_attempts)
     object.__setattr__(filtration, "transverse", True)
-    # the drawn integers are the `int_bases` the cached property would build
-    filtration.__dict__["int_bases"] = ints
     return filtration
 
 
 def _tail_dims(filtration: Filtration, sigma: int, rows) -> list[int]:
-    """dim(W cap T_j) for j = 1..n, then 0, for canonical `rows` spanning W,
-    given as Fractions or as primitive integer rows.
+    """dim(W cap T_j) for j = 1..n, then 0, for integer `rows` spanning W.
 
-    One echelon pass seeded with W takes v_n, v_{n-1}, ... while it grows;
-    after v_j its size is dim(W + T_j).
+    One echelon pass over W takes v_n, v_{n-1}, ... while it grows; after
+    v_j its size is dim(W + T_j).
     """
     n = filtration.dimension
-    r = len(rows)
-    basis = filtration.int_bases[sigma]
-    ech = linalg.Echelon(n, rows)
+    basis = filtration.vectors[sigma]
+    ech = linalg.Echelon(n)
+    for row in rows:
+        ech.add(list(row))
+    r = len(ech)
     dims = [0] * (n + 1)
     for j in range(n, 0, -1):
         if len(ech) < n:
-            ech.add_integral(list(basis[j - 1]))
+            ech.add(list(basis[j - 1]))
         dims[j - 1] = r + (n - j + 1) - len(ech)
     return dims
 
 
-def t_h(filtration: Filtration, rows: Mat, config) -> Fraction:
-    """Exact Hodge slope of a subspace against the filtration."""
-    return _t_h(filtration, linalg.rref(rows), config)
-
-
-def _t_h(filtration: Filtration, rows, config) -> Fraction:
-    """`t_h` of canonical rows, given as Fractions or as primitive integer
-    rows (`StableLattice.int_rows`)."""
+def t_h(filtration: Filtration, rows: Sequence[Sequence[int]], config) -> int:
+    """Exact Hodge slope, an integer, of the subspace spanned by the integer
+    `rows` against the filtration."""
     total = 0
     for sigma, wrow in enumerate(filtration.weights.weights):
         dims = _tail_dims(filtration, sigma, rows)
         for j in range(1, filtration.dimension + 1):
             total += wrow[j - 1] * (dims[j - 1] - dims[j])
-    return Fraction(config.deg_K_L * total)
+    return config.deg_K_L * total
 
 
 @dataclass(frozen=True)
@@ -453,7 +456,7 @@ def _aligned_candidates(
             if not inside.isdisjoint(coords)
         ]
         for sigma in range(spec.config.embeddings):
-            basis = filtration.int_bases[sigma]
+            basis = filtration.vectors[sigma]
             # columns outside E first: a row stored after v_n .. v_j with
             # its pivot inside E lies in E cap T_j, and these rows span it;
             # groups[k] holds the level vectors of the rows E cap T_{m-k} adds
@@ -462,7 +465,7 @@ def _aligned_candidates(
             new: list = []
             for j in range(n, 1, -1):
                 v = basis[j - 1]
-                row = ech.add_integral([v[c] for c in order])
+                row = ech.add([v[c] for c in order])
                 if row is not None and not any(row[: n - m]):
                     for level, pos in parts:
                         local = [row[p] for p in pos]
@@ -477,21 +480,23 @@ def _aligned_candidates(
 
 
 def _witness(
-    rows: Mat,
-    th: Fraction,
-    tn: Fraction,
+    rows: tuple[tuple[int, ...], ...],
+    th: int,
+    scaled_tn: int,
+    den: int,
     enclosing: GoodSubobject,
     spec: ModuleSpec,
     source: str,
 ) -> dict:
-    """The witness entry of a violating subspace with canonical `rows`."""
+    """The witness entry of a violating subspace with canonical `rows`, t_H
+    `th` and t_N scaled_tn / den."""
     return {
         "kind": "witness",
         "source": source,
         "dim": len(rows),
-        "tH": fraction_to_str(th),
-        "tN": fraction_to_str(tn),
-        "basis": [[fraction_to_str(x) for x in row] for row in rows],
+        "tH": f"{th}/1",
+        "tN": ratio_to_str(scaled_tn, den),
+        "basis": [row_to_str(row) for row in rows],
         "enclosingGood": list(enclosing.counts),
         "enclosingDim": enclosing.dimension(spec),
     }
@@ -526,7 +531,9 @@ def check_admissible(
     `build_transverse_filtration` did not verify is checked for
     transversality first (TransversalityError).  A realization of a spec
     other than `spec`, or a filtration with other weights than `profile`,
-    raises ValueError.
+    raises ValueError; one whose `vectors` do not hold one basis per weight
+    row, each of `weights.length` rows of as many ints, raises SpecError
+    naming the basis or row.
     """
     if realization.spec != spec:
         raise ValueError("realization does not match the spec")
@@ -534,7 +541,7 @@ def check_admissible(
         # the bounds read the profile, t_H reads the filtration
         raise ValueError("the filtration's weights differ from the profile")
     cfg = spec.config
-    total_th = Fraction(cfg.deg_K_L * profile.total)
+    total_th = cfg.deg_K_L * profile.total
     total_tn = t_n(spec)
     if total_th != total_tn:
         witness = {
@@ -544,8 +551,11 @@ def check_admissible(
         }
         return AdmissibilityReport(False, "equality", witness, ())
     if not filtration.transverse:
+        errs = _vector_violations(filtration)
+        if errs:
+            raise SpecError(errs)
         layout = _good_layout(spec, spec.goods)
-        for sigma, basis in enumerate(filtration.int_bases):
+        for sigma, basis in enumerate(filtration.vectors):
             bad = _violation(basis, layout)
             if bad is not None:
                 raise TransversalityError(sigma, bad, None)
@@ -573,15 +583,15 @@ def check_admissible(
                 _class_row(size, lattice.scaled_t_n(good_keys[j]), den, kl * prefix[size])
                 for size, _, j in scan[: pos + 1]
             )
-            th_val = _t_h(filtration, lattice.int_rows(good_keys[k]), cfg)
+            rows = lattice.int_rows(good_keys[k])
+            th_val = t_h(filtration, rows, cfg)
             if th_val != kl * prefix[m]:
                 raise InternalConsistencyError(
                     f"stable good {goods[k].counts} has t_H {th_val}, not "
                     f"[K:L] P[{m}] = {kl * prefix[m]}: the filtration is not transverse"
                 )
-            tn_val = lattice.t_n(good_keys[k])
-            rows = lattice.rows(good_keys[k])
-            witness = _witness(rows, th_val, tn_val, goods[k], spec, "good")
+            scaled = lattice.scaled_t_n(good_keys[k])
+            witness = _witness(rows, th_val, scaled, den, goods[k], spec, "good")
             return AdmissibilityReport(False, "witness", witness, table)
 
     listed = _class_keys(lattice, seed)
@@ -616,18 +626,15 @@ def check_admissible(
     rows_order = _row_order(lattice, keys)
     witness = None
     for key in sorted(keys, key=lambda k: (lattice.dim(k), rows_order[k])):
-        tn_val = lattice.t_n(key)
-        th_val = _t_h(filtration, lattice.int_rows(key), cfg)
+        scaled = lattice.scaled_t_n(key)
+        rows = lattice.int_rows(key)
+        th_val = t_h(filtration, rows, cfg)
         table.append(
-            {
-                "dim": lattice.dim(key),
-                "tH": fraction_to_str(th_val),
-                "tN": fraction_to_str(tn_val),
-            }
+            {"dim": len(rows), "tH": f"{th_val}/1", "tN": ratio_to_str(scaled, den)}
         )
-        if th_val > tn_val and witness is None:
+        if th_val * den > scaled and witness is None:
             enclosing = smallest_enclosing_good(realization.spec, lattice.profile(key))
-            witness = _witness(lattice.rows(key), th_val, tn_val, enclosing, spec, "search")
+            witness = _witness(rows, th_val, scaled, den, enclosing, spec, "search")
     if witness is not None:
         return AdmissibilityReport(False, "witness", witness, tuple(table))
     return AdmissibilityReport(True, None, None, tuple(table), "search")

@@ -18,9 +18,11 @@ families share an eigenvalue.  Edges add the equal-eigenvalue
 coupling term, so column j of Phi is lambda_j (e_j + E e_j) with E the 0/1
 edge coupling.  The realization keeps the eigenvalues and the nonzero
 entries of the columns of E and N; N * Phi = p * Phi * N is checked
-exactly on them, with work proportional to the nonzero entries.  Dense
-rational matrices of Phi and N are built only when read
-(`ConcreteRealization.phi`, `nmat`), for the `build-phi` report.
+exactly on them, with work proportional to the nonzero entries.  Every
+entry is an integer, the eigenvalues too: a twist is never negative, and
+`realize_matrices` refuses a spec with a negative one.  Dense integer
+matrices of Phi and N are built only when read (`ConcreteRealization.phi`,
+`nmat`), for the `build-phi` report.
 
 Blocks of one eigenvalue form a level; distinct families never share an
 eigenvalue and every edge stays inside a level, so on the coordinate span
@@ -34,17 +36,15 @@ is where the level split is enforced: it raises if E leaves a level or N
 sends one into two.  The Newton slope of W is the sum over levels of
 dim(W cap V_lambda) times the slope of one block of the level
 (`level_slopes`, in the integers of `model.scaled_slopes`), which
-`subobjects.StableLattice.t_n` adds up per stable subspace.
+`subobjects.StableLattice.scaled_t_n` adds up per stable subspace.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Mat
 from .model import Block, InternalConsistencyError, ModuleSpec, Summand
 from .model import _is_prime, scaled_slopes
 from .ordering import require_canonical
@@ -109,17 +109,16 @@ class ConcreteRealization:
     """(Phi, N) on the basis of blocks, as sparse integer columns.
 
     Column j of Phi is lambda_j (e_j + E e_j), with lambda_j the eigenvalue
-    of basis index j (an int where integral) and E the edge coupling; the
-    columns of E and N hold their nonzero entries as (row, value) pairs.
-    The dense Fraction matrices `phi` and `nmat` are built from them on
-    first read.
+    of basis index j and E the edge coupling; the columns of E and N hold
+    their nonzero entries as (row, value) pairs.  The dense integer
+    matrices `phi` and `nmat` are built from them on first read.
     """
 
     spec: ModuleSpec
     edges: tuple[ModificationEdge, ...]
     seeds: dict[str, int]
     basis: tuple[Block, ...]
-    eigenvalues: tuple[int | Fraction, ...]
+    eigenvalues: tuple[int, ...]
     e_cols: tuple[tuple[tuple[int, int], ...], ...]   # E, by column
     n_cols: tuple[tuple[tuple[int, int], ...], ...]   # N, by column
 
@@ -131,11 +130,11 @@ class ConcreteRealization:
     def p(self) -> int:
         return self.spec.config.p
 
-    def _dense(self, cols, scales=None) -> Mat:
+    def _dense(self, cols, scales=None) -> tuple[tuple[int, ...], ...]:
         """The matrix with the given sparse columns, column j scaled by
         scales[j], plus the diagonal of `scales` when given."""
         n = self.dimension
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
         for j, col in enumerate(cols):
             lam = 1
             if scales is not None:
@@ -146,13 +145,13 @@ class ConcreteRealization:
         return tuple(tuple(row) for row in out)
 
     @cached_property
-    def phi(self) -> Mat:
-        """Phi as a dense Fraction matrix."""
+    def phi(self) -> tuple[tuple[int, ...], ...]:
+        """Phi as a dense integer matrix."""
         return self._dense(self.e_cols, self.eigenvalues)
 
     @cached_property
-    def nmat(self) -> Mat:
-        """N as a dense Fraction matrix."""
+    def nmat(self) -> tuple[tuple[int, ...], ...]:
+        """N as a dense integer matrix."""
         return self._dense(self.n_cols)
 
     @cached_property
@@ -215,21 +214,24 @@ def realize_matrices(
     """Exact (Phi, N) realizing the spec, as sparse integer columns, with
     the family seeds of the module docstring; h = 1 only.
 
-    Raises ValueError for an edge coupling blocks of different
-    eigenvalues: it breaks the level structure that closures and t_N rely
-    on.
+    Raises ValueError for a summand with a negative twist, which
+    `validate_spec` refuses too, and for an edge coupling blocks of
+    different eigenvalues: it breaks the level structure that closures and
+    t_N rely on.
     """
     for fam in spec.families:
         if fam.h != 1:
             raise ValueError("concrete layer requires h=1")
+    for i, s in enumerate(spec.summands):
+        if s.l < 0:
+            raise ValueError(
+                f"summands[{i}] has the negative twist {s.l}: "
+                "the concrete layer requires l >= 0"
+            )
     seeds = _seeds(spec)
     basis = tuple(spec.blocks())
     p = spec.config.p
-    # p ** t is an int for the twists t >= 0 of a valid spec
-    lams = tuple(
-        seeds[b.family.id] * (p ** b.twist if b.twist >= 0 else Fraction(p) ** b.twist)
-        for b in basis
-    )
+    lams = tuple(seeds[b.family.id] * p ** b.twist for b in basis)
     index = {(blk.summand, blk.k): i for i, blk in enumerate(basis)}
     e_cols = []
     n_cols = []
@@ -260,7 +262,7 @@ def _check_commutation(eigenvalues, e_cols, n_cols, p: int) -> None:
         for j, (lam, col) in enumerate(zip(eigenvalues, e_cols))
     ]
     for j, col in enumerate(n_cols):
-        diff: dict[int, int | Fraction] = {}
+        diff: dict[int, int] = {}
         for k, x in phi_cols[j]:          # N * (Phi e_j)
             for i, a in n_cols[k]:
                 diff[i] = diff.get(i, 0) + a * x

@@ -1,30 +1,25 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integers.
 
-Vectors are sequences of rationals, given as int or Fraction entries; a
-subspace is identified with its row space and represented canonically by
-the reduced row echelon form of any spanning set, as a tuple of Fraction
-tuples, so two subspaces are equal iff their canonical matrices are equal
-as tuples.
+A rational subspace of Q^n has exactly one basis of primitive integer
+rows in reduced row echelon form with positive pivots: its canonical
+rows.  Every subspace and matrix here is held in integers, a subspace as
+its canonical rows, a tuple of int tuples, so two subspaces are equal iff
+their canonical rows are equal as tuples.  A vector with denominators is
+scaled to integers where it is made, which leaves its span unchanged; only
+a report writes a row as rationals, each entry over the pivot
+(`model.row_to_str`).
 
 One kernel does all elimination: `Echelon`, a pivot-indexed echelon
-basis that grows one vector at a time, fraction-free in the style of
-Bareiss.  A vector with denominators is cleared by one lcm on entry, and
-from then on only integers are stored: each row is primitive with a
-positive pivot, a vector is reduced against the pivots in ascending order
-by r <- p*r - x*row (both scaled down by gcd(p, x) first, so a pivot
-dividing x costs no scaling), and the result is divided by the gcd of its
-entries.  `int_rows` reads out the canonical basis after one integer
-back-substitution, as primitive integer rows with positive pivots (again
-unique), and `fraction_rows` divides them by their pivots: the only place
-Fractions are built.  `rank`, `rref` and `span_sum` are read-outs of this
-kernel, and `kernel_rows` reads a null space off its canonical rows with
-no elimination of its own.  The size of an `Echelon` is read out without back-substitution;
-intersection dimensions on the verify path come from it.
-
-`CanonicalBasis` marks a tuple that is known to be in reduced row echelon
-form.  Only `fraction_rows` (fed canonical integer rows by `Echelon.rows`
-and by the lattice of stable subspaces) produces one, so `rref` returns a
-marked basis as it is, in O(1), and reduces anything else.
+basis that grows one integer vector at a time, fraction-free in the style
+of Bareiss.  Each stored row is primitive with a positive pivot, a vector
+is reduced against the pivots in ascending order by r <- p*r - x*row (both
+scaled down by gcd(p, x) first, so a pivot dividing x costs no scaling),
+and the result is divided by the gcd of its entries.  `int_rows` reads out
+the canonical rows after one integer back-substitution.  `rank` and
+`span_sum` are read-outs of this kernel, and `kernel_rows` reads a null
+space off canonical rows with no elimination of its own.  The size of an
+`Echelon` is read out without back-substitution; intersection dimensions
+on the verify path come from it.
 
 Stable closures are grown level by level in `subobjects.StableLattice`;
 the level split is enforced in `frobenius` (`level_operators`).
@@ -34,38 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
-
-ZERO = Fraction(0)
-
-
-class CanonicalBasis(tuple):
-    """A tuple of Fraction rows verified to be in reduced row echelon form.
-
-    Slices and sums of it are plain tuples, which carry no such promise.
-    """
-
-    __slots__ = ()
-
-
-def integral(v: Sequence) -> list[int]:
-    """`v` scaled by the lcm of its denominators, as ints."""
-    den = 1
-    for x in v:
-        if type(x) is not int:
-            d = x.denominator
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-    if den == 1:
-        return [x if type(x) is int else x.numerator for x in v]
-    return [
-        x * den if type(x) is int else x.numerator * (den // x.denominator)
-        for x in v
-    ]
 
 
 class Echelon:
@@ -80,25 +44,23 @@ class Echelon:
 
     __slots__ = ("ncols", "_pivots", "_rows")
 
-    def __init__(self, ncols: int, canonical: Mat = ()):
+    def __init__(self, ncols: int, canonical: Sequence[Sequence[int]] = ()):
+        """An echelon of the rows `canonical`, canonical rows as `int_rows`
+        gives them, which it stores as they are."""
         self.ncols = ncols
         self._pivots: list[int] = []
-        self._rows: dict[int, tuple[list[int], list[int]]] = {}
+        self._rows: dict[int, tuple[Sequence[int], list[int]]] = {}
         for row in canonical:
-            w = integral(row)
-            for c, x in enumerate(w):
+            for c, x in enumerate(row):
                 if x:
                     self._pivots.append(c)
-                    self._rows[c] = (w, [j for j in range(c + 1, ncols) if w[j]])
+                    self._rows[c] = (row, [j for j in range(c + 1, ncols) if row[j]])
                     break
 
-    def add(self, v: Sequence) -> list[int] | None:
-        """Extend the basis by `v`; the new stored row, or None if `v` was
-        in the span."""
-        return self.add_integral(integral(v))
-
-    def add_integral(self, w: list[int]) -> list[int] | None:
-        """`add` for a list of ints, which it takes over and may change."""
+    def add(self, w: list[int]) -> list[int] | None:
+        """Extend the basis by the integer vector `w`, a list it takes over
+        and may change; the new stored row, or None if `w` was in the
+        span."""
         rows = self._rows
         for c in self._pivots:
             x = w[c]
@@ -136,8 +98,8 @@ class Echelon:
         return tuple(self._pivots)
 
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The canonical basis with each row scaled to a primitive integer
-        row with a positive pivot.
+        """The canonical rows: primitive integer rows in reduced row echelon
+        form with positive pivots.
 
         Back-substitution runs from the last pivot up, in integers: each
         row is cleared at the later pivot columns by the rows already
@@ -164,53 +126,22 @@ class Echelon:
         out.reverse()
         return tuple(out)
 
-    def rows(self) -> CanonicalBasis:
-        """The canonical basis (reduced row echelon form)."""
-        return fraction_rows(self.int_rows())
 
-
-def fraction_rows(rows: Iterable[Sequence[int]]) -> CanonicalBasis:
-    """Canonical Fraction rows of primitive integer rows in reduced echelon
-    form with positive pivots (as `Echelon.int_rows` gives them)."""
-    out = []
-    for row in rows:
-        p = next(a for a in row if a)
-        if p == 1:
-            out.append(tuple(Fraction(a) if a else ZERO for a in row))
-        else:
-            out.append(tuple(Fraction(a, p) if a else ZERO for a in row))
-    return CanonicalBasis(out)
-
-
-def rank(rows: Iterable[Sequence]) -> int:
-    """Dimension of the row space."""
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """Dimension of the row space of integer rows."""
     ech = None
     for r in rows:
         if ech is None:
             ech = Echelon(len(r))
-        ech.add(r)
+        ech.add(list(r))
         if len(ech) == ech.ncols:
             break
     return len(ech) if ech is not None else 0
 
 
-def rref(rows: Iterable[Sequence]) -> CanonicalBasis:
-    """Reduced row echelon form with zero rows dropped (canonical basis).
-
-    A `CanonicalBasis` comes back as the same object.
-    """
-    if type(rows) is CanonicalBasis:
-        return rows
-    rows = list(rows)
-    ech = Echelon(len(rows[0]) if rows else 0)
-    for r in rows:
-        ech.add(r)
-    return ech.rows()
-
-
-def span_sum(a: tuple, b: Iterable[Sequence]) -> tuple:
-    """Canonical integer rows (as `Echelon.int_rows` reads them out) of
-    rowspace(a) + rowspace(b), for `a` given in that form.
+def span_sum(a: tuple, b: Iterable[Sequence[int]]) -> tuple:
+    """Canonical rows (as `Echelon.int_rows` reads them out) of rowspace(a)
+    + rowspace(b), for `a` given in that form and integer rows `b`.
 
     Returns `a` itself when rowspace(b) lies inside rowspace(a).
     """
@@ -220,15 +151,14 @@ def span_sum(a: tuple, b: Iterable[Sequence]) -> tuple:
     ech = Echelon(len(b[0]), a)
     grew = False
     for v in b:
-        if ech.add(v) is not None:
+        if ech.add(list(v)) is not None:
             grew = True
     return ech.int_rows() if grew else a
 
 
 def kernel_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """An integer basis of {x : r . x = 0 for every row r}, read off
-    primitive integer rows in reduced echelon form with positive pivots (as
-    `Echelon.int_rows` gives them).
+    canonical rows (as `Echelon.int_rows` gives them).
 
     For each column f that is no pivot: L at f and -r[f] * (L / p) at the
     pivot p of each row r nonzero at f, L the lcm of those pivots.  A row

@@ -46,6 +46,7 @@ __all__ = [
     "t_n",
     "fraction_to_str",
     "ratio_to_str",
+    "row_to_str",
     "fraction_from_json",
     "spec_to_dict",
     "spec_from_dict",
@@ -162,13 +163,6 @@ class Block:
     family: Family
     twist: int
 
-    @property
-    def size(self) -> int:
-        return self.family.h
-
-    def t_n(self, config: Config) -> Fraction:
-        return self.family.t_base + self.twist * config.deg_K_Qp
-
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -282,9 +276,6 @@ class GoodSubobject:
                 f"good subobject has {len(self.counts)} counts for "
                 f"{len(spec.summands)} summands"
             )
-
-    def contains(self, other: "GoodSubobject") -> bool:
-        return all(a >= b for a, b in zip(self.counts, other.counts))
 
 
 @dataclass(frozen=True)
@@ -424,6 +415,13 @@ def ratio_to_str(num: int, den: int) -> str:
     scaled integer (a slack or t_N times its common denominator)."""
     g = math.gcd(num, den)
     return f"{num // g}/{den // g}"
+
+
+def row_to_str(row: Sequence[int]) -> list[str]:
+    """A canonical integer row as rationals: each entry over the pivot, the
+    first nonzero entry (positive), written as `ratio_to_str` writes it."""
+    pivot = next(filter(None, row))
+    return [ratio_to_str(x, pivot) for x in row]
 
 
 def fraction_from_json(value, field: str = "value") -> Fraction:

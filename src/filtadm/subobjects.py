@@ -25,10 +25,10 @@ random-coefficient rounds re-derive the classes there and fail loudly if
 the pattern heuristic ever misses one.
 The work runs on piece ids (`_class_keys`, which the verdict calls): the
 keys are grouped by class before anything is ordered, only a class with
-several keys runs the tie-break, and both orders compare integer rows,
-each `int_rows` row scaled by L / pivot with L the lcm of the pivots of
-the keys compared.  That is L times the canonical `Fraction` rows, so the
-order is theirs, and `Subobject` rows are built only for the public list.
+several keys runs the tie-break, and both orders compare the rows as
+rationals, each entry over its row's pivot: in integers, each `int_rows`
+row scaled by L / pivot with L the lcm of the pivots of the keys
+compared.  `Subobject`s are built only for the public list.
 The closure of c*v is the closure of v for c != 0: the first step of
 both stores the same primitive row with a positive pivot, and every
 later step reads only that row.  So single-vector closures are memoized
@@ -74,19 +74,16 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Mat
 from .frobenius import ConcreteRealization, ModificationEdge
 from .model import CapExceededError, GoodSubobject, InternalConsistencyError, ModuleSpec
 
 __all__ = [
     "check_cap",
     "Subobject",
-    "enumerate_good_subobjects",
     "is_stable_good",
     "stable_good_subobjects",
     "smallest_enclosing_good",
@@ -116,25 +113,16 @@ def check_cap(dimension: int, cap: int) -> None:
 
 @dataclass(frozen=True)
 class Subobject:
-    """A Phi,N-stable subspace, canonically represented by RREF rows, held
-    as a `linalg.CanonicalBasis`; `key` holds its piece ids in the
+    """A Phi,N-stable subspace, held as its canonical rows (`rows`, as
+    `StableLattice.int_rows` gives them); `key` holds its piece ids in the
     `StableLattice` that produced it, when one did."""
 
-    rows: Mat
+    rows: tuple[tuple[int, ...], ...]
     key: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", linalg.rref(self.rows))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def enumerate_good_subobjects(spec: ModuleSpec) -> tuple[GoodSubobject, ...]:
-    """Every count vector in prod_i {0..b_i}, zero and the whole included
-    (`ModuleSpec.goods`, built once per spec)."""
-    return spec.goods
 
 
 def is_stable_good(
@@ -146,9 +134,7 @@ def is_stable_good(
 def stable_good_subobjects(
     spec: ModuleSpec, edges: Sequence[ModificationEdge] = ()
 ) -> tuple[GoodSubobject, ...]:
-    return tuple(
-        g for g in enumerate_good_subobjects(spec) if is_stable_good(g, edges)
-    )
+    return tuple(g for g in spec.goods if is_stable_good(g, edges))
 
 
 def _full(spec: ModuleSpec) -> GoodSubobject:
@@ -337,7 +323,7 @@ class StableLattice:
                 ech = echs.get(level)
                 if ech is None:
                     ech = echs[level] = linalg.Echelon(self._widths[level])
-                w = ech.add(v)
+                w = ech.add(list(v))
                 if w is not None:
                     queue.append((level, w))
             grown = {level for level, _ in queue}
@@ -354,7 +340,7 @@ class StableLattice:
                         if x:
                             for i, a in col:
                                 image[i] += a * x
-                    w = ech.add_integral(image)
+                    w = ech.add(image)
                     if w is not None:
                         grown.add(target)
                         queue.append((target, w))
@@ -394,9 +380,6 @@ class StableLattice:
 
     def dim(self, key: tuple[int, ...]) -> int:
         return self._measure(key)[0]
-
-    def t_n(self, key: tuple[int, ...]) -> Fraction:
-        return Fraction(self._measure(key)[1], self.realization.level_slopes[1])
 
     def scaled_t_n(self, key: tuple[int, ...]) -> int:
         """t_N times the denominator of `ConcreteRealization.level_slopes`."""
@@ -474,12 +457,12 @@ class StableLattice:
             for f in forms:
                 if len(ech) == width:
                     break
-                ech.add_integral(list(f))
+                ech.add(list(f))
             size = width - len(ech)
             if size > len(piece):
                 span = linalg.Echelon(width, piece)
                 for v in linalg.kernel_rows(ech.int_rows(), width):
-                    if span.add_integral(v) is not None and len(span) == size:
+                    if span.add(v) is not None and len(span) == size:
                         break
                 pid = self._intern(level, span.int_rows())
         self._cover_spans[memo] = pid
@@ -574,10 +557,6 @@ class StableLattice:
         pivot, already reduced since levels occupy disjoint columns."""
         return tuple(row for _, row in self._pivot_rows(key))
 
-    def rows(self, key: tuple[int, ...]) -> Mat:
-        """Canonical basis of the subspace with these piece ids."""
-        return linalg.fraction_rows(self.int_rows(key))
-
     def _level_terms(self, level: int, pid: int) -> tuple[int, ...]:
         terms = self._terms[level].get(pid)
         if terms is None:
@@ -653,12 +632,12 @@ def _negatives(lattice: StableLattice, key: tuple[int, ...]) -> int:
 def _row_order(
     lattice: StableLattice, keys: Sequence[tuple[int, ...]]
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Per key, its canonical rows times one integer L common to `keys`: the
-    lcm of every pivot of their `int_rows`.
+    """Per key, its rows over their pivots times one integer L common to
+    `keys`: the lcm of every pivot of their `int_rows`.
 
-    A primitive row with pivot p is p times its canonical row, so scaling
-    it by L / p gives L times the canonical row, in integers.  With L
-    common to all keys these compare exactly as the `Fraction` rows do.
+    Scaling a row with pivot p by L / p gives L times the row over its
+    pivot, in integers.  With L common to all keys these compare exactly
+    as the rows over their pivots do, as rationals.
     """
     ints = [lattice._pivot_rows(key) for key in keys]
     scale = math.lcm(*(row[c] for rows in ints for c, row in rows))
@@ -680,9 +659,9 @@ def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
     the pattern route's, audited by `RANDOM_ROUNDS` random rounds drawn
     from `seed`.  They are grouped by class (rank, `good_dims`) first.  A
     class with several keys keeps the one without negative entries, then
-    with the smallest canonical rows; the representatives are sorted by
-    (rank, canonical rows), and rows are built only where ranks tie.  Both orders compare
-    the integer rows of `_row_order`, so no `Fraction` row is built.
+    with the smallest rows; the representatives are sorted by (rank, rows),
+    and rows are built only where ranks tie.  Both orders compare the rows
+    over their pivots, as the integers of `_row_order`.
     """
     keys = lattice.walk()
     audit = keys is None
@@ -733,14 +712,15 @@ def enumerate_concrete_subobjects(
     drawn from `seed`, must not produce any new relative-position class,
     or the pattern heuristic is declared broken.  Either way one
     representative per class is kept (`_class_keys`): the one without
-    negative entries, then with the smallest canonical basis, sorted by
-    (rank, canonical basis).  Results carry their piece ids `key` in
-    `lattice` (new if None).
+    negative entries, then with the smallest canonical rows, sorted by
+    (rank, canonical rows), rows compared over their pivots.  Results hold
+    their canonical rows and their piece ids `key` in `lattice` (new if
+    None).
     """
     check_cap(realization.dimension, cap)
     lattice = lattice or StableLattice(realization)
     return tuple(
-        Subobject(lattice.rows(key), key) for key in _class_keys(lattice, seed)
+        Subobject(lattice.int_rows(key), key) for key in _class_keys(lattice, seed)
     )
 
 

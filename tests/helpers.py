@@ -205,7 +205,12 @@ def level_vectors(real, vectors) -> list:
 
 
 def closure_rows(real, vectors, lattice=None):
-    """Canonical basis of the Phi,N-stable closure of full-width vectors,
-    grown on the level path."""
+    """Canonical rows of the Phi,N-stable closure of full-width integer
+    vectors, grown on the level path."""
     lattice = lattice or StableLattice(real)
-    return lattice.rows(lattice.closures([level_vectors(real, vectors)])[0])
+    return lattice.int_rows(lattice.closures([level_vectors(real, vectors)])[0])
+
+
+def t_n_of(lattice, key) -> Fraction:
+    """t_N of the stable subspace with the piece ids `key`, as a Fraction."""
+    return Fraction(lattice.scaled_t_n(key), lattice.realization.level_slopes[1])

@@ -15,7 +15,7 @@ the library sums scaled integer slopes over each shuffle's intervals.  `slope_ch
 and `min_slope_per_dim` are the slope criteria in `Fraction` arithmetic,
 block by block and through a block-by-dimension subset DP, where the
 library scales the slopes to integers; all three oracles add up the
-`Block.t_n` Fractions and never call `model.t_n` or `scaled_slopes`.
+`block_slope` Fractions and never call `model.t_n` or `scaled_slopes`.
 
 `stable_extensions` tests U + <x> for stability vector by vector over a
 small box, where the lattice reads the cover span S_lambda(U) of a level
@@ -30,6 +30,9 @@ by tail (and by one minor per good, the form before the one-echelon
 check), tail dimensions by stacking, and aligned candidates by one
 intersection per tail.  `class_subobjects` chooses and sorts the class
 list on `Fraction` rows, where the library compares integer rows.
+`rref` gives the `Fraction` rows of a subspace, from any spanning rows;
+`int_rows` scales rows to integers, and `canonical` gives the canonical
+integer rows the library holds, as `int_rows` of the `rref` rows.
 Hand-written subspaces reach the greedy flags through
 `intersection_profile`.
 
@@ -67,6 +70,7 @@ each component's goods instead of splitting rows.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +80,6 @@ from filtadm import linalg, pairs
 from filtadm.emerton import CANDIDATE_CAP, EmertonVerdict, _shuffles
 from filtadm.filtration import SINGULAR, Filtration, _tail_dims
 from filtadm.frobenius import ConcreteRealization, ModificationEdge, _seeds
-from filtadm.linalg import Mat, Vec
 from filtadm.model import (
     CapExceededError,
     GoodSubobject,
@@ -104,11 +107,13 @@ from filtadm.subobjects import (
     _pattern_vectors,
     _saturate,
     check_cap,
-    enumerate_good_subobjects,
     random_round_subobjects,
     smallest_enclosing_good,
     stable_good_subobjects,
 )
+
+Vec = tuple[Fraction, ...]
+Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
 
@@ -143,6 +148,34 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
             break
     work = [row for row in work if any(x != 0 for x in row)]
     return tuple(tuple(row) for row in work)
+
+
+def int_rows(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """Each row times the lcm of its denominators, as ints: the same span.
+    On `rref` rows this gives the canonical integer rows, primitive with
+    positive pivots."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append(tuple(int(x * scale) for x in row))
+    return tuple(out)
+
+
+def canonical(rows: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """The canonical integer rows of the span of any rows: `rref`, scaled
+    by `int_rows`."""
+    return int_rows(rref(rows))
+
+
+def block_slope(blk, config) -> Fraction:
+    """The Newton slope F.t_base + twist * [K:Qp] of one block."""
+    return blk.family.t_base + blk.twist * config.deg_K_Qp
+
+
+def contains(g: GoodSubobject, f: GoodSubobject) -> bool:
+    """Whether the good `g` contains the good `f`."""
+    return all(a >= b for a, b in zip(g.counts, f.counts))
 
 
 def vec(entries: Iterable) -> Vec:
@@ -202,9 +235,10 @@ def is_stable(basis: Mat, operators: Sequence[Mat]) -> bool:
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant by Gaussian elimination with row swaps."""
+    """Determinant by Gaussian elimination with row swaps, of a matrix of
+    ints or Fractions."""
     n = len(a)
-    work = [list(row) for row in a]
+    work = [list(map(Fraction, row)) for row in a]
     sign = 1
     out = Fraction(1)
     for c in range(n):
@@ -536,10 +570,10 @@ def saturate_all_pairs(rows: Iterable[Mat]) -> set[Mat]:
 
 
 def block_slope_sum(spec: ModuleSpec, blocks=None) -> Fraction:
-    """t_N as the Fraction sum of `Block.t_n` over `blocks` (all blocks of
-    the spec by default)."""
+    """t_N as the Fraction sum of `block_slope` over `blocks` (all blocks
+    of the spec by default)."""
     blocks = spec.blocks() if blocks is None else blocks
-    return sum((blk.t_n(spec.config) for blk in blocks), Fraction(0))
+    return sum((block_slope(blk, spec.config) for blk in blocks), Fraction(0))
 
 
 def chain_verdict(
@@ -586,8 +620,8 @@ def min_slope_per_dim(spec: ModuleSpec) -> dict[int, Fraction]:
     by a DP over the blocks and the reachable dimensions."""
     best: dict[int, Fraction] = {0: Fraction(0)}
     for blk in spec.blocks():
-        step = blk.t_n(spec.config)
-        size = blk.size
+        step = block_slope(blk, spec.config)
+        size = blk.family.h
         for d in sorted(best, reverse=True):
             cand = best[d] + step
             cur = best.get(d + size)
@@ -848,7 +882,7 @@ def class_subobjects(
     keys = [lattice.zero, *lattice.good_keys]
     for level, coords in enumerate(realization.levels):
         keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
-    base = [Subobject(lattice.rows(key), key) for key in _saturate(lattice, keys)]
+    base = [Subobject(lattice.int_rows(key), key) for key in _saturate(lattice, keys)]
     # one representative per relative-position class, preferring bases
     # without negative entries, then the smallest canonical basis
     def rep_key(s: Subobject):
@@ -856,12 +890,12 @@ def class_subobjects(
             x < 0 for level, pid in enumerate(s.key)
             for row in lattice.piece(level, pid) for x in row
         )
-        return (s.rank, negatives, s.rows)
+        return (s.rank, negatives, rref(s.rows))
 
     by_class: dict[tuple, Subobject] = {}
     for sub in sorted(base, key=rep_key):
         by_class.setdefault((sub.rank, lattice.good_dims(sub.key)), sub)
-    result = sorted(by_class.values(), key=lambda s: (s.rank, s.rows))
+    result = sorted(by_class.values(), key=lambda s: (s.rank, rref(s.rows)))
     rng = random.Random(seed)
     for _ in range(RANDOM_ROUNDS):
         for key in random_round_subobjects(lattice, rng):
@@ -888,7 +922,7 @@ def aligned_candidates(spec: ModuleSpec, realization, filtration) -> list[Mat]:
     n = spec.dimension
     ops = (realization.phi, realization.nmat)
     out = []
-    for good in enumerate_good_subobjects(spec):
+    for good in spec.goods:
         m = good.dimension(spec)
         if m == 0:
             continue
@@ -919,7 +953,7 @@ def chain_bound(spec: ModuleSpec, profile: WeightProfile, inter: dict) -> int:
             dist[g] = min(
                 dist[f] + sum(sorted(weights[:e])[e - (inter[g] - inter[f]):])
                 for f in goods
-                if f in dist and f != g and g.contains(f)
+                if f in dist and f != g and contains(g, f)
             )
         total += dist[goods[-1]]
     return spec.config.deg_K_L * total
@@ -1168,7 +1202,7 @@ def greedy_flag(
         best_key = None
         best: list[GoodSubobject] = []
         for g, inter in profile.items():
-            if g == current or not g.contains(current):
+            if g == current or not contains(g, current):
                 continue
             dg = g.dimension(spec)
             alpha = Fraction(inter - inter_cur, dg - dim_cur)
@@ -1266,8 +1300,7 @@ def special_pair_from_flag(
 
 def induced_jumps(filtration: Filtration, sigma: int, rows: Mat) -> tuple[int, ...]:
     """Sorted jump multiset of the filtration induced on a subspace."""
-    rows = linalg.rref(rows)
-    dims = _tail_dims(filtration, sigma, rows)
+    dims = _tail_dims(filtration, sigma, int_rows(rows))
     out = []
     wrow = filtration.weights.weights[sigma]
     for j in range(1, filtration.dimension + 1):

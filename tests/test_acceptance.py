@@ -123,7 +123,7 @@ def test_criterion_2_second_example_regression(ex2):
             rep = check_admissible(ex2, prof, real, filt)
             assert rep.ok, (weights, rep.witness)
             bound = weights[0] + weights[2]
-            assert t_h(filt, dp, ex2.config) <= bound
+            assert t_h(filt, oracles.int_rows(dp), ex2.config) <= bound
 
 
 def test_criterion_3_third_example_regression(ex3):

@@ -328,8 +328,8 @@ def test_timing_field_excluded_from_determinism():
 # sha256 of the report bytes, without --timing, for the data/ examples with
 # relative input paths (the paths enter the report).  A change to the
 # echelon kernel, the closure, t_N, the shuffle valuation check, the
-# candidate table or the transversality check that alters any byte fails
-# here.  Every digest was computed before the change it guards, except
+# candidate table, the transversality check, the realized matrices or the
+# writer of basis rows that alters any byte fails here.  Every digest was computed before the change it guards, except
 # the six verify ones: they were re-pinned when chain certificates took
 # the place of the candidate search (the table holds one row per class
 # with its bound; no exit code moved).
@@ -408,6 +408,30 @@ GOLDEN = [
     ("build-filtration ex1a", "build-filtration --spec data/ex1a_spec.json "
      "--weights data/weights_m212.json --seed 7", 0,
      "52e7301da965efbff4dc7c63be49642b50317d085ca0014e1ebb4cabe36adde2"),
+    ("build-phi ex1a", "build-phi --spec data/ex1a_spec.json", 0,
+     "684953d039fe03652ff15860d1f039d0455777e3eb87e86321d68c2929aedb94"),
+    ("build-phi ex1a unmodified", "build-phi --spec data/ex1a_spec.json --no-modify", 0,
+     "92e2aa0ccc91e44b7e2d08afcd32fc79f789c7280abb983313f4fa356623ab14"),
+    ("build-phi ex1b", "build-phi --spec data/ex1b_spec.json", 0,
+     "2033cb514123a966902dfefaa56901b31ead1c351697c5494323b181bbddfc08"),
+    ("build-phi ex1b unmodified", "build-phi --spec data/ex1b_spec.json --no-modify", 0,
+     "babebc25e1ac260c53f7a9f1c2c051c3f5716694118873e9423c4cd001c6e48c"),
+    ("build-phi ex2", "build-phi --spec data/ex2_spec.json", 0,
+     "880bd4b9c0ca6727479d53d7c3624ce9ba712289a554fced9b9449e74956d2be"),
+    ("build-phi ex2 unmodified", "build-phi --spec data/ex2_spec.json --no-modify", 0,
+     "880bd4b9c0ca6727479d53d7c3624ce9ba712289a554fced9b9449e74956d2be"),
+    ("build-phi ex3", "build-phi --spec data/ex3_spec.json", 0,
+     "f0b22ff2307c601cf75ba14c44dbbc295889291906aba04b18239b603c22cba1"),
+    ("build-phi ex3 unmodified", "build-phi --spec data/ex3_spec.json --no-modify", 0,
+     "f0b22ff2307c601cf75ba14c44dbbc295889291906aba04b18239b603c22cba1"),
+    ("subobjects ex1a unmodified", "subobjects --spec data/ex1a_spec.json", 0,
+     "bf829423bf7ae78632dba680dcf684b3e3c811eb57b347f4bb7fefd23a110c31"),
+    ("subobjects ex1b unmodified", "subobjects --spec data/ex1b_spec.json", 0,
+     "efcab0eac0ba9f1d3ade818663186469e97354ca14d18d5ab4f0891a7ab28a4c"),
+    ("subobjects ex2 unmodified", "subobjects --spec data/ex2_spec.json", 0,
+     "1bba1c1e1b02e666f1f76344c255de822c22555f17ddd3f96dff71b74423657d"),
+    ("subobjects ex3 unmodified", "subobjects --spec data/ex3_spec.json", 0,
+     "364f678ce3e33b9ebc753e5a0da0233ce6602f228e23e9fb4a50b95b219e3a23"),
 ]
 
 
@@ -419,6 +443,29 @@ def test_report_bytes_pinned(capsys, monkeypatch, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_subobjects_report_with_half_entries_pinned(tmp_path, capsys, monkeypatch):
+    # no data/ example has a basis entry with denominator 2 in its
+    # subobjects report: this spec has 26 classes, some with entries 1/2.
+    # The spec path is relative, so the `inputs` entry is stable.
+    spec = ModuleSpec(
+        Config(p=3),
+        (Family("F0", 1, Fraction(4, 3)),),
+        (Summand("F0", 1, 1), Summand("F0", 1, 1), Summand("F0", 1, 3)),
+    )
+    (tmp_path / "spec.json").write_text(json.dumps(spec_to_dict(spec)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["subobjects", "--spec", "spec.json"]) == 0
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert rep["count"] == 26
+    assert ["1/1", "0/1", "1/2", "0/1", "0/1"] in [
+        row for sub in rep["subobjects"] for row in sub["basis"]
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1f9bb0de3df9c72f3d8be9d21506f3ffb8163abe0cfeb87efd6a8caf73eae06c"
+    )
 
 
 def test_sixteen_families_get_seeds_and_subobjects_refuses_above_cap(tmp_path, capsys):

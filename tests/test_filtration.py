@@ -2,18 +2,18 @@ import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from filtadm import filtration, linalg
+from filtadm import filtration
 from filtadm.filtration import (
     Filtration,
     TransversalityError,
     _aligned_candidates,
     _chain_bound,
     _chain_steps,
-    _t_h,
     build_transverse_filtration,
     check_admissible,
     t_h,
@@ -25,6 +25,7 @@ from filtadm.model import (
     Family,
     GoodSubobject,
     ModuleSpec,
+    SpecError,
     Summand,
     WeightProfile,
     profile_from_dict,
@@ -35,9 +36,7 @@ from filtadm.ordering import canonical_order
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
     StableLattice,
-    Subobject,
     enumerate_concrete_subobjects,
-    enumerate_good_subobjects,
     random_round_subobjects,
     stable_good_subobjects,
 )
@@ -58,7 +57,7 @@ def _setup(spec, profile, seed=7, modify=True):
 
 def test_transversality_exact_on_goods(ex1a, w_m212):
     real, filt = _setup(ex1a, w_m212)
-    for good in enumerate_good_subobjects(ex1a):
+    for good in ex1a.goods:
         m = good.dimension(ex1a)
         rows = good_span(ex1a, good)
         for sigma in range(ex1a.config.embeddings):
@@ -68,42 +67,43 @@ def test_transversality_exact_on_goods(ex1a, w_m212):
 
 def test_t_h_of_dim2_goods_ex1a(ex1a, w_m212):
     real, filt = _setup(ex1a, w_m212)
-    for good in enumerate_good_subobjects(ex1a):
+    for good in ex1a.goods:
         if good.dimension(ex1a) != 2:
             continue
-        assert t_h(filt, good_span(ex1a, good), ex1a.config) == -2 + 1
+        rows = oracles.int_rows(good_span(ex1a, good))
+        assert t_h(filt, rows, ex1a.config) == -2 + 1
 
 
 def test_t_h_of_dim1_goods_ex2(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
-    for good in enumerate_good_subobjects(ex2):
+    for good in ex2.goods:
         if good.dimension(ex2) != 1:
             continue
-        assert t_h(filt, good_span(ex2, good), ex2.config) == -1
+        assert t_h(filt, oracles.int_rows(good_span(ex2, good)), ex2.config) == -1
 
 
 def test_t_h_whole_module(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
-    full = oracles.identity(4)
+    full = oracles.int_rows(oracles.identity(4))
     assert t_h(filt, full, ex2.config) == ex2.config.deg_K_L * w_ex2.total
 
 
 def test_t_h_mixed_line_below_omega_bound(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
-    dp = Subobject(oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
-    prof = oracles.intersection_profile(ex2, dp.rows)
+    rows = ((1, 0, 0, 0), (0, 1, 1, 0))
+    prof = oracles.intersection_profile(ex2, rows)
     om = omega_from_flag(ex2, greedy_flag(ex2, prof), prof)
     assert om == frozenset({1, 3})
     bound = sum(row[j - 1] for row in w_ex2.weights for j in om)
-    assert t_h(filt, dp.rows, ex2.config) <= bound == -1 + 2
+    assert t_h(filt, rows, ex2.config) <= bound == -1 + 2
 
 
 def test_jump_monotone_under_inclusion(ex2, w_ex2):
     real, filt = _setup(ex2, w_ex2)
-    small = Subobject(oracles.mat([[1, 0, 0, 0]]))
-    big = Subobject(oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]]))
+    small = oracles.mat([[1, 0, 0, 0]])
+    big = oracles.mat([[1, 0, 0, 0], [0, 1, 1, 0]])
     for sigma in range(ex2.config.embeddings):
-        js, jb = oracles.induced_jumps(filt, sigma, small.rows), oracles.induced_jumps(filt, sigma, big.rows)
+        js, jb = oracles.induced_jumps(filt, sigma, small), oracles.induced_jumps(filt, sigma, big)
         rest = list(jb)
         for x in js:
             rest.remove(x)     # raises if not a sub-multiset
@@ -169,7 +169,7 @@ def test_hand_built_filtration_is_verified(ex1a, w_m212):
     real, filt = _setup(ex1a, w_m212)
     assert filt.transverse
     # the standard basis puts v_1 inside the good line: not transverse
-    standard = tuple(oracles.identity(ex1a.dimension) for _ in w_m212.weights)
+    standard = tuple(oracles.int_rows(oracles.identity(ex1a.dimension)) for _ in w_m212.weights)
     bad = Filtration(w_m212, standard, 0, 1)
     assert not bad.transverse
     with pytest.raises(TransversalityError, match="embedding 0 is not transverse"):
@@ -178,8 +178,10 @@ def test_hand_built_filtration_is_verified(ex1a, w_m212):
     other = WeightProfile(tuple(tuple(w + 1 for w in row) for row in w_m212.weights))
     with pytest.raises(ValueError, match="weights differ"):
         check_admissible(ex1a, w_m212, real, dataclasses.replace(filt, weights=other))
-    # the same bases, rebuilt by hand or copied, are checked and pass
-    for copy in (Filtration(w_m212, filt.bases, 7, 1), dataclasses.replace(filt)):
+    # the same bases, rebuilt by hand from their Fraction rows or copied,
+    # are checked and pass
+    rebuilt = tuple(map(oracles.int_rows, filt.bases))
+    for copy in (Filtration(w_m212, rebuilt, 7, 1), dataclasses.replace(filt)):
         assert not copy.transverse
         assert check_admissible(ex1a, w_m212, real, copy) == check_admissible(
             ex1a, w_m212, real, filt
@@ -228,7 +230,7 @@ def test_chain_bound_dominates_every_search_candidate():
             keys += _aligned_candidates(lattice, filt)
             for key in keys:
                 bound = bounds[(lattice.dim(key), lattice.good_dims(key))]
-                assert t_h(filt, lattice.rows(key), spec.config) <= bound
+                assert t_h(filt, lattice.int_rows(key), spec.config) <= bound
                 checked += 1
     assert checked > 1000
 
@@ -263,10 +265,10 @@ def test_lower_covers_are_the_cover_pairs():
         lattice = StableLattice(realize_matrices(spec, edges))
         goods = lattice.goods
         for j, g in enumerate(goods):
-            below = [f for f in goods if f != g and g.contains(f)]
+            below = [f for f in goods if f != g and oracles.contains(g, f)]
             want = [
                 i for i, f in enumerate(goods)
-                if f in below and not any(h != f and h.contains(f) for h in below)
+                if f in below and not any(h != f and oracles.contains(h, f) for h in below)
             ]
             assert sorted(lattice.lower_covers[j]) == want
         done += 1
@@ -334,7 +336,9 @@ def test_good_witness_comes_before_the_class_list(monkeypatch):
 
 
 def test_t_h_of_integer_rows_matches_fraction_rows():
-    # the verdict feeds t_H the lattice's primitive integer rows
+    # the verdict feeds t_H the lattice's canonical integer rows; t_H of
+    # any integer rows spanning the subspace is the stacked-rank oracle's
+    # on its Fraction rows
     stream = equal_total_stream(17, 12, max_dim=6)
     checked = 0
     for k, (spec, profile) in enumerate(stream):
@@ -344,8 +348,18 @@ def test_t_h_of_integer_rows_matches_fraction_rows():
             ints = lattice.int_rows(sub.key)
             assert all(next(filter(None, row)) > 0 for row in ints)
             assert all(math.gcd(*row) == 1 for row in ints)
-            assert linalg.fraction_rows(ints) == oracles.rref(ints) == sub.rows
-            assert _t_h(filt, ints, spec.config) == t_h(filt, sub.rows, spec.config)
+            fractions = oracles.rref(ints)
+            assert oracles.int_rows(fractions) == ints == sub.rows
+            want = 0
+            for sigma, wrow in enumerate(profile.weights):
+                dims = oracles.tail_dims(filt, sigma, fractions)
+                want += sum(w * (a - b) for w, a, b in zip(wrow, dims, dims[1:]))
+            want *= spec.config.deg_K_L
+            assert t_h(filt, ints, spec.config) == want
+            # a spanning set that is no echelon: scaled, reversed, with a sum
+            spanning = [tuple(-3 * x for x in row) for row in reversed(ints)]
+            spanning.append(tuple(map(sum, zip(*ints))))
+            assert t_h(filt, spanning, spec.config) == want
             checked += 1
     assert checked > 100
 
@@ -372,7 +386,7 @@ def test_random_specs_transverse_and_bounded():
         edges = build_modified_frobenius(spec)
         real = realize_matrices(spec, edges)
         filt = build_transverse_filtration(spec, prof, real, seed=done)
-        for good in enumerate_good_subobjects(spec):
+        for good in spec.goods:
             m = good.dimension(spec)
             rows = good_span(spec, good)
             for sigma in range(spec.config.embeddings):
@@ -384,8 +398,8 @@ def test_random_specs_transverse_and_bounded():
 
 def test_verify_path_builds_no_fraction_matrices(data_dir):
     # order -> modify -> realize -> filter -> verify reads the sparse
-    # columns and the drawn integer rows only: the dense Fraction matrices
-    # of the realization and the Fraction rows of the filtration are never
+    # columns and the drawn integer rows only: the dense matrices of the
+    # realization and the Fraction rows of the filtration are never
     # built, on the worked examples and on equal-total draws, modified and
     # not, whatever the verdict rests on
     def load(name):
@@ -414,3 +428,38 @@ def test_verify_path_builds_no_fraction_matrices(data_dir):
     assert real.phi is real.phi and "phi" in real.__dict__
     assert filt.bases is filt.bases and "bases" in filt.__dict__
 
+
+
+def test_filtration_without_one_integer_basis_per_weight_row_is_refused(ex1a, w_m212):
+    # the transversality check runs over the bases given and the
+    # certificates read the profile, so a filtration with a basis missing
+    # would get a proved ok; short rows or inexact entries would fail late
+    real, filt = _setup(ex1a, w_m212)
+    n = ex1a.dimension
+    basis = filt.vectors[0]
+    # a list, not a dict: a float or Fraction row equals its int row
+    cases = [
+        ((), "vectors[0]: missing basis"),
+        ((basis, basis), "vectors[1]: no weight row"),
+        ((basis[:2],), "vectors[0]: 2 rows, expected 3"),
+        (((basis[0][:2],) + basis[1:],), "vectors[0][0]: expected 3 ints"),
+        (((basis[0], tuple(map(float, basis[1])), basis[2]),), "vectors[0][1]"),
+        (((basis[0], basis[1], tuple(map(Fraction, basis[2]))),), "vectors[0][2]"),
+        (((basis[0], (True,) * n, basis[2]),), "vectors[0][1]"),
+    ]
+    for vectors, text in cases:
+        with pytest.raises(SpecError, match=re.escape(text)):
+            check_admissible(ex1a, w_m212, real, Filtration(w_m212, vectors, 0, 1))
+    assert check_admissible(ex1a, w_m212, real, Filtration(w_m212, (basis,), 0, 1)).ok
+    # two embeddings, the first basis only: refused, ok or not
+    checked = 0
+    for k, (spec, profile) in enumerate(equal_total_stream(3, 200, max_dim=6)):
+        if spec.config.embeddings != 2:
+            continue
+        real, filt = _setup(spec, profile, seed=k)
+        if check_admissible(spec, profile, real, filt, seed=k).reason == "equality":
+            continue
+        with pytest.raises(SpecError, match=re.escape("vectors[1]: missing basis")):
+            check_admissible(spec, profile, real, Filtration(profile, filt.vectors[:1], 0, 1))
+        checked += 1
+    assert checked > 0

@@ -10,10 +10,10 @@ from filtadm.frobenius import (
     hom_dim,
     realize_matrices,
 )
-from filtadm.model import Config, Family, ModuleSpec, Summand, t_n
+from filtadm.model import Config, Family, ModuleSpec, Summand, spec_violations, t_n
 from filtadm.ordering import canonical_order
 from filtadm.subobjects import StableLattice, stable_good_subobjects
-from helpers import random_spec
+from helpers import random_spec, t_n_of
 import oracles
 from oracles import good_span
 
@@ -37,9 +37,9 @@ def test_edges_examples(ex1a, ex2, ex3):
 
 def test_realize_ex1a_matrices(ex1a):
     real = realize_matrices(ex1a, build_modified_frobenius(ex1a))
-    one, zero, two = Fraction(1), Fraction(0), Fraction(2)
-    assert real.phi == ((one, zero, zero), (one, one, zero), (zero, zero, two))
-    assert real.nmat == ((zero, zero, zero), (zero, zero, one), (zero, zero, zero))
+    assert real.phi == ((1, 0, 0), (1, 1, 0), (0, 0, 2))
+    assert real.nmat == ((0, 0, 0), (0, 0, 1), (0, 0, 0))
+    assert all(type(x) is int for m in (real.phi, real.nmat) for row in m for x in row)
 
 
 def test_realize_ex2_matrices(ex2):
@@ -60,6 +60,15 @@ def test_realize_single_block():
 def test_realize_rejects_h2():
     spec = ModuleSpec(CFG, (Family("F", 2, Fraction(0)),), (Summand("F", 0, 1),))
     with pytest.raises(ValueError, match="h=1"):
+        realize_matrices(spec, ())
+
+
+def test_realize_rejects_negative_twist():
+    # validate_spec refuses l < 0; the realization refuses it too, naming
+    # the summand, where it would build the eigenvalue 2^-1
+    spec = ModuleSpec(CFG, (F,), (Summand("F", 0, 1), Summand("F", -1, 2)))
+    assert "summands[1].l: must be >= 0" in spec_violations(spec)
+    with pytest.raises(ValueError, match=r"summands\[1\] has the negative twist -1"):
         realize_matrices(spec, ())
 
 
@@ -156,8 +165,8 @@ def test_commutation_check_rejects_corrupted_matrices():
 
 def test_sparse_realization_matches_dense_oracle(ex1a, ex1b, ex2, ex3):
     # the dense matrices and level operators of the sparse realization are
-    # those of the entry-by-entry Fraction build, modified and not, on the
-    # worked examples and on seeded draws
+    # those of the entry-by-entry Fraction build, in integers, modified and
+    # not, on the worked examples and on seeded draws
     specs = [canonical_order(s)[0] for s in (ex1a, ex1b, ex2, ex3)]
     rng = random.Random(29)
     while len(specs) < 60:
@@ -170,7 +179,7 @@ def test_sparse_realization_matches_dense_oracle(ex1a, ex1b, ex2, ex3):
             real = realize_matrices(spec, edges)
             assert (real.phi, real.nmat) == (phi, nmat)
             for m in (real.phi, real.nmat):
-                assert all(type(x) is Fraction for row in m for x in row)
+                assert all(type(x) is int for row in m for x in row)
             assert real.level_operators == oracles.dense_level_operators(
                 real.levels, coupling, nmat
             )
@@ -202,7 +211,7 @@ def test_t_n_concrete_matches_combinatorial():
         lattice = StableLattice(real)
         assert lattice.goods == stable_good_subobjects(spec, edges)
         for good, key in zip(lattice.goods, lattice.good_keys):
-            assert lattice.t_n(key) == t_n(spec, good)
+            assert t_n_of(lattice, key) == t_n(spec, good)
             assert oracles.newton_slope(real, good_span(spec, good)) == t_n(spec, good)
         done += 1
 
@@ -237,7 +246,7 @@ def test_t_n_concrete_det_oracle(ex1a):
             c = counts[fam.id]
             assert c is not None
             expected += c * fam.t_base
-        assert lattice.t_n(key) == expected
+        assert t_n_of(lattice, key) == expected
 
 
 def test_realize_rejects_shared_eigenvalue():
@@ -255,7 +264,7 @@ def test_realize_rejects_shared_eigenvalue():
     lattice = StableLattice(real)
     key = dict(zip((g.counts for g in lattice.goods), lattice.good_keys))
     slopes = {
-        blk.family.id: lattice.t_n(key[tuple(int(j == blk.summand) for j in range(2))])
+        blk.family.id: t_n_of(lattice, key[tuple(int(j == blk.summand) for j in range(2))])
         for blk in real.basis
     }
     assert slopes == {"F": Fraction(3, 2), "G": Fraction(-1)}
@@ -300,6 +309,7 @@ def test_default_seeds_are_units_at_p_and_keep_levels_apart():
             real = realize_matrices(spec, edges)
             assert real.seeds == dict(zip(fams, want))
             assert all(type(q) is int for q in real.seeds.values())
+            assert all(type(lam) is int for lam in real.eigenvalues)
             assert [oracles.p_valuation(lam, p) for lam in real.eigenvalues] == [
                 blk.twist for blk in real.basis
             ]

@@ -16,18 +16,27 @@ frac = st.fractions(
 )
 
 
+def _canonical(rows, ncols):
+    ech = linalg.Echelon(ncols)
+    for row in rows:
+        ech.add(list(row))
+    return ech.int_rows()
+
+
 def test_rref_canonical():
-    a = mat([[2, 4], [1, 2]])
-    b = mat([[1, 2]])
-    assert linalg.rref(a) == linalg.rref(b) == ((Fraction(1), Fraction(2)),)
+    # one basis per subspace: primitive integer rows in reduced echelon form
+    # with positive pivots
+    assert _canonical([[2, 4], [1, 2]], 2) == _canonical([[-3, -6]], 2) == ((1, 2),)
+    assert _canonical([[2, 1, 1], [0, 2, 1]], 3) == ((4, 0, 1), (0, 2, 1))
 
 
 def test_rank_and_intersection():
     a = mat([[1, 0, 0], [0, 1, 0]])
     b = mat([[0, 1, 0], [0, 0, 1]])
-    assert linalg.rank(a) == 2
+    ia, ib = oracles.int_rows(a), oracles.int_rows(b)
+    assert linalg.rank(ia) == 2
     assert oracles.dim_intersection(a, b) == 1
-    assert linalg.rank(a) + linalg.rank(b) - linalg.rank(a + b) == 1
+    assert linalg.rank(ia) + linalg.rank(ib) - linalg.rank(ia + ib) == 1
     inter = oracles.intersect_basis(a, b)
     assert inter == ((Fraction(0), Fraction(1), Fraction(0)),)
     assert oracles.intersect_basis(oracles.coordinate_rows((0, 1), 3), b) == inter
@@ -57,7 +66,7 @@ def test_closure_idempotent():
     # block is a level of its own
     spec = ModuleSpec(Config(p=2), (Family("F", 1, Fraction(0)),), (Summand("F", 0, 3),))
     real = realize_matrices(spec)
-    e = identity(3)
+    e = oracles.int_rows(identity(3))
     closed = closure_rows(real, (e[2],))
     assert len(closed) == 3
     assert closure_rows(real, closed) == closed
@@ -69,7 +78,7 @@ def test_closure_idempotent():
     nested = lattice.closures(level_vectors(real, group) for group in groups)
     assert [lattice.dim(key) for key in nested] == [1, 2, 2, 3, 3]
     assert nested[2] == nested[1] and nested[4] == nested[3]
-    assert lattice.rows(nested[4]) == closed
+    assert lattice.int_rows(nested[4]) == closed
 
 
 def test_p_valuation():
@@ -84,7 +93,7 @@ def test_p_valuation():
 @given(st.lists(st.lists(frac, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_rank_agrees_with_rref(rows):
     m = mat(rows)
-    assert linalg.rank(m) == len(linalg.rref(m))
+    assert linalg.rank(oracles.int_rows(m)) == len(oracles.rref(m))
 
 
 @settings(max_examples=30)
@@ -96,7 +105,8 @@ def test_intersection_dim_formula(a_rows, b_rows):
     a, b = mat(a_rows), mat(b_rows)
     inter = oracles.intersect_basis(a, b)
     assert len(inter) == oracles.dim_intersection(a, b)
-    assert len(inter) == linalg.rank(a) + linalg.rank(b) - linalg.rank(a + b)
+    ia, ib = oracles.int_rows(a), oracles.int_rows(b)
+    assert len(inter) == linalg.rank(ia) + linalg.rank(ib) - linalg.rank(ia + ib)
     for v in inter:
-        assert oracles.in_span(linalg.rref(a), v)
-        assert oracles.in_span(linalg.rref(b), v)
+        assert oracles.in_span(oracles.rref(a), v)
+        assert oracles.in_span(oracles.rref(b), v)

@@ -67,7 +67,7 @@ def test_all_block_orders_examples(ex1a, w_m212):
 
 
 def _blocks(spec):
-    return [(blk.size, blk.t_n(spec.config)) for blk in spec.blocks()]
+    return [(blk.family.h, oracles.block_slope(blk, spec.config)) for blk in spec.blocks()]
 
 
 def _exhaustive_block_orders(spec, profile):

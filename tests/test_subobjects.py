@@ -21,7 +21,6 @@ from filtadm.subobjects import (
     StableLattice,
     _NONZERO_DIGITS,
     enumerate_concrete_subobjects,
-    enumerate_good_subobjects,
     is_stable_good,
     random_round_subobjects,
     smallest_enclosing_good,
@@ -51,7 +50,8 @@ F = Family("F", 1, Fraction(0))
 
 
 def rows(*vs):
-    return oracles.mat(vs)
+    """Canonical integer rows, written out."""
+    return tuple(map(tuple, vs))
 
 
 def profile(spec, *vs, edges=()):
@@ -60,10 +60,10 @@ def profile(spec, *vs, edges=()):
 
 
 def test_good_counts(ex1a, ex2):
-    assert len(enumerate_good_subobjects(ex1a)) == 6
-    assert len(enumerate_good_subobjects(ex2)) == 9
+    assert len(ex1a.goods) == 6
+    assert len(ex2.goods) == 9
     single = ModuleSpec(CFG, (Family("F", 2, Fraction(0)),), (Summand("F", 0, 1),))
-    assert [g.counts for g in enumerate_good_subobjects(single)] == [(0,), (1,)]
+    assert [g.counts for g in single.goods] == [(0,), (1,)]
 
 
 def test_stability_filter(ex1a):
@@ -112,8 +112,9 @@ def test_enumerated_are_exactly_stable(ex2):
     for sub in enumerate_concrete_subobjects(real, lattice=lattice):
         assert oracles.is_stable(sub.rows, [real.phi, real.nmat])
         assert closure_rows(real, sub.rows) == sub.rows
-        # the key the subspace was born with agrees with its rows
-        assert lattice.rows(sub.key) == sub.rows
+        # the key the subspace was born with agrees with its rows, which
+        # are canonical
+        assert lattice.int_rows(sub.key) == sub.rows == oracles.canonical(sub.rows)
         assert (sub.rank, lattice.good_dims(sub.key)) == oracles.class_key(real, sub.rows)
 
 
@@ -366,10 +367,10 @@ def test_line_memo_is_exact():
             if not any(v):
                 continue
             fresh = StableLattice(real)
-            want = fresh.rows(fresh.closures([[(level, v)]])[0])
+            want = fresh.int_rows(fresh.closures([[(level, v)]])[0])
             for c in (rng.choice((-6, -2, 3, 7)), 1, -1, rng.randint(2, 40)):
                 key = lattice.closure(level, [c * x for x in v])
-                assert lattice.rows(key) == want
+                assert lattice.int_rows(key) == want
                 checked += 1
 
 
@@ -394,8 +395,10 @@ def test_random_rounds_keep_their_draws():
                     Fraction(replay.choice(_NONZERO_DIGITS), replay.randint(1, 4))
                     for _ in coords
                 ]
+                # the same vector scaled to integers
+                v = list(oracles.int_rows([v])[0])
                 fresh = StableLattice(real)
-                assert lattice.rows(key) == fresh.rows(fresh.closures([[(level, v)]])[0])
+                assert lattice.int_rows(key) == fresh.int_rows(fresh.closures([[(level, v)]])[0])
             assert draws.getstate() == replay.getstate()
             rounds += 1
 
@@ -441,9 +444,9 @@ def test_smallest_enclosing_good_matches_a_brute_force_scan():
             checked += 1
             coupled += bool(edges)
             proper += want != goods[-1]
-        for dp in enumerate_good_subobjects(spec):
+        for dp in spec.goods:
             want = min(
-                (g for g in goods if g.contains(dp)), key=lambda g: g.dimension(spec)
+                (g for g in goods if oracles.contains(g, dp)), key=lambda g: g.dimension(spec)
             )
             assert smallest_enclosing_good(spec, good_profile(spec, dp, edges)) == want
     assert coupled >= 100 and proper >= 100
@@ -457,7 +460,7 @@ def test_flag_layer_does_no_linear_algebra(monkeypatch, ex1a, ex2):
         lattice = StableLattice(real)
         subs = enumerate_concrete_subobjects(real, lattice=lattice)
         cases += [(spec, lattice.profile(sub.key)) for sub in subs]
-        cases += [(spec, good_profile(spec, g, edges)) for g in enumerate_good_subobjects(spec)]
+        cases += [(spec, good_profile(spec, g, edges)) for g in spec.goods]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the flag layer called into linalg")
@@ -497,7 +500,7 @@ def test_integer_class_order_matches_fraction_rows(ex1a, ex1b, ex2, ex3):
             want = oracles.class_subobjects(real, seed=k, lattice=lattice)
             keys = subobjects._class_keys(lattice, seed=k)
             assert keys == [sub.key for sub in want]
-            assert [lattice.rows(key) for key in keys] == [sub.rows for sub in want]
+            assert [lattice.int_rows(key) for key in keys] == [sub.rows for sub in want]
             assert enumerate_concrete_subobjects(real, seed=k) == want
             # classes holding several saturated keys, where the tie-break chooses
             atoms = [lattice.zero, *lattice.good_keys] + [
@@ -596,7 +599,7 @@ def test_walk_lists_the_saturated_pattern_set_on_finite_lattices(ex1a, ex1b, ex2
         for key in nodes:
             dims = lattice.level_dims(key)
             assert lattice.dim(key) == sum(dims)
-            assert lattice.t_n(key) == Fraction(sum(d * x for d, x in zip(dims, nums)), den)
+            assert lattice.scaled_t_n(key) == sum(d * x for d, x in zip(dims, nums))
             parts = [lattice._level_terms(level, pid) for level, pid in enumerate(key)]
             assert lattice.good_dims(key) == tuple(map(sum, zip(*parts)))
         finite += 1
@@ -623,10 +626,10 @@ def test_cover_spans_match_dense_stability_over_a_box():
             subs = enumerate_concrete_subobjects(real, lattice=lattice)
             keys = [lattice.family[0]] + [sub.key for sub in subs]
         for key in keys[:10]:
-            rows = lattice.rows(key)
+            rows = oracles.rref(lattice.int_rows(key))
             for level, coords in enumerate(real.levels):
                 pid = lattice.cover_span(level, key)
-                span = lattice.rows(_level_key(lattice, level, pid))
+                span = oracles.rref(lattice.int_rows(_level_key(lattice, level, pid)))
                 want = oracles.stable_extensions(real, rows, coords)
                 assert {x: oracles.in_span(span, x) for x in want} == want
                 checked += len(want)
@@ -649,10 +652,10 @@ def test_infinite_lattices_come_with_two_stable_covers_in_one_level(ex1a, ex1b, 
         pid = lattice.cover_span(level, key)
         assert len(lattice.piece(level, pid)) - len(lattice.piece(level, key[level])) == socle
         ops = (real.phi, real.nmat)
-        rows = lattice.rows(key)
+        rows = oracles.rref(lattice.int_rows(key))
         assert oracles.is_stable(rows, ops)
         picked = []
-        for x in lattice.rows(_level_key(lattice, level, pid)):
+        for x in oracles.rref(lattice.int_rows(_level_key(lattice, level, pid))):
             if len(oracles.rref(rows + tuple(picked) + (x,))) > len(rows) + len(picked):
                 picked.append(x)
         assert len(picked) == socle
@@ -692,7 +695,7 @@ def test_cover_span_refuses_a_subspace_that_is_not_stable(ex1a, ex2):
             for level, (_, nmat) in enumerate(real.level_operators):
                 if nmat:
                     key = _level_key(lattice, level, whole[level])
-                    assert not oracles.is_stable(lattice.rows(key), (real.phi, real.nmat))
+                    assert not oracles.is_stable(lattice.int_rows(key), (real.phi, real.nmat))
                     with pytest.raises(InternalConsistencyError, match="cover span"):
                         lattice.cover_span(level, key)
                     refused += 1
