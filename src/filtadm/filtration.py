@@ -25,15 +25,24 @@ lies inside T_{m+1} and meets E in 0; for j <= m+1 it contains T_{m+1},
 so E + T_j is the whole space and dim(E cap T_j) = m - j + 1.  Conversely
 j = m+1 is itself one of the tails checked.
 
-All these minors come from one echelon per basis.  It grows over v_n,
-v_{n-1}, ..., v_1, and a step that does not grow means the basis is
-singular.  After v_{m+1} its reduced form R = RREF(rows m+1..n) is A
-times those rows for an invertible A, so the minor on O is nonsingular
-iff R is on O.  The pivot columns of R are unit vectors: those in O
-contribute one independent column each, and what is left is R on the
-rows whose pivot lies inside E and the columns of O that are no pivot,
-a square t x t matrix with t <= min(m, n - m).  Closed forms decide
-t <= 2, a rank the rest.
+All these minors come from one scaled reduced form per basis
+(`linalg.ScaledReducedForm`, Bareiss-Montante elimination).  It grows over
+v_n, v_{n-1}, ..., v_1, and a step that does not grow means the basis is
+singular.  After v_{m+1} it holds d R, where R = RREF(rows m+1..n) is A
+times those rows for an invertible A and d != 0 is the minor of those rows
+on the pivot columns, so the minor on O is nonsingular iff the form is on
+O.  The pivot columns of R are unit vectors: those in O contribute one
+independent column each, and what is left is the form on the rows whose
+pivot lies inside E and the columns of O that are no pivot, a square
+t x t matrix with t <= min(m, n - m).  Closed forms decide t <= 2, and
+fraction-free elimination the rest.  The form stays exact with no gcd and no back-substitution:
+each entry is a minor of the rows taken, and when a row comes in, every
+kept row is rescaled to the new pivot minor by one exact integer division
+by the old one, which Sylvester's identity guarantees (Bareiss,
+Sylvester's identity and multistep integer-preserving Gaussian
+elimination, Math. Comp. 22, 1968).  That is O(n^2) per row and O(n^3)
+per basis, plus the per-good checks, where reading the canonical rows
+out after every row cost one back-substitution each.
 
 Admissibility of the pair (realization, filtration) demands the Hodge
 slope t_H(D') to stay below the Newton slope t_N(D') for every stable
@@ -70,7 +79,12 @@ a witness, its t_H checked once against the filtration; only then the
 class list of the stable subspaces, as piece ids
 (`subobjects._class_keys`), and one chain certificate per listed class,
 bound <= t_N, over per-embedding chain steps built once.  A good witness
-needs no class list, so a failing verdict builds none.  The certificates
+needs no lattice: the stable goods are the spec's goods that the edges
+keep, a good's t_N is a sum of per-summand prefix sums of the column
+slopes (`_good_scan`), and its canonical rows are its unit rows
+(`_unit_rows`), so a failing verdict builds no `StableLattice` and lists
+no classes.  All t_N come from one slope table, the realization's
+`level_slopes`, the whole module's included.  The certificates
 cover the listed classes.  When the stable subspaces are finitely many
 the list holds every one of them, from the walk over covers, and an ok
 there is a proof; when they are infinitely many it comes from the
@@ -103,6 +117,7 @@ closure(E cap T_j) in turn.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,7 +135,6 @@ from .model import (
     fraction_to_str,
     ratio_to_str,
     row_to_str,
-    t_n,
     validate_spec,
 )
 from .subobjects import (
@@ -132,6 +146,7 @@ from .subobjects import (
     _row_order,
     random_round_subobjects,
     smallest_enclosing_good,
+    stable_good_subobjects,
 )
 
 __all__ = [
@@ -219,6 +234,13 @@ def _vector_violations(filtration: Filtration) -> list[str]:
     return errs
 
 
+def _summand_spans(spec: ModuleSpec) -> list[tuple[int, int]]:
+    """The columns [start, end) of each summand, bottom block first (h = 1)."""
+    return list(
+        itertools.pairwise(itertools.accumulate((s.b for s in spec.summands), initial=0))
+    )
+
+
 def _good_layout(
     spec: ModuleSpec, goods: tuple[GoodSubobject, ...]
 ) -> list[tuple[GoodSubobject, int, list[int]]]:
@@ -230,9 +252,7 @@ def _good_layout(
     """
     n = spec.dimension
     flat = all(spec.family_of(i).h == 1 for i in range(len(spec.summands)))
-    spans = list(
-        itertools.pairwise(itertools.accumulate((s.b for s in spec.summands), initial=0))
-    )
+    spans = _summand_spans(spec)
     out = []
     for good in goods:
         m = sum(good.counts) if flat else good.dimension(spec)
@@ -254,36 +274,27 @@ def _violation(
     not transverse to, SINGULAR when the basis is not of full rank, or
     None.
 
-    A good of dimension m is transverse iff R = RREF(rows m+1..n) has full
-    rank on the columns outside it, which one t x t matrix decides (see
-    the module docstring).
+    A good of dimension m is transverse iff rows m+1..n are independent on
+    the columns outside it, which one scaled reduced form grown over v_n,
+    ..., v_1 decides after v_{m+1} (see the module docstring).
     """
     n = len(basis)
-    ech = linalg.Echelon(n)
-    # pivots[m] and reduced[m]: RREF(rows m+1..n), for 0 < m < n
-    pivots: list = [()] * n
-    reduced: list = [()] * n
+    by_dim: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for k, (_, m, outside) in enumerate(layout):
+        by_dim[m].append((k, outside))
+    form = linalg.ScaledReducedForm()
+    first = len(layout)
     for m in range(n - 1, -1, -1):
-        if ech.add(list(basis[m])) is None:
+        if not form.add(basis[m]):
             return SINGULAR
-        if m:
-            pivots[m], reduced[m] = ech.pivots(), ech.int_rows()
-    for good, m, outside in layout:
-        piv = pivots[m]
-        rows = [row for p, row in zip(piv, reduced[m]) if p not in outside]
-        if not rows:
-            continue
-        cols = [c for c in outside if c not in piv]
-        if len(cols) == 1:
-            ok = rows[0][cols[0]] != 0
-        elif len(cols) == 2:
-            (a, b), (c, d) = ([row[k] for k in cols] for row in rows)
-            ok = a * d != b * c
-        else:
-            ok = linalg.rank([[row[k] for k in cols] for row in rows]) == len(cols)
-        if not ok:
-            return good
-    return None
+        # each list is in layout order, so its first failure is its earliest
+        for k, outside in by_dim[m]:
+            if k > first:
+                break
+            if not form.full_rank_on(outside):
+                first = k
+                break
+    return layout[first][0] if first < len(layout) else None
 
 
 def build_transverse_filtration(
@@ -507,6 +518,53 @@ def _class_row(dim: int, scaled_tn: int, den: int, bound: int) -> dict:
     return {"dim": dim, "tN": ratio_to_str(scaled_tn, den), "tHBound": f"{bound}/1"}
 
 
+def _column_slopes(realization: ConcreteRealization) -> list[int]:
+    """The Newton slope of the block at each column, times the denominator
+    of `level_slopes`: the slope of its level."""
+    nums = realization.level_slopes[0]
+    slope = [0] * realization.dimension
+    for level, coords in enumerate(realization.levels):
+        for c in coords:
+            slope[c] = nums[level]
+    return slope
+
+
+def _good_scan(
+    realization: ConcreteRealization, slope: list[int]
+) -> list[tuple[int, tuple[int, ...], int, GoodSubobject]]:
+    """(dim, counts, scaled t_N, good) for the stable goods strictly between
+    0 and the whole module, in (dim, counts) order: the goods the verdict
+    checks for a witness first, with no lattice built.
+
+    `slope` is `_column_slopes(realization)`; a good holds the bottom
+    counts[i] blocks of each summand i, so its scaled t_N is a sum of one
+    prefix sum of `slope` per summand.
+    """
+    spec = realization.spec
+    n = spec.dimension
+    pre = [list(itertools.accumulate(slope[a:b], initial=0)) for a, b in _summand_spans(spec)]
+    scan = []
+    for good in stable_good_subobjects(spec, realization.edges):
+        counts = good.counts
+        m = sum(counts)
+        if 0 < m < n:
+            scan.append((m, counts, sum(map(list.__getitem__, pre, counts)), good))
+    # (dim, counts) pairs are distinct, so the sort compares nothing after them
+    scan.sort(key=operator.itemgetter(0, 1))
+    return scan
+
+
+def _unit_rows(spec: ModuleSpec, counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The canonical rows of the good with `counts`: the unit rows of its
+    columns, the bottom counts[i] of each summand, in column order."""
+    n = spec.dimension
+    return tuple(
+        tuple(int(j == c) for j in range(n))
+        for (start, _), k in zip(_summand_spans(spec), counts)
+        for c in range(start, start + k)
+    )
+
+
 def check_admissible(
     spec: ModuleSpec,
     profile: WeightProfile,
@@ -529,31 +587,42 @@ def check_admissible(
     position where the excess Hodge weight lives) and its `source` ("good"
     or "search"); `proof` says what an ok rests on.  A filtration that
     `build_transverse_filtration` did not verify is checked for
-    transversality first (TransversalityError).  A realization of a spec
-    other than `spec`, or a filtration with other weights than `profile`,
-    raises ValueError; one whose `vectors` do not hold one basis per weight
-    row, each of `weights.length` rows of as many ints, raises SpecError
-    naming the basis or row.
+    transversality after the equality (TransversalityError).  Before any
+    verdict: a realization of a spec other than `spec`, or a filtration
+    with other weights than `profile`, raises ValueError; an unverified
+    filtration whose `vectors` do not hold one basis per weight row, each
+    of `weights.length` rows of as many ints, raises SpecError naming the
+    basis or row; and a realization whose operators break the level split
+    raises InternalConsistencyError (`level_operators`).
     """
     if realization.spec != spec:
         raise ValueError("realization does not match the spec")
     if filtration.weights != profile:
         # the bounds read the profile, t_H reads the filtration
         raise ValueError("the filtration's weights differ from the profile")
-    cfg = spec.config
-    total_th = cfg.deg_K_L * profile.total
-    total_tn = t_n(spec)
-    if total_th != total_tn:
-        witness = {
-            "kind": "equality",
-            "tH": fraction_to_str(total_th),
-            "tN": fraction_to_str(total_tn),
-        }
-        return AdmissibilityReport(False, "equality", witness, ())
     if not filtration.transverse:
         errs = _vector_violations(filtration)
         if errs:
             raise SpecError(errs)
+    # raises InternalConsistencyError where the operators break the level
+    # split, which t_N and every closure rest on
+    realization.level_operators
+    cfg = spec.config
+    kl = cfg.deg_K_L
+    n = spec.dimension
+    # t_N is compared as integers over den, from one slope per column
+    den = realization.level_slopes[1]
+    slope = _column_slopes(realization)
+    total_th = kl * profile.total
+    total_tn = sum(slope)
+    if total_th * den != total_tn:
+        witness = {
+            "kind": "equality",
+            "tH": fraction_to_str(total_th),
+            "tN": ratio_to_str(total_tn, den),
+        }
+        return AdmissibilityReport(False, "equality", witness, ())
+    if not filtration.transverse:
         layout = _good_layout(spec, spec.goods)
         for sigma, basis in enumerate(filtration.vectors):
             bad = _violation(basis, layout)
@@ -561,39 +630,29 @@ def check_admissible(
                 raise TransversalityError(sigma, bad, None)
     check_cap(realization.dimension, cap)
 
-    # every source interns its pieces in one lattice, so a candidate is
-    # its tuple of piece ids; rows are built once per distinct candidate
-    lattice = StableLattice(realization)
-    kl = cfg.deg_K_L
-    n = spec.dimension
-    den = realization.level_slopes[1]
-    goods, good_keys = lattice.goods, lattice.good_keys
-
     # a stable good above its prefix weight; each good is its own class,
-    # whose chain bound [K:L] P[m] is attained.  Slopes are compared as
-    # integers over den.
+    # whose chain bound [K:L] P[m] is attained.  No lattice is built for it.
     prefix = profile.prefix_sums()
-    sizes = lattice.good_sizes
-    scan = sorted(
-        (m, good.counts, k) for k, (m, good) in enumerate(zip(sizes, goods)) if 0 < m < n
-    )
-    for pos, (m, _, k) in enumerate(scan):
-        if kl * prefix[m] * den > lattice.scaled_t_n(good_keys[k]):
+    scan = _good_scan(realization, slope)
+    for pos, (m, counts, scaled, good) in enumerate(scan):
+        if kl * prefix[m] * den > scaled:
             table = tuple(
-                _class_row(size, lattice.scaled_t_n(good_keys[j]), den, kl * prefix[size])
-                for size, _, j in scan[: pos + 1]
+                _class_row(size, tn, den, kl * prefix[size])
+                for size, _, tn, _ in scan[: pos + 1]
             )
-            rows = lattice.int_rows(good_keys[k])
+            rows = _unit_rows(spec, counts)
             th_val = t_h(filtration, rows, cfg)
             if th_val != kl * prefix[m]:
                 raise InternalConsistencyError(
-                    f"stable good {goods[k].counts} has t_H {th_val}, not "
+                    f"stable good {counts} has t_H {th_val}, not "
                     f"[K:L] P[{m}] = {kl * prefix[m]}: the filtration is not transverse"
                 )
-            scaled = lattice.scaled_t_n(good_keys[k])
-            witness = _witness(rows, th_val, scaled, den, goods[k], spec, "good")
+            witness = _witness(rows, th_val, scaled, den, good, spec, "good")
             return AdmissibilityReport(False, "witness", witness, table)
 
+    # every source interns its pieces in one lattice, so a candidate is
+    # its tuple of piece ids; rows are built once per distinct candidate
+    lattice = StableLattice(realization)
     listed = _class_keys(lattice, seed)
     steps = _chain_steps(lattice, profile)
     table = []

@@ -79,9 +79,12 @@ def build_modified_frobenius(spec: ModuleSpec) -> tuple[ModificationEdge, ...]:
 
     For each k1, the edge goes to the smallest k2 > k1 with a nonzero chain
     map whose alignment satisfies l = 0 or r1 = l + r2; chains admitting no
-    such partner stay unmodified.
+    such partner stay unmodified.  A spec that `ordering.canonical_order`
+    returned is marked and trusted; any other is checked in full
+    (ValueError).
     """
-    require_canonical(spec)
+    if not spec.canonical:
+        require_canonical(spec)
     edges = []
     for k1, s1 in enumerate(spec.summands):
         for k2 in range(k1 + 1, len(spec.summands)):

@@ -12,18 +12,26 @@ d+1 integers (the negated Hodge-Tate weights of the filtration sought).
 
 Slope arithmetic runs on integers: `scaled_slopes` multiplies every block
 slope by the least common denominator of the family base slopes, and a
-scaled sum s stands for the exact slope Fraction(s, den).  It is derived
-afresh for each call that needs it.  A spec memoizes only what its fields
-fix outright: the family lookup by id, its dimension and the table of its
-good subobjects.  Specs are frozen, and a spec made by `with_summands` or
-`dataclasses.replace` is a new object that builds its own.
+scaled sum s stands for the exact slope Fraction(s, den).  A spec does not
+memoize it: `ordering.group_and_order` derives it once per call, and a
+realization once for its spec, kept per level
+(`frobenius.ConcreteRealization.level_slopes`), where
+`filtration.check_admissible` reads every t_N.  What a spec keeps is what
+its fields fix outright: the family lookup by id, its dimension and the
+table of its good subobjects, all memoized on first read.  Besides,
+`ordering.canonical_order` marks the spec it returns as canonical
+(`canonical`, a bool outside equality), so
+`frobenius.build_modified_frobenius` does not order it a second time.
+Specs are frozen, and a spec made by `with_summands` or
+`dataclasses.replace` is a new object that builds its own memos and
+carries no mark.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -172,6 +180,9 @@ class ModuleSpec:
     config: Config
     families: tuple[Family, ...]
     summands: tuple[Summand, ...]
+    # set only by ordering.canonical_order, on the spec it returns; a copy
+    # made with `with_summands` or dataclasses.replace starts unmarked
+    canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))

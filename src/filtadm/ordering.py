@@ -105,8 +105,12 @@ def group_and_order(spec: ModuleSpec) -> tuple[TypePartition, tuple[int, ...]]:
 
 
 def canonical_order(spec: ModuleSpec) -> tuple[ModuleSpec, TypePartition, tuple[int, ...]]:
+    """The spec in canonical order, marked `canonical`, with its groups and
+    permutation.  The order is idempotent: `group_and_order` of the ordered
+    spec is the identity, which is what lets a consumer trust the mark."""
     partition, perm = group_and_order(spec)
     ordered = spec.with_summands([spec.summands[i] for i in perm])
+    object.__setattr__(ordered, "canonical", True)
     return ordered, partition, perm
 
 
@@ -116,6 +120,8 @@ def is_canonical(spec: ModuleSpec) -> bool:
 
 
 def require_canonical(spec: ModuleSpec) -> None:
+    """Raise ValueError unless the spec is in canonical order, checked in
+    full whether or not it is marked."""
     if not is_canonical(spec):
         raise ValueError(
             "spec is not in canonical order; apply canonical_order() first"

@@ -5,7 +5,9 @@ its incremental echelon kernel and the eigen-level structure: full
 Gauss-Jordan elimination, closure by re-reducing the whole stack for every
 new vector, intersection through a left null space, generalized eigenspace
 ranks via matrix powers, and saturation under all pairwise sums.  They
-share no elimination code with `filtadm.linalg`.  `emerton_scan` decides
+share no elimination code with `filtadm.linalg`, except the two earlier
+forms of the transversality check, `violation_minors` and
+`echelon_violation`, which run on its `Echelon`.  `emerton_scan` decides
 the shuffle valuation condition by walking every top selection, where the
 library solves a min-mass knapsack, and `candidate_table_fractions`
 builds the report table of the shuffle condition from `Fraction`
@@ -26,8 +28,9 @@ pair, on the coordinates of each good (`good_coords`), where the library
 reads them off one echelon pass or its lattice of level pieces (and the
 columns outside each good off the summand offsets): intersection
 profiles and class keys good by good, from any rows, transversality tail
-by tail (and by one minor per good, the form before the one-echelon
-check), tail dimensions by stacking, and aligned candidates by one
+by tail (by one minor per good, the form before the one-echelon check,
+and by that one-echelon check, `echelon_violation`, the form before the
+scaled reduced form), tail dimensions by stacking, and aligned candidates by one
 intersection per tail.  `class_subobjects` chooses and sorts the class
 list on `Fraction` rows, where the library compares integer rows.
 `rref` gives the `Fraction` rows of a subspace, from any spanning rows;
@@ -854,14 +857,59 @@ def violation_minors(basis: Mat, layout) -> GoodSubobject | str | None:
     is not transverse to, SINGULAR when the basis is not of full rank, or
     None: one full-rank check of rows m+1..n on the columns outside each
     good, a separate elimination per good.  This is the per-good form of
-    `filtration._violation`, which reads every minor off one echelon; its
-    ranks run on the library's kernel, on the minors themselves."""
+    `filtration._violation`, which reads every minor off one scaled
+    reduced form; its ranks run on the library's `Echelon`, on the minors
+    themselves."""
     n = len(basis)
     if linalg.rank(basis) != n:
         return SINGULAR
     for good, m, outside in layout:
         minor = tuple(tuple(row[c] for c in outside) for row in basis[m:])
         if linalg.rank(minor) != n - m:
+            return good
+    return None
+
+
+def echelon_violation(
+    basis, layout: list[tuple[GoodSubobject, int, list[int]]]
+) -> GoodSubobject | str | None:
+    """The first good of `layout` (from `_good_layout`) the integer basis is
+    not transverse to, SINGULAR when the basis is not of full rank, or
+    None.
+
+    The one-echelon form `filtration._violation` had before it read the
+    minors off a scaled reduced form: it reads out the canonical rows
+    and their pivots after every row of the basis.
+
+    A good of dimension m is transverse iff R = RREF(rows m+1..n) has full
+    rank on the columns outside it, which one t x t matrix decides (see
+    the `filtration` module docstring).
+    """
+    n = len(basis)
+    ech = linalg.Echelon(n)
+    # pivots[m] and reduced[m]: RREF(rows m+1..n), for 0 < m < n
+    pivots: list = [()] * n
+    reduced: list = [()] * n
+    for m in range(n - 1, -1, -1):
+        if ech.add(list(basis[m])) is None:
+            return SINGULAR
+        if m:
+            reduced[m] = ech.int_rows()
+            pivots[m] = tuple(next(c for c, x in enumerate(r) if x) for r in reduced[m])
+    for good, m, outside in layout:
+        piv = pivots[m]
+        rows = [row for p, row in zip(piv, reduced[m]) if p not in outside]
+        if not rows:
+            continue
+        cols = [c for c in outside if c not in piv]
+        if len(cols) == 1:
+            ok = rows[0][cols[0]] != 0
+        elif len(cols) == 2:
+            (a, b), (c, d) = ([row[k] for k in cols] for row in rows)
+            ok = a * d != b * c
+        else:
+            ok = linalg.rank([[row[k] for k in cols] for row in rows]) == len(cols)
+        if not ok:
             return good
     return None
 

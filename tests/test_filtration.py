@@ -24,11 +24,14 @@ from filtadm.model import (
     Config,
     Family,
     GoodSubobject,
+    InternalConsistencyError,
     ModuleSpec,
     SpecError,
     Summand,
     WeightProfile,
     profile_from_dict,
+    ratio_to_str,
+    row_to_str,
     spec_from_dict,
     t_n,
 )
@@ -46,6 +49,7 @@ from oracles import good_span, greedy_flag, omega_from_flag
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
+FILTRATION_SEEDS = (0, 1)
 
 
 def _setup(spec, profile, seed=7, modify=True):
@@ -463,3 +467,95 @@ def test_filtration_without_one_integer_basis_per_weight_row_is_refused(ex1a, w_
             check_admissible(spec, profile, real, Filtration(profile, filt.vectors[:1], 0, 1))
         checked += 1
     assert checked > 0
+
+
+def test_malformed_input_is_refused_before_the_equality_check(ex1a, w_012):
+    # the totals differ, so the verdict is the equality failure whatever
+    # the filtration; a malformed one is refused all the same
+    real = realize_matrices(ex1a, build_modified_frobenius(ex1a))
+    with pytest.raises(SpecError, match=re.escape("vectors[0]: missing basis")):
+        check_admissible(ex1a, w_012, real, Filtration(w_012, (), 0, 1))
+    n = ex1a.dimension
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    report = check_admissible(ex1a, w_012, real, Filtration(w_012, (basis,), 0, 1))
+    assert report.reason == "equality" and not report.ok
+    # so is a realization that breaks the level split
+    with pytest.raises(InternalConsistencyError, match="sends level 0"):
+        check_admissible(ex1a, w_012, _split_broken(real), Filtration(w_012, (basis,), 0, 1))
+
+
+def _lattice_good_witness(spec, profile, real):
+    """(table, rows, scaled t_N) of the first stable good witness, read off
+    a `StableLattice` as the verdict did before its lattice-free scan, or
+    None when no stable good is a witness."""
+    lattice = StableLattice(real)
+    den = real.level_slopes[1]
+    kl = spec.config.deg_K_L
+    prefix = profile.prefix_sums()
+    scan = sorted(
+        (m, good.counts, k)
+        for k, (m, good) in enumerate(zip(lattice.good_sizes, lattice.goods))
+        if 0 < m < spec.dimension
+    )
+    for pos, (m, _, k) in enumerate(scan):
+        scaled = lattice.scaled_t_n(lattice.good_keys[k])
+        if kl * prefix[m] * den > scaled:
+            table = tuple(
+                {
+                    "dim": size,
+                    "tN": ratio_to_str(lattice.scaled_t_n(lattice.good_keys[j]), den),
+                    "tHBound": f"{kl * prefix[size]}/1",
+                }
+                for size, _, j in scan[: pos + 1]
+            )
+            return table, lattice.int_rows(lattice.good_keys[k]), scaled
+    return None
+
+
+def _split_broken(real):
+    """`real` with the coupling E sending the first block of level 0 into
+    level 1."""
+    levels = real.levels
+    cols = [dict(col) for col in real.e_cols]
+    cols[levels[0][0]][levels[1][0]] = 1
+    return dataclasses.replace(
+        real, e_cols=tuple(tuple(sorted(col.items())) for col in cols)
+    )
+
+
+def test_good_witness_scan_matches_the_lattice():
+    # the correctness-net streams, modified and not, both filtration seeds
+    stream = [(spec, prof, True) for spec, prof in
+              equal_total_stream(1, 40, max_dim=8, min_summands=3)]
+    stream += [(spec, prof, False) for spec, prof in equal_total_stream(3, 100, max_dim=7)]
+    failing = broken = 0
+    for spec, profile, modify in stream:
+        edges = build_modified_frobenius(spec) if modify else ()
+        real = realize_matrices(spec, edges)
+        lattice = StableLattice(real)
+        slope = filtration._column_slopes(real)
+        assert sum(slope) * Fraction(1, real.level_slopes[1]) == t_n(spec)
+        index = {good.counts: k for k, good in enumerate(lattice.goods)}
+        for m, counts, scaled, good in filtration._good_scan(real, slope):
+            key = lattice.good_keys[index[counts]]
+            assert m == lattice.dim(key) and good == lattice.goods[index[counts]]
+            assert scaled == lattice.scaled_t_n(key)
+            assert filtration._unit_rows(spec, counts) == lattice.int_rows(key)
+        want = _lattice_good_witness(spec, profile, real)
+        for seed in FILTRATION_SEEDS:
+            filt = build_transverse_filtration(spec, profile, real, seed=seed)
+            report = check_admissible(spec, profile, real, filt, seed=seed)
+            if report.ok or report.witness["source"] != "good":
+                # a search runs only where no stable good is a witness
+                assert want is None
+                continue
+            table, rows, scaled = want
+            assert report.table == table
+            assert report.witness["basis"] == [row_to_str(row) for row in rows]
+            assert report.witness["tN"] == ratio_to_str(scaled, real.level_slopes[1])
+            failing += 1
+            if len(real.levels) >= 2:
+                with pytest.raises(InternalConsistencyError, match="sends level 0"):
+                    check_admissible(spec, profile, _split_broken(real), filt, seed=seed)
+                broken += 1
+    assert failing >= 120 and broken >= 100

@@ -20,7 +20,7 @@ from filtadm.filtration import (
     build_transverse_filtration,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
-from filtadm.model import CapExceededError
+from filtadm.model import CapExceededError, Config, Family, ModuleSpec, Summand
 from filtadm.subobjects import (
     StableLattice,
     Subobject,
@@ -40,6 +40,9 @@ from helpers import (
 )
 import oracles
 from oracles import good_coords, good_span
+
+CFG = Config(p=2)
+FAM = Family("F", 1, Fraction(0))
 
 
 def _vector(rng, n, density):
@@ -483,6 +486,91 @@ def test_one_echelon_violation_matches_per_good_minors():
             singular += want == filtration.SINGULAR
             failed += want not in (None, filtration.SINGULAR)
     assert singular >= 15 and failed >= 150 and checked - singular - failed >= 150
+
+
+def _compositions(n):
+    """Every tuple of positive summand lengths adding up to n."""
+    if n == 0:
+        return [()]
+    return [(b, *rest) for b in range(1, n + 1) for rest in _compositions(n - b)]
+
+
+def test_scaled_form_violation_matches_echelon_oracle_on_every_layout_shape():
+    # every summand-length layout of dimensions 2-8 (254 goods strictly
+    # inside at (1,) * 8) and the long single chains (12,) and (20,): the
+    # scaled reduced form picks the same first good, in layout order, or
+    # SINGULAR, as the echelon that read out canonical rows after each row
+    rng = random.Random(131)
+    shapes = [shape for n in range(2, 9) for shape in _compositions(n)]
+    shapes += [(12,), (20,)]
+    outcomes = {"ok": 0, "singular": 0, "good": 0}
+    for shape in shapes:
+        spec = ModuleSpec(CFG, (FAM,), tuple(Summand("F", 0, b) for b in shape))
+        n = spec.dimension
+        layout = _good_layout(spec, spec.goods)
+        seeded = [
+            tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(n)) for _ in range(n))
+            for _ in range(2)
+        ]
+        small = [
+            tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n))
+            for _ in range(6)
+        ]
+        for basis in seeded + small:
+            want = oracles.echelon_violation(basis, layout)
+            assert _violation(basis, layout) == want, (shape, basis)
+            outcomes[
+                "ok" if want is None else "singular" if want == filtration.SINGULAR
+                else "good"
+            ] += 1
+    assert len(shapes) == 256
+    # the small box fails often, both ways, and passes too
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_scaled_reduced_form_is_the_rref_times_the_pivot_minor():
+    rng = random.Random(132)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        box = rng.choice((1, 3, 10**6))
+        form = linalg.ScaledReducedForm()
+        taken = []
+        for _ in range(rng.randint(1, n + 2)):
+            v = tuple(rng.randint(-box, box) for _ in range(n))
+            grew = form.add(v)
+            assert grew == (linalg.rank(taken + [v]) > len(taken))
+            if grew:
+                taken.append(v)
+            assert len(form._rows) == len(taken)
+            if not taken:
+                continue
+            # every kept row is det times the Gauss-Jordan row of its pivot,
+            # and det is the minor of the rows taken on the pivot columns
+            rows = form._rows
+            reduced = oracles.rref(taken)
+            pivots = sorted(rows)
+            for row in reduced:
+                p = next(c for c, x in enumerate(row) if x)
+                assert list(rows[p]) == [form.det * x for x in row]
+            minor = [[v[c] for c in pivots] for v in taken]
+            assert abs(oracles.det(minor)) == abs(form.det)
+            cols = sorted(rng.sample(range(n), len(taken)))
+            on_cols = [[v[c] for c in cols] for v in taken]
+            assert form.full_rank_on(cols) == (linalg.rank(on_cols) == len(taken))
+
+
+def test_fraction_free_determinant_decides_singularity():
+    # small entries, so that singular matrices and zero leading entries,
+    # which need a row swap, are common
+    rng = random.Random(133)
+    singular = 0
+    for _ in range(600):
+        t = rng.randint(1, 6)
+        a = [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(t)] for _ in range(t)]
+        want = oracles.det(a) != 0
+        assert linalg._nonsingular([row[:] for row in a]) == want
+        singular += not want
+    assert 100 <= singular <= 500
 
 
 def test_good_layout_reads_summand_offsets():

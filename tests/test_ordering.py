@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from filtadm.emerton import candidate_table, check_emerton_condition
+from filtadm.frobenius import build_modified_frobenius
 from filtadm.model import Config, Family, ModuleSpec, Summand
 from filtadm.ordering import (
     canonical_order,
@@ -12,7 +16,8 @@ from filtadm.ordering import (
     is_canonical,
     type_components,
 )
-from helpers import random_spec
+from filtadm.slopes import check_all_block_orders, check_slope_chain
+from helpers import equal_total_stream, instance_stream, mixed_slope_stream, random_spec
 
 CFG = Config(p=2)
 F = Family("F", 1, Fraction(0))
@@ -123,3 +128,76 @@ def test_within_group_l_then_b_nondecreasing(lbs):
     for group in part.groups:
         pairs = [(ordered.summands[i].l, ordered.summands[i].b) for i in group]
         assert pairs == sorted(pairs)
+
+
+def _shuffled_stream_specs():
+    """The specs of the seeded streams, each also with its summands
+    shuffled, so that most of them are not in canonical order."""
+    rng = random.Random(29)
+    specs = [spec for spec, _ in equal_total_stream(1, 40, max_dim=8, min_summands=3)]
+    specs += [spec for spec, _ in instance_stream(42, 200)]
+    specs += [spec for spec, _ in mixed_slope_stream(7, 80)]
+    out = []
+    for spec in specs:
+        summands = list(spec.summands)
+        rng.shuffle(summands)
+        out += [spec, spec.with_summands(summands)]
+    return out
+
+
+def test_canonical_order_is_idempotent_and_marks_its_result():
+    # the verify path trusts the mark instead of ordering a second time,
+    # which is sound because ordering an ordered spec changes nothing
+    reordered = 0
+    for spec in _shuffled_stream_specs():
+        ordered, partition, perm = canonical_order(spec)
+        assert ordered.canonical and is_canonical(ordered)
+        again, partition2, perm2 = canonical_order(ordered)
+        assert perm2 == tuple(range(len(spec.summands)))
+        assert again == ordered and partition2 == partition
+        # the mark is outside equality, hashing and repr
+        copy = spec.with_summands(ordered.summands)
+        assert not copy.canonical
+        assert copy == ordered and hash(copy) == hash(ordered)
+        assert repr(copy) == repr(ordered)
+        reordered += perm != tuple(range(len(perm)))
+    assert reordered >= 100
+
+
+def test_unmarked_copies_are_checked_in_full():
+    checked = 0
+    for spec in _shuffled_stream_specs():
+        ordered = canonical_order(spec)[0]
+        flipped = ordered.with_summands(ordered.summands[::-1])
+        replaced = dataclasses.replace(ordered, summands=ordered.summands[::-1])
+        assert not flipped.canonical and not replaced.canonical
+        # an unmarked copy in canonical order passes the full check
+        build_modified_frobenius(ordered.with_summands(ordered.summands))
+        if is_canonical(flipped):
+            continue
+        for copy in (flipped, replaced):
+            with pytest.raises(ValueError, match="not in canonical order"):
+                build_modified_frobenius(copy)
+        checked += 1
+    assert checked >= 200
+
+
+def test_criteria_never_read_the_mark():
+    # a forged mark on a spec out of order: the modification trusts it,
+    # every criterion still orders the spec itself and refuses it
+    forged = 0
+    for spec, profile in instance_stream(43, 120):
+        flipped = canonical_order(spec)[0]
+        flipped = flipped.with_summands(flipped.summands[::-1])
+        if is_canonical(flipped):
+            continue
+        object.__setattr__(flipped, "canonical", True)
+        build_modified_frobenius(flipped)
+        for check in (
+            check_slope_chain, check_all_block_orders, check_emerton_condition,
+            candidate_table,
+        ):
+            with pytest.raises(ValueError, match="not in canonical order"):
+                check(flipped, profile)
+        forged += 1
+    assert forged >= 30

@@ -303,6 +303,17 @@ def test_ab_interleave_smoke(capsys):
     base, change = sys.modules["filtadm_base"], sys.modules["filtadm_change"]
     assert base is not change and base.cli.main is not change.cli.main
     assert base.__file__ == change.__file__ == str(root / "src" / "filtadm" / "__init__.py")
+    # several seeds: one line each, in the order given, then the pooled ratio
+    code = module.main([
+        "--base", str(root), "--change", str(root),
+        "--workload", "cli_reports", "--seed", "4", "--seed", "3", "--rounds", "2",
+    ])
+    first, second, pooled = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert first.startswith("cli_reports seed 4: 2 rounds of 98 items, base ")
+    assert second.startswith("cli_reports seed 3: 2 rounds of 98 items, base ")
+    assert pooled.startswith("cli_reports pooled over seeds 4 3: 4 rounds, ")
+    assert "ratio change/base median x" in pooled
 
 
 @pytest.mark.parametrize("workload", ["verify_stream", "criteria_stream", "cli_reports"])
