@@ -18,7 +18,8 @@ the one parser `build_parser` builds, and reads `FILTADM_CAP` afresh when
 it needs it.  `_write` writes each report in one piece; `_encode` gives
 the bytes of `json.dumps(report, indent=2, sort_keys=True)` by joining
 strings, since `json` falls back to its pure-Python encoder whenever it
-indents, and that encoder took about twice as long.
+indents, and that encoder took about twice as long.  It writes the `str`
+and `int` members of a dict or list in place, with no recursive call.
 """
 
 from __future__ import annotations
@@ -121,18 +122,35 @@ def _encode(value, indent: str = "") -> str:
         return _STR(value)
     if kind is int:
         return int.__repr__(value)
+    # members that are a str or an int (exactly: a bool goes through the
+    # recursive call) are written in place
     if kind is dict:
         if not value:
             return "{}"
         inner = indent + "  "
-        # `_STR` raises TypeError on a key that is not a str
-        members = [_STR(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        members = []
+        for key in sorted(value):
+            v = value[key]
+            member = type(v)
+            # `_STR` raises TypeError on a key that is not a str
+            members.append(
+                _STR(key) + ": " + (
+                    _STR(v) if member is str
+                    else int.__repr__(v) if member is int
+                    else _encode(v, inner)
+                )
+            )
         return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
-        members = [_encode(v, inner) for v in value]
+        members = [
+            _STR(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _encode(v, inner)
+            for v in value
+        ]
         return "[\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "]"
     if value is None:
         return "null"

@@ -39,12 +39,16 @@ is rounded.
 The explicit candidates are walked only for the report table, capped at
 10 total blocks (`candidate_table`); the `Fraction` enumeration of the
 same candidates is a test oracle.  The table walks the shuffles and cuts
-on the scaled integer slopes: per shuffle it keys every interval by the
-multiset of its (scaled slope, h) pairs, each grown from the interval
-one block shorter by one sorted insertion, and every prefix by its scaled
-slack, so a cut costs a few lookups; a row shares its shuffle's order
-listing and writes its slack from integers (`model.ratio_to_str`), with
-no Fraction built.  It stops enumerating once it has its rows.
+on the scaled integer slopes.  It cuts each sequence of (scaled slope, h)
+pairs once: a candidate's key depends on its shuffle only through that
+sequence, so a shuffle that repeats an earlier one's (summands of one
+family and twist give many) could add only repeats, and is skipped.  Per
+shuffle it keys every interval by the multiset of its (scaled slope, h)
+pairs, each grown from the interval one block shorter by one sorted
+insertion, and every prefix by its scaled slack, so a cut costs a few
+lookups; a row shares its shuffle's order listing and writes its slack
+from integers (`model.ratio_to_str`), with no Fraction built.  It stops
+enumerating once it has its rows.
 """
 
 from __future__ import annotations
@@ -173,7 +177,12 @@ def candidate_table(
     candidate whose groups repeat an earlier one's block multisets.  It is
     computed on the scaled integer slopes: a group is keyed by the
     multiset of its (scaled slope, h) pairs, and a slack times
-    [K:L] * den is a scaled slope sum minus a scaled weight sum.
+    [K:L] * den is a scaled slope sum minus a scaled weight sum.  A
+    shuffle whose sequence of (scaled slope, h) pairs equals an earlier
+    shuffle's is not cut at all: each of its cuts has the same groups, as
+    multisets, as the same cut of the earlier one, so every row it could
+    add is a repeat, and the rows, their `order` listings and the
+    `limit` cut-off are those of the full walk.
     """
     require_canonical(spec)
     sc = scaled_slopes(spec)
@@ -187,49 +196,58 @@ def candidate_table(
         tuple((i, j, h, s) for j, s in enumerate(reversed(sc.blocks(i))))
         for i, h in enumerate(sc.sizes)
     ]
-    # group boundaries of every cut, in cut-mask order
-    cuts = [
-        (0, *(k + 1 for k, cut in enumerate(mask) if cut), b)
-        for mask in itertools.product((False, True), repeat=b - 1)
-    ]
+    # every cut, in cut-mask order: its groups [a, c) as numbers a * b + c - 1
+    # and its inner boundaries
+    cuts = []
+    for mask in itertools.product((False, True), repeat=b - 1):
+        bounds = (0, *(k + 1 for k, cut in enumerate(mask) if cut), b)
+        groups = tuple(a * b + c - 1 for a, c in zip(bounds, bounds[1:]))
+        cuts.append((groups, bounds[1:-1]))
     pieces: dict[tuple, int] = {}   # group multiset -> small id
     seen = set()
+    walked = set()                  # (scaled slope, h) sequences of the shuffles cut
     rows = []
+    if limit <= 0:
+        return rows
     for order in _shuffles(seqs):
-        # per interval [a, c) of the order: its multiset id and dimension,
-        # the multiset grown from that of [a, c - 1) by one insertion
-        ids = {}
-        dims = {}
+        # a shuffle with an earlier one's sequence keys every cut as that
+        # one did, so each row it could add is a repeat
+        pairs = tuple((blk[3], blk[2]) for blk in order)
+        if pairs in walked:
+            continue
+        walked.add(pairs)
+        # per group [a, c) of the order: its multiset id and dimension, the
+        # multiset grown from that of [a, c - 1) by one insertion
+        ids = [0] * (b * b)
+        dims = [0] * (b * b)
         for a in range(b):
             grp: list[tuple[int, int]] = []
             dim = 0
             for c in range(a, b):
-                blk = order[c]
-                bisect.insort(grp, (blk[3], blk[2]))
-                dim += blk[2]
-                ids[a, c + 1] = pieces.setdefault(tuple(grp), len(pieces))
-                dims[a, c + 1] = dim
+                pair = pairs[c]
+                bisect.insort(grp, pair)
+                dim += pair[1]
+                ids[a * b + c] = pieces.setdefault(tuple(grp), len(pieces))
+                dims[a * b + c] = dim
         listing = [[blk[0], blk[1]] for blk in order]
         # slack[k]: scaled slack of the first k blocks
-        acc_w = itertools.accumulate(blk[2] for blk in order)
-        acc_s = itertools.accumulate(blk[3] for blk in order)
+        acc_w = itertools.accumulate(pair[1] for pair in pairs)
+        acc_s = itertools.accumulate(pair[0] for pair in pairs)
         slack = [0, *(m - P[w] for w, m in zip(acc_w, acc_s))]
-        for bounds in cuts:
-            if len(rows) >= limit:
-                return rows
-            spans = list(zip(bounds, bounds[1:]))
-            key = tuple(ids[span] for span in spans)
+        for groups, inner in cuts:
+            key = tuple(map(ids.__getitem__, groups))
             if key in seen:
                 continue
             seen.add(key)
-            inner = bounds[1:-1]
             rows.append(
                 {
-                    "beta": [dims[span] for span in spans],
+                    "beta": list(map(dims.__getitem__, groups)),
                     "order": listing,
-                    "minSlack": ratio_to_str(min(slack[k] for k in inner), scale)
+                    "minSlack": ratio_to_str(min(map(slack.__getitem__, inner)), scale)
                     if inner
                     else None,
                 }
             )
+            if len(rows) == limit:
+                return rows
     return rows

@@ -10,10 +10,13 @@ in the generic dimension max(0, dim E - j + 1).
 
 Generic integer bases sampled from a seeded generator satisfy this after
 exact verification (the failure locus is a proper closed condition);
-failed samples are redrawn.  `build_transverse_filtration` keeps the
-integers it drew and marks the filtrations it verified; `check_admissible`
-verifies any other one before it relies on transversality, after it
-refuses one whose bases are not integer bases of the right shape.  The
+failed samples are redrawn.  Each entry is one `model.below` draw from
+`getrandbits`: the value, and the generator state after it, that
+`randint(-SAMPLE_BOX, SAMPLE_BOX)` would give, at a fraction of its cost.
+`build_transverse_filtration` keeps the integers it drew and marks the
+filtrations it verified; `check_admissible` verifies any other one before
+it relies on transversality, after it refuses one whose bases are not
+integer bases of the right shape.  The
 goods it checks come from the spec's good table (`ModuleSpec.goods`),
 which the lattice of stable subspaces shares.
 
@@ -132,6 +135,7 @@ from .model import (
     ModuleSpec,
     SpecError,
     WeightProfile,
+    below,
     fraction_to_str,
     ratio_to_str,
     row_to_str,
@@ -316,16 +320,17 @@ def build_transverse_filtration(
         raise ValueError("realization does not match the spec")
     n = spec.dimension
     layout = _good_layout(spec, spec.goods)
-    draw = random.Random(seed).randrange
+    bits = random.Random(seed).getrandbits
+    width = 2 * SAMPLE_BOX + 1
     ints = []
     total_attempts = 0
     for sigma in range(spec.config.embeddings):
         last_bad: GoodSubobject | str | None = None
         for _ in range(MAX_ATTEMPTS):
             total_attempts += 1
-            # randrange(a, b + 1) draws what randint(a, b) does
+            # each entry is randint(-SAMPLE_BOX, SAMPLE_BOX)
             basis = tuple(
-                tuple(draw(-SAMPLE_BOX, SAMPLE_BOX + 1) for _ in range(n))
+                tuple(below(bits, width) - SAMPLE_BOX for _ in range(n))
                 for _ in range(n)
             )
             bad = _violation(basis, layout)

@@ -52,6 +52,7 @@ __all__ = [
     "spec_violations",
     "validate_spec",
     "t_n",
+    "below",
     "fraction_to_str",
     "ratio_to_str",
     "row_to_str",
@@ -402,6 +403,23 @@ def t_n(spec: ModuleSpec, part: GoodSubobject | None = None) -> Fraction:
         if c < 0 or c > spec.summands[i].b:
             raise ValueError(f"good subobject count out of range at summand {i}")
     return Fraction(sum(sc.bottom(i, c) for i, c in enumerate(part.counts)), sc.den)
+
+
+def below(getrandbits, n: int) -> int:
+    """A draw from range(n), n > 0, made from `getrandbits` (the bound
+    method of a `random.Random`) exactly as `Random.randrange(n)` makes
+    it: n.bit_length() bits at a time until the value is below n.  So
+    `a + below(bits, b - a + 1)` is `rng.randint(a, b)` and
+    `seq[below(bits, len(seq))]` is `rng.choice(seq)`, the same value
+    from the same state and the same state after, with none of
+    `randrange`'s argument checks or calls in between.  The seeded
+    samplers (`pairs`, `filtration`, `subobjects`) draw only through
+    it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import InternalConsistencyError, fraction_to_str
+from .model import InternalConsistencyError, below, fraction_to_str
 
 __all__ = [
     "SpecialPair",
@@ -257,21 +257,22 @@ def assemble_global(entries: Sequence[GlobalEntry]) -> frozenset[int]:
 
 def _draw_pair(rng: random.Random, max_k: int) -> tuple[list[int], list[int]]:
     """Integer entries (a, c) of a special pair, by rejection on the ratio
-    chain."""
+    chain.  Draws as `randint` would (`model.below`)."""
+    bits = rng.getrandbits
     for _ in range(10_000):
-        k = rng.randint(0, max_k)
+        k = below(bits, max_k + 1)
         a_mid: list[int] = []
         c_mid: list[int] = []
         for _ in range(k):
-            ai = rng.randint(1, 6)
+            ai = 1 + below(bits, 6)
             a_mid.append(ai)
-            c_mid.append(rng.randint(1, ai))
+            c_mid.append(1 + below(bits, ai))
         if any(c_mid[i] * a_mid[i + 1] < c_mid[i + 1] * a_mid[i] for i in range(k - 1)):
             continue
-        pad0, pad1 = rng.randint(0, 3), rng.randint(0, 3)
+        pad0, pad1 = below(bits, 4), below(bits, 4)
         a0 = max(c_mid, default=0) + pad0
         if a0 <= 0:
-            a0 = rng.randint(1, 4)
+            a0 = 1 + below(bits, 4)
         a_last = max((x - y for x, y in zip(a_mid, c_mid)), default=0) + pad1
         a = [a0, *a_mid, a_last]
         if _clause(a, c_mid) is None:
@@ -280,10 +281,13 @@ def _draw_pair(rng: random.Random, max_k: int) -> tuple[list[int], list[int]]:
 
 
 def _draw_weights(rng: random.Random, length: int) -> tuple[list[int], list[int], int]:
-    """(m, n) in half units (scale 2), or shifted at scale 2 length."""
+    """(m, n) in half units (scale 2), or shifted at scale 2 length.  Draws
+    as `randint` and `choice` would (`model.below`)."""
+    bits = rng.getrandbits
 
     def half(lo: int, hi: int) -> int:
-        return rng.randint(lo, hi) * (2 // rng.choice((1, 2)))
+        # randint(lo, hi) units of 2 // choice((1, 2)) halves
+        return (lo + below(bits, hi - lo + 1)) * (2 - below(bits, 2))
 
     n = [half(-4, 4)]
     m = [n[0] + half(-4, 2)]
@@ -294,7 +298,7 @@ def _draw_weights(rng: random.Random, length: int) -> tuple[list[int], list[int]
     excess = sum(m) - sum(n)
     if excess <= 0:
         return m, n, 2
-    q = rng.randint(0, 2)
+    q = below(bits, 3)
     m = [length * x - excess - 2 * length * q for x in m]
     return m, [length * x for x in n], 2 * length
 

@@ -79,7 +79,13 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .frobenius import ConcreteRealization, ModificationEdge
-from .model import CapExceededError, GoodSubobject, InternalConsistencyError, ModuleSpec
+from .model import (
+    CapExceededError,
+    GoodSubobject,
+    InternalConsistencyError,
+    ModuleSpec,
+    below,
+)
 
 __all__ = [
     "check_cap",
@@ -729,10 +735,15 @@ def random_round_subobjects(
 ) -> list[tuple[int, ...]]:
     """Piece ids of the closures of one random nonzero-coefficient vector
     per eigenspace level."""
+    bits = rng.getrandbits
     out = []
     for level, coords in enumerate(lattice.realization.levels):
-        # the vector of the coefficients num / den, scaled by the lcm of den
-        draws = [(rng.choice(_NONZERO_DIGITS), rng.randint(1, 4)) for _ in coords]
+        # the vector of the coefficients num / den, scaled by the lcm of den;
+        # num is choice(_NONZERO_DIGITS) and den randint(1, 4)
+        draws = [
+            (_NONZERO_DIGITS[below(bits, len(_NONZERO_DIGITS))], 1 + below(bits, 4))
+            for _ in coords
+        ]
         scale = math.lcm(*(den for _, den in draws))
         v = [num * (scale // den) for num, den in draws]
         out.append(lattice.closure(level, v))

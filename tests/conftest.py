@@ -1,5 +1,7 @@
 import json
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,32 @@ from filtadm.model import Config, profile_from_dict, spec_from_dict
 
 CFG1 = Config(p=2, deg_K_Qp=1, deg_L_Qp=1, deg_K_L=1, f_prime=1)
 DATA = Path(__file__).parent.parent / "data"
+# seconds a test may run: about twenty times the slowest one, so that a hang
+# fails its test instead of stalling the suite
+TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail the test with TimeoutError once it runs past TIME_LIMIT_S.
+
+    A SIGALRM timer, so only in the main thread of a platform that has
+    `signal.setitimer`; elsewhere the test runs without a limit."""
+    main = threading.current_thread() is threading.main_thread()
+    if not main or not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.nodeid} ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _load(name: str):

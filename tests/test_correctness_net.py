@@ -31,6 +31,11 @@ REPORTS_SHA256 = "a42db46694422cc3fb555d08d652753090c7dbad51187898c5e608e20da846
 UNMODIFIED_SEED = 3
 UNMODIFIED_COUNT = 100
 UNMODIFIED_SHA256 = "b41c3a195b175de18b81bed454a02fb53fe18b5b5df6b687c6d62d84c8a84618"
+# an unmodified stream whose search meets candidates with t_H = t_N; the
+# digest was computed before the change that added this test
+TIES_SEED = 28
+TIES_COUNT = 40
+TIES_SHA256 = "b482fbfed8b60a092a8d98ad36d95c978ae0bf59cfb21a8b4ac53718ea61a2d1"
 
 
 def test_constructive_route_matches_slope_chain_up_to_dimension_8():
@@ -74,3 +79,32 @@ def test_unmodified_reports_through_the_search_pinned():
     # both search outcomes occur: ok by search and a searched witness
     assert searched[True] >= 5 and searched[False] >= 5
     assert digest.hexdigest() == UNMODIFIED_SHA256
+
+
+def test_unmodified_search_ties_are_not_violations():
+    # a searched candidate violates only with t_H > t_N: a tie leaves an ok
+    # standing and never becomes the witness
+    stream = equal_total_stream(TIES_SEED, TIES_COUNT, max_dim=6)
+    digest = hashlib.sha256()
+    ties = 0
+    for spec, profile in stream:
+        real = realize_matrices(spec)
+        for seed in FILTRATION_SEEDS:
+            filt = build_transverse_filtration(spec, profile, real, seed=seed)
+            report = check_admissible(spec, profile, real, filt, seed=seed)
+            # the searched candidates are the rows with an exact t_H
+            gaps = [
+                Fraction(row["tH"]) - Fraction(row["tN"])
+                for row in report.table
+                if "tH" in row
+            ]
+            ties += gaps.count(0)
+            if report.ok:
+                assert all(gap <= 0 for gap in gaps), (spec, profile, seed)
+            else:
+                witness = report.witness
+                assert Fraction(witness["tH"]) > Fraction(witness["tN"])
+            digest.update(json.dumps(report.as_dict(), sort_keys=True).encode())
+    # the stream cannot drift away from the ties
+    assert ties >= 1
+    assert digest.hexdigest() == TIES_SHA256

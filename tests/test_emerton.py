@@ -27,6 +27,7 @@ from filtadm.ordering import canonical_order
 from filtadm.slopes import check_all_block_orders, check_slope_chain
 from helpers import instance_stream
 from oracles import (
+    _shuffles,
     candidate_table_fractions,
     emerton_scan,
     enumerate_candidates,
@@ -332,6 +333,17 @@ def _table_cases(data_dir):
     )
     spec = canonical_order(spec)[0]
     yield spec, helpers.random_profile(random.Random(0), spec)
+    # summands of one family and twist: whole shuffles repeat
+    rng = random.Random(29)
+    for summands in (
+        (("F", 0, 1),) * 3,
+        (("F", 0, 2), ("F", 0, 2), ("F", 0, 1)),
+        (("F", 1, 2), ("F", 1, 2), ("G", 0, 1), ("G", 0, 1)),
+        (("F", 0, 1),) * 4 + (("F", 0, 3),),
+    ):
+        spec = ModuleSpec(CFG, fams, tuple(Summand(*s) for s in summands))
+        spec = canonical_order(spec)[0]
+        yield spec, helpers.random_profile(rng, spec)
     rng = random.Random(1717)
     drawn = 0
     while drawn < 40:
@@ -345,6 +357,7 @@ def test_integer_candidate_table_matches_fraction_oracle(data_dir):
     cases = list(_table_cases(data_dir))
     assert len(cases) >= 50
     assert sum(any(f.h == 2 for f in spec.families) for spec, _ in cases) >= 10
+    repeats = 0
     for spec, prof in cases:
         # the full table of 8 blocks holds up to 71,680 candidates, seconds
         # in Fractions; the smaller limits still cover those draws
@@ -353,6 +366,15 @@ def test_integer_candidate_table_matches_fraction_oracle(data_dir):
             assert candidate_table(spec, prof, limit) == candidate_table_fractions(
                 spec, prof, limit
             ), (spec, prof, limit)
+        if full:
+            # the full table walks every shuffle, so it skips each one whose
+            # (valuation, h) sequence repeats an earlier shuffle's
+            walks = [
+                tuple((blk.v, blk.size) for blk in order)
+                for order in _shuffles(gamma_blocks(spec))
+            ]
+            repeats += len(walks) > len(set(walks))
+    assert repeats >= 4
     spec = canonical_order(
         ModuleSpec(CFG, (F,), (Summand("F", 0, CANDIDATE_CAP), Summand("F", 0, 1)))
     )[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from filtadm.model import (
     SpecError,
     Summand,
     WeightProfile,
+    below,
     profile_from_dict,
     profile_to_dict,
     spec_from_dict,
@@ -22,8 +24,23 @@ from filtadm.model import (
     t_n,
     validate_spec,
 )
+from filtadm.filtration import SAMPLE_BOX
 from filtadm.frobenius import build_modified_frobenius
 import oracles
+
+
+def test_below_draws_what_randrange_draws():
+    # every width up to 64 and the samplers' own: the basis box, the
+    # nonzero digits and the pair and weight ranges; the widths come in a
+    # seeded order, so draws of one width follow draws of another
+    widths = [*range(1, 65), 2 * SAMPLE_BOX + 1, 18, 7, 6, 4, 3, 2] * 4
+    for seed in range(30):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        random.Random(-seed).shuffle(widths)
+        for n in widths:
+            got = [below(ours.getrandbits, n) for _ in range(5)]
+            assert got == [theirs.randrange(0, n) for _ in range(5)], (seed, n)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
 
 
 def test_validate_ok(ex1a, w_m212):

@@ -281,11 +281,15 @@ def test_weighted_hypotheses_match_oracle():
 
 def test_sampler_gives_up_after_10000_rejections():
     class Stuck(random.Random):
-        # k = 2 with c_1 / a_1 = 1/6 < c_2 / a_2 = 1, every attempt
-        draws = itertools.cycle((2, 6, 1, 1, 1))
+        # k = 2 with c_1 / a_1 = 1/6 < c_2 / a_2 = 1, every attempt: the
+        # widths and bits that randint(0, 4) = 2, randint(1, 6) = 6,
+        # randint(1, 6) = 1, randint(1, 6) = 1 and randint(1, 1) = 1 read
+        draws = itertools.cycle(((3, 2), (3, 5), (3, 0), (3, 0), (1, 0)))
 
-        def randint(self, lo, hi):
-            return next(self.draws)
+        def getrandbits(self, k):
+            width, bits = next(self.draws)
+            assert k == width
+            return bits
 
     with pytest.raises(RuntimeError, match="failed to sample"):
         pairs._draw_pair(Stuck(0), 4)

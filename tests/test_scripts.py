@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,15 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_each_test_runs_under_the_time_limit():
+    # conftest's autouse timer is armed for the test, at most the limit away
+    import conftest
+
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= conftest.TIME_LIMIT_S
+    assert signal.getsignal(signal.SIGALRM).__name__ == "expire"
 
 
 def test_fuzz_equivalence_smoke(capsys):
