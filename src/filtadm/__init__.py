@@ -22,13 +22,6 @@ from .slopes import check_all_block_orders, check_slope_chain
 from .frobenius import build_modified_frobenius, hom_dim, realize_matrices
 from .subobjects import enumerate_concrete_subobjects
 from .filtration import build_transverse_filtration, check_admissible, t_h
-from .pairs import (
-    SpecialPair,
-    assemble_global,
-    check_weighted_inequality,
-    is_special,
-    solve_t,
-)
 from .emerton import check_emerton_condition
 
 __all__ = [
@@ -54,10 +47,5 @@ __all__ = [
     "build_transverse_filtration",
     "t_h",
     "check_admissible",
-    "SpecialPair",
-    "is_special",
-    "solve_t",
-    "check_weighted_inequality",
-    "assemble_global",
     "check_emerton_condition",
 ]

@@ -65,11 +65,15 @@ def _read(path: str) -> tuple[dict, object]:
     """The report entry of an input file and its JSON value, from one read.
     The bytes are decoded as `open(path)` decodes them (default encoding,
     universal newlines), so decoding and parse errors read as they would
-    from the file."""
+    from the file.  JSON nested past the interpreter's recursion limit
+    raises ValueError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     entry = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-    return entry, json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
+    try:
+        return entry, json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _at_least(text: str, low: int) -> int | None:

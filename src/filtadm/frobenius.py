@@ -129,10 +129,6 @@ class ConcreteRealization:
     def dimension(self) -> int:
         return len(self.basis)
 
-    @property
-    def p(self) -> int:
-        return self.spec.config.p
-
     def _dense(self, cols, scales=None) -> tuple[tuple[int, ...], ...]:
         """The matrix with the given sparse columns, column j scaled by
         scales[j], plus the diagonal of `scales` when given."""

@@ -59,7 +59,6 @@ __all__ = [
     "fraction_from_json",
     "spec_to_dict",
     "spec_from_dict",
-    "profile_to_dict",
     "profile_from_dict",
 ]
 
@@ -82,8 +81,7 @@ class InternalConsistencyError(RuntimeError):
     list, a stable subspace inside its cover span, the t_H check of a good
     witness, the level split of the realization's operators, the relation
     N*Phi = p*Phi*N, the backtracking of the shuffle condition to a
-    violating selection, the weight solver's post-conditions or the
-    disjointness of assembled index sets."""
+    violating selection or the weight solver's post-conditions."""
 
 
 def _int(value, field: str) -> int:
@@ -95,16 +93,35 @@ def _int(value, field: str) -> int:
     return value
 
 
+# Miller-Rabin with the twelve prime bases up to 37 is exact for every n
+# below 3.18e23 (Jiang and Deng, Math. Comp. 83, 2014); specs keep p below
+# _P_BOUND, well inside that range.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = frozenset(_PRIME_BASES)
+_P_BOUND = 2**64
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
+    """Whether n is prime, exactly for n < 3.18e23: set membership up to
+    37, deterministic Miller-Rabin above."""
+    if n <= 37:
+        return n in _SMALL_PRIMES
+    if any(n % q == 0 for q in _PRIME_BASES):
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -276,18 +293,16 @@ class GoodSubobject:
         object.__setattr__(self, "counts", tuple(self.counts))
 
     def dimension(self, spec: ModuleSpec) -> int:
-        self._require_shape(spec)
-        return sum(
-            c * spec.family_of(i).h for i, c in enumerate(self.counts)
-        )
-
-    def _require_shape(self, spec: ModuleSpec) -> None:
-        """Raise ValueError unless there is one count per summand of `spec`."""
+        """Sum of c_i times the family dimension of summand i; ValueError
+        unless there is one count per summand of `spec`."""
         if len(self.counts) != len(spec.summands):
             raise ValueError(
                 f"good subobject has {len(self.counts)} counts for "
                 f"{len(spec.summands)} summands"
             )
+        return sum(
+            c * spec.family_of(i).h for i, c in enumerate(self.counts)
+        )
 
 
 @dataclass(frozen=True)
@@ -307,10 +322,6 @@ class ScaledSlopes:
     lengths: tuple[int, ...]
     bottoms: tuple[int, ...]
     totals: tuple[int, ...]
-
-    def bottom(self, i: int, c: int) -> int:
-        """Scaled slope of the bottom c blocks of summand i."""
-        return c * self.bottoms[i] + c * (c - 1) // 2 * self.step
 
     def blocks(self, i: int) -> range:
         """Scaled slopes of the blocks of summand i, bottom to top (the
@@ -338,7 +349,9 @@ def spec_violations(spec: ModuleSpec, profile: WeightProfile | None = None) -> l
     """Collect every invariant violation, with field paths."""
     errs: list[str] = []
     cfg = spec.config
-    if not _is_prime(cfg.p):
+    if cfg.p >= _P_BOUND:
+        errs.append(f"config.p: {cfg.p} is not below the bound 2**64 of the primality test")
+    elif not _is_prime(cfg.p):
         errs.append(f"config.p: {cfg.p} is not prime")
     for name in ("deg_K_Qp", "deg_L_Qp", "deg_K_L", "f_prime"):
         if getattr(cfg, name) < 1:
@@ -388,21 +401,12 @@ def validate_spec(
     return spec, profile
 
 
-def t_n(spec: ModuleSpec, part: GoodSubobject | None = None) -> Fraction:
-    """Newton slope of the whole module or of a good subobject.
-
-    Sum over included blocks (family F, twist n) of F.t_base + n*[K:Qp],
-    added up in closed form over the scaled integer slopes.  Raises
-    ValueError unless `part` has one count per summand, each in range.
-    """
+def t_n(spec: ModuleSpec) -> Fraction:
+    """Newton slope of the whole module: the sum over its blocks (family
+    F, twist n) of F.t_base + n*[K:Qp], added up in closed form over the
+    scaled integer slopes."""
     sc = scaled_slopes(spec)
-    if part is None:
-        return Fraction(sum(sc.totals), sc.den)
-    part._require_shape(spec)
-    for i, c in enumerate(part.counts):
-        if c < 0 or c > spec.summands[i].b:
-            raise ValueError(f"good subobject count out of range at summand {i}")
-    return Fraction(sum(sc.bottom(i, c) for i, c in enumerate(part.counts)), sc.den)
+    return Fraction(sum(sc.totals), sc.den)
 
 
 def below(getrandbits, n: int) -> int:
@@ -536,10 +540,6 @@ def spec_from_dict(data) -> ModuleSpec:
             _int(_member(s, "b", at), f"{at}.b"),
         ))
     return ModuleSpec(cfg, families, summands)
-
-
-def profile_to_dict(profile: WeightProfile) -> dict:
-    return {"weights": [list(row) for row in profile.weights]}
 
 
 def profile_from_dict(data) -> WeightProfile:

@@ -1,4 +1,5 @@
-"""Special pairs: jump data (a_i, c_i), their solved weights, and assembly.
+"""Special pairs: jump data (a_i, c_i), their solved weights and the
+weighted-sum property, on integers.
 
 A pair a = (a_0, ..., a_{k+1}), c = (c_1, ..., c_k) with the conventions
 c_0 = a_0 and c_{k+1} = 0 is special when
@@ -7,9 +8,9 @@ c_0 = a_0 and c_{k+1} = 0 is special when
   (ii)  c_i / a_i >= c_{i+1} / a_{i+1} for every i,
   (iii) a_0 >= max c_i and a_{k+1} >= max (a_i - c_i).
 
-solve_t produces t_1, ..., t_k with t_1/a_0 = t_2/c_1 = ... = t_k/c_{k-1}
-=: r minimal such that every prefix sum of t dominates the matching prefix
-sum of (a_i - c_i) and the closing inequality
+Its weights t_1, ..., t_k satisfy t_1/a_0 = t_2/c_1 = ... = t_k/c_{k-1}
+=: r, r minimal such that every prefix sum of t dominates the matching
+prefix sum of (a_i - c_i) and the closing inequality
 sum t - sum (a_i - c_i) + r c_k <= a_{k+1} holds.
 
 For integer a the pair induces an index set Omega (trailing intervals of
@@ -17,81 +18,30 @@ length c_i inside consecutive ranges of length a_i), and for any
 nondecreasing m, n whose m-increments dominate the n-increments and with
 sum m <= sum n, one has sum_{Omega} m <= sum_{Omega} n.
 
-An integer core (`_clause`, `_solve`, `_omega`, `_weighted` and the
-samplers `_draw_pair`, `_draw_weights`) does all of this over one integer
-scale per quantity, so nothing is approximated: the clauses, the
-hypotheses and the Omega comparison are invariant under a positive scale.
-Drawn pairs are integers, weights sit at scale 2L (half units shifted by
-excess/L + q), and t_1 is a ratio P/Q of integers.  The public functions
-build `Fraction`s only at their boundary, and `fuzz_special_pairs` only
-to report a failure; the `Fraction` forms of the samplers are test
+`_clause`, `_solve`, `_omega` and `_weighted` decide each of these over
+one integer scale per quantity, so nothing is approximated: the clauses,
+the hypotheses and the Omega comparison are invariant under a positive
+scale.  The samplers `_draw_pair` and `_draw_weights` draw integer pairs,
+and weights at scale 2L (half units shifted by excess/L + q); t_1 is a
+ratio P/Q of integers.  `fuzz_special_pairs` runs them and builds
+`Fraction`s only to report a failure.  The `Fraction` forms of all six,
+the pair record and the assembly of index sets over components are test
 oracles.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .model import InternalConsistencyError, below, fraction_to_str
 
-__all__ = [
-    "SpecialPair",
-    "HypothesisError",
-    "is_special",
-    "solve_t",
-    "omega_of_pair",
-    "WeightedResult",
-    "check_weighted_inequality",
-    "GlobalEntry",
-    "assemble_global",
-    "fuzz_special_pairs",
-]
+__all__ = ["HypothesisError", "fuzz_special_pairs"]
 
 
 class HypothesisError(ValueError):
     """Raised when (m, n) violate the hypotheses of the weighted inequality."""
-
-
-@dataclass(frozen=True)
-class SpecialPair:
-    a: tuple[Fraction, ...]            # length k + 2
-    c: tuple[Fraction, ...]            # length k
-    t: tuple[Fraction, ...] = ()       # solved, length k
-    r: Fraction | None = None
-    vacuous: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
-        object.__setattr__(self, "t", tuple(Fraction(x) for x in self.t))
-
-    @property
-    def k(self) -> int:
-        return len(self.c)
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.a, Fraction(0))
-
-    def solved(self) -> "SpecialPair":
-        t, r = solve_t(self)
-        return SpecialPair(self.a, self.c, t, r, self.vacuous)
-
-    @staticmethod
-    def empty() -> "SpecialPair":
-        return SpecialPair((), (), (), Fraction(0), vacuous=True)
-
-
-def _common_scale(xs: Sequence, ys: Sequence) -> tuple[list[int], list[int], int]:
-    """Both sequences times the lcm s of all their denominators, and s."""
-    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
-    scale = math.lcm(*(x.denominator for x in (*xs, *ys)))
-    ints = [[x.numerator * (scale // x.denominator) for x in seq] for seq in (xs, ys)]
-    return ints[0], ints[1], scale
 
 
 def _clause(a: Sequence[int], c: Sequence[int]) -> str | None:
@@ -130,10 +80,10 @@ def _solve(a: Sequence[int], c: Sequence[int]) -> tuple[int, int]:
     for l in range(k):
         d += a[l + 1] - c[l]
         if p * (a0 + s) < d * q * a0:
-            raise InternalConsistencyError("solve_t prefix condition failed")
+            raise InternalConsistencyError("weight solver prefix condition failed")
         s += c[l]
     if p * (a0 + s) > (a[k + 1] + d) * q * a0:
-        raise InternalConsistencyError("solve_t closing condition failed")
+        raise InternalConsistencyError("weight solver closing condition failed")
     return p, q
 
 
@@ -161,93 +111,6 @@ def _weighted(omega, m: Sequence[int], n: Sequence[int]) -> tuple[int, int]:
     if any(j < 1 or j > len(m) for j in omega):
         raise HypothesisError("omega indices out of range")
     return sum(m[j - 1] for j in omega), sum(n[j - 1] for j in omega)
-
-
-def is_special(
-    a: Sequence[Fraction], c: Sequence[Fraction]
-) -> tuple[bool, str | None]:
-    """Exact check of conditions (i)-(iii); returns the first violated clause."""
-    clause = _clause(*_common_scale(a, c)[:2])
-    return clause is None, clause
-
-
-def solve_t(pair: SpecialPair) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Minimal-r solution of the proportional weight system."""
-    if pair.vacuous:
-        return (), Fraction(0)
-    a, c, scale = _common_scale(pair.a, pair.c)
-    clause = _clause(a, c)
-    if clause is not None:
-        raise ValueError(f"pair is not special (clause {clause})")
-    if not c:
-        return (), Fraction(0)
-    p, q = _solve(a, c)
-    r = Fraction(p, q * a[0])
-    return tuple(r * Fraction(x, scale) for x in (a[0], *c[:-1])), r
-
-
-def omega_of_pair(pair: SpecialPair) -> frozenset[int]:
-    """Trailing-interval index set; requires integer entries."""
-    if pair.vacuous:
-        return frozenset()
-    if any(x.denominator != 1 for x in (*pair.a, *pair.c)):
-        raise ValueError("omega needs integer pair entries")
-    return _omega([int(x) for x in pair.a], [int(x) for x in pair.c])
-
-
-@dataclass(frozen=True)
-class WeightedResult:
-    holds: bool
-    lhs: Fraction
-    rhs: Fraction
-
-
-def check_weighted_inequality(
-    omega: SpecialPair | frozenset[int] | set[int],
-    m: Sequence[Fraction],
-    n: Sequence[Fraction],
-) -> WeightedResult:
-    """Evaluate sum_{Omega} m <= sum_{Omega} n exactly.
-
-    Hypothesis violations (monotonicity, increment domination, total
-    comparison) raise HypothesisError, distinct from a failing verdict.
-    """
-    if isinstance(omega, SpecialPair):
-        omega = omega_of_pair(omega)
-    m, n, scale = _common_scale(m, n)
-    lhs, rhs = _weighted(omega, m, n)
-    return WeightedResult(lhs <= rhs, Fraction(lhs, scale), Fraction(rhs, scale))
-
-
-@dataclass(frozen=True)
-class GlobalEntry:
-    omega: frozenset[int]
-    r: Fraction
-    dim: int
-
-    @staticmethod
-    def from_pair(pair: SpecialPair) -> "GlobalEntry":
-        solved = pair if pair.r is not None else pair.solved()
-        return GlobalEntry(omega_of_pair(solved), solved.r, int(solved.total))
-
-
-def assemble_global(entries: Sequence[GlobalEntry]) -> frozenset[int]:
-    """Offset the per-component index sets in descending-r order.
-
-    Ties keep the input order (stable sort); the offset of a component is
-    the sum of the dimensions of the components placed before it.
-    """
-    order = sorted(range(len(entries)), key=lambda i: (-entries[i].r, i))
-    out: set[int] = set()
-    offset = 0
-    for i in order:
-        e = entries[i]
-        shifted = {offset + j for j in e.omega}
-        if out & shifted:
-            raise InternalConsistencyError("assembled index sets overlap")
-        out |= shifted
-        offset += e.dim
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ the library sums scaled integer slopes over each shuffle's intervals.  `slope_ch
 and `min_slope_per_dim` are the slope criteria in `Fraction` arithmetic,
 block by block and through a block-by-dimension subset DP, where the
 library scales the slopes to integers; all three oracles add up the
-`block_slope` Fractions and never call `model.t_n` or `scaled_slopes`.
+`block_slope` Fractions and never call `model.t_n` or `scaled_slopes`;
+so does `good_t_n`, the t_N of one good subobject.
 
 `stable_extensions` tests U + <x> for stability vector by vector over a
 small box, where the lattice reads the cover span S_lambda(U) of a level
@@ -41,16 +42,18 @@ Hand-written subspaces reach the greedy flags through
 
 The special-pair oracles are the `Fraction` forms of the clause check, the
 weight solver, the index set, the weighted comparison and both seeded
-generators, where the library computes each over one integer scale.  The
-generators are the only `Fraction` samplers: the library keeps their
-integer forms (`pairs._draw_pair`, integer pairs only, and
-`pairs._draw_weights`) for the fuzzer.
+generators, on the pair record `SpecialPair`, where the library's
+integer core (`pairs._clause`, `_solve`, `_omega`, `_weighted`,
+`_draw_pair` and `_draw_weights`) computes each over one integer scale
+for the fuzzer.  `common_scale` puts rationals over that one scale, so
+tests feed the same data to both.  The library has no `Fraction` pair
+API.
 
 The flag layer of the paper's weighted-sum lemma (greedy flags of stable
 goods, their index sets and the special pairs read off them) lives here
 as well: the library's verdict bounds t_H by chain certificates and never
-builds a flag.  It checks its pairs with the library's `pairs.is_special`,
-not with the `Fraction` oracle of the same name.
+builds a flag.  It checks and solves its pairs with the `Fraction`
+oracles above.
 
 The dense realization (`dense_realization`, `check_commutation_dense`,
 `dense_level_operators`) builds Phi, N and the edge coupling E as
@@ -64,7 +67,7 @@ library itself never needs them.
 
 The helpers at the end (induced jumps, the intersection-gain ratio, the
 structural flag conditions, the level decomposition and the per-component
-flag analysis with its assembled index set) are not oracles but tools
+flag analysis with its index sets assembled over components) are not oracles but tools
 only the tests use; they run on the library's kernel and the flag layer.
 The per-component analysis restricts the full intersection profile to
 each component's goods instead of splitting rows.
@@ -79,7 +82,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from filtadm import linalg, pairs
+from filtadm import linalg
 from filtadm.emerton import CANDIDATE_CAP, EmertonVerdict, _shuffles
 from filtadm.filtration import SINGULAR, Filtration, _tail_dims
 from filtadm.frobenius import ConcreteRealization, ModificationEdge, _seeds
@@ -93,13 +96,7 @@ from filtadm.model import (
     validate_spec,
 )
 from filtadm.ordering import require_canonical, type_components
-from filtadm.pairs import (
-    GlobalEntry,
-    HypothesisError,
-    SpecialPair,
-    WeightedResult,
-    assemble_global,
-)
+from filtadm.pairs import HypothesisError
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     DEFAULT_CAP,
@@ -492,7 +489,7 @@ def restriction(realization, rows: Mat) -> Mat:
 
 def eigenvalue(realization, blk) -> Fraction:
     """The Phi-eigenvalue a_F * p^twist of a block."""
-    return realization.seeds[blk.family.id] * Fraction(realization.p) ** blk.twist
+    return realization.seeds[blk.family.id] * Fraction(realization.spec.config.p) ** blk.twist
 
 
 def eigen_levels(realization) -> dict[Fraction, list[int]]:
@@ -577,6 +574,12 @@ def block_slope_sum(spec: ModuleSpec, blocks=None) -> Fraction:
     of the spec by default)."""
     blocks = spec.blocks() if blocks is None else blocks
     return sum((block_slope(blk, spec.config) for blk in blocks), Fraction(0))
+
+
+def good_t_n(spec: ModuleSpec, good: GoodSubobject) -> Fraction:
+    """t_N of a good subobject: `block_slope_sum` over the bottom
+    good.counts[i] blocks of each summand i."""
+    return block_slope_sum(spec, [b for b in spec.blocks() if b.k < good.counts[b.summand]])
 
 
 def chain_verdict(
@@ -1014,6 +1017,53 @@ def chain_bound(spec: ModuleSpec, profile: WeightProfile, inter: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SpecialPair:
+    a: tuple[Fraction, ...]            # length k + 2
+    c: tuple[Fraction, ...]            # length k
+    t: tuple[Fraction, ...] = ()       # solved, length k
+    r: Fraction | None = None
+    vacuous: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
+        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
+        object.__setattr__(self, "t", tuple(Fraction(x) for x in self.t))
+
+    @property
+    def k(self) -> int:
+        return len(self.c)
+
+    @property
+    def total(self) -> Fraction:
+        return sum(self.a, ZERO)
+
+    def solved(self) -> "SpecialPair":
+        t, r = solve_t(self)
+        return SpecialPair(self.a, self.c, t, r, self.vacuous)
+
+    @staticmethod
+    def empty() -> "SpecialPair":
+        return SpecialPair((), (), (), ZERO, vacuous=True)
+
+
+@dataclass(frozen=True)
+class WeightedResult:
+    holds: bool
+    lhs: Fraction
+    rhs: Fraction
+
+
+def common_scale(*seqs: Sequence) -> tuple[list[list[int]], int]:
+    """Each sequence of rationals times the lcm s of all their
+    denominators, and s: the one integer scale the library's pair core
+    (`pairs._clause`, `_solve`, `_weighted`) reads."""
+    seqs = [[Fraction(x) for x in seq] for seq in seqs]
+    scale = math.lcm(*(x.denominator for seq in seqs for x in seq))
+    return [[x.numerator * (scale // x.denominator) for x in seq] for seq in seqs], scale
+
+
+
 def is_special(a: Sequence, c: Sequence) -> tuple[bool, str | None]:
     a = [Fraction(x) for x in a]
     c = [Fraction(x) for x in c]
@@ -1333,7 +1383,7 @@ def special_pair_from_flag(
         a.append(Fraction(dims[i] - dims[i - 1]))
         c.append(Fraction(caps[i] - caps[i - 1]))
     a.append(Fraction(dims[-1] - dims[i2]))
-    ok, clause = pairs.is_special(a, c)
+    ok, clause = is_special(a, c)
     if not ok:
         raise SpecialPairViolation(clause, tuple(a), tuple(c))
     return SpecialPair(tuple(a), tuple(c)).solved()
@@ -1398,7 +1448,7 @@ def flag_conditions(
     fam = spec.family_of(0)
     seed = realization.seeds[fam.id]
     twists = sorted({blk.twist for blk in realization.basis})
-    p = realization.p
+    p = realization.spec.config.p
     for i in range(1, len(chain)):
         prev, cur = spans[i - 1], spans[i]
         prev_rank = len(prev)
@@ -1547,6 +1597,37 @@ def component_analysis(realization: ConcreteRealization, profile: dict) -> list[
             "pair": pair, "omega": omega, "r": r,
         })
     return out
+
+
+@dataclass(frozen=True)
+class GlobalEntry:
+    omega: frozenset[int]
+    r: Fraction
+    dim: int
+
+    @staticmethod
+    def from_pair(pair: SpecialPair) -> "GlobalEntry":
+        solved = pair if pair.r is not None else pair.solved()
+        return GlobalEntry(omega_of_pair(solved), solved.r, int(solved.total))
+
+
+def assemble_global(entries: Sequence[GlobalEntry]) -> frozenset[int]:
+    """Offset the per-component index sets in descending-r order.
+
+    Ties keep the input order (stable sort); the offset of a component is
+    the sum of the dimensions of the components placed before it.
+    """
+    order = sorted(range(len(entries)), key=lambda i: (-entries[i].r, i))
+    out: set[int] = set()
+    offset = 0
+    for i in order:
+        e = entries[i]
+        shifted = {offset + j for j in e.omega}
+        if out & shifted:
+            raise InternalConsistencyError("assembled index sets overlap")
+        out |= shifted
+        offset += e.dim
+    return frozenset(out)
 
 
 def global_omega(realization: ConcreteRealization, profile: dict) -> frozenset[int]:

@@ -19,7 +19,7 @@ from filtadm.emerton import check_emerton_condition
 from filtadm.filtration import build_transverse_filtration, check_admissible, t_h
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import WeightProfile, t_n
-from filtadm.pairs import check_weighted_inequality, solve_t
+from filtadm.pairs import _clause, _omega, _solve, _weighted
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
     StableLattice,
@@ -162,15 +162,14 @@ def test_criterion_6_special_pair_suite():
         rng = random.Random(2024)
         for _ in range(10_000):
             pair = random_special_pair(rng, integer=True)
-            t, r = solve_t(pair)          # (i)'-(iii)' asserted exactly inside
-            solved = pair.solved()
-            length = int(solved.total)
-            if length < 1:
-                continue
-            m, n = random_weight_pair(rng, length)
-            assert check_weighted_inequality(solved, m, n).holds
-        res = check_weighted_inequality({3}, (0, 0, 3), (1, 1, 1))
-        assert not res.holds
+            a, c = [int(x) for x in pair.a], [int(x) for x in pair.c]
+            assert _clause(a, c) is None
+            p, q = _solve(a, c)           # (i)'-(iii)' asserted exactly inside
+            assert Fraction(p, q * a[0]) == oracles.solve_t(pair)[1]
+            m, n = random_weight_pair(rng, sum(a))
+            lhs, rhs = _weighted(_omega(a, c), *oracles.common_scale(m, n)[0])
+            assert lhs <= rhs
+        assert _weighted({3}, (0, 0, 3), (1, 1, 1)) == (3, 1)
 
 
 def test_criterion_7_greedy_flag_invariants():

@@ -36,14 +36,17 @@ def test_module_exports_resolve(name):
 
 PUBLIC = [
     "Config", "Family", "GoodSubobject", "ModuleSpec", "SpecError",
-    "SpecialPair", "Summand", "WeightProfile", "assemble_global",
+    "Summand", "WeightProfile",
     "build_modified_frobenius", "build_transverse_filtration",
     "canonical_order", "check_admissible", "check_all_block_orders",
     "check_emerton_condition", "check_not_precede", "check_slope_chain",
-    "check_weighted_inequality", "enumerate_concrete_subobjects",
-    "group_and_order", "hom_dim", "is_special", "realize_matrices",
-    "solve_t", "spec_violations", "t_h", "t_n", "validate_spec",
+    "enumerate_concrete_subobjects",
+    "group_and_order", "hom_dim", "realize_matrices",
+    "spec_violations", "t_h", "t_n", "validate_spec",
 ]
+
+# the special-pair module keeps its integer core, private, and the fuzzer
+PAIRS = ["HypothesisError", "fuzz_special_pairs"]
 
 # the flag layer of the weighted-sum lemma: the verdict never builds a
 # flag, so these live with the test oracles
@@ -55,6 +58,7 @@ FLAG_LAYER = [
 
 def test_public_surface_pinned():
     assert sorted(filtadm.__all__) == PUBLIC
+    assert filtadm.pairs.__all__ == PAIRS
 
 
 @pytest.mark.parametrize("name", FLAG_LAYER)
@@ -69,7 +73,9 @@ def test_flag_layer_not_in_package(name):
 # stable subspace is `StableLattice.scaled_t_n` over the denominator of
 # `level_slopes`.  A subspace is held as canonical integer rows only: the
 # Fraction row forms, their marker and the second t_H entry are gone, and
-# so are helpers no library code called (`spec.goods` lists the goods)
+# so are helpers no library code called (`spec.goods` lists the goods).
+# The Fraction special-pair API, its pair record and the assembly of index
+# sets live with the oracles too; t_N of a good is `oracles.good_t_n`
 MOVED = [
     (filtadm.emerton, "GammaBlock"),
     (filtadm.emerton, "Candidate"),
@@ -94,6 +100,18 @@ MOVED = [
     (filtadm.model.Block, "size"),
     (filtadm.model.Block, "t_n"),
     (filtadm.subobjects, "enumerate_good_subobjects"),
+    (filtadm.pairs, "SpecialPair"),
+    (filtadm.pairs, "is_special"),
+    (filtadm.pairs, "solve_t"),
+    (filtadm.pairs, "omega_of_pair"),
+    (filtadm.pairs, "WeightedResult"),
+    (filtadm.pairs, "check_weighted_inequality"),
+    (filtadm.pairs, "GlobalEntry"),
+    (filtadm.pairs, "assemble_global"),
+    (filtadm.pairs, "_common_scale"),
+    (filtadm.model, "profile_to_dict"),
+    (filtadm.model.ScaledSlopes, "bottom"),
+    (filtadm.frobenius.ConcreteRealization, "p"),
 ]
 
 

@@ -16,7 +16,6 @@ from filtadm.model import (
     ModuleSpec,
     Summand,
     WeightProfile,
-    profile_to_dict,
     spec_to_dict,
     t_n,
 )
@@ -211,7 +210,7 @@ def _forty_chain_files(tmp_path):
     spec_path, weights_path = tmp_path / "spec.json", tmp_path / "weights.json"
     spec_path.write_text(json.dumps(spec_to_dict(spec)))
     weights_path.write_text(
-        json.dumps(profile_to_dict(WeightProfile((tuple(range(spec.dimension)),))))
+        json.dumps({"weights": [list(range(spec.dimension))]})
     )
     return spec, spec_path, weights_path
 
@@ -589,6 +588,24 @@ def test_input_read_errors_match_the_file_reads(
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
     assert out == json.dumps({"command": "check-iii", "error": error}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--weights"])
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, flag):
+    # 100,000 open brackets pass the recursion limit inside json.loads; the
+    # RecursionError used to escape `main`, an exit 1 with a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    files = {"--spec": str(DATA / "ex1a_spec.json"), "--weights": str(DATA / "weights_m212.json")}
+    files[flag] = str(deep)
+    code, rep = run_cli(
+        capsys, "check-iii", "--spec", files["--spec"], "--weights", files["--weights"]
+    )
+    assert code == 2
+    assert rep == {
+        "command": "check-iii",
+        "error": f"ValueError: {deep}: JSON nested too deeply to parse",
+    }
 
 
 def test_each_input_file_is_read_once(capsys, monkeypatch):

@@ -289,7 +289,7 @@ def test_modified_streams_decide_by_proof():
         edges = build_modified_frobenius(spec)
         witness_goods = [
             g for g in stable_good_subobjects(spec, edges)
-            if kl * prefix[g.dimension(spec)] > t_n(spec, g)
+            if kl * prefix[g.dimension(spec)] > oracles.good_t_n(spec, g)
         ]
         assert bool(witness_goods) == (not chain)
         real, filt = _setup(spec, profile, seed=k)

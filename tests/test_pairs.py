@@ -1,3 +1,8 @@
+"""The integer core of `filtadm.pairs` (`_clause`, `_solve`, `_omega`,
+`_weighted` and the samplers) against the `Fraction` oracles of
+`tests/oracles.py`, which also hold the pair record and the assembly of
+index sets over components."""
+
 import itertools
 import json
 import math
@@ -10,18 +15,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from filtadm import pairs
 from filtadm.cli import main
-from filtadm.pairs import (
+from filtadm.pairs import HypothesisError, _clause, _omega, _solve, _weighted, fuzz_special_pairs
+from oracles import (
     GlobalEntry,
-    HypothesisError,
     SpecialPair,
     assemble_global,
-    check_weighted_inequality,
-    fuzz_special_pairs,
-    is_special,
-    omega_of_pair,
-    solve_t,
+    common_scale,
+    random_special_pair,
+    random_weight_pair,
 )
-from oracles import random_special_pair, random_weight_pair
 
 
 def _outcome(f, *args):
@@ -32,79 +34,81 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def _solved(a, c) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(t, r) of a special pair of rationals, from `_solve` at one scale."""
+    (a, c), scale = common_scale(a, c)
+    p, q = _solve(a, c)
+    r = Fraction(p, q * a[0])
+    return tuple(r * Fraction(x, scale) for x in (a[0], *c)[: len(c)]), r
+
+
+def _weighted_fractions(omega, m, n) -> oracles.WeightedResult:
+    """`_weighted` on rationals m, n at one scale, read back as rationals."""
+    (m, n), scale = common_scale(m, n)
+    lhs, rhs = _weighted(omega, m, n)
+    return oracles.WeightedResult(lhs <= rhs, Fraction(lhs, scale), Fraction(rhs, scale))
+
+
 def test_is_special_examples():
-    assert is_special((1, 2, 1), (1,)) == (True, None)
-    assert is_special((0, 2, 1), (1,)) == (False, "i")
-    assert is_special((1, 3, 1), (2,)) == (False, "iii")
+    for a, c, clause in (((1, 2, 1), (1,), None), ((0, 2, 1), (1,), "i"), ((1, 3, 1), (2,), "iii")):
+        assert _clause(a, c) == clause
+        assert oracles.is_special(a, c) == (clause is None, clause)
 
 
 def test_is_special_ratio_clause():
     # ratios must be nonincreasing: 1/3 < 2/2
-    assert is_special((2, 3, 2, 1), (1, 2)) == (False, "ii")
+    assert _clause((2, 3, 2, 1), (1, 2)) == "ii"
 
 
 def test_solve_t_examples():
-    t, r = solve_t(SpecialPair((1, 2, 1), (1,)))
-    assert t == (Fraction(1),) and r == 1
-    t, r = solve_t(SpecialPair((1, 1, 1), (1,)))
-    assert t == (Fraction(0),) and r == 0
-    t, r = solve_t(SpecialPair((2, 2, 2), (1,)))
-    assert t == (Fraction(1),) and r == Fraction(1, 2)
+    for a, c, t, r in (
+        ((1, 2, 1), (1,), (1,), 1),
+        ((1, 1, 1), (1,), (0,), 0),
+        ((2, 2, 2), (1,), (1,), Fraction(1, 2)),
+    ):
+        assert _solved(a, c) == (t, r) == oracles.solve_t(SpecialPair(a, c))
 
 
 def test_solve_t_k0():
-    t, r = solve_t(SpecialPair((3, 1), ()))
-    assert t == () and r == 0
-
-
-def test_solve_t_rejects_non_special():
-    with pytest.raises(ValueError):
-        solve_t(SpecialPair((1, 3, 1), (2,)))
+    assert _solve((3, 1), ()) == (0, 1)
+    assert _solved((3, 1), ()) == ((), 0)
 
 
 def test_solve_t_conditions_randomized():
     rng = random.Random(4)
     for _ in range(500):
         pair = random_special_pair(rng)
-        t, r = solve_t(pair)          # post-conditions asserted inside
+        t, r = _solved(pair.a, pair.c)          # post-conditions asserted inside
         assert r >= 0
-        for ti, ci in zip(t[1:], pair.c):
-            assert ti == r * ci
-        if t:
-            assert t[0] == r * pair.a[0]
+        assert (t, r) == oracles.solve_t(pair)
 
 
 def test_omega_of_pair():
-    assert omega_of_pair(SpecialPair((1, 2, 1), (1,))) == frozenset({1, 3})
-    assert omega_of_pair(SpecialPair.empty()) == frozenset()
-    with pytest.raises(ValueError):
-        omega_of_pair(SpecialPair((Fraction(1, 2), Fraction(1, 2)), ()))
+    assert _omega((1, 2, 1), (1,)) == frozenset({1, 3})
+    assert oracles.omega_of_pair(SpecialPair((1, 2, 1), (1,))) == frozenset({1, 3})
 
 
 def test_weighted_trivial_equality():
-    pair = SpecialPair((1, 2, 1), (1,))
-    m = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-    res = check_weighted_inequality(pair, m, m)
-    assert res.holds and res.lhs == res.rhs
+    m = (1, 2, 3, 4)
+    lhs, rhs = _weighted(_omega((1, 2, 1), (1,)), m, m)
+    assert lhs == rhs == 4
 
 
 def test_weighted_documented_example():
-    res = check_weighted_inequality({1, 3}, (-2, 1, 2), (0, 0, 1))
-    assert res.holds and res.lhs == 0 and res.rhs == 1
+    assert _weighted({1, 3}, (-2, 1, 2), (0, 0, 1)) == (0, 1)
 
 
 def test_weighted_non_special_counterexample():
-    res = check_weighted_inequality({3}, (0, 0, 3), (1, 1, 1))
-    assert not res.holds and res.lhs == 3 and res.rhs == 1
+    assert _weighted({3}, (0, 0, 3), (1, 1, 1)) == (3, 1)
 
 
 def test_weighted_hypothesis_violations_distinct():
     with pytest.raises(HypothesisError):
-        check_weighted_inequality({1}, (2, 1), (0, 0))       # m not monotone
+        _weighted({1}, (2, 1), (0, 0))       # m not monotone
     with pytest.raises(HypothesisError):
-        check_weighted_inequality({1}, (0, 1), (0, 2))       # increments
+        _weighted({1}, (0, 1), (0, 2))       # increments
     with pytest.raises(HypothesisError):
-        check_weighted_inequality({1}, (1, 2), (0, 1))       # totals
+        _weighted({1}, (1, 2), (0, 1))       # totals
 
 
 def test_assemble_examples():
@@ -152,9 +156,9 @@ def test_assembled_single_entry_inequality():
     for _ in range(300):
         pair = random_special_pair(rng, max_k=3, integer=True).solved()
         omega = assemble_global([GlobalEntry.from_pair(pair)])
-        assert omega == omega_of_pair(pair)
+        assert omega == _omega(*common_scale(pair.a, pair.c)[0])
         m, n = random_weight_pair(rng, int(pair.total))
-        assert check_weighted_inequality(omega, m, n).holds
+        assert _weighted_fractions(omega, m, n).holds
 
 
 def test_assembled_literal_tie_counterexample():
@@ -167,8 +171,9 @@ def test_assembled_literal_tie_counterexample():
     assert omega == frozenset({1, 3, 4})
     m = [Fraction(0), Fraction(0), Fraction(5, 2), Fraction(5, 2), Fraction(5, 2)]
     n = [Fraction(3, 2)] * 5
-    res = check_weighted_inequality(omega, m, n)
+    res = _weighted_fractions(omega, m, n)
     assert not res.holds
+    assert res == oracles.check_weighted_inequality(omega, m, n)
 
 
 def test_assembled_strict_r_counterexample():
@@ -183,7 +188,8 @@ def test_assembled_strict_r_counterexample():
     assert omega == frozenset({1, 3, 5, 6, 8, 9})
     m = [-6, -4, -3, -1, 3, 6, 7, 10, 10, 11]
     n = [-2, 0, 0, 1, 3, 4, 5, 7, 7, 8]
-    res = check_weighted_inequality(omega, m, n)
+    assert _weighted(omega, m, n) == (20, 19)
+    res = oracles.check_weighted_inequality(omega, m, n)
     assert (res.holds, res.lhs, res.rhs) == (False, 20, 19)
 
 
@@ -192,7 +198,7 @@ def test_assembled_strict_r_counterexample():
 def test_random_pairs_always_special(seed):
     rng = random.Random(seed)
     pair = random_special_pair(rng)
-    assert is_special(pair.a, pair.c) == (True, None)
+    assert _clause(*common_scale(pair.a, pair.c)[0]) is None
 
 
 def _replay(state, draw, *args):
@@ -205,8 +211,9 @@ def _replay(state, draw, *args):
 @pytest.mark.parametrize("integer", [True, False])
 def test_integer_core_matches_fraction_oracles(integer):
     # the integer samplers make the same rng calls and give the same pairs
-    # and weights as the entry-by-entry Fraction forms; t, r, Omega and the
-    # verdicts match on integer pairs and on pairs with denominators
+    # and weights as the entry-by-entry Fraction forms; the clauses, t, r,
+    # Omega and the weighted comparison match on integer pairs and, put
+    # over one integer scale, on pairs with denominators
     for seed in range(20):
         rng = random.Random(seed)
         for _ in range(500):
@@ -215,26 +222,30 @@ def test_integer_core_matches_fraction_oracles(integer):
             if integer:
                 drawn = (list(want.a), list(want.c)), rng.getstate()
                 assert _replay(start, pairs._draw_pair, 4) == drawn
-            pair = SpecialPair(want.a, want.c).solved()
-            assert (pair.t, pair.r) == oracles.solve_t(want)
-            omega = _outcome(omega_of_pair, pair)
-            assert omega == _outcome(oracles.omega_of_pair, want)
-            length = math.ceil(pair.total)
+            (a, c), _ = common_scale(want.a, want.c)
+            assert _clause(a, c) is None
+            assert _solved(want.a, want.c) == oracles.solve_t(want)
+            length = math.ceil(want.total)
+            if integer:
+                omega = _omega(a, c)
+                assert omega == oracles.omega_of_pair(want)
+            else:
+                omega = frozenset(range(1, length + 1, 2))
             start = rng.getstate()
             m, n = oracles.random_weight_pair(rng, length)
             (ms, ns, scale), state = _replay(start, pairs._draw_weights, length)
             assert state == rng.getstate()
             assert ([Fraction(x, scale) for x in ms], [Fraction(x, scale) for x in ns]) == (m, n)
-            if not integer:
-                omega = "ok", frozenset(range(1, length + 1, 2))
-            assert check_weighted_inequality(
-                omega[1], m, n
-            ) == oracles.check_weighted_inequality(omega[1], m, n)
+            lhs, rhs = _weighted(omega, ms, ns)
+            assert oracles.WeightedResult(
+                lhs <= rhs, Fraction(lhs, scale), Fraction(rhs, scale)
+            ) == oracles.check_weighted_inequality(omega, m, n)
 
 
 def test_clauses_and_solver_refusals_match_oracle():
     # special pairs with one entry moved by a half or a whole step reach
-    # every clause; the solver refuses exactly the non-special ones
+    # every clause; the solver agrees with the oracle on the special ones,
+    # and the oracle refuses exactly the others
     rng = random.Random(31)
     seen = set()
     for _ in range(3000):
@@ -243,14 +254,19 @@ def test_clauses_and_solver_refusals_match_oracle():
         entries = (a, c) if c else (a,)
         row = rng.choice(entries)
         row[rng.randrange(len(row))] += Fraction(rng.randint(-2, 2), 2)
-        got = is_special(a, c)
-        assert got == oracles.is_special(a, c)
-        seen.add(got[1])
+        clause = _clause(*common_scale(a, c)[0])
+        assert oracles.is_special(a, c) == (clause is None, clause)
+        seen.add(clause)
         moved = SpecialPair(tuple(a), tuple(c))
-        assert _outcome(solve_t, moved) == _outcome(oracles.solve_t, moved)
+        if clause is None:
+            assert _solved(a, c) == oracles.solve_t(moved)
+        else:
+            assert _outcome(oracles.solve_t, moved) == (
+                "ValueError", f"pair is not special (clause {clause})"
+            )
     assert seen == {None, "i", "ii", "iii"}
     with pytest.raises(ValueError, match="length mismatch"):
-        is_special((1, 1), (1,))
+        _clause((1, 1), (1,))
 
 
 def test_weighted_hypotheses_match_oracle():
@@ -264,7 +280,7 @@ def test_weighted_hypotheses_match_oracle():
         if rng.random() < 0.05:
             n.append(n[-1])
         omega = {rng.randint(0, length + 1) for _ in range(rng.randint(0, 3))}
-        got = _outcome(check_weighted_inequality, omega, m, n)
+        got = _outcome(_weighted_fractions, omega, m, n)
         assert got == _outcome(oracles.check_weighted_inequality, omega, m, n)
         seen.add(got[1].holds if got[0] == "ok" else got[1])
     assert seen == {

@@ -16,7 +16,7 @@ from filtadm.model import (
     ModuleSpec,
     Summand,
 )
-from filtadm.pairs import is_special
+from filtadm.pairs import _clause
 from filtadm.subobjects import (
     StableLattice,
     _NONZERO_DIGITS,
@@ -183,7 +183,7 @@ def test_special_pair_ex2(ex2):
     dp = profile(ex2, [1, 0, 0, 0], [0, 1, 1, 0])
     pair = special_pair_from_flag(ex2, greedy_flag(ex2, dp), dp)
     assert pair.a == (1, 2, 1) and pair.c == (1,)
-    assert is_special(pair.a, pair.c) == (True, None)
+    assert _clause(*oracles.common_scale(pair.a, pair.c)[0]) is None
     assert pair.t == (1,) and pair.r == 1
 
 
@@ -415,7 +415,7 @@ def test_combinatorial_greedy_h2():
     dims = [m.dimension(spec) for m in flag.members]
     assert all(d % 2 == 0 for d in dims)
     pair = special_pair_from_flag(spec, flag, dp)
-    assert is_special(pair.a, pair.c)[0]
+    assert _clause(*oracles.common_scale(pair.a, pair.c)[0]) is None
     om = omega_from_flag(spec, flag, dp)
     assert len(om) == GoodSubobject((0, 1)).dimension(spec)
 
