@@ -17,12 +17,15 @@ bytes, item for item.  With `--verdicts` only the verdicts are hashed:
 `ok`, `reason` and `witness.kind` of every `check_admissible` report and
 of every CLI report's `verdict`, the `ok` of every criteria verdict, and
 the CLI exit codes.  Equal verdict digests mean equal decisions where the
-report content differs.  The package is imported from `src/` of the
-checkout that holds this script.
+report content differs.  With `--no-modify` every `verify_stream` item is
+realized without modification edges, as `verify-admissible --no-modify`
+realizes it, and its lines read `verify_stream no-modify`.  The package
+is imported from `src/` of the checkout that holds this script.
 
     python3 scripts/report_digests.py --seeds 11 12 21
     python3 scripts/report_digests.py --workload cli_reports --seeds 3 --count 10
     python3 scripts/report_digests.py --verdicts --seeds 11 12 21
+    python3 scripts/report_digests.py --no-modify --workload verify_stream --seeds 5
 """
 
 from __future__ import annotations
@@ -58,11 +61,23 @@ def _decision(verdict: dict | None) -> list | None:
     return [verdict.get("ok"), verdict.get("reason"), witness.get("kind")]
 
 
+def _unmodified(fm, item):
+    """The `check_admissible` report of a `verify_stream` item realized
+    with no modification edges."""
+    spec, profile, seed = item["spec"], item["profile"], item["seed"]
+    ordered = fm.ordering.canonical_order(spec)[0]
+    real = fm.frobenius.realize_matrices(ordered)
+    filt = fm.filtration.build_transverse_filtration(ordered, profile, real, seed=seed)
+    return fm.filtration.check_admissible(ordered, profile, real, filt, seed=seed)
+
+
 def digest(
-    workload: str, seed: int, count: int | None = None, verdicts: bool = False
+    workload: str, seed: int, count: int | None = None, verdicts: bool = False,
+    modify: bool = True,
 ) -> tuple[int, str]:
     """(items hashed, sha256) for one workload and seed; with `verdicts`,
-    over the decisions only."""
+    over the decisions only; without `modify`, over `verify_stream`
+    reports on unmodified realizations."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -72,7 +87,7 @@ def digest(
         items = _items(wl, count)
         for k, item in enumerate(items):
             if workload == "verify_stream":
-                report = wl.execute(item).as_dict()
+                report = (wl.execute(item) if modify else _unmodified(filtadm, item)).as_dict()
                 if verdicts:
                     report = _decision(report)
                 out = json.dumps(report, sort_keys=True)
@@ -105,11 +120,16 @@ def main(argv=None) -> int:
         "--verdicts", action="store_true",
         help="hash only the decisions: ok, reason, witness kind, exit codes",
     )
+    parser.add_argument(
+        "--no-modify", action="store_true",
+        help="realize the verify_stream items without modification edges",
+    )
     args = parser.parse_args(argv)
-    tag = " verdicts" if args.verdicts else ""
     for workload in args.workload or DIGESTED:
+        tag = " no-modify" if args.no_modify and workload == "verify_stream" else ""
+        tag += " verdicts" if args.verdicts else ""
         for seed in args.seeds:
-            n, sha = digest(workload, seed, args.count, args.verdicts)
+            n, sha = digest(workload, seed, args.count, args.verdicts, not args.no_modify)
             print(f"{workload}{tag} seed={seed} items={n} sha256={sha}")
     return 0
 

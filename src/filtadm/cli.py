@@ -8,7 +8,12 @@ Every spec subcommand takes one path, `_run_spec`: it reads each input
 file once (`_read` gives the report's `{"path", "sha256"}` entry and the
 JSON value from the same bytes), validates the spec and profile, orders
 the spec canonically, calls the command, and adds the shared `inputs`
-and `permutation` fields to the fields the command returns.  `main`
+and `permutation` fields to the fields the command returns.  So
+`check-iii`, `check-emerton` and `equivalence` run the bodies of the
+verdicts (`slopes._slope_chain`, `emerton._emerton_condition`), which
+neither validate nor check the order again; the public criteria do both
+on every call.  `check-emerton`'s table still comes from the public
+`candidate_table`, whose canonical check is the one a command repeats.  `main`
 alone adds `command` and, with `--timing`, `timing_ms`, writes the
 report, and turns an input error into the exit-2 report
 `{"command", "error"}`.
@@ -34,7 +39,7 @@ import sys
 import time
 
 from . import __version__
-from .emerton import candidate_table, check_emerton_condition
+from .emerton import _emerton_condition, candidate_table
 from .filtration import (
     TransversalityError,
     build_transverse_filtration,
@@ -52,7 +57,7 @@ from .model import (
 )
 from .ordering import canonical_order, check_not_precede
 from .pairs import fuzz_special_pairs
-from .slopes import check_slope_chain
+from .slopes import _slope_chain
 from .subobjects import (
     DEFAULT_CAP,
     StableLattice,
@@ -212,12 +217,12 @@ def cmd_order(args, ordered, profile, partition) -> tuple[dict, int]:
 
 
 def cmd_check_iii(args, ordered, profile, partition) -> tuple[dict, int]:
-    verdict = check_slope_chain(ordered, profile)
+    verdict = _slope_chain(ordered, profile)
     return {"verdict": verdict.as_dict()}, 0 if verdict.ok else 1
 
 
 def cmd_check_emerton(args, ordered, profile, partition) -> tuple[dict, int]:
-    verdict = check_emerton_condition(ordered, profile)
+    verdict = _emerton_condition(ordered, profile)
     return {
         "verdict": verdict.as_dict(),
         "candidates": candidate_table(ordered, profile, limit=args.max_rows),
@@ -298,8 +303,8 @@ def cmd_verify_admissible(args, ordered, profile, partition) -> tuple[dict, int]
 
 
 def cmd_equivalence(args, ordered, profile, partition) -> tuple[dict, int]:
-    chain = check_slope_chain(ordered, profile)
-    shuffle = check_emerton_condition(ordered, profile)
+    chain = _slope_chain(ordered, profile)
+    shuffle = _emerton_condition(ordered, profile)
     agree = chain.ok == shuffle.ok
     return {
         "slopeChain": chain.as_dict(),

@@ -120,10 +120,18 @@ def check_emerton_condition(
 
     Decided by the min-mass suffix tables of the module docstring; a
     failure reports the lexicographically first violating selection
-    (j_0, ..., j_{s-1}) and its slack.
+    (j_0, ..., j_{s-1}) and its slack.  The spec and profile are validated
+    and the order checked in full, whether or not the spec is marked
+    canonical.
     """
     validate_spec(spec, profile)
     require_canonical(spec)
+    return _emerton_condition(spec, profile)
+
+
+def _emerton_condition(spec: ModuleSpec, profile: WeightProfile) -> EmertonVerdict:
+    """`check_emerton_condition` on a spec and profile already validated,
+    the spec in canonical order."""
     sc = scaled_slopes(spec)
     scale = spec.config.deg_K_L * sc.den
     gap = Fraction(sum(sc.totals) - scale * profile.total, sc.den)
@@ -182,7 +190,8 @@ def candidate_table(
     shuffle's is not cut at all: each of its cuts has the same groups, as
     multisets, as the same cut of the earlier one, so every row it could
     add is a repeat, and the rows, their `order` listings and the
-    `limit` cut-off are those of the full walk.
+    `limit` cut-off are those of the full walk.  The order is checked in
+    full, whether or not the spec is marked canonical.
     """
     require_canonical(spec)
     sc = scaled_slopes(spec)

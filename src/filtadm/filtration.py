@@ -78,8 +78,10 @@ the prefix sums of the weights of sigma and P for their sum over sigma
 
 The verdict, in order: the slope equality on the whole module; the
 enumeration cap; the first stable good, in (dim, counts) order, that is
-a witness, its t_H checked once against the filtration; only then the
-class list of the stable subspaces, as piece ids
+a witness, its t_H checked once against the filtration; then, where
+every level of the realization is a chain
+(`ConcreteRealization.uniserial`), an ok read off that scan; only
+otherwise the class list of the stable subspaces, as piece ids
 (`subobjects._class_keys`), and one chain certificate per listed class,
 bound <= t_N, over per-embedding chain steps built once.  A good witness
 needs no lattice: the stable goods are the spec's goods that the edges
@@ -87,11 +89,20 @@ keep, a good's t_N is a sum of per-summand prefix sums of the column
 slopes (`_good_scan`), and its canonical rows are its unit rows
 (`_unit_rows`), so a failing verdict builds no `StableLattice` and lists
 no classes.  All t_N come from one slope table, the realization's
-`level_slopes`, the whole module's included.  The certificates
-cover the listed classes.  When the stable subspaces are finitely many
-the list holds every one of them, from the walk over covers, and an ok
-there is a proof; when they are infinitely many it comes from the
-pattern route, and its random-round audit vouches that it is complete.
+`level_slopes`, the whole module's included.
+
+- All chains.  By the theorem of the `subobjects` docstring the stable
+  subspaces are then exactly the stable goods, each its own class, so
+  the scan is the class list, in the class order.  A good's chain bound
+  is [K:L] P[m], attained by the chain through the good, and with no
+  witness in the scan every bound is at most t_N: the ok is a proof,
+  one table row per stable good strictly between 0 and the whole
+  module, with no lattice, walk or chain steps.  More stable goods than
+  the walk's guard (`subobjects.check_guard`) are refused as the walk
+  would refuse them.
+- Otherwise the stable subspaces are infinitely many, the list comes
+  from the pattern route, and its random-round audit vouches that it
+  is complete; the certificates cover the listed classes.
 Only when some class does not certify does the search run: the listed
 classes, random-coefficient variants and closures of good-cap-tail
 intersections (the adversarially aligned subspaces), outside the
@@ -145,6 +156,7 @@ from .subobjects import (
     DEFAULT_CAP,
     RANDOM_ROUNDS,
     check_cap,
+    check_guard,
     StableLattice,
     _class_keys,
     _row_order,
@@ -581,13 +593,14 @@ def check_admissible(
     """Decide admissibility, with a proof either way where one closes.
 
     In the order of the module docstring: exact slope equality on the
-    whole module, the cap (CapExceededError), a stable good witness, then
-    the class list with one chain certificate per class, and the search
-    outside the certified classes only when some class does not certify.
+    whole module, the cap (CapExceededError), a stable good witness, an
+    ok read off the good scan where every level is a chain (refused with
+    CapExceededError past the lattice guard), otherwise the class list
+    with one chain certificate per class, and the search outside the
+    certified classes only when some class does not certify.
     `subobjects.RANDOM_ROUNDS` random rounds, drawn from `seed`, audit the
-    class list where the stable subspaces are infinitely many (a finite
-    lattice's list is complete and runs none), and as many more, drawn
-    from seed + 1, join the search.  A failure's witness records the
+    class list where the stable subspaces are infinitely many, and as many
+    more, drawn from seed + 1, join the search.  A failure's witness records the
     violating subspace, its smallest enclosing stable good subobject (the
     position where the excess Hodge weight lives) and its `source` ("good"
     or "search"); `proof` says what an ok rests on.  A filtration that
@@ -654,6 +667,17 @@ def check_admissible(
                 )
             witness = _witness(rows, th_val, scaled, den, good, spec, "good")
             return AdmissibilityReport(False, "witness", witness, table)
+
+    if realization.uniserial:
+        # every stable subspace is a stable good (`subobjects` docstring), so
+        # the scan is the class list: one class per good, whose chain bound
+        # [K:L] P[m] is attained and, with no witness above, certified.  The
+        # (dim, counts) order is the (dim, canonical rows) order of
+        # `_class_keys`: at the first summand where two counts differ, the
+        # larger holds the lower column, so the larger unit row.
+        check_guard(len(scan) + 2)
+        table = tuple(_class_row(m, tn, den, kl * prefix[m]) for m, _, tn, _ in scan)
+        return AdmissibilityReport(True, None, None, table, "certificate")
 
     # every source interns its pieces in one lattice, so a candidate is
     # its tuple of piece ids; rows are built once per distinct candidate

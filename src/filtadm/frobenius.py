@@ -198,6 +198,42 @@ class ConcreteRealization:
         return tuple(out)
 
     @cached_property
+    def uniserial(self) -> bool:
+        """Whether the coupling E is a single chain on every level: E sends
+        each basis vector of the level to a multiple of another or to 0,
+        along one chain e_top -> ... -> e_bottom -> 0 through all of them.
+        Then the stable subspaces are exactly the stable good spans, and
+        otherwise they are infinitely many (`subobjects` module docstring).
+
+        That is rank E|lambda = width - 1, the columns hitting width - 1
+        distinct targets, with E nilpotent on the level, which following
+        the chain from the one vector outside the image decides: a cycle
+        keeps every column count right and never reaches 0 from there.  A
+        width-1 level always qualifies; a column with two entries never
+        does.
+        """
+        for coords, (coupling, _) in zip(self.levels, self.level_operators):
+            width = len(coords)
+            if coupling is None:
+                if width > 1:
+                    return False
+                continue
+            cols = coupling[1]
+            if any(len(col) > 1 for col in cols):
+                return False
+            image = {col[0][0] for col in cols if col}
+            if len(image) != width - 1:
+                return False
+            (j,) = set(range(width)) - image
+            for _ in range(width - 1):
+                if not cols[j]:
+                    return False
+                j = cols[j][0][0]
+            if cols[j]:
+                return False
+        return True
+
+    @cached_property
     def level_slopes(self) -> tuple[tuple[int, ...], int]:
         """Newton slope of one block of each level, read off its first, as
         integers over one common denominator: (numerators, denominator),

@@ -82,9 +82,17 @@ def _chain_verdict(
 
 
 def check_slope_chain(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
-    """Prefix slope inequalities plus total equality, canonical order required."""
+    """Prefix slope inequalities plus total equality, canonical order
+    required: the spec and profile are validated and the order checked in
+    full, whether or not the spec is marked canonical."""
     validate_spec(spec, profile)
     require_canonical(spec)
+    return _slope_chain(spec, profile)
+
+
+def _slope_chain(spec: ModuleSpec, profile: WeightProfile) -> ChainVerdict:
+    """`check_slope_chain` on a spec and profile already validated, the
+    spec in canonical order."""
     sc = scaled_slopes(spec)
     points = []
     dim = slope_sum = 0

@@ -35,6 +35,36 @@ later step reads only that row.  So single-vector closures are memoized
 per line (`StableLattice.closure`), and a random draw on a width-1
 level, a multiple of the unit pattern, is a lookup.
 
+Finitely many stable subspaces, by theorem.  Call a level a chain when
+the coupling E sends each of its basis vectors to a multiple of another
+or to 0, along one chain through all of them: rank E|lambda = width - 1
+with E nilpotent on the level (`ConcreteRealization.uniserial` tests
+every level; a width-1 level is a chain).
+
+- If every level is a chain, the stable subspaces are exactly the
+  stable good spans.  A stable W is the direct sum of its pieces
+  W_lambda (below), and on a level Phi-stability is E-stability.  The
+  E-stable subspaces of a chain are its kernel flag, ker E^k spanned by
+  the last k basis vectors of the chain, so every W_lambda, and W, is
+  spanned by blocks.  N e_(i,k) = e_(i,k-1), so that set of blocks is
+  bottom-aligned in each summand: W is the span of a good, and Phi keeps
+  it, so a stable one.  Every stable good span is stable in turn.
+- If some level lambda = (F, t) holds two chains, there are infinitely
+  many stable subspaces.  Let U be the span of every block of another
+  family, or of F with twist below t: E keeps each level and N lowers
+  the twist by one, so U is stable, and so is U + <x> for every x in
+  ker E|lambda, since Ex = 0 and Nx lies in U.  E is nilpotent on the
+  level and its rank is at most width - 2, so that kernel has dimension
+  at least 2 and holds infinitely many lines.
+
+This is the distributive case of Camillo (Distributive modules, J.
+Algebra 36, 1975), with the one-dimensional level modules as the simple
+modules, isomorphic iff they share a level: a chain is uniserial, and
+the all-chains module has a lattice of length n whose join-irreducibles
+are the n goods generated by one block each.  So the verdict reads an
+all-chains realization's class list off the stable goods, and builds a
+`StableLattice` only where the lattice is infinite.
+
 The walk.  On a level vector Phi-stability is E-stability, with E
 nilpotent on the level and N sending it into one other level, so a
 simple quotient W / U of stable subspaces is one-dimensional, lies in
@@ -47,10 +77,9 @@ lambda is U_lambda replaced by S_lambda(U): one null space per level, no
 closure, no pattern and no random draw, and with at most one cover per
 level and chains of length at most dim V the walk ends.  A quotient of
 dimension 2 or more holds a projective line of distinct covers, so the
-stable subspaces are infinitely many.  This is the distributive case of
-Camillo (Distributive modules, J. Algebra 36, 1975), with the
-one-dimensional level modules as the simple modules, isomorphic iff
-they share a level.
+stable subspaces are infinitely many.  The walk checks itself against
+the theorem: it must end exactly on the all-chains realizations, and
+there list the stable good spans and nothing else.
 
 One fact carries the concrete layer: a stable W is the direct sum of its
 pieces W_lambda = W cap V_lambda.  For stable W, W' the sums W_lambda +
@@ -89,6 +118,7 @@ from .model import (
 
 __all__ = [
     "check_cap",
+    "check_guard",
     "Subobject",
     "is_stable_good",
     "stable_good_subobjects",
@@ -106,6 +136,14 @@ DEFAULT_CAP = 8
 RANDOM_ROUNDS = 5
 _LATTICE_GUARD = 1500
 _NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x != 0)
+
+
+def check_guard(count: int) -> None:
+    """Refuse a list of more than `_LATTICE_GUARD` stable subspaces."""
+    if count > _LATTICE_GUARD:
+        raise CapExceededError(
+            f"subobject lattice exceeds the guard size of {_LATTICE_GUARD} subspaces"
+        )
 
 
 def check_cap(dimension: int, cap: int) -> None:
@@ -486,7 +524,11 @@ class StableLattice:
         replaced by S; where it is 2 or more, every line of S / U_lambda
         gives its own cover, so the lattice is infinite: the walk stops and
         records (U, level, dim S / U_lambda) in `family`.  Raises
-        CapExceededError past `_LATTICE_GUARD` subspaces.
+        CapExceededError past `_LATTICE_GUARD` subspaces, and
+        InternalConsistencyError where it contradicts the theorem of the
+        module docstring: finite iff `ConcreteRealization.uniserial`, and
+        then the stable good spans and nothing else, which it checks on
+        `goods` and `good_dims` alone.
         """
         if self._walked is not None or self.family is not None:
             return self._walked
@@ -507,6 +549,11 @@ class StableLattice:
                     continue
                 grow = len(pieces[level][pid]) - len(pieces[level][own])
                 if grow > 1:
+                    if self.realization.uniserial:
+                        raise InternalConsistencyError(
+                            "the walk found infinitely many stable subspaces "
+                            "on a realization whose levels are all chains"
+                        )
                     self.family = (key, level, grow)
                     return None
                 cover = key[:level] + (pid,) + key[level + 1:]
@@ -514,11 +561,12 @@ class StableLattice:
                     seen.add(cover)
                     nodes.append(cover)
                     steps.append((cover, key, level, pid, own))
-                    if len(nodes) > _LATTICE_GUARD:
-                        raise CapExceededError(
-                            "subobject lattice exceeds the guard size of "
-                            f"{_LATTICE_GUARD} subspaces"
-                        )
+                    check_guard(len(nodes))
+        if not self.realization.uniserial:
+            raise InternalConsistencyError(
+                "the walk found finitely many stable subspaces "
+                "on a realization with a level that is not a chain"
+            )
         # a cover differs from U on one level, so its `dim`, `scaled_t_n`
         # and `good_dims` are U's plus that level's change; U comes first
         nums = self.realization.level_slopes[0]
@@ -532,6 +580,20 @@ class StableLattice:
                 operator.add, good_dims[key],
                 map(operator.sub, terms(level, pid), terms(level, own)),
             ))
+        # as many nodes as stable goods, each the span of a stable good of
+        # its own dimension: one inside it
+        of_size: dict[int, list[int]] = {}
+        for k, size in enumerate(self.good_sizes):
+            of_size.setdefault(size, []).append(k)
+
+        def is_good(key):
+            dims, dim = good_dims[key], measures[key][0]
+            return any(dims[k] == dim for k in of_size.get(dim, ()))
+
+        if len(nodes) != len(self.goods) or not all(map(is_good, nodes)):
+            raise InternalConsistencyError(
+                "the walk's stable subspaces are not the stable good spans"
+            )
         self._walked = nodes
         return nodes
 
@@ -618,11 +680,7 @@ def _saturate(
         for key in [g, *(add(s, g) for s in subs)]:
             if key not in subs:
                 subs[key] = None
-                if len(subs) > _LATTICE_GUARD:
-                    raise CapExceededError(
-                        "subobject lattice exceeds the guard size of "
-                        f"{_LATTICE_GUARD} subspaces"
-                    )
+                check_guard(len(subs))
     return list(subs)
 
 

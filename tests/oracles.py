@@ -34,6 +34,9 @@ and by that one-echelon check, `echelon_violation`, the form before the
 scaled reduced form), tail dimensions by stacking, and aligned candidates by one
 intersection per tail.  `class_subobjects` chooses and sorts the class
 list on `Fraction` rows, where the library compares integer rows.
+`lattice_route_report` is the ok verdict as it stood before all-chains
+realizations were read off the good scan: the class list of the lattice
+and one chain bound per class, on every realization.
 `rref` gives the `Fraction` rows of a subspace, from any spanning rows;
 `int_rows` scales rows to integers, and `canonical` gives the canonical
 integer rows the library holds, as `int_rows` of the `rref` rows.
@@ -84,7 +87,15 @@ from typing import Iterable, Mapping, Sequence
 
 from filtadm import linalg
 from filtadm.emerton import CANDIDATE_CAP, EmertonVerdict, _shuffles
-from filtadm.filtration import SINGULAR, Filtration, _tail_dims
+from filtadm.filtration import (
+    SINGULAR,
+    AdmissibilityReport,
+    Filtration,
+    _chain_bound,
+    _chain_steps,
+    _class_row,
+    _tail_dims,
+)
 from filtadm.frobenius import ConcreteRealization, ModificationEdge, _seeds
 from filtadm.model import (
     CapExceededError,
@@ -103,6 +114,7 @@ from filtadm.subobjects import (
     RANDOM_ROUNDS,
     StableLattice,
     Subobject,
+    _class_keys,
     _full,
     _pattern_vectors,
     _saturate,
@@ -955,6 +967,33 @@ def class_subobjects(
                     "random-coefficient round found a new subobject class"
                 )
     return tuple(result)
+
+
+def lattice_route_report(
+    realization: ConcreteRealization, profile: WeightProfile, seed: int = 0
+) -> AdmissibilityReport | None:
+    """The ok report `check_admissible` gave an item past its good scan
+    before all-chains realizations were read off the scan: the class list
+    of a `StableLattice` (the walk over covers where it is finite, the
+    pattern route audited from `seed` where not), one chain bound per class
+    over the cover pairs of the stable goods, and the table in class
+    order.  None where some class does not certify, so that the verdict
+    goes on to the search, which both routes share."""
+    lattice = StableLattice(realization)
+    steps = _chain_steps(lattice, profile)
+    den = realization.level_slopes[1]
+    kl = realization.spec.config.deg_K_L
+    table = []
+    for key in _class_keys(lattice, seed):
+        dim = lattice.dim(key)
+        if dim in (0, realization.dimension):
+            continue
+        scaled = lattice.scaled_t_n(key)
+        bound = kl * _chain_bound(steps, lattice.good_dims(key))
+        if bound * den > scaled:
+            return None
+        table.append(_class_row(dim, scaled, den, bound))
+    return AdmissibilityReport(True, None, None, tuple(table), "certificate")
 
 
 def tail_dims(filtration, sigma: int, rows: Mat) -> list[int]:

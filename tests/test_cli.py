@@ -776,3 +776,45 @@ def test_report_writer_matches_json_dumps_on_edge_values():
     for bad in ({1: "a"}, {"a": {None: 1}}, [Fraction(1, 2)], {"a": (Fraction(1),)}):
         with pytest.raises(TypeError):
             _encode(bad)
+
+
+@pytest.mark.parametrize("command", ["check-iii", "check-emerton", "equivalence"])
+def test_criteria_commands_validate_and_order_once(monkeypatch, capsys, command):
+    # `_run_spec` validates the inputs and orders the spec; the commands run
+    # the verdict bodies on that spec, with no second validation or
+    # canonical check, while the public criteria still do both.  The
+    # shuffle table of `check-emerton` is the public `candidate_table`,
+    # which checks the order once more
+    from filtadm import model, ordering
+    from filtadm.emerton import candidate_table, check_emerton_condition
+    from filtadm.slopes import check_slope_chain
+
+    calls = {"spec_violations": 0, "group_and_order": 0}
+    for module, name in ((model, "spec_violations"), (ordering, "group_and_order")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for spec, weights in (("ex1a_spec.json", "weights_m212.json"),
+                          ("ex2_spec.json", "weights_ex2.json")):
+        for key in calls:
+            calls[key] = 0
+        code, rep = run_cli(
+            capsys, command, "--spec", str(DATA / spec), "--weights", str(DATA / weights)
+        )
+        assert code == 0 and "error" not in rep
+        orders = 2 if command == "check-emerton" else 1
+        assert calls == {"spec_violations": 1, "group_and_order": orders}
+    ordered = ordering.canonical_order(
+        model.spec_from_dict(json.loads((DATA / "ex2_spec.json").read_text()))
+    )[0]
+    profile = model.profile_from_dict(json.loads((DATA / "weights_ex2.json").read_text()))
+    for check in (check_slope_chain, check_emerton_condition, candidate_table):
+        for key in calls:
+            calls[key] = 0
+        check(ordered, profile)
+        assert calls["group_and_order"] == 1
+        assert calls["spec_violations"] == (0 if check is candidate_table else 1)

@@ -1,13 +1,15 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from filtadm import filtration
+from filtadm import filtration, subobjects
 from filtadm.filtration import (
     Filtration,
     TransversalityError,
@@ -306,7 +308,9 @@ def test_modified_streams_decide_by_proof():
 
 def test_good_witness_comes_before_the_class_list(monkeypatch):
     # a failing item returns its good witness without listing classes; an
-    # ok item lists them once; the cap is still checked before any verdict
+    # ok item lists them once iff some level of its realization is not a
+    # chain (an all-chains one reads its classes off the good scan); the
+    # cap is still checked before any verdict
     calls = []
     listing = filtration._class_keys
 
@@ -319,6 +323,7 @@ def test_good_witness_comes_before_the_class_list(monkeypatch):
 
     stream = equal_total_stream(13, 30, max_dim=7, min_summands=2)
     failing = 0
+    oks = {True: 0, False: 0}
     for k, (spec, profile) in enumerate(stream):
         ok = check_slope_chain(spec, profile).ok
         real, filt = _setup(spec, profile, seed=k)
@@ -329,7 +334,8 @@ def test_good_witness_comes_before_the_class_list(monkeypatch):
         report = check_admissible(spec, profile, real, filt, seed=k)
         assert report.ok == ok
         if ok:
-            assert len(calls) == 1
+            assert len(calls) == (0 if real.uniserial else 1)
+            oks[real.uniserial] += 1
             continue
         failing += 1
         assert report.witness["source"] == "good"
@@ -337,6 +343,7 @@ def test_good_witness_comes_before_the_class_list(monkeypatch):
         with pytest.raises(CapExceededError, match=f"enumeration cap {cap}$"):
             check_admissible(spec, profile, real, filt, cap=cap, seed=k)
     assert failing == 15
+    assert oks[True] >= 1 and oks[False] >= 1
 
 
 def test_t_h_of_integer_rows_matches_fraction_rows():
@@ -559,3 +566,61 @@ def test_good_witness_scan_matches_the_lattice():
                     check_admissible(spec, profile, _split_broken(real), filt, seed=seed)
                 broken += 1
     assert failing >= 120 and broken >= 100
+
+
+def test_all_chains_verdict_matches_the_lattice_route():
+    # past the good scan, an all-chains realization reads its classes off
+    # the scan; the lattice route (walk, chain steps, chain bound per
+    # class) gives the same report, byte for byte, on every item it
+    # certifies, and certifies every all-chains one
+    stream = [(spec, prof, True) for spec, prof in
+              equal_total_stream(29, 60, max_dim=8, max_summands=4)]
+    stream += [(spec, prof, False) for spec, prof in
+               equal_total_stream(31, 60, max_dim=7, max_summands=4)]
+    compared = Counter()
+    for k, (spec, profile, modify) in enumerate(stream):
+        real, filt = _setup(spec, profile, seed=k, modify=modify)
+        report = check_admissible(spec, profile, real, filt, seed=k)
+        if not report.ok and report.witness["source"] == "good":
+            continue
+        want = oracles.lattice_route_report(real, profile, seed=k)
+        if want is None:
+            assert not real.uniserial and report.proof != "certificate"
+            continue
+        assert report.as_dict() == want.as_dict()
+        compared[real.uniserial, modify] += 1
+    assert min(compared[kind] for kind in itertools.product((True, False), repeat=2)) >= 5
+
+
+def _lines_spec(count):
+    """F with twists 0, 2, ..., 2 count - 2, p = 2: `count` non-isomorphic
+    lines, no edges, 2^count stable goods and stable subspaces."""
+    spec = ModuleSpec(CFG, (F,), tuple(Summand("F", 2 * i, 1) for i in range(count)))
+    return spec, WeightProfile(((*range(0, 2 * count, 2),),))
+
+
+def test_all_chains_refusal_past_the_lattice_guard(monkeypatch):
+    # 11 lines: 2048 stable goods, past the guard of 1500, refused after the
+    # good scan with the walk's text, as the lattice route refuses it
+    spec, profile = _lines_spec(11)
+    real, filt = _setup(spec, profile, seed=0)
+    assert real.uniserial and not real.edges
+    refusal = "subobject lattice exceeds the guard size of 1500 subspaces"
+    with pytest.raises(CapExceededError, match=refusal):
+        check_admissible(spec, profile, real, filt, cap=11)
+    with pytest.raises(CapExceededError, match=refusal):
+        StableLattice(real).walk()
+    # 4 lines: 16 stable goods, the 14 proper ones certified; a guard of 16
+    # lets them through, one of 15 refuses, as the walk does
+    spec, profile = _lines_spec(4)
+    real, filt = _setup(spec, profile, seed=0)
+    report = check_admissible(spec, profile, real, filt)
+    assert report.ok and report.proof == "certificate" and report.checked == 14
+    assert report == oracles.lattice_route_report(real, profile)
+    monkeypatch.setattr(subobjects, "_LATTICE_GUARD", 16)
+    assert check_admissible(spec, profile, real, filt) == report
+    monkeypatch.setattr(subobjects, "_LATTICE_GUARD", 15)
+    with pytest.raises(CapExceededError, match="guard size of 15 subspaces"):
+        check_admissible(spec, profile, real, filt)
+    with pytest.raises(CapExceededError, match="guard size of 15 subspaces"):
+        StableLattice(real).walk()

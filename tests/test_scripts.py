@@ -114,6 +114,44 @@ def test_report_digests_smoke(capsys):
     assert line.startswith("cli_reports seed=3 items=3 ") and line != first[2]
 
 
+def test_report_digests_no_modify_smoke(capsys):
+    # the flag realizes the verify_stream items without edges and tags
+    # their lines; the other workloads print as without it
+    module = _load("report_digests")
+    module.main(["--seeds", "3", "--count", "4", "--no-modify"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" sha256=")[0] for line in lines] == [
+        "verify_stream no-modify seed=3 items=4",
+        "criteria_stream seed=3 items=4",
+        "cli_reports seed=3 items=4",
+    ]
+    module.main(["--workload", "verify_stream", "--seeds", "3", "--count", "4"])
+    (modified,) = capsys.readouterr().out.splitlines()
+    assert modified.split(" sha256=")[1] != lines[0].split(" sha256=")[1]
+    module.main(["--no-modify", "--verdicts", "--workload", "verify_stream",
+                 "--seeds", "3", "--count", "4"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("verify_stream no-modify verdicts seed=3 items=4 ")
+
+
+# Every seed-3 verify_stream item, modified and not: all-chains
+# realizations of both kinds read their classes off the good scan, and
+# the reports are the lattice route's.  Computed before that step.
+PINNED_STREAM_SEED = [
+    "verify_stream seed=3 items=252 "
+    "sha256=1406eba503b18bc2bd09922c8e5bdac74d4ed509da8cdb956c2c95b70ff4d8f4",
+    "verify_stream no-modify seed=3 items=252 "
+    "sha256=728b0205d2b0d8002f58b5ce8ba3f31095bed844a0df25a16937c3861159458d",
+]
+
+
+def test_stream_seed_digests_pinned(capsys):
+    module = _load("report_digests")
+    module.main(["--workload", "verify_stream", "--seeds", "3"])
+    module.main(["--workload", "verify_stream", "--seeds", "3", "--no-modify"])
+    assert capsys.readouterr().out.splitlines() == PINNED_STREAM_SEED
+
+
 # The first 12 seed-3 items: the check_admissible reports of the stream,
 # and the CLI calls on data/ (every subcommand, including `subobjects`
 # and both `verify-admissible` runs).  A change to the report bytes of

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +8,7 @@ import pytest
 
 from filtadm import linalg, subobjects
 from filtadm.filtration import build_transverse_filtration, check_admissible
-from filtadm.frobenius import build_modified_frobenius, realize_matrices
+from filtadm.frobenius import ModificationEdge, build_modified_frobenius, realize_matrices
 from filtadm.model import (
     CapExceededError,
     Config,
@@ -726,3 +728,98 @@ def test_finite_lattices_run_no_pattern_saturation_or_random_round(monkeypatch):
                 assert report.ok == check_slope_chain(spec, profile).ok
             finite += 1
     assert finite >= 40 and infinite >= 15
+
+
+def test_all_chains_iff_finite_and_then_exactly_the_stable_goods():
+    # the theorem of the module docstring against the walk: every level a
+    # chain iff the walk ends, and then its nodes are the stable good spans
+    rng = random.Random(128)
+    seen = Counter()
+    draws = 0
+    while draws < 1000:
+        if draws % 2:
+            spec = random_spec(rng, max_dim=8, max_summands=4)
+        else:
+            spec = random_single_component_spec(rng, max_dim=8)
+        if spec is None:
+            continue
+        draws += 1
+        for edges in ((), build_modified_frobenius(spec)):
+            real = realize_matrices(spec, edges)
+            lattice = StableLattice(real)
+            nodes = lattice.walk()
+            assert real.uniserial == (nodes is not None)
+            seen[real.uniserial, bool(edges)] += 1
+            if nodes is not None:
+                assert len(nodes) == len(lattice.good_keys)
+                assert set(nodes) == set(lattice.good_keys)
+    # both kinds, modified and not
+    assert min(seen[kind] for kind in itertools.product((True, False), repeat=2)) >= 20
+
+
+def _lines(count, edges=()):
+    """`count` copies of F(0) on one level, with the given (src, dst) edges."""
+    spec = ModuleSpec(CFG, (F,), (Summand("F", 0, 1),) * count)
+    return realize_matrices(spec, tuple(ModificationEdge(s, d, 0) for s, d in edges))
+
+
+def test_a_level_is_one_chain_or_the_lattice_is_infinite():
+    # F(0) + F(0): two chains unmodified, one chain modified
+    plain = _lines(2)
+    assert not plain.uniserial and StableLattice(plain).walk() is None
+    spec = plain.spec
+    joined = realize_matrices(spec, build_modified_frobenius(spec))
+    assert joined.edges and joined.uniserial
+    assert len(StableLattice(joined).walk()) == 3
+    # three lines: one chain, a chain and a line, two columns into one target
+    assert _lines(3, [(0, 1), (1, 2)]).uniserial
+    for edges in ([(0, 1)], [(0, 2), (1, 2)]):
+        real = _lines(3, edges)
+        assert not real.uniserial and StableLattice(real).walk() is None
+
+
+def test_a_coupling_that_is_not_nilpotent_is_no_chain():
+    # a cycle e0 <-> e1 beside the line e2, and e0 -> e1 -> e1: every column
+    # count of a chain, but E is not nilpotent, so no chain; the walk ends
+    # there, which the theorem rules out for a realization with such a
+    # level, and it fails loudly
+    for count, edges in ((3, [(0, 1), (1, 0)]), (2, [(0, 1), (1, 1)])):
+        real = _lines(count, edges)
+        assert not real.uniserial
+        with pytest.raises(InternalConsistencyError, match="not a chain"):
+            StableLattice(real).walk()
+        with pytest.raises(InternalConsistencyError, match="not a chain"):
+            enumerate_concrete_subobjects(real)
+
+
+def test_a_coupling_column_with_two_entries_is_no_chain():
+    # E e0 = e1 + e2, E e1 = e2: a flag of coordinate subspaces, but E does
+    # not send a basis vector to a multiple of another, so the predicate
+    # refuses it and the walk, finite, fails loudly
+    real = _lines(3, [(0, 1), (1, 2)])
+    cols = list(real.e_cols)
+    cols[0] = ((1, 1), (2, 1))
+    tampered = dataclasses.replace(real, e_cols=tuple(cols))
+    assert real.uniserial and not tampered.uniserial
+    with pytest.raises(InternalConsistencyError, match="not a chain"):
+        StableLattice(tampered).walk()
+
+
+def test_walk_fails_loudly_when_it_contradicts_the_theorem(monkeypatch):
+    # an all-chains realization whose walk meets a socle of dimension 2,
+    # and a finite walk whose nodes are not the stable goods
+    real = _lines(2)
+    real.__dict__["uniserial"] = True
+    with pytest.raises(InternalConsistencyError, match="infinitely many"):
+        StableLattice(real).walk()
+    joined = _lines(2, [(0, 1)])
+    assert len(StableLattice(joined).walk()) == 3
+    # one good too few, and a good of dimension 1 read as dimension 2
+    lattice = StableLattice(joined)
+    lattice.goods = lattice.goods[:-1]
+    with pytest.raises(InternalConsistencyError, match="not the stable good spans"):
+        lattice.walk()
+    lattice = StableLattice(joined)
+    lattice.good_sizes = tuple(2 if size == 1 else size for size in lattice.good_sizes)
+    with pytest.raises(InternalConsistencyError, match="not the stable good spans"):
+        lattice.walk()
