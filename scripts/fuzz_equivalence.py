@@ -10,9 +10,10 @@ optionally runs the full construction pipeline on every instance: its
 verdict must match, every ok must rest on chain certificates, and the
 count of each proof source (certificate, or the good, search or
 equality witness of a failure) is printed, with the count of modified
-realizations whose stable subspaces are finitely many (the walk over
-covers lists them all) and infinitely many.  The generators are the
-ones the test suite uses, from tests/helpers.py.
+realizations whose stable subspaces are finitely many (every level a
+chain, `ConcreteRealization.uniserial`: they are the stable good spans)
+and infinitely many.  The generators are the ones the test suite uses,
+from tests/helpers.py.
 
     PYTHONPATH=src python scripts/fuzz_equivalence.py --trials 500 --seed 0
 """
@@ -31,8 +32,6 @@ from filtadm import (
     check_slope_chain,
     realize_matrices,
 )
-from filtadm.subobjects import StableLattice
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import equal_total_stream, random_profile, random_spec  # noqa: E402
 
@@ -86,8 +85,7 @@ def main(argv=None) -> None:
             # an ok names its proof, a failure the source of its witness
             source = rep.proof if rep.ok else rep.witness.get("source", rep.reason)
             sources[source] = sources.get(source, 0) + 1
-            finite = StableLattice(real).walk() is not None
-            lattices["finite" if finite else "infinite"] += 1
+            lattices["finite" if real.uniserial else "infinite"] += 1
         passes += a
         done += 1
     dt = time.time() - t0

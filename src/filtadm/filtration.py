@@ -97,9 +97,9 @@ no classes.  All t_N come from one slope table, the realization's
   is [K:L] P[m], attained by the chain through the good, and with no
   witness in the scan every bound is at most t_N: the ok is a proof,
   one table row per stable good strictly between 0 and the whole
-  module, with no lattice, walk or chain steps.  More stable goods than
-  the walk's guard (`subobjects.check_guard`) are refused as the walk
-  would refuse them.
+  module, with no lattice or chain steps.  More stable goods than the
+  lattice guard (`subobjects.check_guard`) are refused as the class list
+  of `subobjects._class_keys` refuses them.
 - Otherwise the stable subspaces are infinitely many, the list comes
   from the pattern route, and its random-round audit vouches that it
   is complete; the certificates cover the listed classes.
@@ -438,9 +438,9 @@ def _chain_bound(
     given by `inter` (see the module docstring).  `steps` comes from
     `_chain_steps`."""
     total = 0
-    for walk in steps:
-        dist = [0] * (len(walk) + 1)
-        for j, lower, tj in walk:
+    for sigma_steps in steps:
+        dist = [0] * (len(sigma_steps) + 1)
+        for j, lower, tj in sigma_steps:
             cj = inter[j]
             # a plain loop: a comprehension and min() per step cost about
             # three times as much over the few covers of a good

@@ -26,9 +26,13 @@ matrices of Phi and N are built only when read (`ConcreteRealization.phi`,
 
 Blocks of one eigenvalue form a level; distinct families never share an
 eigenvalue and every edge stays inside a level, so on the coordinate span
-V_lambda of a level Phi = lambda * (1 + E) with E the 0/1 edge coupling,
-and E is nilpotent.  Each V_lambda is therefore a generalized eigenspace,
-and every Phi-stable subspace W is the direct sum of the W cap V_lambda.
+V_lambda of a level Phi = lambda * (1 + E) with E the 0/1 edge coupling.
+E is nilpotent, which `realize_matrices` checks on input.  It refuses two
+edges from one summand, since E carries one edge per source, and a cycle
+of edges, a self-loop included: E moves a block along the edge out of
+its summand, so with no cycle every block reaches 0.  Each V_lambda is
+therefore a generalized eigenspace, and every Phi-stable subspace W is
+the direct sum of the W cap V_lambda.
 N sends the level of (F, t) into that of (F, t - 1), so stable closures
 are grown level by level (`subobjects.StableLattice.closures`) on the
 integer operators of `level_operators`, read off the sparse columns, which
@@ -250,9 +254,10 @@ def realize_matrices(
     the family seeds of the module docstring; h = 1 only.
 
     Raises ValueError for a summand with a negative twist, which
-    `validate_spec` refuses too, and for an edge coupling blocks of
-    different eigenvalues: it breaks the level structure that closures and
-    t_N rely on.
+    `validate_spec` refuses too, for an edge coupling blocks of different
+    eigenvalues, for two edges from one summand, and for edges that form
+    a cycle, a self-loop included: each breaks the level structure that
+    closures and t_N rely on (module docstring).
     """
     for fam in spec.families:
         if fam.h != 1:
@@ -270,7 +275,27 @@ def realize_matrices(
     index = {(blk.summand, blk.k): i for i, blk in enumerate(basis)}
     e_cols = []
     n_cols = []
-    edge_by_src = {e.src: e for e in edges}
+    edge_by_src: dict[int, ModificationEdge] = {}
+    for e in edges:
+        if e.src in edge_by_src:
+            raise ValueError(
+                f"edges {edge_by_src[e.src]} and {e} leave one summand: "
+                "the coupling carries one edge per source"
+            )
+        edge_by_src[e.src] = e
+    for e in edges:
+        # one edge per source: following them from e.dst meets e.src
+        # within len(edges) steps iff e lies on a cycle
+        node = e.dst
+        for _ in edges:
+            if node == e.src:
+                raise ValueError(
+                    f"edge {e} closes a cycle of edges: the coupling is not nilpotent"
+                )
+            nxt = edge_by_src.get(node)
+            if nxt is None:
+                break
+            node = nxt.dst
     for j, blk in enumerate(basis):
         e = edge_by_src.get(blk.summand)
         if e is not None and blk.k >= e.alignment:

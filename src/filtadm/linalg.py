@@ -18,12 +18,11 @@ differ in what they read out.
   order by r <- p*r - x*row (both scaled down by gcd(p, x) first, so a
   pivot dividing x costs no scaling), and the result is divided by the
   gcd of its entries.  `int_rows` reads out the canonical rows after one
-  integer back-substitution.  `rank` and `span_sum` are read-outs of it,
-  and `kernel_rows` reads a null space off canonical rows with no
-  elimination of its own.  Its size is read out without
-  back-substitution; intersection dimensions on the verify path come
-  from it.  Subspaces are compared and interned by their canonical rows,
-  so everything that keeps a subspace uses this one.
+  integer back-substitution.  `rank` and `span_sum` are read-outs of it.
+  Its size is read out without back-substitution; intersection
+  dimensions on the verify path come from it.  Subspaces are compared
+  and interned by their canonical rows, so everything that keeps a
+  subspace uses this one.
 - `ScaledReducedForm`, Bareiss-Montante elimination, keeps the reduced
   form of its rows scaled by their pivot minor, in integers with exact
   division and no gcd, and reads out only whether the rows are
@@ -262,25 +261,3 @@ def span_sum(a: tuple, b: Iterable[Sequence[int]]) -> tuple:
         if ech.add(list(v)) is not None:
             grew = True
     return ech.int_rows() if grew else a
-
-
-def kernel_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """An integer basis of {x : r . x = 0 for every row r}, read off
-    canonical rows (as `Echelon.int_rows` gives them).
-
-    For each column f that is no pivot: L at f and -r[f] * (L / p) at the
-    pivot p of each row r nonzero at f, L the lcm of those pivots.  A row
-    is zero at the other pivots and at the other vectors' free columns, so
-    it meets the vector in p * (-r[f] * L / p) + r[f] * L = 0.
-    """
-    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-    out = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        hits = [(c, row[c], row[f]) for c, row in zip(pivots, rows) if row[f]]
-        scale = math.lcm(*(p for _, p, _ in hits))
-        v = [0] * ncols
-        v[f] = scale
-        for c, p, x in hits:
-            v[c] = -x * (scale // p)
-        out.append(v)
-    return out

@@ -15,14 +15,15 @@ them are built from the same profile by the test oracles
 
 The concrete enumerator lists the Phi,N-stable subspaces of a realization
 up to relative position against the good lattice, one representative per
-class.  Where the stable subspaces are finitely many, `StableLattice.walk`
-lists every one of them, breadth first over covers, so the list is
-complete by construction and nothing audits it.  Where they are
-infinitely many, the walk stops at the first family of covers, and the
-classes come from closing signed {0,+-1}-pattern vectors inside each
-generalized eigenspace and saturating under sums; `RANDOM_ROUNDS`
-random-coefficient rounds re-derive the classes there and fail loudly if
-the pattern heuristic ever misses one.
+class.  Where every level is a chain (`ConcreteRealization.uniserial`),
+the stable subspaces are exactly the stable good spans (the theorem
+below), each its own class, so the list is `StableLattice.good_keys`,
+complete by theorem, and nothing audits it.  Otherwise they are
+infinitely many, and the classes come from closing signed
+{0,+-1}-pattern vectors inside each generalized eigenspace and
+saturating under sums; `RANDOM_ROUNDS` random-coefficient rounds
+re-derive the classes there and fail loudly if the pattern heuristic
+ever misses one.
 The work runs on piece ids (`_class_keys`, which the verdict calls): the
 keys are grouped by class before anything is ordered, only a class with
 several keys runs the tie-break, and both orders compare the rows as
@@ -38,8 +39,9 @@ level, a multiple of the unit pattern, is a lookup.
 Finitely many stable subspaces, by theorem.  Call a level a chain when
 the coupling E sends each of its basis vectors to a multiple of another
 or to 0, along one chain through all of them: rank E|lambda = width - 1
-with E nilpotent on the level (`ConcreteRealization.uniserial` tests
-every level; a width-1 level is a chain).
+with E nilpotent on the level, as `frobenius.realize_matrices` makes it
+(`ConcreteRealization.uniserial` tests every level; a width-1 level is a
+chain).
 
 - If every level is a chain, the stable subspaces are exactly the
   stable good spans.  A stable W is the direct sum of its pieces
@@ -62,24 +64,8 @@ Algebra 36, 1975), with the one-dimensional level modules as the simple
 modules, isomorphic iff they share a level: a chain is uniserial, and
 the all-chains module has a lattice of length n whose join-irreducibles
 are the n goods generated by one block each.  So the verdict reads an
-all-chains realization's class list off the stable goods, and builds a
-`StableLattice` only where the lattice is infinite.
-
-The walk.  On a level vector Phi-stability is E-stability, with E
-nilpotent on the level and N sending it into one other level, so a
-simple quotient W / U of stable subspaces is one-dimensional, lies in
-one level and is killed by E and N.  The covers of a stable U are
-therefore the U + <x> with x in S_lambda(U) = {x in V_lambda : Ex in
-U_lambda, Nx in U_target} outside U_lambda, and every stable subspace is
-reached from 0 through a composition series.  Where every
-S_lambda(U) / U_lambda has dimension at most 1, the cover of U in level
-lambda is U_lambda replaced by S_lambda(U): one null space per level, no
-closure, no pattern and no random draw, and with at most one cover per
-level and chains of length at most dim V the walk ends.  A quotient of
-dimension 2 or more holds a projective line of distinct covers, so the
-stable subspaces are infinitely many.  The walk checks itself against
-the theorem: it must end exactly on the all-chains realizations, and
-there list the stable good spans and nothing else.
+all-chains realization's class list off its scan of the stable goods,
+and builds a `StableLattice` only where the lattice is infinite.
 
 One fact carries the concrete layer: a stable W is the direct sum of its
 pieces W_lambda = W cap V_lambda.  For stable W, W' the sums W_lambda +
@@ -89,10 +75,9 @@ each piece as a small int per level, so a subspace is the tuple of its
 piece ids, a sum of two subspaces is one memoized level sum per level,
 and dim(E cap W) for the stable goods E, the class key, is a sum of
 per-level terms memoized per piece id.  Stable subspaces enter the
-library only there, born as piece ids: closures and the walk's covers
-grow one level at a time in integers, on the operators
-`ConcreteRealization.level_operators` builds only when they keep the
-level split.  Full-width canonical rows
+library only there, born as piece ids: closures grow one level at a
+time in integers, on the operators `ConcreteRealization.level_operators`
+builds only when they keep the level split.  Full-width canonical rows
 are built only for the subspaces that need them.
 """
 
@@ -247,10 +232,7 @@ class StableLattice:
     it.  The stable goods are read off the spec's good table
     (`ModuleSpec.goods`), the one transversality reads too; with their
     dimensions `good_sizes` and `lower_covers` they give the poset of the
-    stable goods that chain bounds walk.  `walk` lists every stable
-    subspace when there are finitely many, over the cover spans of
-    `cover_span`, and otherwise records in `family` where it found
-    infinitely many.
+    stable goods that the chain bounds run over.
     """
 
     def __init__(self, realization: ConcreteRealization):
@@ -265,10 +247,6 @@ class StableLattice:
         self._good_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._measures: dict[tuple[int, ...], tuple[int, int]] = {}
         self._full_rows: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-        self._form_memo: dict[tuple[int, int, int], list[list[int]]] = {}
-        self._cover_spans: dict[tuple[int, int, int], int] = {}
-        self._walked: list[tuple[int, ...]] | None = None
-        self.family: tuple[tuple[int, ...], int, int] | None = None
         self.zero = (0,) * len(levels)
         self.goods = stable_good_subobjects(realization.spec, realization.edges)
         # every block has dimension 1 (h = 1), so dim E is the sum of counts
@@ -280,7 +258,6 @@ class StableLattice:
         # (summand, k) signature of the level's blocks, one column of counts
         # per summand, and each distinct split is laid out once.
         self._outside: list[tuple[list[tuple[int, ...]], list[int]]] = []
-        self._whole: list[int] = []   # per level, the piece id of V_lambda
         spans = []
         basis = realization.basis
         counts = list(zip(*(g.counts for g in self.goods)))
@@ -298,7 +275,6 @@ class StableLattice:
             sets = [tuple(k for k, ins in enumerate(sp) if not ins) for sp in splits]
             self._outside.append((sets, which))
             spans.append(list(map(pids.__getitem__, which)))
-            self._whole.append(self._intern(level, tuple(units)))
         self.good_keys = list(zip(*spans))
 
     @cached_property
@@ -449,154 +425,6 @@ class StableLattice:
         """Piece ids of the sum of two stable subspaces."""
         return tuple(map(self._level_sum, range(len(a)), a, b))
 
-    def _forms(self, level: int, op: int, pid: int) -> list[list[int]]:
-        """The nonzero forms A^T y on a level, for A the coupling E (op 0)
-        or N (op 1) from it and y vanishing on the piece `pid` of A's
-        target level; memoized per (level, op, pid)."""
-        memo = (level, op, pid)
-        forms = self._form_memo.get(memo)
-        if forms is None:
-            target, cols = self.realization.level_operators[level][op]
-            forms = self._form_memo[memo] = []
-            for y in linalg.kernel_rows(self._pieces[target][pid], self._widths[target]):
-                f = [sum([a * y[i] for i, a in col]) for col in cols]
-                if any(f):
-                    forms.append(f)
-        return forms
-
-    def cover_span(self, level: int, key: tuple[int, ...]) -> int:
-        """The piece id of S = {x in V_lambda : Ex in U_lambda, Nx in
-        U_target} for the stable U with piece ids `key` and lambda = `level`;
-        memoized per (level, U_lambda, U_target).
-
-        S is the null space of the nonzero forms E^T y for y vanishing on
-        U_lambda and N^T z for z vanishing on U_target (`_forms`).  With no
-        form it is V_lambda; otherwise its dimension is width minus the
-        rank of the forms, one integer echelon of them (one form has rank
-        1), and only when that exceeds dim U_lambda is S read off the null
-        space of the echelon (`linalg.kernel_rows`).  U + <x> is stable for
-        x in S, so S / U_lambda is the lambda-part of the socle of V / U.
-        Raises InternalConsistencyError unless every form vanishes on
-        U_lambda, as it does for a stable U.
-        """
-        coupling, nmat = self.realization.level_operators[level]
-        memo = (level, key[level], 0 if nmat is None else key[nmat[0]])
-        pid = self._cover_spans.get(memo)
-        if pid is not None:
-            return pid
-        forms = self._forms(level, 0, key[level]) if coupling else []
-        if nmat:
-            forms = forms + self._forms(level, 1, memo[2])
-        piece = self._pieces[level][key[level]]
-        if piece and any(sum(map(operator.mul, f, u)) for f in forms for u in piece):
-            raise InternalConsistencyError(
-                f"the stable subspace {key} is not inside its cover span on level {level}"
-            )
-        width = self._widths[level]
-        pid = key[level]
-        if not forms:
-            pid = self._whole[level]
-        elif len(forms) > 1 or len(piece) < width - 1:
-            ech = linalg.Echelon(width)
-            for f in forms:
-                if len(ech) == width:
-                    break
-                ech.add(list(f))
-            size = width - len(ech)
-            if size > len(piece):
-                span = linalg.Echelon(width, piece)
-                for v in linalg.kernel_rows(ech.int_rows(), width):
-                    if span.add(v) is not None and len(span) == size:
-                        break
-                pid = self._intern(level, span.int_rows())
-        self._cover_spans[memo] = pid
-        return pid
-
-    def walk(self) -> list[tuple[int, ...]] | None:
-        """Piece ids of every stable subspace when there are finitely many,
-        else None; memoized.
-
-        Breadth first from 0 over covers.  A cover of a stable U is U + <x>
-        for x in `cover_span` S of one level outside U_lambda: the quotient
-        is simple, so one-dimensional and killed by E and N.  Every stable
-        subspace is reached from 0 through a composition series.  Where
-        dim S / U_lambda = 1 the cover in that level is unique, U_lambda
-        replaced by S; where it is 2 or more, every line of S / U_lambda
-        gives its own cover, so the lattice is infinite: the walk stops and
-        records (U, level, dim S / U_lambda) in `family`.  Raises
-        CapExceededError past `_LATTICE_GUARD` subspaces, and
-        InternalConsistencyError where it contradicts the theorem of the
-        module docstring: finite iff `ConcreteRealization.uniserial`, and
-        then the stable good spans and nothing else, which it checks on
-        `goods` and `good_dims` alone.
-        """
-        if self._walked is not None or self.family is not None:
-            return self._walked
-        pieces = self._pieces
-        spans = self._cover_spans
-        targets = [nmat[0] if nmat else None for _, nmat in self.realization.level_operators]
-        nodes = [self.zero]
-        seen = {self.zero}
-        steps = []   # (cover, U, level, its piece in the cover, in U)
-        for key in nodes:
-            for level, target in enumerate(targets):
-                # the memo lookup of `cover_span`, inlined
-                own = key[level]
-                pid = spans.get((level, own, 0 if target is None else key[target]))
-                if pid is None:
-                    pid = self.cover_span(level, key)
-                if pid == own:
-                    continue
-                grow = len(pieces[level][pid]) - len(pieces[level][own])
-                if grow > 1:
-                    if self.realization.uniserial:
-                        raise InternalConsistencyError(
-                            "the walk found infinitely many stable subspaces "
-                            "on a realization whose levels are all chains"
-                        )
-                    self.family = (key, level, grow)
-                    return None
-                cover = key[:level] + (pid,) + key[level + 1:]
-                if cover not in seen:
-                    seen.add(cover)
-                    nodes.append(cover)
-                    steps.append((cover, key, level, pid, own))
-                    check_guard(len(nodes))
-        if not self.realization.uniserial:
-            raise InternalConsistencyError(
-                "the walk found finitely many stable subspaces "
-                "on a realization with a level that is not a chain"
-            )
-        # a cover differs from U on one level, so its `dim`, `scaled_t_n`
-        # and `good_dims` are U's plus that level's change; U comes first
-        nums = self.realization.level_slopes[0]
-        measures, good_dims, terms = self._measures, self._good_dims, self._level_terms
-        measures[self.zero] = (0, 0)
-        good_dims[self.zero] = (0,) * len(self.goods)
-        for cover, key, level, pid, own in steps:
-            dim, scaled = measures[key]
-            measures[cover] = (dim + 1, scaled + nums[level])
-            good_dims[cover] = tuple(map(
-                operator.add, good_dims[key],
-                map(operator.sub, terms(level, pid), terms(level, own)),
-            ))
-        # as many nodes as stable goods, each the span of a stable good of
-        # its own dimension: one inside it
-        of_size: dict[int, list[int]] = {}
-        for k, size in enumerate(self.good_sizes):
-            of_size.setdefault(size, []).append(k)
-
-        def is_good(key):
-            dims, dim = good_dims[key], measures[key][0]
-            return any(dims[k] == dim for k in of_size.get(dim, ()))
-
-        if len(nodes) != len(self.goods) or not all(map(is_good, nodes)):
-            raise InternalConsistencyError(
-                "the walk's stable subspaces are not the stable good spans"
-            )
-        self._walked = nodes
-        return nodes
-
     def _pivot_rows(self, key: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """(pivot column, row) for the rows of `int_rows`, in their order;
         each piece's full-width rows are built once per piece id."""
@@ -719,21 +547,25 @@ def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
     stable subspaces, in the order of `enumerate_concrete_subobjects`; the
     caller checks the cap.
 
-    The keys are the walk's on a finite lattice, and on an infinite one
-    the pattern route's, audited by `RANDOM_ROUNDS` random rounds drawn
-    from `seed`.  They are grouped by class (rank, `good_dims`) first.  A
-    class with several keys keeps the one without negative entries, then
-    with the smallest rows; the representatives are sorted by (rank, rows),
-    and rows are built only where ranks tie.  Both orders compare the rows
+    The keys are the stable good spans `good_keys` where every level is a
+    chain, refused past `_LATTICE_GUARD`, and otherwise the pattern
+    route's, audited by `RANDOM_ROUNDS` random rounds drawn from `seed`.
+    They are grouped by class (rank, `good_dims`) first.  A class with
+    several keys keeps the one without negative entries, then with the
+    smallest rows; the representatives are sorted by (rank, rows), and
+    rows are built only where ranks tie.  Both orders compare the rows
     over their pivots, as the integers of `_row_order`.
     """
-    keys = lattice.walk()
-    audit = keys is None
+    audit = not lattice.realization.uniserial
     if audit:
         keys = [lattice.zero, *lattice.good_keys]
         for level, coords in enumerate(lattice.realization.levels):
             keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
         keys = _saturate(lattice, keys)
+    else:
+        # every stable subspace, by the theorem of the module docstring
+        keys = lattice.good_keys
+        check_guard(len(keys))
     classes: dict[tuple, list[tuple[int, ...]]] = {}
     for key in keys:
         classes.setdefault((lattice.dim(key), lattice.good_dims(key)), []).append(key)
@@ -767,12 +599,12 @@ def enumerate_concrete_subobjects(
 ) -> tuple[Subobject, ...]:
     """All Phi,N-stable subspaces up to relative position, canonically sorted.
 
-    When the stable subspaces are finitely many, they are the subspaces of
-    the walk over covers (`StableLattice.walk`), every one of them, and
-    `seed` goes unused.  Otherwise pattern atoms are the signed {0,+-1}
-    vectors inside each generalized eigenspace, closed under Phi and N,
-    the subspaces are the sum-closure of the atoms and of the stable good
-    spans, and `RANDOM_ROUNDS` passes with random nonzero coefficients,
+    Where every level is a chain (`ConcreteRealization.uniserial`), the
+    stable subspaces are exactly the stable good spans, every one of them
+    listed, and `seed` goes unused.  Otherwise pattern atoms are the
+    signed {0,+-1} vectors inside each generalized eigenspace, closed
+    under Phi and N, the subspaces are the sum-closure of the atoms and of
+    the stable good spans, and `RANDOM_ROUNDS` passes with random nonzero coefficients,
     drawn from `seed`, must not produce any new relative-position class,
     or the pattern heuristic is declared broken.  Either way one
     representative per class is kept (`_class_keys`): the one without

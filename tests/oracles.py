@@ -20,10 +20,6 @@ library scales the slopes to integers; all three oracles add up the
 `block_slope` Fractions and never call `model.t_n` or `scaled_slopes`;
 so does `good_t_n`, the t_N of one good subobject.
 
-`stable_extensions` tests U + <x> for stability vector by vector over a
-small box, where the lattice reads the cover span S_lambda(U) of a level
-off one null space.
-
 The intersection dimensions of the verify path are asked here once per
 pair, on the coordinates of each good (`good_coords`), where the library
 reads them off one echelon pass or its lattice of level pieces (and the
@@ -548,25 +544,6 @@ def newton_slope(realization, rows: Mat) -> Fraction:
     )
 
 
-def stable_extensions(
-    realization, rows: Mat, coords: Sequence[int], box: int = 1
-) -> dict[Vec, bool]:
-    """For every nonzero x with entries in [-box, box] on `coords` and 0
-    elsewhere, whether rowspace(rows) + <x> is Phi,N-stable, one dense
-    stability test each: where the library reads the cover span of a level
-    off one null space, this tries every vector of the box."""
-    n = realization.dimension
-    ops = (realization.phi, realization.nmat)
-    out = {}
-    for entries in itertools.product(range(-box, box + 1), repeat=len(coords)):
-        if any(entries):
-            x = [ZERO] * n
-            for c, a in zip(coords, entries):
-                x[c] = Fraction(a)
-            out[tuple(x)] = is_stable(tuple(rows) + (tuple(x),), ops)
-    return out
-
-
 def saturate_all_pairs(rows: Iterable[Mat]) -> set[Mat]:
     """Closure of a set of canonical bases under sums of every two members."""
     subs = set(rows)
@@ -974,10 +951,10 @@ def lattice_route_report(
 ) -> AdmissibilityReport | None:
     """The ok report `check_admissible` gave an item past its good scan
     before all-chains realizations were read off the scan: the class list
-    of a `StableLattice` (the walk over covers where it is finite, the
-    pattern route audited from `seed` where not), one chain bound per class
-    over the cover pairs of the stable goods, and the table in class
-    order.  None where some class does not certify, so that the verdict
+    of a `StableLattice` (the stable good spans where every level is a
+    chain, the pattern route audited from `seed` where not), one chain
+    bound per class over the cover pairs of the stable goods, and the
+    table in class order.  None where some class does not certify, so that the verdict
     goes on to the search, which both routes share."""
     lattice = StableLattice(realization)
     steps = _chain_steps(lattice, profile)

@@ -482,6 +482,19 @@ def test_sixteen_families_get_seeds_and_subobjects_refuses_above_cap(tmp_path, c
     assert code == 2 and "dimension 16 exceeds the enumeration cap 8" in rep["error"]
 
 
+def test_subobjects_refuses_an_all_chains_lattice_past_the_guard(tmp_path, capsys):
+    # 11 non-isomorphic lines F(0), F(2), ..., F(20), p = 2: every level a
+    # chain, so the class list is the 2048 stable good spans, past the
+    # guard of 1500
+    fam = Family("F", 1, Fraction(0))
+    lines = tuple(Summand("F", 2 * i, 1) for i in range(11))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_to_dict(ModuleSpec(Config(p=2), (fam,), lines))))
+    code, rep = run_cli(capsys, "subobjects", "--spec", str(spec_path), "--cap", "11")
+    assert code == 2
+    assert "subobject lattice exceeds the guard size of 1500 subspaces" in rep["error"]
+
+
 def test_malformed_numbers_exit_2(tmp_path, capsys):
     weights = tmp_path / "weights.json"
     weights.write_text('{"weights": [[-2, 1.7, 2]]}')

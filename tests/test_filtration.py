@@ -570,7 +570,7 @@ def test_good_witness_scan_matches_the_lattice():
 
 def test_all_chains_verdict_matches_the_lattice_route():
     # past the good scan, an all-chains realization reads its classes off
-    # the scan; the lattice route (walk, chain steps, chain bound per
+    # the scan; the lattice route (class list, chain steps, chain bound per
     # class) gives the same report, byte for byte, on every item it
     # certifies, and certifies every all-chains one
     stream = [(spec, prof, True) for spec, prof in
@@ -601,7 +601,8 @@ def _lines_spec(count):
 
 def test_all_chains_refusal_past_the_lattice_guard(monkeypatch):
     # 11 lines: 2048 stable goods, past the guard of 1500, refused after the
-    # good scan with the walk's text, as the lattice route refuses it
+    # good scan with the text of the class list, as the lattice route
+    # refuses it
     spec, profile = _lines_spec(11)
     real, filt = _setup(spec, profile, seed=0)
     assert real.uniserial and not real.edges
@@ -609,9 +610,9 @@ def test_all_chains_refusal_past_the_lattice_guard(monkeypatch):
     with pytest.raises(CapExceededError, match=refusal):
         check_admissible(spec, profile, real, filt, cap=11)
     with pytest.raises(CapExceededError, match=refusal):
-        StableLattice(real).walk()
+        enumerate_concrete_subobjects(real, cap=11)
     # 4 lines: 16 stable goods, the 14 proper ones certified; a guard of 16
-    # lets them through, one of 15 refuses, as the walk does
+    # lets them through, one of 15 refuses, as the class list does
     spec, profile = _lines_spec(4)
     real, filt = _setup(spec, profile, seed=0)
     report = check_admissible(spec, profile, real, filt)
@@ -623,4 +624,4 @@ def test_all_chains_refusal_past_the_lattice_guard(monkeypatch):
     with pytest.raises(CapExceededError, match="guard size of 15 subspaces"):
         check_admissible(spec, profile, real, filt)
     with pytest.raises(CapExceededError, match="guard size of 15 subspaces"):
-        StableLattice(real).walk()
+        enumerate_concrete_subobjects(real)

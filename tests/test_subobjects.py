@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -318,8 +319,9 @@ def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
     # Unmodified, ex1a has a lattice with infinitely many subspaces, listed
     # by the patterns: without both, the random rounds on that level
     # (multiples of the unit vector, looked up in the line memo) must find
-    # the class.  Modified, its lattice is finite and the walk over covers
-    # lists it, so the list stands without any pattern or good span.
+    # the class.  Modified, every level is a chain and the stable good
+    # spans are the list: it stands without any pattern, and without the
+    # span it loses that one class.
     for edges in ((), build_modified_frobenius(ex1a)):
         real = realize_matrices(ex1a, edges)
         level = next(k for k, coords in enumerate(real.levels) if len(coords) == 1)
@@ -332,17 +334,17 @@ def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
             return lattice
 
         want = enumerate_concrete_subobjects(real)
-        assert enumerate_concrete_subobjects(real, lattice=without_span()) == want
         with monkeypatch.context() as patch:
             patterns = subobjects._pattern_vectors
             if edges:
-                assert StableLattice(real).walk() is not None
+                assert real.uniserial
                 patch.setattr(subobjects, "_pattern_vectors", lambda width: [])
-                lattice = StableLattice(real)
-                lattice.good_keys = []
-                assert enumerate_concrete_subobjects(real, lattice=lattice) == want
+                assert enumerate_concrete_subobjects(real) == want
+                got = enumerate_concrete_subobjects(real, lattice=without_span())
+                assert len(got) == len(want) - 1 and set(got) < set(want)
                 continue
-            assert StableLattice(real).walk() is None
+            assert enumerate_concrete_subobjects(real, lattice=without_span()) == want
+            assert not real.uniserial
             patch.setattr(
                 subobjects, "_pattern_vectors",
                 lambda width: patterns(width) if width > 1 else [],
@@ -520,11 +522,11 @@ def test_integer_class_order_matches_fraction_rows(ex1a, ex1b, ex2, ex3):
 
 
 # ---------------------------------------------------------------------------
-# the walk over covers
+# the all-chains theorem
 # ---------------------------------------------------------------------------
 
 
-def _walk_realizations(examples):
+def _theorem_realizations(examples):
     """The `data/` examples, the specs of the streams the verdict tests
     draw, and random specs up to dimension 8, each realized modified and
     not."""
@@ -561,11 +563,6 @@ def _saturated_patterns(lattice, keep=lambda v: True):
     return subobjects._saturate(lattice, keys)
 
 
-def _level_key(lattice, level, pid):
-    """Piece ids with `pid` on `level` and the zero piece elsewhere."""
-    return lattice.zero[:level] + (pid,) + lattice.zero[level + 1:]
-
-
 def test_a_class_only_a_negative_pattern_entry_lists():
     # modified, the module with summands (l, b) = (0, 3), (1, 1), (1, 2)
     # has infinitely many stable subspaces in 19 classes; the patterns with
@@ -574,7 +571,7 @@ def test_a_class_only_a_negative_pattern_entry_lists():
         CFG, (F,), (Summand("F", 0, 3), Summand("F", 1, 1), Summand("F", 1, 2))
     )
     real = realize_matrices(spec, build_modified_frobenius(spec))
-    assert StableLattice(real).walk() is None
+    assert not real.uniserial
     assert len(enumerate_concrete_subobjects(real)) == 19
     for keep, count in ((lambda v: True, 19), (lambda v: min(v) >= 0, 18)):
         lattice = StableLattice(real)
@@ -583,125 +580,94 @@ def test_a_class_only_a_negative_pattern_entry_lists():
 
 
 def test_walk_lists_the_saturated_pattern_set_on_finite_lattices(ex1a, ex1b, ex2, ex3):
-    # on every finite lattice the walk's subspaces are those of the pattern
-    # route, key for key in one lattice, so classes and reports stay
+    # on every all-chains realization the stable good spans, which the
+    # class list takes by theorem, are the subspaces of the pattern route,
+    # key for key in one lattice, so classes and reports are those of a
+    # list made without the theorem; the measures of each span are its
+    # good's: dim E = sum of counts, dim(E cap E') from the componentwise
+    # minimum, t_N from the level dimensions
     finite = infinite = high = 0
-    for real in _walk_realizations((ex1a, ex1b, ex2, ex3)):
-        lattice = StableLattice(real)
-        nodes = lattice.walk()
-        if nodes is None:
-            assert lattice.family is not None
+    for real in _theorem_realizations((ex1a, ex1b, ex2, ex3)):
+        if not real.uniserial:
             infinite += 1
             continue
-        assert lattice.family is None and lattice.walk() is nodes
-        assert nodes[0] == lattice.zero and len(set(nodes)) == len(nodes)
-        assert set(nodes) == set(_saturated_patterns(lattice))
-        # the measures the walk carries from a subspace to its covers
+        lattice = StableLattice(real)
+        keys = lattice.good_keys
+        assert keys[0] == lattice.zero and len(set(keys)) == len(keys)
+        assert set(keys) == set(_saturated_patterns(lattice))
         nums, den = real.level_slopes
-        for key in nodes:
+        for key, good in zip(keys, lattice.goods):
             dims = lattice.level_dims(key)
-            assert lattice.dim(key) == sum(dims)
+            assert lattice.dim(key) == sum(dims) == sum(good.counts)
             assert lattice.scaled_t_n(key) == sum(d * x for d, x in zip(dims, nums))
-            parts = [lattice._level_terms(level, pid) for level, pid in enumerate(key)]
-            assert lattice.good_dims(key) == tuple(map(sum, zip(*parts)))
+            assert lattice.good_dims(key) == tuple(
+                sum(map(min, good.counts, other.counts)) for other in lattice.goods
+            )
         finite += 1
         high += real.dimension >= 7
     assert finite >= 500 and infinite >= 250 and high >= 10
 
 
-def test_cover_spans_match_dense_stability_over_a_box():
-    # x lies in S_lambda(U) iff U + <x> is stable, for every x of the box
-    # {-1, 0, 1} on the level, on the walk's subspaces of finite lattices
-    # and the listed classes and the family node of infinite ones
-    rng = random.Random(162)
-    checked = grown = wide = 0
-    reals = 0
-    while reals < 40:
-        spec = random_spec(rng, max_dim=5)
-        if spec is None:
-            continue
-        real = realize_matrices(spec, build_modified_frobenius(spec) if reals % 2 else ())
-        reals += 1
-        lattice = StableLattice(real)
-        keys = lattice.walk()
-        if keys is None:
-            subs = enumerate_concrete_subobjects(real, lattice=lattice)
-            keys = [lattice.family[0]] + [sub.key for sub in subs]
-        for key in keys[:10]:
-            rows = oracles.rref(lattice.int_rows(key))
-            for level, coords in enumerate(real.levels):
-                pid = lattice.cover_span(level, key)
-                span = oracles.rref(lattice.int_rows(_level_key(lattice, level, pid)))
-                want = oracles.stable_extensions(real, rows, coords)
-                assert {x: oracles.in_span(span, x) for x in want} == want
-                checked += len(want)
-                grown += pid != key[level]
-                wide += len(lattice.piece(level, pid)) - len(lattice.piece(level, key[level])) > 1
-    assert checked >= 2500 and grown >= 300 and wide >= 25
-
-
 def test_infinite_lattices_come_with_two_stable_covers_in_one_level(ex1a, ex1b, ex2, ex3):
-    # the family the walk stops at: U stable, and two vectors of S_lambda(U)
-    # independent modulo U give two distinct stable covers of U in level
-    # lambda, checked densely
+    # the construction of the module docstring, checked densely: a
+    # realization with a level lambda = (F, t) that is no chain has
+    # dim ker E|lambda >= 2 there; U, the span of the blocks of the other
+    # families and of F below twist t, is stable, and for two independent
+    # x_a, x_b in that kernel U + <x_a>, U + <x_b> and U + <x_a + x_b> are
+    # three distinct stable covers of U
     families = 0
-    for real in _walk_realizations((ex1a, ex1b, ex2, ex3)):
-        lattice = StableLattice(real)
-        if lattice.walk() is not None:
+    for real in _theorem_realizations((ex1a, ex1b, ex2, ex3)):
+        if real.uniserial:
             continue
-        key, level, socle = lattice.family
-        assert socle >= 2
-        pid = lattice.cover_span(level, key)
-        assert len(lattice.piece(level, pid)) - len(lattice.piece(level, key[level])) == socle
         ops = (real.phi, real.nmat)
-        rows = oracles.rref(lattice.int_rows(key))
-        assert oracles.is_stable(rows, ops)
-        picked = []
-        for x in oracles.rref(lattice.int_rows(_level_key(lattice, level, pid))):
-            if len(oracles.rref(rows + tuple(picked) + (x,))) > len(rows) + len(picked):
-                picked.append(x)
-        assert len(picked) == socle
-        covers = [oracles.rref(rows + (x,)) for x in picked[:2]]
-        assert covers[0] != covers[1]
-        for cover in covers:
-            assert len(cover) == len(rows) + 1 and oracles.is_stable(cover, ops)
-            assert all(oracles.in_span(cover, row) for row in rows)
-        families += 1
+        n = real.dimension
+        for coords in real.levels:
+            top = real.basis[coords[0]]
+            # E|lambda = Phi|lambda / lambda - 1, read off the dense Phi
+            lam = real.phi[coords[0]][coords[0]]
+            coupling = tuple(
+                tuple(Fraction(real.phi[r][c], lam) - (r == c) for c in coords)
+                for r in coords
+            )
+            kernel = oracles.kernel_basis(coupling)
+            if len(kernel) < 2:
+                continue
+            below = tuple(
+                tuple(int(i == j) for i in range(n)) for j, blk in enumerate(real.basis)
+                if blk.family.id != top.family.id or blk.twist < top.twist
+            )
+            assert oracles.is_stable(below, ops)
+            xa, xb = (
+                tuple(dict(zip(coords, x)).get(i, 0) for i in range(n)) for x in kernel[:2]
+            )
+            covers = [
+                oracles.rref(below + (x,))
+                for x in (xa, xb, tuple(map(operator.add, xa, xb)))
+            ]
+            assert len(set(covers)) == 3
+            for cover in covers:
+                assert len(cover) == len(below) + 1 and oracles.is_stable(cover, ops)
+                assert all(oracles.in_span(cover, row) for row in below)
+            families += 1
+            break
+        else:
+            raise AssertionError("no level with a kernel of dimension 2 or more")
     assert families >= 250
 
 
 def test_walk_refuses_past_the_lattice_guard(monkeypatch, ex1a):
-    # modified, ex1a has five stable subspaces
+    # modified, ex1a has five stable subspaces, every level a chain: its
+    # class list is its five stable good spans, refused past the guard
     real = realize_matrices(ex1a, build_modified_frobenius(ex1a))
-    size = len(StableLattice(real).walk())
+    assert real.uniserial
+    size = len(enumerate_concrete_subobjects(real))
     assert size == 5
     monkeypatch.setattr(subobjects, "_LATTICE_GUARD", size)
-    assert len(StableLattice(real).walk()) == size
+    assert len(enumerate_concrete_subobjects(real)) == size
     monkeypatch.setattr(subobjects, "_LATTICE_GUARD", size - 1)
     refusal = f"exceeds the guard size of {size - 1} subspaces"
     with pytest.raises(CapExceededError, match=refusal):
-        StableLattice(real).walk()
-    with pytest.raises(CapExceededError, match=refusal):
         enumerate_concrete_subobjects(real)
-
-
-def test_cover_span_refuses_a_subspace_that_is_not_stable(ex1a, ex2):
-    # the whole of a level that N sends into a level held at 0: N moves
-    # the piece out of the subspace, so it is not inside its cover span
-    refused = 0
-    for spec in (ex1a, ex2):
-        for edges in ((), build_modified_frobenius(spec)):
-            real = realize_matrices(spec, edges)
-            lattice = StableLattice(real)
-            whole = lattice.good_keys[-1]
-            for level, (_, nmat) in enumerate(real.level_operators):
-                if nmat:
-                    key = _level_key(lattice, level, whole[level])
-                    assert not oracles.is_stable(lattice.int_rows(key), (real.phi, real.nmat))
-                    with pytest.raises(InternalConsistencyError, match="cover span"):
-                        lattice.cover_span(level, key)
-                    refused += 1
-    assert refused >= 4
 
 
 def test_finite_lattices_run_no_pattern_saturation_or_random_round(monkeypatch):
@@ -716,7 +682,7 @@ def test_finite_lattices_run_no_pattern_saturation_or_random_round(monkeypatch):
     for k, (spec, profile) in enumerate(equal_total_stream(7, 30, max_dim=7, min_summands=2)):
         for modify in (True, False):
             real = realize_matrices(spec, build_modified_frobenius(spec) if modify else ())
-            if StableLattice(real).walk() is None:
+            if not real.uniserial:
                 with pytest.raises(AssertionError, match="pattern route"):
                     enumerate_concrete_subobjects(real, seed=k)
                 infinite += 1
@@ -731,8 +697,10 @@ def test_finite_lattices_run_no_pattern_saturation_or_random_round(monkeypatch):
 
 
 def test_all_chains_iff_finite_and_then_exactly_the_stable_goods():
-    # the theorem of the module docstring against the walk: every level a
-    # chain iff the walk ends, and then its nodes are the stable good spans
+    # the theorem of the module docstring against the pattern route: where
+    # every level is a chain the route lists the stable good spans and
+    # nothing else, and where one is not a pattern closure is a stable
+    # subspace that no good spans
     rng = random.Random(128)
     seen = Counter()
     draws = 0
@@ -747,12 +715,16 @@ def test_all_chains_iff_finite_and_then_exactly_the_stable_goods():
         for edges in ((), build_modified_frobenius(spec)):
             real = realize_matrices(spec, edges)
             lattice = StableLattice(real)
-            nodes = lattice.walk()
-            assert real.uniserial == (nodes is not None)
+            goods = set(lattice.good_keys)
+            if real.uniserial:
+                assert set(_saturated_patterns(lattice)) == goods
+            else:
+                assert any(
+                    lattice.closure(level, v) not in goods
+                    for level, coords in enumerate(real.levels)
+                    for v in subobjects._pattern_vectors(len(coords))
+                )
             seen[real.uniserial, bool(edges)] += 1
-            if nodes is not None:
-                assert len(nodes) == len(lattice.good_keys)
-                assert set(nodes) == set(lattice.good_keys)
     # both kinds, modified and not
     assert min(seen[kind] for kind in itertools.product((True, False), repeat=2)) >= 20
 
@@ -766,60 +738,52 @@ def _lines(count, edges=()):
 def test_a_level_is_one_chain_or_the_lattice_is_infinite():
     # F(0) + F(0): two chains unmodified, one chain modified
     plain = _lines(2)
-    assert not plain.uniserial and StableLattice(plain).walk() is None
+    assert not plain.uniserial
     spec = plain.spec
     joined = realize_matrices(spec, build_modified_frobenius(spec))
     assert joined.edges and joined.uniserial
-    assert len(StableLattice(joined).walk()) == 3
+    assert len(enumerate_concrete_subobjects(joined)) == 3
     # three lines: one chain, a chain and a line, two columns into one target
     assert _lines(3, [(0, 1), (1, 2)]).uniserial
     for edges in ([(0, 1)], [(0, 2), (1, 2)]):
-        real = _lines(3, edges)
-        assert not real.uniserial and StableLattice(real).walk() is None
+        assert not _lines(3, edges).uniserial
+
+
+def test_realize_refuses_edges_the_coupling_cannot_carry():
+    # E holds one edge per source summand, and a cycle of edges, a
+    # self-loop included, makes E not nilpotent, so no level a generalized
+    # eigenspace: each is refused, naming an edge
+    for count, edges, named, reason in (
+        (3, [(0, 1), (0, 2)], (0, 2), "one edge per source"),
+        (3, [(0, 1), (1, 0)], (0, 1), "cycle"),
+        (2, [(0, 1), (1, 1)], (1, 1), "cycle"),
+        (2, [(1, 1)], (1, 1), "cycle"),
+    ):
+        with pytest.raises(ValueError, match=reason) as refusal:
+            _lines(count, edges)
+        assert str(ModificationEdge(*named, 0)) in str(refusal.value)
 
 
 def test_a_coupling_that_is_not_nilpotent_is_no_chain():
     # a cycle e0 <-> e1 beside the line e2, and e0 -> e1 -> e1: every column
-    # count of a chain, but E is not nilpotent, so no chain; the walk ends
-    # there, which the theorem rules out for a realization with such a
-    # level, and it fails loudly
+    # count of a chain, but E is not nilpotent, so no chain.  Such edges are
+    # refused, so the predicate is shown the columns by hand
     for count, edges in ((3, [(0, 1), (1, 0)]), (2, [(0, 1), (1, 1)])):
-        real = _lines(count, edges)
+        with pytest.raises(ValueError, match="cycle"):
+            _lines(count, edges)
+        cols = [()] * count
+        for src, dst in edges:
+            cols[src] = ((dst, 1),)
+        real = dataclasses.replace(_lines(count), e_cols=tuple(cols))
         assert not real.uniserial
-        with pytest.raises(InternalConsistencyError, match="not a chain"):
-            StableLattice(real).walk()
-        with pytest.raises(InternalConsistencyError, match="not a chain"):
-            enumerate_concrete_subobjects(real)
 
 
 def test_a_coupling_column_with_two_entries_is_no_chain():
     # E e0 = e1 + e2, E e1 = e2: a flag of coordinate subspaces, but E does
     # not send a basis vector to a multiple of another, so the predicate
-    # refuses it and the walk, finite, fails loudly
+    # refuses it
     real = _lines(3, [(0, 1), (1, 2)])
     cols = list(real.e_cols)
     cols[0] = ((1, 1), (2, 1))
     tampered = dataclasses.replace(real, e_cols=tuple(cols))
     assert real.uniserial and not tampered.uniserial
-    with pytest.raises(InternalConsistencyError, match="not a chain"):
-        StableLattice(tampered).walk()
-
-
-def test_walk_fails_loudly_when_it_contradicts_the_theorem(monkeypatch):
-    # an all-chains realization whose walk meets a socle of dimension 2,
-    # and a finite walk whose nodes are not the stable goods
-    real = _lines(2)
-    real.__dict__["uniserial"] = True
-    with pytest.raises(InternalConsistencyError, match="infinitely many"):
-        StableLattice(real).walk()
-    joined = _lines(2, [(0, 1)])
-    assert len(StableLattice(joined).walk()) == 3
-    # one good too few, and a good of dimension 1 read as dimension 2
-    lattice = StableLattice(joined)
-    lattice.goods = lattice.goods[:-1]
-    with pytest.raises(InternalConsistencyError, match="not the stable good spans"):
-        lattice.walk()
-    lattice = StableLattice(joined)
-    lattice.good_sizes = tuple(2 if size == 1 else size for size in lattice.good_sizes)
-    with pytest.raises(InternalConsistencyError, match="not the stable good spans"):
-        lattice.walk()
