@@ -254,10 +254,11 @@ def realize_matrices(
     the family seeds of the module docstring; h = 1 only.
 
     Raises ValueError for a summand with a negative twist, which
-    `validate_spec` refuses too, for an edge coupling blocks of different
-    eigenvalues, for two edges from one summand, and for edges that form
-    a cycle, a self-loop included: each breaks the level structure that
-    closures and t_N rely on (module docstring).
+    `validate_spec` refuses too, for an edge whose src or dst is not a
+    summand index or whose alignment is negative, for an edge coupling
+    blocks of different eigenvalues, for two edges from one summand, and
+    for edges that form a cycle, a self-loop included: each breaks the
+    level structure that closures and t_N rely on (module docstring).
     """
     for fam in spec.families:
         if fam.h != 1:
@@ -276,7 +277,13 @@ def realize_matrices(
     e_cols = []
     n_cols = []
     edge_by_src: dict[int, ModificationEdge] = {}
+    count = len(spec.summands)
     for e in edges:
+        if not (0 <= e.src < count and 0 <= e.dst < count and e.alignment >= 0):
+            raise ValueError(
+                f"edge {e} names no block: src and dst must be summand indices "
+                f"below {count} and the alignment must be >= 0"
+            )
         if e.src in edge_by_src:
             raise ValueError(
                 f"edges {edge_by_src[e.src]} and {e} leave one summand: "

@@ -1,5 +1,5 @@
 """Special pairs: jump data (a_i, c_i), their solved weights and the
-weighted-sum property, on integers.
+weighted-sum property, decided exactly on integers.
 
 A pair a = (a_0, ..., a_{k+1}), c = (c_1, ..., c_k) with the conventions
 c_0 = a_0 and c_{k+1} = 0 is special when
@@ -13,20 +13,28 @@ Its weights t_1, ..., t_k satisfy t_1/a_0 = t_2/c_1 = ... = t_k/c_{k-1}
 prefix sum of (a_i - c_i) and the closing inequality
 sum t - sum (a_i - c_i) + r c_k <= a_{k+1} holds.
 
-For integer a the pair induces an index set Omega (trailing intervals of
-length c_i inside consecutive ranges of length a_i), and for any
-nondecreasing m, n whose m-increments dominate the n-increments and with
-sum m <= sum n, one has sum_{Omega} m <= sum_{Omega} n.
+For integer a the pair induces an index set Omega in [1, L], L = sum a
+(trailing intervals of length c_i inside consecutive ranges of length
+a_i).  Call (m, n) admissible when m, n are nondecreasing of length L,
+the m-increments dominate the n-increments and sum m <= sum n.  Then
+sum_Omega m <= sum_Omega n for every admissible (m, n) iff the step test
+holds: |Omega cap [k, L]| L <= |Omega| (L - k + 1) for k = 2, ..., L.
 
-`_clause`, `_solve`, `_omega` and `_weighted` decide each of these over
-one integer scale per quantity, so nothing is approximated: the clauses,
-the hypotheses and the Omega comparison are invariant under a positive
-scale.  The samplers `_draw_pair` and `_draw_weights` draw integer pairs,
-and weights at scale 2L (half units shifted by excess/L + q); t_1 is a
-ratio P/Q of integers.  `fuzz_special_pairs` runs them and builds
-`Fraction`s only to report a failure.  The `Fraction` forms of all six,
-the pair record and the assembly of index sets over components are test
-oracles.
+Proof.  Put d = m - n.  As (m, n) range over the admissible pairs, d
+ranges over all nondecreasing vectors with sum d <= 0 (take n = 0), and
+the inequality reads sum_Omega d <= 0.  Such a d is a constant vector
+plus sum_k alpha_k 1_[k, L] with steps alpha_k >= 0.  With the steps
+fixed, sum_Omega d grows with the constant, so it is largest at sum d = 0,
+sum_Omega d = sum_k alpha_k (|Omega cap [k, L]| - |Omega| (L - k + 1) / L).
+That is <= 0 for all alpha >= 0 iff every coefficient is.  A failing k
+has the witness m = 1_[k, L] - (L - k + 1) / L, n = 0: it is admissible
+and sum_Omega m > 0.
+
+`_clause`, `_solve`, `_omega` and the step test `_step` work in integers,
+so nothing is approximated; `fuzz_special_pairs` runs them on the pairs
+`_draw_pair` draws.  The `Fraction` forms, the weighted comparison on
+given (m, n), the pair record and the assembly of index sets over
+components are test oracles.
 """
 
 from __future__ import annotations
@@ -37,11 +45,7 @@ from typing import Sequence
 
 from .model import InternalConsistencyError, below, fraction_to_str
 
-__all__ = ["HypothesisError", "fuzz_special_pairs"]
-
-
-class HypothesisError(ValueError):
-    """Raised when (m, n) violate the hypotheses of the weighted inequality."""
+__all__ = ["fuzz_special_pairs"]
 
 
 def _clause(a: Sequence[int], c: Sequence[int]) -> str | None:
@@ -97,25 +101,16 @@ def _omega(a: Sequence[int], c: Sequence[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _weighted(omega, m: Sequence[int], n: Sequence[int]) -> tuple[int, int]:
-    """sum_Omega m and sum_Omega n, for m, n at one scale that meet the hypotheses."""
-    if len(m) != len(n):
-        raise HypothesisError("m and n must have equal length")
-    for name, seq in (("m", m), ("n", n)):
-        if any(seq[i] > seq[i + 1] for i in range(len(seq) - 1)):
-            raise HypothesisError(f"{name} is not nondecreasing")
-    if any(m[i + 1] - m[i] < n[i + 1] - n[i] for i in range(len(m) - 1)):
-        raise HypothesisError("m increments must dominate n increments")
-    if sum(m) > sum(n):
-        raise HypothesisError("sum m must not exceed sum n")
-    if any(j < 1 or j > len(m) for j in omega):
-        raise HypothesisError("omega indices out of range")
-    return sum(m[j - 1] for j in omega), sum(n[j - 1] for j in omega)
-
-
-# ---------------------------------------------------------------------------
-# seeded generators for fuzzing
-# ---------------------------------------------------------------------------
+def _step(omega: frozenset[int], length: int) -> int | None:
+    """The least k in 2..length whose step 1_[k, length] breaks the
+    inequality, |Omega cap [k, length]| length > |Omega| (length - k + 1),
+    or None when the inequality holds for every admissible (m, n)."""
+    size = count = len(omega)
+    for k in range(2, length + 1):
+        count -= k - 1 in omega
+        if count * length > size * (length - k + 1):
+            return k
+    return None
 
 
 def _draw_pair(rng: random.Random, max_k: int) -> tuple[list[int], list[int]]:
@@ -143,33 +138,11 @@ def _draw_pair(rng: random.Random, max_k: int) -> tuple[list[int], list[int]]:
     raise RuntimeError("failed to sample a special pair")
 
 
-def _draw_weights(rng: random.Random, length: int) -> tuple[list[int], list[int], int]:
-    """(m, n) in half units (scale 2), or shifted at scale 2 length.  Draws
-    as `randint` and `choice` would (`model.below`)."""
-    bits = rng.getrandbits
-
-    def half(lo: int, hi: int) -> int:
-        # randint(lo, hi) units of 2 // choice((1, 2)) halves
-        return (lo + below(bits, hi - lo + 1)) * (2 - below(bits, 2))
-
-    n = [half(-4, 4)]
-    m = [n[0] + half(-4, 2)]
-    for _ in range(length - 1):
-        dn = half(0, 3)
-        n.append(n[-1] + dn)
-        m.append(m[-1] + dn + half(0, 3))
-    excess = sum(m) - sum(n)
-    if excess <= 0:
-        return m, n, 2
-    q = below(bits, 3)
-    m = [length * x - excess - 2 * length * q for x in m]
-    return m, [length * x for x in n], 2 * length
-
-
 def fuzz_special_pairs(trials: int, seed: int) -> dict:
     """Randomized verification of the weighted-sum property; JSON-friendly.
 
-    Runs on the integer core; `Fraction`s are built only for a failure.
+    Each drawn pair is decided by the step test; the first failing pair
+    is reported with the witness (m, n) of its least failing k.
     """
     rng = random.Random(seed)
     failures = 0
@@ -177,17 +150,19 @@ def fuzz_special_pairs(trials: int, seed: int) -> dict:
     for trial in range(trials):
         a, c = _draw_pair(rng, 4)
         _solve(a, c)
-        m, n, scale = _draw_weights(rng, sum(a))
-        lhs, rhs = _weighted(_omega(a, c), m, n)
-        if lhs > rhs:
+        length = sum(a)
+        k = _step(_omega(a, c), length)
+        if k is not None:
             failures += 1
             if first_failure is None:
+                m = [Fraction(k - 1 - length, length)] * (k - 1)
+                m += [Fraction(k - 1, length)] * (length - k + 1)
                 first_failure = {
                     "trial": trial,
                     "a": [fraction_to_str(x) for x in a],
                     "c": [fraction_to_str(x) for x in c],
-                    "m": [fraction_to_str(Fraction(x, scale)) for x in m],
-                    "n": [fraction_to_str(Fraction(x, scale)) for x in n],
+                    "m": [fraction_to_str(x) for x in m],
+                    "n": ["0/1"] * length,
                 }
     report = {"trials": trials, "failures": failures}
     if first_failure is not None:

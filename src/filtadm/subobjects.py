@@ -20,8 +20,9 @@ the stable subspaces are exactly the stable good spans (the theorem
 below), each its own class, so the list is `StableLattice.good_keys`,
 complete by theorem, and nothing audits it.  Otherwise they are
 infinitely many, and the classes come from closing signed
-{0,+-1}-pattern vectors inside each generalized eigenspace and
-saturating under sums; `RANDOM_ROUNDS` random-coefficient rounds
+{0,+-1}-pattern vectors with two or more nonzero entries inside each
+generalized eigenspace, adding the stable good spans and saturating
+under sums; `RANDOM_ROUNDS` random-coefficient rounds
 re-derive the classes there and fail loudly if the pattern heuristic
 ever misses one.
 The work runs on piece ids (`_class_keys`, which the verdict calls): the
@@ -33,8 +34,8 @@ compared.  `Subobject`s are built only for the public list.
 The closure of c*v is the closure of v for c != 0: the first step of
 both stores the same primitive row with a positive pivot, and every
 later step reads only that row.  So single-vector closures are memoized
-per line (`StableLattice.closure`), and a random draw on a width-1
-level, a multiple of the unit pattern, is a lookup.
+per line (`StableLattice.closure`), and every random draw on a width-1
+level after the first, a multiple of its unit vector, is a lookup.
 
 Finitely many stable subspaces, by theorem.  Call a level a chain when
 the coupling E sends each of its basis vectors to a multiple of another
@@ -194,10 +195,13 @@ def smallest_enclosing_good(
 
 
 def _pattern_vectors(width: int) -> list[tuple[int, ...]]:
-    """Signed {0, +-1} coefficient vectors on one eigenspace level, in the
-    level's own coordinates.
+    """Signed {0, +-1} coefficient vectors with at least two nonzero
+    entries on one eigenspace level, in the level's own coordinates.
 
-    The first nonzero coefficient is +1, since a global sign never changes
+    A unit vector is not a pattern: E and N send blocks to multiples of
+    blocks, so the closure of one block is spanned by blocks and closed
+    under N, a stable good span that `good_keys` already lists.  The
+    first nonzero coefficient is +1, since a global sign never changes
     the span, and the others take both signs.  What the tests show of the
     signs: on an uncoupled level of width 2 the lines off both axes form
     one class, which (1, 1) and (1, -1) each list, and dropping both loses
@@ -205,7 +209,7 @@ def _pattern_vectors(width: int) -> list[tuple[int, ...]]:
     that only a pattern with a negative entry lists.
     """
     out = []
-    for size in range(1, width + 1):
+    for size in range(2, width + 1):
         for subset in itertools.combinations(range(width), size):
             for signs in itertools.product((1, -1), repeat=size - 1):
                 row = [0] * width
@@ -602,8 +606,8 @@ def enumerate_concrete_subobjects(
     Where every level is a chain (`ConcreteRealization.uniserial`), the
     stable subspaces are exactly the stable good spans, every one of them
     listed, and `seed` goes unused.  Otherwise pattern atoms are the
-    signed {0,+-1} vectors inside each generalized eigenspace, closed
-    under Phi and N, the subspaces are the sum-closure of the atoms and of
+    signed {0,+-1} vectors with two or more nonzero entries inside each
+    generalized eigenspace, closed under Phi and N, the subspaces are the sum-closure of the atoms and of
     the stable good spans, and `RANDOM_ROUNDS` passes with random nonzero coefficients,
     drawn from `seed`, must not produce any new relative-position class,
     or the pattern heuristic is declared broken.  Either way one

@@ -6,13 +6,25 @@ run is reproducible from its seed.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from filtadm.model import Config, Family, ModuleSpec, Summand, WeightProfile, t_n
 from filtadm.ordering import canonical_order, type_components
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import StableLattice
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict[str, str]:
+    """The environment with `src` first on PYTHONPATH, so that a child
+    `python -m filtadm.cli` imports the package of this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def random_spec(rng: random.Random, max_dim: int = 6, max_summands: int = 3,

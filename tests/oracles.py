@@ -40,13 +40,16 @@ Hand-written subspaces reach the greedy flags through
 `intersection_profile`.
 
 The special-pair oracles are the `Fraction` forms of the clause check, the
-weight solver, the index set, the weighted comparison and both seeded
-generators, on the pair record `SpecialPair`, where the library's
-integer core (`pairs._clause`, `_solve`, `_omega`, `_weighted`,
-`_draw_pair` and `_draw_weights`) computes each over one integer scale
-for the fuzzer.  `common_scale` puts rationals over that one scale, so
-tests feed the same data to both.  The library has no `Fraction` pair
-API.
+weight solver, the index set and the pair generator, on the pair record
+`SpecialPair`, where the library's integer core (`pairs._clause`,
+`_solve`, `_omega` and `_draw_pair`) computes each over one integer
+scale for the fuzzer.  `common_scale` puts rationals over that one
+scale, so tests feed the same data to both.  The weighted comparison
+`check_weighted_inequality` on given (m, n), which raises
+`HypothesisError` on (m, n) outside its hypotheses, and the weight
+generator `random_weight_pair` are the reference the library's exact
+step test `pairs._step` is checked against.  The library has no
+`Fraction` pair API.
 
 The flag layer of the paper's weighted-sum lemma (greedy flags of stable
 goods, their index sets and the special pairs read off them) lives here
@@ -103,7 +106,6 @@ from filtadm.model import (
     validate_spec,
 )
 from filtadm.ordering import require_canonical, type_components
-from filtadm.pairs import HypothesisError
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     DEFAULT_CAP,
@@ -1073,7 +1075,7 @@ class WeightedResult:
 def common_scale(*seqs: Sequence) -> tuple[list[list[int]], int]:
     """Each sequence of rationals times the lcm s of all their
     denominators, and s: the one integer scale the library's pair core
-    (`pairs._clause`, `_solve`, `_weighted`) reads."""
+    (`pairs._clause`, `_solve`) reads."""
     seqs = [[Fraction(x) for x in seq] for seq in seqs]
     scale = math.lcm(*(x.denominator for seq in seqs for x in seq))
     return [[x.numerator * (scale // x.denominator) for x in seq] for seq in seqs], scale
@@ -1146,6 +1148,10 @@ def omega_of_pair(pair: SpecialPair) -> frozenset[int]:
         acc += int(ai)
         out.update(range(acc - int(cf[i]) + 1, acc + 1))
     return frozenset(out)
+
+
+class HypothesisError(ValueError):
+    """Raised when (m, n) violate the hypotheses of the weighted inequality."""
 
 
 def check_weighted_inequality(omega, m: Sequence, n: Sequence) -> WeightedResult:

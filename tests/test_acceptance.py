@@ -19,14 +19,14 @@ from filtadm.emerton import check_emerton_condition
 from filtadm.filtration import build_transverse_filtration, check_admissible, t_h
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import WeightProfile, t_n
-from filtadm.pairs import _clause, _omega, _solve, _weighted
+from filtadm.pairs import _clause, _omega, _solve, _step
 from filtadm.slopes import check_slope_chain
 from filtadm.subobjects import (
     StableLattice,
     enumerate_concrete_subobjects,
     stable_good_subobjects,
 )
-from helpers import instance_stream, random_single_component_spec
+from helpers import cli_env, instance_stream, random_single_component_spec
 import oracles
 from oracles import (
     flag_chain,
@@ -166,10 +166,12 @@ def test_criterion_6_special_pair_suite():
             assert _clause(a, c) is None
             p, q = _solve(a, c)           # (i)'-(iii)' asserted exactly inside
             assert Fraction(p, q * a[0]) == oracles.solve_t(pair)[1]
+            omega = _omega(a, c)
+            assert _step(omega, sum(a)) is None
             m, n = random_weight_pair(rng, sum(a))
-            lhs, rhs = _weighted(_omega(a, c), *oracles.common_scale(m, n)[0])
-            assert lhs <= rhs
-        assert _weighted({3}, (0, 0, 3), (1, 1, 1)) == (3, 1)
+            assert oracles.check_weighted_inequality(omega, m, n).holds
+        assert _step(frozenset({3}), 3) == 2
+        assert not oracles.check_weighted_inequality({3}, (0, 0, 3), (1, 1, 1)).holds
 
 
 def test_criterion_7_greedy_flag_invariants():
@@ -226,8 +228,8 @@ def test_criterion_8_deterministic_reports():
             "--weights", str(DATA / "weights_m212.json"),
             "--seed", "7",
         ]
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=cli_env())
+        b = subprocess.run(cmd, capture_output=True, env=cli_env())
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout and a.stdout
         json.loads(a.stdout)

@@ -45,8 +45,10 @@ PUBLIC = [
     "spec_violations", "t_h", "t_n", "validate_spec",
 ]
 
-# the special-pair module keeps its integer core, private, and the fuzzer
-PAIRS = ["HypothesisError", "fuzz_special_pairs"]
+# the special-pair module keeps its integer core, private, and the fuzzer;
+# the weighted comparison on given (m, n) and its HypothesisError are
+# oracles
+PAIRS = ["fuzz_special_pairs"]
 
 # the flag layer of the weighted-sum lemma: the verdict never builds a
 # flag, so these live with the test oracles
@@ -109,6 +111,9 @@ MOVED = [
     (filtadm.pairs, "GlobalEntry"),
     (filtadm.pairs, "assemble_global"),
     (filtadm.pairs, "_common_scale"),
+    (filtadm.pairs, "HypothesisError"),
+    (filtadm.pairs, "_weighted"),
+    (filtadm.pairs, "_draw_weights"),
     (filtadm.model, "profile_to_dict"),
     (filtadm.model.ScaledSlopes, "bottom"),
     (filtadm.frobenius.ConcreteRealization, "p"),

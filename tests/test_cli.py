@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -19,6 +18,7 @@ from filtadm.model import (
     spec_to_dict,
     t_n,
 )
+from helpers import cli_env
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -269,7 +269,7 @@ def test_reports_byte_identical():
         "--weights", str(DATA / "weights_ex2.json"),
         "--seed", "11",
     ]
-    env = dict(os.environ)
+    env = cli_env()
     a = subprocess.run(cmd, capture_output=True, env=env)
     b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == b.returncode == 0
@@ -302,7 +302,7 @@ def test_shared_parser_matches_fresh_processes(capsys, monkeypatch):
         out, err = capsys.readouterr()
         fresh = subprocess.run(
             [sys.executable, "-m", "filtadm.cli", *argv.split()],
-            capture_output=True, text=True, env=dict(os.environ),
+            capture_output=True, text=True, env=cli_env(),
         )
         assert (got, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert got == code, argv
@@ -316,8 +316,8 @@ def test_timing_field_excluded_from_determinism():
         "--weights", str(DATA / "weights_m212.json"),
         "--timing",
     ]
-    a = json.loads(subprocess.run(cmd, capture_output=True).stdout)
-    b = json.loads(subprocess.run(cmd, capture_output=True).stdout)
+    a = json.loads(subprocess.run(cmd, capture_output=True, env=cli_env()).stdout)
+    b = json.loads(subprocess.run(cmd, capture_output=True, env=cli_env()).stdout)
     assert "timing_ms" in a
     a.pop("timing_ms")
     b.pop("timing_ms")
@@ -431,6 +431,10 @@ GOLDEN = [
      "1bba1c1e1b02e666f1f76344c255de822c22555f17ddd3f96dff71b74423657d"),
     ("subobjects ex3 unmodified", "subobjects --spec data/ex3_spec.json", 0,
      "364f678ce3e33b9ebc753e5a0da0233ce6602f228e23e9fb4a50b95b219e3a23"),
+    ("fuzz-special seed 3", "fuzz-special --trials 1000 --seed 3", 0,
+     "a413ac8c20ad9b2999353e588f9f19c2bbcc583e795617f82eb242e972d590e2"),
+    ("fuzz-special readme", "fuzz-special --trials 10000 --seed 0", 0,
+     "5cb581073d8db19807e6e95a83b472262af84e3e429fb1fe816a136525efff69"),
 ]
 
 

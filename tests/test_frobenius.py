@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,16 @@ def test_realize_rejects_edge_across_levels(ex2):
     # alignment 0 where the offsets differ by 1 couples twist 0 to twist 1
     with pytest.raises(ValueError, match="different eigenvalues"):
         realize_matrices(ex2, (ModificationEdge(0, 1, 0),))
+
+
+def test_realize_refuses_edges_that_name_no_block():
+    # on F(0)^2 + F(0)^1: a negative alignment, a dst and a src that are no
+    # summand index each name the edge in the refusal
+    spec = ModuleSpec(CFG, (F,), (Summand("F", 0, 2), Summand("F", 0, 1)))
+    for src, dst, alignment in ((0, 1, -1), (0, 5, 0), (5, 0, 0)):
+        edge = ModificationEdge(src, dst, alignment)
+        with pytest.raises(ValueError, match=rf"edge {re.escape(str(edge))} names no block"):
+            realize_matrices(spec, (edge,))
 
 
 def test_default_seeds_for_any_number_of_families():

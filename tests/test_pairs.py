@@ -1,11 +1,11 @@
 """The integer core of `filtadm.pairs` (`_clause`, `_solve`, `_omega`,
-`_weighted` and the samplers) against the `Fraction` oracles of
-`tests/oracles.py`, which also hold the pair record and the assembly of
-index sets over components."""
+the step test `_step` and the pair sampler) against the `Fraction`
+oracles of `tests/oracles.py`, which also hold the weighted comparison on
+given (m, n), the pair record and the assembly of index sets over
+components."""
 
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from filtadm import pairs
 from filtadm.cli import main
-from filtadm.pairs import HypothesisError, _clause, _omega, _solve, _weighted, fuzz_special_pairs
+from filtadm.pairs import _clause, _draw_pair, _omega, _solve, _step, fuzz_special_pairs
 from oracles import (
     GlobalEntry,
     SpecialPair,
@@ -42,11 +42,20 @@ def _solved(a, c) -> tuple[tuple[Fraction, ...], Fraction]:
     return tuple(r * Fraction(x, scale) for x in (a[0], *c)[: len(c)]), r
 
 
-def _weighted_fractions(omega, m, n) -> oracles.WeightedResult:
-    """`_weighted` on rationals m, n at one scale, read back as rationals."""
-    (m, n), scale = common_scale(m, n)
-    lhs, rhs = _weighted(omega, m, n)
-    return oracles.WeightedResult(lhs <= rhs, Fraction(lhs, scale), Fraction(rhs, scale))
+def _witness(k, length) -> tuple[list[Fraction], list[Fraction]]:
+    """The step witness m = 1_[k, length] - (length - k + 1) / length, n = 0."""
+    lift = Fraction(length - k + 1, length)
+    return [int(j >= k) - lift for j in range(1, length + 1)], [Fraction(0)] * length
+
+
+def _least_failing_step(omega, length):
+    """(k, m, n) for the least k in 2..length whose step witness breaks the
+    oracle's weighted comparison, or None: the step test by its definition."""
+    for k in range(2, length + 1):
+        m, n = _witness(k, length)
+        if not oracles.check_weighted_inequality(omega, m, n).holds:
+            return k, m, n
+    return None
 
 
 def test_is_special_examples():
@@ -89,26 +98,49 @@ def test_omega_of_pair():
 
 
 def test_weighted_trivial_equality():
+    # Omega = {1, 3} of a special pair passes the step test; m = n is
+    # admissible and meets the inequality with equality
+    omega = _omega((1, 2, 1), (1,))
+    assert _step(omega, 4) is None
     m = (1, 2, 3, 4)
-    lhs, rhs = _weighted(_omega((1, 2, 1), (1,)), m, m)
-    assert lhs == rhs == 4
+    res = oracles.check_weighted_inequality(omega, m, m)
+    assert (res.holds, res.lhs, res.rhs) == (True, 4, 4)
 
 
 def test_weighted_documented_example():
-    assert _weighted({1, 3}, (-2, 1, 2), (0, 0, 1)) == (0, 1)
+    # these weights meet the inequality on Omega = {1, 3} in [1, 3], but no
+    # sample decides it: the set fails the step test at k = 3, and the
+    # witness m = (-1/3, -1/3, 2/3), n = 0 breaks it
+    res = oracles.check_weighted_inequality({1, 3}, (-2, 1, 2), (0, 0, 1))
+    assert (res.holds, res.lhs, res.rhs) == (True, 0, 1)
+    assert _step(frozenset({1, 3}), 3) == 3
+    k, m, n = _least_failing_step({1, 3}, 3)
+    assert (k, m) == (3, [Fraction(-1, 3), Fraction(-1, 3), Fraction(2, 3)])
 
 
 def test_weighted_non_special_counterexample():
-    assert _weighted({3}, (0, 0, 3), (1, 1, 1)) == (3, 1)
+    # Omega = {3} in [1, 3] fails at k = 2: 1 * 3 > 1 * 2, with the witness
+    # m = (-2/3, 1/3, 1/3), n = 0; the oracle's counterexample agrees
+    assert _step(frozenset({3}), 3) == 2
+    m, n = _witness(2, 3)
+    assert m == [Fraction(-2, 3), Fraction(1, 3), Fraction(1, 3)]
+    assert _least_failing_step({3}, 3) == (2, m, n)
+    res = oracles.check_weighted_inequality({3}, (0, 0, 3), (1, 1, 1))
+    assert (res.holds, res.lhs, res.rhs) == (False, 3, 1)
 
 
 def test_weighted_hypothesis_violations_distinct():
-    with pytest.raises(HypothesisError):
-        _weighted({1}, (2, 1), (0, 0))       # m not monotone
-    with pytest.raises(HypothesisError):
-        _weighted({1}, (0, 1), (0, 2))       # increments
-    with pytest.raises(HypothesisError):
-        _weighted({1}, (1, 2), (0, 1))       # totals
+    # the oracle refuses (m, n) outside the hypotheses, so a witness it
+    # accepts in the step-test checks below is admissible
+    for omega, m, n, message in (
+        ({1}, (2, 1), (0, 0), "m is not nondecreasing"),
+        ({1}, (0, 1), (0, 2), "m increments must dominate n increments"),
+        ({1}, (1, 2), (0, 1), "sum m must not exceed sum n"),
+        ({1}, (0, 1), (0,), "m and n must have equal length"),
+        ({3}, (0, 1), (0, 1), "omega indices out of range"),
+    ):
+        with pytest.raises(oracles.HypothesisError, match=message):
+            oracles.check_weighted_inequality(omega, m, n)
 
 
 def test_assemble_examples():
@@ -157,8 +189,9 @@ def test_assembled_single_entry_inequality():
         pair = random_special_pair(rng, max_k=3, integer=True).solved()
         omega = assemble_global([GlobalEntry.from_pair(pair)])
         assert omega == _omega(*common_scale(pair.a, pair.c)[0])
+        assert _step(omega, int(pair.total)) is None
         m, n = random_weight_pair(rng, int(pair.total))
-        assert _weighted_fractions(omega, m, n).holds
+        assert oracles.check_weighted_inequality(omega, m, n).holds
 
 
 def test_assembled_literal_tie_counterexample():
@@ -171,9 +204,10 @@ def test_assembled_literal_tie_counterexample():
     assert omega == frozenset({1, 3, 4})
     m = [Fraction(0), Fraction(0), Fraction(5, 2), Fraction(5, 2), Fraction(5, 2)]
     n = [Fraction(3, 2)] * 5
-    res = _weighted_fractions(omega, m, n)
-    assert not res.holds
-    assert res == oracles.check_weighted_inequality(omega, m, n)
+    res = oracles.check_weighted_inequality(omega, m, n)
+    assert (res.holds, res.lhs, res.rhs) == (False, 5, Fraction(9, 2))
+    # the step test refuses the assembled set too, at k = 3
+    assert _step(omega, 5) == 3
 
 
 def test_assembled_strict_r_counterexample():
@@ -188,9 +222,9 @@ def test_assembled_strict_r_counterexample():
     assert omega == frozenset({1, 3, 5, 6, 8, 9})
     m = [-6, -4, -3, -1, 3, 6, 7, 10, 10, 11]
     n = [-2, 0, 0, 1, 3, 4, 5, 7, 7, 8]
-    assert _weighted(omega, m, n) == (20, 19)
     res = oracles.check_weighted_inequality(omega, m, n)
     assert (res.holds, res.lhs, res.rhs) == (False, 20, 19)
+    assert _step(omega, 10) is not None
 
 
 @settings(max_examples=50)
@@ -210,10 +244,10 @@ def _replay(state, draw, *args):
 
 @pytest.mark.parametrize("integer", [True, False])
 def test_integer_core_matches_fraction_oracles(integer):
-    # the integer samplers make the same rng calls and give the same pairs
-    # and weights as the entry-by-entry Fraction forms; the clauses, t, r,
-    # Omega and the weighted comparison match on integer pairs and, put
-    # over one integer scale, on pairs with denominators
+    # the integer sampler makes the same rng calls and gives the same pairs
+    # as the entry-by-entry Fraction form; the clauses, t, r and Omega
+    # match on integer pairs and, put over one integer scale, on pairs
+    # with denominators
     for seed in range(20):
         rng = random.Random(seed)
         for _ in range(500):
@@ -225,21 +259,8 @@ def test_integer_core_matches_fraction_oracles(integer):
             (a, c), _ = common_scale(want.a, want.c)
             assert _clause(a, c) is None
             assert _solved(want.a, want.c) == oracles.solve_t(want)
-            length = math.ceil(want.total)
             if integer:
-                omega = _omega(a, c)
-                assert omega == oracles.omega_of_pair(want)
-            else:
-                omega = frozenset(range(1, length + 1, 2))
-            start = rng.getstate()
-            m, n = oracles.random_weight_pair(rng, length)
-            (ms, ns, scale), state = _replay(start, pairs._draw_weights, length)
-            assert state == rng.getstate()
-            assert ([Fraction(x, scale) for x in ms], [Fraction(x, scale) for x in ns]) == (m, n)
-            lhs, rhs = _weighted(omega, ms, ns)
-            assert oracles.WeightedResult(
-                lhs <= rhs, Fraction(lhs, scale), Fraction(rhs, scale)
-            ) == oracles.check_weighted_inequality(omega, m, n)
+                assert _omega(a, c) == oracles.omega_of_pair(want)
 
 
 def test_clauses_and_solver_refusals_match_oracle():
@@ -269,32 +290,6 @@ def test_clauses_and_solver_refusals_match_oracle():
         _clause((1, 1), (1,))
 
 
-def test_weighted_hypotheses_match_oracle():
-    rng = random.Random(32)
-    seen = set()
-    for _ in range(3000):
-        length = rng.randint(1, 6)
-        m, n = random_weight_pair(rng, length)
-        row = rng.choice((m, n))
-        row[rng.randrange(length)] += Fraction(rng.randint(-3, 3), 2)
-        if rng.random() < 0.05:
-            n.append(n[-1])
-        omega = {rng.randint(0, length + 1) for _ in range(rng.randint(0, 3))}
-        got = _outcome(_weighted_fractions, omega, m, n)
-        assert got == _outcome(oracles.check_weighted_inequality, omega, m, n)
-        seen.add(got[1].holds if got[0] == "ok" else got[1])
-    assert seen == {
-        True,
-        False,
-        "m and n must have equal length",
-        "m is not nondecreasing",
-        "n is not nondecreasing",
-        "m increments must dominate n increments",
-        "sum m must not exceed sum n",
-        "omega indices out of range",
-    }
-
-
 def test_sampler_gives_up_after_10000_rejections():
     class Stuck(random.Random):
         # k = 2 with c_1 / a_1 = 1/6 < c_2 / a_2 = 1, every attempt: the
@@ -314,8 +309,9 @@ def test_sampler_gives_up_after_10000_rejections():
 
 
 def test_fuzz_first_failure_matches_oracle(monkeypatch, capsys):
-    # a non-special index set {L} breaks the inequality; the report names
-    # the first failing trial in "num/den" strings
+    # a non-special index set {L} fails the step test at k = 2 whenever
+    # L >= 2; the report names the first failing trial and the witness of
+    # its least failing step, in "num/den" strings
     monkeypatch.setattr(pairs, "_omega", lambda a, c: frozenset({sum(a)}))
     rng = random.Random(5)
     failures, first = 0, None
@@ -323,10 +319,12 @@ def test_fuzz_first_failure_matches_oracle(monkeypatch, capsys):
         pair = oracles.random_special_pair(rng, integer=True)
         oracles.solve_t(pair)
         length = int(pair.total)
-        m, n = oracles.random_weight_pair(rng, length)
-        if not oracles.check_weighted_inequality({length}, m, n).holds:
+        failing = _least_failing_step({length}, length)
+        if failing is not None:
             failures += 1
             if first is None:
+                k, m, n = failing
+                assert k == 2
                 first = {"trial": trial} | {
                     key: [f"{x.numerator}/{x.denominator}" for x in xs]
                     for key, xs in (("a", pair.a), ("c", pair.c), ("m", m), ("n", n))
@@ -338,3 +336,63 @@ def test_fuzz_first_failure_matches_oracle(monkeypatch, capsys):
     assert main(["fuzz-special", "--trials", "200", "--seed", "5"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {"command": "fuzz-special", "seed": 5, **report}
+
+
+def _sampler_box() -> set:
+    """Every (a, c) that `_draw_pair(rng, 4)` can return: k <= 4,
+    1 <= c_i <= a_i <= 6 on a nonincreasing ratio chain, a_0 = max c + pad
+    (1 to 4 when k = 0) and a_{k+1} = max (a_i - c_i) + pad, pads <= 3."""
+    out = set()
+    for k in range(5):
+        for a_mid in itertools.product(range(1, 7), repeat=k):
+            for c_mid in itertools.product(*(range(1, ai + 1) for ai in a_mid)):
+                if any(c_mid[i] * a_mid[i + 1] < c_mid[i + 1] * a_mid[i] for i in range(k - 1)):
+                    continue
+                top = max(c_mid, default=0)
+                last = max((x - y for x, y in zip(a_mid, c_mid)), default=0)
+                for a0 in range(top, top + 4) if k else range(1, 5):
+                    for pad in range(4):
+                        out.add(((a0, *a_mid, last + pad), c_mid))
+    return out
+
+
+def test_step_test_passes_on_every_pair_the_sampler_can_draw():
+    # so `fuzz-special` reports no failure for any seed or trial count;
+    # 6,431 of the pairs meet some step with equality, so a strict test
+    # that refuses equality fails here
+    box = _sampler_box()
+    assert len(box) == 321_008
+    for a, c in box:
+        assert _clause(a, c) is None
+        _solve(a, c)                    # post-conditions asserted inside
+        assert _step(_omega(a, c), sum(a)) is None, (a, c)
+    rng = random.Random(30)
+    for _ in range(20_000):
+        a, c = _draw_pair(rng, 4)
+        assert (tuple(a), tuple(c)) in box
+
+
+def test_step_test_matches_the_weighted_oracle():
+    # on special pairs the step test passes and no sampled admissible
+    # weights break the oracle's comparison; on random index sets the step
+    # test fails exactly where a step witness breaks it, at the least such k
+    rng = random.Random(33)
+    for _ in range(500):
+        pair = random_special_pair(rng, integer=True)
+        omega, length = oracles.omega_of_pair(pair), int(pair.total)
+        assert _step(omega, length) is None
+        for _ in range(4):
+            m, n = random_weight_pair(rng, length)
+            assert oracles.check_weighted_inequality(omega, m, n).holds
+    verdicts = set()
+    for _ in range(3000):
+        length = rng.randint(1, 9)
+        omega = frozenset(j for j in range(1, length + 1) if rng.random() < 0.4)
+        k = _step(omega, length)
+        failing = _least_failing_step(omega, length)
+        assert (failing[0] if failing else None) == k
+        if k is None:
+            m, n = random_weight_pair(rng, length)
+            assert oracles.check_weighted_inequality(omega, m, n).holds
+        verdicts.add(k is None)
+    assert verdicts == {True, False}

@@ -314,14 +314,15 @@ def test_audit_fires_when_the_sign_patterns_of_a_level_are_missing(monkeypatch, 
 
 def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
     # the closure of the unit vector of a width-1 level is the span of the
-    # smallest stable good holding its block, so the pattern and the good
-    # span both list its class and dropping either alone loses nothing.
-    # Unmodified, ex1a has a lattice with infinitely many subspaces, listed
-    # by the patterns: without both, the random rounds on that level
-    # (multiples of the unit vector, looked up in the line memo) must find
-    # the class.  Modified, every level is a chain and the stable good
-    # spans are the list: it stands without any pattern, and without the
-    # span it loses that one class.
+    # smallest stable good holding its block, and no pattern is a unit
+    # vector: the good span alone lists its class.  Unmodified, ex1a has a
+    # lattice with infinitely many subspaces, listed by the patterns and
+    # the good spans: without the span, the random rounds on that level
+    # (multiples of the unit vector, memoized per line) must find the
+    # class.  Modified, every level is a chain and the stable good spans
+    # are the list: it stands without any pattern, and without the span it
+    # loses that one class.
+    assert subobjects._pattern_vectors(1) == []
     for edges in ((), build_modified_frobenius(ex1a)):
         real = realize_matrices(ex1a, edges)
         level = next(k for k, coords in enumerate(real.levels) if len(coords) == 1)
@@ -334,24 +335,17 @@ def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
             return lattice
 
         want = enumerate_concrete_subobjects(real)
-        with monkeypatch.context() as patch:
-            patterns = subobjects._pattern_vectors
-            if edges:
-                assert real.uniserial
+        if edges:
+            assert real.uniserial
+            with monkeypatch.context() as patch:
                 patch.setattr(subobjects, "_pattern_vectors", lambda width: [])
                 assert enumerate_concrete_subobjects(real) == want
-                got = enumerate_concrete_subobjects(real, lattice=without_span())
-                assert len(got) == len(want) - 1 and set(got) < set(want)
-                continue
-            assert enumerate_concrete_subobjects(real, lattice=without_span()) == want
-            assert not real.uniserial
-            patch.setattr(
-                subobjects, "_pattern_vectors",
-                lambda width: patterns(width) if width > 1 else [],
-            )
-            assert enumerate_concrete_subobjects(real) == want
-            with pytest.raises(InternalConsistencyError, match="random-coefficient"):
-                enumerate_concrete_subobjects(real, lattice=without_span())
+            got = enumerate_concrete_subobjects(real, lattice=without_span())
+            assert len(got) == len(want) - 1 and set(got) < set(want)
+            continue
+        assert not real.uniserial
+        with pytest.raises(InternalConsistencyError, match="random-coefficient"):
+            enumerate_concrete_subobjects(real, lattice=without_span())
 
 
 def test_line_memo_is_exact():
