@@ -40,11 +40,7 @@ import time
 
 from . import __version__
 from .emerton import _emerton_condition, candidate_table
-from .filtration import (
-    TransversalityError,
-    build_transverse_filtration,
-    check_admissible,
-)
+from .filtration import build_transverse_filtration, check_admissible
 from .frobenius import build_modified_frobenius, realize_matrices
 from .model import (
     fraction_to_str,
@@ -271,7 +267,8 @@ def _subobject_entry(lattice: StableLattice, sub) -> dict:
 
 
 def cmd_build_filtration(args, ordered, profile, partition) -> tuple[dict, int]:
-    # transversality is checked against every good subobject
+    # refused past the cap as `verify-admissible` is; the bases are the
+    # theorem's, so `--seed` is only recorded
     check_cap(ordered.dimension, _cap(args))
     _, realization = _realize(ordered, not args.no_modify)
     filtration = build_transverse_filtration(ordered, profile, realization, args.seed)
@@ -284,8 +281,7 @@ def cmd_build_filtration(args, ordered, profile, partition) -> tuple[dict, int]:
 
 
 def cmd_verify_admissible(args, ordered, profile, partition) -> tuple[dict, int]:
-    # the filtration is checked against every good, the subspaces are
-    # enumerated
+    # the subspaces are enumerated; `--seed` seeds the audit and the search
     cap = _cap(args)
     check_cap(ordered.dimension, cap)
     edges, realization = _realize(ordered, not args.no_modify)
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modified", action="store_true")
     p.set_defaults(func=cmd_subobjects)
 
-    p = sub.add_parser("build-filtration", help="sample a transverse filtration")
+    p = sub.add_parser("build-filtration", help="the theorem's transverse filtration")
     common(p, seed=True, cap=True)
     p.add_argument("--no-modify", action="store_true")
     p.set_defaults(func=cmd_build_filtration)
@@ -393,7 +389,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         fields, code = _run_spec(args) if "spec" in args else args.func(args)
-    except (TransversalityError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # SpecError, CapExceededError and json.JSONDecodeError are ValueErrors
         _write({"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
         return 2

@@ -8,44 +8,23 @@ subobject E and every sigma, the filtration induced on E jumps exactly at
 the lowest dim(E) weights; equivalently E meets every tail span(v_j, ...)
 in the generic dimension max(0, dim E - j + 1).
 
-Generic integer bases sampled from a seeded generator satisfy this after
-exact verification (the failure locus is a proper closed condition);
-failed samples are redrawn.  Each entry is one `model.below` draw from
-`getrandbits`: the value, and the generator state after it, that
-`randint(-SAMPLE_BOX, SAMPLE_BOX)` would give, at a fraction of its cost.
-`build_transverse_filtration` keeps the integers it drew and marks the
-filtrations it verified; `check_admissible` verifies any other one before
-it relies on transversality, after it refuses one whose bases are not
-integer bases of the right shape.  The
-goods it checks come from the spec's good table (`ModuleSpec.goods`),
-which the lattice of stable subspaces shares.
-
-For a basis of full rank one minor per good decides transversality: a
-good E of dimension m meets every tail generically iff E meets
-T_{m+1} = span(v_{m+1}, ..., v_n) in 0, i.e. iff rows m+1..n have full
-rank n - m on the columns O outside E.  If so, for j > m+1 the tail T_j
-lies inside T_{m+1} and meets E in 0; for j <= m+1 it contains T_{m+1},
-so E + T_j is the whole space and dim(E cap T_j) = m - j + 1.  Conversely
-j = m+1 is itself one of the tails checked.
-
-All these minors come from one scaled reduced form per basis
-(`linalg.ScaledReducedForm`, Bareiss-Montante elimination).  It grows over
-v_n, v_{n-1}, ..., v_1, and a step that does not grow means the basis is
-singular.  After v_{m+1} it holds d R, where R = RREF(rows m+1..n) is A
-times those rows for an invertible A and d != 0 is the minor of those rows
-on the pivot columns, so the minor on O is nonsingular iff the form is on
-O.  The pivot columns of R are unit vectors: those in O contribute one
-independent column each, and what is left is the form on the rows whose
-pivot lies inside E and the columns of O that are no pivot, a square
-t x t matrix with t <= min(m, n - m).  Closed forms decide t <= 2, and
-fraction-free elimination the rest.  The form stays exact with no gcd and no back-substitution:
-each entry is a minor of the rows taken, and when a row comes in, every
-kept row is rescaled to the new pivot minor by one exact integer division
-by the old one, which Sylvester's identity guarantees (Bareiss,
-Sylvester's identity and multistep integer-preserving Gaussian
-elimination, Math. Comp. 22, 1968).  That is O(n^2) per row and O(n^3)
-per basis, plus the per-good checks, where reading the canonical rows
-out after every row cost one back-substitution each.
+The bases are fixed by theorem, not sampled.  Embedding sigma takes the
+Vandermonde basis of the nodes x_i = sigma*n + i (i = 1..n), v_i =
+(x_i^0, x_i^1, ..., x_i^{n-1}).  With 0 < x_1 < ... < x_n this matrix is
+strictly totally positive: every minor, on any rows and any columns, is
+positive (Gantmacher and Krein, Oscillation matrices and kernels, 1950;
+Karlin, Total Positivity, 1968).  One minor per good decides
+transversality: for a basis of full rank, a good E of dimension m meets
+every tail generically iff E meets T_{m+1} = span(v_{m+1}, ..., v_n) in
+0, i.e. iff rows m+1..n have full rank n - m on the columns O outside E.
+If so, for j > m+1 the tail T_j lies inside T_{m+1} and meets E in 0; for
+j <= m+1 it contains T_{m+1}, so E + T_j is the whole space and
+dim(E cap T_j) = m - j + 1.  Conversely j = m+1 is itself one of the
+tails checked.  So the basis is transverse to every good of every spec,
+and nothing is checked at run time.  `build_transverse_filtration`
+returns the one basis per (n, embeddings), built once
+(`_theorem_vectors`); `check_admissible` refuses any other.  Its entries
+reach (sigma*n + n)^(n-1), about 2.7*10^8 at n = 8 with two embeddings.
 
 Admissibility of the pair (realization, filtration) demands the Hodge
 slope t_H(D') to stay below the Newton slope t_N(D') for every stable
@@ -133,9 +112,9 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from . import linalg
@@ -146,7 +125,6 @@ from .model import (
     ModuleSpec,
     SpecError,
     WeightProfile,
-    below,
     fraction_to_str,
     ratio_to_str,
     row_to_str,
@@ -167,41 +145,11 @@ from .subobjects import (
 
 __all__ = [
     "Filtration",
-    "TransversalityError",
     "build_transverse_filtration",
     "t_h",
     "AdmissibilityReport",
     "check_admissible",
 ]
-
-SAMPLE_BOX = 10**6
-MAX_ATTEMPTS = 64
-# what `_violation` reports for a basis that is not of full rank
-SINGULAR = "singular basis"
-
-
-class TransversalityError(RuntimeError):
-    """A basis is not transverse to the goods: `failure` is the good it
-    fails, or SINGULAR.  `attempts` is the sampling budget spent, or None
-    for a given filtration."""
-
-    def __init__(
-        self, sigma: int, failure: GoodSubobject | str, attempts: int | None
-    ):
-        where = failure
-        if isinstance(failure, GoodSubobject):
-            where = f"good {failure.counts}"
-        if attempts is None:
-            text = f"the basis of embedding {sigma} is not transverse"
-        else:
-            text = (
-                f"no transverse basis found for embedding {sigma} "
-                f"after {attempts} attempts"
-            )
-        super().__init__(f"{text} (last failure: {where})")
-        self.sigma = sigma
-        self.failure = failure
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -209,17 +157,15 @@ class Filtration:
     """Per embedding sigma, the basis v_1 .. v_{d+1} of `vectors`, whose
     step at the weight i_j of `weights` is span(v_j, ..., v_{d+1}).
 
-    `vectors` holds integer rows, such as `build_transverse_filtration`
-    draws; `bases` holds them as Fraction rows, built only when read.
+    `vectors` holds integer rows, the theorem basis of
+    `build_transverse_filtration`; `bases` holds them as Fraction rows,
+    built only when read.
     """
 
     weights: WeightProfile
     vectors: tuple[tuple[tuple[int, ...], ...], ...]   # per sigma, v_1 .. v_{d+1}
     seed: int
     attempts: int
-    # set only by build_transverse_filtration, on the bases it verified;
-    # a copy made with dataclasses.replace starts unverified again
-    transverse: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -233,23 +179,6 @@ class Filtration:
         )
 
 
-def _vector_violations(filtration: Filtration) -> list[str]:
-    """What keeps `vectors` from holding one basis per weight row, each of
-    `weights.length` rows of `weights.length` ints."""
-    n = filtration.weights.length
-    count = len(filtration.weights.weights)
-    vectors = filtration.vectors
-    errs = [f"vectors[{sigma}]: missing basis" for sigma in range(len(vectors), count)]
-    errs += [f"vectors[{sigma}]: no weight row" for sigma in range(count, len(vectors))]
-    for sigma, basis in enumerate(vectors[:count]):
-        if len(basis) != n:
-            errs.append(f"vectors[{sigma}]: {len(basis)} rows, expected {n}")
-        for j, row in enumerate(basis):
-            if len(row) != n or any(type(x) is not int for x in row):
-                errs.append(f"vectors[{sigma}][{j}]: expected {n} ints")
-    return errs
-
-
 def _summand_spans(spec: ModuleSpec) -> list[tuple[int, int]]:
     """The columns [start, end) of each summand, bottom block first (h = 1)."""
     return list(
@@ -261,7 +190,8 @@ def _good_layout(
     spec: ModuleSpec, goods: tuple[GoodSubobject, ...]
 ) -> list[tuple[GoodSubobject, int, list[int]]]:
     """(good, dim, columns outside it) for the goods strictly between 0 and
-    the whole module, in the order of `goods`: what `_violation` reads.
+    the whole module, in the order of `goods`: what `_aligned_candidates`
+    reads.
 
     Summand i occupies the columns from its offset on, bottom block first
     (h = 1), so a good with counts c leaves out the top b_i - c_i of them.
@@ -283,34 +213,15 @@ def _good_layout(
     return out
 
 
-def _violation(
-    basis, layout: list[tuple[GoodSubobject, int, list[int]]]
-) -> GoodSubobject | str | None:
-    """The first good of `layout` (from `_good_layout`) the integer basis is
-    not transverse to, SINGULAR when the basis is not of full rank, or
-    None.
-
-    A good of dimension m is transverse iff rows m+1..n are independent on
-    the columns outside it, which one scaled reduced form grown over v_n,
-    ..., v_1 decides after v_{m+1} (see the module docstring).
-    """
-    n = len(basis)
-    by_dim: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for k, (_, m, outside) in enumerate(layout):
-        by_dim[m].append((k, outside))
-    form = linalg.ScaledReducedForm()
-    first = len(layout)
-    for m in range(n - 1, -1, -1):
-        if not form.add(basis[m]):
-            return SINGULAR
-        # each list is in layout order, so its first failure is its earliest
-        for k, outside in by_dim[m]:
-            if k > first:
-                break
-            if not form.full_rank_on(outside):
-                first = k
-                break
-    return layout[first][0] if first < len(layout) else None
+@cache
+def _theorem_vectors(n: int, embeddings: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per sigma, the Vandermonde rows v_i = (x_i^j)_{j<n} of the nodes
+    x_i = sigma*n + i, i = 1..n: strictly totally positive, so transverse
+    to every good (see the module docstring)."""
+    return tuple(
+        tuple(tuple(x**j for j in range(n)) for x in range(sigma * n + 1, sigma * n + n + 1))
+        for sigma in range(embeddings)
+    )
 
 
 def build_transverse_filtration(
@@ -319,42 +230,19 @@ def build_transverse_filtration(
     realization: ConcreteRealization,
     seed: int = 0,
 ) -> Filtration:
-    """Sample per-embedding bases, with entries in [-SAMPLE_BOX, SAMPLE_BOX],
-    until exactly transverse to every good.
+    """The theorem basis of every embedding, transverse to every good.
 
-    Deterministic in `seed`; raises TransversalityError when MAX_ATTEMPTS
-    draws for one embedding all fail (which would indicate a non-generic
-    failure locus), and ValueError when `realization` realizes a spec
-    other than `spec`.
+    The bases depend only on the dimension and the embedding count; `seed`
+    is kept in the filtration, and `attempts` is the embedding count.
+    Raises ValueError when `realization` realizes a spec other than `spec`.
     """
     validate_spec(spec, profile)
     if realization.spec != spec:
         raise ValueError("realization does not match the spec")
-    n = spec.dimension
-    layout = _good_layout(spec, spec.goods)
-    bits = random.Random(seed).getrandbits
-    width = 2 * SAMPLE_BOX + 1
-    ints = []
-    total_attempts = 0
-    for sigma in range(spec.config.embeddings):
-        last_bad: GoodSubobject | str | None = None
-        for _ in range(MAX_ATTEMPTS):
-            total_attempts += 1
-            # each entry is randint(-SAMPLE_BOX, SAMPLE_BOX)
-            basis = tuple(
-                tuple(below(bits, width) - SAMPLE_BOX for _ in range(n))
-                for _ in range(n)
-            )
-            bad = _violation(basis, layout)
-            if bad is None:
-                ints.append(basis)
-                break
-            last_bad = bad
-        else:
-            raise TransversalityError(sigma, last_bad, MAX_ATTEMPTS)
-    filtration = Filtration(profile, tuple(ints), seed, total_attempts)
-    object.__setattr__(filtration, "transverse", True)
-    return filtration
+    embeddings = spec.config.embeddings
+    return Filtration(
+        profile, _theorem_vectors(spec.dimension, embeddings), seed, embeddings
+    )
 
 
 def _tail_dims(filtration: Filtration, sigma: int, rows) -> list[int]:
@@ -603,31 +491,41 @@ def check_admissible(
     more, drawn from seed + 1, join the search.  A failure's witness records the
     violating subspace, its smallest enclosing stable good subobject (the
     position where the excess Hodge weight lives) and its `source` ("good"
-    or "search"); `proof` says what an ok rests on.  A filtration that
-    `build_transverse_filtration` did not verify is checked for
-    transversality after the equality (TransversalityError).  Before any
-    verdict: a realization of a spec other than `spec`, or a filtration
-    with other weights than `profile`, raises ValueError; an unverified
-    filtration whose `vectors` do not hold one basis per weight row, each
-    of `weights.length` rows of as many ints, raises SpecError naming the
-    basis or row; and a realization whose operators break the level split
-    raises InternalConsistencyError (`level_operators`).
+    or "search"); `proof` says what an ok rests on.  Before any verdict: a
+    realization of a spec other than `spec`, or a filtration with other
+    weights than `profile`, raises ValueError; a filtration whose `vectors`
+    are not the theorem basis of `build_transverse_filtration`, the only
+    one transverse by proof, ints included, raises SpecError naming each
+    basis that differs, is missing or has no weight row; and a realization
+    whose operators break the level split raises InternalConsistencyError
+    (`level_operators`).
     """
     if realization.spec != spec:
         raise ValueError("realization does not match the spec")
     if filtration.weights != profile:
         # the bounds read the profile, t_H reads the filtration
         raise ValueError("the filtration's weights differ from the profile")
-    if not filtration.transverse:
-        errs = _vector_violations(filtration)
-        if errs:
-            raise SpecError(errs)
+    n = spec.dimension
+    theorem = _theorem_vectors(n, spec.config.embeddings)
+    vectors = filtration.vectors
+    # repr is exact in type: a float, bool or Fraction row equals its int
+    # row but prints otherwise
+    if vectors is not theorem and repr(vectors) != repr(theorem):
+        raise SpecError([
+            f"vectors[{sigma}]: "
+            + (
+                "missing basis" if sigma >= len(vectors)
+                else "no weight row" if sigma >= len(theorem)
+                else f"not the theorem basis, nodes {sigma * n + 1}..{sigma * n + n}"
+            )
+            for sigma in range(max(len(vectors), len(theorem)))
+            if repr(vectors[sigma:sigma + 1]) != repr(theorem[sigma:sigma + 1])
+        ])
     # raises InternalConsistencyError where the operators break the level
     # split, which t_N and every closure rest on
     realization.level_operators
     cfg = spec.config
     kl = cfg.deg_K_L
-    n = spec.dimension
     # t_N is compared as integers over den, from one slope per column
     den = realization.level_slopes[1]
     slope = _column_slopes(realization)
@@ -640,12 +538,6 @@ def check_admissible(
             "tN": ratio_to_str(total_tn, den),
         }
         return AdmissibilityReport(False, "equality", witness, ())
-    if not filtration.transverse:
-        layout = _good_layout(spec, spec.goods)
-        for sigma, basis in enumerate(filtration.vectors):
-            bad = _violation(basis, layout)
-            if bad is not None:
-                raise TransversalityError(sigma, bad, None)
     check_cap(realization.dimension, cap)
 
     # a stable good above its prefix weight; each good is its own class,

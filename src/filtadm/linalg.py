@@ -9,27 +9,16 @@ scaled to integers where it is made, which leaves its span unchanged; only
 a report writes a row as rationals, each entry over the pivot
 (`model.row_to_str`).
 
-Two eliminations grow a basis one integer vector at a time, and they
-differ in what they read out.
-
-- `Echelon`, a pivot-indexed echelon basis, fraction-free in the style of
-  Bareiss, reads out canonical rows.  Each stored row is primitive with a
-  positive pivot, a vector is reduced against the pivots in ascending
-  order by r <- p*r - x*row (both scaled down by gcd(p, x) first, so a
-  pivot dividing x costs no scaling), and the result is divided by the
-  gcd of its entries.  `int_rows` reads out the canonical rows after one
-  integer back-substitution.  `rank` and `span_sum` are read-outs of it.
-  Its size is read out without back-substitution; intersection
-  dimensions on the verify path come from it.  Subspaces are compared
-  and interned by their canonical rows, so everything that keeps a
-  subspace uses this one.
-- `ScaledReducedForm`, Bareiss-Montante elimination, keeps the reduced
-  form of its rows scaled by their pivot minor, in integers with exact
-  division and no gcd, and reads out only whether the rows are
-  independent on a set of columns (`full_rank_on`).  Transversality asks
-  exactly that, of every tail block of a basis in turn, and needs no
-  canonical rows: one back-substitution after every row is what this form
-  saves.
+One elimination, `Echelon`, grows a basis one integer vector at a time:
+a pivot-indexed echelon basis, fraction-free in the style of Bareiss.
+Each stored row is primitive with a positive pivot, a vector is reduced
+against the pivots in ascending order by r <- p*r - x*row (both scaled
+down by gcd(p, x) first, so a pivot dividing x costs no scaling), and the
+result is divided by the gcd of its entries.  `int_rows` reads out the
+canonical rows after one integer back-substitution.  `rank` and
+`span_sum` are read-outs of it.  Its size is read out without
+back-substitution; intersection dimensions on the verify path come from
+it.  Subspaces are compared and interned by their canonical rows.
 
 Stable closures are grown level by level in `subobjects.StableLattice`;
 the level split is enforced in `frobenius` (`level_operators`).
@@ -131,107 +120,6 @@ class Echelon:
             out.append(tuple(row))
         out.reverse()
         return tuple(out)
-
-
-class ScaledReducedForm:
-    """The reduced row echelon form of a growing list of independent
-    integer rows, scaled by its pivot minor: Bareiss-Montante elimination.
-
-    After rows a_1 .. a_k with pivot columns P, one per row, the row kept
-    at pivot p is d * R_p, where R = A_P^-1 A is the reduced form of
-    A = (a_1; ...; a_k), unit at P, and d = +-det A_P is the pivot minor.
-    Every pivot entry equals d and every other pivot column is zero.  By
-    Cramer's rule the entry of d * R_p at a column c is the k-minor of A on
-    P with c in place of p, so every entry is an integer.  Each pivot is
-    the first nonzero entry of its reduced row, and a kept row has the new
-    row subtracted only when it is nonzero at the new pivot, which then
-    lies after its own, so every row stays zero before its own pivot: R is
-    the RREF of A.
-
-    A new row v reduces to w = d*v - sum_p v[p] * row_p: zero at P, and at
-    a column c the (k+1)-minor of (A; v) on P and c, the Schur complement
-    of A_P times d, so no division.  Its first nonzero entry e = w[q] is
-    the new pivot minor, and every kept row becomes (e*row - row[q]*w) / d,
-    which is e/d times the old one, cleared at q.  Sylvester's identity
-    (Bareiss, Math. Comp. 22, 1968) makes that division exact: the result
-    holds (k+1)-minors again.  So entries stay minors, bounded by
-    Hadamard's inequality, with no gcd and no back-substitution.
-    """
-
-    __slots__ = ("det", "_rows")
-
-    def __init__(self):
-        self.det = 1
-        self._rows: dict[int, list[int]] = {}   # pivot column -> d * R_p
-
-    def add(self, v: Sequence[int]) -> bool:
-        """Take the integer row `v`; False, and no change, when it lies in
-        the span of the rows already taken."""
-        d, rows = self.det, self._rows
-        w = [d * x for x in v] if d != 1 else list(v)
-        for p, row in rows.items():
-            x = v[p]
-            if x:
-                w = [a - x * b for a, b in zip(w, row)]
-        for q, e in enumerate(w):
-            if e:
-                break
-        else:
-            return False
-        for p, row in rows.items():
-            y = row[q]
-            if y:
-                rows[p] = [(e * a - y * b) // d for a, b in zip(row, w)]
-            elif e != d:
-                rows[p] = [e * a // d for a in row]
-        rows[q] = w
-        self.det = e
-        return True
-
-    def full_rank_on(self, cols: Sequence[int]) -> bool:
-        """Whether the rows taken are independent on the columns `cols`, as
-        many as the rows: whether the minor of those rows on `cols` is
-        nonzero.
-
-        That minor is nonzero iff the scaled form's is.  A row pivoting in
-        `cols` is zero at the other pivot columns, so each such row and its
-        pivot column split off; what is left is the t x t block of the rows
-        pivoting outside `cols` on the columns of `cols` that are no pivot.
-        Closed forms decide t <= 2, fraction-free elimination the rest.
-        """
-        rows = [row for p, row in self._rows.items() if p not in cols]
-        if not rows:
-            return True
-        free = [c for c in cols if c not in self._rows]
-        if len(free) == 1:
-            return rows[0][free[0]] != 0
-        if len(free) == 2:
-            (a, b), (c, d) = ([row[k] for k in free] for row in rows)
-            return a * d != b * c
-        return _nonsingular([[row[k] for k in free] for row in rows])
-
-
-def _nonsingular(a: list[list[int]]) -> bool:
-    """Whether the square integer matrix `a`, whose rows it changes, is
-    nonsingular: Bareiss elimination, each step's entries divided exactly
-    by the previous pivot, with row swaps where a pivot is zero."""
-    t = len(a)
-    prev = 1
-    for k in range(t):
-        for i in range(k, t):
-            if a[i][k]:
-                break
-        else:
-            return False
-        a[k], a[i] = a[i], a[k]
-        top = a[k]
-        p = top[k]
-        for row in a[k + 1:]:
-            x = row[k]
-            for j in range(k + 1, t):
-                row[j] = (p * row[j] - x * top[j]) // prev
-        prev = p
-    return True
 
 
 def rank(rows: Iterable[Sequence[int]]) -> int:

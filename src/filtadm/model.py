@@ -417,7 +417,7 @@ def below(getrandbits, n: int) -> int:
     `seq[below(bits, len(seq))]` is `rng.choice(seq)`, the same value
     from the same state and the same state after, with none of
     `randrange`'s argument checks or calls in between.  The seeded
-    samplers (`pairs`, `filtration`, `subobjects`) draw only through
+    samplers (`pairs`, `subobjects`) draw only through
     it."""
     k = n.bit_length()
     r = getrandbits(k)

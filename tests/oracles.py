@@ -5,11 +5,12 @@ its incremental echelon kernel and the eigen-level structure: full
 Gauss-Jordan elimination, closure by re-reducing the whole stack for every
 new vector, intersection through a left null space, generalized eigenspace
 ranks via matrix powers, and saturation under all pairwise sums.  They
-share no elimination code with `filtadm.linalg`, except the two earlier
-forms of the transversality check, `violation_minors` and
-`echelon_violation`, which run on its `Echelon`.  `emerton_scan` decides
-the shuffle valuation condition by walking every top selection, where the
-library solves a min-mass knapsack, and `candidate_table_fractions`
+share no elimination code with `filtadm.linalg`, except the two
+transversality checks, `violation_minors` and `echelon_violation`, which
+run on its `Echelon`: the library fixes its bases by theorem and checks
+nothing at run time, and the tests check the theorem with these.
+`emerton_scan` decides the shuffle valuation condition by walking every
+top selection, where the library solves a min-mass knapsack, and `candidate_table_fractions`
 builds the report table of the shuffle condition from `Fraction`
 valuations candidate by candidate, over the candidates of
 `enumerate_candidates` (`gamma_blocks` with every shuffle and cut), where
@@ -25,11 +26,11 @@ pair, on the coordinates of each good (`good_coords`), where the library
 reads them off one echelon pass or its lattice of level pieces (and the
 columns outside each good off the summand offsets): intersection
 profiles and class keys good by good, from any rows, transversality tail
-by tail (by one minor per good, the form before the one-echelon check,
-and by that one-echelon check, `echelon_violation`, the form before the
-scaled reduced form), tail dimensions by stacking, and aligned candidates by one
-intersection per tail.  `class_subobjects` chooses and sorts the class
-list on `Fraction` rows, where the library compares integer rows.
+by tail (by one minor per good, `violation_minors`, and by one echelon
+per basis, `echelon_violation`), tail dimensions by stacking, and
+aligned candidates by one intersection per tail.  `class_subobjects`
+chooses and sorts the class list on `Fraction` rows, where the library
+compares integer rows.
 `lattice_route_report` is the ok verdict as it stood before all-chains
 realizations were read off the good scan: the class list of the lattice
 and one chain bound per class, on every realization.
@@ -87,7 +88,6 @@ from typing import Iterable, Mapping, Sequence
 from filtadm import linalg
 from filtadm.emerton import CANDIDATE_CAP, EmertonVerdict, _shuffles
 from filtadm.filtration import (
-    SINGULAR,
     AdmissibilityReport,
     Filtration,
     _chain_bound,
@@ -126,6 +126,8 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
+# what the transversality oracles report for a basis not of full rank
+SINGULAR = "singular basis"
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
@@ -831,7 +833,7 @@ def class_key(realization, rows: Mat) -> tuple:
 
 def violation(spec: ModuleSpec, basis: Mat, goods):
     """The first good some tail meets in a non-generic dimension, or
-    `filtration.SINGULAR` for a basis not of full rank."""
+    SINGULAR for a basis not of full rank."""
     n = spec.dimension
     if len(rref(basis)) != n:
         return SINGULAR
@@ -850,10 +852,8 @@ def violation_minors(basis: Mat, layout) -> GoodSubobject | str | None:
     """The first good of `layout` (from `filtration._good_layout`) the basis
     is not transverse to, SINGULAR when the basis is not of full rank, or
     None: one full-rank check of rows m+1..n on the columns outside each
-    good, a separate elimination per good.  This is the per-good form of
-    `filtration._violation`, which reads every minor off one scaled
-    reduced form; its ranks run on the library's `Echelon`, on the minors
-    themselves."""
+    good, a separate elimination per good.  Its ranks run on the
+    library's `Echelon`, on the minors themselves."""
     n = len(basis)
     if linalg.rank(basis) != n:
         return SINGULAR
@@ -871,13 +871,14 @@ def echelon_violation(
     not transverse to, SINGULAR when the basis is not of full rank, or
     None.
 
-    The one-echelon form `filtration._violation` had before it read the
-    minors off a scaled reduced form: it reads out the canonical rows
-    and their pivots after every row of the basis.
+    One echelon grown over v_n, ..., v_1: it reads out the canonical
+    rows and their pivots after every row of the basis.
 
     A good of dimension m is transverse iff R = RREF(rows m+1..n) has full
-    rank on the columns outside it, which one t x t matrix decides (see
-    the `filtration` module docstring).
+    rank on the columns O outside it (the `filtration` module docstring).
+    The pivot columns of R are unit vectors: those in O give one
+    independent column each, and what is left is the t x t block of the
+    rows pivoting inside the good on the columns of O that are no pivot.
     """
     n = len(basis)
     ech = linalg.Echelon(n)

@@ -77,7 +77,10 @@ def test_flag_layer_not_in_package(name):
 # Fraction row forms, their marker and the second t_H entry are gone, and
 # so are helpers no library code called (`spec.goods` lists the goods).
 # The Fraction special-pair API, its pair record and the assembly of index
-# sets live with the oracles too; t_N of a good is `oracles.good_t_n`
+# sets live with the oracles too; t_N of a good is `oracles.good_t_n`.
+# The filtration bases are fixed by theorem, so the sampler, its budget,
+# the run-time transversality check and its scaled reduced form are gone
+# (the transversality minors live with the oracles)
 MOVED = [
     (filtadm.emerton, "GammaBlock"),
     (filtadm.emerton, "Candidate"),
@@ -117,6 +120,15 @@ MOVED = [
     (filtadm.model, "profile_to_dict"),
     (filtadm.model.ScaledSlopes, "bottom"),
     (filtadm.frobenius.ConcreteRealization, "p"),
+    (filtadm.filtration, "TransversalityError"),
+    (filtadm.filtration, "SAMPLE_BOX"),
+    (filtadm.filtration, "MAX_ATTEMPTS"),
+    (filtadm.filtration, "SINGULAR"),
+    (filtadm.filtration, "_violation"),
+    (filtadm.filtration, "_vector_violations"),
+    (filtadm.filtration.Filtration, "transverse"),
+    (filtadm.linalg, "ScaledReducedForm"),
+    (filtadm.linalg, "_nonsingular"),
 ]
 
 

@@ -327,11 +327,14 @@ def test_timing_field_excluded_from_determinism():
 # sha256 of the report bytes, without --timing, for the data/ examples with
 # relative input paths (the paths enter the report).  A change to the
 # echelon kernel, the closure, t_N, the shuffle valuation check, the
-# candidate table, the transversality check, the realized matrices or the
-# writer of basis rows that alters any byte fails here.  Every digest was computed before the change it guards, except
-# the six verify ones: they were re-pinned when chain certificates took
-# the place of the candidate search (the table holds one row per class
-# with its bound; no exit code moved).
+# candidate table, the filtration's bases, the realized matrices or the
+# writer of basis rows that alters any byte fails here.  Every digest was
+# computed before the change it guards, except the six verify ones: they
+# were re-pinned when chain certificates took the place of the candidate
+# search (the table holds one row per class with its bound; no exit code
+# moved).  `verify ex1a unmodified` and both `build-filtration` digests
+# were re-pinned again when the theorem bases replaced the sampled ones:
+# the bases and the searched t_H values changed, no exit code moved.
 GOLDEN = [
     ("subobjects ex1a", "subobjects --spec data/ex1a_spec.json --modified", 0,
      "51bc993e7c0d60af4b6827e7f0e7c539d792ca3a406b62de840eb41c67da5ec7"),
@@ -346,7 +349,7 @@ GOLDEN = [
      "8f0828f7abf193d0125f45a6fde843db02819431d6f4eae965b9984e7778e460"),
     ("verify ex1a unmodified", "verify-admissible --spec data/ex1a_spec.json "
      "--weights data/weights_m212.json --seed 7 --no-modify", 1,
-     "e0e247c317d9ed4d9a55a2c6486cf69073fb57ed012268448267a482bdb6b966"),
+     "d86c85b73a03ae92bd7da888e9b5dac99de5075927e094b954b96d1460925437"),
     ("verify ex2", "verify-admissible --spec data/ex2_spec.json "
      "--weights data/weights_ex2.json --seed 7", 0,
      "351654f6343b3cccd5e54b65a047b927d225abafc41f0edd3aa9e7ce1d2ba7a4"),
@@ -403,10 +406,10 @@ GOLDEN = [
      "36aa57dd4a4269faac685c04b2e9f7a895c8f2536df942c12f86e9e325ee6bd5"),
     ("build-filtration ex2", "build-filtration --spec data/ex2_spec.json "
      "--weights data/weights_ex2.json --seed 7", 0,
-     "c17f8f2ee262dd45f73af73b5ba381888cb575be29438b75afd969958906736c"),
+     "dfb5b055fcdfdd5a697374adcb87caa973cdad162a20c4f11b38b9cb88bbdf12"),
     ("build-filtration ex1a", "build-filtration --spec data/ex1a_spec.json "
      "--weights data/weights_m212.json --seed 7", 0,
-     "52e7301da965efbff4dc7c63be49642b50317d085ca0014e1ebb4cabe36adde2"),
+     "11d0cb0d53d56494a2c12da36ad4bde63f234e8b5473c00b37e0874f79f2af07"),
     ("build-phi ex1a", "build-phi --spec data/ex1a_spec.json", 0,
      "684953d039fe03652ff15860d1f039d0455777e3eb87e86321d68c2929aedb94"),
     ("build-phi ex1a unmodified", "build-phi --spec data/ex1a_spec.json --no-modify", 0,

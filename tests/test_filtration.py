@@ -12,7 +12,6 @@ import pytest
 from filtadm import filtration, subobjects
 from filtadm.filtration import (
     Filtration,
-    TransversalityError,
     _aligned_candidates,
     _chain_bound,
     _chain_steps,
@@ -152,43 +151,35 @@ def test_equality_check_precedes_everything(ex1a, w_012):
 
 
 def test_filtration_deterministic(ex2, w_ex2):
+    # the bases are fixed by the dimension and the embedding count; the
+    # seed is only recorded
     real, f1 = _setup(ex2, w_ex2, seed=3)
     _, f2 = _setup(ex2, w_ex2, seed=3)
-    assert f1.bases == f2.bases
     _, f3 = _setup(ex2, w_ex2, seed=4)
-    assert f3.bases != f1.bases
-
-
-def test_transversality_budget_error(ex2, w_ex2, monkeypatch):
-    real = realize_matrices(ex2, ())
-    monkeypatch.setattr("filtadm.filtration.MAX_ATTEMPTS", 3)
-    # a one-element box cannot produce a full-rank basis
-    monkeypatch.setattr("filtadm.filtration.SAMPLE_BOX", 0)
-    with pytest.raises(TransversalityError) as exc:
-        build_transverse_filtration(ex2, w_ex2, real, seed=0)
-    message = str(exc.value)
-    assert "after 3 attempts (last failure: singular basis)" in message
-    assert "good" not in message
+    assert f1 == f2 and f3.bases == f1.bases and (f1.seed, f3.seed) == (3, 4)
+    assert f1.vectors == ((
+        (1, 1, 1, 1), (1, 2, 4, 8), (1, 3, 9, 27), (1, 4, 16, 64),
+    ),)
+    assert f1.attempts == ex2.config.embeddings == 1
 
 
 def test_hand_built_filtration_is_verified(ex1a, w_m212):
     real, filt = _setup(ex1a, w_m212)
-    assert filt.transverse
-    # the standard basis puts v_1 inside the good line: not transverse
+    # the standard basis puts v_1 inside the good line: not transverse, and
+    # not the theorem basis either, which is the only one accepted
     standard = tuple(oracles.int_rows(oracles.identity(ex1a.dimension)) for _ in w_m212.weights)
     bad = Filtration(w_m212, standard, 0, 1)
-    assert not bad.transverse
-    with pytest.raises(TransversalityError, match="embedding 0 is not transverse"):
+    with pytest.raises(SpecError, match=r"vectors\[0\]: not the theorem basis, nodes 1..3"):
         check_admissible(ex1a, w_m212, real, bad)
     # the bounds read the profile: a filtration with other weights is refused
     other = WeightProfile(tuple(tuple(w + 1 for w in row) for row in w_m212.weights))
     with pytest.raises(ValueError, match="weights differ"):
         check_admissible(ex1a, w_m212, real, dataclasses.replace(filt, weights=other))
     # the same bases, rebuilt by hand from their Fraction rows or copied,
-    # are checked and pass
+    # pass with the same report
     rebuilt = tuple(map(oracles.int_rows, filt.bases))
     for copy in (Filtration(w_m212, rebuilt, 7, 1), dataclasses.replace(filt)):
-        assert not copy.transverse
+        assert copy.vectors == filt.vectors
         assert check_admissible(ex1a, w_m212, real, copy) == check_admissible(
             ex1a, w_m212, real, filt
         )
@@ -442,21 +433,23 @@ def test_verify_path_builds_no_fraction_matrices(data_dir):
 
 
 def test_filtration_without_one_integer_basis_per_weight_row_is_refused(ex1a, w_m212):
-    # the transversality check runs over the bases given and the
-    # certificates read the profile, so a filtration with a basis missing
-    # would get a proved ok; short rows or inexact entries would fail late
+    # only the theorem basis is transverse by proof and the certificates
+    # read the profile, so a filtration with a basis missing would get a
+    # proved ok; short rows or inexact entries would fail late
     real, filt = _setup(ex1a, w_m212)
     n = ex1a.dimension
     basis = filt.vectors[0]
+    other = "vectors[0]: not the theorem basis, nodes 1..3"
     # a list, not a dict: a float or Fraction row equals its int row
     cases = [
         ((), "vectors[0]: missing basis"),
         ((basis, basis), "vectors[1]: no weight row"),
-        ((basis[:2],), "vectors[0]: 2 rows, expected 3"),
-        (((basis[0][:2],) + basis[1:],), "vectors[0][0]: expected 3 ints"),
-        (((basis[0], tuple(map(float, basis[1])), basis[2]),), "vectors[0][1]"),
-        (((basis[0], basis[1], tuple(map(Fraction, basis[2]))),), "vectors[0][2]"),
-        (((basis[0], (True,) * n, basis[2]),), "vectors[0][1]"),
+        ((basis[:2],), other),
+        (((basis[0][:2],) + basis[1:],), other),
+        (((basis[0], tuple(map(float, basis[1])), basis[2]),), other),
+        (((basis[0], basis[1], tuple(map(Fraction, basis[2]))),), other),
+        (((basis[0], (True,) * n, basis[2]),), other),
+        ((list(basis),), other),
     ]
     for vectors, text in cases:
         with pytest.raises(SpecError, match=re.escape(text)):
@@ -478,17 +471,21 @@ def test_filtration_without_one_integer_basis_per_weight_row_is_refused(ex1a, w_
 
 def test_malformed_input_is_refused_before_the_equality_check(ex1a, w_012):
     # the totals differ, so the verdict is the equality failure whatever
-    # the filtration; a malformed one is refused all the same
+    # the filtration; a malformed one, or any but the theorem basis, is
+    # refused all the same
     real = realize_matrices(ex1a, build_modified_frobenius(ex1a))
     with pytest.raises(SpecError, match=re.escape("vectors[0]: missing basis")):
         check_admissible(ex1a, w_012, real, Filtration(w_012, (), 0, 1))
     n = ex1a.dimension
-    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    report = check_admissible(ex1a, w_012, real, Filtration(w_012, (basis,), 0, 1))
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    with pytest.raises(SpecError, match=re.escape("vectors[0]: not the theorem basis")):
+        check_admissible(ex1a, w_012, real, Filtration(w_012, (identity,), 0, 1))
+    filt = build_transverse_filtration(ex1a, w_012, real)
+    report = check_admissible(ex1a, w_012, real, filt)
     assert report.reason == "equality" and not report.ok
     # so is a realization that breaks the level split
     with pytest.raises(InternalConsistencyError, match="sends level 0"):
-        check_admissible(ex1a, w_012, _split_broken(real), Filtration(w_012, (basis,), 0, 1))
+        check_admissible(ex1a, w_012, _split_broken(real), filt)
 
 
 def _lattice_good_witness(spec, profile, real):

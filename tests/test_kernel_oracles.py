@@ -7,6 +7,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,11 @@ from filtadm.filtration import (
     _aligned_candidates,
     _good_layout,
     _tail_dims,
-    _violation,
     build_transverse_filtration,
 )
 from filtadm.frobenius import build_modified_frobenius, realize_matrices
 from filtadm.model import CapExceededError, Config, Family, ModuleSpec, Summand
+from filtadm.ordering import canonical_order
 from filtadm.subobjects import (
     StableLattice,
     Subobject,
@@ -421,6 +422,8 @@ def test_tail_dims_match_stacked_rank():
 
 
 def test_violation_matches_all_tails_on_small_box_bases():
+    # one minor per good decides transversality: it picks the first good
+    # some tail meets in a non-generic dimension, or SINGULAR
     rng = random.Random(111)
     checked = failed = singular = 0
     while checked < 300:
@@ -430,7 +433,7 @@ def test_violation_matches_all_tails_on_small_box_bases():
         goods = spec.goods
         for _ in range(5):
             basis = _small_box_basis(rng, spec.dimension)
-            got = _violation(basis, _good_layout(spec, goods))
+            got = oracles.violation_minors(basis, _good_layout(spec, goods))
             assert got == oracles.violation(spec, basis, goods)
             checked += 1
             failed += got is not None
@@ -453,7 +456,9 @@ def test_one_echelon_violation_matches_per_good_minors():
             basis = tuple(
                 tuple(rng.randint(-10**6, 10**6) for _ in range(n)) for _ in range(n)
             )
-            assert _violation(basis, layout) == oracles.violation_minors(basis, layout)
+            assert oracles.echelon_violation(basis, layout) == oracles.violation_minors(
+                basis, layout
+            )
     assert dims == set(range(3, 9))
     # small entries: singular bases, and goods met in non-generic dimensions
     checked = singular = failed = 0
@@ -466,10 +471,10 @@ def test_one_echelon_violation_matches_per_good_minors():
             n = spec.dimension
             basis = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
             want = oracles.violation_minors(basis, layout)
-            assert _violation(basis, layout) == want
+            assert oracles.echelon_violation(basis, layout) == want
             checked += 1
-            singular += want == filtration.SINGULAR
-            failed += want not in (None, filtration.SINGULAR)
+            singular += want == oracles.SINGULAR
+            failed += want not in (None, oracles.SINGULAR)
     assert singular >= 15 and failed >= 150 and checked - singular - failed >= 150
 
 
@@ -480,82 +485,74 @@ def _compositions(n):
     return [(b, *rest) for b in range(1, n + 1) for rest in _compositions(n - b)]
 
 
-def test_scaled_form_violation_matches_echelon_oracle_on_every_layout_shape():
-    # every summand-length layout of dimensions 2-8 (254 goods strictly
-    # inside at (1,) * 8) and the long single chains (12,) and (20,): the
-    # scaled reduced form picks the same first good, in layout order, or
-    # SINGULAR, as the echelon that read out canonical rows after each row
-    rng = random.Random(131)
-    shapes = [shape for n in range(2, 9) for shape in _compositions(n)]
+def _theorem_basis_violations(spec):
+    """What the two oracles find wrong with the theorem basis of every
+    embedding of `spec`: a list of (sigma, oracle, first failure)."""
+    layout = _good_layout(spec, spec.goods)
+    out = []
+    n, embeddings = spec.dimension, spec.config.embeddings
+    for sigma, basis in enumerate(filtration._theorem_vectors(n, embeddings)):
+        for oracle in (oracles.violation_minors, oracles.echelon_violation):
+            bad = oracle(basis, layout)
+            if bad is not None:
+                out.append((sigma, oracle.__name__, bad))
+    return out
+
+
+def test_theorem_basis_is_transverse_on_every_layout_shape():
+    # the layout of the goods, and so transversality, depends only on the
+    # summand lengths: every composition of 1..DEFAULT_CAP (254 goods
+    # strictly inside at (1,) * 8), with one to three embeddings, and the
+    # long single chains (12,) and (20,)
+    shapes = [
+        shape for n in range(1, subobjects.DEFAULT_CAP + 1) for shape in _compositions(n)
+    ]
+    assert len(shapes) == 255
     shapes += [(12,), (20,)]
-    outcomes = {"ok": 0, "singular": 0, "good": 0}
     for shape in shapes:
-        spec = ModuleSpec(CFG, (FAM,), tuple(Summand("F", 0, b) for b in shape))
-        n = spec.dimension
-        layout = _good_layout(spec, spec.goods)
-        seeded = [
-            tuple(tuple(rng.randint(-10**6, 10**6) for _ in range(n)) for _ in range(n))
-            for _ in range(2)
-        ]
-        small = [
-            tuple(tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n))
-            for _ in range(6)
-        ]
-        for basis in seeded + small:
-            want = oracles.echelon_violation(basis, layout)
-            assert _violation(basis, layout) == want, (shape, basis)
-            outcomes[
-                "ok" if want is None else "singular" if want == filtration.SINGULAR
-                else "good"
-            ] += 1
-    assert len(shapes) == 256
-    # the small box fails often, both ways, and passes too
-    assert min(outcomes.values()) >= 100, outcomes
+        for embeddings in (1, 2, 3):
+            cfg = Config(p=2, deg_K_Qp=embeddings, deg_L_Qp=embeddings)
+            spec = ModuleSpec(cfg, (FAM,), tuple(Summand("F", 0, b) for b in shape))
+            assert _theorem_basis_violations(spec) == [], shape
 
 
-def test_scaled_reduced_form_is_the_rref_times_the_pivot_minor():
-    rng = random.Random(132)
-    for _ in range(200):
-        n = rng.randint(1, 7)
-        box = rng.choice((1, 3, 10**6))
-        form = linalg.ScaledReducedForm()
-        taken = []
-        for _ in range(rng.randint(1, n + 2)):
-            v = tuple(rng.randint(-box, box) for _ in range(n))
-            grew = form.add(v)
-            assert grew == (linalg.rank(taken + [v]) > len(taken))
-            if grew:
-                taken.append(v)
-            assert len(form._rows) == len(taken)
-            if not taken:
-                continue
-            # every kept row is det times the Gauss-Jordan row of its pivot,
-            # and det is the minor of the rows taken on the pivot columns
-            rows = form._rows
-            reduced = oracles.rref(taken)
-            pivots = sorted(rows)
-            for row in reduced:
-                p = next(c for c, x in enumerate(row) if x)
-                assert list(rows[p]) == [form.det * x for x in row]
-            minor = [[v[c] for c in pivots] for v in taken]
-            assert abs(oracles.det(minor)) == abs(form.det)
-            cols = sorted(rng.sample(range(n), len(taken)))
-            on_cols = [[v[c] for c in cols] for v in taken]
-            assert form.full_rank_on(cols) == (linalg.rank(on_cols) == len(taken))
+def test_theorem_basis_is_transverse_on_the_stream_specs(tmp_path, monkeypatch):
+    # every ordered spec of the timed and traced `verify_stream` items of
+    # seeds 5, 11 and 23 (dimensions 3-8, one or two embeddings)
+    import filtadm
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    (tmp_path / "data").symlink_to(Path(__file__).resolve().parent.parent / "data")
+    seen = set()
+    for seed in (5, 11, 23):
+        wl = WORKLOADS["verify_stream"](filtadm, seed, tmp_path)
+        wl.prepare()
+        for item in wl.timed + wl.traced:
+            spec = canonical_order(item["spec"])[0]
+            if spec not in seen:
+                seen.add(spec)
+                assert _theorem_basis_violations(spec) == [], spec
+    dims = {spec.dimension for spec in seen}
+    assert dims == set(range(3, 9)) and {spec.config.embeddings for spec in seen} == {1, 2}
 
 
-def test_fraction_free_determinant_decides_singularity():
-    # small entries, so that singular matrices and zero leading entries,
-    # which need a row swap, are common
-    rng = random.Random(133)
-    singular = 0
-    for _ in range(600):
-        t = rng.randint(1, 6)
-        a = [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(t)] for _ in range(t)]
-        want = oracles.det(a) != 0
-        assert linalg._nonsingular([row[:] for row in a]) == want
-        singular += not want
-    assert 100 <= singular <= 500
+def test_theorem_bases_are_the_vandermonde_rows():
+    # per embedding sigma the nodes sigma*n + 1 .. sigma*n + n, row i the
+    # powers 0 .. n-1 of its node, the same for every seed; one attempt per
+    # embedding, and the Fraction rows are the same numbers
+    for k, (spec, real, filt) in enumerate(_filtered(116, 20, max_dim=7)[1]):
+        n, embeddings = spec.dimension, spec.config.embeddings
+        want = tuple(
+            tuple(tuple(Fraction(sigma * n + i) ** j for j in range(n)) for i in range(1, n + 1))
+            for sigma in range(embeddings)
+        )
+        assert filt.attempts == embeddings
+        assert filt.bases == want
+        assert filt.vectors == tuple(tuple(tuple(map(int, row)) for row in b) for b in want)
+        other = build_transverse_filtration(spec, filt.weights, real, seed=k + 1000)
+        assert other.vectors is filt.vectors and other.seed == k + 1000
 
 
 def test_good_layout_reads_summand_offsets():
@@ -574,32 +571,6 @@ def test_good_layout_reads_summand_offsets():
     spec = random_spec(random.Random(3), h_choices=(2,))
     with pytest.raises(ValueError, match="coordinate layout requires h=1"):
         _good_layout(spec, spec.goods)
-
-
-def test_sampled_bases_replay_the_randint_draws():
-    # the bases and attempts of build_transverse_filtration are those of
-    # randint draws checked by the per-good minors
-    rng, triples = _filtered(116, 20, max_dim=7)
-    for k, (spec, real, filt) in enumerate(triples):
-        n = spec.dimension
-        layout = _good_layout(spec, spec.goods)
-        replay = random.Random(k)
-        bases, attempts = [], 0
-        for _ in range(spec.config.embeddings):
-            while True:
-                attempts += 1
-                basis = tuple(
-                    tuple(replay.randint(-10**6, 10**6) for _ in range(n))
-                    for _ in range(n)
-                )
-                if oracles.violation_minors(basis, layout) is None:
-                    bases.append(basis)
-                    break
-        assert filt.attempts == attempts
-        assert filt.vectors == tuple(bases)
-        assert filt.bases == tuple(
-            tuple(tuple(map(Fraction, row)) for row in b) for b in bases
-        )
 
 
 def test_aligned_candidates_match_per_tail_intersections():

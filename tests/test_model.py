@@ -26,16 +26,15 @@ from filtadm.model import (
     t_n,
     validate_spec,
 )
-from filtadm.filtration import SAMPLE_BOX
 from filtadm.frobenius import build_modified_frobenius
 import oracles
 
 
 def test_below_draws_what_randrange_draws():
-    # every width up to 64 and the samplers' own: the basis box, the
+    # every width up to 64, a wide box of 2 * 10**6 + 1 values, the
     # nonzero digits and the pair and weight ranges; the widths come in a
     # seeded order, so draws of one width follow draws of another
-    widths = [*range(1, 65), 2 * SAMPLE_BOX + 1, 18, 7, 6, 4, 3, 2] * 4
+    widths = [*range(1, 65), 2_000_001, 18, 7, 6, 4, 3, 2] * 4
     for seed in range(30):
         ours, theirs = random.Random(seed), random.Random(seed)
         random.Random(-seed).shuffle(widths)

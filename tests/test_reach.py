@@ -34,8 +34,6 @@ SEED = 3
 # each stays in `src`
 UNREACHED = {
     "filtration.Filtration.bases": "read only by the perfbench span counter; ROADMAP item 6b drops it",
-    "filtration._vector_violations": "refusal path of a malformed filtration, a loud failure",
-    "filtration.TransversalityError.__init__": "refusal path when sampling finds no transverse filtration",
 }
 
 
