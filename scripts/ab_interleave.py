@@ -15,7 +15,11 @@ alternates from round to round (base first in rounds 1, 3, ...).  Both
 sides see the same host drift within a round, so the per-round ratio
 change/base of items per second is steadier than that of two separate
 processes run a minute apart (`scripts/ab_pairs.py`).  It prints each
-side's median items/s and the median, min and max of the ratio.
+side's median items/s and the median, min and max of the ratio.  Every
+item's latency is kept too, and each line ends with each side's p50 and
+p90 per item over its rounds, pooled, as `perfbench/run.py` computes
+them (`statistics.median` and the ninth decile of
+`statistics.quantiles`), so that a change can cite the tail it moves.
 
 `--seed` may be given several times.  Each seed draws its own items and
 runs its own R rounds, one seed after the other, and prints its own line;
@@ -65,36 +69,41 @@ def load_workloads(checkout: Path) -> dict:
     return importlib.import_module("workloads").WORKLOADS
 
 
-def timed_pass(wl) -> float:
-    """Seconds spent in `execute` over one pass of the timed items; a
-    result that `verify` refuses raises RuntimeError."""
-    spent = 0.0
+def timed_pass(wl) -> list[float]:
+    """Seconds spent in `execute` on each timed item of one pass; a result
+    that `verify` refuses raises RuntimeError."""
+    spent = []
     for item in wl.timed:
         t0 = time.perf_counter()
         result = wl.execute(item)
-        spent += time.perf_counter() - t0
+        spent.append(time.perf_counter() - t0)
         error = wl.verify(item, result)
         if error is not None:
             raise RuntimeError(f"{wl.fm.__name__}: {wl.label(item)}: {error}")
     return spent
 
 
-def interleave(workloads: dict, rounds: int) -> dict[str, list[float]]:
-    """Items per second of each side, one value per round."""
+def interleave(
+    workloads: dict, rounds: int
+) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+    """Items per second of each side, one value per round, and the
+    latency of every item of every round, per side."""
     rates: dict[str, list[float]] = {side: [] for side in SIDES}
+    latencies: dict[str, list[float]] = {side: [] for side in SIDES}
     for wl in workloads.values():
         timed_pass(wl)
     for r in range(rounds):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
         for side in order:
-            wl = workloads[side]
-            rates[side].append(len(wl.timed) / timed_pass(wl))
-    return rates
+            spent = timed_pass(workloads[side])
+            rates[side].append(len(spent) / sum(spent))
+            latencies[side] += spent
+    return rates, latencies
 
 
 def run_seed(table, checkouts, packages, workload: str, seed: int, rounds: int):
-    """(rates, items) of one seed: each side's workload drawn from `seed`
-    in its own temporary root, then `interleave`d."""
+    """(rates, latencies, items) of one seed: each side's workload drawn
+    from `seed` in its own temporary root, then `interleave`d."""
     with tempfile.TemporaryDirectory() as tmp:
         workloads = {}
         for side, checkout in checkouts.items():
@@ -103,7 +112,7 @@ def run_seed(table, checkouts, packages, workload: str, seed: int, rounds: int):
             (root / "data").symlink_to(checkouts["change"] / "data")
             workloads[side] = table[workload](packages[side], seed, root)
             workloads[side].prepare()
-        return interleave(workloads, rounds), len(workloads["change"].timed)
+        return *interleave(workloads, rounds), len(workloads["change"].timed)
 
 
 def ratio_text(ratios: list[float]) -> str:
@@ -111,6 +120,20 @@ def ratio_text(ratios: list[float]) -> str:
         f"ratio change/base median x{statistics.median(ratios):.3f} "
         f"(min x{min(ratios):.3f}, max x{max(ratios):.3f})"
     )
+
+
+def tail_text(latencies: dict[str, list[float]]) -> str:
+    """Each side's p50 and p90 per item, in ms, as `perfbench/run.py`
+    computes them."""
+    parts = []
+    for side in SIDES:
+        spent = latencies[side]
+        p90 = statistics.quantiles(spent, n=10)[8] if len(spent) > 1 else spent[0]
+        parts.append(
+            f"{side} p50 {1000 * statistics.median(spent):.3f} ms "
+            f"p90 {1000 * p90:.3f} ms"
+        )
+    return ", ".join(parts)
 
 
 def main(argv=None) -> int:
@@ -131,9 +154,10 @@ def main(argv=None) -> int:
         for side, checkout in checkouts.items()
     }
     pooled = []
+    pooled_latencies: dict[str, list[float]] = {side: [] for side in SIDES}
     for seed in args.seed:
         try:
-            rates, items = run_seed(
+            rates, latencies, items = run_seed(
                 table, checkouts, packages, args.workload, seed, args.rounds
             )
         except RuntimeError as err:
@@ -141,18 +165,20 @@ def main(argv=None) -> int:
             return 1
         ratios = [c / b for b, c in zip(rates["base"], rates["change"])]
         pooled += ratios
+        for side in SIDES:
+            pooled_latencies[side] += latencies[side]
         print(
             f"{args.workload} seed {seed}: {args.rounds} rounds of {items} items, "
             f"base {statistics.median(rates['base']):.1f}/s, "
             f"change {statistics.median(rates['change']):.1f}/s, "
-            f"{ratio_text(ratios)}",
+            f"{ratio_text(ratios)}; {tail_text(latencies)}",
             flush=True,
         )
     if len(args.seed) > 1:
         seeds = " ".join(map(str, args.seed))
         print(
             f"{args.workload} pooled over seeds {seeds}: {len(pooled)} rounds, "
-            f"{ratio_text(pooled)}"
+            f"{ratio_text(pooled)}; {tail_text(pooled_latencies)}"
         )
     return 0
 

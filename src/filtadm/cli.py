@@ -94,7 +94,10 @@ def _cap_flag(text: str) -> int:
 
 
 def _count_flag(text: str) -> int:
-    """argparse type of `--trials` and `--max-rows`: a non-negative integer."""
+    """argparse type of `--trials`, `--max-rows` and `--seed`: a non-negative
+    integer.  A negative seed is refused, since `random.Random(n)` draws as
+    `random.Random(abs(n))` does, so two reports with different seeds
+    would hold the same draws."""
     count = _at_least(text, 0)
     if count is None:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
@@ -330,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         if weights:
             p.add_argument("--weights", required=True, help="weight profile JSON file")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_count_flag, default=0)
         if cap:
             p.add_argument(
                 "--cap", type=_cap_flag, default=None,
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz-special", help="randomized special-pair verification")
     p.add_argument("--trials", type=_count_flag, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_flag, default=0)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_fuzz_special)
 

@@ -80,8 +80,13 @@ no classes.  All t_N come from one slope table, the realization's
   lattice guard (`subobjects.check_guard`) are refused as the class list
   of `subobjects._class_keys` refuses them.
 - Otherwise the stable subspaces are infinitely many, the list comes
-  from the pattern route, and its random-round audit vouches that it
-  is complete; the certificates cover the listed classes.
+  from the pattern route, and its audit vouches that it is complete:
+  one exact check per chain or split level, random rounds on the others
+  (`subobjects._audit`).  A stable good is its own class there too, and
+  the scan already certified it, so its row is written as the scan
+  writes it, bound [K:L] P[m], with no chain bound computed; the
+  certificates cover the other listed classes, and the search leaves
+  the goods out by key.
 Only when some class does not certify does the search run: the listed
 classes, random-coefficient variants and closures of good-cap-tail
 intersections (the adversarially aligned subspaces), outside the
@@ -486,9 +491,11 @@ def check_admissible(
     CapExceededError past the lattice guard), otherwise the class list
     with one chain certificate per class, and the search outside the
     certified classes only when some class does not certify.
-    `subobjects.RANDOM_ROUNDS` random rounds, drawn from `seed`, audit the
-    class list where the stable subspaces are infinitely many, and as many
-    more, drawn from seed + 1, join the search.  A failure's witness records the
+    Where the stable subspaces are infinitely many, `subobjects._audit`
+    checks the class list: exactly on the levels that are a chain or
+    split, and by `subobjects.RANDOM_ROUNDS` random rounds, drawn from
+    `seed`, on the others; as many rounds, drawn from seed + 1 over every
+    level, join the search.  A failure's witness records the
     violating subspace, its smallest enclosing stable good subobject (the
     position where the excess Hodge weight lives) and its `source` ("good"
     or "search"); `proof` says what an ok rests on.  Before any verdict: a
@@ -576,19 +583,28 @@ def check_admissible(
     lattice = StableLattice(realization)
     listed = _class_keys(lattice, seed)
     steps = _chain_steps(lattice, profile)
+    # a good is its own class (`_class_keys`), certified by the scan: its
+    # chain bound is [K:L] P[m], attained by the chain through it
+    goods = set(lattice.good_keys)
     table = []
     certified = set()
+    closed = True
     for key in listed:
         dim = lattice.dim(key)
         if dim in (0, n):
             continue
-        inter = lattice.good_dims(key)
         scaled = lattice.scaled_t_n(key)
+        if key in goods:
+            table.append(_class_row(dim, scaled, den, kl * prefix[dim]))
+            continue
+        inter = lattice.good_dims(key)
         bound = kl * _chain_bound(steps, inter)
         table.append(_class_row(dim, scaled, den, bound))
         if bound * den <= scaled:
             certified.add((dim, inter))
-    if len(certified) == len(table):
+        else:
+            closed = False
+    if closed:
         return AdmissibilityReport(True, None, None, tuple(table), "certificate")
 
     candidates = dict.fromkeys(listed)
@@ -599,7 +615,8 @@ def check_admissible(
     keys = [
         key
         for key in candidates
-        if 0 < lattice.dim(key) < n
+        if key not in goods
+        and 0 < lattice.dim(key) < n
         and (lattice.dim(key), lattice.good_dims(key)) not in certified
     ]
     # (rank, canonical rows) order: distinct keys are distinct subspaces

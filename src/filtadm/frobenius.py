@@ -202,12 +202,10 @@ class ConcreteRealization:
         return tuple(out)
 
     @cached_property
-    def uniserial(self) -> bool:
-        """Whether the coupling E is a single chain on every level: E sends
-        each basis vector of the level to a multiple of another or to 0,
-        along one chain e_top -> ... -> e_bottom -> 0 through all of them.
-        Then the stable subspaces are exactly the stable good spans, and
-        otherwise they are infinitely many (`subobjects` module docstring).
+    def chain_levels(self) -> tuple[bool, ...]:
+        """Per level, whether the coupling E is a single chain on it: E
+        sends each basis vector of the level to a multiple of another or to
+        0, along one chain e_top -> ... -> e_bottom -> 0 through all of them.
 
         That is rank E|lambda = width - 1, the columns hitting width - 1
         distinct targets, with E nilpotent on the level, which following
@@ -216,26 +214,18 @@ class ConcreteRealization:
         width-1 level always qualifies; a column with two entries never
         does.
         """
-        for coords, (coupling, _) in zip(self.levels, self.level_operators):
-            width = len(coords)
-            if coupling is None:
-                if width > 1:
-                    return False
-                continue
-            cols = coupling[1]
-            if any(len(col) > 1 for col in cols):
-                return False
-            image = {col[0][0] for col in cols if col}
-            if len(image) != width - 1:
-                return False
-            (j,) = set(range(width)) - image
-            for _ in range(width - 1):
-                if not cols[j]:
-                    return False
-                j = cols[j][0][0]
-            if cols[j]:
-                return False
-        return True
+        return tuple(
+            _is_chain(len(coords), coupling)
+            for coords, (coupling, _) in zip(self.levels, self.level_operators)
+        )
+
+    @cached_property
+    def uniserial(self) -> bool:
+        """Whether E is a single chain on every level (`chain_levels`).
+        Then the stable subspaces are exactly the stable good spans, and
+        otherwise they are infinitely many (`subobjects` module docstring).
+        """
+        return all(self.chain_levels)
 
     @cached_property
     def level_slopes(self) -> tuple[tuple[int, ...], int]:
@@ -245,6 +235,26 @@ class ConcreteRealization:
         sc = scaled_slopes(self.spec)
         firsts = (self.basis[coords[0]] for coords in self.levels)
         return tuple(sc.bottoms[b.summand] + b.k * sc.step for b in firsts), sc.den
+
+
+def _is_chain(width: int, coupling) -> bool:
+    """Whether `coupling`, a `level_operators` entry of a level of `width`
+    basis vectors, is one chain through all of them
+    (`ConcreteRealization.chain_levels`)."""
+    if coupling is None:
+        return width == 1
+    cols = coupling[1]
+    if any(len(col) > 1 for col in cols):
+        return False
+    image = {col[0][0] for col in cols if col}
+    if len(image) != width - 1:
+        return False
+    (j,) = set(range(width)) - image
+    for _ in range(width - 1):
+        if not cols[j]:
+            return False
+        j = cols[j][0][0]
+    return not cols[j]
 
 
 def realize_matrices(

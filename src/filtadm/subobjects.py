@@ -21,21 +21,29 @@ below), each its own class, so the list is `StableLattice.good_keys`,
 complete by theorem, and nothing audits it.  Otherwise they are
 infinitely many, and the classes come from closing signed
 {0,+-1}-pattern vectors with two or more nonzero entries inside each
-generalized eigenspace, adding the stable good spans and saturating
-under sums; `RANDOM_ROUNDS` random-coefficient rounds
-re-derive the classes there and fail loudly if the pattern heuristic
-ever misses one.
-The work runs on piece ids (`_class_keys`, which the verdict calls): the
-keys are grouped by class before anything is ordered, only a class with
-several keys runs the tie-break, and both orders compare the rows as
+generalized eigenspace and saturating them under sums, from the stable
+good spans, which are closed under sums already.  The audit (`_audit`)
+vouches for the list level by level.  On a chain level, and on a split
+level, whose blocks lie in distinct components of the edge graph, a
+theorem puts the closure of every vector with no zero coefficient in the
+class of the closure of the all-ones vector, so one exact check stands
+for every random draw there; only on the levels of neither kind do
+`RANDOM_ROUNDS` random-coefficient rounds re-derive the classes and fail
+loudly if the pattern heuristic ever misses one.
+The work runs on piece ids (`_class_keys`, which the verdict calls): a
+stable good span is its own class, the other keys are grouped by class
+before anything is ordered, only a class with several keys runs the
+tie-break, and both orders compare the rows as
 rationals, each entry over its row's pivot: in integers, each `int_rows`
 row scaled by L / pivot with L the lcm of the pivots of the keys
 compared.  `Subobject`s are built only for the public list.
 The closure of c*v is the closure of v for c != 0: the first step of
 both stores the same primitive row with a positive pivot, and every
 later step reads only that row.  So single-vector closures are memoized
-per line (`StableLattice.closure`), and every random draw on a width-1
-level after the first, a multiple of its unit vector, is a lookup.
+per line (`StableLattice.closure`): the audit's all-ones vector of a
+level is its all-ones pattern, a lookup, and every random draw of the
+search on a width-1 level after the first, a multiple of its unit
+vector, is one too.
 
 Finitely many stable subspaces, by theorem.  Call a level a chain when
 the coupling E sends each of its basis vectors to a multiple of another
@@ -117,8 +125,9 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 8
-# the audit rounds of an infinite lattice's class list, and the rounds of
-# random candidates the verdict's search adds
+# the audit rounds of an infinite lattice's class list on the levels that
+# are neither a chain nor split, and the rounds of random candidates the
+# verdict's search adds
 RANDOM_ROUNDS = 5
 _LATTICE_GUARD = 1500
 _NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x != 0)
@@ -206,7 +215,10 @@ def _pattern_vectors(width: int) -> list[tuple[int, ...]]:
     signs: on an uncoupled level of width 2 the lines off both axes form
     one class, which (1, 1) and (1, -1) each list, and dropping both loses
     it; and one module with infinitely many stable subspaces has a class
-    that only a pattern with a negative entry lists.
+    that only a pattern with a negative entry lists.  The all-ones pattern
+    is the base point of the audit (`_audit`): on a chain or a split level
+    the closure of every vector with no zero coefficient has the class of
+    its closure, so listing it lists theirs.
     """
     out = []
     for size in range(2, width + 1):
@@ -495,16 +507,22 @@ class StableLattice:
 
 
 def _saturate(
-    lattice: StableLattice, keys: Iterable[tuple[int, ...]]
+    lattice: StableLattice,
+    keys: Iterable[tuple[int, ...]],
+    closed: Iterable[tuple[int, ...]] = (),
 ) -> list[tuple[int, ...]]:
     """Close a set of stable subspaces, given by piece ids, under sums.
 
-    The generators join one at a time, S <- S + {s + g : s in S} + {g}, and
-    S stays closed under sums since g + g = g; a generator already in S
-    adds nothing.
+    S starts as `closed`, a set already closed under sums, and the zero
+    subspace if `keys` holds it.  The generators `keys` join one at a
+    time, S <- S + {s + g : s in S} + {g}, and S stays closed under sums
+    since g + g = g; a generator already in S adds nothing.  So a closed
+    set gives the same key set as a seed as among the generators, and
+    either way the guard refuses iff that set passes it, as S only grows.
     """
     keys = dict.fromkeys(keys)
-    subs = dict.fromkeys(key for key in keys if not any(key))
+    subs = dict.fromkeys(itertools.chain(closed, (key for key in keys if not any(key))))
+    check_guard(len(subs))
     add = lattice.add
     for g in keys:
         if g in subs:
@@ -514,6 +532,33 @@ def _saturate(
                 subs[key] = None
                 check_guard(len(subs))
     return list(subs)
+
+
+def _round_levels(realization: ConcreteRealization) -> list[int]:
+    """The levels that are neither a chain (`chain_levels`) nor split:
+    the only ones whose random-round closures no theorem places in a
+    listed class (see `_audit`).
+
+    A level is split when the summands of its blocks lie in pairwise
+    distinct components of the undirected edge graph.
+    """
+    root = list(range(len(realization.spec.summands)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for e in realization.edges:
+        root[find(e.src)] = find(e.dst)
+    basis = realization.basis
+    return [
+        level
+        for level, (coords, chain) in enumerate(
+            zip(realization.levels, realization.chain_levels)
+        )
+        if not chain and len({find(basis[c].summand) for c in coords}) < len(coords)
+    ]
 
 
 def _negatives(lattice: StableLattice, key: tuple[int, ...]) -> int:
@@ -553,27 +598,41 @@ def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
 
     The keys are the stable good spans `good_keys` where every level is a
     chain, refused past `_LATTICE_GUARD`, and otherwise the pattern
-    route's, audited by `RANDOM_ROUNDS` random rounds drawn from `seed`.
-    They are grouped by class (rank, `good_dims`) first.  A class with
-    several keys keeps the one without negative entries, then with the
-    smallest rows; the representatives are sorted by (rank, rows), and
-    rows are built only where ranks tie.  Both orders compare the rows
-    over their pivots, as the integers of `_row_order`.
+    route's, audited by `_audit` from `seed`.  A good's class holds the
+    good alone: if dim(G cap W) = dim G = dim W, then W = G.  So only the
+    other keys are grouped by class (rank, `good_dims`), and no good's
+    `good_dims` is read.  A class with several keys keeps the one without
+    negative entries, then with the smallest rows; the representatives
+    are sorted by (rank, rows), and rows are built only where ranks tie.
+    Both orders compare the rows over their pivots, as the integers of
+    `_row_order`.  Neither reads the order of the keys.
+
+    On the pattern route the stable good spans, zero included, seed the
+    saturation (`_saturate`): they are closed under sums, since the
+    componentwise max of two stable count vectors is stable, and only the
+    pattern closures join as generators.
     """
-    audit = not lattice.realization.uniserial
-    if audit:
-        keys = [lattice.zero, *lattice.good_keys]
-        for level, coords in enumerate(lattice.realization.levels):
-            keys += [lattice.closure(level, v) for v in _pattern_vectors(len(coords))]
-        keys = _saturate(lattice, keys)
-    else:
+    realization = lattice.realization
+    goods = lattice.good_keys
+    if realization.uniserial:
         # every stable subspace, by the theorem of the module docstring
-        keys = lattice.good_keys
+        keys = goods
         check_guard(len(keys))
+    else:
+        patterns = [
+            lattice.closure(level, v)
+            for level, coords in enumerate(realization.levels)
+            for v in _pattern_vectors(len(coords))
+        ]
+        keys = _saturate(lattice, patterns, goods)
+    good_set = set(goods)
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
     classes: dict[tuple, list[tuple[int, ...]]] = {}
     for key in keys:
-        classes.setdefault((lattice.dim(key), lattice.good_dims(key)), []).append(key)
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
+        if key in good_set:
+            by_dim.setdefault(lattice.dim(key), []).append(key)
+        else:
+            classes.setdefault((lattice.dim(key), lattice.good_dims(key)), []).append(key)
     for (dim, _), members in classes.items():
         if len(members) > 1:
             order = _row_order(lattice, members)
@@ -585,14 +644,52 @@ def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
         if len(reps) > 1:
             reps.sort(key=_row_order(lattice, reps).__getitem__)
         ranked += reps
+    if not realization.uniserial:
+        _audit(lattice, set(keys), classes, seed)
+    return ranked
+
+
+def _audit(
+    lattice: StableLattice,
+    keys: set[tuple[int, ...]],
+    classes: dict[tuple, list[tuple[int, ...]]],
+    seed: int,
+) -> None:
+    """Raise InternalConsistencyError unless the closure of every vector
+    with nonzero coefficients on one level lies in a listed class: `keys`
+    are the listed keys, the stable good spans among them, and `classes`
+    holds the classes of the others.
+
+    Let T scale every block by a nonzero c per connected component of the
+    undirected edge graph.  E couples blocks only along edges and N stays
+    in its summand, so T commutes with Phi and N; T is diagonal on
+    blocks, so it fixes every good span G and keeps rank, every dim(G cap
+    W) and t_N.  On a split level (`_round_levels`) the blocks lie in
+    distinct components, so for v with every coefficient nonzero some T
+    maps the all-ones vector 1 to v, and closure(v) = T closure(1) has
+    the class of closure(1).  On a chain level (`chain_levels`) v has a
+    nonzero top coefficient, so the E-span of v is the whole level and
+    closure(v) = closure(V_lambda) = closure(1).  So on those levels one
+    exact check covers every vector: closure(1) must be a listed key.
+    Only on the levels of neither kind do `RANDOM_ROUNDS` random rounds,
+    drawn from `seed`, audit the list.
+    """
+    realization = lattice.realization
+    rounds = _round_levels(realization)
+    for level, coords in enumerate(realization.levels):
+        if level not in rounds and lattice.closure(level, (1,) * len(coords)) not in keys:
+            raise InternalConsistencyError(
+                f"the all-ones vector of level {level} closes to no listed subspace"
+            )
+    if not rounds:
+        return
     rng = random.Random(seed)
-    for _ in range(RANDOM_ROUNDS if audit else 0):
-        for key in random_round_subobjects(lattice, rng):
-            if (lattice.dim(key), lattice.good_dims(key)) not in classes:
+    for _ in range(RANDOM_ROUNDS):
+        for key in random_round_subobjects(lattice, rng, rounds):
+            if key not in keys and (lattice.dim(key), lattice.good_dims(key)) not in classes:
                 raise InternalConsistencyError(
                     "random-coefficient round found a new subobject class"
                 )
-    return ranked
 
 
 def enumerate_concrete_subobjects(
@@ -607,10 +704,13 @@ def enumerate_concrete_subobjects(
     stable subspaces are exactly the stable good spans, every one of them
     listed, and `seed` goes unused.  Otherwise pattern atoms are the
     signed {0,+-1} vectors with two or more nonzero entries inside each
-    generalized eigenspace, closed under Phi and N, the subspaces are the sum-closure of the atoms and of
-    the stable good spans, and `RANDOM_ROUNDS` passes with random nonzero coefficients,
-    drawn from `seed`, must not produce any new relative-position class,
-    or the pattern heuristic is declared broken.  Either way one
+    generalized eigenspace, closed under Phi and N, and the subspaces are
+    the sum-closure of the atoms and of the stable good spans.  The
+    pattern heuristic is declared broken (InternalConsistencyError) if
+    the all-ones vector of a chain or split level closes outside the list,
+    or if on a level of neither kind one of `RANDOM_ROUNDS` passes with
+    random nonzero coefficients, drawn from `seed`, produces a new
+    relative-position class (`_audit`).  Either way one
     representative per class is kept (`_class_keys`): the one without
     negative entries, then with the smallest canonical rows, sorted by
     (rank, canonical rows), rows compared over their pivots.  Results hold
@@ -625,18 +725,19 @@ def enumerate_concrete_subobjects(
 
 
 def random_round_subobjects(
-    lattice: StableLattice, rng: random.Random
+    lattice: StableLattice, rng: random.Random, levels: Iterable[int] | None = None
 ) -> list[tuple[int, ...]]:
     """Piece ids of the closures of one random nonzero-coefficient vector
-    per eigenspace level."""
+    per eigenspace level, or per level of `levels`."""
     bits = rng.getrandbits
+    coords_of = lattice.realization.levels
     out = []
-    for level, coords in enumerate(lattice.realization.levels):
+    for level in range(len(coords_of)) if levels is None else levels:
         # the vector of the coefficients num / den, scaled by the lcm of den;
         # num is choice(_NONZERO_DIGITS) and den randint(1, 4)
         draws = [
             (_NONZERO_DIGITS[below(bits, len(_NONZERO_DIGITS))], 1 + below(bits, 4))
-            for _ in coords
+            for _ in coords_of[level]
         ]
         scale = math.lcm(*(den for _, den in draws))
         v = [num * (scale // den) for num, den in draws]

@@ -539,6 +539,25 @@ def test_max_rows_below_zero_exits_2_naming_the_flag(value, capsys):
     assert "--max-rows" in err and "non-negative integer" in err
 
 
+@pytest.mark.parametrize("command, weights", [
+    ("subobjects", False), ("build-filtration", True),
+    ("verify-admissible", True), ("fuzz-special", None),
+])
+def test_negative_seed_exits_2_naming_the_flag(command, weights, capsys):
+    # random.Random(-3) draws as random.Random(3) does: a negative seed
+    # would record a seed other than the one its draws came from
+    argv = [command, "--seed", "-3"]
+    if weights is not None:
+        argv += ["--spec", str(DATA / "ex1a_spec.json")]
+    if weights:
+        argv += ["--weights", str(DATA / "weights_m212.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "non-negative integer" in err and "'-3'" in err
+
+
 def test_non_string_family_ids_exit_2(tmp_path, capsys):
     # a null id with null summand families used to become the family "None"
     spec = json.loads((DATA / "ex1a_spec.json").read_text())

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import shutil
 import signal
 import subprocess
@@ -355,6 +356,7 @@ def test_ab_interleave_smoke(capsys):
     assert code == 0
     assert line.startswith("cli_reports seed 3: 2 rounds of 98 items, base ")
     assert "ratio change/base median x" in line
+    _assert_tails(line)
     base, change = sys.modules["filtadm_base"], sys.modules["filtadm_change"]
     assert base is not change and base.cli.main is not change.cli.main
     assert base.__file__ == change.__file__ == str(root / "src" / "filtadm" / "__init__.py")
@@ -369,6 +371,18 @@ def test_ab_interleave_smoke(capsys):
     assert second.startswith("cli_reports seed 3: 2 rounds of 98 items, base ")
     assert pooled.startswith("cli_reports pooled over seeds 4 3: 4 rounds, ")
     assert "ratio change/base median x" in pooled
+    for line in (first, second, pooled):
+        _assert_tails(line)
+
+
+def _assert_tails(line):
+    # each side's pooled p50 and p90 per item end the line, p50 <= p90
+    tails = re.search(
+        r"; base p50 (\S+) ms p90 (\S+) ms, change p50 (\S+) ms p90 (\S+) ms$", line
+    )
+    assert tails, line
+    b50, b90, c50, c90 = map(float, tails.groups())
+    assert 0 < b50 <= b90 and 0 < c50 <= c90
 
 
 @pytest.mark.parametrize("workload", ["verify_stream", "criteria_stream", "cli_reports"])

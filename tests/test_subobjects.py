@@ -34,6 +34,7 @@ from helpers import (
     closure_rows,
     equal_total_stream,
     instance_stream,
+    random_profile,
     random_single_component_spec,
     random_spec,
 )
@@ -299,7 +300,8 @@ def test_random_rounds_consistent(ex2):
 def test_audit_fires_when_the_sign_patterns_of_a_level_are_missing(monkeypatch, ex1a):
     # unmodified, ex1a has the uncoupled level {(0, 0), (1, 0)}: its lines
     # off both axes form one class, which only the patterns (1, +-1) list
-    # (dropping one of the two loses nothing, the other lists the class)
+    # (dropping one of the two loses nothing, the other lists the class).
+    # The level is split, so the exact all-ones check stands for the rounds
     real = realize_matrices(ex1a, ())
     assert sorted(map(len, real.levels)) == [1, 2]
     enumerate_concrete_subobjects(real)
@@ -308,7 +310,7 @@ def test_audit_fires_when_the_sign_patterns_of_a_level_are_missing(monkeypatch, 
         subobjects, "_pattern_vectors",
         lambda width: [v for v in patterns(width) if width != 2 or 0 in v],
     )
-    with pytest.raises(InternalConsistencyError, match="random-coefficient round"):
+    with pytest.raises(InternalConsistencyError, match="all-ones vector of level"):
         enumerate_concrete_subobjects(real)
 
 
@@ -317,9 +319,9 @@ def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
     # smallest stable good holding its block, and no pattern is a unit
     # vector: the good span alone lists its class.  Unmodified, ex1a has a
     # lattice with infinitely many subspaces, listed by the patterns and
-    # the good spans: without the span, the random rounds on that level
-    # (multiples of the unit vector, memoized per line) must find the
-    # class.  Modified, every level is a chain and the stable good spans
+    # the good spans: without the span, the exact check of that chain
+    # level (the closure of its all-ones vector, which every multiple of
+    # the unit vector shares) must find the class missing.  Modified, every level is a chain and the stable good spans
     # are the list: it stands without any pattern, and without the span it
     # loses that one class.
     assert subobjects._pattern_vectors(1) == []
@@ -344,7 +346,7 @@ def test_audit_fires_when_a_width_one_line_is_missing(monkeypatch, ex1a):
             assert len(got) == len(want) - 1 and set(got) < set(want)
             continue
         assert not real.uniserial
-        with pytest.raises(InternalConsistencyError, match="random-coefficient"):
+        with pytest.raises(InternalConsistencyError, match="all-ones vector of level"):
             enumerate_concrete_subobjects(real, lattice=without_span())
 
 
@@ -781,3 +783,208 @@ def test_a_coupling_column_with_two_entries_is_no_chain():
     cols[0] = ((1, 1), (2, 1))
     tampered = dataclasses.replace(real, e_cols=tuple(cols))
     assert real.uniserial and not tampered.uniserial
+
+
+# ---------------------------------------------------------------------------
+# the facts that let the verdict skip work on infinite lattices
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fact_cases(tmp_path_factory):
+    """(realization, profile) for every ordered spec of the timed and traced
+    `verify_stream` items of seeds 5, 11 and 23, and for 160 `random_spec`
+    draws up to dimension 8, each realized modified and without edges."""
+    import sys
+    from pathlib import Path
+
+    import filtadm
+    from filtadm.ordering import canonical_order
+
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    tmp = tmp_path_factory.mktemp("stream")
+    (tmp / "data").symlink_to(root / "data")
+    pairs = {}
+    for seed in (5, 11, 23):
+        wl = WORKLOADS["verify_stream"](filtadm, seed, tmp)
+        wl.prepare()
+        for item in wl.timed + wl.traced:
+            pairs.setdefault(canonical_order(item["spec"])[0], item["profile"])
+    rng = random.Random(161)
+    drawn = 0
+    while drawn < 160:
+        spec = random_spec(rng, max_dim=8, max_summands=4)
+        if spec is not None and spec not in pairs:
+            pairs[spec] = random_profile(rng, spec)
+            drawn += 1
+    return [
+        (realize_matrices(spec, edges), prof)
+        for spec, prof in pairs.items()
+        for edges in ((), build_modified_frobenius(spec))
+    ]
+
+
+def _components(real):
+    """The component of each summand in the undirected edge graph, by a
+    walk over the edges."""
+    comp = list(range(len(real.spec.summands)))
+    grew = True
+    while grew:
+        grew = False
+        for e in real.edges:
+            low = min(comp[e.src], comp[e.dst])
+            for i in (e.src, e.dst):
+                if comp[i] != low:
+                    comp[i] = low
+                    grew = True
+    return comp
+
+
+def _full_support(rng, width):
+    return [rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(width)]
+
+
+def test_torus_commutes_with_phi_and_n_and_moves_no_split_class(fact_cases):
+    # T scales the blocks of each edge component by its own nonzero c: it
+    # commutes with the dense Phi and N, and on a split level it carries
+    # the all-ones vector to any full-support vector without moving the
+    # class of its closure.  Every level `_round_levels` leaves out is a
+    # chain or split
+    rng = random.Random(162)
+    seen = Counter()
+    for real, _ in fact_cases:
+        comp = _components(real)
+        c = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in comp]
+        scale = [c[comp[blk.summand]] for blk in real.basis]
+        for m in (real.phi, real.nmat):
+            assert all(
+                scale[i] * m[i][j] == m[i][j] * scale[j]
+                for i in range(len(m)) for j in range(len(m))
+            )
+        lattice = StableLattice(real)
+        rounds = subobjects._round_levels(real)
+        for level, coords in enumerate(real.levels):
+            split = len({comp[real.basis[i].summand] for i in coords}) == len(coords)
+            chain = real.chain_levels[level]
+            assert (level in rounds) == (not chain and not split)
+            if not split:
+                continue
+            base = lattice.closure(level, [1] * len(coords))
+            image = lattice.closure(level, [scale[i] for i in coords])
+            assert (lattice.dim(image), lattice.good_dims(image)) == (
+                lattice.dim(base), lattice.good_dims(base)
+            )
+            seen[bool(real.edges), len(coords) > 1, chain] += 1
+    # split levels of width 2 or more, modified and not, and split
+    # levels that are no chain
+    assert seen[False, True, False] and seen[True, True, False]
+
+
+def test_a_chain_level_closes_every_full_support_vector_to_the_level(fact_cases):
+    rng = random.Random(163)
+    wide = 0
+    for real, _ in fact_cases:
+        lattice = StableLattice(real)
+        for level, coords in enumerate(real.levels):
+            if not real.chain_levels[level]:
+                continue
+            units = [tuple(int(j == k) for j in range(len(coords))) for k in range(len(coords))]
+            whole = lattice.closures([[(level, u) for u in units]])[0]
+            assert lattice.closure(level, _full_support(rng, len(coords))) == whole
+            assert lattice.closure(level, [1] * len(coords)) == whole
+            wide += len(coords) > 1
+    assert wide
+
+
+def test_a_good_is_its_own_class_and_its_chain_bound_is_attained(fact_cases):
+    from filtadm.filtration import _chain_bound, _chain_steps
+
+    nonchain = guarded = 0
+    for real, prof in fact_cases:
+        lattice = StableLattice(real)
+        prefix = prof.prefix_sums()
+        steps = _chain_steps(lattice, prof)
+        goods = set(lattice.good_keys)
+        classes = {(lattice.dim(k), lattice.good_dims(k)) for k in goods}
+        for key in goods:
+            assert _chain_bound(steps, lattice.good_dims(key)) == prefix[lattice.dim(key)]
+        if real.uniserial:
+            continue
+        nonchain += 1
+        patterns = [
+            lattice.closure(level, v)
+            for level, coords in enumerate(real.levels)
+            for v in subobjects._pattern_vectors(len(coords))
+        ]
+        # seeding with the goods, closed under sums, lists the same keys,
+        # and past the guard both refuse
+        try:
+            full = subobjects._saturate(lattice, [lattice.zero, *lattice.good_keys, *patterns])
+        except CapExceededError:
+            with pytest.raises(CapExceededError, match="guard"):
+                subobjects._saturate(lattice, patterns, lattice.good_keys)
+            guarded += 1
+            continue
+        seeded = subobjects._saturate(lattice, patterns, lattice.good_keys)
+        assert set(seeded) == set(full) and len(seeded) == len(full)
+        for key in set(full) - goods:
+            assert (lattice.dim(key), lattice.good_dims(key)) not in classes
+    assert nonchain > 400 and guarded
+
+
+def test_the_oracle_keeps_its_random_rounds_on_every_level(monkeypatch, fact_cases):
+    # `oracles.class_subobjects` audits every level with random rounds,
+    # the library only the levels of neither kind, and both list the same
+    # classes
+    calls = {"oracle": [], "library": []}
+
+    def spy(name, draw):
+        def wrapped(lattice, rng, levels=None):
+            keys = draw(lattice, rng, levels)
+            calls[name].append(len(keys))
+            return keys
+        return wrapped
+
+    monkeypatch.setattr(oracles, "random_round_subobjects",
+                        spy("oracle", oracles.random_round_subobjects))
+    monkeypatch.setattr(subobjects, "random_round_subobjects",
+                        spy("library", subobjects.random_round_subobjects))
+    checked = 0
+    for real, _ in fact_cases[::7]:
+        if real.uniserial:
+            continue
+        for name in calls:
+            calls[name].clear()
+        want = oracles.class_subobjects(real)
+        assert calls["oracle"] == [len(real.levels)] * subobjects.RANDOM_ROUNDS
+        assert enumerate_concrete_subobjects(real) == want
+        rounds = subobjects._round_levels(real)
+        assert calls["library"] == ([len(rounds)] * subobjects.RANDOM_ROUNDS if rounds else [])
+        checked += 1
+    assert checked > 40
+
+
+def test_rounds_still_audit_a_level_of_neither_kind(monkeypatch):
+    # a modified stream spec (seed 11) with the level {(0, 1), (1, 0),
+    # (2, 0)}: E sends (1, 0) to (2, 0), so the level is no chain, and two
+    # of its summands share a component, so it is not split.  Only the
+    # random rounds vouch for it: without its patterns they must fail
+    fam = Family("F1", 1, Fraction(0))
+    spec = ModuleSpec(CFG, (fam,), (
+        Summand("F1", 2, 3), Summand("F1", 3, 1), Summand("F1", 3, 1),
+    ))
+    edges = build_modified_frobenius(spec)
+    assert edges == (ModificationEdge(1, 2, 0),)
+    real = realize_matrices(spec, edges)
+    (level,) = subobjects._round_levels(real)
+    assert len(real.levels[level]) == 3
+    assert sorted(map(len, real.levels)) == [1, 1, 3]
+    enumerate_concrete_subobjects(real)
+    monkeypatch.setattr(subobjects, "_pattern_vectors", lambda width: [])
+    with pytest.raises(InternalConsistencyError, match="random-coefficient round"):
+        enumerate_concrete_subobjects(real)
