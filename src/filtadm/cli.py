@@ -96,8 +96,9 @@ def _cap_flag(text: str) -> int:
 def _count_flag(text: str) -> int:
     """argparse type of `--trials`, `--max-rows` and `--seed`: a non-negative
     integer.  A negative seed is refused, since `random.Random(n)` draws as
-    `random.Random(abs(n))` does, so two reports with different seeds
-    would hold the same draws."""
+    `random.Random(abs(n))` does, so two `fuzz-special` reports with
+    different seeds would hold the same draws; the commands that only
+    record their seed refuse it alike."""
     count = _at_least(text, 0)
     if count is None:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
@@ -243,9 +244,7 @@ def cmd_subobjects(args, ordered, profile, partition) -> tuple[dict, int]:
     check_cap(ordered.dimension, cap)
     _, realization = _realize(ordered, args.modified)
     lattice = StableLattice(realization)
-    subs = enumerate_concrete_subobjects(
-        realization, cap=cap, seed=args.seed, lattice=lattice
-    )
+    subs = enumerate_concrete_subobjects(realization, cap=cap, lattice=lattice)
     return {
         "modified": bool(args.modified),
         "count": len(subs),
@@ -284,7 +283,8 @@ def cmd_build_filtration(args, ordered, profile, partition) -> tuple[dict, int]:
 
 
 def cmd_verify_admissible(args, ordered, profile, partition) -> tuple[dict, int]:
-    # the subspaces are enumerated; `--seed` seeds the audit and the search
+    # the subspaces are enumerated; nothing is drawn, so `--seed` is only
+    # recorded
     cap = _cap(args)
     check_cap(ordered.dimension, cap)
     edges, realization = _realize(ordered, not args.no_modify)
@@ -333,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
         if weights:
             p.add_argument("--weights", required=True, help="weight profile JSON file")
         if seed:
-            p.add_argument("--seed", type=_count_flag, default=0)
+            p.add_argument(
+                "--seed", type=_count_flag, default=0,
+                help="recorded where the report has a seed field; the output "
+                "does not depend on it",
+            )
         if cap:
             p.add_argument(
                 "--cap", type=_cap_flag, default=None,

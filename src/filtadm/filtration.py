@@ -79,24 +79,25 @@ no classes.  All t_N come from one slope table, the realization's
   module, with no lattice or chain steps.  More stable goods than the
   lattice guard (`subobjects.check_guard`) are refused as the class list
   of `subobjects._class_keys` refuses them.
-- Otherwise the stable subspaces are infinitely many, the list comes
-  from the pattern route, and its audit vouches that it is complete:
-  one exact check per chain or split level, random rounds on the others
-  (`subobjects._audit`).  A stable good is its own class there too, and
-  the scan already certified it, so its row is written as the scan
-  writes it, bound [K:L] P[m], with no chain bound computed; the
-  certificates cover the other listed classes, and the search leaves
-  the goods out by key.
+- Otherwise the stable subspaces are infinitely many, and the list comes
+  from the pattern route: by the merge lemma of the `subobjects`
+  docstring it holds the class of every single-vector closure, and a
+  level the lemma does not cover is refused (`subobjects._check_merges`).
+  A stable good is its own class there too, and the scan already
+  certified it, so its row is written as the scan writes it, bound
+  [K:L] P[m], with no chain bound computed; the certificates cover the
+  other listed classes, and the search leaves the goods out by key.
 Only when some class does not certify does the search run: the listed
-classes, random-coefficient variants and closures of good-cap-tail
-intersections (the adversarially aligned subspaces), outside the
-certified classes, each against its exact t_H, the first violator being
-the witness.  The candidates stay piece ids, in (rank, rows) order, which
-`subobjects._row_order` gives as for the class list.  Slopes are compared
-as integers over the denominator of `level_slopes`, and a report writes
-rows and slopes as rationals only from there (`model.row_to_str`,
-`model.ratio_to_str`).  The search decides as it would without the
-certificates, since no member of a certified class can violate.
+classes and closures of good-cap-tail intersections (the adversarially
+aligned subspaces), outside the certified classes, each against its
+exact t_H, the first violator being the witness.  Nothing is drawn at
+random, so a verdict is a function of its inputs.  The candidates stay
+piece ids, in (rank, rows) order, which `subobjects._row_order` gives as
+for the class list.  Slopes are compared as integers over the
+denominator of `level_slopes`, and a report writes rows and slopes as
+rationals only from there (`model.row_to_str`, `model.ratio_to_str`).
+The search decides as it would without the certificates, since no
+member of a certified class can violate.
 
 Tail dimensions of a subspace W come from one echelon pass per
 embedding: seeded with integer rows spanning W, it takes v_n, v_{n-1},
@@ -116,7 +117,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -137,13 +137,11 @@ from .model import (
 )
 from .subobjects import (
     DEFAULT_CAP,
-    RANDOM_ROUNDS,
     check_cap,
     check_guard,
     StableLattice,
     _class_keys,
     _row_order,
-    random_round_subobjects,
     smallest_enclosing_good,
     stable_good_subobjects,
 )
@@ -490,12 +488,11 @@ def check_admissible(
     ok read off the good scan where every level is a chain (refused with
     CapExceededError past the lattice guard), otherwise the class list
     with one chain certificate per class, and the search outside the
-    certified classes only when some class does not certify.
-    Where the stable subspaces are infinitely many, `subobjects._audit`
-    checks the class list: exactly on the levels that are a chain or
-    split, and by `subobjects.RANDOM_ROUNDS` random rounds, drawn from
-    `seed`, on the others; as many rounds, drawn from seed + 1 over every
-    level, join the search.  A failure's witness records the
+    certified classes only when some class does not certify.  `seed` is
+    accepted and unused: nothing in the verdict is random, so the report
+    is the same for every seed.  A realization with a level whose merges
+    the class list does not cover raises ValueError
+    (`subobjects._check_merges`).  A failure's witness records the
     violating subspace, its smallest enclosing stable good subobject (the
     position where the excess Hodge weight lives) and its `source` ("good"
     or "search"); `proof` says what an ok rests on.  Before any verdict: a
@@ -581,7 +578,7 @@ def check_admissible(
     # every source interns its pieces in one lattice, so a candidate is
     # its tuple of piece ids; rows are built once per distinct candidate
     lattice = StableLattice(realization)
-    listed = _class_keys(lattice, seed)
+    listed = _class_keys(lattice)
     steps = _chain_steps(lattice, profile)
     # a good is its own class (`_class_keys`), certified by the scan: its
     # chain bound is [K:L] P[m], attained by the chain through it
@@ -608,9 +605,6 @@ def check_admissible(
         return AdmissibilityReport(True, None, None, tuple(table), "certificate")
 
     candidates = dict.fromkeys(listed)
-    rng = random.Random(seed + 1)
-    for _ in range(RANDOM_ROUNDS):
-        candidates.update(dict.fromkeys(random_round_subobjects(lattice, rng)))
     candidates.update(dict.fromkeys(_aligned_candidates(lattice, filtration)))
     keys = [
         key

@@ -32,7 +32,10 @@ edges from one summand, since E carries one edge per source, and a cycle
 of edges, a self-loop included: E moves a block along the edge out of
 its summand, so with no cycle every block reaches 0.  Each V_lambda is
 therefore a generalized eigenspace, and every Phi-stable subspace W is
-the direct sum of the W cap V_lambda.
+the direct sum of the W cap V_lambda.  E and N send each block to one
+block with coefficient 1, or to 0, and EN = NE, which N Phi = p Phi N
+gives with Phi = lambda (1 + E) on each level: the merge lemma of the
+`subobjects` docstring rests on both.
 N sends the level of (F, t) into that of (F, t - 1), so stable closures
 are grown level by level (`subobjects.StableLattice.closures`) on the
 integer operators of `level_operators`, read off the sparse columns, which
@@ -202,30 +205,24 @@ class ConcreteRealization:
         return tuple(out)
 
     @cached_property
-    def chain_levels(self) -> tuple[bool, ...]:
-        """Per level, whether the coupling E is a single chain on it: E
-        sends each basis vector of the level to a multiple of another or to
-        0, along one chain e_top -> ... -> e_bottom -> 0 through all of them.
+    def uniserial(self) -> bool:
+        """Whether the coupling E is a single chain on every level: E sends
+        each basis vector of the level to a multiple of another or to 0,
+        along one chain e_top -> ... -> e_bottom -> 0 through all of them.
+        Then the stable subspaces are exactly the stable good spans, and
+        otherwise they are infinitely many (`subobjects` module docstring).
 
-        That is rank E|lambda = width - 1, the columns hitting width - 1
-        distinct targets, with E nilpotent on the level, which following
-        the chain from the one vector outside the image decides: a cycle
-        keeps every column count right and never reaches 0 from there.  A
-        width-1 level always qualifies; a column with two entries never
-        does.
+        On a level that is rank E|lambda = width - 1, the columns hitting
+        width - 1 distinct targets, with E nilpotent on the level, which
+        following the chain from the one vector outside the image decides
+        (`_is_chain`): a cycle keeps every column count right and never
+        reaches 0 from there.  A width-1 level always qualifies; a column
+        with two entries never does.
         """
-        return tuple(
+        return all(
             _is_chain(len(coords), coupling)
             for coords, (coupling, _) in zip(self.levels, self.level_operators)
         )
-
-    @cached_property
-    def uniserial(self) -> bool:
-        """Whether E is a single chain on every level (`chain_levels`).
-        Then the stable subspaces are exactly the stable good spans, and
-        otherwise they are infinitely many (`subobjects` module docstring).
-        """
-        return all(self.chain_levels)
 
     @cached_property
     def level_slopes(self) -> tuple[tuple[int, ...], int]:
@@ -240,7 +237,7 @@ class ConcreteRealization:
 def _is_chain(width: int, coupling) -> bool:
     """Whether `coupling`, a `level_operators` entry of a level of `width`
     basis vectors, is one chain through all of them
-    (`ConcreteRealization.chain_levels`)."""
+    (`ConcreteRealization.uniserial`)."""
     if coupling is None:
         return width == 1
     cols = coupling[1]

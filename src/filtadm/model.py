@@ -417,8 +417,8 @@ def below(getrandbits, n: int) -> int:
     `seq[below(bits, len(seq))]` is `rng.choice(seq)`, the same value
     from the same state and the same state after, with none of
     `randrange`'s argument checks or calls in between.  The seeded
-    samplers (`pairs`, `subobjects`) draw only through
-    it."""
+    sampler of `pairs` draws only through it, and so do the random rounds
+    of the test oracles."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:

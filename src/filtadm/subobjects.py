@@ -18,18 +18,14 @@ up to relative position against the good lattice, one representative per
 class.  Where every level is a chain (`ConcreteRealization.uniserial`),
 the stable subspaces are exactly the stable good spans (the theorem
 below), each its own class, so the list is `StableLattice.good_keys`,
-complete by theorem, and nothing audits it.  Otherwise they are
-infinitely many, and the classes come from closing signed
-{0,+-1}-pattern vectors with two or more nonzero entries inside each
-generalized eigenspace and saturating them under sums, from the stable
-good spans, which are closed under sums already.  The audit (`_audit`)
-vouches for the list level by level.  On a chain level, and on a split
-level, whose blocks lie in distinct components of the edge graph, a
-theorem puts the closure of every vector with no zero coefficient in the
-class of the closure of the all-ones vector, so one exact check stands
-for every random draw there; only on the levels of neither kind do
-`RANDOM_ROUNDS` random-coefficient rounds re-derive the classes and fail
-loudly if the pattern heuristic ever misses one.
+complete by theorem.  Otherwise they are infinitely many, and the classes
+come from closing signed {0,+-1}-pattern vectors with two or more nonzero
+entries inside each generalized eigenspace and saturating them under
+sums, from the stable good spans, which are closed under sums already.
+By the merge lemma below that list holds the class of the closure of
+every vector on a level whose merges are pairs, and `_check_merges`
+refuses any other level with a ValueError.  Nothing is drawn at random,
+so the list is a function of the realization alone.
 The work runs on piece ids (`_class_keys`, which the verdict calls): a
 stable good span is its own class, the other keys are grouped by class
 before anything is ordered, only a class with several keys runs the
@@ -37,13 +33,6 @@ tie-break, and both orders compare the rows as
 rationals, each entry over its row's pivot: in integers, each `int_rows`
 row scaled by L / pivot with L the lcm of the pivots of the keys
 compared.  `Subobject`s are built only for the public list.
-The closure of c*v is the closure of v for c != 0: the first step of
-both stores the same primitive row with a positive pivot, and every
-later step reads only that row.  So single-vector closures are memoized
-per line (`StableLattice.closure`): the audit's all-ones vector of a
-level is its all-ones pattern, a lookup, and every random draw of the
-search on a width-1 level after the first, a multiple of its unit
-vector, is one too.
 
 Finitely many stable subspaces, by theorem.  Call a level a chain when
 the coupling E sends each of its basis vectors to a multiple of another
@@ -76,6 +65,49 @@ are the n goods generated by one block each.  So the verdict reads an
 all-chains realization's class list off its scan of the stable goods,
 and builds a `StableLattice` only where the lattice is infinite.
 
+The merge lemma: every single-vector closure has a listed class.
+
+- E and N send each block to one block with coefficient 1, or to 0, as
+  `frobenius.realize_matrices` builds them (`_check_merges` checks E).
+  EN = NE, which follows from N Phi = p Phi N with Phi = lambda (1 + E)
+  on each level.
+- Fix x on a level lambda.  Its closure W has the piece span{E^b N^a x :
+  b >= 0} on the level lambda - a, and no other piece.
+- A stable good G is E-stable, so on each level the blocks outside G
+  form a set O that E^-1 keeps, and pi_O E = E_O pi_O for the projection
+  pi_O onto O and E_O = pi_O E on it.  Hence dim(G cap W) on lambda - a is
+  dim W_(lambda-a) minus the Krylov dimension of pi_O N^a x under the
+  nilpotent E_O, which is the least b with E_O^b pi_O N^a x = 0; with O
+  every block of the level, that is dim W_(lambda-a).
+- The entry of E^b N^a x at a block v is sigma_P(x) = sum of x_u over u
+  in P, the set of blocks of lambda that E^b N^a sends to v, and E_O^b
+  agrees with E^b on O.  So rank, t_N and every dim(G cap W), the class
+  of W, depend only on which sigma_P(x) vanish.  Call a P with two or
+  more blocks a merge.
+- N^a is injective on the blocks it does not kill and E^b N^a = N^a E^b,
+  so every merge is a set of blocks of lambda that E^b sends to one
+  block.  These sets are nested or disjoint, since E^b u = E^b u' gives
+  E^(b+1) u = E^(b+1) u'.  So where every merge of lambda is a pair, no
+  two pairs share a block, and every zero pattern of the sigma_P is that
+  of a {0, +-1} vector: 1 on the support of x, and -1 on one block of each
+  pair that x cancels.  With its first nonzero entry +1 that vector is a
+  `_pattern_vectors` entry or a unit vector, whose closure is a stable
+  good span.  On such a level the list holds the class of every
+  single-vector closure, by proof, and nothing is left to audit.
+- Chain levels, split levels (their blocks in distinct components of the
+  undirected edge graph, which E and N never leave) and every level of a
+  realization without edges have no merge at all.  Where a merge holds
+  three blocks the list is provably incomplete: for four copies of F(0)
+  with edges 0 -> 3, 1 -> 3 and 2 -> 3, no {0, +-1} vector has x0 + x1 +
+  x2 = 0 with all three entries nonzero, so the class of the closure of
+  (1, 1, -2, 0) is never listed.  `_check_merges` refuses such a level.
+  The tests find none on any modified one-family spec of three or more
+  summands, offsets 0-5, lengths 1-6 and dimension <= 8, and none in the
+  benchmark streams: only edges set by hand have reached the refusal.
+- The lemma is about one vector on one level.  That the saturation under
+  sums lists the class of every sum of such closures is checked by the
+  tests, not proved.
+
 One fact carries the concrete layer: a stable W is the direct sum of its
 pieces W_lambda = W cap V_lambda.  For stable W, W' the sums W_lambda +
 W'_lambda lie in the independent V_lambda, so W + W' is their direct sum
@@ -95,7 +127,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -107,7 +138,6 @@ from .model import (
     GoodSubobject,
     InternalConsistencyError,
     ModuleSpec,
-    below,
 )
 
 __all__ = [
@@ -118,19 +148,12 @@ __all__ = [
     "stable_good_subobjects",
     "smallest_enclosing_good",
     "enumerate_concrete_subobjects",
-    "random_round_subobjects",
     "StableLattice",
     "DEFAULT_CAP",
-    "RANDOM_ROUNDS",
 ]
 
 DEFAULT_CAP = 8
-# the audit rounds of an infinite lattice's class list on the levels that
-# are neither a chain nor split, and the rounds of random candidates the
-# verdict's search adds
-RANDOM_ROUNDS = 5
 _LATTICE_GUARD = 1500
-_NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x != 0)
 
 
 def check_guard(count: int) -> None:
@@ -211,14 +234,15 @@ def _pattern_vectors(width: int) -> list[tuple[int, ...]]:
     blocks, so the closure of one block is spanned by blocks and closed
     under N, a stable good span that `good_keys` already lists.  The
     first nonzero coefficient is +1, since a global sign never changes
-    the span, and the others take both signs.  What the tests show of the
-    signs: on an uncoupled level of width 2 the lines off both axes form
-    one class, which (1, 1) and (1, -1) each list, and dropping both loses
-    it; and one module with infinitely many stable subspaces has a class
-    that only a pattern with a negative entry lists.  The all-ones pattern
-    is the base point of the audit (`_audit`): on a chain or a split level
-    the closure of every vector with no zero coefficient has the class of
-    its closure, so listing it lists theirs.
+    the span, and the others take both signs.  By the merge lemma of the
+    module docstring these vectors and the unit vectors realize every
+    zero pattern a single vector can have on a level whose merges are
+    pairs, so their closures hold every class of a single-vector closure
+    there.  What the tests show of the signs: on an uncoupled level of
+    width 2 the lines off both axes form one class, which (1, 1) and
+    (1, -1) each list, and dropping both loses it; and one module with
+    infinitely many stable subspaces has a class that only a pattern with
+    a negative entry lists.
     """
     out = []
     for size in range(2, width + 1):
@@ -259,7 +283,6 @@ class StableLattice:
         self._ids: list[dict[tuple, int]] = [{(): 0} for _ in levels]
         self._sums: list[dict[tuple[int, int], int]] = [{} for _ in levels]
         self._terms: list[dict[int, tuple[int, ...]]] = [{} for _ in levels]
-        self._lines: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._good_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._measures: dict[tuple[int, ...], tuple[int, int]] = {}
         self._full_rows: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
@@ -386,16 +409,8 @@ class StableLattice:
         return out
 
     def closure(self, level: int, v: Sequence[int]) -> tuple[int, ...]:
-        """Piece ids of the closure of one nonzero integer vector on a level,
-        memoized per line: the closure of c*v is that of v for c != 0."""
-        g = math.gcd(*v)
-        if next(filter(None, v)) < 0:
-            g = -g
-        line = (level, tuple(x // g for x in v))
-        key = self._lines.get(line)
-        if key is None:
-            key = self._lines[line] = self.closures(((line,),))[0]
-        return key
+        """Piece ids of the closure of one nonzero integer vector on a level."""
+        return self.closures([[(level, v)]])[0]
 
     def piece(self, level: int, pid: int) -> tuple:
         """Canonical integer basis of a piece, in the level's own coordinates."""
@@ -534,33 +549,6 @@ def _saturate(
     return list(subs)
 
 
-def _round_levels(realization: ConcreteRealization) -> list[int]:
-    """The levels that are neither a chain (`chain_levels`) nor split:
-    the only ones whose random-round closures no theorem places in a
-    listed class (see `_audit`).
-
-    A level is split when the summands of its blocks lie in pairwise
-    distinct components of the undirected edge graph.
-    """
-    root = list(range(len(realization.spec.summands)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            i = root[i]
-        return i
-
-    for e in realization.edges:
-        root[find(e.src)] = find(e.dst)
-    basis = realization.basis
-    return [
-        level
-        for level, (coords, chain) in enumerate(
-            zip(realization.levels, realization.chain_levels)
-        )
-        if not chain and len({find(basis[c].summand) for c in coords}) < len(coords)
-    ]
-
-
 def _negatives(lattice: StableLattice, key: tuple[int, ...]) -> int:
     """The negative entries of the canonical integer rows of `key`, which
     are those of its canonical rows."""
@@ -591,21 +579,63 @@ def _row_order(
     }
 
 
-def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
+def _check_merges(realization: ConcreteRealization) -> None:
+    """Raise ValueError naming the first level where some power of the
+    coupling E sends three or more of its blocks to one block: a merge the
+    pattern list does not cover (the merge lemma of the module docstring).
+
+    The sets E^b sends to one block are nested or disjoint, so where none
+    holds three blocks every merge is a pair and no two pairs share one.
+    A coupling column that is not one block with coefficient 1 breaks the
+    lemma's premise and raises InternalConsistencyError.  E is nilpotent
+    on a level of width w (`frobenius.realize_matrices`), so E^w = 0 and w
+    powers are all there are.
+    """
+    basis = realization.basis
+    for level, (coords, (coupling, _)) in enumerate(
+        zip(realization.levels, realization.level_operators)
+    ):
+        if coupling is None:
+            continue
+        cols = coupling[1]
+        if any(col and (len(col) > 1 or col[0][1] != 1) for col in cols):
+            raise InternalConsistencyError(
+                f"the coupling sends a block of level {level} to no single block"
+            )
+        step = [col[0][0] if col else None for col in cols]
+        # block -> its image under E^b, for the blocks E^b does not kill
+        image = {u: v for u, v in enumerate(step) if v is not None}
+        for b in range(1, len(coords)):
+            sets: dict[int, list[int]] = {}
+            for u, v in image.items():
+                sets.setdefault(v, []).append(u)
+            for merged in sets.values():
+                if len(merged) > 2:
+                    top = basis[coords[0]]
+                    blocks = [(basis[coords[u]].summand, basis[coords[u]].k) for u in merged]
+                    raise ValueError(
+                        f"level {level} ({top.family.id}, twist {top.twist}): E^{b} "
+                        f"sends the blocks (summand, k) {blocks} to one block; the "
+                        "class list covers only merges of two blocks"
+                    )
+            image = {u: step[v] for u, v in image.items() if step[v] is not None}
+
+
+def _class_keys(lattice: StableLattice) -> list[tuple[int, ...]]:
     """Piece ids of one representative per relative-position class of the
     stable subspaces, in the order of `enumerate_concrete_subobjects`; the
     caller checks the cap.
 
     The keys are the stable good spans `good_keys` where every level is a
     chain, refused past `_LATTICE_GUARD`, and otherwise the pattern
-    route's, audited by `_audit` from `seed`.  A good's class holds the
-    good alone: if dim(G cap W) = dim G = dim W, then W = G.  So only the
-    other keys are grouped by class (rank, `good_dims`), and no good's
-    `good_dims` is read.  A class with several keys keeps the one without
-    negative entries, then with the smallest rows; the representatives
-    are sorted by (rank, rows), and rows are built only where ranks tie.
-    Both orders compare the rows over their pivots, as the integers of
-    `_row_order`.  Neither reads the order of the keys.
+    route's, on a realization `_check_merges` accepts.  A good's class
+    holds the good alone: if dim(G cap W) = dim G = dim W, then W = G.  So
+    only the other keys are grouped by class (rank, `good_dims`), and no
+    good's `good_dims` is read.  A class with several keys keeps the one
+    without negative entries, then with the smallest rows; the
+    representatives are sorted by (rank, rows), and rows are built only
+    where ranks tie.  Both orders compare the rows over their pivots, as
+    the integers of `_row_order`.  Neither reads the order of the keys.
 
     On the pattern route the stable good spans, zero included, seed the
     saturation (`_saturate`): they are closed under sums, since the
@@ -619,6 +649,7 @@ def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
         keys = goods
         check_guard(len(keys))
     else:
+        _check_merges(realization)
         patterns = [
             lattice.closure(level, v)
             for level, coords in enumerate(realization.levels)
@@ -644,102 +675,31 @@ def _class_keys(lattice: StableLattice, seed: int = 0) -> list[tuple[int, ...]]:
         if len(reps) > 1:
             reps.sort(key=_row_order(lattice, reps).__getitem__)
         ranked += reps
-    if not realization.uniserial:
-        _audit(lattice, set(keys), classes, seed)
     return ranked
-
-
-def _audit(
-    lattice: StableLattice,
-    keys: set[tuple[int, ...]],
-    classes: dict[tuple, list[tuple[int, ...]]],
-    seed: int,
-) -> None:
-    """Raise InternalConsistencyError unless the closure of every vector
-    with nonzero coefficients on one level lies in a listed class: `keys`
-    are the listed keys, the stable good spans among them, and `classes`
-    holds the classes of the others.
-
-    Let T scale every block by a nonzero c per connected component of the
-    undirected edge graph.  E couples blocks only along edges and N stays
-    in its summand, so T commutes with Phi and N; T is diagonal on
-    blocks, so it fixes every good span G and keeps rank, every dim(G cap
-    W) and t_N.  On a split level (`_round_levels`) the blocks lie in
-    distinct components, so for v with every coefficient nonzero some T
-    maps the all-ones vector 1 to v, and closure(v) = T closure(1) has
-    the class of closure(1).  On a chain level (`chain_levels`) v has a
-    nonzero top coefficient, so the E-span of v is the whole level and
-    closure(v) = closure(V_lambda) = closure(1).  So on those levels one
-    exact check covers every vector: closure(1) must be a listed key.
-    Only on the levels of neither kind do `RANDOM_ROUNDS` random rounds,
-    drawn from `seed`, audit the list.
-    """
-    realization = lattice.realization
-    rounds = _round_levels(realization)
-    for level, coords in enumerate(realization.levels):
-        if level not in rounds and lattice.closure(level, (1,) * len(coords)) not in keys:
-            raise InternalConsistencyError(
-                f"the all-ones vector of level {level} closes to no listed subspace"
-            )
-    if not rounds:
-        return
-    rng = random.Random(seed)
-    for _ in range(RANDOM_ROUNDS):
-        for key in random_round_subobjects(lattice, rng, rounds):
-            if key not in keys and (lattice.dim(key), lattice.good_dims(key)) not in classes:
-                raise InternalConsistencyError(
-                    "random-coefficient round found a new subobject class"
-                )
 
 
 def enumerate_concrete_subobjects(
     realization: ConcreteRealization,
     cap: int = DEFAULT_CAP,
-    seed: int = 0,
     lattice: StableLattice | None = None,
 ) -> tuple[Subobject, ...]:
     """All Phi,N-stable subspaces up to relative position, canonically sorted.
 
     Where every level is a chain (`ConcreteRealization.uniserial`), the
     stable subspaces are exactly the stable good spans, every one of them
-    listed, and `seed` goes unused.  Otherwise pattern atoms are the
-    signed {0,+-1} vectors with two or more nonzero entries inside each
-    generalized eigenspace, closed under Phi and N, and the subspaces are
-    the sum-closure of the atoms and of the stable good spans.  The
-    pattern heuristic is declared broken (InternalConsistencyError) if
-    the all-ones vector of a chain or split level closes outside the list,
-    or if on a level of neither kind one of `RANDOM_ROUNDS` passes with
-    random nonzero coefficients, drawn from `seed`, produces a new
-    relative-position class (`_audit`).  Either way one
-    representative per class is kept (`_class_keys`): the one without
-    negative entries, then with the smallest canonical rows, sorted by
-    (rank, canonical rows), rows compared over their pivots.  Results hold
-    their canonical rows and their piece ids `key` in `lattice` (new if
-    None).
+    listed.  Otherwise pattern atoms are the signed {0,+-1} vectors with
+    two or more nonzero entries inside each generalized eigenspace, closed
+    under Phi and N, and the subspaces are the sum-closure of the atoms and
+    of the stable good spans; a level where some power of E sends three or
+    more blocks to one, whose classes the patterns miss, raises ValueError
+    (`_check_merges`).  Either way one representative per class is kept
+    (`_class_keys`): the one without negative entries, then with the
+    smallest canonical rows, sorted by (rank, canonical rows), rows
+    compared over their pivots.  Results hold their canonical rows and
+    their piece ids `key` in `lattice` (new if None).
     """
     check_cap(realization.dimension, cap)
     lattice = lattice or StableLattice(realization)
     return tuple(
-        Subobject(lattice.int_rows(key), key) for key in _class_keys(lattice, seed)
+        Subobject(lattice.int_rows(key), key) for key in _class_keys(lattice)
     )
-
-
-def random_round_subobjects(
-    lattice: StableLattice, rng: random.Random, levels: Iterable[int] | None = None
-) -> list[tuple[int, ...]]:
-    """Piece ids of the closures of one random nonzero-coefficient vector
-    per eigenspace level, or per level of `levels`."""
-    bits = rng.getrandbits
-    coords_of = lattice.realization.levels
-    out = []
-    for level in range(len(coords_of)) if levels is None else levels:
-        # the vector of the coefficients num / den, scaled by the lcm of den;
-        # num is choice(_NONZERO_DIGITS) and den randint(1, 4)
-        draws = [
-            (_NONZERO_DIGITS[below(bits, len(_NONZERO_DIGITS))], 1 + below(bits, 4))
-            for _ in coords_of[level]
-        ]
-        scale = math.lcm(*(den for _, den in draws))
-        v = [num * (scale // den) for num, den in draws]
-        out.append(lattice.closure(level, v))
-    return out

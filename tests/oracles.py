@@ -30,7 +30,10 @@ by tail (by one minor per good, `violation_minors`, and by one echelon
 per basis, `echelon_violation`), tail dimensions by stacking, and
 aligned candidates by one intersection per tail.  `class_subobjects`
 chooses and sorts the class list on `Fraction` rows, where the library
-compares integer rows.
+compares integer rows, and audits it with `RANDOM_ROUNDS` rounds of
+random-coefficient closures on every level (`random_round_subobjects`),
+where the library draws nothing and rests on the merge lemma of the
+`subobjects` docstring.
 `lattice_route_report` is the ok verdict as it stood before all-chains
 realizations were read off the good scan: the class list of the lattice
 and one chain bound per class, on every realization.
@@ -102,6 +105,7 @@ from filtadm.model import (
     InternalConsistencyError,
     ModuleSpec,
     WeightProfile,
+    below,
     fraction_to_str,
     validate_spec,
 )
@@ -109,7 +113,6 @@ from filtadm.ordering import require_canonical, type_components
 from filtadm.slopes import ChainVerdict
 from filtadm.subobjects import (
     DEFAULT_CAP,
-    RANDOM_ROUNDS,
     StableLattice,
     Subobject,
     _class_keys,
@@ -117,7 +120,6 @@ from filtadm.subobjects import (
     _pattern_vectors,
     _saturate,
     check_cap,
-    random_round_subobjects,
     smallest_enclosing_good,
     stable_good_subobjects,
 )
@@ -909,6 +911,34 @@ def echelon_violation(
     return None
 
 
+# the rounds of random nonzero-coefficient closures `class_subobjects`
+# audits the class list with, on every level
+RANDOM_ROUNDS = 5
+_NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x != 0)
+
+
+def random_round_subobjects(
+    lattice: StableLattice, rng: random.Random, levels: Iterable[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Piece ids of the closures of one random nonzero-coefficient vector
+    per eigenspace level, or per level of `levels`: per coordinate a digit
+    in +-1..9 over a denominator in 1..4, scaled to integers."""
+    bits = rng.getrandbits
+    coords_of = lattice.realization.levels
+    out = []
+    for level in range(len(coords_of)) if levels is None else levels:
+        # the vector of the coefficients num / den, scaled by the lcm of den;
+        # num is choice(_NONZERO_DIGITS) and den randint(1, 4)
+        draws = [
+            (_NONZERO_DIGITS[below(bits, len(_NONZERO_DIGITS))], 1 + below(bits, 4))
+            for _ in coords_of[level]
+        ]
+        scale = math.lcm(*(den for _, den in draws))
+        v = [num * (scale // den) for num, den in draws]
+        out.append(lattice.closure(level, v))
+    return out
+
+
 def class_subobjects(
     realization: ConcreteRealization,
     cap: int = DEFAULT_CAP,
@@ -919,7 +949,8 @@ def class_subobjects(
     on `Fraction` rows: the canonical rows of every saturated key are
     built, sorted by (rank, negative entries, rows), the first of each
     class is kept and the kept ones are sorted by (rank, rows), where the
-    library groups the keys by class first and compares integer rows."""
+    library groups the keys by class first and compares integer rows.
+    The list is audited by `round_audit` from `seed`, on every level."""
     check_cap(realization.dimension, cap)
     lattice = lattice or StableLattice(realization)
     keys = [lattice.zero, *lattice.good_keys]
@@ -939,23 +970,32 @@ def class_subobjects(
     for sub in sorted(base, key=rep_key):
         by_class.setdefault((sub.rank, lattice.good_dims(sub.key)), sub)
     result = sorted(by_class.values(), key=lambda s: (s.rank, rref(s.rows)))
-    rng = random.Random(seed)
-    for _ in range(RANDOM_ROUNDS):
-        for key in random_round_subobjects(lattice, rng):
-            if (lattice.dim(key), lattice.good_dims(key)) not in by_class:
-                raise InternalConsistencyError(
-                    "random-coefficient round found a new subobject class"
-                )
+    round_audit(lattice, [sub.key for sub in result], seed)
     return tuple(result)
 
 
+def round_audit(lattice: StableLattice, keys: Iterable[tuple[int, ...]], seed: int = 0) -> None:
+    """Raise InternalConsistencyError unless the closure of every draw of
+    `RANDOM_ROUNDS` random rounds from `seed`, on every level, has the
+    class of one of `keys`: a check of a class list that does not rest on
+    the merge lemma."""
+    classes = {(lattice.dim(key), lattice.good_dims(key)) for key in keys}
+    rng = random.Random(seed)
+    for _ in range(RANDOM_ROUNDS):
+        for key in random_round_subobjects(lattice, rng):
+            if (lattice.dim(key), lattice.good_dims(key)) not in classes:
+                raise InternalConsistencyError(
+                    "random-coefficient round found a new subobject class"
+                )
+
+
 def lattice_route_report(
-    realization: ConcreteRealization, profile: WeightProfile, seed: int = 0
+    realization: ConcreteRealization, profile: WeightProfile
 ) -> AdmissibilityReport | None:
     """The ok report `check_admissible` gave an item past its good scan
     before all-chains realizations were read off the scan: the class list
     of a `StableLattice` (the stable good spans where every level is a
-    chain, the pattern route audited from `seed` where not), one chain
+    chain, the pattern route where not), one chain
     bound per class over the cover pairs of the stable goods, and the
     table in class order.  None where some class does not certify, so that the verdict
     goes on to the search, which both routes share."""
@@ -964,7 +1004,7 @@ def lattice_route_report(
     den = realization.level_slopes[1]
     kl = realization.spec.config.deg_K_L
     table = []
-    for key in _class_keys(lattice, seed):
+    for key in _class_keys(lattice):
         dim = lattice.dim(key)
         if dim in (0, realization.dimension):
             continue

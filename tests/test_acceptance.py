@@ -185,7 +185,7 @@ def test_criterion_7_greedy_flag_invariants():
             edges = build_modified_frobenius(spec)
             real = realize_matrices(spec, edges)
             lattice = StableLattice(real)
-            subs = enumerate_concrete_subobjects(real, seed=done, lattice=lattice)
+            subs = enumerate_concrete_subobjects(real, lattice=lattice)
             dp = subs[rng.randrange(len(subs))]
             prof = lattice.profile(dp.key)
             flag = greedy_flag(spec, prof)

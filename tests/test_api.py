@@ -80,7 +80,10 @@ def test_flag_layer_not_in_package(name):
 # sets live with the oracles too; t_N of a good is `oracles.good_t_n`.
 # The filtration bases are fixed by theorem, so the sampler, its budget,
 # the run-time transversality check and its scaled reduced form are gone
-# (the transversality minors live with the oracles)
+# (the transversality minors live with the oracles).  The class list is
+# complete for single vectors by the merge lemma, so its random audit, the
+# search's random rounds and the per-level chain flags it read are gone
+# (the rounds live with the oracles)
 MOVED = [
     (filtadm.emerton, "GammaBlock"),
     (filtadm.emerton, "Candidate"),
@@ -129,6 +132,12 @@ MOVED = [
     (filtadm.filtration.Filtration, "transverse"),
     (filtadm.linalg, "ScaledReducedForm"),
     (filtadm.linalg, "_nonsingular"),
+    (filtadm.subobjects, "random_round_subobjects"),
+    (filtadm.subobjects, "RANDOM_ROUNDS"),
+    (filtadm.subobjects, "_NONZERO_DIGITS"),
+    (filtadm.subobjects, "_audit"),
+    (filtadm.subobjects, "_round_levels"),
+    (filtadm.frobenius.ConcreteRealization, "chain_levels"),
 ]
 
 

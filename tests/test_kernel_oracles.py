@@ -28,7 +28,6 @@ from filtadm.subobjects import (
     _pattern_vectors,
     _saturate,
     enumerate_concrete_subobjects,
-    random_round_subobjects,
     stable_good_subobjects,
 )
 from helpers import (
@@ -241,7 +240,7 @@ def test_every_subobject_holds_canonical_integer_rows():
     for spec, real, filt in triples:
         lattice = StableLattice(real)
         subs = list(enumerate_concrete_subobjects(real, lattice=lattice))
-        keys = random_round_subobjects(lattice, rng) + _aligned_candidates(lattice, filt)
+        keys = oracles.random_round_subobjects(lattice, rng) + _aligned_candidates(lattice, filt)
         subs += [Subobject(lattice.int_rows(key), key) for key in keys]
         for sub in subs:
             assert all(type(x) is int for row in sub.rows for x in row)
@@ -349,7 +348,7 @@ def _stable_subspaces(real, rng, lattice=None):
     each with its piece ids in `lattice`."""
     lattice = lattice or StableLattice(real)
     subs = list(enumerate_concrete_subobjects(real, lattice=lattice))
-    keys = random_round_subobjects(lattice, rng)
+    keys = oracles.random_round_subobjects(lattice, rng)
     for _ in range(3):
         v = _vector(rng, real.dimension, 0.6)
         keys += lattice.closures([level_vectors(real, oracles.int_rows((v,)))])

@@ -140,12 +140,14 @@ def test_report_digests_no_modify_smoke(capsys):
 # the reports are the lattice route's.  Computed before that step; the
 # no-modify digest was re-pinned when the theorem bases replaced the
 # sampled ones (`--verdicts` of those 252 items reads the same digest
-# before and after).
+# before and after), and again when the search dropped its
+# random-coefficient candidates (their table rows went, no verdict or
+# witness moved).
 PINNED_STREAM_SEED = [
     "verify_stream seed=3 items=252 "
     "sha256=1406eba503b18bc2bd09922c8e5bdac74d4ed509da8cdb956c2c95b70ff4d8f4",
     "verify_stream no-modify seed=3 items=252 "
-    "sha256=51fa6e0e19884bfba6c1204b7bba0bd0f3145955e9a8e19c0ac169ba94b7a420",
+    "sha256=1c263a85815f600dd065708626f0a4fc606036c4fb92aaa6fd47e4d2334d44a4",
 ]
 
 
@@ -161,13 +163,14 @@ def test_stream_seed_digests_pinned(capsys):
 # and both `verify-admissible` runs).  A change to the report bytes of
 # either fails here.  Re-pinned when chain certificates took the place of
 # the candidate search, and the cli digest again when the theorem bases
-# replaced the sampled ones; `PINNED_VERDICTS` below shows that no
+# replaced the sampled ones and when the search dropped its
+# random-coefficient candidates; `PINNED_VERDICTS` below shows that no
 # decision moved.
 PINNED_DIGESTS = [
     "verify_stream seed=3 items=12 "
     "sha256=8da2e10fa6ec969d0cd79f5f899b1d0f46fa4dced50c022af51e2b9595ce33fd",
     "cli_reports seed=3 items=12 "
-    "sha256=81a5161d8adfde1827ba2f88f29e3d29b0562a6f6bbaa1eac418bd298370bd3f",
+    "sha256=162e4588d6007bfee3090be582963b3345d1783b3c715754da279528c532d63d",
 ]
 
 
@@ -185,12 +188,14 @@ def test_report_digests_pinned(capsys):
 # reach.  Computed before the report writer replaced `json.dumps`;
 # re-pinned when the theorem bases replaced the sampled ones (the
 # `build-filtration` bases and the searched rows of `verify-admissible
-# --no-modify` moved, no exit code or verdict).
+# --no-modify` moved, no exit code or verdict), and again when the search
+# dropped its random-coefficient candidates (only `--no-modify` search
+# rows went).
 PINNED_CLI_SEEDS = [
     "cli_reports seed=3 items=98 "
-    "sha256=1187310d29b4923718a701a0e96047c4f7ddc24cafec8533db8232eb0b4bc47f",
+    "sha256=32b92b0fead966027a0671b71ec8c982a957558ed6b869fd19b7cd05c2285112",
     "cli_reports seed=5 items=98 "
-    "sha256=88531a271d9a3348b259f10251ca5886faaa42306c68edea48b5edb76fbdf9da",
+    "sha256=2a9e9776f88d57c98b83cee749344bf7a18906440f44543b8b45c21932345f09",
 ]
 
 
